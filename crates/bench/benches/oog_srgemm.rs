@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{oog_srgemm, GpuSpec, OogConfig, SimGpu};
-use srgemm::gemm::gemm_blocked;
+use srgemm::gemm::gemm;
 use srgemm::{Matrix, MinPlusF32};
 
 fn lcg(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
@@ -28,7 +28,7 @@ fn bench_oog(c: &mut Criterion) {
     g.bench_function("in_core_gemm", |bch| {
         bch.iter(|| {
             let mut cm = c0.clone();
-            gemm_blocked::<MinPlusF32>(&mut cm.view_mut(), &a.view(), &b.view());
+            gemm::<MinPlusF32>(&mut cm.view_mut(), &a.view(), &b.view());
             cm
         })
     });

@@ -1,12 +1,11 @@
-//! SRGEMM kernel benchmarks: naive vs cache-blocked vs packed/register-tiled
-//! vs rayon-parallel min-plus GEMM, plus the tile-size ablation called out
-//! in DESIGN.md §7 and a packing ablation (packed-with-shared-B vs packing
-//! per call) for the per-iteration panel reuse in the FW drivers.
+//! SRGEMM kernel benchmarks: the naive oracle vs the packed/register-tiled
+//! kernel vs its rayon-parallel form, plus a packing ablation
+//! (packed-with-shared-B vs packing per call) for the per-iteration panel
+//! reuse in the FW drivers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use srgemm::gemm::{
-    gemm_blocked, gemm_blocked_tiled, gemm_flops, gemm_naive, gemm_packed, gemm_packed_with_b,
-    gemm_parallel, PackedB,
+    gemm_flops, gemm_naive, gemm_packed, gemm_packed_with_b, gemm_parallel, PackedB,
 };
 use srgemm::{Matrix, MinPlusF32};
 
@@ -30,13 +29,6 @@ fn bench_kernels(c: &mut Criterion) {
             bch.iter(|| {
                 let mut c = c0.clone();
                 gemm_naive::<MinPlusF32>(&mut c.view_mut(), &a.view(), &b.view());
-                c
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
-            bch.iter(|| {
-                let mut c = c0.clone();
-                gemm_blocked::<MinPlusF32>(&mut c.view_mut(), &a.view(), &b.view());
                 c
             })
         });
@@ -68,28 +60,5 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tiling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("srgemm_tiling");
-    g.sample_size(10);
-    let n = 256;
-    let a = lcg(n, n, 4);
-    let b = lcg(n, n, 5);
-    let c0 = lcg(n, n, 6);
-    for &(mc, kc, nc) in &[(16usize, 64usize, 64usize), (64, 256, 512), (256, 256, 256)] {
-        g.bench_with_input(
-            BenchmarkId::new("tiles", format!("{mc}x{kc}x{nc}")),
-            &(mc, kc, nc),
-            |bch, &(mc, kc, nc)| {
-                bch.iter(|| {
-                    let mut c = c0.clone();
-                    gemm_blocked_tiled::<MinPlusF32>(&mut c.view_mut(), &a.view(), &b.view(), mc, kc, nc);
-                    c
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_kernels, bench_tiling);
+criterion_group!(benches, bench_kernels);
 criterion_main!(benches);

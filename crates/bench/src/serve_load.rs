@@ -227,12 +227,18 @@ pub fn run_inproc(cfg: &LoadCfg) -> LoadReport {
         std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7772_6974);
             let (mut applied, mut rejected, mut seq) = (0usize, 0usize, 0usize);
-            while !done.load(Ordering::Acquire) {
+            // `done` is read after the batch, not before: the readers may
+            // finish before this thread is first scheduled, and the run
+            // still needs one batch (seq 0 carries the bad update)
+            loop {
                 let batch = writer_batch(&mut rng, cfg.n, cfg.update_batch, cfg.bad_input, seq);
                 let out = engine.apply(&batch);
                 applied += out.report.applied;
                 rejected += out.report.rejected();
                 seq += 1;
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
             }
             (applied, rejected)
         })
@@ -363,8 +369,9 @@ pub fn run_tcp(addr: &str, cfg: &LoadCfg) -> Result<LoadReport, String> {
             let (mut stream, mut rd) = connect(&addr)?;
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7772_6974);
             let (mut applied, mut rejected, mut seq) = (0usize, 0usize, 0usize);
-            let mut epoch = 0u64;
-            while !done.load(Ordering::Acquire) {
+            let mut epoch;
+            // at least one batch, as in `run_inproc`
+            loop {
                 let batch = writer_batch(&mut rng, n, cfg.update_batch, cfg.bad_input, seq);
                 let mut line = String::from("update");
                 for &(u, v, w) in &batch {
@@ -385,6 +392,9 @@ pub fn run_tcp(addr: &str, cfg: &LoadCfg) -> Result<LoadReport, String> {
                     return Err(format!("expected typed badvertex rejection, got '{resp}'"));
                 }
                 seq += 1;
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
             }
             let _ = send_line(&mut stream, &mut rd, "quit");
             Ok((applied, rejected, epoch))

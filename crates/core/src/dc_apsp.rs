@@ -15,7 +15,7 @@
 //! FW results, and as the subject of the dc-vs-blocked bench.
 
 use srgemm::closure::fw_closure;
-use srgemm::gemm::{gemm_blocked, gemm_parallel};
+use srgemm::gemm::{gemm, gemm_parallel};
 use srgemm::matrix::{Matrix, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
@@ -62,7 +62,7 @@ fn dc_recurse<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, base: usize, parallel: 
     if parallel {
         gemm_parallel::<S>(&mut a22, &a21.as_view(), &a12.as_view());
     } else {
-        gemm_blocked::<S>(&mut a22, &a21.as_view(), &a12.as_view());
+        gemm::<S>(&mut a22, &a21.as_view(), &a12.as_view());
     }
     // D ← D*
     dc_recurse::<S>(&mut a22, base, parallel);
@@ -73,7 +73,7 @@ fn dc_recurse<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, base: usize, parallel: 
     if parallel {
         gemm_parallel::<S>(&mut a11, &a12.as_view(), &a21.as_view());
     } else {
-        gemm_blocked::<S>(&mut a11, &a12.as_view(), &a21.as_view());
+        gemm::<S>(&mut a11, &a12.as_view(), &a21.as_view());
     }
 }
 
@@ -87,11 +87,12 @@ mod tests {
 
     #[test]
     fn matches_sequential_fw_across_sizes_and_bases() {
-        for n in [1usize, 2, 3, 5, 8, 17, 33, 48] {
+        // 70 > MC: the quadrant products cross a packed-slab boundary
+        for n in [1usize, 2, 3, 5, 8, 17, 33, 48, 70] {
             let g = generators::uniform_dense(n, WeightKind::small_ints(), n as u64);
             let mut want = g.to_dense();
             fw_seq::<MinPlusF32>(&mut want);
-            for base in [1usize, 4, 16, 64] {
+            for base in [1usize, 3, 4, 16, 64, 128] {
                 let mut got = g.to_dense();
                 dc_apsp::<MinPlusF32>(&mut got, base, false);
                 assert!(want.eq_exact(&got), "n={n} base={base}");

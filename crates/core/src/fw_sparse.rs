@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn ragged_blocks_and_tiny_sizes() {
-        for (n, b) in [(7usize, 3usize), (5, 5), (9, 2), (1, 4)] {
+        for (n, b) in [(7usize, 3usize), (5, 5), (9, 2), (1, 4), (7, 1), (7, 16), (70, 3)] {
             let g = generators::erdos_renyi(n, 0.4, WeightKind::small_ints(), (n * b) as u64);
             let mut want = g.to_dense();
             fw_seq::<MinPlusF32>(&mut want);

@@ -317,9 +317,21 @@ impl Registry {
             return self.solve_auto(g, opts).map(|(_, sol)| sol);
         }
         let solver = self.get(name)?;
-        let profile = GraphProfile::compute(g, opts.block);
+        self.solve_profiled(solver, &GraphProfile::compute(g, opts.block), g, opts)
+    }
+
+    /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
+    /// eligibility against a profile already in hand, the run, the wall
+    /// clock. `profile` must be `g`'s at `opts.block`.
+    fn solve_profiled(
+        &self,
+        solver: &dyn Solver,
+        profile: &GraphProfile,
+        g: &Graph,
+        opts: &SolveOpts,
+    ) -> Result<Solution, SolveError> {
         solver
-            .eligible(&profile, opts)
+            .eligible(profile, opts)
             .map_err(|reason| SolveError::Ineligible { solver: solver.name(), reason })?;
         let t0 = Instant::now();
         let mut sol = solver.solve(g, opts)?;
@@ -337,12 +349,13 @@ impl Registry {
         planner::plan(self, profile, opts)
     }
 
-    /// Plan, then run the chosen solver. Errors with
+    /// Plan, then run the chosen solver against the plan's own profile (one
+    /// profile pass per solve). Errors with
     /// [`SolveError::NoEligibleSolver`] when the plan is empty.
     pub fn solve_auto(&self, g: &Graph, opts: &SolveOpts) -> Result<(Plan, Solution), SolveError> {
         let plan = self.plan(g, opts);
         let chosen = plan.chosen.ok_or(SolveError::NoEligibleSolver)?;
-        let sol = self.solve(chosen, g, opts)?;
+        let sol = self.solve_profiled(self.get(chosen)?, &plan.profile, g, opts)?;
         Ok((plan, sol))
     }
 }

@@ -32,8 +32,9 @@ pub const T_QUANT_U16: f64 = 1.2e-11;
 /// `vpminsd`) against `f32`'s two (measured ~0.87× in
 /// `gemm/packed/minplus_i32`).
 pub const T_QUANT_I32: f64 = 2.5e-11;
-/// Seconds per FLOP of the unpacked block-sparse GEMM path (also used to
-/// price Seidel's repeated-squaring products).
+/// Seconds per FLOP of the block-sparse path — one small product per
+/// `b×b` block, each packing its own operands, so well below the dense
+/// engine's rate (also used to price Seidel's repeated-squaring products).
 pub const T_FLOP_BLOCKED: f64 = 8.0e-11;
 /// Seconds per FLOP of the sequential triple loop.
 pub const T_FLOP_SEQ: f64 = 1.55e-10;

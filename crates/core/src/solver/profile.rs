@@ -1,8 +1,6 @@
 //! Graph feature profile: everything the planner needs to pick a solver,
 //! computed in one pass over the edges (plus one BFS for component count).
 
-use std::collections::HashSet;
-
 use apsp_graph::components::weak_components;
 use apsp_graph::Graph;
 
@@ -63,8 +61,12 @@ impl GraphProfile {
         let mut unit_weights = true;
         let mut integral_weights = true;
         let mut symmetric = true;
-        // diagonal blocks always materialize (zero-seeded diagonal)
-        let mut blocks: HashSet<(u32, u32)> = (0..nb as u32).map(|k| (k, k)).collect();
+        // Off-diagonal blocks holding an edge. CSR edges arrive grouped by
+        // source, so a block is new exactly when its column was not yet hit
+        // from this block row: `hit_from[bj]` is 1 + the last block row with
+        // an edge into block column `bj`. O(nb) memory, no hashing.
+        let mut offdiag_blocks = 0usize;
+        let mut hit_from = vec![0usize; nb];
 
         for (u, v, w) in g.edges() {
             min_weight = min_weight.min(w);
@@ -82,7 +84,11 @@ impl GraphProfile {
             if symmetric && g.weight(v, u) != w {
                 symmetric = false;
             }
-            blocks.insert(((u / block) as u32, (v / block) as u32));
+            let (bi, bj) = (u / block, v / block);
+            if bi != bj && hit_from[bj] != bi + 1 {
+                hit_from[bj] = bi + 1;
+                offdiag_blocks += 1;
+            }
         }
         if m == 0 {
             min_weight = 0.0;
@@ -91,7 +97,8 @@ impl GraphProfile {
         }
 
         let (_, weak_components) = weak_components(g);
-        let nnz_blocks = if n == 0 { 0 } else { blocks.len() };
+        // diagonal blocks always materialize (zero-seeded diagonal)
+        let nnz_blocks = nb + offdiag_blocks;
         GraphProfile {
             n,
             m,
@@ -214,6 +221,26 @@ mod tests {
         assert!(p.connected());
         assert!(p.block_density < 1.0);
         assert!(p.est_fill_work_ratio() <= 1.0);
+    }
+
+    #[test]
+    fn block_occupancy_matches_a_set_of_block_coordinates() {
+        use std::collections::BTreeSet;
+        let graphs = [
+            generators::grid(5, 7, WeightKind::small_ints(), 1),
+            generators::ring_with_chords(41, WeightKind::small_ints(), 2),
+            generators::multi_component(30, 3, WeightKind::small_ints(), 3),
+            GraphBuilder::new(9).build(), // block rows with no edge at all
+        ];
+        for g in &graphs {
+            for block in [1usize, 3, 8, 64] {
+                let nb = g.n().div_ceil(block);
+                let mut want: BTreeSet<(usize, usize)> = (0..nb).map(|k| (k, k)).collect();
+                want.extend(g.edges().map(|(u, v, _)| (u / block, v / block)));
+                let p = GraphProfile::compute(g, block);
+                assert_eq!(p.nnz_blocks, want.len(), "n={} block={block}", g.n());
+            }
+        }
     }
 
     #[test]

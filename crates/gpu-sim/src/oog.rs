@@ -9,6 +9,7 @@
 //! (`hostUpdate`). SRGEMM, d2hXfer and hostUpdate overlap across streams —
 //! the execution order of the paper's Fig. 2.
 
+use srgemm::gemm::{PackedA, PackedB};
 use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
@@ -168,10 +169,13 @@ pub fn oog_srgemm<S: Semiring>(
     let s = cfg.streams;
 
     // Device residency: row slabs of A, column slabs of B, s tile buffers.
-    // A resident slab: its device buffer, upload-done event, element count.
-    type Slab<E> = Option<(DeviceBuffer<E>, Event, usize)>;
-    let mut a_slabs: Vec<Slab<S::Elem>> = (0..mb).map(|_| None).collect();
-    let mut b_slabs: Vec<Slab<S::Elem>> = (0..nb).map(|_| None).collect();
+    // A resident slab is its device buffer and upload-done event; a B slab
+    // also keeps the kernel's staged copy, made once on upload and streamed
+    // by every tile of its column.
+    type ASlab<E> = Option<(DeviceBuffer<E>, Event)>;
+    type BSlab<E> = Option<(DeviceBuffer<E>, Event, PackedB<E>)>;
+    let mut a_slabs: Vec<ASlab<S::Elem>> = (0..mb).map(|_| None).collect();
+    let mut b_slabs: Vec<BSlab<S::Elem>> = (0..nb).map(|_| None).collect();
     let mut x_bufs = Vec::with_capacity(s);
     for _ in 0..s {
         x_bufs.push(gpu.alloc::<S::Elem>(cfg.mx * cfg.nx, S::zero())?);
@@ -182,6 +186,7 @@ pub fn oog_srgemm<S: Semiring>(
     // overwrite X before the host has read the previous tile
     let mut host_free: Vec<Event> = vec![Event { at: 0.0 }; s];
     let mut staging = vec![S::zero(); cfg.mx * cfg.nx];
+    let mut a_staging = PackedA::new();
     let mut tiles = 0usize;
     let mut high_water = gpu.used_bytes();
 
@@ -197,25 +202,24 @@ pub fn oog_srgemm<S: Semiring>(
             // pipelined input uploads: first touch sends the slab
             if a_slabs[i].is_none() {
                 let buf = gpu.alloc::<S::Elem>(ib * k, S::zero())?;
-                let data = a.subview(i0, 0, ib, k).to_vec();
-                let ev = st.h2d(&buf, &data);
-                a_slabs[i] = Some((buf, ev, ib));
+                let ev = st.h2d_view(&buf, &a.subview(i0, 0, ib, k));
+                a_slabs[i] = Some((buf, ev));
             }
             if b_slabs[j].is_none() {
                 let buf = gpu.alloc::<S::Elem>(k * jb, S::zero())?;
-                let data = b.subview(0, j0, k, jb).to_vec();
-                let ev = st.h2d(&buf, &data);
-                b_slabs[j] = Some((buf, ev, jb));
+                let ev = st.h2d_view(&buf, &b.subview(0, j0, k, jb));
+                let staged = st.stage_b::<S>(&buf, k, jb);
+                b_slabs[j] = Some((buf, ev, staged));
             }
             high_water = high_water.max(gpu.used_bytes());
 
-            let (a_buf, a_ev, _) = a_slabs[i].as_ref().expect("A slab resident");
-            let (b_buf, b_ev, _) = b_slabs[j].as_ref().expect("B slab resident");
+            let (a_buf, a_ev) = a_slabs[i].as_ref().expect("A slab resident");
+            let (_, b_ev, b_staged) = b_slabs[j].as_ref().expect("B slab resident");
 
             // the tile's srgemm waits for its inputs and for the host to
             // have consumed this stream's previous tile
             st.wait_until(a_ev.at.max(b_ev.at).max(host_free[r].at));
-            st.srgemm::<S>(&x_bufs[r], a_buf, b_buf, ib, jb, k, true);
+            st.srgemm_staged::<S>(&x_bufs[r], a_buf, b_staged, ib, true, &mut a_staging);
             let d2h_ev = st.d2h(&x_bufs[r], &mut staging[..ib * jb]);
 
             // hostUpdate: serialized on the host-memory engine, in initiation
@@ -339,6 +343,31 @@ mod tests {
         let cfg = OogConfig::new(5, 7, 1);
         oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut got.view_mut(), &a.view(), &b.view()).unwrap();
         assert!(want.eq_exact(&got));
+    }
+
+    #[test]
+    fn ragged_shapes_match_naive_for_one_and_three_streams() {
+        // m, n, k multiples of neither tile dim: ragged last tile row and
+        // column, a staged B slab narrower than n_x, and (k = 300 > KC) a
+        // reduction spanning two packed tiles
+        for (m, n, k, mx, nx) in [(37, 29, 11, 8, 8), (23, 41, 300, 7, 16), (5, 3, 2, 9, 9)] {
+            let a = lcg(m, k, 21);
+            let b = lcg(k, n, 22);
+            let c0 = lcg(m, n, 23);
+            let mut want = c0.clone();
+            gemm_naive::<MinPlusF32>(&mut want.view_mut(), &a.view(), &b.view());
+            for streams in [1, 3] {
+                let gpu = SimGpu::new(GpuSpec::test_tiny());
+                let cfg = OogConfig::new(mx, nx, streams);
+                let mut got = c0.clone();
+                let stats =
+                    oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut got.view_mut(), &a.view(), &b.view())
+                        .unwrap();
+                assert!(want.eq_exact(&got), "({m},{n},{k}) tiles {mx}x{nx}, {streams} streams");
+                assert_eq!(stats.tiles, m.div_ceil(mx) * n.div_ceil(nx));
+                assert_eq!(gpu.used_bytes(), 0, "every device buffer released");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! clock model runs alongside, so results are exact while timings reflect a
 //! V100-class device.
 
-use srgemm::gemm::gemm_blocked;
-use srgemm::matrix::{Matrix, View, ViewMut};
+use srgemm::gemm::{gemm_packed_with_scratch, PackedA, PackedB};
+use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
 use crate::device::{DeviceBuffer, SimGpu};
@@ -65,12 +65,23 @@ impl Stream {
     /// # Panics
     /// Panics if lengths differ.
     pub fn h2d<T: Copy>(&mut self, dst: &DeviceBuffer<T>, src: &[T]) -> Event {
+        self.h2d_view(dst, &View::from_slice(src, 1, src.len()))
+    }
+
+    /// h2dXfer of a host matrix window (a row or column slab of a larger
+    /// matrix): its rows go straight into the device buffer, row-major and
+    /// contiguous, with no host-side copy in between.
+    ///
+    /// # Panics
+    /// Panics if the buffer does not hold exactly `rows × cols` elements.
+    pub fn h2d_view<T: Copy>(&mut self, dst: &DeviceBuffer<T>, src: &View<'_, T>) -> Event {
+        let (rows, cols) = (src.rows(), src.cols());
         {
             let mut data = dst.data.lock();
-            assert_eq!(data.len(), src.len(), "h2d length mismatch");
-            data.copy_from_slice(src);
+            assert_eq!(data.len(), rows * cols, "h2d length mismatch");
+            ViewMut::from_slice(&mut data, rows, cols).copy_from(src);
         }
-        let bytes = std::mem::size_of_val(src) as f64;
+        let bytes = (rows * cols * std::mem::size_of::<T>()) as f64;
         let dur = self.gpu.spec.h2d_time(bytes);
         self.run_on_engine(|e| &mut e.h2d, dur)
     }
@@ -101,19 +112,46 @@ impl Stream {
         k: usize,
         init: bool,
     ) -> Event {
+        let pb = self.stage_b::<S>(b, k, n);
+        self.srgemm_staged::<S>(x, a, &pb, m, init, &mut PackedA::new())
+    }
+
+    /// Stage the row-major `k×n` operand in `b` the way the kernel reads it
+    /// (its shared-memory layout on a real device). A caller that launches
+    /// many products against one resident `B` slab stages it once and hands
+    /// the result to [`Stream::srgemm_staged`]. No simulated time: the
+    /// modelled SRGEMM rate already contains the kernel's own staging.
+    pub fn stage_b<S: Semiring>(
+        &self,
+        b: &DeviceBuffer<S::Elem>,
+        k: usize,
+        n: usize,
+    ) -> PackedB<S::Elem> {
+        PackedB::pack::<S>(&View::from_slice(&b.data.lock(), k, n))
+    }
+
+    /// [`Stream::srgemm`] against an operand staged by [`Stream::stage_b`]:
+    /// the kernel runs in place on the device buffers, `A` staged through the
+    /// caller's `pa`, so a tile loop allocates nothing per launch. Charged
+    /// `2·m·n·k` flops like any launch.
+    pub fn srgemm_staged<S: Semiring>(
+        &mut self,
+        x: &DeviceBuffer<S::Elem>,
+        a: &DeviceBuffer<S::Elem>,
+        pb: &PackedB<S::Elem>,
+        m: usize,
+        init: bool,
+        pa: &mut PackedA<S::Elem>,
+    ) -> Event {
+        let (k, n) = (pb.rows(), pb.cols());
         {
             let a_data = a.data.lock();
-            let b_data = b.data.lock();
             let mut x_data = x.data.lock();
-            assert!(a_data.len() >= m * k && b_data.len() >= k * n && x_data.len() >= m * n);
+            let mut xv = ViewMut::from_slice(&mut x_data, m, n);
             if init {
-                x_data[..m * n].fill(S::zero());
+                xv.fill(S::zero());
             }
-            let av = Matrix::from_vec(m, k, a_data[..m * k].to_vec());
-            let bv = Matrix::from_vec(k, n, b_data[..k * n].to_vec());
-            let mut xm = Matrix::from_vec(m, n, x_data[..m * n].to_vec());
-            gemm_blocked::<S>(&mut xm.view_mut(), &av.view(), &bv.view());
-            x_data[..m * n].copy_from_slice(xm.as_slice());
+            gemm_packed_with_scratch::<S>(&mut xv, &View::from_slice(&a_data, m, k), pb, pa);
         }
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
         let dur = self.gpu.spec.gemm_time(flops);
@@ -270,6 +308,46 @@ mod tests {
         assert_eq!(out, [1.0, 2.0, 2.0, 1.0]);
         // 2*2*2*2 = 16 flops at 1e9 flop/s
         assert!(e.at > 16.0 / 1e9);
+    }
+
+    #[test]
+    fn h2d_view_uploads_a_strided_window_row_major() {
+        let gpu = tiny();
+        let host = srgemm::Matrix::from_fn(4, 5, |i, j| (i * 5 + j) as f32);
+        let buf = gpu.alloc::<f32>(6, 0.0).unwrap();
+        let mut s = gpu.stream();
+        let e = s.h2d_view(&buf, &host.subview(1, 2, 3, 2));
+        let mut out = [0.0f32; 6];
+        s.d2h(&buf, &mut out);
+        assert_eq!(out, [7.0, 8.0, 12.0, 13.0, 17.0, 18.0]);
+        // charged for the window's 24 bytes, like a contiguous h2d
+        assert!((e.at - 24.0 / 1e9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn one_staged_b_serves_several_launches_and_init_false_accumulates() {
+        let gpu = tiny();
+        let a = gpu.alloc::<f32>(4, 0.0).unwrap();
+        let b = gpu.alloc::<f32>(4, 0.0).unwrap();
+        let x = gpu.alloc::<f32>(4, 0.0).unwrap();
+        let mut s = gpu.stream();
+        s.h2d(&b, &[0.0, 5.0, 1.0, 0.0]);
+        let pb = s.stage_b::<MinPlusF32>(&b, 2, 2);
+        let mut pa = PackedA::new();
+        let mut out = [0.0f32; 4];
+
+        s.h2d(&a, &[1.0, 2.0, 4.0, 1.0]);
+        s.srgemm_staged::<MinPlusF32>(&x, &a, &pb, 2, true, &mut pa);
+        s.d2h(&x, &mut out);
+        assert_eq!(out, [1.0, 2.0, 2.0, 1.0]);
+
+        // a second A against the same staged B, ⊕-ed into the standing X
+        s.h2d(&a, &[0.5, 9.0, 9.0, 9.0]);
+        let before = s.now();
+        let e = s.srgemm_staged::<MinPlusF32>(&x, &a, &pb, 2, false, &mut pa);
+        s.d2h(&x, &mut out);
+        assert_eq!(out, [0.5, 2.0, 2.0, 1.0]);
+        assert!((e.at - before - 16.0 / 1e9).abs() < 1e-15, "2·2·2·2 flops at 1e9 flop/s");
     }
 
     #[test]

@@ -44,6 +44,27 @@ fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
     IoError::Parse { line, msg: msg.into() }
 }
 
+/// The CSR stores vertex ids as `u32`; a file naming more vertices than that
+/// is refused instead of truncated.
+const MAX_VERTICES: usize = u32::MAX as usize;
+
+/// What [`GraphBuilder::add_edge`] asserts, as a typed error carrying the
+/// line: `id` (as written in the file, `first` being the lowest valid id)
+/// names one of at most `n` vertices.
+fn check_vertex(line: usize, id: usize, first: usize, n: usize) -> Result<(), IoError> {
+    if id < first || id - first >= n {
+        return Err(parse_err(line, format!("vertex {id} exceeds the {n} vertices allowed (numbered from {first})")));
+    }
+    Ok(())
+}
+
+fn check_weight(line: usize, w: f32) -> Result<(), IoError> {
+    if w.is_nan() {
+        return Err(parse_err(line, "weight is NaN"));
+    }
+    Ok(())
+}
+
 /// Read a DIMACS `.gr` file:
 ///
 /// ```text
@@ -54,6 +75,7 @@ fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
 pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
     let reader = BufReader::new(r);
     let mut builder: Option<GraphBuilder> = None;
+    let mut n = 0usize;
     let mut declared_edges = 0usize;
     let mut seen_edges = 0usize;
 
@@ -74,9 +96,10 @@ pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
                 if kind != "sp" {
                     return Err(parse_err(lineno, format!("unsupported problem kind '{kind}'")));
                 }
-                let n: usize = it
+                n = it
                     .next()
                     .and_then(|t| t.parse().ok())
+                    .filter(|&n: &usize| n <= MAX_VERTICES)
                     .ok_or_else(|| parse_err(lineno, "bad vertex count"))?;
                 declared_edges = it
                     .next()
@@ -103,6 +126,9 @@ pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
                 if u == 0 || v == 0 {
                     return Err(parse_err(lineno, "DIMACS vertices are 1-based"));
                 }
+                check_vertex(lineno, u, 1, n)?;
+                check_vertex(lineno, v, 1, n)?;
+                check_weight(lineno, w)?;
                 b.add_edge(u - 1, v - 1, w);
                 seen_edges += 1;
             }
@@ -160,16 +186,14 @@ pub fn read_edge_list(r: impl Read, n: Option<usize>) -> Result<Graph, IoError> 
         if it.next().is_some() {
             return Err(parse_err(lineno, "trailing tokens"));
         }
+        check_vertex(lineno, u, 0, n.unwrap_or(MAX_VERTICES))?;
+        check_vertex(lineno, v, 0, n.unwrap_or(MAX_VERTICES))?;
+        check_weight(lineno, w)?;
         max_v = max_v.max(u).max(v);
         edges.push((u, v, w));
     }
     let n = match n {
-        Some(n) => {
-            if max_v >= n && !edges.is_empty() {
-                return Err(parse_err(0, format!("vertex {max_v} exceeds declared n={n}")));
-            }
-            n
-        }
+        Some(n) => n,
         None => {
             if edges.is_empty() {
                 0
@@ -232,6 +256,38 @@ mod tests {
     fn dimacs_rejects_zero_based_vertices() {
         let text = "p sp 2 1\na 0 1 1\n";
         assert!(read_dimacs(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_arcs_are_typed_errors_with_their_line_not_panics() {
+        let line_of = |r: Result<Graph, IoError>| match r {
+            Err(IoError::Parse { line, msg }) => (line, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // vertex beyond the declared count, on either end
+        let (line, msg) = line_of(read_dimacs("p sp 2 1\na 5 1 1.0\n".as_bytes()));
+        assert_eq!(line, 2);
+        assert!(msg.contains("vertex 5 exceeds"), "{msg}");
+        let (line, _) = line_of(read_dimacs("c x\np sp 2 1\na 1 3 1.0\n".as_bytes()));
+        assert_eq!(line, 3);
+        // NaN weight (parses as a float, so "bad weight" never fires)
+        let (line, msg) = line_of(read_dimacs("p sp 2 1\na 1 2 nan\n".as_bytes()));
+        assert_eq!(line, 2);
+        assert!(msg.contains("NaN"), "{msg}");
+        // a vertex count the u32 CSR cannot index
+        let (line, _) = line_of(read_dimacs("p sp 4294967296 0\n".as_bytes()));
+        assert_eq!(line, 1);
+
+        let (line, msg) = line_of(read_edge_list("0 1 1\n1 0 NaN\n".as_bytes(), None));
+        assert_eq!(line, 2);
+        assert!(msg.contains("NaN"), "{msg}");
+        let (line, _) = line_of(read_edge_list("0 1 1\n0 7 1\n".as_bytes(), Some(4)));
+        assert_eq!(line, 2);
+        // an id that would wrap `1 + max id` or truncate in the u32 CSR
+        let (line, _) = line_of(read_edge_list("18446744073709551615 0 1\n".as_bytes(), None));
+        assert_eq!(line, 1);
+        let (line, _) = line_of(read_edge_list("0 4294967295 1\n".as_bytes(), None));
+        assert_eq!(line, 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Requires an idempotent ⊕ (min/max-style semirings); the squaring form also
 //! assumes no negative cycles, same as Floyd-Warshall itself.
 
-use crate::gemm::{gemm_blocked, gemm_parallel};
+use crate::gemm::{gemm, gemm_parallel};
 use crate::matrix::{Matrix, ViewMut};
 use crate::semiring::Semiring;
 
@@ -49,7 +49,7 @@ pub fn fw_closure<S: Semiring>(a: &mut ViewMut<'_, S::Elem>) {
 /// Closure by repeated squaring (paper Eq. 4): `B ← I ⊕ A`, then
 /// `B ← B ⊗ B` for `⌈log₂ n⌉` rounds. Returns nothing; `a` is replaced by
 /// its closure. `parallel` selects the rayon GEMM (the "GPU" path) or the
-/// serial blocked GEMM.
+/// serial GEMM.
 pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, parallel: bool) {
     assert!(
         S::IDEMPOTENT_ADD,
@@ -72,7 +72,7 @@ pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, parallel: 
         if parallel {
             gemm_parallel::<S>(&mut next.view_mut(), &cur.view(), &cur.view());
         } else {
-            gemm_blocked::<S>(&mut next.view_mut(), &cur.view(), &cur.view());
+            gemm::<S>(&mut next.view_mut(), &cur.view(), &cur.view());
         }
         cur = next;
     }
@@ -136,7 +136,8 @@ mod tests {
 
     #[test]
     fn squaring_matches_fw_closure_dense() {
-        for n in [1usize, 2, 3, 5, 8, 17, 32] {
+        // 70 > MC: the squarings cross a packed-slab boundary
+        for n in [1usize, 2, 3, 5, 8, 17, 32, 70] {
             let base = lcg_dist(n, n as u64, 2);
             let mut by_fw = base.clone();
             let mut by_sq = base.clone();

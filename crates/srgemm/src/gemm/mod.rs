@@ -1,30 +1,28 @@
 //! Semiring GEMM kernels: `C ← C ⊕ A ⊗ B`.
 //!
-//! Four implementations share one contract:
+//! One production kernel and its oracle share one contract:
 //!
-//! * [`gemm_naive`] — triple loop, the correctness oracle;
-//! * [`gemm_blocked`] — cache-tiled i-k-j kernel over strided views;
 //! * [`gemm_packed`] — BLIS-style packed operands + register-tiled
-//!   micro-kernel (see [`pack`]), the serial workhorse;
-//! * [`gemm_parallel`] — row-slab threads over the packed kernel, sharing
-//!   one packed `B` across all slabs, standing in for the GPU SRGEMM of the
-//!   paper's §2.6/§4.1.
+//!   micro-kernel (see [`pack`]). Every caller in the workspace runs it:
+//!   the FW drivers, the simulated device's `ooGSrGemm`, the recursive and
+//!   block-sparse solvers, Seidel's Boolean and integer products;
+//! * [`gemm_parallel`] — the same kernel on row-slab threads sharing one
+//!   packed `B`, standing in for the GPU SRGEMM of the paper's §2.6/§4.1;
+//! * [`gemm_naive`] — triple loop, the correctness oracle of the tests.
 //!
 //! The accumulate-into-C contract matches the paper's *MinPlus outer product*
 //! (`A(i,j) ← A(i,j) ⊕ A(i,k) ⊗ A(k,j)`) and cuASR's epilogue semantics.
-//! Every kernel folds the reduction in ascending `k` per output element, so
-//! all four are bit-identical on every semiring.
+//! Both the kernel and the oracle fold the reduction in ascending `k` per
+//! output element, so they are bit-identical on every semiring.
 
-mod blocked;
 mod naive;
 pub mod pack;
 mod parallel;
 
-pub use blocked::{gemm_blocked, gemm_blocked_tiled, KC, MC, NC};
 pub use naive::gemm_naive;
 pub use pack::{
-    dtype_name, gemm_packed, gemm_packed_with_b, pad_quantum, pad_quantum_for, Isa,
-    PackDecodeError, PackElem, PackedA, PackedB,
+    dtype_name, gemm_packed, gemm_packed_with_b, gemm_packed_with_scratch, pad_quantum,
+    pad_quantum_for, Isa, PackDecodeError, PackElem, PackedA, PackedB, KC, MC, NC,
 };
 pub use parallel::{
     budget_threads, gemm_parallel, gemm_parallel_threads, gemm_parallel_threads_with_b,
@@ -33,35 +31,7 @@ pub use parallel::{
 use crate::matrix::{View, ViewMut};
 use crate::semiring::Semiring;
 
-/// Kernel selector, used by benches and the ablation harness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmAlgo {
-    /// Triple-loop reference kernel.
-    Naive,
-    /// Cache-blocked serial kernel over strided views.
-    Blocked,
-    /// BLIS-style packed, register-tiled serial kernel.
-    Packed,
-    /// Row-slab parallel kernel (packed, shared `B`).
-    Parallel,
-}
-
-/// Dispatch on a [`GemmAlgo`].
-pub fn gemm_with<S: Semiring>(
-    algo: GemmAlgo,
-    c: &mut ViewMut<'_, S::Elem>,
-    a: &View<'_, S::Elem>,
-    b: &View<'_, S::Elem>,
-) {
-    match algo {
-        GemmAlgo::Naive => gemm_naive::<S>(c, a, b),
-        GemmAlgo::Blocked => gemm_blocked::<S>(c, a, b),
-        GemmAlgo::Packed => gemm_packed::<S>(c, a, b),
-        GemmAlgo::Parallel => gemm_parallel::<S>(c, a, b),
-    }
-}
-
-/// Default serial kernel: the packed, register-tiled implementation.
+/// The serial kernel: the packed, register-tiled implementation.
 /// Distributed algorithms that already parallelize across ranks use this to
 /// avoid nested thread pools; single-node code calls [`gemm_parallel`]
 /// directly.
@@ -153,7 +123,7 @@ mod tests {
         let mut c1 = Matrix::filled(3, 2, f32::INFINITY);
         let mut c2 = c1.clone();
         gemm_naive::<MP>(&mut c1.view_mut(), &a.view(), &b.view());
-        gemm_blocked::<MP>(&mut c2.view_mut(), &a.view(), &b.view());
+        gemm::<MP>(&mut c2.view_mut(), &a.view(), &b.view());
         assert!(c1.eq_exact(&c2));
     }
 

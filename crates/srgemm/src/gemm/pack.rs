@@ -1,10 +1,13 @@
 //! BLIS-style operand packing and the register-tiled packed micro-kernel.
 //!
-//! The blocked kernel ([`gemm_blocked`](super::gemm_blocked)) reads `A` and
-//! `B` through strided views on every tile pass; the packed path instead
-//! copies each operand once into a contiguous, cache-aligned staging buffer
-//! shaped for the micro-kernel, mirroring how the paper's Cutlass SRGEMM
-//! stages global-memory tiles through shared memory before the MMA loop:
+//! This is the workspace's one production SRGEMM: every solver, the
+//! simulated device and the Boolean/ring products of the related-work
+//! solvers run it; [`gemm_naive`](super::gemm_naive) is kept as the test
+//! oracle only. Instead of reading `A` and `B` through strided views on
+//! every tile pass, it copies each operand once into a contiguous,
+//! cache-aligned staging buffer shaped for the micro-kernel, mirroring how
+//! the paper's Cutlass SRGEMM stages global-memory tiles through shared
+//! memory before the MMA loop:
 //!
 //! * **`A` micro-panels** ([`PackedA`]): an `MC × KC` slab of `A` is stored
 //!   as `⌈ib/MR⌉` panels of `MR` rows each, **column-major within the
@@ -33,8 +36,7 @@
 //! compile-time constants and the accumulators live in an array small enough
 //! to stay in registers, LLVM unrolls and autovectorizes the `⊕/⊗` update
 //! without any explicit SIMD — each reduction step costs `MR + NR` loads for
-//! `MR·NR` semiring FMAs, versus ≈1.5 loads/FMA for the 4-way-unrolled
-//! blocked kernel. `C` itself is touched only twice per `KC`-tile
+//! `MR·NR` semiring FMAs. `C` itself is touched only twice per `KC`-tile
 //! (load + store), not once per reduction step.
 //!
 //! On x86-64 the kernel is compiled at three vector widths from the same
@@ -49,9 +51,15 @@
 //! (including non-idempotent floating-point `RealArith`) on every ISA. The
 //! unchecked-access safety argument is spelled out in DESIGN.md §11.
 
-use super::blocked::{KC, MC, NC};
 use crate::matrix::{View, ViewMut};
 use crate::semiring::Semiring;
+
+/// Rows of the `C`/`A` slab packed per pass and held in L2.
+pub const MC: usize = 64;
+/// Inner (reduction) tile; a `KC`-row tile of packed `B` stays in L1/L2.
+pub const KC: usize = 256;
+/// Columns of a packed `B`/`C` tile.
+pub const NC: usize = 512;
 
 /// Cache-line alignment target for packed buffers, in bytes.
 const ALIGN: usize = 64;
@@ -733,6 +741,21 @@ pub fn gemm_packed_with_b<S: Semiring>(
     a: &View<'_, S::Elem>,
     pb: &PackedB<S::Elem>,
 ) {
+    gemm_packed_with_scratch::<S>(c, a, pb, &mut PackedA::new());
+}
+
+/// [`gemm_packed_with_b`] staging `A` through the caller's `pa`, so a loop of
+/// small products (one per output tile of an offload GEMM) allocates the
+/// staging buffer once instead of once per product.
+///
+/// # Panics
+/// Panics if operand shapes disagree (`a.cols() != pb.rows()` etc.).
+pub fn gemm_packed_with_scratch<S: Semiring>(
+    c: &mut ViewMut<'_, S::Elem>,
+    a: &View<'_, S::Elem>,
+    pb: &PackedB<S::Elem>,
+    pa: &mut PackedA<S::Elem>,
+) {
     assert_eq!(a.cols(), pb.rows(), "gemm: inner dimensions disagree");
     assert_eq!(c.rows(), a.rows(), "gemm: C rows != A rows");
     assert_eq!(c.cols(), pb.cols(), "gemm: C cols != B cols");
@@ -742,10 +765,9 @@ pub fn gemm_packed_with_b<S: Semiring>(
     }
     let isa = Isa::detect();
     let (mr, _) = isa.micro_shape(std::mem::size_of::<S::Elem>());
-    let mut pa = PackedA::new();
     // BLIS loop order jc → pc → ic: the packed B tile (kt, jt) is streamed
     // by every MC row slab before moving on; A slabs are repacked per tile
-    // pass into the thread-local `pa`. For a fixed C element the reduction
+    // pass into the caller's `pa`. For a fixed C element the reduction
     // tiles arrive in ascending k, and each tile folds k ascending, so the
     // overall ⊕-order matches gemm_naive exactly.
     for jt in 0..pb.jt_count() {
@@ -758,7 +780,7 @@ pub fn gemm_packed_with_b<S: Semiring>(
             while i0 < m {
                 let ib = MC.min(m - i0);
                 pa.pack_slab::<S>(a, i0, k0, ib, kb, mr);
-                slab_times_tile::<S>(isa, c, &pa, b_tile, i0, ib, j0, jb, stride, kb);
+                slab_times_tile::<S>(isa, c, pa, b_tile, i0, ib, j0, jb, stride, kb);
                 i0 += ib;
             }
         }
@@ -1324,6 +1346,20 @@ mod tests {
         let b = Matrix::filled(2, 2, 0.0f32);
         let mut c = Matrix::filled(2, 2, 0.0f32);
         gemm_packed::<MinPlus<f32>>(&mut c.view_mut(), &a.view(), &b.view());
+    }
+
+    // A zero tile size would make the tile-advance loops spin forever; it is
+    // rejected loudly where the tiling enters.
+    #[test]
+    #[should_panic(expected = "tile sizes must be positive")]
+    fn zero_kc_is_rejected_not_hung() {
+        let _ = PackedB::pack_tiled::<MinPlus<f32>>(&lcg_matrix(4, 4, 1).view(), 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile sizes must be positive")]
+    fn zero_nc_is_rejected_not_hung() {
+        let _ = PackedB::pack_tiled::<MinPlus<f32>>(&lcg_matrix(4, 4, 1).view(), 4, 0);
     }
 
     #[test]

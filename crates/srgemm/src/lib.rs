@@ -17,9 +17,9 @@
 //!   run 2–4× more SIMD lanes per vector).
 //! * [`matrix`] — dense row-major [`Matrix`] plus borrowed strided
 //!   [`View`]/[`ViewMut`] blocks.
-//! * [`gemm`](mod@gemm) — `C ← C ⊕ A ⊗ B` kernels: naive, cache-blocked,
-//!   BLIS-style packed/register-tiled, and rayon-parallel (the parallel
-//!   kernel shares one packed `B` across all row slabs).
+//! * [`gemm`](mod@gemm) — the `C ← C ⊕ A ⊗ B` kernel: BLIS-style
+//!   packed/register-tiled, serial or on row-slab threads sharing one packed
+//!   `B`, plus the naive triple loop the tests use as oracle.
 //! * [`closure`] — in-place Floyd-Warshall closure of a block (the paper's
 //!   *DiagUpdate*) and the repeated-squaring Neumann-series form (Eq. 4).
 //! * [`panel`] — the paper's *PanelUpdate* kernels (left/right multiply by a
@@ -46,8 +46,7 @@ pub mod panel;
 pub mod semiring;
 
 pub use gemm::{
-    gemm, gemm_blocked, gemm_naive, gemm_packed, gemm_parallel, GemmAlgo, PackDecodeError,
-    PackElem, PackedB,
+    gemm, gemm_naive, gemm_packed, gemm_parallel, PackDecodeError, PackElem, PackedB,
 };
 pub use matrix::{Matrix, View, ViewMut};
 pub use semiring::{
@@ -62,7 +61,7 @@ pub type MinPlusF64 = MinPlus<f64>;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::closure::{fw_closure, fw_closure_squaring};
-    pub use crate::gemm::{gemm, gemm_blocked, gemm_naive, gemm_packed, gemm_parallel, PackedB};
+    pub use crate::gemm::{gemm, gemm_naive, gemm_packed, gemm_parallel, PackedB};
     pub use crate::matrix::{Matrix, View, ViewMut};
     pub use crate::panel::{panel_update_left, panel_update_right};
     pub use crate::semiring::{

@@ -205,6 +205,26 @@ unsafe impl<T: Sync> Send for View<'_, T> {}
 unsafe impl<T: Sync> Sync for View<'_, T> {}
 
 impl<'a, T: Copy> View<'a, T> {
+    /// View the first `rows * cols` elements of a row-major slice as a
+    /// matrix, with no copy (a device buffer, a staging slice).
+    ///
+    /// # Panics
+    /// Panics if `data` holds fewer than `rows * cols` elements.
+    pub fn from_slice(data: &'a [T], rows: usize, cols: usize) -> Self {
+        // the bound every later `row(i)` relies on; checked so it cannot wrap
+        assert!(
+            rows.checked_mul(cols).is_some_and(|len| len <= data.len()),
+            "slice shorter than rows * cols"
+        );
+        View {
+            ptr: data.as_ptr(),
+            rows,
+            cols,
+            stride: cols,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -288,6 +308,25 @@ unsafe impl<T: Send> Send for ViewMut<'_, T> {}
 unsafe impl<T: Sync> Sync for ViewMut<'_, T> {}
 
 impl<'a, T: Copy> ViewMut<'a, T> {
+    /// Mutable form of [`View::from_slice`].
+    ///
+    /// # Panics
+    /// Panics if `data` holds fewer than `rows * cols` elements.
+    pub fn from_slice(data: &'a mut [T], rows: usize, cols: usize) -> Self {
+        // the bound every later `row(i)` relies on; checked so it cannot wrap
+        assert!(
+            rows.checked_mul(cols).is_some_and(|len| len <= data.len()),
+            "slice shorter than rows * cols"
+        );
+        ViewMut {
+            ptr: data.as_mut_ptr(),
+            rows,
+            cols,
+            stride: cols,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -474,6 +513,29 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn from_rows_rejects_ragged() {
         let _ = Matrix::from_rows(&[&[1, 2][..], &[3][..]]);
+    }
+
+    #[test]
+    fn slice_views_address_the_slice_in_place() {
+        let mut data: Vec<i64> = (0..7).collect();
+        let v = View::from_slice(&data, 2, 3);
+        assert_eq!((v.rows(), v.cols(), v.stride()), (2, 3, 3));
+        assert_eq!(v.row(1), &[3, 4, 5]);
+        let mut w = ViewMut::from_slice(&mut data, 3, 2);
+        w.set(2, 1, -1);
+        assert_eq!(data, [0, 1, 2, 3, 4, -1, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice shorter")]
+    fn slice_view_rejects_a_short_slice() {
+        let _ = View::from_slice(&[1, 2, 3], 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice shorter")]
+    fn slice_view_rejects_an_overflowing_shape() {
+        let _ = ViewMut::from_slice(&mut [1, 2, 3], usize::MAX, 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use srgemm::gemm::{gemm_naive, gemm_packed, gemm_packed_with_b, KC};
 use srgemm::gemm::{gemm_parallel_threads, PackedB};
 use srgemm::matrix::Matrix;
-use srgemm::semiring::{MinPlus, Semiring};
+use srgemm::semiring::{BoolOr, MaxMin, MinPlus, RealArith, Semiring};
 
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
     let mut state = seed | 1;
@@ -67,6 +67,54 @@ proptest! {
         let mut c2 = c1.clone();
         gemm_naive::<MinPlus<f64>>(&mut c1.view_mut(), &a.view(), &b.view());
         gemm_packed::<MinPlus<f64>>(&mut c2.view_mut(), &a.view(), &b.view());
+        prop_assert!(c1.eq_exact(&c2), "shape ({m},{n},{k})");
+    }
+
+    // The semirings of the callers that moved onto the packed kernel last:
+    // Seidel's Boolean squaring and integer counting product, and the
+    // widest-path instances of `dc_apsp` / `fw_closure_squaring`.
+
+    #[test]
+    fn packed_bit_identical_to_naive_boolor((m, n, k) in shapes(), seed in any::<u64>()) {
+        // 1-byte elements: the widest NR (128 lanes on AVX-512) and pad
+        let bits = |rows, cols, s: u64| {
+            let mut state = s | 1;
+            Matrix::from_fn(rows, cols, |_, _| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33).is_multiple_of(3)
+            })
+        };
+        let a = bits(m, k, seed);
+        let b = bits(k, n, seed ^ 0x9e3779b97f4a7c15);
+        let mut c1 = bits(m, n, seed ^ 0xdeadbeef);
+        let mut c2 = c1.clone();
+        gemm_naive::<BoolOr>(&mut c1.view_mut(), &a.view(), &b.view());
+        gemm_packed::<BoolOr>(&mut c2.view_mut(), &a.view(), &b.view());
+        prop_assert!(c1.eq_exact(&c2), "shape ({m},{n},{k})");
+    }
+
+    #[test]
+    fn packed_bit_identical_to_naive_realarith_f64((m, n, k) in shapes(), seed in any::<u64>()) {
+        // ⊕ is a rounding sum here: equal bits need the same ascending-k
+        // order, and the 0̄ = 0.0 pads must not leak into live lanes
+        let a = lcg_matrix_f64(m, k, seed);
+        let b = lcg_matrix_f64(k, n, seed ^ 0x9e3779b97f4a7c15);
+        let mut c1 = lcg_matrix_f64(m, n, seed ^ 0xdeadbeef);
+        let mut c2 = c1.clone();
+        gemm_naive::<RealArith<f64>>(&mut c1.view_mut(), &a.view(), &b.view());
+        gemm_packed::<RealArith<f64>>(&mut c2.view_mut(), &a.view(), &b.view());
+        prop_assert!(c1.eq_exact(&c2), "shape ({m},{n},{k})");
+    }
+
+    #[test]
+    fn packed_bit_identical_to_naive_maxmin_f32((m, n, k) in shapes(), seed in any::<u64>()) {
+        // 0̄ = −∞ here; `lcg_matrix`'s +∞ entries are this semiring's 1̄
+        let a = lcg_matrix(m, k, seed);
+        let b = lcg_matrix(k, n, seed ^ 0x9e3779b97f4a7c15);
+        let mut c1 = Matrix::filled(m, n, MaxMin::<f32>::zero());
+        let mut c2 = c1.clone();
+        gemm_naive::<MaxMin<f32>>(&mut c1.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MaxMin<f32>>(&mut c2.view_mut(), &a.view(), &b.view());
         prop_assert!(c1.eq_exact(&c2), "shape ({m},{n},{k})");
     }
 

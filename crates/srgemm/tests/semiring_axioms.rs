@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use srgemm::prelude::*;
-use srgemm::gemm::gemm_with;
-use srgemm::GemmAlgo;
+use srgemm::gemm::{gemm_naive, gemm_packed, gemm_parallel};
 
 /// Finite tropical elements: moderate magnitudes so ⊗ (=+) never overflows,
 /// with ∞ mixed in at ~20% rate.
@@ -188,7 +187,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn blocked_and_parallel_match_naive(
+    fn packed_and_parallel_match_naive(
         (m, n, k) in (1usize..24, 1usize..24, 1usize..24),
         seed in any::<u64>(),
     ) {
@@ -204,12 +203,13 @@ proptest! {
         let c0 = mk(seed.wrapping_add(2), m, n);
 
         let mut want = c0.clone();
-        gemm_with::<MinPlus<f64>>(GemmAlgo::Naive, &mut want.view_mut(), &a.view(), &b.view());
-        for algo in [GemmAlgo::Blocked, GemmAlgo::Parallel] {
-            let mut got = c0.clone();
-            gemm_with::<MinPlus<f64>>(algo, &mut got.view_mut(), &a.view(), &b.view());
-            prop_assert!(want.eq_exact(&got), "algo {:?} diverged", algo);
-        }
+        gemm_naive::<MinPlus<f64>>(&mut want.view_mut(), &a.view(), &b.view());
+        let mut got = c0.clone();
+        gemm_packed::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view());
+        prop_assert!(want.eq_exact(&got), "packed diverged");
+        let mut got = c0.clone();
+        gemm_parallel::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view());
+        prop_assert!(want.eq_exact(&got), "parallel diverged");
     }
 
     #[test]
@@ -222,7 +222,7 @@ proptest! {
         // disjoint and min-plus has no rounding, so every thread count —
         // including the degenerate 0 (treated as 1) and counts far above
         // m / MIN_ROWS_PER_SLAB — must be bit-identical to the serial kernel.
-        use srgemm::gemm::{gemm_blocked, gemm_parallel_threads};
+        use srgemm::gemm::gemm_parallel_threads;
         let mk = |s: u64, rows: usize, cols: usize| {
             let mut state = s | 1;
             Matrix::from_fn(rows, cols, |_, _| {
@@ -235,7 +235,7 @@ proptest! {
         let c0 = mk(seed.wrapping_add(2), m, n);
 
         let mut want = c0.clone();
-        gemm_blocked::<MinPlus<f64>>(&mut want.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MinPlus<f64>>(&mut want.view_mut(), &a.view(), &b.view());
         let mut got = c0.clone();
         gemm_parallel_threads::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view(), threads);
         prop_assert!(want.eq_exact(&got), "threads={} diverged on {}x{}x{}", threads, m, n, k);
