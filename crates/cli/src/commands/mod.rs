@@ -9,6 +9,8 @@ pub mod serve;
 pub mod simulate;
 pub mod solve;
 
+use std::io::Write;
+
 use apsp_graph::graph::Graph;
 use apsp_graph::io;
 
@@ -213,11 +215,14 @@ pub fn load_graph(path: &str, format: Option<&str>) -> Result<Graph, String> {
 /// Write a graph to `path` in the resolved format.
 pub fn save_graph(g: &Graph, path: &str, format: Option<&str>) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    let mut w = std::io::BufWriter::new(file);
     match resolved_format(path, format)? {
-        "dimacs" => io::write_dimacs(g, file).map_err(|e| e.to_string()),
-        "edges" => io::write_edge_list(g, file).map_err(|e| e.to_string()),
+        "dimacs" => io::write_dimacs(g, &mut w),
+        "edges" => io::write_edge_list(g, &mut w),
         _ => unreachable!(),
     }
+    .map_err(|e| e.to_string())?;
+    w.flush().map_err(|e| format!("write {path}: {e}"))
 }
 
 fn resolved_format<'a>(path: &str, format: Option<&'a str>) -> Result<&'a str, String> {

@@ -150,10 +150,8 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         let mut f = std::io::BufWriter::new(
             std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?,
         );
-        for i in 0..n {
-            let row: Vec<String> = (0..n).map(|j| format!("{}", dist[(i, j)])).collect();
-            writeln!(f, "{}", row.join("\t")).map_err(|e| e.to_string())?;
-        }
+        apsp_graph::io::write_tsv(&dist, &mut f).map_err(|e| format!("write {out}: {e}"))?;
+        f.flush().map_err(|e| format!("write {out}: {e}"))?;
         println!("wrote {n}×{n} distance matrix to {out}");
     }
     Ok(())
@@ -185,22 +183,33 @@ mod tests {
     fn every_algorithm_solves_and_agrees() {
         let (dir, input) = fixture();
         // solve with each eligible algorithm (and auto), dump TSVs, compare;
-        // the fixture has non-negative integer weights, so everything except
-        // seidel (non-unit weights) applies
-        let mut outputs = Vec::new();
-        for algo in ["fw", "blocked", "dc", "sparse", "johnson", "dijkstra", "delta", "dist", "auto"]
-        {
-            let out = dir.join(format!("{algo}.tsv"));
-            let cmd = format!(
-                "--input {} --algo {algo} --block 4 --out {}",
-                input.display(),
-                out.display()
-            );
-            run(&toks(&cmd)).unwrap_or_else(|e| panic!("{algo}: {e}"));
-            outputs.push(std::fs::read_to_string(&out).unwrap());
-        }
+        // the fixtures have non-negative weights, so everything except seidel
+        // (non-unit weights) applies
+        let solve_all = |input: &std::path::Path| -> Vec<String> {
+            ["fw", "blocked", "dc", "sparse", "johnson", "dijkstra", "delta", "dist", "auto"]
+                .iter()
+                .map(|algo| {
+                    let out = dir.join(format!("{algo}.tsv"));
+                    let cmd = format!(
+                        "--input {} --algo {algo} --block 4 --out {}",
+                        input.display(),
+                        out.display()
+                    );
+                    run(&toks(&cmd)).unwrap_or_else(|e| panic!("{algo}: {e}"));
+                    std::fs::read_to_string(&out).unwrap()
+                })
+                .collect()
+        };
+        let outputs = solve_all(&input);
         for o in &outputs[1..] {
             assert_eq!(o, &outputs[0]);
+        }
+        // and against bytes no writer of this build produced: a committed
+        // TSV with `inf`, fractions and a distance of 2²⁴ (see the .gr header)
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/disconnected");
+        let want = std::fs::read_to_string(format!("{golden}.tsv")).unwrap();
+        for o in solve_all(std::path::Path::new(&format!("{golden}.gr"))) {
+            assert_eq!(o, want);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

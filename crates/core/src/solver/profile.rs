@@ -68,26 +68,33 @@ impl GraphProfile {
         let mut offdiag_blocks = 0usize;
         let mut hit_from = vec![0usize; nb];
 
-        for (u, v, w) in g.edges() {
-            min_weight = min_weight.min(w);
-            max_weight = max_weight.max(w);
-            sum += w as f64;
-            if w < 0.0 {
-                negative_edges += 1;
+        for u in 0..n {
+            let (targets, weights) = g.out_edges(u);
+            for &w in weights {
+                min_weight = min_weight.min(w);
+                max_weight = max_weight.max(w);
+                sum += w as f64;
+                negative_edges += usize::from(w < 0.0);
+                unit_weights &= w == 1.0;
+                integral_weights &= is_whole(w);
             }
-            if w != 1.0 {
-                unit_weights = false;
+            if symmetric {
+                symmetric = targets.iter().zip(weights).all(|(&v, &w)| g.weight(v as usize, u) == w);
             }
-            if w.fract() != 0.0 {
-                integral_weights = false;
-            }
-            if symmetric && g.weight(v, u) != w {
-                symmetric = false;
-            }
-            let (bi, bj) = (u / block, v / block);
-            if bi != bj && hit_from[bj] != bi + 1 {
-                hit_from[bj] = bi + 1;
-                offdiag_blocks += 1;
+            // targets ascend within a row, so the block column only moves
+            // right: one division per block entered, not one per edge
+            let bi = u / block;
+            let mut block_end = 0usize;
+            for &v in targets {
+                let v = v as usize;
+                if v >= block_end {
+                    let bj = v / block;
+                    block_end = (bj + 1) * block;
+                    if bi != bj && hit_from[bj] != bi + 1 {
+                        hit_from[bj] = bi + 1;
+                        offdiag_blocks += 1;
+                    }
+                }
             }
         }
         if m == 0 {
@@ -173,6 +180,17 @@ impl GraphProfile {
     }
 }
 
+/// `w.fract() == 0.0`, which the baseline x86-64 target can only compute
+/// through a libm `truncf` call per edge: below 2²³ the `i32` round trip
+/// truncates exactly, from 2²³ up every finite `f32` is whole.
+fn is_whole(w: f32) -> bool {
+    if w.abs() < 8_388_608.0 {
+        (w as i32) as f32 == w
+    } else {
+        w.is_finite()
+    }
+}
+
 /// `1536 → "1.5 KiB"` — for profile and plan rendering.
 pub fn human_bytes(bytes: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -223,23 +241,89 @@ mod tests {
         assert!(p.est_fill_work_ratio() <= 1.0);
     }
 
+    /// The profile spelled out edge by edge: a division and a `fract` per
+    /// edge, components by flood fill over the undirected adjacency.
+    fn profile_edge_by_edge(g: &Graph, block: usize) -> GraphProfile {
+        let (n, m) = (g.n(), g.m());
+        let nb = n.div_ceil(block);
+        let edges: Vec<_> = g.edges().collect();
+        let weights = || edges.iter().map(|e| e.2);
+        let mut blocks: std::collections::BTreeSet<_> = (0..nb).map(|k| (k, k)).collect();
+        blocks.extend(edges.iter().map(|&(u, v, _)| (u / block, v / block)));
+        let mut comp = vec![usize::MAX; n];
+        let mut weak_components = 0;
+        for root in 0..n {
+            if comp[root] != usize::MAX {
+                continue;
+            }
+            comp[root] = weak_components;
+            let mut stack = vec![root];
+            while let Some(x) = stack.pop() {
+                for &(u, v, _) in &edges {
+                    let next = if u == x { v } else if v == x { u } else { continue };
+                    if comp[next] == usize::MAX {
+                        comp[next] = weak_components;
+                        stack.push(next);
+                    }
+                }
+            }
+            weak_components += 1;
+        }
+        GraphProfile {
+            n,
+            m,
+            density: if n > 1 { m as f64 / (n as f64 * (n as f64 - 1.0)) } else { 0.0 },
+            min_weight: if m == 0 { 0.0 } else { weights().fold(f32::INFINITY, f32::min) },
+            max_weight: if m == 0 { 0.0 } else { weights().fold(f32::NEG_INFINITY, f32::max) },
+            mean_weight: if m == 0 { 0.0 } else { weights().fold(0.0, |s, w| s + w as f64) / m as f64 },
+            negative_edges: weights().filter(|&w| w < 0.0).count(),
+            unit_weights: m > 0 && weights().all(|w| w == 1.0),
+            integral_weights: weights().all(|w| w.fract() == 0.0),
+            symmetric: edges.iter().all(|&(u, v, w)| g.weight(v, u) == w),
+            weak_components,
+            block_size: block,
+            nnz_blocks: blocks.len(),
+            block_density: if nb > 0 { blocks.len() as f64 / (nb * nb) as f64 } else { 0.0 },
+            dense_bytes: (n * n * 4) as u64,
+        }
+    }
+
     #[test]
-    fn block_occupancy_matches_a_set_of_block_coordinates() {
-        use std::collections::BTreeSet;
+    fn every_field_matches_the_edge_by_edge_profile() {
+        let ints = WeightKind::small_ints;
+        let mut lopsided = GraphBuilder::new(7);
+        // asymmetric in structure, in weight only, and not at all
+        lopsided.add_edge(0, 5, 2.0).add_edge(5, 0, 3.0).add_undirected(1, 2, 0.25);
+        lopsided.add_edge(6, 3, -1.5).add_edge(3, 3, f32::INFINITY).add_edge(4, 6, 3.0e9);
         let graphs = [
-            generators::grid(5, 7, WeightKind::small_ints(), 1),
-            generators::ring_with_chords(41, WeightKind::small_ints(), 2),
-            generators::multi_component(30, 3, WeightKind::small_ints(), 3),
-            GraphBuilder::new(9).build(), // block rows with no edge at all
+            generators::uniform_dense(33, ints(), 1),
+            generators::erdos_renyi(40, 0.1, WeightKind::Real { lo: -1.0, hi: 1.0 }, 2),
+            generators::grid(5, 7, ints(), 3),
+            generators::ring_with_chords(41, ints(), 4),
+            generators::multi_component(30, 3, ints(), 5),
+            generators::unit_ring(9),
+            generators::geometric(25, 0.3, 6).0,
+            lopsided.build(),
+            GraphBuilder::new(9).build(),
+            GraphBuilder::new(0).build(),
         ];
         for g in &graphs {
             for block in [1usize, 3, 8, 64] {
-                let nb = g.n().div_ceil(block);
-                let mut want: BTreeSet<(usize, usize)> = (0..nb).map(|k| (k, k)).collect();
-                want.extend(g.edges().map(|(u, v, _)| (u / block, v / block)));
-                let p = GraphProfile::compute(g, block);
-                assert_eq!(p.nnz_blocks, want.len(), "n={} block={block}", g.n());
+                // Debug prints every field, floats to the last bit
+                let (got, want) = (GraphProfile::compute(g, block), profile_edge_by_edge(g, block));
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "n={} block={block}", g.n());
             }
+        }
+    }
+
+    #[test]
+    fn is_whole_is_a_zero_fract() {
+        let big = 8_388_608.0f32; // 2²³
+        for w in [0.0, -0.0, 1.0, -7.0, 0.5, -2.5, 1e-7, big - 0.5, big - 1.0, big, -big, 2.0 * big + 2.0] {
+            assert_eq!(is_whole(w), w.fract() == 0.0, "{w}");
+        }
+        for w in [3.0e9, -3.0e9, f32::MAX, f32::MIN_POSITIVE, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert_eq!(is_whole(w), w.fract() == 0.0, "{w}");
         }
     }
 

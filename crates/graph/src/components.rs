@@ -31,10 +31,11 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: u32, b: u32) {
+    /// Merge the sets of `a` and `b`; `true` if they were two sets.
+    fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return false;
         }
         let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
             (ra, rb)
@@ -43,6 +44,7 @@ impl UnionFind {
         };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
+        true
     }
 }
 
@@ -51,8 +53,18 @@ impl UnionFind {
 pub fn weak_components(g: &Graph) -> (Vec<usize>, usize) {
     let n = g.n();
     let mut uf = UnionFind::new(n);
-    for (u, v, _) in g.edges() {
-        uf.union(u as u32, v as u32);
+    // once a single set is left no edge can merge anything: on a dense graph
+    // that is after the first vertex's row, not after all n² edges
+    let mut sets = n;
+    'edges: for u in 0..n {
+        for &v in g.out_edges(u).0 {
+            if uf.union(u as u32, v) {
+                sets -= 1;
+                if sets == 1 {
+                    break 'edges;
+                }
+            }
+        }
     }
     let mut ids = vec![usize::MAX; n];
     let mut next = 0usize;

@@ -77,7 +77,7 @@ const ALIGN: usize = 64;
 const PAD_BYTES: usize = 128;
 
 /// Pad-stride quantum in **elements** for an element of `size` bytes:
-/// [`PAD_BYTES`] worth of power-of-two-sized elements, or the legacy
+/// `PAD_BYTES` (128) worth of power-of-two-sized elements, or the legacy
 /// 32-element quantum for exotic element sizes (which only the baseline
 /// shapes, whose `NR` divides 32, ever run at full width).
 #[inline]
