@@ -17,10 +17,10 @@
 //! | `headline_claims` | §1/§5 headline numbers, paper vs simulated |
 //! | `comm_volume_validation` | §5.2.2 — functional byte-count validation of §3.4.1 |
 //!
-//! The Criterion benches (`benches/`) measure the *real* CPU kernels of
-//! this reproduction (SRGEMM, closures, blocked FW, the offload engine, the
-//! collectives, and the distributed variants) — wall-clock numbers for this
-//! machine, complementing the simulated Summit numbers above.
+//! Wall-clock numbers for the *real* CPU kernels of this reproduction on
+//! this machine come from `benchmark/` at the repository root (the source
+//! of truth for perf claims) and from the [`perf`] suite, complementing the
+//! simulated Summit numbers above.
 
 pub mod json;
 pub mod perf;

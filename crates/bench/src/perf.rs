@@ -29,9 +29,11 @@
 
 use std::time::Instant;
 
-use apsp_core::{distributed_apsp, fw_blocked, DiagMethod, Exec, FwConfig, PanelBcastAlgo, Schedule};
+use apsp_core::{
+    distributed_apsp, fw_blocked_threads, DiagMethod, Exec, FwConfig, PanelBcastAlgo, Schedule,
+};
 use apsp_graph::generators::{self, WeightKind};
-use srgemm::gemm::{gemm_flops, gemm_naive, gemm_packed, gemm_parallel};
+use srgemm::gemm::{gemm_flops, gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
 use srgemm::{Matrix, MinPlus, MinPlusSatI32, MinPlusSatU16, Semiring};
 
 use crate::json::Json;
@@ -414,10 +416,17 @@ fn lcg_matrix_f32(n: usize, seed: u64) -> Matrix<f32> {
     })
 }
 
-/// A serial-signature GEMM kernel over element type `E`.
-type GemmFn<E> = fn(&mut srgemm::ViewMut<'_, E>, &srgemm::View<'_, E>, &srgemm::View<'_, E>);
+/// A `C ← C ⊕ A ⊗ B` kernel over element type `E`.
+type GemmFn<'f, E> =
+    &'f dyn Fn(&mut srgemm::ViewMut<'_, E>, &srgemm::View<'_, E>, &srgemm::View<'_, E>);
 
-fn gemm_suite<S>(elem: &str, n: usize, reps: usize, mk: impl Fn(u64) -> Matrix<S::Elem>) -> Vec<Entry>
+fn gemm_suite<S>(
+    elem: &str,
+    n: usize,
+    reps: usize,
+    threads: usize,
+    mk: impl Fn(u64) -> Matrix<S::Elem>,
+) -> Vec<Entry>
 where
     S: Semiring,
 {
@@ -425,11 +434,14 @@ where
     let b = mk(22);
     let c0 = mk(33);
     let flops = gemm_flops(n, n, n);
-    let algos: [(&str, GemmFn<S::Elem>); 3] = [
-        ("naive", gemm_naive::<S>),
-        ("packed", gemm_packed::<S>),
-        ("parallel", gemm_parallel::<S>),
-    ];
+    // pack + multiply on `threads` row slabs: the packed entry's work, split
+    let parallel = |c: &mut srgemm::ViewMut<'_, S::Elem>,
+                    a: &srgemm::View<'_, S::Elem>,
+                    b: &srgemm::View<'_, S::Elem>| {
+        gemm_packed_threads::<S>(c, a, &PackedB::pack::<S>(b), threads)
+    };
+    let algos: [(&str, GemmFn<S::Elem>); 3] =
+        [("naive", &gemm_naive::<S>), ("packed", &gemm_packed::<S>), ("parallel", &parallel)];
     algos
         .iter()
         .map(|(algo, kernel)| {
@@ -458,14 +470,16 @@ where
 pub fn run_suite(mode: Mode, reps: usize) -> Report {
     let sz = sizes(mode);
     let mut entries = Vec::new();
+    // the thread budget of every multi-threaded entry, read once
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
 
     // --- GEMM kernels: naive/packed/parallel × MinPlus f32/f64 -----------
     eprintln!("[perf] gemm kernels, n = {}", sz.gemm_n);
     let n = sz.gemm_n;
-    entries.extend(gemm_suite::<MinPlus<f32>>("f32", n, reps, |seed| {
+    entries.extend(gemm_suite::<MinPlus<f32>>("f32", n, reps, host, |seed| {
         lcg_matrix_f32(n, seed)
     }));
-    entries.extend(gemm_suite::<MinPlus<f64>>("f64", n, reps, |seed| {
+    entries.extend(gemm_suite::<MinPlus<f64>>("f64", n, reps, host, |seed| {
         let mut state = seed | 1;
         Matrix::from_fn(n, n, |_, _| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -591,7 +605,7 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
         let wall_s = time_min(
             reps,
             || d0.clone(),
-            |mut d| fw_blocked::<MinPlus<f32>>(&mut d, sz.fw_b, DiagMethod::FwClosure, true),
+            |mut d| fw_blocked_threads::<MinPlus<f32>>(&mut d, sz.fw_b, DiagMethod::FwClosure, host),
         );
         let flops = 2.0 * (sz.fw_n as f64).powi(3);
         eprintln!("  fw/blocked/minplus_f32: {wall_s:.6}s");
@@ -786,13 +800,15 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
         let baseline_wall_s = time_min(
             reps,
             || input.clone(),
-            |mut d| fw_blocked::<MinPlus<f32>>(&mut d, sz.headline_b, DiagMethod::FwClosure, true),
+            |mut d| {
+                fw_blocked_threads::<MinPlus<f32>>(&mut d, sz.headline_b, DiagMethod::FwClosure, host)
+            },
         );
         let wall_s = time_min(
             reps,
             || (),
             |()| {
-                quant::solve_quantized(&g, &plan, sz.headline_b, true);
+                quant::solve_quantized(&g, &plan, sz.headline_b, host);
             },
         );
         let flops = 2.0 * (sz.headline_n as f64).powi(3);
@@ -841,7 +857,8 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
             || input.clone(),
             |mut m| {
                 let mut store = MemStore::new::<f32>(n, tile);
-                solve_in_store::<MinPlus<f32>>(&mut m, &mut store, &OocConfig::unbounded())
+                let cfg = OocConfig { threads: host, ..OocConfig::unbounded() };
+                solve_in_store::<MinPlus<f32>>(&mut m, &mut store, &cfg)
                     .expect("in-memory ooc solve");
             },
         );
@@ -853,11 +870,14 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
             |mut m| {
                 let mut store =
                     FileStore::create::<f32>(&path, n, tile, 2).expect("create tile store");
-                solve_in_store::<MinPlus<f32>>(&mut m, &mut store, &OocConfig::with_budget(budget))
+                let cfg = OocConfig { threads: host, ..OocConfig::with_budget(budget) };
+                solve_in_store::<MinPlus<f32>>(&mut m, &mut store, &cfg)
                     .expect("staged ooc solve");
+                // `create` is exclusive: each rep needs the path free again
+                drop(store);
+                let _ = std::fs::remove_file(&path);
             },
         );
-        let _ = std::fs::remove_file(&path);
         eprintln!(
             "  ooc/staged_vs_inmem/f32: staged {wall_s:.6}s, in-memory {baseline_wall_s:.6}s, x{:.3}",
             baseline_wall_s / wall_s
@@ -905,7 +925,7 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
         schema: SCHEMA.to_string(),
         mode: mode.name().to_string(),
         reps,
-        available_parallelism: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+        available_parallelism: host,
         entries,
     }
 }

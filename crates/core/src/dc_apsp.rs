@@ -15,19 +15,19 @@
 //! FW results, and as the subject of the dc-vs-blocked bench.
 
 use srgemm::closure::fw_closure;
-use srgemm::gemm::{gemm, gemm_parallel};
-use srgemm::matrix::{Matrix, ViewMut};
+use srgemm::gemm::{gemm_packed_threads, PackedB};
+use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
 
 /// In-place divide-and-conquer closure. `base` is the recursion cutoff
-/// (classic FW below it); `parallel` uses the rayon GEMM for the
-/// off-diagonal quadrant updates.
+/// (classic FW below it); the off-diagonal quadrant updates run on at most
+/// `threads` kernel threads.
 ///
 /// # Panics
 /// Panics if `a` is not square, `base == 0`, or the semiring is not
 /// idempotent.
-pub fn dc_apsp<S: Semiring>(a: &mut Matrix<S::Elem>, base: usize, parallel: bool) {
+pub fn dc_apsp<S: Semiring>(a: &mut Matrix<S::Elem>, base: usize, threads: usize) {
     assert_eq!(a.rows(), a.cols(), "distance matrix must be square");
     assert!(base > 0, "base case must be positive");
     assert!(
@@ -37,10 +37,10 @@ pub fn dc_apsp<S: Semiring>(a: &mut Matrix<S::Elem>, base: usize, parallel: bool
     );
     let n = a.rows();
     let mut view = a.subview_mut(0, 0, n, n);
-    dc_recurse::<S>(&mut view, base, parallel);
+    dc_recurse::<S>(&mut view, base, threads);
 }
 
-fn dc_recurse<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, base: usize, parallel: bool) {
+fn dc_recurse<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, base: usize, threads: usize) {
     let n = a.rows();
     if n <= base {
         fw_closure::<S>(a);
@@ -54,27 +54,22 @@ fn dc_recurse<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, base: usize, parallel: 
     let (mut a21, mut a22) = bottom.split_cols_mut(mid);
 
     // A ← A*
-    dc_recurse::<S>(&mut a11, base, parallel);
+    dc_recurse::<S>(&mut a11, base, threads);
     // B ← A ⊗ B ; C ← C ⊗ A   (closure absorbs the old values: A* ⊇ I)
     panel_update_left::<S>(&mut a12, &a11.as_view());
     panel_update_right::<S>(&mut a21, &a11.as_view());
+    let gemm = |c: &mut ViewMut<'_, S::Elem>, a: &View<'_, S::Elem>, b: &View<'_, S::Elem>| {
+        gemm_packed_threads::<S>(c, a, &PackedB::pack::<S>(b), threads)
+    };
     // D ← D ⊕ C ⊗ B
-    if parallel {
-        gemm_parallel::<S>(&mut a22, &a21.as_view(), &a12.as_view());
-    } else {
-        gemm::<S>(&mut a22, &a21.as_view(), &a12.as_view());
-    }
+    gemm(&mut a22, &a21.as_view(), &a12.as_view());
     // D ← D*
-    dc_recurse::<S>(&mut a22, base, parallel);
+    dc_recurse::<S>(&mut a22, base, threads);
     // B ← B ⊗ D ; C ← D ⊗ C
     panel_update_right::<S>(&mut a12, &a22.as_view());
     panel_update_left::<S>(&mut a21, &a22.as_view());
     // A ← A ⊕ B ⊗ C
-    if parallel {
-        gemm_parallel::<S>(&mut a11, &a12.as_view(), &a21.as_view());
-    } else {
-        gemm::<S>(&mut a11, &a12.as_view(), &a21.as_view());
-    }
+    gemm(&mut a11, &a12.as_view(), &a21.as_view());
 }
 
 #[cfg(test)]
@@ -94,7 +89,7 @@ mod tests {
             fw_seq::<MinPlusF32>(&mut want);
             for base in [1usize, 3, 4, 16, 64, 128] {
                 let mut got = g.to_dense();
-                dc_apsp::<MinPlusF32>(&mut got, base, false);
+                dc_apsp::<MinPlusF32>(&mut got, base, 1);
                 assert!(want.eq_exact(&got), "n={n} base={base}");
             }
         }
@@ -102,11 +97,12 @@ mod tests {
 
     #[test]
     fn parallel_gemms_give_identical_results() {
-        let g = generators::uniform_dense(40, WeightKind::small_ints(), 3);
+        // 80 → 40-row quadrants: two slabs of ≥ 16 rows at the top level
+        let g = generators::uniform_dense(80, WeightKind::small_ints(), 3);
         let mut a = g.to_dense();
         let mut b = g.to_dense();
-        dc_apsp::<MinPlusF32>(&mut a, 8, false);
-        dc_apsp::<MinPlusF32>(&mut b, 8, true);
+        dc_apsp::<MinPlusF32>(&mut a, 8, 1);
+        dc_apsp::<MinPlusF32>(&mut b, 8, 2);
         assert!(a.eq_exact(&b));
     }
 
@@ -121,7 +117,7 @@ mod tests {
             let mut want = g.to_dense();
             fw_seq::<MinPlusF32>(&mut want);
             let mut got = g.to_dense();
-            dc_apsp::<MinPlusF32>(&mut got, 4, false);
+            dc_apsp::<MinPlusF32>(&mut got, 4, 1);
             assert!(want.eq_exact(&got), "{kind:?}");
         }
     }
@@ -143,7 +139,7 @@ mod tests {
         let mut want = m.clone();
         fw_seq::<WP>(&mut want);
         let mut got = m.clone();
-        dc_apsp::<WP>(&mut got, 4, false);
+        dc_apsp::<WP>(&mut got, 4, 1);
         assert!(want.eq_exact(&got));
     }
 }

@@ -27,16 +27,44 @@
 //! arithmetic, so every rank of the grid takes the error path together
 //! instead of one rank aborting mid-collective.
 
+use std::cell::OnceCell;
+
 use gpu_sim::{oog_srgemm, SimGpu};
 use mpi_sim::ProcessGrid;
-use srgemm::gemm::{
-    budget_threads, gemm_packed, gemm_packed_with_b, gemm_parallel_threads,
-    gemm_parallel_threads_with_b, PackedB,
-};
+use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
 use super::{diag_and_panels, DistError, DistMatrix, FwConfig, PackedPanels, Schedule};
+
+/// The `B` operand of an OuterUpdate: the row panel (or a slice of it) as a
+/// view, plus the slot its packed form lands in the first time an in-core
+/// executor asks for it. Every update of an iteration that multiplies
+/// against the whole row panel shares one slot, so the panel is packed at
+/// most once per iteration — and never for an executor that stages the view
+/// through its own pipeline.
+pub struct OuterB<'a, T> {
+    view: View<'a, T>,
+    packed: &'a OnceCell<PackedB<T>>,
+}
+
+impl<'a, T: Copy> OuterB<'a, T> {
+    /// `view` with `packed` as the slot for its packed form; an occupied
+    /// slot must hold the pack of exactly this view.
+    pub fn new(view: View<'a, T>, packed: &'a OnceCell<PackedB<T>>) -> Self {
+        OuterB { view, packed }
+    }
+
+    /// The unpacked operand.
+    pub fn view(&self) -> &View<'a, T> {
+        &self.view
+    }
+
+    /// The operand in the micro-kernel's tiled layout, packed on first use.
+    pub fn packed<S: Semiring<Elem = T>>(&self) -> &'a PackedB<T> {
+        self.packed.get_or_init(|| PackedB::pack::<S>(&self.view))
+    }
+}
 
 /// Execution policy for the OuterUpdate phase: applies
 /// `C ← C ⊕ A ⊗ B` to a view of the local matrix (the whole matrix for the
@@ -49,65 +77,26 @@ pub trait OuterExec<S: Semiring> {
         &mut self,
         c: &mut ViewMut<'_, S::Elem>,
         a: &View<'_, S::Elem>,
-        b: &View<'_, S::Elem>,
+        b: &OuterB<'_, S::Elem>,
     ) -> Result<(), DistError>;
-
-    /// Whether this executor consumes a pre-packed row panel. When `true`,
-    /// the driver packs the broadcast row panel once per iteration and feeds
-    /// the same [`PackedB`] to every update of that iteration (look-ahead
-    /// row strip + bulk) via [`OuterExec::outer_update_packed`].
-    fn wants_packed(&self) -> bool {
-        false
-    }
-
-    /// Apply an outer-product update against a pre-packed `B`. Called only
-    /// when [`OuterExec::wants_packed`] returns `true`; the default (for
-    /// executors with their own staging pipeline, e.g. the GPU offload
-    /// path) panics to flag the contract violation.
-    fn outer_update_packed(
-        &mut self,
-        _c: &mut ViewMut<'_, S::Elem>,
-        _a: &View<'_, S::Elem>,
-        _pb: &PackedB<S::Elem>,
-    ) -> Result<(), DistError> {
-        unreachable!("outer_update_packed on an executor with wants_packed() == false")
-    }
 }
 
-/// In-core execution: the OuterUpdate is one blocked GEMM over the view,
+/// In-core execution: the OuterUpdate is one packed GEMM over the view,
 /// row-slab parallel under an explicit thread budget.
 ///
 /// The budget matters because every rank of the mpi-sim grid is already a
 /// thread on the same machine: `p` ranks each fanning out to all cores
 /// oversubscribes the box `p`-fold and the OuterUpdates *slow down*. The
-/// budget rule is `ranks × kernel threads ≤ cores` (DESIGN.md §10):
-/// [`InCoreGemm::budgeted`] divides `available_parallelism` by the number
-/// of co-resident ranks (floor 1, i.e. the serial kernel).
+/// rule is `ranks × kernel threads ≤ cores` (DESIGN.md §10), applied by
+/// whoever builds the executor ([`super::run_on_grid`]).
 pub struct InCoreGemm {
     threads: usize,
 }
 
 impl InCoreGemm {
-    /// Serial OuterUpdate (the pre-budget behavior; also the floor the
-    /// budget degrades to when ranks ≥ cores).
-    pub fn serial() -> Self {
-        InCoreGemm { threads: 1 }
-    }
-
-    /// Explicit kernel thread count (`0` is treated as 1).
+    /// In-core executor on `threads` kernel threads per OuterUpdate.
     pub fn with_threads(threads: usize) -> Self {
-        InCoreGemm { threads: threads.max(1) }
-    }
-
-    /// Budget for `active_ranks` co-resident ranks:
-    /// `available_parallelism / active_ranks`, floor 1.
-    pub fn budgeted(active_ranks: usize) -> Self {
-        InCoreGemm { threads: budget_threads(active_ranks) }
-    }
-
-    /// Kernel threads each OuterUpdate may use.
-    pub fn threads(&self) -> usize {
-        self.threads
+        InCoreGemm { threads }
     }
 }
 
@@ -116,31 +105,9 @@ impl<S: Semiring> OuterExec<S> for InCoreGemm {
         &mut self,
         c: &mut ViewMut<'_, S::Elem>,
         a: &View<'_, S::Elem>,
-        b: &View<'_, S::Elem>,
+        b: &OuterB<'_, S::Elem>,
     ) -> Result<(), DistError> {
-        if self.threads <= 1 {
-            gemm_packed::<S>(c, a, b);
-        } else {
-            gemm_parallel_threads::<S>(c, a, b, self.threads);
-        }
-        Ok(())
-    }
-
-    fn wants_packed(&self) -> bool {
-        true
-    }
-
-    fn outer_update_packed(
-        &mut self,
-        c: &mut ViewMut<'_, S::Elem>,
-        a: &View<'_, S::Elem>,
-        pb: &PackedB<S::Elem>,
-    ) -> Result<(), DistError> {
-        if self.threads <= 1 {
-            gemm_packed_with_b::<S>(c, a, pb);
-        } else {
-            gemm_parallel_threads_with_b::<S>(c, a, pb, self.threads);
-        }
+        gemm_packed_threads::<S>(c, a, b.packed::<S>(), self.threads);
         Ok(())
     }
 }
@@ -205,12 +172,12 @@ impl<S: Semiring> OuterExec<S> for GpuOffload {
         &mut self,
         c: &mut ViewMut<'_, S::Elem>,
         a: &View<'_, S::Elem>,
-        b: &View<'_, S::Elem>,
+        b: &OuterB<'_, S::Elem>,
     ) -> Result<(), DistError> {
         if c.rows() == 0 || c.cols() == 0 {
             return Ok(());
         }
-        let oog_stats = oog_srgemm::<S>(&self.gpu, &self.oog, c, a, b).map_err(|e| match e {
+        let oog_stats = oog_srgemm::<S>(&self.gpu, &self.oog, c, a, b.view()).map_err(|e| match e {
             gpu_sim::OogError::Oom(oom) => {
                 DistError::DeviceOom { requested: oom.requested, available: oom.available }
             }
@@ -271,31 +238,13 @@ fn run_bulk_sync<S: Semiring, E: OuterExec<S>>(
     exec: &mut E,
 ) -> Result<(), DistError> {
     for k in 0..a.nb {
-        let mut panels = diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast)?;
-        if exec.wants_packed() {
-            panels.pack_row::<S>();
-        }
+        let panels = diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast)?;
         // OuterUpdate(k): whole local matrix (re-touching the freshly-updated
         // k-th strips is a no-op — see `fw_blocked`'s module docs)
         let _p = grid.grid.phase("OuterUpdate");
-        bulk_outer_update::<S, E>(a, &panels, exec)?;
+        exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
     }
     Ok(())
-}
-
-/// OuterUpdate(k) over the whole local matrix, through the packed row panel
-/// when the executor consumes one.
-fn bulk_outer_update<S: Semiring, E: OuterExec<S>>(
-    a: &mut DistMatrix<S::Elem>,
-    panels: &PackedPanels<S::Elem>,
-    exec: &mut E,
-) -> Result<(), DistError> {
-    let mut c = a.local.view_mut();
-    let av = panels.col_panel.view();
-    match &panels.packed_row {
-        Some(pb) => exec.outer_update_packed(&mut c, &av, pb),
-        None => exec.outer_update(&mut c, &av, &panels.row_panel.view()),
-    }
 }
 
 /// Algorithm 4 shape: look-ahead pipeline. The (k+1)-th strips are relaxed
@@ -307,13 +256,10 @@ fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
     exec: &mut E,
 ) -> Result<(), DistError> {
     // Prime the pipeline: diag/panel work for k = 0. Each panel set is
-    // packed at most once, right after its broadcast lands, and the same
-    // packed copy then serves the look-ahead row strip *and* the bulk
-    // OuterUpdate of its iteration.
+    // packed at most once, by the first in-core update that multiplies
+    // against it, and the same packed copy then serves the look-ahead row
+    // strip *and* the bulk OuterUpdate of its iteration.
     let mut panels = diag_and_panels::<S>(grid, a, 0, cfg.diag, cfg.bcast)?;
-    if exec.wants_packed() {
-        panels.pack_row::<S>();
-    }
 
     for k in 0..a.nb {
         let next = if k + 1 < a.nb {
@@ -324,11 +270,7 @@ fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
             }
             // ---- then the full (k+1) diag/panel phase, overlapping the big
             //      OuterUpdate(k) in the schedule model ----
-            let mut p = diag_and_panels::<S>(grid, a, k + 1, cfg.diag, cfg.bcast)?;
-            if exec.wants_packed() {
-                p.pack_row::<S>();
-            }
-            Some(p)
+            Some(diag_and_panels::<S>(grid, a, k + 1, cfg.diag, cfg.bcast)?)
         } else {
             None
         };
@@ -337,7 +279,7 @@ fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
         // (the k+1 strips were already relaxed with these same panels, and
         // min-plus relaxation is monotone, so re-touching them is a no-op)
         let _p = grid.grid.phase("OuterUpdate");
-        bulk_outer_update::<S, E>(a, &panels, exec)?;
+        exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
 
         if let Some(p) = next {
             panels = p;
@@ -362,22 +304,19 @@ fn lookahead_update<S: Semiring, E: OuterExec<S>>(
         let r0 = a.local_row_start(next);
         let bk1 = a.block_dim(next);
         let col_slice = panels.col_panel.subview(r0, 0, bk1, panels.col_panel.cols());
-        let mut strip = a.row_strip_mut(next);
-        match &panels.packed_row {
-            Some(pb) => exec.outer_update_packed(&mut strip, &col_slice, pb)?,
-            None => exec.outer_update(&mut strip, &col_slice, &panels.row_panel.view())?,
-        }
+        exec.outer_update(&mut a.row_strip_mut(next), &col_slice, &panels.row_b())?;
     }
     // column strip `next`: A(:, next) ⊕= A(:, k) ⊗ A(k, next) — the B
     // operand is a b×b column *slice* of the row panel, which does not
-    // coincide with packed-tile boundaries, so this small update stays on
-    // the unpacked path (it is O(n·b²) against the O(n²·b) bulk update)
+    // coincide with packed-tile boundaries, so this small update brings a
+    // slot of its own (it is O(n·b²) against the O(n²·b) bulk update)
     if a.owns_col(next) {
         let c0 = a.local_col_start(next);
         let bk1 = a.block_dim(next);
         let row_slice = panels.row_panel.subview(0, c0, panels.row_panel.rows(), bk1);
-        let mut strip = a.col_strip_mut(next);
-        exec.outer_update(&mut strip, &panels.col_panel.view(), &row_slice)?;
+        let slot = OnceCell::new();
+        let b = OuterB::new(row_slice, &slot);
+        exec.outer_update(&mut a.col_strip_mut(next), &panels.col_panel.view(), &b)?;
     }
     Ok(())
 }

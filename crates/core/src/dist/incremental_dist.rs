@@ -154,7 +154,7 @@ mod tests {
             let (r, c) = grid.coords();
             let mut a = DistMatrix::from_global(&input, b, pr, pc, r, c);
             let cfg = FwConfig::new(b, Variant::Baseline);
-            driver::run::<MinPlusF32, _>(&grid, &mut a, &cfg, &mut InCoreGemm::budgeted(pr * pc))
+            driver::run::<MinPlusF32, _>(&grid, &mut a, &cfg, &mut InCoreGemm::with_threads(1))
                 .expect("in-core run");
             for &(u, v, w) in &updates2 {
                 decrease_edge_dist::<MinPlusF32>(&grid, &mut a, u, v, w).expect("update");
@@ -211,7 +211,7 @@ mod tests {
             let (r, c) = grid.coords();
             let mut a = DistMatrix::from_global(&input, 3, 2, 2, r, c);
             let cfg = FwConfig::new(3, Variant::Baseline);
-            driver::run::<MinPlusF32, _>(&grid, &mut a, &cfg, &mut InCoreGemm::budgeted(4))
+            driver::run::<MinPlusF32, _>(&grid, &mut a, &cfg, &mut InCoreGemm::with_threads(1))
                 .expect("in-core run");
             let bad_vertex = decrease_edge_dist::<MinPlusF32>(&grid, &mut a, 1, 99, 1.0);
             let self_loop = decrease_edge_dist::<MinPlusF32>(&grid, &mut a, 5, 5, -1.0);

@@ -37,7 +37,7 @@ pub mod incremental_dist;
 pub mod layout;
 pub mod oned;
 
-pub use driver::{GpuOffload, InCoreGemm, OffloadStats, OuterExec};
+pub use driver::{GpuOffload, InCoreGemm, OffloadStats, OuterB, OuterExec};
 pub use incremental_dist::{decrease_edge_dist, DistUpdateError};
 pub use layout::DistMatrix;
 
@@ -315,9 +315,9 @@ pub struct FwConfig {
     /// How diagonal blocks are closed.
     pub diag: DiagMethod,
     /// Kernel threads each rank's [`InCoreGemm`] OuterUpdate may use.
-    /// `None` → budgeted automatically as `available_parallelism / (pr·pc)`,
-    /// floor 1, so ranks × kernel threads never exceeds the machine
-    /// (DESIGN.md §10). `Some(1)` forces the serial pre-budget behavior.
+    /// `None` → `available_parallelism / (pr·pc)`, floor 1, so ranks ×
+    /// kernel threads never exceeds the machine (DESIGN.md §10); the solver
+    /// layer fills it from [`crate::solver::SolveOpts::threads`] instead.
     pub kernel_threads: Option<usize>,
     /// Device spec for the GpuOffload executor (each rank gets one GPU).
     pub gpu_spec: GpuSpec,
@@ -381,33 +381,30 @@ pub(crate) fn bcast_matrix<S: Semiring>(
 
 /// Per-iteration context shared by the driver loops: the closed diagonal
 /// broadcast to the k-th process row/column, then the panels to everyone —
-/// plus, when the executor consumes it, the row panel pre-packed into the
-/// micro-kernel's tiled layout.
+/// plus the slot the row panel's packed form lands in once an in-core
+/// executor asks for it.
 ///
-/// Packing happens **once per iteration** (in the driver, right after the
-/// broadcast lands) and the same [`PackedB`] then feeds both the look-ahead
-/// row-strip update and the bulk OuterUpdate — the panel is the `B` operand
-/// of every GEMM of the iteration, so one pack amortizes over all of them.
-/// The column panel is the `A` operand (packed per-slab inside the kernel)
-/// and the look-ahead *column* strip multiplies against a `b_k`-column
-/// sub-slice of the row panel, whose packed tiles would not line up; both
-/// therefore stay unpacked (see `lookahead_update`).
+/// Packing happens **at most once per iteration** (on the first in-core
+/// update against the panel) and the same `PackedB` then feeds both the
+/// look-ahead row-strip update and the bulk OuterUpdate — the panel is the
+/// `B` operand of every GEMM of the iteration, so one pack amortizes over
+/// all of them. The column panel is the `A` operand (packed per-slab inside
+/// the kernel) and the look-ahead *column* strip multiplies against a
+/// `b_k`-column sub-slice of the row panel, whose packed tiles would not
+/// line up, so it does not share the slot (see `lookahead_update`).
 pub(crate) struct PackedPanels<T> {
     /// `local_rows × b_k` column panel (`A(:,k)` restricted to my rows).
     pub col_panel: Matrix<T>,
     /// `b_k × local_cols` row panel (`A(k,:)` restricted to my cols).
     pub row_panel: Matrix<T>,
-    /// `row_panel` in packed-tile layout; `Some` only when the executor
-    /// reports [`OuterExec::wants_packed`].
-    pub packed_row: Option<srgemm::gemm::PackedB<T>>,
+    /// `row_panel` in packed-tile layout, once [`OuterB::packed`] ran.
+    packed_row: std::cell::OnceCell<srgemm::gemm::PackedB<T>>,
 }
 
 impl<T: Copy> PackedPanels<T> {
-    /// Pack the row panel (idempotent; a no-op if already packed).
-    pub fn pack_row<S: Semiring<Elem = T>>(&mut self) {
-        if self.packed_row.is_none() {
-            self.packed_row = Some(srgemm::gemm::PackedB::pack::<S>(&self.row_panel.view()));
-        }
+    /// The whole row panel as the `B` operand of an OuterUpdate.
+    pub fn row_b(&self) -> OuterB<'_, T> {
+        OuterB::new(self.row_panel.view(), &self.packed_row)
     }
 }
 
@@ -441,7 +438,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
             let mut d = a.diag_block_mut(k);
             match diag_method {
                 DiagMethod::FwClosure => fw_closure::<S>(&mut d),
-                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut d, false),
+                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut d, 1),
             }
         }
     }
@@ -497,7 +494,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
         bk,
         how,
     )?;
-    Ok(PackedPanels { col_panel, row_panel, packed_row: None })
+    Ok(PackedPanels { col_panel, row_panel, packed_row: Default::default() })
 }
 
 /// Run the configured policy triple on this rank's share of an existing
@@ -510,14 +507,13 @@ pub fn run_on_grid<S: Semiring>(
 ) -> Result<Option<OffloadStats>, DistError> {
     match cfg.exec {
         Exec::InCoreGemm => {
-            // Thread-budgeted OuterUpdate: every rank of this grid is a
-            // thread on the same machine, so each one's kernel gets
-            // cores / (pr·pc) workers unless the config pins a count.
-            let mut exec = match cfg.kernel_threads {
-                Some(t) => InCoreGemm::with_threads(t),
-                None => InCoreGemm::budgeted(grid.grid.size()),
-            };
-            driver::run::<S, _>(grid, a, cfg, &mut exec)?;
+            // Every rank of this grid is a thread on the same machine, so
+            // each one's kernel gets cores / (pr·pc) threads unless the
+            // config pins a count.
+            let threads = cfg
+                .kernel_threads
+                .unwrap_or_else(|| (crate::host_threads() / grid.grid.size()).max(1));
+            driver::run::<S, _>(grid, a, cfg, &mut InCoreGemm::with_threads(threads))?;
             Ok(None)
         }
         Exec::GpuOffload => {

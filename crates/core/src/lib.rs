@@ -54,12 +54,12 @@
 //!
 //! ```
 //! use apsp_graph::generators::{uniform_dense, WeightKind};
-//! use apsp_core::fw_blocked::{fw_blocked, DiagMethod};
+//! use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
 //! use srgemm::MinPlusF32;
 //!
 //! let g = uniform_dense(64, WeightKind::small_ints(), 42);
 //! let mut d = g.to_dense();
-//! fw_blocked::<MinPlusF32>(&mut d, 16, DiagMethod::FwClosure, true);
+//! fw_blocked_threads::<MinPlusF32>(&mut d, 16, DiagMethod::FwClosure, 2);
 //! // d now holds all-pairs shortest distances.
 //! assert_eq!(d[(0, 0)], 0.0);
 //! ```
@@ -84,10 +84,15 @@ pub use dist::{
     distributed_apsp_traced_opts, DistError, DistRunOpts, Exec, FwConfig, PanelBcastAlgo,
     Schedule, Variant,
 };
-pub use fw_blocked::{fw_blocked, DiagMethod};
+pub use fw_blocked::{fw_blocked, fw_blocked_threads, DiagMethod};
 pub use fw_seq::{fw_seq, fw_seq_with_paths};
 pub use incremental::{BatchReport, IncrementalError};
 pub use serve::{Engine, Snapshot};
 pub use solver::{
     GraphProfile, Ineligible, Plan, Registry, Solution, SolveError, SolveOpts, Solver, SolverStats,
 };
+
+/// The host's parallelism: what a thread budget left at "all cores" means.
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use gpu_sim::OogConfig;
 use srgemm::gemm::pack::{PackDecodeError, PackElem, PackedB};
-use srgemm::gemm::{budget_threads, gemm_packed_with_b, gemm_parallel_threads_with_b, KC, NC};
+use srgemm::gemm::{gemm_packed_threads, KC, NC};
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::prelude::fw_closure;
@@ -49,19 +49,20 @@ pub struct OocConfig {
     pub budget_bytes: u64,
     /// Double-buffer depth: outstanding prefetch reads and queued writes.
     pub depth: usize,
-    /// Use the rayon GEMM for the outer-product updates.
-    pub parallel: bool,
+    /// Kernel threads each outer-product update may use.
+    pub threads: usize,
 }
 
 impl OocConfig {
-    /// A budget-limited config with double buffering (`depth = 2`).
+    /// A budget-limited, single-threaded config with double buffering
+    /// (`depth = 2`).
     pub fn with_budget(budget_bytes: u64) -> Self {
-        OocConfig { budget_bytes, depth: 2, parallel: true }
+        OocConfig { budget_bytes, depth: 2, threads: 1 }
     }
 
     /// No effective budget — for in-memory baselines.
     pub fn unbounded() -> Self {
-        OocConfig { budget_bytes: u64::MAX, depth: 2, parallel: true }
+        OocConfig::with_budget(u64::MAX)
     }
 }
 
@@ -395,7 +396,7 @@ where
 /// fixes block row and column `k`; then every remaining tile folds
 /// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)` with the **stored packed row tile** as the
 /// GEMM's `B` operand. Same kernels, same per-element ⊕ fold order as
-/// [`crate::fw_blocked::fw_blocked`], hence bit-identical results.
+/// [`crate::fw_blocked::fw_blocked_threads`], hence bit-identical results.
 ///
 /// # Panics
 /// Panics if `S` is not ⊕-idempotent (same precondition as blocked FW).
@@ -538,11 +539,7 @@ where
                     let mut cv = c_buf.subview_mut(0, 0, bi, bj);
                     let av = a_buf.subview(0, 0, bi, bk);
                     let pb = cache.peek((k, j));
-                    if cfg.parallel {
-                        gemm_parallel_threads_with_b::<S>(&mut cv, &av, pb, budget_threads(1));
-                    } else {
-                        gemm_packed_with_b::<S>(&mut cv, &av, pb);
-                    }
+                    gemm_packed_threads::<S>(&mut cv, &av, pb, cfg.threads);
                 }
                 stats.compute_seconds += t0.elapsed().as_secs_f64();
                 cache.put_dense::<S>(store, &mut stats, (i, j), &c_buf.subview(0, 0, bi, bj))?;

@@ -264,9 +264,14 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Create (truncating) a store file for an `n × n` matrix in
-    /// `tile × tile` blobs of element type `E`, allowing up to `depth`
-    /// outstanding writes.
+    /// Create a store file for an `n × n` matrix in `tile × tile` blobs of
+    /// element type `E`, allowing up to `depth` outstanding writes.
+    ///
+    /// The file is created exclusively: an existing `path` — another
+    /// solve's store, or a symlink planted under a predictable name in a
+    /// shared temp dir — is a typed `open` error, never truncated or
+    /// followed. A file this call created is removed again if sizing it
+    /// fails.
     ///
     /// # Panics
     /// Panics if `n`, `tile`, or `depth` is zero.
@@ -283,8 +288,7 @@ impl FileStore {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(true)
+            .create_new(true)
             .open(path)
             .map_err(|e| io_err("open", e))?;
         let mut header = Vec::with_capacity(FILE_HEADER);
@@ -293,9 +297,14 @@ impl FileStore {
         for v in [n as u64, tile as u64, slot_cap as u64] {
             header.extend_from_slice(&v.to_le_bytes());
         }
-        file.write_all(&header).map_err(|e| io_err("write", e))?;
-        file.set_len((FILE_HEADER + nb * nb * slot_cap) as u64)
-            .map_err(|e| io_err("write", e))?;
+        let sized = file
+            .write_all(&header)
+            .and_then(|()| file.set_len((FILE_HEADER + nb * nb * slot_cap) as u64));
+        if let Err(e) = sized {
+            drop(file);
+            let _ = std::fs::remove_file(path);
+            return Err(io_err("write", e));
+        }
         Ok(Self::start(path.to_path_buf(), file, n, tile, slot_cap, depth))
     }
 

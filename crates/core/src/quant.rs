@@ -42,7 +42,7 @@
 use apsp_graph::Graph;
 use srgemm::{Matrix, MinPlusSatI32, MinPlusSatU16};
 
-use crate::fw_blocked::{fw_blocked, DiagMethod};
+use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 
 /// Distances below this stay exactly representable in `f32`, so an
 /// integral-weight quantization round-trips bit-exactly.
@@ -319,20 +319,20 @@ pub fn dequantize_i32(d: &Matrix<i32>, scale: f64) -> Matrix<f32> {
 }
 
 /// Quantize per `plan`, run blocked FW over the matching saturating
-/// semiring, and dequantize. The caller is responsible for having obtained
+/// semiring on at most `threads` kernel threads, and dequantize. The caller is responsible for having obtained
 /// `plan` from [`plan`] / [`plan_for_graph`] on this graph — that is what
 /// makes the saturation-free and `eps` guarantees hold.
-pub fn solve_quantized(g: &Graph, plan: &QuantPlan, block: usize, parallel: bool) -> Matrix<f32> {
+pub fn solve_quantized(g: &Graph, plan: &QuantPlan, block: usize, threads: usize) -> Matrix<f32> {
     let b = block.max(1);
     match plan.dtype {
         QuantDtype::U16 => {
             let mut d = quantize_u16(g, plan.scale);
-            fw_blocked::<MinPlusSatU16>(&mut d, b, DiagMethod::FwClosure, parallel);
+            fw_blocked_threads::<MinPlusSatU16>(&mut d, b, DiagMethod::FwClosure, threads);
             dequantize_u16(&d, plan.scale)
         }
         QuantDtype::I32 => {
             let mut d = quantize_i32(g, plan.scale);
-            fw_blocked::<MinPlusSatI32>(&mut d, b, DiagMethod::FwClosure, parallel);
+            fw_blocked_threads::<MinPlusSatI32>(&mut d, b, DiagMethod::FwClosure, threads);
             dequantize_i32(&d, plan.scale)
         }
     }
@@ -413,7 +413,7 @@ mod tests {
         ] {
             let p = plan_for_graph(&g, 0.0).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(p.exact, "{label}");
-            let got = solve_quantized(&g, &p, 8, false);
+            let got = solve_quantized(&g, &p, 8, 1);
             assert!(got.eq_exact(&oracle(&g)), "{label} diverged from fw_seq");
         }
     }
@@ -423,7 +423,7 @@ mod tests {
         let g = generators::uniform_dense(40, WeightKind::Real { lo: 0.0, hi: 1.0 }, 13);
         let p = plan_for_graph(&g, 1e-3).unwrap();
         assert!(!p.exact);
-        let got = solve_quantized(&g, &p, 8, false);
+        let got = solve_quantized(&g, &p, 8, 1);
         let want = oracle(&g);
         for i in 0..g.n() {
             for j in 0..g.n() {
@@ -446,7 +446,7 @@ mod tests {
         b.add_edge(0, 1, 2.0).add_edge(2, 3, 4.0);
         let g = b.build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        let got = solve_quantized(&g, &p, 2, false);
+        let got = solve_quantized(&g, &p, 2, 1);
         assert!(got.eq_exact(&oracle(&g)));
         assert_eq!(got[(0, 2)], f32::INFINITY);
         assert_eq!(got[(1, 0)], f32::INFINITY);
@@ -458,8 +458,8 @@ mod tests {
         let pu = plan_for_graph(&g, 0.0).unwrap();
         assert_eq!(pu.dtype, QuantDtype::U16);
         let pi = QuantPlan { dtype: QuantDtype::I32, ..pu };
-        let du = solve_quantized(&g, &pu, 4, false);
-        let di = solve_quantized(&g, &pi, 4, false);
+        let du = solve_quantized(&g, &pu, 4, 1);
+        let di = solve_quantized(&g, &pi, 4, 1);
         assert!(du.eq_exact(&di));
     }
 
@@ -467,10 +467,10 @@ mod tests {
     fn empty_and_trivial_graphs_do_not_panic() {
         let g = GraphBuilder::new(0).build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        assert_eq!(solve_quantized(&g, &p, 4, false).rows(), 0);
+        assert_eq!(solve_quantized(&g, &p, 4, 1).rows(), 0);
         let g = GraphBuilder::new(1).build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        let d = solve_quantized(&g, &p, 4, false);
+        let d = solve_quantized(&g, &p, 4, 1);
         assert_eq!(d[(0, 0)], 0.0);
     }
 }

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use apsp_graph::graph::Graph;
 use srgemm::matrix::Matrix;
 
-use crate::fw_blocked::{fw_blocked, DiagMethod};
+use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 use crate::incremental::{decrease_edges_pred, BatchReport};
 use crate::paths_dist::{annotate, reconstruct_path_annotated, split, DistPred, MinPlusPred};
 
@@ -170,7 +170,7 @@ impl Engine {
     pub fn solve_from_graph(g: &Graph, block: usize) -> Engine {
         let mut annotated = annotate(&g.to_dense());
         let b = block.clamp(1, g.n().max(1));
-        fw_blocked::<MinPlusPred>(&mut annotated, b, DiagMethod::FwClosure, false);
+        fw_blocked_threads::<MinPlusPred>(&mut annotated, b, DiagMethod::FwClosure, 1);
         Engine::from_annotated(annotated)
     }
 

@@ -3,6 +3,8 @@
 //! cost model (constants in [`super::planner`]), and the translation from the
 //! algorithm's native error type into [`SolveError`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use apsp_graph::delta_stepping::apsp_by_delta_stepping;
 use apsp_graph::dijkstra::apsp_by_dijkstra_threads;
 use apsp_graph::johnson::{johnson_apsp_threads, JohnsonError};
@@ -12,7 +14,7 @@ use srgemm::{Matrix, MinPlusF32};
 
 use crate::dc_apsp::dc_apsp;
 use crate::dist::distributed_apsp_opts;
-use crate::fw_blocked::{fw_blocked, DiagMethod};
+use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 use crate::fw_seq::fw_seq;
 use crate::fw_sparse::fw_block_sparse;
 use crate::ooc::{
@@ -47,21 +49,6 @@ pub fn all() -> Vec<Box<dyn Solver>> {
     ]
 }
 
-/// Run `f` under a rayon pool capped at `threads` workers (`0` → no cap:
-/// run on the ambient pool). This is how the dense solvers — which size
-/// themselves off `rayon::current_num_threads()` via `budget_threads` —
-/// inherit the [`SolveOpts::threads`] budget.
-fn with_thread_cap<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    if threads == 0 {
-        return f();
-    }
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("shim pool construction is infallible")
-        .install(f)
-}
-
 fn solution(dist: Matrix<f32>, solver: &'static str, threads: usize) -> Solution {
     Solution { dist, solver, stats: SolverStats { threads, ..Default::default() } }
 }
@@ -93,9 +80,7 @@ impl Solver for Blocked {
     fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
         let mut d = g.to_dense();
-        with_thread_cap(opts.threads, || {
-            fw_blocked::<MinPlusF32>(&mut d, opts.block.max(1), DiagMethod::FwClosure, threads > 1)
-        });
+        fw_blocked_threads::<MinPlusF32>(&mut d, opts.block.max(1), DiagMethod::FwClosure, threads);
         Ok(solution(d, self.name(), threads))
     }
 }
@@ -167,9 +152,7 @@ impl Solver for Quant {
         let plan = Self::quant_plan(&profile, opts)
             .map_err(|reason| SolveError::Ineligible { solver: self.name(), reason })?;
         let threads = opts.effective_threads();
-        let d = with_thread_cap(opts.threads, || {
-            quant::solve_quantized(g, &plan, opts.block.max(1), threads > 1)
-        });
+        let d = quant::solve_quantized(g, &plan, opts.block.max(1), threads);
         let mut sol = solution(d, self.name(), threads);
         sol.stats.notes.push(format!(
             "quant: {} lanes, scale {}, {}",
@@ -215,9 +198,7 @@ impl Solver for Dc {
     fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
         let mut d = g.to_dense();
-        with_thread_cap(opts.threads, || {
-            dc_apsp::<MinPlusF32>(&mut d, opts.block.max(1), threads > 1)
-        });
+        dc_apsp::<MinPlusF32>(&mut d, opts.block.max(1), threads);
         Ok(solution(d, self.name(), threads))
     }
 }
@@ -272,6 +253,15 @@ impl Ooc {
     fn staged_under(opts: &SolveOpts, dense_bytes: u64) -> Option<u64> {
         opts.memory_budget.filter(|&b| b < Self::in_mem_bytes(dense_bytes))
     }
+
+    /// A temp-dir path no other staged solve of this process has drawn:
+    /// concurrent solves of equal `(n, tile)` must not share a store file.
+    fn staging_path(n: usize, tile: usize) -> std::path::PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir()
+            .join(format!("apsp-ooc-{}-{seq}-{n}x{tile}.tiles", std::process::id()))
+    }
 }
 
 impl Solver for Ooc {
@@ -325,9 +315,6 @@ impl Solver for Ooc {
             return Ok(solution(d, self.name(), threads));
         }
         let dense_bytes = (n * n * 4) as u64;
-        let run = |d: &mut Matrix<f32>, store: &mut dyn crate::ooc::TileStore, cfg: &OocConfig| {
-            with_thread_cap(opts.threads, || solve_in_store::<MinPlusF32>(d, store, cfg))
-        };
         let (stats, store_kind) = match Self::staged_under(opts, dense_bytes) {
             Some(budget) => {
                 let tile = choose_tile::<f32>(n, budget, OOC_DEPTH).ok_or_else(|| {
@@ -336,18 +323,12 @@ impl Solver for Ooc {
                         budget,
                     })
                 })?;
-                let path = std::env::temp_dir().join(format!(
-                    "apsp-ooc-{}-{n}x{tile}.tiles",
-                    std::process::id()
-                ));
+                let path = Self::staging_path(n, tile);
+                // exclusive create: a failure here leaves no file of ours
                 let mut store = FileStore::create::<f32>(&path, n, tile, OOC_DEPTH)
                     .map_err(|e| SolveError::Ooc(e.into()))?;
-                let cfg = OocConfig {
-                    budget_bytes: budget,
-                    depth: OOC_DEPTH,
-                    parallel: threads > 1,
-                };
-                let res = run(&mut d, &mut store, &cfg);
+                let cfg = OocConfig { budget_bytes: budget, depth: OOC_DEPTH, threads };
+                let res = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg);
                 drop(store);
                 let _ = std::fs::remove_file(&path);
                 (res.map_err(SolveError::Ooc)?, "file")
@@ -355,8 +336,9 @@ impl Solver for Ooc {
             None => {
                 let tile = opts.block.max(1).min(n);
                 let mut store = MemStore::new::<f32>(n, tile);
-                let cfg = OocConfig { parallel: threads > 1, ..OocConfig::unbounded() };
-                (run(&mut d, &mut store, &cfg).map_err(SolveError::Ooc)?, "memory")
+                let cfg = OocConfig { threads, ..OocConfig::unbounded() };
+                let res = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg);
+                (res.map_err(SolveError::Ooc)?, "memory")
             }
         };
         let mut sol = solution(d, self.name(), threads);
@@ -460,10 +442,11 @@ impl Solver for Johnson {
         }
     }
     fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
-        let d = johnson_apsp_threads(g, opts.threads).map_err(|e| match e {
+        let threads = opts.effective_threads();
+        let d = johnson_apsp_threads(g, threads).map_err(|e| match e {
             JohnsonError::NegativeCycle => SolveError::NegativeCycle,
         })?;
-        Ok(solution(d, self.name(), opts.effective_threads()))
+        Ok(solution(d, self.name(), threads))
     }
 }
 
@@ -497,7 +480,8 @@ impl Solver for Dijkstra {
         }
     }
     fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
-        Ok(solution(apsp_by_dijkstra_threads(g, opts.threads), self.name(), opts.effective_threads()))
+        let threads = opts.effective_threads();
+        Ok(solution(apsp_by_dijkstra_threads(g, threads), self.name(), threads))
     }
 }
 
@@ -541,8 +525,8 @@ impl Solver for DeltaStepping {
             (g.edges().map(|(_, _, w)| w as f64).sum::<f64>() / m as f64) as f32
         };
         let delta = if mean > 0.0 { mean } else { 1.0 };
-        let mut sol =
-            solution(apsp_by_delta_stepping(g, delta, opts.threads), self.name(), opts.effective_threads());
+        let threads = opts.effective_threads();
+        let mut sol = solution(apsp_by_delta_stepping(g, delta, threads), self.name(), threads);
         sol.stats.notes.push(format!("Δ = {delta:.3} (mean edge weight)"));
         Ok(sol)
     }
@@ -601,6 +585,17 @@ impl Solver for Seidel {
 /// never auto-selects it.
 struct Dist;
 
+impl Dist {
+    /// How a budget of `threads` is spent on `ranks` simulated ranks:
+    /// `(workers, kernel_threads)` — at most `threads` ranks execute at a
+    /// time, and each one's kernel gets what is left of the budget, so that
+    /// running ranks × kernel threads ≤ `threads` (floor 1 each).
+    fn thread_split(threads: usize, ranks: usize) -> (usize, usize) {
+        let ranks = ranks.max(1);
+        (threads.clamp(1, ranks), (threads / ranks).max(1))
+    }
+}
+
 impl Solver for Dist {
     fn name(&self) -> &'static str {
         "dist"
@@ -625,12 +620,16 @@ impl Solver for Dist {
     }
     fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
         let (pr, pc) = opts.grid;
+        let threads = opts.effective_threads();
+        let (workers, kernel_threads) = Self::thread_split(threads, pr * pc);
         let mut cfg = opts.dist;
         cfg.block = opts.block.max(1);
-        let (d, traffic) =
-            distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &g.to_dense(), None, &opts.dist_run)
-                .map_err(SolveError::Dist)?;
-        let mut sol = solution(d, self.name(), opts.effective_threads());
+        cfg.kernel_threads.get_or_insert(kernel_threads);
+        let mut run = opts.dist_run.clone();
+        run.workers.get_or_insert(workers);
+        let (d, traffic) = distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &g.to_dense(), None, &run)
+            .map_err(SolveError::Dist)?;
+        let mut sol = solution(d, self.name(), threads);
         sol.stats.notes.push(format!(
             "dist: {} on a {pr}x{pc} simulated grid, b = {}",
             cfg.legend(),
@@ -1012,16 +1011,81 @@ mod tests {
     #[test]
     fn thread_cap_is_respected_by_dense_solvers() {
         // correctness under an explicit cap: same matrix, any thread count
-        let g = generators::uniform_dense(48, WeightKind::small_ints(), 5);
+        let g = generators::uniform_dense(96, WeightKind::small_ints(), 5);
         let want = reference(&g);
         let reg = Registry::with_all();
+        let base = SolveOpts { block: 8, ..Default::default() };
+        // solver, its options beyond the cap, and a note the run must leave.
+        // Tiles of 32 rows, so that the ooc GEMMs split from two threads up:
+        // 64 KiB is above the tile-32 staging floor and below the matrix.
+        let tile32 = SolveOpts { block: 32, ..base.clone() };
+        let rows = [
+            ("blocked", base.clone(), None),
+            ("dc", base.clone(), None),
+            ("johnson", base.clone(), None),
+            ("dijkstra", base.clone(), None),
+            ("delta", base.clone(), None),
+            ("quant", SolveOpts { error_tolerance: Some(0.0), ..base.clone() }, Some("bit-exact")),
+            ("ooc", tile32.clone(), Some("memory store, tile 32")),
+            ("ooc", SolveOpts { memory_budget: Some(64 << 10), ..tile32 }, Some("file store, tile 32")),
+            ("dist", base.clone(), Some("2x2 simulated grid")),
+        ];
         for threads in [1, 2, 3] {
-            for name in ["blocked", "dc", "johnson", "dijkstra", "delta"] {
-                let opts = SolveOpts { block: 8, threads, ..Default::default() };
+            for (name, opts, note) in &rows {
+                let opts = SolveOpts { threads, ..opts.clone() };
                 let sol = reg.solve(name, &g, &opts).unwrap();
                 assert!(sol.dist.eq_exact(&want), "{name} threads={threads}");
                 assert_eq!(sol.stats.threads, threads);
+                if let Some(note) = note {
+                    let notes = &sol.stats.notes;
+                    assert!(notes.iter().any(|n| n.contains(note)), "{name}: {notes:?}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn dist_spends_the_thread_budget_on_workers_then_kernel_threads() {
+        // (threads, ranks) → (workers, kernel_threads): --serial on a 4x4
+        // grid is one running rank with a serial kernel, not host / ranks
+        for (threads, ranks, want) in
+            [(1, 16, (1, 1)), (2, 16, (2, 1)), (8, 4, (4, 2)), (64, 4, (4, 16))]
+        {
+            assert_eq!(Dist::thread_split(threads, ranks), want, "({threads}, {ranks})");
+        }
+    }
+
+    #[test]
+    fn concurrent_staged_solves_do_not_share_a_store_file() {
+        assert_ne!(Ooc::staging_path(128, 24), Ooc::staging_path(128, 24));
+        // eight staged solves of one (n, tile) at a time, each on its own
+        // graph: under a shared file name they truncate, overwrite and
+        // delete one another's store
+        let n = 128;
+        let inputs: Vec<(Graph, Matrix<f32>)> = (0..8)
+            .map(|t| {
+                let g = generators::uniform_dense(n, WeightKind::small_ints(), 29 + t);
+                let want = reference(&g);
+                (g, want)
+            })
+            .collect();
+        let opts = SolveOpts { memory_budget: Some((n * n * 4 / 2) as u64), ..Default::default() };
+        let reg = Registry::with_all();
+        let start = std::sync::Barrier::new(inputs.len());
+        for round in 0..3 {
+            std::thread::scope(|scope| {
+                for (t, (g, want)) in inputs.iter().enumerate() {
+                    let (opts, reg, start) = (&opts, &reg, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let sol = reg
+                            .solve("ooc", g, opts)
+                            .unwrap_or_else(|e| panic!("round {round} thread {t}: {e}"));
+                        assert!(sol.stats.notes.iter().any(|n| n.contains("file store")));
+                        assert!(sol.dist.eq_exact(want), "round {round} thread {t}");
+                    });
+                }
+            });
         }
     }
 }

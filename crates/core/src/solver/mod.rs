@@ -32,8 +32,9 @@ pub use profile::GraphProfile;
 pub struct SolveOpts {
     /// Block size for the tiled solvers (blocked/dc/sparse/dist).
     pub block: usize,
-    /// Worker cap for parallel solvers; `0` → all cores (the
-    /// `budget_threads` convention from DESIGN.md §10).
+    /// Thread budget of the solve; `0` → all cores. Every solver spends
+    /// its kernel threads, source sweeps or simulated ranks out of this
+    /// one number (DESIGN.md §10).
     pub threads: usize,
     /// Optional working-set ceiling in bytes; solvers whose estimated
     /// working set exceeds it become [`Ineligible::MemoryBudget`].
@@ -73,13 +74,19 @@ impl SolveOpts {
         SolveOpts { block, ..Default::default() }
     }
 
-    /// The concrete worker count `threads = 0` resolves to.
+    /// The concrete thread budget: `threads`, or the host's parallelism
+    /// when it is `0`.
     pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
+        match self.threads {
+            0 => crate::host_threads(),
+            t => t,
         }
+    }
+
+    /// These options with the thread budget made concrete, so that planner
+    /// and solver agree on it and one solve asks the OS once.
+    fn resolved(&self) -> SolveOpts {
+        SolveOpts { threads: self.effective_threads(), ..self.clone() }
     }
 }
 
@@ -317,7 +324,7 @@ impl Registry {
             return self.solve_auto(g, opts).map(|(_, sol)| sol);
         }
         let solver = self.get(name)?;
-        self.solve_profiled(solver, &GraphProfile::compute(g, opts.block), g, opts)
+        self.solve_profiled(solver, &GraphProfile::compute(g, opts.block), g, &opts.resolved())
     }
 
     /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
@@ -346,13 +353,14 @@ impl Registry {
 
     /// [`Registry::plan`] when the profile is already in hand.
     pub fn plan_for_profile(&self, profile: GraphProfile, opts: &SolveOpts) -> Plan {
-        planner::plan(self, profile, opts)
+        planner::plan(self, profile, &opts.resolved())
     }
 
     /// Plan, then run the chosen solver against the plan's own profile (one
     /// profile pass per solve). Errors with
     /// [`SolveError::NoEligibleSolver`] when the plan is empty.
     pub fn solve_auto(&self, g: &Graph, opts: &SolveOpts) -> Result<(Plan, Solution), SolveError> {
+        let opts = &opts.resolved();
         let plan = self.plan(g, opts);
         let chosen = plan.chosen.ok_or(SolveError::NoEligibleSolver)?;
         let sol = self.solve_profiled(self.get(chosen)?, &plan.profile, g, opts)?;

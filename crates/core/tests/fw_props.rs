@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use apsp_core::dist::{
     distributed_apsp, Exec, FwConfig, PanelBcastAlgo, Schedule, Variant, DEFAULT_RING_CHUNKS,
 };
-use apsp_core::fw_blocked::{fw_blocked, DiagMethod};
+use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::incremental::decrease_edge;
 use apsp_graph::dijkstra::apsp_by_dijkstra;
@@ -31,7 +31,7 @@ proptest! {
         let want = apsp_by_dijkstra(&g);
         let mut got = g.to_dense();
         let diag = if squaring { DiagMethod::Squaring } else { DiagMethod::FwClosure };
-        fw_blocked::<MinPlusF32>(&mut got, b, diag, false);
+        fw_blocked_threads::<MinPlusF32>(&mut got, b, diag, 1);
         prop_assert!(want.eq_exact(&got));
     }
 

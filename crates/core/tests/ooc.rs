@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use apsp_core::fw_blocked::{fw_blocked, DiagMethod};
+use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::ooc::{
     choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, FileStore, MemStore,
@@ -53,11 +53,11 @@ fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
         let mut want = base.clone();
         fw_seq::<MinPlusF32>(&mut want);
         let mut blocked = base.clone();
-        fw_blocked::<MinPlusF32>(&mut blocked, t, DiagMethod::FwClosure, false);
+        fw_blocked_threads::<MinPlusF32>(&mut blocked, t, DiagMethod::FwClosure, 1);
         assert!(want.eq_exact(&blocked), "fw_blocked oracle drifted at n={n} t={t}");
 
         let path = TempPath::new("oracle");
-        let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, parallel: false };
+        let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, threads: 1 };
         let mut store = FileStore::create::<f32>(&path.0, n, t, cfg.depth).unwrap();
         let mut got = base.clone();
         let stats = solve_in_store::<MinPlusF32>(&mut got, &mut store, &cfg).unwrap();
@@ -74,7 +74,7 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
     let n = 56;
     let base = dense(n, 7);
     let mut want = base.clone();
-    fw_blocked::<MinPlusF32>(&mut want, 16, DiagMethod::FwClosure, false);
+    fw_blocked_threads::<MinPlusF32>(&mut want, 16, DiagMethod::FwClosure, 1);
 
     let mut mem_store = MemStore::new::<f32>(n, 16);
     let mut via_mem = base.clone();
@@ -87,7 +87,7 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
     let path = TempPath::new("memvsfile");
     let mut file_store = FileStore::create::<f32>(&path.0, n, 16, 2).unwrap();
     let mut via_file = base.clone();
-    let cfg = OocConfig { budget_bytes: tight_budget(16, 2), depth: 2, parallel: true };
+    let cfg = OocConfig { budget_bytes: tight_budget(16, 2), depth: 2, threads: 2 };
     solve_in_store::<MinPlusF32>(&mut via_file, &mut file_store, &cfg).unwrap();
     assert!(via_mem.eq_exact(&via_file), "staged and in-memory runs must agree bit-for-bit");
 }
@@ -104,7 +104,7 @@ fn budget_sweep_never_exceeds_the_budget() {
         let path = TempPath::new("sweep");
         let mut store = FileStore::create::<f32>(&path.0, n, t, 2).unwrap();
         let mut got = base.clone();
-        let cfg = OocConfig { budget_bytes: budget, depth: 2, parallel: false };
+        let cfg = OocConfig { budget_bytes: budget, depth: 2, threads: 1 };
         let stats = solve_in_store::<MinPlusF32>(&mut got, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "wrong closure at budget {budget}");
         assert!(
@@ -122,7 +122,7 @@ fn budget_below_floor_fails_upfront_with_the_full_requirement() {
     let mut store = FileStore::create::<f32>(&path.0, n, t, 2).unwrap();
     ingest::<MinPlusF32>(&mut store, &dense(n, 3).view()).unwrap();
     let floor = staged_budget_floor::<f32>(t, 2);
-    let cfg = OocConfig { budget_bytes: floor - 1, depth: 2, parallel: false };
+    let cfg = OocConfig { budget_bytes: floor - 1, depth: 2, threads: 1 };
     match ooc_fw::<MinPlusF32>(&mut store, &cfg) {
         Err(OocError::BudgetTooSmall { required, budget }) => {
             // the full up-front requirement, not the increment that tripped
@@ -138,7 +138,7 @@ fn invalid_depth_is_rejected_by_the_shared_validation() {
     let (n, t) = (16usize, 8usize);
     let mut store = MemStore::new::<f32>(n, t);
     ingest::<MinPlusF32>(&mut store, &dense(n, 1).view()).unwrap();
-    let cfg = OocConfig { budget_bytes: u64::MAX, depth: 0, parallel: false };
+    let cfg = OocConfig { budget_bytes: u64::MAX, depth: 0, threads: 1 };
     assert_eq!(
         ooc_fw::<MinPlusF32>(&mut store, &cfg),
         Err(OocError::InvalidConfig { tile: t, depth: 0 })
@@ -218,7 +218,7 @@ fn corrupt_tile_blob_is_a_typed_decode_error() {
     f.write_all(b"garbage!").unwrap();
     drop(f);
     let mut store = FileStore::open::<f32>(&path.0, 2).unwrap();
-    let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, parallel: false };
+    let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, threads: 1 };
     match ooc_fw::<MinPlusF32>(&mut store, &cfg) {
         Err(OocError::Decode(_)) => {}
         other => panic!("expected a decode error, got {other:?}"),
@@ -257,7 +257,7 @@ fn measured_run_is_consistent_with_the_four_engine_cost_model() {
     let path = TempPath::new("model");
     let mut store = FileStore::create::<f32>(&path.0, n, t, 2).unwrap();
     let mut d = dense(n, 13);
-    let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, parallel: false };
+    let cfg = OocConfig { budget_bytes: tight_budget(t, 2), depth: 2, threads: 1 };
     let stats = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg).unwrap();
     let c = OffloadCosts { t0: stats.compute_seconds, t1: 0.0, t2: 0.0, t3: stats.io_seconds };
     assert!(

@@ -82,7 +82,7 @@ pub fn delta_stepping(g: &Graph, src: usize, delta: f32) -> Vec<f32> {
 }
 
 /// All-pairs by one Δ-stepping sweep per source, fanned out over at most
-/// `threads` workers (`0` → all cores, the `budget_threads` convention).
+/// `threads` workers (`0` → all cores).
 /// Requires non-negative weights and positive `delta`.
 pub fn apsp_by_delta_stepping(g: &Graph, delta: f32, threads: usize) -> srgemm::Matrix<f32> {
     let n = g.n();

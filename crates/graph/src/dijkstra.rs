@@ -87,7 +87,7 @@ pub fn apsp_by_dijkstra(g: &Graph) -> srgemm::Matrix<f32> {
     out
 }
 
-/// [`apsp_by_dijkstra`] with one rayon task per source — the
+/// [`apsp_by_dijkstra`] with the sources fanned out over all cores — the
 /// embarrassingly parallel Johnson-style APSP the paper's related work (§6)
 /// compares against. Requires non-negative weights.
 pub fn apsp_by_dijkstra_parallel(g: &Graph) -> srgemm::Matrix<f32> {
@@ -95,8 +95,7 @@ pub fn apsp_by_dijkstra_parallel(g: &Graph) -> srgemm::Matrix<f32> {
 }
 
 /// [`apsp_by_dijkstra_parallel`] capped at `threads` workers (`0` → all
-/// cores, the `budget_threads` convention). Rows are bit-identical to the
-/// serial sweep for any thread count.
+/// cores). Rows are bit-identical to the serial sweep for any thread count.
 pub fn apsp_by_dijkstra_threads(g: &Graph, threads: usize) -> srgemm::Matrix<f32> {
     let n = g.n();
     let rows = crate::par_rows(n, threads, |s| dijkstra(g, s));

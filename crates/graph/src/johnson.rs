@@ -23,10 +23,9 @@ pub fn johnson_apsp(g: &Graph) -> Result<Matrix<f32>, JohnsonError> {
     johnson_apsp_threads(g, 1)
 }
 
-/// [`johnson_apsp`] with the Dijkstra sweep parallelized over sources via
-/// the rayon shim, capped at `threads` workers (`0` → all cores; this is
-/// the `budget_threads` convention, so callers sharing the machine can pass
-/// their budget straight through). Every source's row is produced by the
+/// [`johnson_apsp`] with the Dijkstra sweep parallelized over sources,
+/// capped at `threads` workers (`0` → all cores; callers sharing the
+/// machine pass their budget). Every source's row is produced by the
 /// same code path in the same float-op order as the serial sweep, so the
 /// result is bit-identical for any thread count.
 pub fn johnson_apsp_threads(g: &Graph, threads: usize) -> Result<Matrix<f32>, JohnsonError> {

@@ -36,15 +36,26 @@ pub use graph::{Graph, GraphBuilder, INF};
 pub(crate) fn par_rows<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize) -> R + Send + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    use rayon::prelude::*;
-    let threads = if threads == 0 { rayon::current_num_threads() } else { threads };
-    if threads <= 1 || n <= 1 {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        t => t,
+    };
+    let workers = threads.min(n);
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("shim pool");
-    pool.install(|| (0..n).into_par_iter().map(f).collect())
+    // contiguous near-equal chunks, one per worker, joined in source order
+    let (base, extra) = (n / workers, n % workers);
+    let start = move |w: usize| w * base + w.min(extra);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || (start(w)..start(w + 1)).map(f).collect::<Vec<R>>()))
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("sweep worker panicked")).collect()
+    })
 }
 
 /// Convenient glob-import surface.
@@ -62,4 +73,18 @@ pub mod prelude {
     pub use crate::johnson::{johnson_apsp, johnson_apsp_threads};
     pub use crate::paths::{extract_path, path_length, validate_path};
     pub use crate::seidel::seidel_apsp;
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn par_rows_preserves_order_at_any_thread_count() {
+        // empty, fewer items than workers, ragged chunks, `0` → all cores
+        for n in [0usize, 1, 2, 7, 64] {
+            let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+            for threads in [0, 1, 2, 3, 8, 100] {
+                assert_eq!(super::par_rows(n, threads, |i| i * i), want, "n={n} threads={threads}");
+            }
+        }
+    }
 }

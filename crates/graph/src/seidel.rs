@@ -10,7 +10,7 @@
 //! multiplication. Built entirely from this workspace's generic GEMM
 //! (`BoolOr` for the squaring, `RealArith` for the counting product).
 
-use srgemm::gemm::gemm;
+use srgemm::gemm::gemm_packed;
 use srgemm::semiring::{BoolOr, RealArith};
 use srgemm::Matrix;
 
@@ -67,7 +67,7 @@ fn seidel_recurse(a: &Matrix<bool>) -> Matrix<u32> {
 
     // B = A ∪ A² (boolean squaring: the graph of ≤2-hop reachability)
     let mut b = a.clone();
-    gemm::<BoolOr>(&mut b.view_mut(), &a.view(), &a.view());
+    gemm_packed::<BoolOr>(&mut b.view_mut(), &a.view(), &a.view());
     for i in 0..n {
         b[(i, i)] = false;
     }
@@ -78,7 +78,7 @@ fn seidel_recurse(a: &Matrix<bool>) -> Matrix<u32> {
     let df = Matrix::from_fn(n, n, |i, j| d_half[(i, j)] as f64);
     let af = Matrix::from_fn(n, n, |i, j| f64::from(a[(i, j)]));
     let mut s = Matrix::filled(n, n, 0.0f64);
-    gemm::<RealArith<f64>>(&mut s.view_mut(), &df.view(), &af.view());
+    gemm_packed::<RealArith<f64>>(&mut s.view_mut(), &df.view(), &af.view());
 
     // degree of each vertex
     let deg: Vec<f64> = (0..n)

@@ -203,7 +203,7 @@ pub fn bsp_gemm_block<S: Semiring>(
     b: &Matrix<S::Elem>,
 ) {
     let blk = c.block_mut(bi, bj);
-    crate::gemm::gemm::<S>(&mut blk.view_mut(), &a.view(), &b.view());
+    crate::gemm::gemm_packed::<S>(&mut blk.view_mut(), &a.view(), &b.view());
 }
 
 #[cfg(test)]

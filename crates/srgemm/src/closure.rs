@@ -8,13 +8,13 @@
 //! * [`fw_closure_squaring`] — Eq. (4) of the paper: the Neumann-series form
 //!   `(I ⊕ A)^(2^t)` computed by `⌈log₂ b⌉` repeated squarings, each a dense
 //!   SRGEMM. Asymptotically `O(b³ log b)`, but every flop is a GEMM flop —
-//!   which is why the paper runs it on the GPU. We reproduce it so the
-//!   ablation (`closure_kernels` bench) can compare both.
+//!   which is why the paper runs it on the GPU. Blocked FW selects it with
+//!   `DiagMethod::Squaring`.
 //!
 //! Requires an idempotent ⊕ (min/max-style semirings); the squaring form also
 //! assumes no negative cycles, same as Floyd-Warshall itself.
 
-use crate::gemm::{gemm, gemm_parallel};
+use crate::gemm::{gemm_packed_threads, PackedB};
 use crate::matrix::{Matrix, ViewMut};
 use crate::semiring::Semiring;
 
@@ -48,9 +48,8 @@ pub fn fw_closure<S: Semiring>(a: &mut ViewMut<'_, S::Elem>) {
 
 /// Closure by repeated squaring (paper Eq. 4): `B ← I ⊕ A`, then
 /// `B ← B ⊗ B` for `⌈log₂ n⌉` rounds. Returns nothing; `a` is replaced by
-/// its closure. `parallel` selects the rayon GEMM (the "GPU" path) or the
-/// serial GEMM.
-pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, parallel: bool) {
+/// its closure. Each squaring runs on at most `threads` kernel threads.
+pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, threads: usize) {
     assert!(
         S::IDEMPOTENT_ADD,
         "closure-by-squaring needs an idempotent ⊕ ({} is not)",
@@ -69,18 +68,15 @@ pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, parallel: 
     let mut cur = a.to_matrix();
     for _ in 0..rounds.max(1) {
         let mut next = Matrix::filled(n, n, S::zero());
-        if parallel {
-            gemm_parallel::<S>(&mut next.view_mut(), &cur.view(), &cur.view());
-        } else {
-            gemm::<S>(&mut next.view_mut(), &cur.view(), &cur.view());
-        }
+        let pb = PackedB::pack::<S>(&cur.view());
+        gemm_packed_threads::<S>(&mut next.view_mut(), &cur.view(), &pb, threads);
         cur = next;
     }
     a.copy_from(&cur.view());
 }
 
 /// Number of GEMM flops the squaring form spends on a `b × b` block —
-/// `⌈log₂ b⌉ · 2b³`. Used by the cost models and the `closure_kernels` bench.
+/// `⌈log₂ b⌉ · 2b³`.
 pub fn closure_squaring_flops(b: usize) -> f64 {
     if b <= 1 {
         return 2.0 * (b as f64).powi(3);
@@ -142,7 +138,7 @@ mod tests {
             let mut by_fw = base.clone();
             let mut by_sq = base.clone();
             fw_closure::<MP>(&mut by_fw.view_mut());
-            fw_closure_squaring::<MP>(&mut by_sq.view_mut(), false);
+            fw_closure_squaring::<MP>(&mut by_sq.view_mut(), 1);
             assert!(by_fw.eq_exact(&by_sq), "n={n}");
         }
     }
@@ -153,7 +149,7 @@ mod tests {
         let mut by_fw = base.clone();
         let mut by_sq = base.clone();
         fw_closure::<MP>(&mut by_fw.view_mut());
-        fw_closure_squaring::<MP>(&mut by_sq.view_mut(), true);
+        fw_closure_squaring::<MP>(&mut by_sq.view_mut(), 2);
         assert!(by_fw.eq_exact(&by_sq));
     }
 

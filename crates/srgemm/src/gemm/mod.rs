@@ -6,8 +6,9 @@
 //!   micro-kernel (see [`pack`]). Every caller in the workspace runs it:
 //!   the FW drivers, the simulated device's `ooGSrGemm`, the recursive and
 //!   block-sparse solvers, Seidel's Boolean and integer products;
-//! * [`gemm_parallel`] — the same kernel on row-slab threads sharing one
-//!   packed `B`, standing in for the GPU SRGEMM of the paper's §2.6/§4.1;
+//! * [`gemm_packed_threads`] — the same kernel on row-slab threads sharing
+//!   one packed `B` under the caller's thread budget, standing in for the
+//!   GPU SRGEMM of the paper's §2.6/§4.1;
 //! * [`gemm_naive`] — triple loop, the correctness oracle of the tests.
 //!
 //! The accumulate-into-C contract matches the paper's *MinPlus outer product*
@@ -24,24 +25,9 @@ pub use pack::{
     dtype_name, gemm_packed, gemm_packed_with_b, gemm_packed_with_scratch, pad_quantum,
     pad_quantum_for, Isa, PackDecodeError, PackElem, PackedA, PackedB, KC, MC, NC,
 };
-pub use parallel::{
-    budget_threads, gemm_parallel, gemm_parallel_threads, gemm_parallel_threads_with_b,
-};
+pub use parallel::gemm_packed_threads;
 
 use crate::matrix::{View, ViewMut};
-use crate::semiring::Semiring;
-
-/// The serial kernel: the packed, register-tiled implementation.
-/// Distributed algorithms that already parallelize across ranks use this to
-/// avoid nested thread pools; single-node code calls [`gemm_parallel`]
-/// directly.
-pub fn gemm<S: Semiring>(
-    c: &mut ViewMut<'_, S::Elem>,
-    a: &View<'_, S::Elem>,
-    b: &View<'_, S::Elem>,
-) {
-    gemm_packed::<S>(c, a, b)
-}
 
 /// Validate `C ← C ⊕ A ⊗ B` operand shapes; every kernel calls this first.
 #[inline]
@@ -76,7 +62,7 @@ mod tests {
         let a = dist(&[&[1.0, 2.0], &[4.0, 1.0]]);
         let b = dist(&[&[0.0, 5.0], &[1.0, 0.0]]);
         let mut c = Matrix::filled(2, 2, f32::INFINITY);
-        gemm::<MP>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
         assert_eq!(c[(0, 0)], 1.0); // min(1+0, 2+1) = 1
         assert_eq!(c[(0, 1)], 2.0); // min(1+5, 2+0) = 2
         assert_eq!(c[(1, 0)], 2.0); // min(4+0, 1+1) = 2
@@ -88,7 +74,7 @@ mod tests {
         let a = dist(&[&[10.0]]);
         let b = dist(&[&[10.0]]);
         let mut c = dist(&[&[5.0]]);
-        gemm::<MP>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
         // existing 5.0 beats 10+10
         assert_eq!(c[(0, 0)], 5.0);
     }
@@ -99,7 +85,7 @@ mod tests {
         let a = dist(&[&[inf, 3.0]]);
         let b = dist(&[&[1.0], &[inf]]);
         let mut c = Matrix::filled(1, 1, inf);
-        gemm::<MP>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
         assert_eq!(c[(0, 0)], inf); // no finite path
     }
 
@@ -109,7 +95,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let mut c = Matrix::filled(2, 2, 0.0f64);
-        gemm::<RA>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<RA>(&mut c.view_mut(), &a.view(), &b.view());
         assert_eq!(c[(0, 0)], 19.0);
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
@@ -123,7 +109,7 @@ mod tests {
         let mut c1 = Matrix::filled(3, 2, f32::INFINITY);
         let mut c2 = c1.clone();
         gemm_naive::<MP>(&mut c1.view_mut(), &a.view(), &b.view());
-        gemm::<MP>(&mut c2.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c2.view_mut(), &a.view(), &b.view());
         assert!(c1.eq_exact(&c2));
     }
 
@@ -133,7 +119,7 @@ mod tests {
         let a = Matrix::filled(2, 3, 0.0f32);
         let b = Matrix::filled(2, 2, 0.0f32);
         let mut c = Matrix::filled(2, 2, 0.0f32);
-        gemm::<MP>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
     }
 
     #[test]
@@ -142,7 +128,7 @@ mod tests {
         let b = Matrix::filled(0, 2, 0.0f32);
         let mut c = dist(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let before = c.clone();
-        gemm::<MP>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
         assert!(c.eq_exact(&before));
     }
 

@@ -1,30 +1,22 @@
-//! Rayon-parallel semiring GEMM with an explicit thread budget.
+//! The packed kernel on row-slab threads, under an explicit thread budget.
 //!
 //! `C` is partitioned into disjoint row slabs, each slab updated by the
-//! serial packed kernel on its own worker. Row-slab partitioning means no
-//! two workers ever touch the same element of `C`, so no synchronization is
-//! needed inside the kernel — the rayon analogue of assigning threadblocks
-//! to output tiles on the GPU.
+//! serial packed kernel on its own scoped thread. Row-slab partitioning
+//! means no two workers ever touch the same element of `C`, so no
+//! synchronization is needed inside the kernel — the CPU analogue of
+//! assigning threadblocks to output tiles on the GPU. Which thread owns a
+//! row changes with the budget; the ascending-`k` fold inside the row does
+//! not, so results are bit-identical at every thread count.
 //!
-//! `B` is packed **once** before the slabs are spawned and shared by
-//! reference ([`PackedB`] is immutable and `Sync`): every slab multiplies
-//! against the same KC×NC-tiled copy instead of re-reading (or re-packing)
-//! `B` per slab, which is the whole-matrix form of the panel reuse the FW
-//! drivers exploit per `k`-iteration. Each worker keeps its own `A`
+//! `B` arrives already packed and is shared by reference ([`PackedB`] is
+//! immutable and `Sync`): every slab — and every call of an FW iteration —
+//! streams the same KC×NC-tiled copy. Each worker keeps its own `A`
 //! micro-panel buffer; only the read-only `B` copy is shared.
 //!
-//! The thread budget exists because this kernel also runs *inside* the
-//! mpi-sim runtime, where every rank is already a thread: `p` ranks each
-//! spawning `cores` workers oversubscribes the machine `p`-fold. Callers in
-//! the distributed driver pass `threads = cores / active_ranks` (floor 1,
-//! see [`budget_threads`]) so ranks × kernel threads ≤ cores; single-node
-//! callers use [`gemm_parallel`], which budgets for one rank (all cores).
-//!
-//! Slab sizing is *balanced*, not ceil-divided: `nslabs` is capped at
-//! `m / MIN_ROWS_PER_SLAB`, then rows are split into `nslabs` near-equal
-//! parts (sizes differ by at most one). Since `nslabs ≤ m / MIN`, every
-//! slab has `base = m / nslabs ≥ MIN` rows — the old `div_ceil` scheme
-//! could strand a remainder slab of one row, paying a spawn for no work.
+//! The budget is an argument because only the caller knows who else is on
+//! the machine: a single-node solve passes its whole budget, a rank of the
+//! mpi-sim grid passes `budget / ranks` (floor 1), so that
+//! ranks × kernel threads ≤ cores (DESIGN.md §10).
 
 use crate::gemm::pack::{gemm_packed_with_b, PackedB};
 use crate::matrix::{View, ViewMut};
@@ -34,83 +26,53 @@ use crate::semiring::Semiring;
 /// outright (spawn overhead would dominate).
 pub(crate) const MIN_ROWS_PER_SLAB: usize = 16;
 
-/// Kernel threads a single rank may use when `active_ranks` ranks share the
-/// machine: `available_parallelism / active_ranks`, floor 1. This is the
-/// budget rule that keeps `ranks × kernel threads ≤ cores` (DESIGN.md §10).
-pub fn budget_threads(active_ranks: usize) -> usize {
-    (rayon::current_num_threads() / active_ranks.max(1)).max(1)
+/// Row counts of the slabs `m` rows of `C` are split into under a budget of
+/// `threads`: as many slabs as the budget allows without any falling under
+/// [`MIN_ROWS_PER_SLAB`] (one slab when `m` itself is under it, or when
+/// `threads ≤ 1`), near-equal (sizes differ by at most one), in row order.
+fn slab_rows(m: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
+    // nslabs ≤ m / MIN ⇒ base = m / nslabs ≥ MIN: no slab under the floor.
+    let nslabs = threads.min(m / MIN_ROWS_PER_SLAB).max(1);
+    let (base, extra) = (m / nslabs, m % nslabs);
+    (0..nslabs).map(move |s| base + usize::from(s < extra))
 }
 
-/// `C ← C ⊕ A ⊗ B`, parallel over row slabs of `C`, using all cores
-/// (budget for a single active rank).
-pub fn gemm_parallel<S: Semiring>(
-    c: &mut ViewMut<'_, S::Elem>,
-    a: &View<'_, S::Elem>,
-    b: &View<'_, S::Elem>,
-) {
-    gemm_parallel_threads::<S>(c, a, b, rayon::current_num_threads())
-}
-
-/// `C ← C ⊕ A ⊗ B`, parallel over row slabs of `C`, capped at `threads`
-/// workers (`threads = 0` is treated as 1). Each slab gets at least
-/// `MIN_ROWS_PER_SLAB` (16) rows unless `C` itself has fewer, in which case
-/// the serial kernel runs on the calling thread.
-pub fn gemm_parallel_threads<S: Semiring>(
-    c: &mut ViewMut<'_, S::Elem>,
-    a: &View<'_, S::Elem>,
-    b: &View<'_, S::Elem>,
-    threads: usize,
-) {
-    super::check_shapes(c, a, b);
-    let pb = PackedB::pack::<S>(b);
-    gemm_parallel_threads_with_b::<S>(c, a, &pb, threads);
-}
-
-/// Row-slab parallel GEMM against an already packed `B`: the caller packs
-/// once (e.g. per FW `k`-iteration) and every slab — and every *call* —
-/// streams the same copy. Falls back to the serial packed kernel when the
-/// slab floor leaves a single slab.
-pub fn gemm_parallel_threads_with_b<S: Semiring>(
+/// `C ← C ⊕ A ⊗ B` against an already packed `B`, on at most `threads`
+/// row-slab workers. The caller packs once (e.g. per FW `k`-iteration) and
+/// every slab — and every *call* — streams the same copy. Runs the serial
+/// [`gemm_packed_with_b`] on the calling thread when `threads ≤ 1` or the
+/// slab floor (16 rows) leaves a single slab.
+///
+/// # Panics
+/// Panics if operand shapes disagree (`a.cols() != pb.rows()` etc.).
+pub fn gemm_packed_threads<S: Semiring>(
     c: &mut ViewMut<'_, S::Elem>,
     a: &View<'_, S::Elem>,
     pb: &PackedB<S::Elem>,
     threads: usize,
 ) {
-    assert_eq!(a.cols(), pb.rows(), "gemm: inner dimensions disagree");
-    assert_eq!(c.rows(), a.rows(), "gemm: C rows != A rows");
-    assert_eq!(c.cols(), pb.cols(), "gemm: C cols != B cols");
     let m = c.rows();
-    let nslabs = threads.min(m / MIN_ROWS_PER_SLAB).max(1);
-    if nslabs == 1 {
+    let slabs = slab_rows(m, threads);
+    if slabs.len() == 1 {
         gemm_packed_with_b::<S>(c, a, pb);
         return;
     }
-
-    // Balanced partition: `extra` slabs of `base + 1` rows, then `base`.
-    // nslabs ≤ m / MIN ⇒ base = m / nslabs ≥ MIN: no slab under the floor.
-    let base = m / nslabs;
-    let extra = m % nslabs;
-
-    // Reborrow to a local lifetime, then split into disjoint slabs paired
-    // with the matching row offset into `A`.
-    let mut rest = c.subview_mut(0, 0, m, c.cols());
-    let mut jobs: Vec<(usize, ViewMut<'_, S::Elem>)> = Vec::with_capacity(nslabs);
-    let mut off = 0;
-    for s in 0..nslabs {
-        let here = base + usize::from(s < extra);
-        let (slab, tail) = rest.split_rows_mut(here);
-        jobs.push((off, slab));
-        off += here;
-        rest = tail;
-    }
-    debug_assert_eq!(off, m);
+    // checked here, on the caller's thread, not once per slab inside a worker
+    assert_eq!(a.cols(), pb.rows(), "gemm: inner dimensions disagree");
+    assert_eq!(m, a.rows(), "gemm: C rows != A rows");
+    assert_eq!(c.cols(), pb.cols(), "gemm: C cols != B cols");
 
     std::thread::scope(|scope| {
-        for (row0, mut c_slab) in jobs {
-            let a_slab = a.subview(row0, 0, c_slab.rows(), a.cols());
-            scope.spawn(move || {
-                gemm_packed_with_b::<S>(&mut c_slab, &a_slab, pb);
-            });
+        // Reborrow to a local lifetime, then peel one disjoint slab of `C`
+        // per worker, paired with the matching rows of `A`.
+        let mut rest = c.subview_mut(0, 0, m, c.cols());
+        let mut row0 = 0;
+        for rows in slabs {
+            let (mut c_slab, tail) = rest.split_rows_mut(rows);
+            rest = tail;
+            let a_slab = a.subview(row0, 0, rows, a.cols());
+            row0 += rows;
+            scope.spawn(move || gemm_packed_with_b::<S>(&mut c_slab, &a_slab, pb));
         }
     });
 }
@@ -120,84 +82,82 @@ mod tests {
     use super::*;
     use crate::gemm::gemm_naive;
     use crate::matrix::Matrix;
-    use crate::semiring::{MinPlus, RealArith};
+    use crate::semiring::{MaxMin, MinPlus, MinPlusSatU16, RealArith};
 
-    fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
+    fn lcg_matrix<T: Copy>(
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        elem: impl Fn(u16) -> T,
+    ) -> Matrix<T> {
         let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
         Matrix::from_fn(rows, cols, |_, _| {
             state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            ((state >> 35) % 512) as f32
+            elem(((state >> 35) % 512) as u16)
         })
+    }
+
+    /// `gemm_packed_threads` against `gemm_naive` on one `m×k · k×n` shape.
+    fn assert_matches_naive<S: Semiring>(
+        (m, n, k): (usize, usize, usize),
+        threads: usize,
+        elem: impl Fn(u16) -> S::Elem + Copy,
+    ) where
+        S::Elem: PartialEq + std::fmt::Debug,
+    {
+        let a = lcg_matrix(m, k, 1, elem);
+        let b = lcg_matrix(k, n, 2, elem);
+        let mut want = Matrix::filled(m, n, S::zero());
+        let mut got = want.clone();
+        gemm_naive::<S>(&mut want.view_mut(), &a.view(), &b.view());
+        let pb = PackedB::pack::<S>(&b.view());
+        gemm_packed_threads::<S>(&mut got.view_mut(), &a.view(), &pb, threads);
+        assert_eq!(want.as_slice(), got.as_slice(), "{} {m}x{n}x{k} threads={threads}", S::NAME);
     }
 
     #[test]
     fn parallel_matches_naive_minplus() {
-        let (m, n, k) = (97, 63, 41);
-        let a = lcg_matrix(m, k, 1);
-        let b = lcg_matrix(k, n, 2);
-        let mut c1 = Matrix::filled(m, n, f32::INFINITY);
-        let mut c2 = c1.clone();
-        gemm_naive::<MinPlus<f32>>(&mut c1.view_mut(), &a.view(), &b.view());
-        gemm_parallel::<MinPlus<f32>>(&mut c2.view_mut(), &a.view(), &b.view());
-        assert!(c1.eq_exact(&c2));
+        assert_matches_naive::<MinPlus<f32>>((97, 63, 41), 4, f32::from);
     }
 
     #[test]
     fn parallel_matches_naive_small_fallback() {
         // m below MIN_ROWS_PER_SLAB exercises the serial fallback
-        let a = lcg_matrix(4, 9, 3);
-        let b = lcg_matrix(9, 5, 4);
-        let mut c1 = Matrix::filled(4, 5, f32::INFINITY);
-        let mut c2 = c1.clone();
-        gemm_naive::<MinPlus<f32>>(&mut c1.view_mut(), &a.view(), &b.view());
-        gemm_parallel::<MinPlus<f32>>(&mut c2.view_mut(), &a.view(), &b.view());
-        assert!(c1.eq_exact(&c2));
+        assert_matches_naive::<MinPlus<f32>>((4, 5, 9), 4, f32::from);
     }
 
     #[test]
     fn parallel_real_arith_exact_on_integers() {
-        // integer-valued f32s: + and * are exact, so thread order is irrelevant
-        let a = lcg_matrix(64, 32, 5);
-        let b = lcg_matrix(32, 48, 6);
-        let mut c1 = Matrix::filled(64, 48, 0.0f32);
-        let mut c2 = c1.clone();
-        gemm_naive::<RealArith<f32>>(&mut c1.view_mut(), &a.view(), &b.view());
-        gemm_parallel::<RealArith<f32>>(&mut c2.view_mut(), &a.view(), &b.view());
-        // values can exceed f32 integer range? max 512*512*32 ≈ 8.4e6 < 2^24, exact.
-        assert!(c1.eq_exact(&c2));
+        // integer-valued f32s: + and * are exact (max 512·512·32 ≈ 8.4e6 <
+        // 2^24), so the fold order across slabs is irrelevant
+        assert_matches_naive::<RealArith<f32>>((64, 48, 32), 4, f32::from);
     }
 
     #[test]
     fn explicit_thread_counts_all_agree() {
-        let (m, n, k) = (130, 40, 30);
-        let a = lcg_matrix(m, k, 7);
-        let b = lcg_matrix(k, n, 8);
-        let mut oracle = Matrix::filled(m, n, f32::INFINITY);
-        gemm_naive::<MinPlus<f32>>(&mut oracle.view_mut(), &a.view(), &b.view());
-        for threads in [0, 1, 2, 3, 4, 7, 8, 64] {
-            let mut c = Matrix::filled(m, n, f32::INFINITY);
-            gemm_parallel_threads::<MinPlus<f32>>(&mut c.view_mut(), &a.view(), &b.view(), threads);
-            assert!(oracle.eq_exact(&c), "mismatch at threads={threads}");
+        // a shape below the slab floor, one at it (two slabs of exactly 16
+        // from 2 threads up), and a ragged one
+        for shape in [(15, 40, 30), (32, 40, 30), (130, 41, 29)] {
+            for threads in [0, 1, 2, 3, 7, 64] {
+                assert_matches_naive::<MinPlus<f32>>(shape, threads, f32::from);
+                assert_matches_naive::<MinPlusSatU16>(shape, threads, |v| v);
+                assert_matches_naive::<MaxMin<f32>>(shape, threads, f32::from);
+            }
         }
     }
 
     // Regression: the old ceil-divide slab sizing could produce a final slab
-    // far below MIN_ROWS_PER_SLAB (e.g. m=33, 2 threads → slabs of 17+16 is
-    // fine, but m=49, 3 threads gave 17+17+15, and m=65, 4 → 17×3+14; worst
-    // cases stranded a 1-row slab). The balanced partition must never go
-    // below the floor unless m itself is below it.
+    // far below MIN_ROWS_PER_SLAB (m=49, 3 threads gave 17+17+15, and m=65,
+    // 4 → 17×3+14; worst cases stranded a 1-row slab). The balanced
+    // partition must never go below the floor unless m itself is below it.
     #[test]
     fn no_slab_below_floor() {
-        // mirror of the partition arithmetic in gemm_parallel_threads
         for m in 1..200 {
             for threads in 1..10 {
-                let nslabs = threads.min(m / MIN_ROWS_PER_SLAB).max(1);
-                let base = m / nslabs;
-                let extra = m % nslabs;
-                let sizes: Vec<usize> =
-                    (0..nslabs).map(|s| base + usize::from(s < extra)).collect();
+                let sizes: Vec<usize> = slab_rows(m, threads).collect();
                 assert_eq!(sizes.iter().sum::<usize>(), m);
-                if nslabs > 1 {
+                assert!(sizes.len() <= threads);
+                if sizes.len() > 1 {
                     assert!(
                         sizes.iter().all(|&s| s >= MIN_ROWS_PER_SLAB),
                         "m={m} threads={threads} sizes={sizes:?}"
@@ -212,8 +172,9 @@ mod tests {
 
     #[test]
     fn budget_floor_is_one() {
-        assert!(budget_threads(usize::MAX) >= 1);
-        assert!(budget_threads(0) >= 1);
-        assert!(budget_threads(1) >= 1);
+        // a budget of zero threads, or no rows at all, is still one slab
+        assert_eq!(slab_rows(100, 0).collect::<Vec<_>>(), [100]);
+        assert_eq!(slab_rows(0, 8).collect::<Vec<_>>(), [0]);
+        assert_eq!(slab_rows(100, usize::MAX).count(), 100 / MIN_ROWS_PER_SLAB);
     }
 }

@@ -7,7 +7,7 @@
 //! *Scalable All-pairs Shortest Paths for Huge Graphs on Multi-GPU Clusters*:
 //! the same algebra (the tropical **min-plus** semiring), the same kernel
 //! contract (`C ← C ⊕ A ⊗ B`), and the same blocked data-access structure,
-//! executed on the CPU with cache tiling and [rayon] data parallelism.
+//! executed on the CPU with cache tiling and row-slab threads.
 //!
 //! ## Layout
 //!
@@ -34,7 +34,7 @@
 //! let a = Matrix::<f32>::from_rows(&[&[1.0, 2.0], &[4.0, 1.0]]);
 //! let b = Matrix::<f32>::from_rows(&[&[0.0, 5.0], &[1.0, 0.0]]);
 //! let mut c = Matrix::filled(2, 2, MinPlusF32::zero());
-//! gemm::<MinPlusF32>(&mut c.view_mut(), &a.view(), &b.view());
+//! gemm_packed::<MinPlusF32>(&mut c.view_mut(), &a.view(), &b.view());
 //! assert_eq!(c[(0, 0)], 1.0); // min(1+0, 2+1)
 //! ```
 
@@ -46,7 +46,7 @@ pub mod panel;
 pub mod semiring;
 
 pub use gemm::{
-    gemm, gemm_naive, gemm_packed, gemm_parallel, PackDecodeError, PackElem, PackedB,
+    gemm_naive, gemm_packed, gemm_packed_threads, PackDecodeError, PackElem, PackedB,
 };
 pub use matrix::{Matrix, View, ViewMut};
 pub use semiring::{
@@ -61,7 +61,7 @@ pub type MinPlusF64 = MinPlus<f64>;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::closure::{fw_closure, fw_closure_squaring};
-    pub use crate::gemm::{gemm, gemm_naive, gemm_packed, gemm_parallel, PackedB};
+    pub use crate::gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
     pub use crate::matrix::{Matrix, View, ViewMut};
     pub use crate::panel::{panel_update_left, panel_update_right};
     pub use crate::semiring::{

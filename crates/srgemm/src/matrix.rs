@@ -455,7 +455,7 @@ impl<'a, T: Copy> ViewMut<'a, T> {
     }
 
     /// Partition into disjoint mutable row-chunks of at most `chunk` rows.
-    /// Used to hand independent slabs of `C` to rayon workers.
+    /// Used to hand independent slabs of `C` to worker threads.
     pub fn chunk_rows_mut(self, chunk: usize) -> Vec<ViewMut<'a, T>> {
         assert!(chunk > 0, "chunk must be positive");
         let mut out = Vec::with_capacity(self.rows.div_ceil(chunk));

@@ -10,7 +10,7 @@
 //! product of `D` with the snapshot — exactly what the GPU implementation
 //! does by reading the panel out of global memory into a fresh output tile.
 
-use crate::gemm::gemm;
+use crate::gemm::gemm_packed;
 use crate::matrix::ViewMut;
 use crate::semiring::Semiring;
 
@@ -23,7 +23,7 @@ pub fn panel_update_left<S: Semiring>(p: &mut ViewMut<'_, S::Elem>, d: &crate::m
     assert_eq!(d.rows(), d.cols(), "diagonal block must be square");
     assert_eq!(d.cols(), p.rows(), "diagonal order must match panel rows");
     let snapshot = p.to_matrix();
-    gemm::<S>(p, d, &snapshot.view());
+    gemm_packed::<S>(p, d, &snapshot.view());
 }
 
 /// `P ← P ⊕ P ⊗ D` where `P` is `h×b` (a block of the k-th block *column*)
@@ -35,7 +35,7 @@ pub fn panel_update_right<S: Semiring>(p: &mut ViewMut<'_, S::Elem>, d: &crate::
     assert_eq!(d.rows(), d.cols(), "diagonal block must be square");
     assert_eq!(d.rows(), p.cols(), "diagonal order must match panel cols");
     let snapshot = p.to_matrix();
-    gemm::<S>(p, &snapshot.view(), d);
+    gemm_packed::<S>(p, &snapshot.view(), d);
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 //! the serial one.
 
 use proptest::prelude::*;
-use srgemm::gemm::{gemm_naive, gemm_packed, gemm_packed_with_b, KC};
-use srgemm::gemm::{gemm_parallel_threads, PackedB};
+use srgemm::gemm::{gemm_naive, gemm_packed, gemm_packed_threads, gemm_packed_with_b, PackedB, KC};
 use srgemm::matrix::Matrix;
 use srgemm::semiring::{BoolOr, MaxMin, MinPlus, RealArith, Semiring};
 
@@ -149,7 +148,8 @@ proptest! {
         let mut serial = lcg_matrix(m, n, seed ^ 0x7f4a7c15);
         let mut parallel = serial.clone();
         gemm_packed::<MinPlus<f32>>(&mut serial.view_mut(), &a.view(), &b.view());
-        gemm_parallel_threads::<MinPlus<f32>>(&mut parallel.view_mut(), &a.view(), &b.view(), threads);
+        let pb = PackedB::pack::<MinPlus<f32>>(&b.view());
+        gemm_packed_threads::<MinPlus<f32>>(&mut parallel.view_mut(), &a.view(), &pb, threads);
         prop_assert!(serial.eq_exact(&parallel), "shape ({m},{n},{k}) threads {threads}");
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use srgemm::prelude::*;
-use srgemm::gemm::{gemm_naive, gemm_packed, gemm_parallel};
+use srgemm::gemm::{gemm_naive, gemm_packed, gemm_packed_threads};
 
 /// Finite tropical elements: moderate magnitudes so ⊗ (=+) never overflows,
 /// with ∞ mixed in at ~20% rate.
@@ -208,7 +208,8 @@ proptest! {
         gemm_packed::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view());
         prop_assert!(want.eq_exact(&got), "packed diverged");
         let mut got = c0.clone();
-        gemm_parallel::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view());
+        let pb = PackedB::pack::<MinPlus<f64>>(&b.view());
+        gemm_packed_threads::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &pb, 4);
         prop_assert!(want.eq_exact(&got), "parallel diverged");
     }
 
@@ -222,7 +223,6 @@ proptest! {
         // disjoint and min-plus has no rounding, so every thread count —
         // including the degenerate 0 (treated as 1) and counts far above
         // m / MIN_ROWS_PER_SLAB — must be bit-identical to the serial kernel.
-        use srgemm::gemm::gemm_parallel_threads;
         let mk = |s: u64, rows: usize, cols: usize| {
             let mut state = s | 1;
             Matrix::from_fn(rows, cols, |_, _| {
@@ -237,7 +237,8 @@ proptest! {
         let mut want = c0.clone();
         gemm_packed::<MinPlus<f64>>(&mut want.view_mut(), &a.view(), &b.view());
         let mut got = c0.clone();
-        gemm_parallel_threads::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &b.view(), threads);
+        let pb = PackedB::pack::<MinPlus<f64>>(&b.view());
+        gemm_packed_threads::<MinPlus<f64>>(&mut got.view_mut(), &a.view(), &pb, threads);
         prop_assert!(want.eq_exact(&got), "threads={} diverged on {}x{}x{}", threads, m, n, k);
     }
 
@@ -253,7 +254,7 @@ proptest! {
         let b = Matrix::from_fn(n, n, |_, _| next());
         let c0 = Matrix::from_fn(n, n, |_, _| next());
         let mut c = c0.clone();
-        gemm::<MinPlus<f64>>(&mut c.view_mut(), &a.view(), &b.view());
+        gemm_packed::<MinPlus<f64>>(&mut c.view_mut(), &a.view(), &b.view());
         for i in 0..n {
             for j in 0..n {
                 prop_assert!(c[(i, j)] <= c0[(i, j)]);
@@ -277,7 +278,7 @@ proptest! {
         let mut fw = base.clone();
         let mut sq = base.clone();
         fw_closure::<MinPlus<f64>>(&mut fw.view_mut());
-        fw_closure_squaring::<MinPlus<f64>>(&mut sq.view_mut(), false);
+        fw_closure_squaring::<MinPlus<f64>>(&mut sq.view_mut(), 1);
         prop_assert!(fw.eq_exact(&sq));
     }
 

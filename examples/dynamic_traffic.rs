@@ -150,11 +150,11 @@ fn main() {
         b.add_edge(u, v, w);
     }
     let mut want = b.build().to_dense();
-    apsp_core::fw_blocked::fw_blocked::<srgemm::MinPlusF32>(
+    apsp_core::fw_blocked::fw_blocked_threads::<srgemm::MinPlusF32>(
         &mut want,
         64,
         apsp_core::fw_blocked::DiagMethod::FwClosure,
-        true,
+        1,
     );
     let (got, _) = engine.snapshot().split();
     assert_matrices_equal(&want, &got, "served epoch vs re-solve");

@@ -13,7 +13,7 @@
 //! min-plus semiring — exactly the transform used in practice. We run
 //! blocked Floyd-Warshall and mine the top indirect relationships.
 
-use apsp_core::fw_blocked::{fw_blocked, DiagMethod};
+use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
 use apsp_graph::graph::GraphBuilder;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -52,7 +52,8 @@ fn main() {
     println!("direct relations: {direct_edges}");
 
     let mut d = graph.to_dense();
-    fw_blocked::<MinPlusF32>(&mut d, 64, DiagMethod::FwClosure, true);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    fw_blocked_threads::<MinPlusF32>(&mut d, 64, DiagMethod::FwClosure, threads);
 
     // mine: strongest *indirect* relations (no direct edge, high end-to-end
     // relatedness = exp(-dist))
