@@ -835,23 +835,22 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
     }
 
     // --- out-of-core: staged (file store, tight budget) vs in-memory ------
-    // Same driver, same tile size, same packed-blob format; the only
-    // difference is whether the store is a Vec of blobs or a file behind the
+    // Same driver, same tile size, same slot format; the only
+    // difference is whether the store is a Vec of slots or a file behind the
     // background I/O thread, with the budget sized to force spilling. The
     // speedup field records the staging cost (expected < 1; the acceptance
     // bar is staying within 2x of in-memory).
     eprintln!("[perf] ooc staged vs in-memory, n = {}, tile = {}", sz.ooc_n, sz.ooc_tile);
     {
         use apsp_core::ooc::{
-            solve_in_store, staged_budget_floor, tile_blob_capacity, FileStore, MemStore,
-            OocConfig,
+            solve_in_store, staged_budget_floor, tile_bytes, FileStore, MemStore, OocConfig,
         };
         let (n, tile) = (sz.ooc_n, sz.ooc_tile);
         let input = generators::uniform_dense(n, WeightKind::small_ints(), 34).to_dense();
         // floor + one row of tiles of cache: heavy eviction traffic without
         // being degenerate
-        let budget = staged_budget_floor::<f32>(tile, 2)
-            + (n.div_ceil(tile) as u64 + 2) * tile_blob_capacity::<f32>(tile) as u64;
+        let budget = staged_budget_floor::<f32>(tile)
+            + (n.div_ceil(tile) as u64 + 2) * tile_bytes::<f32>(tile, tile);
         let baseline_wall_s = time_min(
             reps,
             || input.clone(),
@@ -869,7 +868,7 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
             || input.clone(),
             |mut m| {
                 let mut store =
-                    FileStore::create::<f32>(&path, n, tile, 2).expect("create tile store");
+                    FileStore::create::<f32>(&path, n, tile).expect("create tile store");
                 let cfg = OocConfig { threads: host, ..OocConfig::with_budget(budget) };
                 solve_in_store::<MinPlus<f32>>(&mut m, &mut store, &cfg)
                     .expect("staged ooc solve");

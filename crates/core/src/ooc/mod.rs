@@ -6,58 +6,57 @@
 //! of {host RAM, PCIe, device} — so graphs whose dense closure exceeds host
 //! RAM still solve on one node:
 //!
-//! * the matrix lives in a [`TileStore`] as serialized [`PackedB`] blobs —
-//!   tiles are packed into the GEMM kernel's layout **once at ingest** and
-//!   the stored row tile is handed to `gemm_packed_with_b` directly, never
-//!   re-packed per iteration;
+//! * the matrix lives in a [`TileStore`] in its plain layout — dense
+//!   row-major tiles, checksummed per slot ([`store`] owns the format) —
+//!   and only the operand a product needs is staged: the row tile
+//!   `B(k, j)` is packed into one persistent [`PackedB`] per update;
 //! * [`ooc_fw`] walks the blocked-FW schedule (Algorithm 2: DiagUpdate →
 //!   PanelUpdate → per-tile MinPlus outer product) under an explicit
-//!   host-RAM budget, caching hot packed tiles in an LRU working set and
-//!   spilling dirty ones back to the store;
+//!   host-RAM budget, running the same four kernels as
+//!   [`mod@crate::fw_blocked`] in place on views of the tiles cached in an LRU
+//!   working set, and spilling dirty ones back to the store;
 //! * the [`FileStore`] overlaps its slot reads (prefetch) and write-backs
-//!   with the packed GEMM via a background I/O thread — the disk-tier
-//!   double buffer. The matching cost term is `gpu_sim::cost`'s fourth
-//!   engine `t3`, and [`gpu_sim::min_block_size_disk`] is the Eq. 5
-//!   analysis that predicts the tile size where the run turns
-//!   compute-bound.
+//!   with the GEMM via a background I/O thread — the disk-tier double
+//!   buffer. The matching cost term is `gpu_sim::cost`'s fourth engine
+//!   `t3`, and [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that
+//!   predicts the tile size where the run turns compute-bound.
 //!
-//! Budget semantics: `peak resident = cache + scratch tiles + in-flight
-//! I/O buffers (+ every blob, for the in-memory store)` never exceeds
-//! [`OocConfig::budget_bytes`]; a budget below the floor fails up front
-//! with [`OocError::BudgetTooSmall`] — the same `{required, budget}` shape
-//! as the device tier's `Oom {requested, available}`.
+//! Budget semantics: `peak resident = cached tiles + the packed B scratch +
+//! in-flight I/O buffers (+ every tile, for the in-memory store)` never
+//! exceeds [`OocConfig::budget_bytes`]; a budget below
+//! [`staged_budget_floor`] fails up front with
+//! [`OocError::BudgetTooSmall`] — the same `{required, budget}` shape as
+//! the device tier's `Oom {requested, available}`.
 
 pub mod store;
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use gpu_sim::OogConfig;
-use srgemm::gemm::pack::{PackDecodeError, PackElem, PackedB};
-use srgemm::gemm::{gemm_packed_threads, KC, NC};
+use srgemm::gemm::{gemm_packed_threads, pad_quantum, PackedB};
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::prelude::fw_closure;
 use srgemm::semiring::Semiring;
 
-pub use store::{tile_blob_capacity, FileStore, MemStore, StoreError, TileStore};
+pub use store::{
+    read_tile, tile_bytes, write_tile, FileStore, MemStore, StoreError, TileElem, TileStore,
+    IO_DEPTH,
+};
 
 /// Out-of-core driver configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OocConfig {
     /// Host-RAM ceiling for the solve (cache + scratch + I/O buffers).
     pub budget_bytes: u64,
-    /// Double-buffer depth: outstanding prefetch reads and queued writes.
-    pub depth: usize,
     /// Kernel threads each outer-product update may use.
     pub threads: usize,
 }
 
 impl OocConfig {
-    /// A budget-limited, single-threaded config with double buffering
-    /// (`depth = 2`).
+    /// A budget-limited, single-threaded config.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        OocConfig { budget_bytes, depth: 2, threads: 1 }
+        OocConfig { budget_bytes, threads: 1 }
     }
 
     /// No effective budget — for in-memory baselines.
@@ -69,42 +68,28 @@ impl OocConfig {
 /// Typed failures of the out-of-core driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OocError {
-    /// Zero tile size or buffer depth — rejected by the same validation the
-    /// GPU offload tier applies to its `OogConfig` (mx/nx/streams).
-    InvalidConfig {
-        /// Tile side length.
-        tile: usize,
-        /// Double-buffer depth.
-        depth: usize,
-    },
     /// The budget cannot hold even the minimal working set. Mirrors the
     /// device tier's `Oom { requested, available }`: `required` is the full
-    /// up-front floor (scratch + I/O reserve + two cache slots + resident
-    /// store blobs), not the increment that happened to overflow.
+    /// up-front floor ([`staged_budget_floor`] plus whatever the store
+    /// itself keeps resident), not the increment that happened to overflow.
     BudgetTooSmall {
         /// Minimum bytes the solve needs resident.
         required: u64,
         /// The configured budget.
         budget: u64,
     },
-    /// The tile store failed (I/O error, bad file, missing tile).
+    /// The tile store failed (I/O error, bad file, missing or corrupt tile).
     Store(StoreError),
-    /// A stored blob failed to decode (corruption, wrong element type).
-    Decode(PackDecodeError),
 }
 
 impl std::fmt::Display for OocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OocError::InvalidConfig { tile, depth } => {
-                write!(f, "invalid ooc config: tile={tile}, depth={depth} (all must be positive)")
-            }
             OocError::BudgetTooSmall { required, budget } => write!(
                 f,
                 "memory budget too small: solve needs {required} bytes resident, budget is {budget}"
             ),
             OocError::Store(e) => write!(f, "{e}"),
-            OocError::Decode(e) => write!(f, "tile blob decode failed: {e}"),
         }
     }
 }
@@ -114,12 +99,6 @@ impl std::error::Error for OocError {}
 impl From<StoreError> for OocError {
     fn from(e: StoreError) -> Self {
         OocError::Store(e)
-    }
-}
-
-impl From<PackDecodeError> for OocError {
-    fn from(e: PackDecodeError) -> Self {
-        OocError::Decode(e)
     }
 }
 
@@ -134,9 +113,9 @@ pub struct OocStats {
     pub tiles_per_side: usize,
     /// Whether the store was file-backed (true) or in-memory.
     pub staged: bool,
-    /// Tile blobs fetched from the store.
+    /// Tiles fetched from the store.
     pub tiles_read: u64,
-    /// Tile blobs spilled or flushed back.
+    /// Tiles spilled or flushed back.
     pub tiles_written: u64,
     /// Bytes fetched.
     pub bytes_read: u64,
@@ -146,189 +125,219 @@ pub struct OocStats {
     pub peak_resident_bytes: u64,
     /// The configured budget.
     pub budget_bytes: u64,
-    /// Time in GEMM / panel / closure kernels.
+    /// Time in GEMM / panel / closure kernels and in packing `B`.
     pub compute_seconds: f64,
-    /// Time blocked on the store (reads that missed prefetch, full queues).
+    /// Time moving tiles: encode, checksum and queueing on the way out;
+    /// waiting on the store, verify and decode on the way in.
     pub io_seconds: f64,
     /// End-to-end driver time.
     pub wall_seconds: f64,
 }
 
-/// Minimum [`OocConfig::budget_bytes`] a staged solve with `tile × tile`
-/// blobs and `depth`-deep buffering can run under: three dense scratch
-/// tiles, the bounded in-flight I/O buffers, and two cache slots (the tile
-/// being updated plus the packed row tile feeding the GEMM).
-pub fn staged_budget_floor<E: PackElem>(tile: usize, depth: usize) -> u64 {
-    let slot = tile_blob_capacity::<E>(tile) as u64;
-    let dense = (tile * tile * E::BYTES) as u64;
-    // I/O reserve: `depth` prefetch buffers + `depth` queued writes + one
-    // demand-read buffer in flight while the cache is at capacity.
-    3 * dense + (2 * depth as u64 + 1) * slot + 2 * slot
+/// Bytes of the driver's one persistent packed `B` operand: a `tile × tile`
+/// [`PackedB`], its rows padded to the kernel's [`pad_quantum`] stride.
+fn packed_b_bytes<E: TileElem>(tile: usize) -> u64 {
+    (tile * tile.next_multiple_of(pad_quantum::<E>()) * E::BYTES) as u64
+}
+
+/// The part of a staged working set the tile cache may never use: the
+/// packed `B` scratch and the store's bounded in-flight I/O buffers —
+/// [`IO_DEPTH`] prefetch reads, [`IO_DEPTH`] queued writes and one demand
+/// read.
+fn reserved_bytes<E: TileElem>(tile: usize) -> u64 {
+    packed_b_bytes::<E>(tile) + (2 * IO_DEPTH as u64 + 1) * tile_bytes::<E>(tile, tile)
+}
+
+/// Minimum [`OocConfig::budget_bytes`] a staged solve over `tile × tile`
+/// tiles of `E` can run under: the packed scratch and I/O reserve, plus two
+/// cache slots — the tile being updated and the one borrowed beside it
+/// (the diagonal during PanelUpdate, `A(i, k)` during the outer product).
+/// The planner, the solver adapter and [`ooc_fw`] all use this one number.
+pub fn staged_budget_floor<E: TileElem>(tile: usize) -> u64 {
+    reserved_bytes::<E>(tile) + 2 * tile_bytes::<E>(tile, tile)
 }
 
 /// Largest tile size (from a fixed candidate ladder, clamped to `n`) whose
 /// staged working set fits `budget`. `None` if even the smallest tile
 /// doesn't fit — the graph is unsolvable under that budget.
-pub fn choose_tile<E: PackElem>(n: usize, budget: u64, depth: usize) -> Option<usize> {
+pub fn choose_tile<E: TileElem>(n: usize, budget: u64) -> Option<usize> {
     const LADDER: &[usize] =
         &[1024, 768, 512, 384, 256, 192, 128, 96, 64, 48, 32, 24, 16, 8];
     let n = n.max(1);
     LADDER
         .iter()
         .map(|&t| t.min(n))
-        .find(|&t| staged_budget_floor::<E>(t, depth) <= budget)
+        .find(|&t| staged_budget_floor::<E>(t) <= budget)
 }
 
 // ---------------------------------------------------------------------------
-// LRU packed-tile cache
+// LRU tile cache
 // ---------------------------------------------------------------------------
 
-struct CacheEntry<E> {
-    pb: PackedB<E>,
+/// One resident dense tile; `bytes` is what it is charged against the
+/// budget — its stored size.
+struct Resident<E> {
+    tile: Matrix<E>,
     bytes: u64,
     dirty: bool,
     stamp: u64,
 }
 
-/// Budget-bounded LRU over decoded packed tiles. All sizes are the tiles'
-/// serialized lengths — a faithful proxy for their heap footprint.
-struct TileCache<E> {
-    map: HashMap<(usize, usize), CacheEntry<E>>,
+/// Whether kernel work handed to [`TileCache::run`] modifies its tile.
+#[derive(PartialEq)]
+enum Access {
+    Read,
+    Write,
+}
+
+/// Budget-bounded LRU over dense tiles of `store`, and the solve's
+/// counters. A tile is resident while it is in `map` *or* checked out with
+/// [`TileCache::take`]; checked-out tiles cannot be evicted.
+struct TileCache<'s, E> {
+    store: &'s mut dyn TileStore,
+    stats: OocStats,
+    map: HashMap<(usize, usize), Resident<E>>,
     resident: u64,
     cap: u64,
-    scratch_bytes: u64,
+    scratch: u64,
     clock: u64,
 }
 
-impl<E: PackElem> TileCache<E> {
-    fn new(cap: u64, scratch_bytes: u64) -> Self {
-        TileCache { map: HashMap::new(), resident: 0, cap, scratch_bytes, clock: 0 }
+impl<'s, E: TileElem> TileCache<'s, E> {
+    /// Split `budget` into the reserved part and the cache capacity, or
+    /// refuse a budget below the floor.
+    fn new(store: &'s mut dyn TileStore, budget: u64) -> Result<Self, OocError> {
+        let (n, tile) = (store.n(), store.tile());
+        let baseline = store.resident_bytes();
+        let required = baseline + staged_budget_floor::<E>(tile);
+        if budget < required {
+            return Err(OocError::BudgetTooSmall { required, budget });
+        }
+        let stats = OocStats {
+            n,
+            tile,
+            tiles_per_side: store.tiles_per_side(),
+            staged: store.kind() == "file",
+            budget_bytes: budget,
+            ..OocStats::default()
+        };
+        Ok(TileCache {
+            store,
+            stats,
+            map: HashMap::new(),
+            resident: 0,
+            cap: budget - baseline - reserved_bytes::<E>(tile),
+            scratch: packed_b_bytes::<E>(tile),
+            clock: 0,
+        })
     }
 
-    fn note_peak(&self, store: &dyn TileStore, stats: &mut OocStats) {
-        let total = self.resident + self.scratch_bytes + store.resident_bytes();
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(total);
+    fn note_peak(&mut self) {
+        let total = self.resident + self.scratch + self.store.resident_bytes();
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(total);
     }
 
-    fn contains(&self, key: (usize, usize)) -> bool {
-        self.map.contains_key(&key)
+    /// Write `entry` back to the store, booking encode + queueing as I/O.
+    fn spill(&mut self, key: (usize, usize), entry: &Resident<E>) -> Result<(), OocError> {
+        self.stats.tiles_written += 1;
+        self.stats.bytes_written += entry.bytes;
+        let t0 = Instant::now();
+        let res = write_tile(self.store, key.0, key.1, &entry.tile.view());
+        self.stats.io_seconds += t0.elapsed().as_secs_f64();
+        res.map_err(OocError::Store)
     }
 
-    fn peek(&self, key: (usize, usize)) -> &PackedB<E> {
-        &self.map[&key].pb
-    }
-
-    /// Evict least-recently-used entries (never `keep`) until `need` more
-    /// bytes fit, spilling dirty tiles back to the store.
-    fn make_room(
-        &mut self,
-        store: &mut dyn TileStore,
-        stats: &mut OocStats,
-        need: u64,
-        keep: Option<(usize, usize)>,
-    ) -> Result<(), OocError> {
+    /// Evict least-recently-used entries until `need` more bytes fit,
+    /// spilling dirty tiles back to the store.
+    fn make_room(&mut self, need: u64) -> Result<(), OocError> {
         while self.resident + need > self.cap {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| Some(**k) != keep)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else {
-                // Nothing evictable and still over: the floor check should
-                // make this unreachable, but report it honestly if not.
-                return Err(OocError::BudgetTooSmall {
-                    required: self.resident + need + self.scratch_bytes,
-                    budget: self.cap + self.scratch_bytes,
-                });
-            };
+            // The floor's two cache slots hold the one checked-out tile and
+            // the incoming one, so there is always something to evict.
+            let (&victim, _) =
+                self.map.iter().min_by_key(|(_, e)| e.stamp).expect("an evictable tile");
             let entry = self.map.remove(&victim).expect("victim exists");
             self.resident -= entry.bytes;
             if entry.dirty {
-                let blob = entry.pb.to_bytes();
-                stats.tiles_written += 1;
-                stats.bytes_written += blob.len() as u64;
-                let t0 = Instant::now();
-                store.write(victim.0, victim.1, blob)?;
-                stats.io_seconds += t0.elapsed().as_secs_f64();
+                self.spill(victim, &entry)?;
             }
         }
         Ok(())
     }
 
-    /// Make `key` resident, loading and decoding its blob on a miss.
-    fn ensure(
-        &mut self,
-        store: &mut dyn TileStore,
-        stats: &mut OocStats,
-        key: (usize, usize),
-    ) -> Result<(), OocError> {
+    /// Make `key` resident, fetching and verifying it on a miss.
+    fn ensure(&mut self, key: (usize, usize)) -> Result<(), OocError> {
         self.clock += 1;
         if let Some(e) = self.map.get_mut(&key) {
             e.stamp = self.clock;
             return Ok(());
         }
         let t0 = Instant::now();
-        let blob = store.read(key.0, key.1)?;
-        stats.io_seconds += t0.elapsed().as_secs_f64();
-        stats.tiles_read += 1;
-        stats.bytes_read += blob.len() as u64;
-        let pb = PackedB::<E>::from_bytes(&blob)?;
-        let bytes = blob.len() as u64;
-        self.make_room(store, stats, bytes, None)?;
-        self.resident += bytes;
-        self.map
-            .insert(key, CacheEntry { pb, bytes, dirty: false, stamp: self.clock });
-        self.note_peak(store, stats);
+        let fetched = read_tile::<E>(self.store, key.0, key.1);
+        self.stats.io_seconds += t0.elapsed().as_secs_f64();
+        let tile = fetched?;
+        let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
+        let entry = Resident { tile, bytes, dirty: false, stamp: self.clock };
+        self.stats.tiles_read += 1;
+        self.stats.bytes_read += entry.bytes;
+        self.make_room(entry.bytes)?;
+        self.resident += entry.bytes;
+        self.map.insert(key, entry);
+        self.note_peak();
         Ok(())
     }
 
-    /// Replace `key`'s contents by repacking `src`, marking it dirty.
-    fn put_dense<S: Semiring<Elem = E>>(
-        &mut self,
-        store: &mut dyn TileStore,
-        stats: &mut OocStats,
-        key: (usize, usize),
-        src: &View<'_, E>,
-    ) -> Result<(), OocError> {
-        self.clock += 1;
-        if let Some(e) = self.map.get_mut(&key) {
-            e.pb.repack::<S>(src);
-            e.dirty = true;
-            e.stamp = self.clock;
-            return Ok(());
+    /// Ask the store to start reading `key` if it is not resident.
+    fn prefetch(&mut self, key: (usize, usize)) {
+        if !self.map.contains_key(&key) {
+            self.store.prefetch(key.0, key.1);
         }
-        let bytes = PackedB::<E>::serialized_len(src.rows(), src.cols(), KC, NC) as u64;
-        self.make_room(store, stats, bytes, None)?;
-        let pb = PackedB::pack::<S>(src);
-        self.resident += bytes;
-        self.map
-            .insert(key, CacheEntry { pb, bytes, dirty: true, stamp: self.clock });
-        self.note_peak(store, stats);
+    }
+
+    /// Run kernel work `f` on tile `key`, booking its time as compute and
+    /// marking the tile dirty if `f` writes it.
+    fn run(
+        &mut self,
+        key: (usize, usize),
+        access: Access,
+        f: impl FnOnce(&mut ViewMut<'_, E>),
+    ) -> Result<(), OocError> {
+        self.ensure(key)?;
+        let entry = self.map.get_mut(&key).expect("tile was just made resident");
+        let t0 = Instant::now();
+        f(&mut entry.tile.view_mut());
+        self.stats.compute_seconds += t0.elapsed().as_secs_f64();
+        entry.dirty |= access == Access::Write;
         Ok(())
     }
 
-    /// Spill every dirty tile and drop the cache contents.
-    fn flush(
-        &mut self,
-        store: &mut dyn TileStore,
-        stats: &mut OocStats,
-    ) -> Result<(), OocError> {
+    /// Check tile `key` out of the map so it can be borrowed beside the
+    /// tiles later calls make resident. It stays charged to the budget and
+    /// must come back through [`TileCache::restore`].
+    fn take(&mut self, key: (usize, usize)) -> Result<Resident<E>, OocError> {
+        self.ensure(key)?;
+        Ok(self.map.remove(&key).expect("tile was just made resident"))
+    }
+
+    fn restore(&mut self, key: (usize, usize), entry: Resident<E>) {
+        self.map.insert(key, entry);
+    }
+
+    /// Spill every dirty tile in slot order, wait for the store and hand
+    /// back the counters.
+    fn finish(mut self) -> Result<OocStats, OocError> {
         let mut keys: Vec<_> = self.map.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
             let entry = self.map.remove(&key).expect("key exists");
             self.resident -= entry.bytes;
             if entry.dirty {
-                let blob = entry.pb.to_bytes();
-                stats.tiles_written += 1;
-                stats.bytes_written += blob.len() as u64;
-                let t0 = Instant::now();
-                store.write(key.0, key.1, blob)?;
-                stats.io_seconds += t0.elapsed().as_secs_f64();
+                self.spill(key, &entry)?;
             }
         }
-        Ok(())
+        let t0 = Instant::now();
+        self.store.flush()?;
+        self.stats.io_seconds += t0.elapsed().as_secs_f64();
+        Ok(self.stats)
     }
 }
 
@@ -336,24 +345,19 @@ impl<E: PackElem> TileCache<E> {
 // Ingest / export
 // ---------------------------------------------------------------------------
 
-/// Pack `d` tile by tile into `store` — the one and only packing pass.
+/// Copy `d` tile by tile into `store`.
 ///
 /// # Panics
 /// Panics if `d` is not `store.n() × store.n()`.
-pub fn ingest<S: Semiring>(store: &mut dyn TileStore, d: &View<'_, S::Elem>) -> Result<(), OocError>
-where
-    S::Elem: PackElem,
-{
+pub fn ingest<E: TileElem>(store: &mut dyn TileStore, d: &View<'_, E>) -> Result<(), OocError> {
     let (n, t) = (store.n(), store.tile());
     assert_eq!(d.rows(), n, "ingest: matrix rows != store dimension");
     assert_eq!(d.cols(), n, "ingest: matrix cols != store dimension");
     let nb = store.tiles_per_side();
     for ti in 0..nb {
-        let (r0, rb) = (ti * t, t.min(n - ti * t));
         for tj in 0..nb {
-            let (c0, cb) = (tj * t, t.min(n - tj * t));
-            let pb = PackedB::pack::<S>(&d.subview(r0, c0, rb, cb));
-            store.write(ti, tj, pb.to_bytes())?;
+            let (rb, cb) = store.tile_dims(ti, tj);
+            write_tile(store, ti, tj, &d.subview(ti * t, tj * t, rb, cb))?;
         }
     }
     store.flush()?;
@@ -364,23 +368,18 @@ where
 ///
 /// # Panics
 /// Panics if `out` is not `store.n() × store.n()`.
-pub fn export_into<S: Semiring>(
+pub fn export_into<E: TileElem>(
     store: &mut dyn TileStore,
-    out: &mut ViewMut<'_, S::Elem>,
-) -> Result<(), OocError>
-where
-    S::Elem: PackElem,
-{
+    out: &mut ViewMut<'_, E>,
+) -> Result<(), OocError> {
     let (n, t) = (store.n(), store.tile());
     assert_eq!(out.rows(), n, "export: matrix rows != store dimension");
     assert_eq!(out.cols(), n, "export: matrix cols != store dimension");
     let nb = store.tiles_per_side();
     for ti in 0..nb {
-        let (r0, rb) = (ti * t, t.min(n - ti * t));
         for tj in 0..nb {
-            let (c0, cb) = (tj * t, t.min(n - tj * t));
-            let pb = PackedB::<S::Elem>::from_bytes(&store.read(ti, tj)?)?;
-            pb.unpack_into(&mut out.subview_mut(r0, c0, rb, cb));
+            let tile = read_tile::<E>(store, ti, tj)?;
+            out.subview_mut(ti * t, tj * t, tile.rows(), tile.cols()).copy_from(&tile.view());
         }
     }
     Ok(())
@@ -394,8 +393,9 @@ where
 ///
 /// Per block-iteration `k`: DiagUpdate closes tile `(k,k)`; PanelUpdate
 /// fixes block row and column `k`; then every remaining tile folds
-/// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)` with the **stored packed row tile** as the
-/// GEMM's `B` operand. Same kernels, same per-element ⊕ fold order as
+/// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)`. All four kernels run in place on the cached
+/// dense tiles; the only copy per update is the pack of `B(k,j)`. Same
+/// kernels, same per-element ⊕ fold order as
 /// [`crate::fw_blocked::fw_blocked_threads`], hence bit-identical results.
 ///
 /// # Panics
@@ -405,153 +405,66 @@ pub fn ooc_fw<S: Semiring>(
     cfg: &OocConfig,
 ) -> Result<OocStats, OocError>
 where
-    S::Elem: PackElem,
+    S::Elem: TileElem,
 {
     assert!(
         S::IDEMPOTENT_ADD,
         "out-of-core FW relies on an idempotent ⊕ ({} is not)",
         S::NAME
     );
-    let (n, t) = (store.n(), store.tile());
-    // Same validation the GPU offload tier runs on its OogConfig: positive
-    // tile extents, positive buffer count.
-    OogConfig { mx: t, nx: t, streams: cfg.depth }
-        .validate()
-        .map_err(|_| OocError::InvalidConfig { tile: t, depth: cfg.depth })?;
-
     let wall = Instant::now();
     let nb = store.tiles_per_side();
-    let s = t.min(n);
-    let scratch_bytes = 3 * (s * s * S::Elem::BYTES) as u64;
-    let slot = store.max_blob_bytes() as u64;
-    let io_reserve = (2 * cfg.depth as u64 + 1) * slot;
-    let baseline = store.resident_bytes();
-    let floor = baseline + scratch_bytes + io_reserve + 2 * slot;
-    if cfg.budget_bytes < floor {
-        return Err(OocError::BudgetTooSmall { required: floor, budget: cfg.budget_bytes });
-    }
-    let cap = cfg.budget_bytes - scratch_bytes - io_reserve - baseline;
-
-    let mut stats = OocStats {
-        n,
-        tile: t,
-        tiles_per_side: nb,
-        staged: store.kind() == "file",
-        budget_bytes: cfg.budget_bytes,
-        ..OocStats::default()
-    };
-    let mut cache = TileCache::<S::Elem>::new(cap, scratch_bytes);
-    // Three dense scratch tiles: the closed diagonal, the A operand, and
-    // the tile being updated. Ragged tiles use subviews of these.
-    let mut diag = Matrix::filled(s, s, S::zero());
-    let mut a_buf = Matrix::filled(s, s, S::zero());
-    let mut c_buf = Matrix::filled(s, s, S::zero());
-    let dim = |b: usize| t.min(n - b * t);
+    // The one persistent packed operand, sized up front for a full tile so
+    // that no later repack grows it.
+    let side = store.tile().min(store.n());
+    let mut pb = PackedB::pack::<S>(&Matrix::filled(side, side, S::zero()).view());
+    let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes)?;
 
     for k in 0..nb {
-        let bk = dim(k);
-        let others = || (0..nb).filter(move |&x| x != k);
+        let others: Vec<usize> = (0..nb).filter(|&x| x != k).collect();
 
         // ----- DiagUpdate -----
-        cache.ensure(store, &mut stats, (k, k))?;
-        let t0 = Instant::now();
-        {
-            let mut dv = diag.subview_mut(0, 0, bk, bk);
-            cache.peek((k, k)).unpack_into(&mut dv);
-            fw_closure::<S>(&mut dv);
-        }
-        stats.compute_seconds += t0.elapsed().as_secs_f64();
-        cache.put_dense::<S>(store, &mut stats, (k, k), &diag.subview(0, 0, bk, bk))?;
+        cache.run((k, k), Access::Write, |d| fw_closure::<S>(d))?;
+        let diag = cache.take((k, k))?;
 
-        // ----- PanelUpdate: block row k -----
-        let js: Vec<usize> = others().collect();
-        for (idx, &j) in js.iter().enumerate() {
-            if let Some(&jn) = js.get(idx + 1) {
-                if !cache.contains((k, jn)) {
-                    store.prefetch(k, jn);
-                }
+        // ----- PanelUpdate: block row k, then block column k -----
+        for (idx, &j) in others.iter().enumerate() {
+            if let Some(&jn) = others.get(idx + 1) {
+                cache.prefetch((k, jn));
             }
-            let bj = dim(j);
-            cache.ensure(store, &mut stats, (k, j))?;
-            let t0 = Instant::now();
-            {
-                let mut cv = c_buf.subview_mut(0, 0, bk, bj);
-                cache.peek((k, j)).unpack_into(&mut cv);
-                panel_update_left::<S>(&mut cv, &diag.subview(0, 0, bk, bk));
-            }
-            stats.compute_seconds += t0.elapsed().as_secs_f64();
-            cache.put_dense::<S>(store, &mut stats, (k, j), &c_buf.subview(0, 0, bk, bj))?;
+            cache.run((k, j), Access::Write, |c| panel_update_left::<S>(c, &diag.tile.view()))?;
         }
-
-        // ----- PanelUpdate: block column k -----
-        let is: Vec<usize> = others().collect();
-        for (idx, &i) in is.iter().enumerate() {
-            if let Some(&inx) = is.get(idx + 1) {
-                if !cache.contains((inx, k)) {
-                    store.prefetch(inx, k);
-                }
+        for (idx, &i) in others.iter().enumerate() {
+            if let Some(&inx) = others.get(idx + 1) {
+                cache.prefetch((inx, k));
             }
-            let bi = dim(i);
-            cache.ensure(store, &mut stats, (i, k))?;
-            let t0 = Instant::now();
-            {
-                let mut cv = c_buf.subview_mut(0, 0, bi, bk);
-                cache.peek((i, k)).unpack_into(&mut cv);
-                panel_update_right::<S>(&mut cv, &diag.subview(0, 0, bk, bk));
-            }
-            stats.compute_seconds += t0.elapsed().as_secs_f64();
-            cache.put_dense::<S>(store, &mut stats, (i, k), &c_buf.subview(0, 0, bi, bk))?;
+            cache.run((i, k), Access::Write, |c| panel_update_right::<S>(c, &diag.tile.view()))?;
         }
+        cache.restore((k, k), diag);
 
         // ----- MinPlus outer product -----
-        for (ii, &i) in is.iter().enumerate() {
-            let bi = dim(i);
-            cache.ensure(store, &mut stats, (i, k))?;
-            let t0 = Instant::now();
-            {
-                let mut av = a_buf.subview_mut(0, 0, bi, bk);
-                cache.peek((i, k)).unpack_into(&mut av);
-            }
-            stats.compute_seconds += t0.elapsed().as_secs_f64();
-            for (jj, &j) in js.iter().enumerate() {
+        for (ii, &i) in others.iter().enumerate() {
+            let a = cache.take((i, k))?;
+            for (jj, &j) in others.iter().enumerate() {
                 // Double buffer: ask the store for the next C tile of the
                 // sweep while this one multiplies.
-                let next = js
+                let next = others
                     .get(jj + 1)
                     .map(|&jn| (i, jn))
-                    .or_else(|| is.get(ii + 1).map(|&inx| (inx, k)));
-                if let Some((pi, pj)) = next {
-                    if !cache.contains((pi, pj)) {
-                        store.prefetch(pi, pj);
-                    }
+                    .or_else(|| others.get(ii + 1).map(|&inx| (inx, k)));
+                if let Some(next) = next {
+                    cache.prefetch(next);
                 }
-                let bj = dim(j);
-                cache.ensure(store, &mut stats, (i, j))?;
-                let t0 = Instant::now();
-                {
-                    let mut cv = c_buf.subview_mut(0, 0, bi, bj);
-                    cache.peek((i, j)).unpack_into(&mut cv);
-                }
-                stats.compute_seconds += t0.elapsed().as_secs_f64();
-                cache.ensure(store, &mut stats, (k, j))?;
-                let t0 = Instant::now();
-                {
-                    let mut cv = c_buf.subview_mut(0, 0, bi, bj);
-                    let av = a_buf.subview(0, 0, bi, bk);
-                    let pb = cache.peek((k, j));
-                    gemm_packed_threads::<S>(&mut cv, &av, pb, cfg.threads);
-                }
-                stats.compute_seconds += t0.elapsed().as_secs_f64();
-                cache.put_dense::<S>(store, &mut stats, (i, j), &c_buf.subview(0, 0, bi, bj))?;
+                cache.run((k, j), Access::Read, |b| pb.repack::<S>(&b.as_view()))?;
+                cache.run((i, j), Access::Write, |c| {
+                    gemm_packed_threads::<S>(c, &a.tile.view(), &pb, cfg.threads)
+                })?;
             }
+            cache.restore((i, k), a);
         }
     }
 
-    cache.flush(store, &mut stats)?;
-    let t0 = Instant::now();
-    store.flush()?;
-    stats.io_seconds += t0.elapsed().as_secs_f64();
-    cache.note_peak(store, &mut stats);
+    let mut stats = cache.finish()?;
     stats.wall_seconds = wall.elapsed().as_secs_f64();
     Ok(stats)
 }
@@ -563,10 +476,10 @@ pub fn solve_in_store<S: Semiring>(
     cfg: &OocConfig,
 ) -> Result<OocStats, OocError>
 where
-    S::Elem: PackElem,
+    S::Elem: TileElem,
 {
-    ingest::<S>(store, &d.view())?;
+    ingest(store, &d.view())?;
     let stats = ooc_fw::<S>(store, cfg)?;
-    export_into::<S>(store, &mut d.view_mut())?;
+    export_into(store, &mut d.view_mut())?;
     Ok(stats)
 }

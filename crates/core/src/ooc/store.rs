@@ -1,23 +1,29 @@
 //! Tile stores: where out-of-core FW keeps the matrix when it doesn't fit
-//! in RAM.
+//! in RAM — and the one module that knows how a tile becomes bytes.
 //!
-//! A [`TileStore`] holds the `⌈n/t⌉ × ⌈n/t⌉` grid of `t × t` tiles of the
-//! distance matrix as *serialized [`PackedB`] blobs* — the exact bytes of
-//! `srgemm`'s kernel-ready packed layout (`APTB` format,
-//! [`PackedB::to_bytes`]). Packing therefore happens **once at ingest**;
-//! every later read hands the GEMM a `B` operand it can stream directly,
-//! and the store never needs to know the element type or the semiring —
-//! blobs are self-describing.
+//! A [`TileStore`] holds the `⌈n/t⌉ × ⌈n/t⌉` grid of tiles of the distance
+//! matrix. The slot of tile `(ti, tj)` is its `rb × cb` elements, row-major
+//! little-endian, followed by a 64-bit checksum of those bytes; `rb` and
+//! `cb` follow from `(n, tile, ti, tj)`, so a slot carries no header of its
+//! own. The layout is plain on purpose: a tile is the `B` operand of a GEMM
+//! in one block-iteration out of `⌈n/t⌉` and an `A`/`C` operand in all
+//! others, so the driver wants dense tiles it can update in place, and
+//! packs the one `B` it needs per product itself.
+//!
+//! The trait moves opaque bytes; [`read_tile`] and [`write_tile`] are the
+//! typed doors the driver uses. Every read verifies the checksum — a torn
+//! write, a stomped payload or a never-written slot is a typed
+//! [`StoreError::CorruptTile`], never a decoded tile.
 //!
 //! Two implementations:
 //!
-//! * [`MemStore`] — blobs in a `Vec`; the in-memory baseline the staged
-//!   path is benchmarked against.
+//! * [`MemStore`] — encoded tiles in a `Vec`; the test fake and the
+//!   in-memory baseline the staged path is compared against.
 //! * [`FileStore`] — one file of fixed-capacity slots behind a background
 //!   I/O thread, so tile reads (prefetch) and write-backs overlap the
-//!   packed GEMM. Requests are processed FIFO, which makes a read of a
-//!   slot observe every write queued before it — the driver's
-//!   read-after-write guarantee.
+//!   GEMM. Requests are processed FIFO, which makes a read of a slot
+//!   observe every write queued before it — the driver's read-after-write
+//!   guarantee.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -26,14 +32,148 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use srgemm::gemm::pack::{PackElem, PackedB};
-use srgemm::gemm::{KC, NC};
+use srgemm::matrix::{Matrix, View};
 
-/// Serialized size of a full `tile × tile` blob with the default pack
-/// tiling — what a store reserves per slot (ragged edge tiles are smaller
-/// and leave slack; blobs are self-describing so the slack is ignored).
-pub fn tile_blob_capacity<E: PackElem>(tile: usize) -> usize {
-    PackedB::<E>::serialized_len(tile, tile, KC, NC)
+/// Double-buffer depth of a [`FileStore`]: at most this many prefetch reads
+/// and this many queued writes are in flight, so its I/O buffers never hold
+/// more than `2 · IO_DEPTH + 1` slots (the `+ 1` is a demand read).
+pub const IO_DEPTH: usize = 2;
+
+/// Bytes of the per-slot checksum that follows a tile's payload.
+const CHECKSUM_BYTES: usize = 8;
+
+/// An element type a tile store can hold: fixed-width little-endian
+/// encoding, independent of host endianness.
+pub trait TileElem: Copy {
+    /// Encoded size in bytes.
+    const BYTES: usize = std::mem::size_of::<Self>();
+    /// Dtype name (`"f32"`, `"u16"`, …). Its first letter is the dtype code
+    /// the store-file header carries beside the width, so that same-width
+    /// dtypes (i32 and f32 are both 4 B) can never be silently
+    /// reinterpreted as each other.
+    const DTYPE: &'static str;
+    /// Write the little-endian encoding of `self` into `out`
+    /// (`out.len() == BYTES`).
+    fn write_le(self, out: &mut [u8]);
+    /// Decode from exactly [`TileElem::BYTES`] bytes.
+    fn read_le(b: &[u8]) -> Self;
+}
+
+macro_rules! impl_tile_elem {
+    ($($t:ty),*) => {
+        $(impl TileElem for $t {
+            const DTYPE: &'static str = stringify!($t);
+            #[inline]
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read_le(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("chunk is BYTES long"))
+            }
+        })*
+    };
+}
+
+impl_tile_elem!(f32, f64, u16, i32);
+
+/// Stored size of a `rows × cols` tile of `E`: payload plus checksum. The
+/// driver charges a resident tile this much against its budget, and a
+/// [`FileStore`] reserves `tile_bytes(t, t)` per slot.
+pub fn tile_bytes<E: TileElem>(rows: usize, cols: usize) -> u64 {
+    (rows * cols * E::BYTES + CHECKSUM_BYTES) as u64
+}
+
+/// Checksum of a slot's payload: four seeded 64-bit lanes of wrapping word
+/// sums (a loop the compiler vectorises), mixed once at the end with the
+/// length. The seeds make an all-zero slot — one that was never written —
+/// fail instead of summing to its own zero checksum field.
+fn checksum(payload: &[u8]) -> u64 {
+    const LANES: usize = 4;
+    let mut lanes: [u64; LANES] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xC2B2_AE3D_27D4_EB4F,
+        0x1656_67B1_9E37_79F9,
+        0x27D4_EB2F_1656_67C5,
+    ];
+    let mut fold = |block: &[u8]| {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane.wrapping_add(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+    };
+    let mut blocks = payload.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        fold(block);
+    }
+    let mut tail = [0u8; 8 * LANES];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    fold(&tail);
+    lanes.iter().fold(payload.len() as u64, |h, &lane| {
+        (h.rotate_left(23) ^ lane).wrapping_mul(0xFF51_AFD7_ED55_8CCD)
+    })
+}
+
+/// Serialize `tile` into a fresh slot buffer: rows back to back, then the
+/// checksum.
+fn encode<E: TileElem>(tile: &View<'_, E>) -> Vec<u8> {
+    let row_bytes = tile.cols() * E::BYTES;
+    let payload = tile.rows() * row_bytes;
+    let mut out = vec![0u8; payload + CHECKSUM_BYTES];
+    for (r, dst) in out[..payload].chunks_exact_mut(row_bytes).enumerate() {
+        for (chunk, &v) in dst.chunks_exact_mut(E::BYTES).zip(tile.row(r)) {
+            v.write_le(chunk);
+        }
+    }
+    let sum = checksum(&out[..payload]);
+    out[payload..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Inverse of [`encode`] for a `rows × cols` tile; `None` if the length or
+/// the checksum disagrees with the payload.
+fn decode<E: TileElem>(bytes: &[u8], rows: usize, cols: usize) -> Option<Matrix<E>> {
+    let payload = rows * cols * E::BYTES;
+    if bytes.len() != payload + CHECKSUM_BYTES {
+        return None;
+    }
+    let (body, sum) = bytes.split_at(payload);
+    if sum != checksum(body).to_le_bytes() {
+        return None;
+    }
+    let data = body.chunks_exact(E::BYTES).map(E::read_le).collect();
+    Some(Matrix::from_vec(rows, cols, data))
+}
+
+/// Fetch tile `(ti, tj)` of `store` as a dense matrix, verifying its
+/// checksum.
+///
+/// # Panics
+/// Panics if `store` was created for a different element type than `E`.
+pub fn read_tile<E: TileElem>(
+    store: &mut dyn TileStore,
+    ti: usize,
+    tj: usize,
+) -> Result<Matrix<E>, StoreError> {
+    assert_eq!(store.dtype(), E::DTYPE, "tile store element type mismatch");
+    let (rows, cols) = store.tile_dims(ti, tj);
+    let bytes = store.read(ti, tj)?;
+    decode(&bytes, rows, cols).ok_or(StoreError::CorruptTile { ti, tj })
+}
+
+/// Queue `tile` as the new contents of tile `(ti, tj)` of `store`.
+///
+/// # Panics
+/// Panics if `store` was created for a different element type than `E`, or
+/// `tile` does not have the dimensions of tile `(ti, tj)`.
+pub fn write_tile<E: TileElem>(
+    store: &mut dyn TileStore,
+    ti: usize,
+    tj: usize,
+    tile: &View<'_, E>,
+) -> Result<(), StoreError> {
+    assert_eq!(store.dtype(), E::DTYPE, "tile store element type mismatch");
+    assert_eq!((tile.rows(), tile.cols()), store.tile_dims(ti, tj), "tile shape mismatch");
+    store.write(ti, tj, encode(tile))
 }
 
 /// Typed failures from a [`TileStore`].
@@ -46,14 +186,23 @@ pub enum StoreError {
         /// Stringified `io::Error`.
         detail: String,
     },
-    /// The store file's own header is wrong (bad magic, version, or a
-    /// shape that contradicts the file length — e.g. a truncated file).
+    /// The store file's own header is wrong (bad magic, dtype, a geometry
+    /// that overflows or contradicts the file length — e.g. a truncated
+    /// file).
     BadHeader {
         /// Human-readable description of the mismatch.
         detail: String,
     },
     /// A tile that was never written was read.
     MissingTile {
+        /// Block-row index.
+        ti: usize,
+        /// Block-column index.
+        tj: usize,
+    },
+    /// A slot's bytes do not match their checksum: a torn or stomped write,
+    /// or a slot of a file store that was never written.
+    CorruptTile {
         /// Block-row index.
         ti: usize,
         /// Block-column index.
@@ -71,6 +220,9 @@ impl std::fmt::Display for StoreError {
             StoreError::MissingTile { ti, tj } => {
                 write!(f, "tile ({ti}, {tj}) was never written")
             }
+            StoreError::CorruptTile { ti, tj } => {
+                write!(f, "tile ({ti}, {tj}) is corrupt (checksum mismatch)")
+            }
             StoreError::WorkerGone => write!(f, "tile store I/O worker is gone"),
         }
     }
@@ -82,11 +234,11 @@ fn io_err(op: &'static str, e: std::io::Error) -> StoreError {
     StoreError::Io { op, detail: e.to_string() }
 }
 
-/// Blob-level storage for the tile grid of one square matrix.
+/// Byte-level storage for the tile grid of one square matrix.
 ///
-/// Implementations deal in opaque serialized-`PackedB` bytes; the driver
-/// ([`super::ooc_fw`]) owns encode/decode. `read`/`write` address tiles by
-/// block coordinates `(ti, tj)` with `ti, tj < ⌈n/t⌉`.
+/// Implementations move opaque slot bytes; [`read_tile`] / [`write_tile`]
+/// own the encoding. Tiles are addressed by block coordinates `(ti, tj)`
+/// with `ti, tj < ⌈n/t⌉`.
 pub trait TileStore: Send {
     /// Matrix dimension.
     fn n(&self) -> usize;
@@ -94,13 +246,15 @@ pub trait TileStore: Send {
     fn tile(&self) -> usize;
     /// `"memory"` or `"file"` — surfaced in solver notes and bench labels.
     fn kind(&self) -> &'static str;
-    /// Fetch the blob for tile `(ti, tj)`, consuming any in-flight
+    /// [`TileElem::DTYPE`] of the element type the store was created for.
+    fn dtype(&self) -> &'static str;
+    /// Fetch the bytes of tile `(ti, tj)`, consuming any in-flight
     /// prefetch for it. Blocks until the bytes are available.
     fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError>;
-    /// Queue `blob` as the new contents of tile `(ti, tj)`. May return
+    /// Queue `bytes` as the new contents of tile `(ti, tj)`. May return
     /// before the bytes are durable; a later `read` of the same tile still
     /// observes them (FIFO), and [`TileStore::flush`] waits for all of them.
-    fn write(&mut self, ti: usize, tj: usize, blob: Vec<u8>) -> Result<(), StoreError>;
+    fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError>;
     /// Hint that `(ti, tj)` will be read soon. Best-effort; default no-op.
     fn prefetch(&mut self, _ti: usize, _tj: usize) {}
     /// Wait until every queued write has completed, surfacing any deferred
@@ -108,15 +262,29 @@ pub trait TileStore: Send {
     fn flush(&mut self) -> Result<(), StoreError> {
         Ok(())
     }
-    /// Host-RAM bytes this store currently holds (all blobs for
+    /// Host-RAM bytes this store currently holds (every tile for
     /// [`MemStore`]; in-flight read/write buffers for [`FileStore`]).
     /// Counted against the driver's budget.
     fn resident_bytes(&self) -> u64;
-    /// Per-slot capacity: the largest blob any tile of this store needs.
-    fn max_blob_bytes(&self) -> usize;
     /// Tiles per side, `⌈n/t⌉`.
     fn tiles_per_side(&self) -> usize {
         self.n().div_ceil(self.tile())
+    }
+    /// Row-major position of tile `(ti, tj)` in the grid.
+    ///
+    /// # Panics
+    /// Panics if `(ti, tj)` is outside the grid.
+    fn tile_index(&self, ti: usize, tj: usize) -> usize {
+        let nb = self.tiles_per_side();
+        assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
+        ti * nb + tj
+    }
+    /// `(rows, cols)` of tile `(ti, tj)`: `t × t` except on the ragged last
+    /// block row and column. Panics like [`TileStore::tile_index`].
+    fn tile_dims(&self, ti: usize, tj: usize) -> (usize, usize) {
+        let (n, t, nb) = (self.n(), self.tile(), self.tiles_per_side());
+        assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
+        (t.min(n - ti * t), t.min(n - tj * t))
     }
 }
 
@@ -124,38 +292,27 @@ pub trait TileStore: Send {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// In-memory tile store: the whole grid of blobs lives in host RAM. This is
-/// the no-staging baseline — same driver, same packed format, zero disk.
+/// In-memory tile store: the whole grid of encoded tiles lives in host RAM.
+/// This is the no-staging baseline — same driver, same slot format, zero
+/// disk.
 pub struct MemStore {
     n: usize,
     tile: usize,
-    slot_cap: usize,
+    dtype: &'static str,
     slots: Vec<Option<Vec<u8>>>,
     resident: u64,
 }
 
 impl MemStore {
-    /// Empty store for an `n × n` matrix in `tile × tile` blobs of element
+    /// Empty store for an `n × n` matrix in `tile × tile` tiles of element
     /// type `E`.
     ///
     /// # Panics
     /// Panics if `n` or `tile` is zero.
-    pub fn new<E: PackElem>(n: usize, tile: usize) -> Self {
+    pub fn new<E: TileElem>(n: usize, tile: usize) -> Self {
         assert!(n > 0 && tile > 0, "tile store dimensions must be positive");
         let nb = n.div_ceil(tile);
-        MemStore {
-            n,
-            tile,
-            slot_cap: tile_blob_capacity::<E>(tile),
-            slots: (0..nb * nb).map(|_| None).collect(),
-            resident: 0,
-        }
-    }
-
-    fn slot(&self, ti: usize, tj: usize) -> usize {
-        let nb = self.tiles_per_side();
-        assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
-        ti * nb + tj
+        MemStore { n, tile, dtype: E::DTYPE, slots: vec![None; nb * nb], resident: 0 }
     }
 }
 
@@ -169,24 +326,24 @@ impl TileStore for MemStore {
     fn kind(&self) -> &'static str {
         "memory"
     }
+    fn dtype(&self) -> &'static str {
+        self.dtype
+    }
     fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError> {
-        let s = self.slot(ti, tj);
+        let s = self.tile_index(ti, tj);
         self.slots[s].clone().ok_or(StoreError::MissingTile { ti, tj })
     }
-    fn write(&mut self, ti: usize, tj: usize, blob: Vec<u8>) -> Result<(), StoreError> {
-        let s = self.slot(ti, tj);
+    fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError> {
+        let s = self.tile_index(ti, tj);
         if let Some(old) = self.slots[s].take() {
             self.resident -= old.len() as u64;
         }
-        self.resident += blob.len() as u64;
-        self.slots[s] = Some(blob);
+        self.resident += bytes.len() as u64;
+        self.slots[s] = Some(bytes);
         Ok(())
     }
     fn resident_bytes(&self) -> u64 {
         self.resident
-    }
-    fn max_blob_bytes(&self) -> usize {
-        self.slot_cap
     }
 }
 
@@ -194,18 +351,31 @@ impl TileStore for MemStore {
 // FileStore
 // ---------------------------------------------------------------------------
 
-/// Store-file magic ("APsp Tile Store 1").
-const FILE_MAGIC: [u8; 8] = *b"APSPTS01";
+/// Store-file magic ("APsp Tile Store 2": dense checksummed slots).
+const FILE_MAGIC: [u8; 8] = *b"APSPTS02";
 /// Fixed file header: magic + elem field (u32) + n/tile/slot (u64 each).
-/// The elem field packs the byte width in its low 16 bits and the
-/// [`PackElem`] dtype code in the high 16, mirroring the per-blob `APTB`
-/// header — so a store written as i32 cannot be opened as f32 even though
+/// The elem field packs the byte width in its low 16 bits and the dtype
+/// code — `f`, `i` or `u`, the first letter of [`TileElem::DTYPE`] — in the
+/// high 16, so a store written as i32 cannot be opened as f32 even though
 /// both have 4-byte elements and identical slot capacities.
 const FILE_HEADER: usize = 8 + 4 + 3 * 8;
 
 /// The elem field a store of element type `E` carries.
-fn elem_field<E: PackElem>() -> u32 {
-    (E::BYTES as u32) | ((E::CODE as u32) << 16)
+fn elem_field<E: TileElem>() -> u32 {
+    (E::BYTES as u32) | ((E::DTYPE.as_bytes()[0] as u32) << 16)
+}
+
+/// Slot capacity and total file length of an `n × n` store of `tile × tile`
+/// tiles of `E`, or `None` if a dimension is zero or anything overflows —
+/// header fields are outside input, so nothing here may wrap or panic.
+fn file_geometry<E: TileElem>(n: usize, tile: usize) -> Option<(usize, u64)> {
+    if n == 0 || tile == 0 {
+        return None;
+    }
+    let slot = tile.checked_mul(tile)?.checked_mul(E::BYTES)?.checked_add(CHECKSUM_BYTES)?;
+    let nb = n.div_ceil(tile);
+    let len = nb.checked_mul(nb)?.checked_mul(slot)?.checked_add(FILE_HEADER)?;
+    Some((slot, u64::try_from(len).ok()?))
 }
 
 /// Reply channel for an asynchronous slot read.
@@ -246,16 +416,17 @@ fn io_worker(mut file: File, rx: Receiver<IoReq>) {
 
 /// File-backed tile store: a header plus `⌈n/t⌉²` fixed-capacity slots, all
 /// I/O performed by one background worker thread. `prefetch` issues an
-/// asynchronous slot read; `write` queues the blob and returns immediately
-/// (bounded by `depth` outstanding writes, so queued buffers can never
-/// exceed `depth · slot` bytes of RAM); the FIFO request queue makes any
+/// asynchronous slot read; `write` queues the bytes and returns immediately
+/// (bounded by [`IO_DEPTH`] outstanding writes, so queued buffers can never
+/// exceed `IO_DEPTH · slot` bytes of RAM); the FIFO request queue makes any
 /// read issued after a write to the same slot observe the new bytes.
 pub struct FileStore {
     path: PathBuf,
     n: usize,
     tile: usize,
+    dtype: &'static str,
+    elem_bytes: usize,
     slot_cap: usize,
-    depth: usize,
     tx: Option<Sender<IoReq>>,
     worker: Option<JoinHandle<()>>,
     inflight_reads: HashMap<(usize, usize), ReadReply>,
@@ -264,27 +435,18 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Create a store file for an `n × n` matrix in `tile × tile` blobs of
-    /// element type `E`, allowing up to `depth` outstanding writes.
+    /// Create a store file for an `n × n` matrix in `tile × tile` tiles of
+    /// element type `E`.
     ///
     /// The file is created exclusively: an existing `path` — another
     /// solve's store, or a symlink planted under a predictable name in a
     /// shared temp dir — is a typed `open` error, never truncated or
     /// followed. A file this call created is removed again if sizing it
-    /// fails.
-    ///
-    /// # Panics
-    /// Panics if `n`, `tile`, or `depth` is zero.
-    pub fn create<E: PackElem>(
-        path: &Path,
-        n: usize,
-        tile: usize,
-        depth: usize,
-    ) -> Result<Self, StoreError> {
-        assert!(n > 0 && tile > 0, "tile store dimensions must be positive");
-        assert!(depth > 0, "write queue depth must be positive");
-        let slot_cap = tile_blob_capacity::<E>(tile);
-        let nb = n.div_ceil(tile);
+    /// fails. A zero or overflowing geometry is a typed `BadHeader`.
+    pub fn create<E: TileElem>(path: &Path, n: usize, tile: usize) -> Result<Self, StoreError> {
+        let (slot_cap, len) = file_geometry::<E>(n, tile).ok_or_else(|| StoreError::BadHeader {
+            detail: format!("implausible geometry n={n} tile={tile}"),
+        })?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -297,23 +459,20 @@ impl FileStore {
         for v in [n as u64, tile as u64, slot_cap as u64] {
             header.extend_from_slice(&v.to_le_bytes());
         }
-        let sized = file
-            .write_all(&header)
-            .and_then(|()| file.set_len((FILE_HEADER + nb * nb * slot_cap) as u64));
+        let sized = file.write_all(&header).and_then(|()| file.set_len(len));
         if let Err(e) = sized {
             drop(file);
             let _ = std::fs::remove_file(path);
             return Err(io_err("write", e));
         }
-        Ok(Self::start(path.to_path_buf(), file, n, tile, slot_cap, depth))
+        Ok(Self::start::<E>(path.to_path_buf(), file, n, tile, slot_cap))
     }
 
     /// Open an existing store file, validating its header against the
     /// element type `E` and its length against the declared geometry. A
-    /// truncated or foreign file fails here with a typed error rather than
-    /// a panic mid-solve.
-    pub fn open<E: PackElem>(path: &Path, depth: usize) -> Result<Self, StoreError> {
-        assert!(depth > 0, "write queue depth must be positive");
+    /// truncated, foreign or hostile file fails here with a typed error
+    /// rather than a panic mid-solve.
+    pub fn open<E: TileElem>(path: &Path) -> Result<Self, StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -321,53 +480,37 @@ impl FileStore {
             .map_err(|e| io_err("open", e))?;
         let mut header = [0u8; FILE_HEADER];
         file.read_exact(&mut header).map_err(|e| io_err("read", e))?;
+        let bad = |detail: String| StoreError::BadHeader { detail };
         if header[..8] != FILE_MAGIC {
-            return Err(StoreError::BadHeader { detail: "wrong magic".into() });
+            return Err(bad("wrong magic".into()));
         }
-        let elem = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let elem = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         let width = (elem & 0xFFFF) as usize;
-        let code = (elem >> 16) as u8;
         if width != E::BYTES {
-            return Err(StoreError::BadHeader {
-                detail: format!("element width {width}, expected {}", E::BYTES),
-            });
+            return Err(bad(format!("element width {width}, expected {}", E::BYTES)));
         }
-        if code != E::CODE {
-            return Err(StoreError::BadHeader {
-                detail: format!(
-                    "element dtype {}, expected {}",
-                    srgemm::gemm::dtype_name(code),
-                    E::DTYPE
-                ),
-            });
+        if elem != elem_field::<E>() {
+            let code = char::from((elem >> 16) as u8).escape_default();
+            return Err(bad(format!("element dtype {code}{}, expected {}", 8 * width, E::DTYPE)));
         }
-        let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
-        let (n, tile, slot_cap) =
-            (u64_at(12) as usize, u64_at(20) as usize, u64_at(28) as usize);
-        if n == 0 || tile == 0 || slot_cap != tile_blob_capacity::<E>(tile) {
-            return Err(StoreError::BadHeader {
-                detail: format!("implausible geometry n={n} tile={tile} slot={slot_cap}"),
-            });
+        let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("8 bytes"));
+        let (n, tile, slot) = (u64_at(12), u64_at(20), u64_at(28));
+        let implausible = || bad(format!("implausible geometry n={n} tile={tile} slot={slot}"));
+        let (Ok(n), Ok(tile)) = (usize::try_from(n), usize::try_from(tile)) else {
+            return Err(implausible());
+        };
+        let (slot_cap, want) = file_geometry::<E>(n, tile).ok_or_else(implausible)?;
+        if slot != slot_cap as u64 {
+            return Err(implausible());
         }
-        let nb = n.div_ceil(tile);
-        let want = (FILE_HEADER + nb * nb * slot_cap) as u64;
         let got = file.metadata().map_err(|e| io_err("open", e))?.len();
         if got < want {
-            return Err(StoreError::BadHeader {
-                detail: format!("file is {got} bytes, geometry needs {want} (truncated?)"),
-            });
+            return Err(bad(format!("file is {got} bytes, geometry needs {want} (truncated?)")));
         }
-        Ok(Self::start(path.to_path_buf(), file, n, tile, slot_cap, depth))
+        Ok(Self::start::<E>(path.to_path_buf(), file, n, tile, slot_cap))
     }
 
-    fn start(
-        path: PathBuf,
-        file: File,
-        n: usize,
-        tile: usize,
-        slot_cap: usize,
-        depth: usize,
-    ) -> Self {
+    fn start<E: TileElem>(path: PathBuf, file: File, n: usize, tile: usize, slot_cap: usize) -> Self {
         let (tx, rx) = channel();
         let worker = std::thread::Builder::new()
             .name("ooc-tile-io".into())
@@ -377,8 +520,9 @@ impl FileStore {
             path,
             n,
             tile,
+            dtype: E::DTYPE,
+            elem_bytes: E::BYTES,
             slot_cap,
-            depth,
             tx: Some(tx),
             worker: Some(worker),
             inflight_reads: HashMap::new(),
@@ -392,14 +536,26 @@ impl FileStore {
         &self.path
     }
 
-    fn offset(&self, ti: usize, tj: usize) -> u64 {
-        let nb = self.tiles_per_side();
-        assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
-        (FILE_HEADER + (ti * nb + tj) * self.slot_cap) as u64
+    /// File offset and stored length of tile `(ti, tj)`.
+    fn slot(&self, ti: usize, tj: usize) -> (u64, usize) {
+        let off = FILE_HEADER + self.tile_index(ti, tj) * self.slot_cap;
+        let (rows, cols) = self.tile_dims(ti, tj);
+        (off as u64, rows * cols * self.elem_bytes + CHECKSUM_BYTES)
     }
 
     fn sender(&self) -> Result<&Sender<IoReq>, StoreError> {
         self.tx.as_ref().ok_or(StoreError::WorkerGone)
+    }
+
+    /// Ask the worker for tile `(ti, tj)`, charging its buffer as resident.
+    fn request_read(&mut self, ti: usize, tj: usize) -> Result<ReadReply, StoreError> {
+        let (off, len) = self.slot(ti, tj);
+        let (reply, rx) = channel();
+        self.sender()?
+            .send(IoReq::Read { off, len, reply })
+            .map_err(|_| StoreError::WorkerGone)?;
+        self.resident += len as u64;
+        Ok(rx)
     }
 
     /// Wait for the oldest queued write to land.
@@ -426,36 +582,30 @@ impl TileStore for FileStore {
     fn kind(&self) -> &'static str {
         "file"
     }
+    fn dtype(&self) -> &'static str {
+        self.dtype
+    }
 
     fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError> {
         let rx = match self.inflight_reads.remove(&(ti, tj)) {
             Some(rx) => rx,
-            None => {
-                let (reply, rx) = channel();
-                let off = self.offset(ti, tj);
-                self.sender()?
-                    .send(IoReq::Read { off, len: self.slot_cap, reply })
-                    .map_err(|_| StoreError::WorkerGone)?;
-                self.resident += self.slot_cap as u64;
-                rx
-            }
+            None => self.request_read(ti, tj)?,
         };
         let res = rx.recv().map_err(|_| StoreError::WorkerGone)?;
-        self.resident -= self.slot_cap as u64;
+        self.resident -= self.slot(ti, tj).1 as u64;
         res
     }
 
-    fn write(&mut self, ti: usize, tj: usize, blob: Vec<u8>) -> Result<(), StoreError> {
-        assert!(blob.len() <= self.slot_cap, "blob exceeds slot capacity");
-        // Bound queued-write RAM at depth · slot.
-        while self.pending_writes.len() >= self.depth {
+    fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError> {
+        let (off, len) = self.slot(ti, tj);
+        assert_eq!(bytes.len(), len, "tile ({ti}, {tj}) has the wrong stored length");
+        // Bound queued-write RAM at IO_DEPTH · slot.
+        while self.pending_writes.len() >= IO_DEPTH {
             self.retire_one_write()?;
         }
-        let off = self.offset(ti, tj);
-        let len = blob.len();
         let (reply, rx) = channel();
         self.sender()?
-            .send(IoReq::Write { off, data: blob, reply })
+            .send(IoReq::Write { off, data: bytes, reply })
             .map_err(|_| StoreError::WorkerGone)?;
         self.resident += len as u64;
         self.pending_writes.push((len, rx));
@@ -463,23 +613,11 @@ impl TileStore for FileStore {
     }
 
     fn prefetch(&mut self, ti: usize, tj: usize) {
-        if self.inflight_reads.contains_key(&(ti, tj)) || self.tx.is_none() {
-            return;
-        }
         // Keep read-ahead bounded by the same depth as writes.
-        if self.inflight_reads.len() >= self.depth {
+        if self.inflight_reads.contains_key(&(ti, tj)) || self.inflight_reads.len() >= IO_DEPTH {
             return;
         }
-        let (reply, rx) = channel();
-        let off = self.offset(ti, tj);
-        if self
-            .tx
-            .as_ref()
-            .unwrap()
-            .send(IoReq::Read { off, len: self.slot_cap, reply })
-            .is_ok()
-        {
-            self.resident += self.slot_cap as u64;
+        if let Ok(rx) = self.request_read(ti, tj) {
             self.inflight_reads.insert((ti, tj), rx);
         }
     }
@@ -499,9 +637,6 @@ impl TileStore for FileStore {
     fn resident_bytes(&self) -> u64 {
         self.resident
     }
-    fn max_blob_bytes(&self) -> usize {
-        self.slot_cap
-    }
 }
 
 impl Drop for FileStore {
@@ -510,6 +645,74 @@ impl Drop for FileStore {
         drop(self.tx.take()); // close the channel so the worker exits
         if let Some(w) = self.worker.take() {
             let _ = w.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Deterministic bit patterns, including ones that are NaNs or
+    /// negative zeros when read as floats: the codec must move bits, not
+    /// values.
+    fn bits(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        }
+    }
+
+    /// decode(encode(x)) is bit-equal to x for square and ragged edge
+    /// tiles, read through strided subviews as `ingest` does, and the
+    /// stored length is what `tile_bytes` promises.
+    fn round_trip<E: TileElem + PartialEq + std::fmt::Debug>(from_bits: impl Fn(u64) -> E) {
+        for &(rows, cols) in &[(1, 1), (8, 8), (7, 7), (24, 5), (5, 24), (33, 47), (192, 64)] {
+            let mut next = bits((rows * 131 + cols) as u64);
+            let parent = Matrix::from_fn(rows + 3, cols + 2, |_, _| from_bits(next()));
+            let tile = parent.subview(2, 1, rows, cols);
+            let bytes = encode(&tile);
+            assert_eq!(bytes.len() as u64, tile_bytes::<E>(rows, cols), "{} {rows}×{cols}", E::DTYPE);
+            let back = decode::<E>(&bytes, rows, cols).expect("round trip decodes");
+            // compare re-encodings: bit equality even where `==` on floats
+            // would say NaN != NaN
+            assert_eq!(encode(&back.view()), bytes, "{} {rows}×{cols}", E::DTYPE);
+            assert_eq!((back.rows(), back.cols()), (rows, cols));
+        }
+    }
+
+    #[test]
+    fn codec_round_trip_is_bit_exact_per_dtype_square_and_ragged() {
+        round_trip::<f32>(|b| f32::from_bits(b as u32));
+        round_trip::<f64>(f64::from_bits);
+        round_trip::<u16>(|b| b as u16);
+        round_trip::<i32>(|b| b as u32 as i32);
+    }
+
+    #[test]
+    fn decode_refuses_any_flipped_bit_wrong_shape_or_blank_slot() {
+        let m = Matrix::from_fn(9, 13, |i, j| (i * 13 + j) as f32 / 8.0);
+        let bytes = encode(&m.view());
+        assert!(decode::<f32>(&bytes, 9, 13).is_some());
+        // one flipped bit anywhere — payload or checksum — is refused
+        for at in [0, 1, bytes.len() / 2, bytes.len() - 9, bytes.len() - 8, bytes.len() - 1] {
+            for bit in [0, 7] {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                assert!(decode::<f32>(&bad, 9, 13).is_none(), "flip at byte {at} bit {bit}");
+            }
+        }
+        // the same bytes under another element count or a truncated length
+        assert!(decode::<f32>(&bytes, 9, 12).is_none());
+        assert!(decode::<f32>(&bytes[..bytes.len() - 1], 9, 13).is_none());
+        // a never-written slot is all zeros, for every length the tail
+        // handling distinguishes
+        for (rows, cols) in [(9, 13), (8, 8), (1, 1), (3, 5)] {
+            let blank = vec![0u8; tile_bytes::<f32>(rows, cols) as usize];
+            assert!(decode::<f32>(&blank, rows, cols).is_none(), "blank {rows}×{cols}");
+            let blank = vec![0u8; tile_bytes::<u16>(rows, cols) as usize];
+            assert!(decode::<u16>(&blank, rows, cols).is_none(), "blank u16 {rows}×{cols}");
         }
     }
 }

@@ -230,21 +230,18 @@ impl Solver for FwSeq {
     }
 }
 
-/// Double-buffer depth of the out-of-core solver's tile store.
-const OOC_DEPTH: usize = 2;
-
-/// Out-of-core blocked FW: the matrix lives in a tile store of packed-GEMM
-/// blobs (file-backed when the memory budget forces staging), and the
-/// driver walks the blocked-FW schedule under that budget. The only dense
+/// Out-of-core blocked FW: the matrix lives in a tile store of dense
+/// checksummed tiles (file-backed when the memory budget forces staging),
+/// and the driver walks the blocked-FW schedule under that budget. The only dense
 /// solver that stays eligible when `--memory-budget` is below the dense
 /// matrix size.
 struct Ooc;
 
 impl Ooc {
-    /// Resident bytes of an *in-memory* out-of-core run: the blob store
-    /// (~dense + pack padding), the decoded tile cache (~dense again), and
-    /// scratch. The margin keeps this mode honest — if it doesn't fit, the
-    /// solver stages to disk instead.
+    /// Resident bytes of an *in-memory* out-of-core run: the encoded tile
+    /// store (~dense), the decoded tile cache (~dense again), and scratch.
+    /// The margin keeps this mode honest — if it doesn't fit, the solver
+    /// stages to disk instead.
     fn in_mem_bytes(dense_bytes: u64) -> u64 {
         2 * dense_bytes + dense_bytes / 4
     }
@@ -276,11 +273,11 @@ impl Solver for Ooc {
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
         match Self::staged_under(opts, profile.dense_bytes) {
-            Some(budget) => match choose_tile::<f32>(profile.n, budget, OOC_DEPTH) {
-                Some(tile) => staged_budget_floor::<f32>(tile, OOC_DEPTH),
+            Some(budget) => match choose_tile::<f32>(profile.n, budget) {
+                Some(tile) => staged_budget_floor::<f32>(tile),
                 // nothing fits: report the smallest possible floor, which
                 // exceeds the budget and turns into a typed MemoryBudget row
-                None => staged_budget_floor::<f32>(8.min(profile.n.max(1)), OOC_DEPTH),
+                None => staged_budget_floor::<f32>(8.min(profile.n.max(1))),
             },
             None => Self::in_mem_bytes(profile.dense_bytes),
         }
@@ -290,7 +287,7 @@ impl Solver for Ooc {
         let compute = dense_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
         match Self::staged_under(opts, profile.dense_bytes) {
             Some(budget) => {
-                let tile = choose_tile::<f32>(profile.n, budget, OOC_DEPTH).unwrap_or(8);
+                let tile = choose_tile::<f32>(profile.n, budget).unwrap_or(8);
                 let passes = profile.n.div_ceil(tile.max(1)) as f64;
                 // each block iteration re-reads and re-writes ~the matrix
                 let disk = passes * 2.0 * profile.dense_bytes as f64 * T_DISK;
@@ -317,17 +314,17 @@ impl Solver for Ooc {
         let dense_bytes = (n * n * 4) as u64;
         let (stats, store_kind) = match Self::staged_under(opts, dense_bytes) {
             Some(budget) => {
-                let tile = choose_tile::<f32>(n, budget, OOC_DEPTH).ok_or_else(|| {
+                let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
                     SolveError::Ooc(OocError::BudgetTooSmall {
-                        required: staged_budget_floor::<f32>(8.min(n), OOC_DEPTH),
+                        required: staged_budget_floor::<f32>(8.min(n)),
                         budget,
                     })
                 })?;
                 let path = Self::staging_path(n, tile);
                 // exclusive create: a failure here leaves no file of ours
-                let mut store = FileStore::create::<f32>(&path, n, tile, OOC_DEPTH)
+                let mut store = FileStore::create::<f32>(&path, n, tile)
                     .map_err(|e| SolveError::Ooc(e.into()))?;
-                let cfg = OocConfig { budget_bytes: budget, depth: OOC_DEPTH, threads };
+                let cfg = OocConfig { budget_bytes: budget, threads };
                 let res = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg);
                 drop(store);
                 let _ = std::fs::remove_file(&path);
@@ -851,8 +848,8 @@ mod tests {
         let reg = Registry::with_all();
         let g = unit_fixture(48, 10, 23);
         // above zero (so the registry reaches the solver when forced) but
-        // below the smallest staged floor
-        let opts = SolveOpts { memory_budget: Some(4096), ..Default::default() };
+        // below the smallest staged floor (2 872 B at tile 8)
+        let opts = SolveOpts { memory_budget: Some(2048), ..Default::default() };
         match reg.solve("ooc", &g, &opts) {
             Err(SolveError::Ineligible { solver: "ooc", reason: Ineligible::MemoryBudget { .. } }) => {}
             Err(SolveError::Ooc(e)) => {

@@ -22,8 +22,8 @@ mod parallel;
 
 pub use naive::gemm_naive;
 pub use pack::{
-    dtype_name, gemm_packed, gemm_packed_with_b, gemm_packed_with_scratch, pad_quantum,
-    pad_quantum_for, Isa, PackDecodeError, PackElem, PackedA, PackedB, KC, MC, NC,
+    gemm_packed, gemm_packed_with_b, gemm_packed_with_scratch, pad_quantum, Isa, PackedA, PackedB,
+    KC, MC, NC,
 };
 pub use parallel::gemm_packed_threads;
 

@@ -45,9 +45,7 @@ pub mod matrix;
 pub mod panel;
 pub mod semiring;
 
-pub use gemm::{
-    gemm_naive, gemm_packed, gemm_packed_threads, PackDecodeError, PackElem, PackedB,
-};
+pub use gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
 pub use matrix::{Matrix, View, ViewMut};
 pub use semiring::{
     BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatI32, MinPlusSatU16, RealArith, Semiring,
