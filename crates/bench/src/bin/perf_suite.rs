@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `run` measures the GEMM kernels (incl. the headline packed-vs-blocked
-//! entry and the quantized u16/i32 packed lanes), blocked FW, the 2×2×2
+//! entry and the quantized u16 packed lanes), blocked FW, the 2×2×2
 //! distributed policy cube, the headline baseline-vs-budgeted distributed
 //! run, and the quantized end-to-end solve, and writes the
 //! `apsp-bench-perf/1` JSON to `--out` (default `BENCH_PR10.json`; `-` for

@@ -15,10 +15,10 @@
 //! do the same for the planner: each generator family records the
 //! planner-chosen solver against forced dense-blocked.
 //!
-//! The `gemm/packed/minplus_u16` / `gemm/packed/minplus_i32` entries run
-//! the same packed kernel over the saturating integer semirings at the
-//! f32 headline size (baseline = packed f32), and `quant/solve_vs_f32`
-//! records the quantized end-to-end solve against f32 blocked FW.
+//! The `gemm/packed/minplus_u16` entry runs the same packed kernel over
+//! the saturating `u16` semiring at the f32 headline size (baseline =
+//! packed f32), and `quant/solve_vs_f32` records the quantized end-to-end
+//! solve against f32 blocked FW.
 //!
 //! Schema (`apsp-bench-perf/1`): a top-level object with `schema`, `mode`,
 //! `reps`, `available_parallelism`, and `entries`; each entry has `name`
@@ -34,7 +34,7 @@ use apsp_core::{
 };
 use apsp_graph::generators::{self, WeightKind};
 use srgemm::gemm::{gemm_flops, gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
-use srgemm::{Matrix, MinPlus, MinPlusSatI32, MinPlusSatU16, Semiring};
+use srgemm::{Matrix, MinPlus, MinPlusSatU16, Semiring};
 
 use crate::json::Json;
 
@@ -57,7 +57,7 @@ pub struct Entry {
     pub params: Vec<(String, f64)>,
     /// Best (minimum) wall-clock seconds over the suite's repetitions.
     pub wall_s: f64,
-    /// Element dtype the kernel ran over (`f32`, `f64`, `u16`, `i32`),
+    /// Element dtype the kernel ran over (`f32`, `f64`, `u16`),
     /// when one is defined. The comparator refuses to join two entries
     /// whose dtypes differ: a quantized `u16` run is 2–4× wider in SIMD
     /// lanes than the `f32` baseline and must never silently diff
@@ -527,17 +527,15 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
         wall_s
     };
 
-    // --- quantized packed kernels: u16/i32 saturating lanes vs packed f32 --
+    // --- quantized packed kernel: u16 saturating lanes vs packed f32 -------
     // Same packed kernel, same n as the f32 headline above; the only change
     // is the element width, so `speedup` here is exactly the lane-width win
-    // (elements retired per second relative to the f32 datapath). u16 packs
-    // 2× the lanes of f32 per vector register, i32 the same count but with
-    // integer min/add ports; the acceptance bar for u16 is ≥ 1.8× on
-    // AVX-512 (≥ 1.4× on AVX2).
-    eprintln!("[perf] gemm quantized lanes (u16/i32 vs packed f32), n = {}", sz.gemm_headline_n);
+    // (elements retired per second relative to the f32 datapath): u16 packs
+    // 2× the lanes of f32 per vector register and measures ≈ 1.2× on this
+    // box (ROADMAP item 5).
+    eprintln!("[perf] gemm quantized lanes (u16 vs packed f32), n = {}", sz.gemm_headline_n);
     {
         let n = sz.gemm_headline_n;
-        let flops = gemm_flops(n, n, n);
         let mk_u16 = |seed: u64| {
             let mut state = seed | 1;
             Matrix::from_fn(n, n, |_, _| {
@@ -545,57 +543,26 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
                 ((state >> 33) % 1000) as u16
             })
         };
-        let mk_i32 = |seed: u64| {
-            let mut state = seed | 1;
-            Matrix::from_fn(n, n, |_, _| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) % 1000) as i32
-            })
-        };
-        {
-            let (a, b, c0) = (mk_u16(55), mk_u16(66), mk_u16(77));
-            let wall_s = time_min(
-                reps,
-                || c0.clone(),
-                |mut c| gemm_packed::<MinPlusSatU16>(&mut c.view_mut(), &a.view(), &b.view()),
-            );
-            eprintln!(
-                "  gemm/packed/minplus_u16: {wall_s:.6}s, x{:.3} vs packed f32",
-                packed_f32_wall_s / wall_s
-            );
-            entries.push(Entry {
-                name: "gemm/packed/minplus_u16".to_string(),
-                group: "gemm".to_string(),
-                params: vec![("n".to_string(), n as f64)],
-                wall_s,
-                dtype: Some("u16".to_string()),
-                gflops: Some(flops / wall_s / 1e9),
-                baseline_wall_s: Some(packed_f32_wall_s),
-                speedup: Some(packed_f32_wall_s / wall_s),
-            });
-        }
-        {
-            let (a, b, c0) = (mk_i32(55), mk_i32(66), mk_i32(77));
-            let wall_s = time_min(
-                reps,
-                || c0.clone(),
-                |mut c| gemm_packed::<MinPlusSatI32>(&mut c.view_mut(), &a.view(), &b.view()),
-            );
-            eprintln!(
-                "  gemm/packed/minplus_i32: {wall_s:.6}s, x{:.3} vs packed f32",
-                packed_f32_wall_s / wall_s
-            );
-            entries.push(Entry {
-                name: "gemm/packed/minplus_i32".to_string(),
-                group: "gemm".to_string(),
-                params: vec![("n".to_string(), n as f64)],
-                wall_s,
-                dtype: Some("i32".to_string()),
-                gflops: Some(flops / wall_s / 1e9),
-                baseline_wall_s: Some(packed_f32_wall_s),
-                speedup: Some(packed_f32_wall_s / wall_s),
-            });
-        }
+        let (a, b, c0) = (mk_u16(55), mk_u16(66), mk_u16(77));
+        let wall_s = time_min(
+            reps,
+            || c0.clone(),
+            |mut c| gemm_packed::<MinPlusSatU16>(&mut c.view_mut(), &a.view(), &b.view()),
+        );
+        eprintln!(
+            "  gemm/packed/minplus_u16: {wall_s:.6}s, x{:.3} vs packed f32",
+            packed_f32_wall_s / wall_s
+        );
+        entries.push(Entry {
+            name: "gemm/packed/minplus_u16".to_string(),
+            group: "gemm".to_string(),
+            params: vec![("n".to_string(), n as f64)],
+            wall_s,
+            dtype: Some("u16".to_string()),
+            gflops: Some(gemm_flops(n, n, n) / wall_s / 1e9),
+            baseline_wall_s: Some(packed_f32_wall_s),
+            speedup: Some(packed_f32_wall_s / wall_s),
+        });
     }
 
     // --- Blocked Floyd-Warshall ------------------------------------------
@@ -783,7 +750,7 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
 
     // --- quantized end-to-end solve vs f32 blocked FW ---------------------
     // The headline for the low-precision path: quantize → integer blocked
-    // FW in saturating u16/i32 lanes → dequantize, measured end to end
+    // FW in saturating u16 lanes → dequantize, measured end to end
     // (quantize and dequantize passes charged to `wall_s`), against the
     // same blocked FW over f32 on the same graph. Integral small-int
     // weights make the quantized result bit-exact here, so the speedup is
@@ -794,8 +761,9 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
     );
     {
         use apsp_core::quant;
-        let g = generators::erdos_renyi(sz.headline_n, 0.02, WeightKind::small_ints(), 9);
-        let plan = quant::plan_for_graph(&g, 1e-3).expect("small-int weights quantize");
+        // weights 1..15: (n − 1)·15 stays below the u16 sentinel at every mode's n
+        let g = generators::erdos_renyi(sz.headline_n, 0.02, WeightKind::Integer { lo: 1, hi: 15 }, 9);
+        let plan = quant::plan_for_graph(&g, 0.0).expect("small-int weights quantize exactly");
         let input = g.to_dense();
         let baseline_wall_s = time_min(
             reps,

@@ -39,7 +39,7 @@ SERVE-LOAD OPTIONS:
 
 The suite measures the GEMM kernels (naive/blocked/packed/parallel x
 f32/f64), the headline packed-vs-blocked GEMM (baseline_wall_s vs wall_s),
-the quantized u16/i32 packed lanes against packed f32, blocked
+the quantized u16 packed lanes against packed f32, blocked
 Floyd-Warshall, the quantized end-to-end solve against f32 blocked FW,
 distributed_apsp at all 8 corners of the (schedule x bcast x exec) cube,
 the headline distributed run with its serial-OuterUpdate baseline

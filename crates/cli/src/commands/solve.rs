@@ -25,8 +25,8 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
   --threads <N>      cap worker threads (0 = all cores)
   --serial           shorthand for --threads 1
   --memory-budget <BYTES[k|m|g]>  working-set ceiling for planner eligibility
-  --error-tolerance <EPS>  opt in to low-precision solves (--algo quant / q16 /
-                     q32): accept distances within ±EPS of exact (0 = only
+  --error-tolerance <EPS>  opt in to low-precision solves (--algo quant):
+                     accept distances within ±EPS of exact (0 = only
                      provably exact quantizations)
   --out <FILE>       write the distance matrix as TSV (careful: n² values)
   --format <dimacs|edges>
@@ -182,9 +182,8 @@ mod tests {
     #[test]
     fn every_algorithm_solves_and_agrees() {
         let (dir, input) = fixture();
-        // solve with each eligible algorithm (and auto), dump TSVs, compare;
-        // the fixtures have non-negative weights, so everything except seidel
-        // (non-unit weights) applies
+        // solve with each algorithm that needs no further option (and auto),
+        // dump TSVs, compare; the fixtures have non-negative weights
         let solve_all = |input: &std::path::Path| -> Vec<String> {
             ["fw", "blocked", "dc", "sparse", "johnson", "dijkstra", "delta", "dist", "auto"]
                 .iter()
@@ -221,10 +220,11 @@ mod tests {
         let out = dir.join("dense.tsv");
         run(&toks(&format!("--input {} --algo dense --block 4 --out {}", input.display(), out.display())))
             .unwrap();
-        // seidel refuses the non-unit-weight fixture with an explained error
-        let err = run(&toks(&format!("--input {} --algo seidel", input.display()))).unwrap_err();
-        assert!(err.contains("seidel: ineligible"), "{err}");
-        assert!(err.contains("not all 1"), "{err}");
+        // a budget below the smallest staging floor is an explained refusal
+        let err = run(&toks(&format!("--input {} --algo staged --memory-budget 64", input.display())))
+            .unwrap_err();
+        assert!(err.contains("ooc: ineligible, working set"), "{err}");
+        assert!(err.contains("exceeds budget 64 B"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -255,22 +255,25 @@ mod tests {
         let err = run(&toks(&format!("--input {} --algo quant", input.display()))).unwrap_err();
         assert!(err.contains("quant: ineligible"), "{err}");
         assert!(err.contains("--error-tolerance"), "{err}");
-        // with the opt-in: exact on the small-integer fixture, through both
-        // the canonical name and the q16/q32 aliases
+        // with the opt-in: exact on the small-integer fixture
         let want = dir.join("fw.tsv");
         run(&toks(&format!("--input {} --algo fw --out {}", input.display(), want.display())))
             .unwrap();
         let want = std::fs::read_to_string(&want).unwrap();
-        for algo in ["quant", "q16", "q32"] {
-            let out = dir.join(format!("{algo}.tsv"));
-            let cmd = format!(
+        let out = dir.join("quant.tsv");
+        let cmd = |algo: &str| {
+            format!(
                 "--input {} --algo {algo} --block 4 --error-tolerance 0 --out {}",
                 input.display(),
                 out.display()
-            );
-            run(&toks(&cmd)).unwrap_or_else(|e| panic!("{algo}: {e}"));
-            assert_eq!(std::fs::read_to_string(&out).unwrap(), want, "{algo}");
-        }
+            )
+        };
+        run(&toks(&cmd("quant"))).unwrap();
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), want);
+        // one lane leaves no dtype to spell: the old alias is an unknown name
+        let err = run(&toks(&cmd("q16"))).unwrap_err();
+        assert!(err.contains("unknown algorithm 'q16'"), "{err}");
+        assert!(err.contains("quant") && err.contains("auto"), "{err}");
         // junk tolerances are rejected before any solving happens
         for bad in ["--error-tolerance pi", "--error-tolerance -0.5"] {
             let cmd = format!("--input {} --algo quant {bad}", input.display());
@@ -288,7 +291,7 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("huge.gr");
-        // a 3e9 edge weight cannot fit below the i32 sentinel at any scale
+        // a 3e9 edge weight cannot fit below the u16 sentinel at any scale
         let mut b = apsp_graph::GraphBuilder::new(3);
         b.add_edge(0, 1, 3.0e9).add_edge(1, 2, 1.0);
         crate::commands::save_graph(&b.build(), input.to_str().unwrap(), None).unwrap();

@@ -154,13 +154,6 @@ impl Cluster {
         self.dag.task(self.host[node], dur, priority, deps)
     }
 
-    /// A host↔device transfer of `bytes` on `node`; modeled on the intra
-    /// fabric at NVLink rate, aggregated across the node's GPUs.
-    pub fn hd_task(&mut self, node: usize, bytes: f64, priority: u32, deps: &[TaskId]) -> TaskId {
-        let rate = self.spec.hd_bw * self.spec.gpus_per_node as f64;
-        self.dag.task(self.intra[node], bytes / rate, priority, deps)
-    }
-
     /// Execute the DAG.
     pub fn run(&self) -> Schedule {
         crate::engine::run(&self.dag)
@@ -180,16 +173,6 @@ impl Cluster {
     /// the typed [`EngineError`] instead of a panic.
     pub fn try_run_with_faults(&self, faults: &[ResourceFault]) -> Result<Schedule, EngineError> {
         crate::engine::try_run_with_faults(&self.dag, faults)
-    }
-
-    /// Aggregate GPU busy-seconds across nodes for a finished schedule.
-    pub fn gpu_busy(&self, sched: &crate::engine::Schedule) -> f64 {
-        self.gpu.iter().map(|r| sched.busy[r.0 as usize]).sum()
-    }
-
-    /// Aggregate NIC busy-seconds across nodes.
-    pub fn nic_busy(&self, sched: &crate::engine::Schedule) -> f64 {
-        self.nic.iter().map(|r| sched.busy[r.0 as usize]).sum()
     }
 }
 

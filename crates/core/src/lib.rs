@@ -38,14 +38,14 @@
 //!   [`incremental`](mod@incremental) decrease batches and publishes new
 //!   epochs; spoken over a line protocol by `apsp serve`.
 //! * [`quant`] — low-precision quantized solves: scale-and-round weights
-//!   into `u16`/`i32`, run blocked FW over the saturating integer min-plus
-//!   semirings (2–4× the SIMD lanes of `f32` through the same packed
+//!   into `u16`, run blocked FW over the saturating integer min-plus
+//!   semiring (twice the SIMD lanes of `f32` through the same packed
 //!   kernel), and dequantize under a provable `±eps` bound, with typed
 //!   overflow/tolerance rejection ([`quant::QuantError`]) decided before
 //!   any work happens.
 //! * [`solver`] — one [`Solver`] registry over every APSP algorithm in the
 //!   workspace (dense FW, block-sparse, Johnson, Dijkstra, Δ-stepping,
-//!   Seidel, the distributed driver), a one-pass [`GraphProfile`], and a
+//!   the distributed driver), a one-pass [`GraphProfile`], and a
 //!   calibrated cost-model planner behind `--algo auto` / `apsp plan` that
 //!   picks a solver and explains why — ineligibility is typed
 //!   ([`Ineligible`]), never a panic.

@@ -81,11 +81,6 @@ pub fn max_vertices_in_gpu_memory(spec: &MachineSpec, elem_bytes: usize) -> usiz
     ((usable * p / elem_bytes as f64).sqrt()) as usize
 }
 
-/// Flop rate (flop/s) → fraction of the machine's sustained SRGEMM peak.
-pub fn fraction_of_peak(spec: &MachineSpec, flops_per_sec: f64) -> f64 {
-    flops_per_sec / spec.total_flops()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,14 @@
 //! Quantized-integer APSP: scale-and-round a weighted [`Graph`] into `u16`
-//! or `i32` weights, run blocked FW over the saturating integer min-plus
-//! semirings ([`MinPlusSatU16`] / [`MinPlusSatI32`]), and dequantize back to
-//! `f32` with a provable error bound.
+//! weights, run blocked FW over the saturating integer min-plus semiring
+//! [`MinPlusSatU16`], and dequantize back to `f32` with a provable error
+//! bound — `u16` lanes or a typed refusal, there is no wider fallback.
 //!
-//! Why bother: the packed SRGEMM kernel is lane-bound, and `u16` doubles
-//! (vs `f32`) the elements per SIMD register — 32 lanes per AVX-512
-//! register instead of 16 — so a quantized solve trades a bounded, explicit
-//! amount of precision for roughly twice the dense-FW throughput. This is
-//! the CPU analogue of the low-precision tensor-core SRGEMM variants of the
-//! paper's GPU engine.
+//! Why bother: `u16` doubles (vs `f32`) the elements per SIMD register —
+//! 32 lanes per AVX-512 register instead of 16 — and halves the bytes per
+//! distance, so a quantized solve trades a bounded, explicit amount of
+//! precision for capacity and a measured 1.2× kernel (DESIGN.md §16). This
+//! is the CPU analogue of the low-precision tensor-core SRGEMM variants of
+//! the paper's GPU engine.
 //!
 //! ## Contract
 //!
@@ -29,24 +29,22 @@
 //! > `|d̂ − d*| ≤ eps = hops · 0.5 / scale`
 //!
 //! (see DESIGN.md §16 for the derivation). When every weight is a whole
-//! number and `hops · max_weight < 2²⁴` (so the `f32` dequantization is
-//! itself exact), rounding vanishes and the solve is bit-exact: `eps = 0`.
+//! number and the precondition holds at `scale = 1` (every distance is then
+//! below 2¹⁶, so the `f32` dequantization is itself exact), rounding
+//! vanishes and the solve is bit-exact: `eps = 0`.
 //!
-//! Graphs that cannot meet the precondition even in `i32` at `scale = 1`
-//! are rejected up front with the typed [`QuantError::Overflow`]; requested
+//! Graphs that cannot meet the precondition at `scale = 1`
+//! (`hops · max_weight > 65 534`) are rejected up front with the typed
+//! [`QuantError::Overflow`]; requested
 //! tolerances the achievable `eps` cannot meet are
 //! [`QuantError::Tolerance`]. Negative weights are outside the saturating
 //! semiring's domain (the annihilator law breaks) and are typed
 //! [`QuantError::NegativeWeights`].
 
 use apsp_graph::Graph;
-use srgemm::{Matrix, MinPlusSatI32, MinPlusSatU16};
+use srgemm::{Matrix, MinPlusSatU16};
 
 use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
-
-/// Distances below this stay exactly representable in `f32`, so an
-/// integral-weight quantization round-trips bit-exactly.
-const F32_EXACT_LIMIT: f64 = (1u64 << 24) as f64;
 
 /// Largest power-of-two exponent [`plan`] will consider for the scale.
 /// `2⁴⁰` already pushes `eps` below `1e-9` for any graph small enough to
@@ -54,39 +52,25 @@ const F32_EXACT_LIMIT: f64 = (1u64 << 24) as f64;
 /// overflow proof itself.
 const MAX_SCALE_EXP: i32 = 40;
 
+/// The `+∞` sentinel of the `u16` lanes (the semiring's `zero()`).
+const SENTINEL: u64 = u16::MAX as u64;
+
 /// Integer element type a quantized solve runs in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuantDtype {
-    /// 16-bit unsigned lanes — 32 per AVX-512 register, the fast path.
+    /// 16-bit unsigned lanes — 32 per AVX-512 register.
     U16,
-    /// 32-bit signed lanes — same width as `f32`, but ~30× the headroom
-    /// of `u16` before the sentinel.
-    I32,
 }
 
 impl QuantDtype {
     /// Type name as printed in notes and errors.
     pub fn name(self) -> &'static str {
-        match self {
-            QuantDtype::U16 => "u16",
-            QuantDtype::I32 => "i32",
-        }
-    }
-
-    /// The `+∞` sentinel (the semiring's `zero()`), as a `u64`.
-    pub fn sentinel(self) -> u64 {
-        match self {
-            QuantDtype::U16 => u16::MAX as u64,
-            QuantDtype::I32 => i32::MAX as u64,
-        }
+        "u16"
     }
 
     /// Bytes per element (the SIMD lane width driver).
     pub fn bytes(self) -> usize {
-        match self {
-            QuantDtype::U16 => 2,
-            QuantDtype::I32 => 4,
-        }
+        2
     }
 }
 
@@ -119,7 +103,7 @@ pub enum QuantError {
         /// The most negative weight seen.
         min: f32,
     },
-    /// `hops × max_weight` cannot fit below the `i32` sentinel even at
+    /// `hops × max_weight` cannot fit below the `u16` sentinel even at
     /// `scale = 1`: a finite shortest path could saturate, which would
     /// silently turn a reachable pair into `+∞`.
     Overflow {
@@ -127,13 +111,13 @@ pub enum QuantError {
         hops: u64,
         /// Largest edge weight in the graph.
         max_weight: f32,
-        /// The `i32` sentinel the product must stay below.
+        /// The `u16` sentinel the product must stay below.
         sentinel: u64,
     },
     /// The best achievable error bound still exceeds the requested
     /// `--error-tolerance`.
     Tolerance {
-        /// Smallest `eps` any fitting (dtype, scale) pair achieves.
+        /// Smallest `eps` any fitting scale achieves.
         eps: f64,
         /// What the caller asked for.
         tolerance: f64,
@@ -149,7 +133,7 @@ impl std::fmt::Display for QuantError {
             QuantError::Overflow { hops, max_weight, sentinel } => write!(
                 f,
                 "quantization overflow: {hops} hops x max weight {max_weight} cannot fit \
-                 below the i32 sentinel {sentinel} at any scale >= 1"
+                 below the u16 sentinel {sentinel} at any scale >= 1"
             ),
             QuantError::Tolerance { eps, tolerance } => write!(
                 f,
@@ -162,24 +146,20 @@ impl std::fmt::Display for QuantError {
 
 impl std::error::Error for QuantError {}
 
-/// Does `scale` keep every finite simple-path sum strictly below
-/// `sentinel` (so saturation can never cap a minimum)?
-fn fits(hops: u64, max_weight: f64, scale: f64, sentinel: u64) -> bool {
+/// Does `scale` keep every finite simple-path sum strictly below the
+/// sentinel (so saturation can never cap a minimum)?
+fn fits(hops: u64, max_weight: f64, scale: f64) -> bool {
     let q_max = (max_weight * scale).round();
-    q_max.is_finite() && hops as f64 * q_max <= (sentinel - 1) as f64
+    q_max.is_finite() && hops as f64 * q_max <= (SENTINEL - 1) as f64
 }
 
-/// Pick a dtype and power-of-two scale for a graph with the given shape,
-/// proving the overflow precondition and the `eps` bound up front.
+/// Pick the power-of-two scale for a graph with the given shape, proving
+/// the overflow precondition and the `eps` bound up front.
 ///
 /// `integral` asserts every weight is a whole number (the profile's
 /// one-pass sweep computes it); it unlocks the bit-exact `scale = 1` path.
 /// `tolerance` is the largest acceptable `eps` — pass `f64::INFINITY` to
 /// ask "what is the best you can do", e.g. to report an achievable bound.
-///
-/// Preference order: exact `u16`, exact `i32`, then the narrowest dtype
-/// whose best (largest) fitting scale meets the tolerance — `u16` halves
-/// the solve time, so it wins whenever its headroom suffices.
 pub fn plan(
     n: usize,
     min_weight: f32,
@@ -190,57 +170,28 @@ pub fn plan(
     if min_weight < 0.0 {
         return Err(QuantError::NegativeWeights { min: min_weight });
     }
+    let dtype = QuantDtype::U16;
     let hops = (n.saturating_sub(1)).max(1) as u64;
     let w_max = max_weight.max(0.0) as f64;
 
-    // Bit-exact path: integral weights at scale 1 round-trip exactly as
-    // long as no finite distance leaves f32's integer-exact range.
-    if integral && (hops as f64) * w_max < F32_EXACT_LIMIT {
-        for dtype in [QuantDtype::U16, QuantDtype::I32] {
-            if fits(hops, w_max, 1.0, dtype.sentinel()) {
-                return Ok(QuantPlan { dtype, scale: 1.0, eps: 0.0, exact: true, hops });
-            }
-        }
-        return Err(QuantError::Overflow {
-            hops,
-            max_weight,
-            sentinel: QuantDtype::I32.sentinel(),
-        });
+    // Bit-exact path: integral weights at scale 1 (every finite distance is
+    // then a whole number below 2¹⁶, which f32 holds exactly).
+    if integral && fits(hops, w_max, 1.0) {
+        return Ok(QuantPlan { dtype, scale: 1.0, eps: 0.0, exact: true, hops });
     }
 
-    // Rounding path: per dtype, the largest power-of-two scale that still
-    // fits gives the smallest achievable eps = hops / (2 * scale).
-    let best_scale = |dtype: QuantDtype| -> Option<f64> {
-        (0..=MAX_SCALE_EXP)
-            .rev()
-            .map(|e| (2.0f64).powi(e))
-            .find(|&s| fits(hops, w_max, s, dtype.sentinel()))
+    // Rounding path: the largest power-of-two scale that still fits gives
+    // the smallest achievable eps = hops / (2 * scale).
+    let Some(scale) =
+        (0..=MAX_SCALE_EXP).rev().map(|e| (2.0f64).powi(e)).find(|&s| fits(hops, w_max, s))
+    else {
+        return Err(QuantError::Overflow { hops, max_weight, sentinel: SENTINEL });
     };
-    let candidate = |dtype: QuantDtype| -> Option<QuantPlan> {
-        best_scale(dtype).map(|scale| QuantPlan {
-            dtype,
-            scale,
-            eps: hops as f64 * 0.5 / scale,
-            exact: false,
-            hops,
-        })
-    };
-
-    let u16_plan = candidate(QuantDtype::U16);
-    let i32_plan = candidate(QuantDtype::I32);
-    if let Some(p) = u16_plan.filter(|p| p.eps <= tolerance) {
-        return Ok(p);
-    }
-    if let Some(p) = i32_plan.filter(|p| p.eps <= tolerance) {
-        return Ok(p);
-    }
-    match i32_plan.or(u16_plan) {
-        Some(best) => Err(QuantError::Tolerance { eps: best.eps, tolerance }),
-        None => Err(QuantError::Overflow {
-            hops,
-            max_weight,
-            sentinel: QuantDtype::I32.sentinel(),
-        }),
+    let eps = hops as f64 * 0.5 / scale;
+    if eps <= tolerance {
+        Ok(QuantPlan { dtype, scale, eps, exact: false, hops })
+    } else {
+        Err(QuantError::Tolerance { eps, tolerance })
     }
 }
 
@@ -262,35 +213,21 @@ pub fn plan_for_graph(g: &Graph, tolerance: f64) -> Result<QuantPlan, QuantError
     plan(g.n(), min_w, max_w, integral, tolerance)
 }
 
-fn quantize_as<T: Copy + Ord>(
-    g: &Graph,
-    zero: T,
-    one: T,
-    mut conv: impl FnMut(f32) -> T,
-) -> Matrix<T> {
+/// Dense `u16` distance seed: `round(w · scale)` per edge, `0` diagonal,
+/// `u16::MAX` sentinel elsewhere. Caller must hold a fitting [`QuantPlan`].
+pub fn quantize_u16(g: &Graph, scale: f64) -> Matrix<u16> {
     let n = g.n();
-    let mut d = Matrix::filled(n, n, zero);
+    let mut d = Matrix::filled(n, n, u16::MAX);
     for i in 0..n {
-        d[(i, i)] = one;
+        d[(i, i)] = 0;
     }
     for (u, v, w) in g.edges() {
-        let q = conv(w);
+        let q = (w as f64 * scale).round() as u16;
         if q < d[(u, v)] {
             d[(u, v)] = q;
         }
     }
     d
-}
-
-/// Dense `u16` distance seed: `round(w · scale)` per edge, `0` diagonal,
-/// `u16::MAX` sentinel elsewhere. Caller must hold a fitting [`QuantPlan`].
-pub fn quantize_u16(g: &Graph, scale: f64) -> Matrix<u16> {
-    quantize_as(g, u16::MAX, 0, |w| (w as f64 * scale).round() as u16)
-}
-
-/// Dense `i32` distance seed (see [`quantize_u16`]).
-pub fn quantize_i32(g: &Graph, scale: f64) -> Matrix<i32> {
-    quantize_as(g, i32::MAX, 0, |w| (w as f64 * scale).round() as i32)
 }
 
 /// Map solved `u16` distances back to `f32`: sentinel → `+∞`, otherwise
@@ -306,36 +243,14 @@ pub fn dequantize_u16(d: &Matrix<u16>, scale: f64) -> Matrix<f32> {
     })
 }
 
-/// Map solved `i32` distances back to `f32` (see [`dequantize_u16`]).
-pub fn dequantize_i32(d: &Matrix<i32>, scale: f64) -> Matrix<f32> {
-    Matrix::from_fn(d.rows(), d.cols(), |i, j| {
-        let q = d[(i, j)];
-        if q == i32::MAX {
-            f32::INFINITY
-        } else {
-            (q as f64 / scale) as f32
-        }
-    })
-}
-
-/// Quantize per `plan`, run blocked FW over the matching saturating
-/// semiring on at most `threads` kernel threads, and dequantize. The caller is responsible for having obtained
-/// `plan` from [`plan`] / [`plan_for_graph`] on this graph — that is what
-/// makes the saturation-free and `eps` guarantees hold.
+/// Quantize per `plan`, run blocked FW over [`MinPlusSatU16`] on at most
+/// `threads` kernel threads, and dequantize. The caller is responsible for
+/// having obtained `plan` from [`plan`] / [`plan_for_graph`] on this graph —
+/// that is what makes the saturation-free and `eps` guarantees hold.
 pub fn solve_quantized(g: &Graph, plan: &QuantPlan, block: usize, threads: usize) -> Matrix<f32> {
-    let b = block.max(1);
-    match plan.dtype {
-        QuantDtype::U16 => {
-            let mut d = quantize_u16(g, plan.scale);
-            fw_blocked_threads::<MinPlusSatU16>(&mut d, b, DiagMethod::FwClosure, threads);
-            dequantize_u16(&d, plan.scale)
-        }
-        QuantDtype::I32 => {
-            let mut d = quantize_i32(g, plan.scale);
-            fw_blocked_threads::<MinPlusSatI32>(&mut d, b, DiagMethod::FwClosure, threads);
-            dequantize_i32(&d, plan.scale)
-        }
-    }
+    let mut d = quantize_u16(g, plan.scale);
+    fw_blocked_threads::<MinPlusSatU16>(&mut d, block.max(1), DiagMethod::FwClosure, threads);
+    dequantize_u16(&d, plan.scale)
 }
 
 #[cfg(test)]
@@ -363,21 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn integral_weights_too_wide_for_u16_fall_back_to_i32() {
-        // 1023 hops x 1000 = 1_023_000 > 65534 but well under i32::MAX
-        let p = plan(1024, 1.0, 1000.0, true, 0.0).unwrap();
-        assert_eq!(p.dtype, QuantDtype::I32);
-        assert!(p.exact);
-    }
-
-    #[test]
     fn fractional_weights_need_a_tolerance_and_get_a_scaled_plan() {
-        let p = plan(128, 0.1, 1.0, false, 1e-3).unwrap();
+        // 127 hops x round(1.0 x 512) = 65024 fits below the sentinel, x 1024 does not
+        let p = plan(128, 0.1, 1.0, false, 0.125).unwrap();
         assert!(!p.exact);
-        assert!(p.eps <= 1e-3, "eps {}", p.eps);
-        assert!(p.scale >= 1.0 && p.scale.log2().fract() == 0.0, "scale {}", p.scale);
+        assert_eq!(p.scale, 512.0);
         // the bound is hops/(2*scale)
         assert_eq!(p.eps, 127.0 * 0.5 / p.scale);
+        assert!(p.eps <= 0.125, "eps {}", p.eps);
         // an impossible tolerance is a typed error carrying the best bound
         match plan(128, 0.1, 1.0, false, 0.0) {
             Err(QuantError::Tolerance { eps, tolerance }) => {
@@ -390,12 +298,22 @@ mod tests {
 
     #[test]
     fn overflow_and_negative_weights_are_typed_up_front() {
-        // 3e9 > i32::MAX: even scale 1 cannot represent one edge
+        // 3e9 > u16::MAX: even scale 1 cannot represent one edge
         match plan(4, 1.0, 3.0e9, true, f64::INFINITY) {
             Err(QuantError::Overflow { hops: 3, sentinel, .. }) => {
-                assert_eq!(sentinel, i32::MAX as u64)
+                assert_eq!(sentinel, u16::MAX as u64)
             }
             other => panic!("expected Overflow, got {other:?}"),
+        }
+        // the boundary itself, integral or not: 2 hops x 32767 = 65534 is the
+        // last product below the sentinel, 3 x 21845 = 65535 is the sentinel
+        for integral in [true, false] {
+            let fit = plan(3, 1.0, 32767.0, integral, f64::INFINITY).unwrap();
+            assert_eq!((fit.scale, fit.exact), (1.0, integral));
+            assert!(matches!(
+                plan(4, 1.0, 21845.0, integral, f64::INFINITY),
+                Err(QuantError::Overflow { hops: 3, .. })
+            ));
         }
         assert!(format!("{}", plan(4, 1.0, 3.0e9, true, 1.0).unwrap_err()).contains("overflow"));
         match plan(4, -2.5, 3.0, false, 1.0) {
@@ -421,7 +339,8 @@ mod tests {
     #[test]
     fn fractional_solve_stays_within_the_documented_eps() {
         let g = generators::uniform_dense(40, WeightKind::Real { lo: 0.0, hi: 1.0 }, 13);
-        let p = plan_for_graph(&g, 1e-3).unwrap();
+        // 39 hops at scale 1024: eps = 0.019
+        let p = plan_for_graph(&g, 0.02).unwrap();
         assert!(!p.exact);
         let got = solve_quantized(&g, &p, 8, 1);
         let want = oracle(&g);
@@ -450,17 +369,6 @@ mod tests {
         assert!(got.eq_exact(&oracle(&g)));
         assert_eq!(got[(0, 2)], f32::INFINITY);
         assert_eq!(got[(1, 0)], f32::INFINITY);
-    }
-
-    #[test]
-    fn u16_and_i32_paths_agree_when_both_fit() {
-        let g = generators::grid(6, 6, WeightKind::small_ints(), 5);
-        let pu = plan_for_graph(&g, 0.0).unwrap();
-        assert_eq!(pu.dtype, QuantDtype::U16);
-        let pi = QuantPlan { dtype: QuantDtype::I32, ..pu };
-        let du = solve_quantized(&g, &pu, 4, 1);
-        let di = solve_quantized(&g, &pi, 4, 1);
-        assert!(du.eq_exact(&di));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's pipeline is a single dense engine; real workloads are not
 //! uniformly dense. This module gives each algorithm — dense packed FW,
 //! blocked/divide-and-conquer FW, block-sparse FW, Johnson, per-source
-//! Dijkstra and Δ-stepping sweeps, Seidel, and the simulated distributed
+//! Dijkstra and Δ-stepping sweeps, and the simulated distributed
 //! driver — a common [`Solver`] surface: a typed eligibility `check`
 //! ([`Ineligible`]), a cost `estimate` fed by a one-pass [`GraphProfile`],
 //! and a `solve` returning a [`Solution`] with per-solver stats. The
@@ -101,15 +101,6 @@ pub enum Ineligible {
         /// The most negative weight seen.
         min: f32,
     },
-    /// The algorithm computes hop counts, so weights must all be `1`.
-    NonUnitWeights,
-    /// The algorithm requires an undirected (symmetric) graph.
-    Directed,
-    /// The algorithm requires a single connected component.
-    Disconnected {
-        /// Weak components the profile found.
-        components: usize,
-    },
     /// Estimated working set exceeds [`SolveOpts::memory_budget`].
     MemoryBudget {
         /// Bytes the solver would need.
@@ -133,11 +124,6 @@ impl std::fmt::Display for Ineligible {
         match self {
             Ineligible::NegativeWeights { count, min } => {
                 write!(f, "negative weights ({count} edges, min {min})")
-            }
-            Ineligible::NonUnitWeights => write!(f, "weights are not all 1"),
-            Ineligible::Directed => write!(f, "graph is directed (asymmetric)"),
-            Ineligible::Disconnected { components } => {
-                write!(f, "graph is disconnected ({components} weak components)")
             }
             Ineligible::MemoryBudget { required, budget } => write!(
                 f,
@@ -164,7 +150,7 @@ pub enum SolveError {
         /// The typed reason.
         reason: Ineligible,
     },
-    /// A negative cycle makes shortest paths undefined (Johnson).
+    /// A negative cycle makes shortest paths undefined.
     NegativeCycle,
     /// The simulated distributed runtime failed.
     Dist(DistError),
@@ -329,7 +315,9 @@ impl Registry {
 
     /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
     /// eligibility against a profile already in hand, the run, the wall
-    /// clock. `profile` must be `g`'s at `opts.block`.
+    /// clock, and the negative-cycle screen (a negative diagonal entry, which
+    /// only a graph with negative edges can produce). `profile` must be
+    /// `g`'s at `opts.block`.
     fn solve_profiled(
         &self,
         solver: &dyn Solver,
@@ -343,6 +331,9 @@ impl Registry {
         let t0 = Instant::now();
         let mut sol = solver.solve(g, opts)?;
         sol.stats.wall_s = t0.elapsed().as_secs_f64();
+        if profile.has_negative() && (0..profile.n).any(|i| sol.dist[(i, i)] < 0.0) {
+            return Err(SolveError::NegativeCycle);
+        }
         Ok(sol)
     }
 

@@ -3,17 +3,30 @@
 //! the choice is explainable (`apsp plan`).
 //!
 //! The constants below are single-machine calibration points, not physics:
-//! they only need to rank solvers correctly around the density crossover,
-//! and the perf suite's `solver/*` entries keep them honest (a mis-ranked
-//! family shows up as the planner losing to a forced baseline).
+//! they only need to rank solvers correctly around the density crossover.
+//! What keeps the *ranking* honest is the clock-free census table in
+//! `adapters.rs` (every registered solver must be `auto`'s pick on some
+//! profile); what measures the *values* is the benchmark's
+//! `solver.forecast_err_frac` and the forced-solver census in
+//! EXPERIMENTS.md.
 //!
-//! Calibrated against release-mode wall times on the dev box (1 worker):
-//! packed dense FW sustains ~45 G semiring-flop/s (grid n=1024..4096 and
-//! dense n=512 all fit 2.0–2.3e-11 s/flop), a Dijkstra sweep costs
-//! ~3 ns/relaxation + ~9 ns/heap op, and a Δ-stepping sweep ~45 ns/edge
-//! with no heap term — which is exactly why Δ-stepping overtakes dense FW
-//! first on very sparse graphs (ring n=4096: 1.0 s vs 2.8 s measured)
-//! while Dijkstra's n²·log n heap bill delays its crossover to n ≳ 4000.
+//! The literals date from an earlier dev box and are stale where the kernel
+//! has since improved: the packed dense kernel now measures ≈ 71 G
+//! semiring-flop/s on one core (1.4e-11 s/flop against `T_FLOP_PACKED` =
+//! 2.2e-11), `dc` measures 0.80–1.00× `blocked` at n ≤ 2048 where it is
+//! priced at 1.2×, and `sparse` wins grid n = 1024 by 1.85× where `auto`
+//! picks `blocked`. A Dijkstra sweep costs ~3 ns/relaxation + ~9 ns/heap
+//! op and a Δ-stepping sweep ~45 ns/edge with no heap term, which is why
+//! Δ-stepping overtakes dense FW first on very sparse graphs (ring
+//! n = 4096: 0.91 s vs 2.15 s measured) while Dijkstra's n²·log n heap bill
+//! delays its crossover.
+//!
+//! They are nevertheless frozen until a `[benchmark]` PR re-derives them
+//! together with the workload that depends on them: `sparse-auto` (ring
+//! with chords, n = 1536) passes its precondition only because `delta` is
+//! estimated at 132.7 ms against `blocked` at 159.5 ms, and moving
+//! `T_FLOP_PACKED` alone to the measured 1.4e-11 would put `blocked` at
+//! 101 ms, flip `auto`, and fail every operation of that workload.
 
 use super::profile::human_bytes;
 use super::{Estimate, GraphProfile, Ineligible, Registry, SolveOpts};
@@ -22,19 +35,16 @@ use super::{Estimate, GraphProfile, Ineligible, Registry, SolveOpts};
 /// (per worker thread).
 pub const T_FLOP_PACKED: f64 = 2.2e-11;
 /// Seconds per semiring FLOP of the packed kernel on saturating `u16`
-/// lanes: 32 lanes per AVX-512 register vs 16 for `f32` roughly halves the
-/// per-flop cost (the perf suite's `gemm/packed/minplus_u16` entry keeps
-/// this honest).
+/// lanes. 32 lanes per AVX-512 register against 16 for `f32`, but the
+/// measured kernel is 85.8 vs 71.4 Gflop/s = 1.20× packed `f32`, not 2×,
+/// and the whole `dense-quant` solve is 1.06–1.15× *slower* than `blocked`
+/// once plan, quantize and dequantize are paid; the ratio to
+/// `T_FLOP_PACKED` (0.55) therefore over-sells the lane. Frozen with the
+/// rest (module header).
 pub const T_QUANT_U16: f64 = 1.2e-11;
-/// Seconds per semiring FLOP of the packed kernel on saturating `i32`
-/// lanes: same lane count as `f32`, slightly behind it — the saturating
-/// fma is three integer ops per vector (`vpaddd` + compare + masked
-/// `vpminsd`) against `f32`'s two (measured ~0.87× in
-/// `gemm/packed/minplus_i32`).
-pub const T_QUANT_I32: f64 = 2.5e-11;
 /// Seconds per FLOP of the block-sparse path — one small product per
 /// `b×b` block, each packing its own operands, so well below the dense
-/// engine's rate (also used to price Seidel's repeated-squaring products).
+/// engine's rate.
 pub const T_FLOP_BLOCKED: f64 = 8.0e-11;
 /// Seconds per FLOP of the sequential triple loop.
 pub const T_FLOP_SEQ: f64 = 1.55e-10;
@@ -211,9 +221,7 @@ mod tests {
             max_weight: 1.0,
             mean_weight: 1.0,
             negative_edges: 0,
-            unit_weights: true,
             integral_weights: true,
-            symmetric: true,
             weak_components: 1,
             block_size: 64,
             nnz_blocks: 1,

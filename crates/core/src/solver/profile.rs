@@ -6,9 +6,8 @@ use apsp_graph::Graph;
 
 /// Structural and numeric features of a graph, extracted once and shared by
 /// every solver's eligibility check and cost estimate. All edge-derived
-/// fields come from a single `O(m)` sweep (the structural-symmetry probe
-/// adds a binary search per edge, `O(m log d_max)`); the component count is
-/// one BFS, `O(n + m)`.
+/// fields come from a single `O(m)` sweep; the component count is one BFS,
+/// `O(n + m)`.
 #[derive(Clone, Debug)]
 pub struct GraphProfile {
     /// Vertex count.
@@ -25,14 +24,9 @@ pub struct GraphProfile {
     pub mean_weight: f64,
     /// Any `w < 0` edge present — disqualifies Dijkstra and Δ-stepping.
     pub negative_edges: usize,
-    /// Every weight equals `1.0` — a hop-count instance (Seidel territory).
-    pub unit_weights: bool,
     /// Every weight is a whole number — quantization (`--algo quant`) can
     /// be bit-exact instead of merely `eps`-bounded.
     pub integral_weights: bool,
-    /// For every edge `(u,v,w)` the edge `(v,u,w)` also exists — the graph
-    /// is undirected in structure *and* weight.
-    pub symmetric: bool,
     /// Weakly-connected component count (`0` for the empty graph).
     pub weak_components: usize,
     /// Block size the block-occupancy fields below were measured at.
@@ -58,9 +52,7 @@ impl GraphProfile {
         let mut max_weight = f32::NEG_INFINITY;
         let mut sum = 0.0f64;
         let mut negative_edges = 0usize;
-        let mut unit_weights = true;
         let mut integral_weights = true;
-        let mut symmetric = true;
         // Off-diagonal blocks holding an edge. CSR edges arrive grouped by
         // source, so a block is new exactly when its column was not yet hit
         // from this block row: `hit_from[bj]` is 1 + the last block row with
@@ -75,11 +67,7 @@ impl GraphProfile {
                 max_weight = max_weight.max(w);
                 sum += w as f64;
                 negative_edges += usize::from(w < 0.0);
-                unit_weights &= w == 1.0;
                 integral_weights &= is_whole(w);
-            }
-            if symmetric {
-                symmetric = targets.iter().zip(weights).all(|(&v, &w)| g.weight(v as usize, u) == w);
             }
             // targets ascend within a row, so the block column only moves
             // right: one division per block entered, not one per edge
@@ -100,7 +88,6 @@ impl GraphProfile {
         if m == 0 {
             min_weight = 0.0;
             max_weight = 0.0;
-            unit_weights = false;
         }
 
         let (_, weak_components) = weak_components(g);
@@ -114,9 +101,7 @@ impl GraphProfile {
             max_weight,
             mean_weight: if m > 0 { sum / m as f64 } else { 0.0 },
             negative_edges,
-            unit_weights,
             integral_weights,
-            symmetric,
             weak_components,
             block_size: block,
             nnz_blocks,
@@ -128,11 +113,6 @@ impl GraphProfile {
     /// Any negative-weight edge?
     pub fn has_negative(&self) -> bool {
         self.negative_edges > 0
-    }
-
-    /// Exactly one weak component (and non-empty)?
-    pub fn connected(&self) -> bool {
-        self.weak_components == 1
     }
 
     /// Crude forecast of the fraction of dense block-GEMM work the
@@ -156,12 +136,10 @@ impl GraphProfile {
         } else {
             "non-negative".to_string()
         };
-        let unit = if self.unit_weights { "unit" } else { "non-unit" };
-        let shape = if self.symmetric { "symmetric" } else { "directed" };
         let nb = self.n.div_ceil(self.block_size);
         format!(
             "graph profile\n  n = {}  m = {}  density {:.3}%\n  weights: [{}, {}]  mean {:.2}  \
-             {sign}  {unit}\n  structure: {shape}, {} weak component{}\n  blocks (b = {}): \
+             {sign}\n  structure: {} weak component{}\n  blocks (b = {}): \
              {}/{} materialized ({:.1}%)\n  dense working set: {}\n",
             self.n,
             self.m,
@@ -221,9 +199,7 @@ mod tests {
         assert_eq!(p.m, 32 * 31);
         assert!((p.density - 1.0).abs() < 1e-9);
         assert!(!p.has_negative());
-        assert!(!p.unit_weights);
         assert!(p.integral_weights); // small_ints are whole numbers
-        assert!(!p.symmetric); // independent random weights per direction
         assert_eq!(p.weak_components, 1);
         assert_eq!(p.nnz_blocks, 16); // every block occupied
         assert_eq!(p.block_density, 1.0);
@@ -235,8 +211,7 @@ mod tests {
         let g = generators::grid(8, 8, WeightKind::small_ints(), 5);
         let p = GraphProfile::compute(&g, 16);
         assert!(p.density < 0.06, "grid density {}", p.density);
-        assert!(p.symmetric);
-        assert!(p.connected());
+        assert_eq!(p.weak_components, 1);
         assert!(p.block_density < 1.0);
         assert!(p.est_fill_work_ratio() <= 1.0);
     }
@@ -277,9 +252,7 @@ mod tests {
             max_weight: if m == 0 { 0.0 } else { weights().fold(f32::NEG_INFINITY, f32::max) },
             mean_weight: if m == 0 { 0.0 } else { weights().fold(0.0, |s, w| s + w as f64) / m as f64 },
             negative_edges: weights().filter(|&w| w < 0.0).count(),
-            unit_weights: m > 0 && weights().all(|w| w == 1.0),
             integral_weights: weights().all(|w| w.fract() == 0.0),
-            symmetric: edges.iter().all(|&(u, v, w)| g.weight(v, u) == w),
             weak_components,
             block_size: block,
             nnz_blocks: blocks.len(),
@@ -292,7 +265,7 @@ mod tests {
     fn every_field_matches_the_edge_by_edge_profile() {
         let ints = WeightKind::small_ints;
         let mut lopsided = GraphBuilder::new(7);
-        // asymmetric in structure, in weight only, and not at all
+        // one-way, two-way with unequal weights, and undirected edges
         lopsided.add_edge(0, 5, 2.0).add_edge(5, 0, 3.0).add_undirected(1, 2, 0.25);
         lopsided.add_edge(6, 3, -1.5).add_edge(3, 3, f32::INFINITY).add_edge(4, 6, 3.0e9);
         let graphs = [
@@ -334,14 +307,12 @@ mod tests {
         let p = GraphProfile::compute(&b.build(), 2);
         assert_eq!(p.negative_edges, 1);
         assert!(p.has_negative());
-        assert!(!p.unit_weights);
         assert!(!p.integral_weights); // -2.5 has a fractional part
         assert_eq!(p.min_weight, -2.5);
 
-        let g = generators::unit_ring(6);
-        let p = GraphProfile::compute(&g, 2);
-        assert!(p.unit_weights);
-        assert!(!p.symmetric); // the ring is directed
+        let p = GraphProfile::compute(&generators::unit_ring(6), 2);
+        assert!(!p.has_negative() && p.integral_weights);
+        assert_eq!((p.min_weight, p.max_weight), (1.0, 1.0));
     }
 
     #[test]
@@ -349,7 +320,6 @@ mod tests {
         let g = generators::multi_component(24, 3, WeightKind::small_ints(), 7);
         let p = GraphProfile::compute(&g, 4);
         assert_eq!(p.weak_components, 3);
-        assert!(!p.connected());
         let connected = generators::uniform_dense(24, WeightKind::small_ints(), 7);
         let pc = GraphProfile::compute(&connected, 4);
         assert!(p.est_fill_work_ratio() < pc.est_fill_work_ratio());
@@ -364,8 +334,6 @@ mod tests {
         let p = GraphProfile::compute(&GraphBuilder::new(5).build(), 8);
         assert_eq!(p.m, 0);
         assert_eq!(p.mean_weight, 0.0);
-        assert!(!p.unit_weights);
-        assert!(p.symmetric); // vacuously
         assert_eq!(p.weak_components, 5);
         assert!(!p.render().is_empty());
     }

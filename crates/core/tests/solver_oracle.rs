@@ -9,12 +9,14 @@
 //! tolerance instead — the same bound the repo's distributed suites use.
 
 use apsp_core::verify::max_abs_diff;
+use apsp_core::quant::QuantError;
+use apsp_core::solver::Ineligible;
 use apsp_core::{Registry, SolveError, SolveOpts};
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{Graph, GraphBuilder};
 
-/// Connected, undirected, unit-weight graph (tree + chords): the one
-/// family every solver — including seidel — is eligible for.
+/// Connected, undirected, unit-weight graph (tree + chords): hop counts,
+/// the family where every path sum is a small exact integer.
 fn unit_connected(n: usize, extra: usize, seed: u64) -> Graph {
     let mut state = seed | 1;
     let mut next = move || {
@@ -105,45 +107,43 @@ fn auto_is_correct_on_every_family() {
 }
 
 /// The quantized solver against the f32 oracle on every generator family:
-/// bit-exact on integral weights, within its *own reported* `±eps` (not
-/// just the requested tolerance) on real weights.
+/// bit-exact on integral weights; on real weights `1e-3` is beyond what
+/// `u16` lanes can promise at these sizes, so the answer is the typed
+/// refusal carrying the achievable `±eps`, and a solve at exactly that
+/// tolerance stays within it.
 #[test]
 fn quant_stays_within_its_documented_eps_on_every_family() {
     let reg = Registry::with_all();
     let opts = SolveOpts { block: 8, error_tolerance: Some(1e-3), ..Default::default() };
     for (family, g, integer_weights) in families() {
         let want = reg.solve("fw", &g, &opts).expect("fw is always eligible").dist;
-        let sol = reg.solve("quant", &g, &opts).unwrap_or_else(|e| panic!("{family}: {e}"));
-        let metric = |k: &str| {
-            sol.stats
-                .metrics
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("{family}: metric {k} missing"))
-        };
-        let eps = metric("quant_eps");
-        assert!(eps <= 1e-3, "{family}: plan eps {eps} exceeds the requested tolerance");
         if integer_weights {
-            assert_eq!(metric("quant_exact"), 1.0, "{family}: integral weights must be exact");
+            let sol = reg.solve("quant", &g, &opts).unwrap_or_else(|e| panic!("{family}: {e}"));
+            assert!(
+                sol.stats.metrics.contains(&("quant_exact", 1.0)),
+                "{family}: integral weights must be exact"
+            );
             assert!(
                 sol.dist.eq_exact(&want),
                 "{family}: exact quantized solve diverged (max diff {})",
                 max_abs_diff(&sol.dist, &want)
             );
-        } else {
-            let diff = max_abs_diff(&sol.dist, &want);
-            assert!(diff as f64 <= eps + 1e-6, "{family}: max diff {diff} > documented eps {eps}");
+            continue;
         }
+        let eps = match reg.solve("quant", &g, &opts) {
+            Err(SolveError::Ineligible {
+                solver: "quant",
+                reason: Ineligible::Quant(QuantError::Tolerance { eps, tolerance }),
+            }) => {
+                assert!(tolerance == 1e-3 && eps > tolerance, "{family}: {eps} vs {tolerance}");
+                eps
+            }
+            other => panic!("{family}: expected Tolerance, got {:?}", other.map(|s| s.solver)),
+        };
+        let loosest = SolveOpts { error_tolerance: Some(eps), ..opts.clone() };
+        let sol = reg.solve("quant", &g, &loosest).unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert!(sol.stats.metrics.contains(&("quant_eps", eps)), "{family}: {:?}", sol.stats.metrics);
+        let diff = max_abs_diff(&sol.dist, &want);
+        assert!(diff as f64 <= eps + 1e-6, "{family}: max diff {diff} > documented eps {eps}");
     }
-}
-
-#[test]
-fn unit_family_includes_seidel_and_it_is_exact() {
-    let reg = Registry::with_all();
-    let opts = SolveOpts::default();
-    let g = unit_connected(24, 10, 42);
-    let want = reg.solve("fw", &g, &opts).unwrap().dist;
-    let got = reg.solve("seidel", &g, &opts).unwrap().dist;
-    assert!(got.eq_exact(&want), "seidel hop counts must equal FW on unit weights");
 }

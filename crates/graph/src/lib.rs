@@ -15,7 +15,6 @@
 //! * [`paths`] — parent-pointer path extraction and path validation.
 
 pub mod bellman_ford;
-pub mod bfs;
 pub mod components;
 pub mod delta_stepping;
 pub mod dijkstra;
@@ -24,7 +23,6 @@ pub mod graph;
 pub mod io;
 pub mod johnson;
 pub mod paths;
-pub mod seidel;
 
 pub use graph::{Graph, GraphBuilder, INF};
 
@@ -61,7 +59,6 @@ where
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bellman_ford::bellman_ford;
-    pub use crate::bfs::{apsp_by_bfs, bfs};
     pub use crate::components::{componentwise_apsp, weak_components};
     pub use crate::delta_stepping::{apsp_by_delta_stepping, delta_stepping};
     pub use crate::dijkstra::{
@@ -72,7 +69,6 @@ pub mod prelude {
     pub use crate::graph::{Graph, GraphBuilder, INF};
     pub use crate::johnson::{johnson_apsp, johnson_apsp_threads};
     pub use crate::paths::{extract_path, path_length, validate_path};
-    pub use crate::seidel::seidel_apsp;
 }
 
 #[cfg(test)]

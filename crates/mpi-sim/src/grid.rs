@@ -56,32 +56,11 @@ impl ProcessGrid {
         self.rank_of(i % self.pr, j % self.pc)
     }
 
-    /// Does this rank own block `(i, j)`?
-    pub fn owns_block(&self, i: usize, j: usize) -> bool {
-        self.block_owner(i, j) == self.grid.rank()
-    }
-
-    /// Process-row index that owns block-row `k` (`P_r(k)` in the paper).
-    pub fn prow_of(&self, k: usize) -> usize {
-        k % self.pr
-    }
-
-    /// Process-column index that owns block-column `k` (`P_c(k)`).
-    pub fn pcol_of(&self, k: usize) -> usize {
-        k % self.pc
-    }
-
     /// Block-rows of a `nb × nb` block matrix owned by process-row `r`:
     /// `r, r+P_r, r+2P_r, …`.
     pub fn my_block_rows(&self, nb: usize) -> Vec<usize> {
         let (r, _) = self.coords();
         (r..nb).step_by(self.pr).collect()
-    }
-
-    /// Block-columns owned by this rank's process-column.
-    pub fn my_block_cols(&self, nb: usize) -> Vec<usize> {
-        let (_, c) = self.coords();
-        (c..nb).step_by(self.pc).collect()
     }
 }
 

@@ -94,16 +94,6 @@ impl Placement {
         self.node_of.iter().copied().max().map_or(0, |m| m + 1)
     }
 
-    /// `(P_r, P_c)` process-grid dimensions this placement was built for.
-    pub fn grid_dims(&self) -> (usize, usize) {
-        (self.pr, self.pc)
-    }
-
-    /// `(Q_r, Q_c)` intranode grid dimensions.
-    pub fn intranode_dims(&self) -> (usize, usize) {
-        (self.qr, self.qc)
-    }
-
     /// `(K_r, K_c)` node-grid dimensions.
     pub fn node_grid_dims(&self) -> (usize, usize) {
         (self.pr / self.qr, self.pc / self.qc)

@@ -5,7 +5,7 @@
 //! * [`gemm_packed`] — BLIS-style packed operands + register-tiled
 //!   micro-kernel (see [`pack`]). Every caller in the workspace runs it:
 //!   the FW drivers, the simulated device's `ooGSrGemm`, the recursive and
-//!   block-sparse solvers, Seidel's Boolean and integer products;
+//!   block-sparse solvers;
 //! * [`gemm_packed_threads`] — the same kernel on row-slab threads sharing
 //!   one packed `B` under the caller's thread budget, standing in for the
 //!   GPU SRGEMM of the paper's §2.6/§4.1;

@@ -13,8 +13,8 @@
 //!
 //! * [`semiring`] — the [`Semiring`] trait and instances ([`MinPlus`],
 //!   [`MaxMin`], [`BoolOr`], [`MaxPlus`], [`RealArith`], and the quantized
-//!   integer tropical semirings [`MinPlusSatU16`]/[`MinPlusSatI32`] that
-//!   run 2–4× more SIMD lanes per vector).
+//!   integer tropical semiring [`MinPlusSatU16`], which runs twice the
+//!   SIMD lanes of `f32` per vector).
 //! * [`matrix`] — dense row-major [`Matrix`] plus borrowed strided
 //!   [`View`]/[`ViewMut`] blocks.
 //! * [`gemm`](mod@gemm) — the `C ← C ⊕ A ⊗ B` kernel: BLIS-style
@@ -48,7 +48,7 @@ pub mod semiring;
 pub use gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
 pub use matrix::{Matrix, View, ViewMut};
 pub use semiring::{
-    BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatI32, MinPlusSatU16, RealArith, Semiring,
+    BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatU16, RealArith, Semiring,
 };
 
 /// The paper's semiring: single-precision tropical (min, +).
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::matrix::{Matrix, View, ViewMut};
     pub use crate::panel::{panel_update_left, panel_update_right};
     pub use crate::semiring::{
-        BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatI32, MinPlusSatU16, RealArith, Semiring,
+        BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatU16, RealArith, Semiring,
     };
     pub use crate::{MinPlusF32, MinPlusF64};
 }

@@ -90,12 +90,6 @@ impl<T: Copy> Matrix<T> {
         &self.data
     }
 
-    /// Mutable row-major backing slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[T] {

@@ -271,67 +271,6 @@ impl Semiring for MinPlusSatU16 {
     }
 }
 
-/// Quantized tropical semiring over **non-negative** `i32`:
-/// `(i32 ∩ [0, MAX], min, saturating +)` with `i32::MAX` as the `∞`
-/// sentinel.
-///
-/// The semiring laws hold exactly on the non-negative domain (where
-/// saturating add is `min(a + b, i32::MAX)` over ℕ, hence associative,
-/// monotone, and sentinel-absorbing). Negative elements are **outside the
-/// domain**: `i32::MAX.saturating_add(-5)` un-absorbs the sentinel, which
-/// is why the `apsp_core` quantization layer rejects negative weights
-/// before ever building a matrix over this semiring. AVX-512 runs 16 lanes
-/// per vector (`vpminsd`; the saturating add is synthesized from add + min
-/// against the sentinel), 2× the f64 width and lock-step with f32 —
-/// trading nothing on width but giving exact integer arithmetic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MinPlusSatI32;
-
-impl Semiring for MinPlusSatI32 {
-    type Elem = i32;
-    const NAME: &'static str = "min-plus-sat-i32";
-    const IDEMPOTENT_ADD: bool = true;
-
-    #[inline(always)]
-    fn zero() -> i32 {
-        i32::MAX
-    }
-    #[inline(always)]
-    fn one() -> i32 {
-        0
-    }
-    #[inline(always)]
-    fn add(a: i32, b: i32) -> i32 {
-        a.min(b)
-    }
-    #[inline(always)]
-    fn mul(a: i32, b: i32) -> i32 {
-        a.saturating_add(b)
-    }
-
-    /// `c ⊕ (a ⊗ b)` without the multi-instruction `sadd.sat` lowering.
-    ///
-    /// On the non-negative domain the wrapping sum of `a, b ≤ 2³¹−1` lands in
-    /// `[−2³¹, −2]` exactly when the true sum exceeds `i32::MAX` — a sum of
-    /// two non-negatives wraps iff the `i32` result is negative. A negative
-    /// `s` therefore means "saturated past the sentinel", and
-    /// `min(c, saturating_add(a, b))` would keep `c`; otherwise `s` is the
-    /// exact sum and the ordinary signed min applies. This compiles to
-    /// `vpaddd` + `vpcmpd` + masked `vpminsd` per vector — three ops, versus
-    /// the five-op `sadd.sat` fixup chain the composed form lowers to.
-    ///
-    /// The formulation is deliberate: spelling the same function as an
-    /// *unsigned* min (`umin(c, a +ᵤ b)` over `u32`) makes LLVM's
-    /// loop-vectorizer pick the strided row dimension and emit
-    /// gather/scatter (observed 12× slower than f32); the signed
-    /// select keeps it on the contiguous lane dimension.
-    #[inline(always)]
-    fn fma(c: i32, a: i32, b: i32) -> i32 {
-        let s = a.wrapping_add(b);
-        if s >= 0 { c.min(s) } else { c }
-    }
-}
-
 /// Ordinary real arithmetic `(ℝ, +, ×)` — used as a GEMM sanity oracle in
 /// tests (it is a semiring too, just not an idempotent one).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -428,20 +367,6 @@ mod tests {
         // relaxation semantics.
         assert_eq!(S::fma(10, 3, 4), 7);
         assert_eq!(S::fma(5, u16::MAX, 4), 5);
-    }
-
-    #[test]
-    fn quantized_i32_identities_and_saturation() {
-        type S = MinPlusSatI32;
-        assert_eq!(S::zero(), i32::MAX);
-        assert_eq!(S::one(), 0);
-        assert_eq!(S::add(S::zero(), 40), 40);
-        assert_eq!(S::mul(S::one(), 40), 40);
-        assert_eq!(S::mul(S::zero(), 40), i32::MAX);
-        assert_eq!(S::mul(40, S::zero()), i32::MAX);
-        assert_eq!(S::mul(i32::MAX - 1, 10), i32::MAX);
-        assert_eq!(S::fma(10, 3, 4), 7);
-        assert_eq!(S::fma(5, i32::MAX, 4), 5);
     }
 
     #[test]

@@ -69,9 +69,9 @@ proptest! {
         prop_assert!(c1.eq_exact(&c2), "shape ({m},{n},{k})");
     }
 
-    // The semirings of the callers that moved onto the packed kernel last:
-    // Seidel's Boolean squaring and integer counting product, and the
-    // widest-path instances of `dc_apsp` / `fw_closure_squaring`.
+    // The other element widths and semirings the packed kernel serves:
+    // 1-byte Boolean reachability, the real-arithmetic sanity oracle, and
+    // the widest-path instances of `dc_apsp` / `fw_closure_squaring`.
 
     #[test]
     fn packed_bit_identical_to_naive_boolor((m, n, k) in shapes(), seed in any::<u64>()) {
