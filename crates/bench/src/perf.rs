@@ -531,8 +531,8 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
     // Same packed kernel, same n as the f32 headline above; the only change
     // is the element width, so `speedup` here is exactly the lane-width win
     // (elements retired per second relative to the f32 datapath): u16 packs
-    // 2× the lanes of f32 per vector register and measures ≈ 1.2× on this
-    // box (ROADMAP item 5).
+    // 2× the lanes of f32 per vector register and measures ≈ 1.6× on this
+    // box (DESIGN.md §16).
     eprintln!("[perf] gemm quantized lanes (u16 vs packed f32), n = {}", sz.gemm_headline_n);
     {
         let n = sz.gemm_headline_n;
@@ -776,7 +776,8 @@ pub fn run_suite(mode: Mode, reps: usize) -> Report {
             reps,
             || (),
             |()| {
-                quant::solve_quantized(&g, &plan, sz.headline_b, host);
+                quant::solve_quantized(&g, &plan, sz.headline_b, host)
+                    .expect("the plan was made for this graph");
             },
         );
         let flops = 2.0 * (sz.headline_n as f64).powi(3);

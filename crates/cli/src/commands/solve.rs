@@ -299,6 +299,24 @@ mod tests {
         let err = run(&toks(&cmd)).unwrap_err();
         assert!(err.contains("quant: ineligible"), "{err}");
         assert!(err.contains("overflow"), "{err}");
+        // the boundary: one hop of 32 766 is the last distance below the
+        // lanes' sentinel and solves like fw; 32 767 is the sentinel itself
+        let (tsv, want) = (dir.join("q.tsv"), dir.join("fw.tsv"));
+        for (w, fits) in [(32_766.0, true), (32_767.0, false)] {
+            let mut b = apsp_graph::GraphBuilder::new(2);
+            b.add_edge(0, 1, w);
+            crate::commands::save_graph(&b.build(), input.to_str().unwrap(), None).unwrap();
+            let quant = run(&toks(&format!("{cmd} --out {}", tsv.display())));
+            if fits {
+                quant.unwrap();
+                let fw = format!("--input {} --algo fw --out {}", input.display(), want.display());
+                run(&toks(&fw)).unwrap();
+                assert_eq!(std::fs::read(&tsv).unwrap(), std::fs::read(&want).unwrap());
+            } else {
+                let err = quant.unwrap_err();
+                assert!(err.contains("cannot fit below the u16 sentinel 32767"), "{err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,9 +38,10 @@
 //!   [`incremental`](mod@incremental) decrease batches and publishes new
 //!   epochs; spoken over a line protocol by `apsp serve`.
 //! * [`quant`] — low-precision quantized solves: scale-and-round weights
-//!   into `u16`, run blocked FW over the saturating integer min-plus
-//!   semiring (twice the SIMD lanes of `f32` through the same packed
-//!   kernel), and dequantize under a provable `±eps` bound, with typed
+//!   into `u16`, run blocked FW over the integer min-plus semiring that
+//!   saturates at the half-range sentinel 32 767 (twice the SIMD lanes of
+//!   `f32` through the same packed kernel, a plain add in the inner
+//!   loop), and dequantize under a provable `±eps` bound, with typed
 //!   overflow/tolerance rejection ([`quant::QuantError`]) decided before
 //!   any work happens.
 //! * [`solver`] — one [`Solver`] registry over every APSP algorithm in the

@@ -1,24 +1,30 @@
 //! Quantized-integer APSP: scale-and-round a weighted [`Graph`] into `u16`
-//! weights, run blocked FW over the saturating integer min-plus semiring
+//! weights, run blocked FW over the integer min-plus semiring
 //! [`MinPlusSatU16`], and dequantize back to `f32` with a provable error
 //! bound — `u16` lanes or a typed refusal, there is no wider fallback.
 //!
 //! Why bother: `u16` doubles (vs `f32`) the elements per SIMD register —
 //! 32 lanes per AVX-512 register instead of 16 — and halves the bytes per
 //! distance, so a quantized solve trades a bounded, explicit amount of
-//! precision for capacity and a measured 1.2× kernel (DESIGN.md §16). This
-//! is the CPU analogue of the low-precision tensor-core SRGEMM variants of
-//! the paper's GPU engine.
+//! precision for capacity *and* speed: the kernel measures ≈ 1.6× packed
+//! `f32` and the whole solve ≈ 0.7× `blocked`'s time on the benchmark's
+//! dense input (DESIGN.md §16). This is the CPU analogue of the
+//! low-precision tensor-core SRGEMM variants of the paper's GPU engine.
 //!
 //! ## Contract
 //!
 //! Quantization maps weight `w` to `round(w · scale)` with a power-of-two
-//! `scale ≥ 1`. The integer semiring's `zero()` is the type's `MAX`
-//! sentinel (= "no edge" = `+∞`); saturating `⊗` guarantees sums through
-//! the sentinel stick at the sentinel. The plan ([`plan`]) proves, before
-//! any work happens, that no *finite* path can reach the sentinel:
+//! `scale ≥ 1`. The lanes use half the `u16` range: the semiring's
+//! `zero()` is the sentinel `S = 2¹⁵ − 1 = 32 767` (= "no edge" = `+∞`,
+//! as is anything `≥ S`), every stored element is `≤ S`, and so `⊗` is a
+//! plain 16-bit add that cannot wrap (`a + b ≤ 2S < 2¹⁶`) while
+//! `c ← min(c, a + b)` is exactly the accumulate of the min-plus semiring
+//! that saturates at `S` — sums through the sentinel stick at the
+//! sentinel, without the saturating instruction. The plan ([`plan`])
+//! proves, before any work happens, that no *finite* path can reach the
+//! sentinel:
 //!
-//! > `hops · round(max_weight · scale) ≤ sentinel − 1`, `hops = n − 1`.
+//! > `hops · round(max_weight · scale) ≤ S − 1 = 32 766`, `hops = n − 1`.
 //!
 //! Every shortest path in a non-negative graph is simple (≤ `n − 1` edges),
 //! so under that precondition the solve is *exact over the quantized
@@ -30,21 +36,24 @@
 //!
 //! (see DESIGN.md §16 for the derivation). When every weight is a whole
 //! number and the precondition holds at `scale = 1` (every distance is then
-//! below 2¹⁶, so the `f32` dequantization is itself exact), rounding
+//! below 2¹⁵, so the `f32` dequantization is itself exact), rounding
 //! vanishes and the solve is bit-exact: `eps = 0`.
 //!
 //! Graphs that cannot meet the precondition at `scale = 1`
-//! (`hops · max_weight > 65 534`) are rejected up front with the typed
+//! (`hops · max_weight > 32 766`) are rejected up front with the typed
 //! [`QuantError::Overflow`]; requested
 //! tolerances the achievable `eps` cannot meet are
-//! [`QuantError::Tolerance`]. Negative weights are outside the saturating
+//! [`QuantError::Tolerance`]. Negative weights are outside the
 //! semiring's domain (the annihilator law breaks) and are typed
-//! [`QuantError::NegativeWeights`].
+//! [`QuantError::NegativeWeights`]. [`solve_quantized`] re-proves the
+//! precondition on the weights it quantizes, so a plan made for another
+//! graph is the same typed `Overflow` and never a wrapped distance.
 
 use apsp_graph::Graph;
 use srgemm::{Matrix, MinPlusSatU16};
 
 use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
+use crate::solver::profile::WeightSweep;
 
 /// Largest power-of-two exponent [`plan`] will consider for the scale.
 /// `2⁴⁰` already pushes `eps` below `1e-9` for any graph small enough to
@@ -52,8 +61,9 @@ use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 /// overflow proof itself.
 const MAX_SCALE_EXP: i32 = 40;
 
-/// The `+∞` sentinel of the `u16` lanes (the semiring's `zero()`).
-const SENTINEL: u64 = u16::MAX as u64;
+/// The `+∞` sentinel of the `u16` lanes (the semiring's `zero()`), and the
+/// largest element a quantized matrix may hold.
+const SENTINEL: u16 = MinPlusSatU16::SENTINEL;
 
 /// Integer element type a quantized solve runs in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,25 +103,26 @@ pub struct QuantPlan {
     pub hops: u64,
 }
 
-/// Why a graph cannot be quantized (all variants are decided *before* any
-/// quantization work happens).
+/// Why a graph cannot be quantized. [`plan`] decides all three before any
+/// quantization work happens; [`solve_quantized`] can still answer
+/// `Overflow` for a plan that was made for another graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum QuantError {
-    /// Saturating integer min-plus is only a semiring on non-negative
-    /// values (`MAX.saturating_add(-5) ≠ MAX` breaks the annihilator).
+    /// Integer min-plus with a `+∞` sentinel is only a semiring on
+    /// non-negative values (`S + (−5) < S` breaks the annihilator).
     NegativeWeights {
         /// The most negative weight seen.
         min: f32,
     },
-    /// `hops × max_weight` cannot fit below the `u16` sentinel even at
-    /// `scale = 1`: a finite shortest path could saturate, which would
+    /// `hops × max_weight` cannot fit below the `u16` lanes' sentinel even
+    /// at `scale = 1`: a finite shortest path could saturate, which would
     /// silently turn a reachable pair into `+∞`.
     Overflow {
         /// `n − 1`, the simple-path hop bound.
         hops: u64,
         /// Largest edge weight in the graph.
         max_weight: f32,
-        /// The `u16` sentinel the product must stay below.
+        /// The sentinel (32 767) the product must stay below.
         sentinel: u64,
     },
     /// The best achievable error bound still exceeds the requested
@@ -146,11 +157,20 @@ impl std::fmt::Display for QuantError {
 
 impl std::error::Error for QuantError {}
 
+/// The simple-path hop bound of an `n`-vertex graph.
+fn hop_bound(n: usize) -> u64 {
+    (n.saturating_sub(1)).max(1) as u64
+}
+
 /// Does `scale` keep every finite simple-path sum strictly below the
 /// sentinel (so saturation can never cap a minimum)?
 fn fits(hops: u64, max_weight: f64, scale: f64) -> bool {
     let q_max = (max_weight * scale).round();
     q_max.is_finite() && hops as f64 * q_max <= (SENTINEL - 1) as f64
+}
+
+fn overflow(hops: u64, max_weight: f32) -> QuantError {
+    QuantError::Overflow { hops, max_weight, sentinel: SENTINEL as u64 }
 }
 
 /// Pick the power-of-two scale for a graph with the given shape, proving
@@ -171,11 +191,11 @@ pub fn plan(
         return Err(QuantError::NegativeWeights { min: min_weight });
     }
     let dtype = QuantDtype::U16;
-    let hops = (n.saturating_sub(1)).max(1) as u64;
+    let hops = hop_bound(n);
     let w_max = max_weight.max(0.0) as f64;
 
     // Bit-exact path: integral weights at scale 1 (every finite distance is
-    // then a whole number below 2¹⁶, which f32 holds exactly).
+    // then a whole number below 2¹⁵, which f32 holds exactly).
     if integral && fits(hops, w_max, 1.0) {
         return Ok(QuantPlan { dtype, scale: 1.0, eps: 0.0, exact: true, hops });
     }
@@ -185,7 +205,7 @@ pub fn plan(
     let Some(scale) =
         (0..=MAX_SCALE_EXP).rev().map(|e| (2.0f64).powi(e)).find(|&s| fits(hops, w_max, s))
     else {
-        return Err(QuantError::Overflow { hops, max_weight, sentinel: SENTINEL });
+        return Err(overflow(hops, max_weight));
     };
     let eps = hops as f64 * 0.5 / scale;
     if eps <= tolerance {
@@ -195,62 +215,95 @@ pub fn plan(
     }
 }
 
-/// [`plan`] with the shape features read off a graph directly (one `O(m)`
-/// sweep); the solver layer passes its [`GraphProfile`] fields instead.
+/// [`plan`] with the shape features read off a graph directly: the weight
+/// sweep of the profile pass and nothing else of it. The solver layer passes
+/// its [`GraphProfile`] fields instead.
 ///
 /// [`GraphProfile`]: crate::solver::GraphProfile
 pub fn plan_for_graph(g: &Graph, tolerance: f64) -> Result<QuantPlan, QuantError> {
-    let mut min_w = 0.0f32;
-    let mut max_w = 0.0f32;
-    let mut integral = true;
-    for (_, _, w) in g.edges() {
-        min_w = min_w.min(w);
-        max_w = max_w.max(w);
-        if w.fract() != 0.0 {
-            integral = false;
-        }
+    let mut weights = WeightSweep::new();
+    for u in 0..g.n() {
+        weights.row(g.out_edges(u).1);
     }
-    plan(g.n(), min_w, max_w, integral, tolerance)
+    let (min_w, max_w) = weights.range();
+    plan(g.n(), min_w, max_w, weights.integral, tolerance)
 }
 
-/// Dense `u16` distance seed: `round(w · scale)` per edge, `0` diagonal,
-/// `u16::MAX` sentinel elsewhere. Caller must hold a fitting [`QuantPlan`].
-pub fn quantize_u16(g: &Graph, scale: f64) -> Matrix<u16> {
+/// `round(x)` clamped to the sentinel, for `x = w · scale`. `x + 0.5`
+/// truncated equals `x.round()` wherever a plan can put `x`: the product
+/// of an `f32` and a power of two is exact, non-negative and below 2¹⁶, so
+/// neither the sum nor the cast rounds. Anything else (a weight the plan
+/// was not made for, `+∞`) lands on the sentinel, negatives and NaN on 0:
+/// no input produces an element above `S`.
+#[inline]
+fn quantize_weight(x: f64) -> u16 {
+    ((x + 0.5) as u16).min(SENTINEL)
+}
+
+/// The dense `u16` seed of [`quantize_u16`], one row at a time, and the
+/// largest weight the pass saw (`0` for no edges).
+fn quantize_rows(g: &Graph, scale: f64) -> (Matrix<u16>, f32) {
     let n = g.n();
-    let mut d = Matrix::filled(n, n, u16::MAX);
-    for i in 0..n {
-        d[(i, i)] = 0;
-    }
-    for (u, v, w) in g.edges() {
-        let q = (w as f64 * scale).round() as u16;
-        if q < d[(u, v)] {
-            d[(u, v)] = q;
+    let mut data = Vec::with_capacity(n * n);
+    let mut max_weight = 0.0f32;
+    for u in 0..n {
+        data.resize((u + 1) * n, SENTINEL);
+        let row = &mut data[u * n..];
+        let (targets, weights) = g.out_edges(u);
+        // CSR holds one edge per (u, v): a plain store, no min
+        for (&v, &w) in targets.iter().zip(weights) {
+            if w > max_weight {
+                max_weight = w;
+            }
+            row[v as usize] = quantize_weight(w as f64 * scale);
         }
+        row[u] = 0;
     }
-    d
+    (Matrix::from_vec(n, n, data), max_weight)
 }
 
-/// Map solved `u16` distances back to `f32`: sentinel → `+∞`, otherwise
-/// `q / scale`.
+/// Dense `u16` distance seed: `round(w · scale)` per edge clamped to the
+/// sentinel 32 767, `0` diagonal, the sentinel elsewhere. No element
+/// exceeds the sentinel whatever `scale` is; a finite path can only be
+/// trusted not to reach it under a fitting [`QuantPlan`].
+pub fn quantize_u16(g: &Graph, scale: f64) -> Matrix<u16> {
+    quantize_rows(g, scale).0
+}
+
+/// Map solved `u16` distances back to `f32`: the sentinel (or anything
+/// above it) → `+∞`, otherwise `q / scale`, computed as `q · (1 / scale)` —
+/// the same number for the power-of-two scale every [`QuantPlan`] carries.
 pub fn dequantize_u16(d: &Matrix<u16>, scale: f64) -> Matrix<f32> {
-    Matrix::from_fn(d.rows(), d.cols(), |i, j| {
-        let q = d[(i, j)];
-        if q == u16::MAX {
-            f32::INFINITY
-        } else {
-            (q as f64 / scale) as f32
-        }
-    })
+    let inv = 1.0 / scale;
+    let data = d
+        .as_slice()
+        .iter()
+        .map(|&q| if q >= SENTINEL { f32::INFINITY } else { (q as f64 * inv) as f32 })
+        .collect();
+    Matrix::from_vec(d.rows(), d.cols(), data)
 }
 
 /// Quantize per `plan`, run blocked FW over [`MinPlusSatU16`] on at most
-/// `threads` kernel threads, and dequantize. The caller is responsible for
-/// having obtained `plan` from [`plan`] / [`plan_for_graph`] on this graph —
-/// that is what makes the saturation-free and `eps` guarantees hold.
-pub fn solve_quantized(g: &Graph, plan: &QuantPlan, block: usize, threads: usize) -> Matrix<f32> {
-    let mut d = quantize_u16(g, plan.scale);
+/// `threads` kernel threads, and dequantize.
+///
+/// `plan` is meant to come from [`plan`] / [`plan_for_graph`] on this graph —
+/// that is what makes the `eps` guarantee hold. The precondition the lanes'
+/// plain add rests on is not taken on trust: it is proved again from the
+/// weights the quantize pass saw, before any FW work, and a plan that does
+/// not fit this graph is [`QuantError::Overflow`].
+pub fn solve_quantized(
+    g: &Graph,
+    plan: &QuantPlan,
+    block: usize,
+    threads: usize,
+) -> Result<Matrix<f32>, QuantError> {
+    let (mut d, max_weight) = quantize_rows(g, plan.scale);
+    let hops = hop_bound(g.n());
+    if !fits(hops, max_weight as f64, plan.scale) {
+        return Err(overflow(hops, max_weight));
+    }
     fw_blocked_threads::<MinPlusSatU16>(&mut d, block.max(1), DiagMethod::FwClosure, threads);
-    dequantize_u16(&d, plan.scale)
+    Ok(dequantize_u16(&d, plan.scale))
 }
 
 #[cfg(test)]
@@ -279,13 +332,13 @@ mod tests {
 
     #[test]
     fn fractional_weights_need_a_tolerance_and_get_a_scaled_plan() {
-        // 127 hops x round(1.0 x 512) = 65024 fits below the sentinel, x 1024 does not
-        let p = plan(128, 0.1, 1.0, false, 0.125).unwrap();
+        // 127 hops x round(1.0 x 256) = 32512 fits below the sentinel, x 512 does not
+        let p = plan(128, 0.1, 1.0, false, 0.25).unwrap();
         assert!(!p.exact);
-        assert_eq!(p.scale, 512.0);
+        assert_eq!(p.scale, 256.0);
         // the bound is hops/(2*scale)
         assert_eq!(p.eps, 127.0 * 0.5 / p.scale);
-        assert!(p.eps <= 0.125, "eps {}", p.eps);
+        assert!(p.eps <= 0.25, "eps {}", p.eps);
         // an impossible tolerance is a typed error carrying the best bound
         match plan(128, 0.1, 1.0, false, 0.0) {
             Err(QuantError::Tolerance { eps, tolerance }) => {
@@ -298,20 +351,18 @@ mod tests {
 
     #[test]
     fn overflow_and_negative_weights_are_typed_up_front() {
-        // 3e9 > u16::MAX: even scale 1 cannot represent one edge
+        // 3e9 > 32767: even scale 1 cannot represent one edge
         match plan(4, 1.0, 3.0e9, true, f64::INFINITY) {
-            Err(QuantError::Overflow { hops: 3, sentinel, .. }) => {
-                assert_eq!(sentinel, u16::MAX as u64)
-            }
+            Err(QuantError::Overflow { hops: 3, sentinel, .. }) => assert_eq!(sentinel, 32_767),
             other => panic!("expected Overflow, got {other:?}"),
         }
-        // the boundary itself, integral or not: 2 hops x 32767 = 65534 is the
-        // last product below the sentinel, 3 x 21845 = 65535 is the sentinel
+        // the boundary itself, integral or not: 2 hops x 16383 = 32766 is the
+        // last product below the sentinel, 3 x 10923 = 32769 is past it
         for integral in [true, false] {
-            let fit = plan(3, 1.0, 32767.0, integral, f64::INFINITY).unwrap();
+            let fit = plan(3, 1.0, 16383.0, integral, f64::INFINITY).unwrap();
             assert_eq!((fit.scale, fit.exact), (1.0, integral));
             assert!(matches!(
-                plan(4, 1.0, 21845.0, integral, f64::INFINITY),
+                plan(4, 1.0, 10923.0, integral, f64::INFINITY),
                 Err(QuantError::Overflow { hops: 3, .. })
             ));
         }
@@ -319,6 +370,77 @@ mod tests {
         match plan(4, -2.5, 3.0, false, 1.0) {
             Err(QuantError::NegativeWeights { min }) => assert_eq!(min, -2.5),
             other => panic!("expected NegativeWeights, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unfit_plan_is_a_typed_overflow_never_a_wrapped_distance() {
+        // a plan proved on weights <= 15…
+        let small = generators::uniform_dense(8, WeightKind::Integer { lo: 1, hi: 15 }, 5);
+        let p = plan_for_graph(&small, 0.0).unwrap();
+        assert!(p.exact);
+        // …handed a graph with 30 000 edges: 0 → 1 → 2 is 60 000, which a
+        // 16-bit add still holds, and one more hop would wrap to 24 464
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 30_000.0).add_edge(1, 2, 30_000.0).add_edge(2, 3, 30_000.0);
+        b.add_edge(3, 0, 7.0);
+        let g = b.build();
+        assert_eq!(
+            solve_quantized(&g, &p, 2, 1).unwrap_err(),
+            QuantError::Overflow { hops: 3, max_weight: 30_000.0, sentinel: 32_767 }
+        );
+        // the right plan for it is the same typed error, up front
+        assert_eq!(plan_for_graph(&g, 1.0), Err(overflow(3, 30_000.0)));
+        // and the seed stays in the lanes' domain whatever it is handed
+        b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 30_000.0).add_edge(3, 0, 7.0).add_edge(0, 2, 1.0e9);
+        b.add_edge(1, 3, f32::INFINITY).add_edge(2, 1, 32_768.0);
+        let g = b.build();
+        for scale in [1.0, 4.0, 1.0e30] {
+            let q = quantize_u16(&g, scale);
+            assert!(q.as_slice().iter().all(|&x| x <= 32_767), "scale {scale}");
+            assert_eq!(q[(3, 0)], (7.0 * scale).min(32_767.0) as u16);
+            assert_eq!((q[(0, 2)], q[(1, 3)], q[(2, 1)]), (32_767, 32_767, 32_767));
+            assert_eq!((q[(2, 0)], q[(2, 2)]), (32_767, 0));
+        }
+        assert_eq!(quantize_u16(&g, 1.0)[(0, 1)], 30_000);
+    }
+
+    #[test]
+    fn quantize_rounds_like_round_on_the_plans_domain() {
+        // x = q · 2⁻ᵉ: every value a power-of-two scale can produce at whole,
+        // half and 1/256 steps, through the whole 16-bit range
+        for e in [0, 1, 8] {
+            for q in 0..=65_535u32 {
+                let x = q as f64 / (1u32 << e) as f64;
+                assert_eq!((x + 0.5) as u16, x.round() as u16, "{q} / 2^{e}");
+                assert_eq!(quantize_weight(x), (x.round() as u16).min(32_767), "{q} / 2^{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_for_graph_reads_what_the_profile_reads() {
+        let mut lopsided = GraphBuilder::new(5);
+        lopsided.add_edge(0, 1, 0.25).add_edge(4, 2, 7.0).add_edge(2, 2, 3.0);
+        let mut negative = GraphBuilder::new(3);
+        negative.add_edge(0, 1, 2.0).add_edge(1, 2, -1.5);
+        for g in [
+            generators::uniform_dense(20, WeightKind::small_ints(), 1),
+            generators::grid(4, 5, WeightKind::Real { lo: 0.0, hi: 2.0 }, 2),
+            lopsided.build(),
+            negative.build(),
+            GraphBuilder::new(3).build(),
+        ] {
+            let p = crate::solver::GraphProfile::compute(&g, 8);
+            for tol in [0.0, 1e-2, f64::INFINITY] {
+                assert_eq!(
+                    plan_for_graph(&g, tol),
+                    plan(p.n, p.min_weight, p.max_weight, p.integral_weights, tol),
+                    "n = {}, tolerance {tol}",
+                    p.n
+                );
+            }
         }
     }
 
@@ -331,7 +453,7 @@ mod tests {
         ] {
             let p = plan_for_graph(&g, 0.0).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(p.exact, "{label}");
-            let got = solve_quantized(&g, &p, 8, 1);
+            let got = solve_quantized(&g, &p, 8, 1).unwrap();
             assert!(got.eq_exact(&oracle(&g)), "{label} diverged from fw_seq");
         }
     }
@@ -339,10 +461,11 @@ mod tests {
     #[test]
     fn fractional_solve_stays_within_the_documented_eps() {
         let g = generators::uniform_dense(40, WeightKind::Real { lo: 0.0, hi: 1.0 }, 13);
-        // 39 hops at scale 1024: eps = 0.019
-        let p = plan_for_graph(&g, 0.02).unwrap();
+        // 39 hops at scale 512: eps = 0.038
+        let p = plan_for_graph(&g, 0.04).unwrap();
+        assert_eq!(p.scale, 512.0);
         assert!(!p.exact);
-        let got = solve_quantized(&g, &p, 8, 1);
+        let got = solve_quantized(&g, &p, 8, 1).unwrap();
         let want = oracle(&g);
         for i in 0..g.n() {
             for j in 0..g.n() {
@@ -365,7 +488,7 @@ mod tests {
         b.add_edge(0, 1, 2.0).add_edge(2, 3, 4.0);
         let g = b.build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        let got = solve_quantized(&g, &p, 2, 1);
+        let got = solve_quantized(&g, &p, 2, 1).unwrap();
         assert!(got.eq_exact(&oracle(&g)));
         assert_eq!(got[(0, 2)], f32::INFINITY);
         assert_eq!(got[(1, 0)], f32::INFINITY);
@@ -375,10 +498,10 @@ mod tests {
     fn empty_and_trivial_graphs_do_not_panic() {
         let g = GraphBuilder::new(0).build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        assert_eq!(solve_quantized(&g, &p, 4, 1).rows(), 0);
+        assert_eq!(solve_quantized(&g, &p, 4, 1).unwrap().rows(), 0);
         let g = GraphBuilder::new(1).build();
         let p = plan_for_graph(&g, 0.0).unwrap();
-        let d = solve_quantized(&g, &p, 4, 1);
+        let d = solve_quantized(&g, &p, 4, 1).unwrap();
         assert_eq!(d[(0, 0)], 0.0);
     }
 }

@@ -252,8 +252,16 @@ pub trait Solver: Send + Sync {
         None
     }
 
-    /// Run the algorithm. `stats.wall_s` is filled by the caller.
-    fn solve(&self, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError>;
+    /// Run the algorithm. `profile` is `g`'s at `opts.block`, the one
+    /// [`Solver::eligible`] has just passed on: a solver that needs a graph
+    /// feature reads it there instead of walking the edges again.
+    /// `stats.wall_s` is filled by the caller.
+    fn solve(
+        &self,
+        g: &Graph,
+        profile: &GraphProfile,
+        opts: &SolveOpts,
+    ) -> Result<Solution, SolveError>;
 
     /// [`Solver::check`] plus the uniform memory-budget screen.
     fn eligible(&self, profile: &GraphProfile, opts: &SolveOpts) -> Result<(), Ineligible> {
@@ -329,7 +337,7 @@ impl Registry {
             .eligible(profile, opts)
             .map_err(|reason| SolveError::Ineligible { solver: solver.name(), reason })?;
         let t0 = Instant::now();
-        let mut sol = solver.solve(g, opts)?;
+        let mut sol = solver.solve(g, profile, opts)?;
         sol.stats.wall_s = t0.elapsed().as_secs_f64();
         if profile.has_negative() && (0..profile.n).any(|i| sol.dist[(i, i)] < 0.0) {
             return Err(SolveError::NegativeCycle);

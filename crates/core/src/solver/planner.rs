@@ -34,13 +34,13 @@ use super::{Estimate, GraphProfile, Ineligible, Registry, SolveOpts};
 /// Seconds per semiring FLOP of the packed register-tiled dense kernel
 /// (per worker thread).
 pub const T_FLOP_PACKED: f64 = 2.2e-11;
-/// Seconds per semiring FLOP of the packed kernel on saturating `u16`
-/// lanes. 32 lanes per AVX-512 register against 16 for `f32`, but the
-/// measured kernel is 85.8 vs 71.4 Gflop/s = 1.20× packed `f32`, not 2×,
-/// and the whole `dense-quant` solve is 1.06–1.15× *slower* than `blocked`
-/// once plan, quantize and dequantize are paid; the ratio to
-/// `T_FLOP_PACKED` (0.55) therefore over-sells the lane. Frozen with the
-/// rest (module header).
+/// Seconds per semiring FLOP of a quantized solve on `u16` lanes (32 per
+/// AVX-512 register against 16 for `f32`), quantize and dequantize
+/// included: 2n³ · 1.2e-11 = 25.8 ms at n = 1024, and since PR 23 (plain
+/// add in the inner loop, one profile pass, row-wise quantize) that is
+/// what `dense-quant` costs — `solver.forecast_err_frac` reads ≤ 0.10
+/// where it read 0.36–0.48. The value did not move; the solve did. Frozen
+/// with the rest (module header).
 pub const T_QUANT_U16: f64 = 1.2e-11;
 /// Seconds per FLOP of the block-sparse path — one small product per
 /// `b×b` block, each packing its own operands, so well below the dense

@@ -116,7 +116,7 @@ impl Isa {
     /// per GEMM invocation, not per tile).
     ///
     /// The AVX-512 variant requires `avx512bw` (without it there are no
-    /// 512-bit 16-bit-element min/saturating-add instructions, so the u16
+    /// 512-bit 16-bit-element min/add instructions, so the u16
     /// semiring would fall apart into spilling 128-bit code) and `avx512vl`
     /// (so narrower ops can still use all 32 registers). Every server part
     /// since Skylake-SP has all three; a hypothetical F-only CPU falls back
@@ -141,8 +141,9 @@ impl Isa {
     /// element of `elem_size` bytes. `NR` is a fixed **byte** width per
     /// variant (two ZMM / two YMM / two XMM registers per accumulator row),
     /// so narrower elements get proportionally more lanes: u16 runs a 64-wide
-    /// `NR` on AVX-512 where f32 runs 32 and f64 runs 16. Every shape's `NR`
-    /// divides the [`pad_quantum`] stride of an element of that size.
+    /// `NR` on AVX-512 where f32 runs 32 and f64 runs 16. The one exception
+    /// is u16 on AVX2, below. Every shape's `NR` divides the [`pad_quantum`]
+    /// stride of an element of that size.
     pub fn micro_shape(self, elem_size: usize) -> (usize, usize) {
         let (mr, nr_bytes) = match self {
             #[cfg(target_arch = "x86_64")]
@@ -152,6 +153,14 @@ impl Isa {
             Isa::Baseline => (2, 64),
         };
         match elem_size {
+            // u16 on AVX2 trades rows for lanes, 2×64 for 4×32: the same
+            // eight accumulator registers and the same loads per step, but a
+            // 64-lane row is a loop LLVM vectorises, as on AVX-512. At 32
+            // lanes it unrolls the row first, then vectorises the integer
+            // min-reduction over `k` and spills 128 accumulator vectors
+            // (58 against 105 Gflop/s, DESIGN.md §16).
+            #[cfg(target_arch = "x86_64")]
+            2 if self == Isa::Avx2 => (2, 64),
             1 | 2 | 4 | 8 => (mr, nr_bytes / elem_size),
             // exotic element sizes fall back to the pre-quantization shapes,
             // which divide the legacy 32-element pad quantum
@@ -542,7 +551,7 @@ fn slab_times_tile<S: Semiring>(
 /// accumulator row is always two ZMM registers (128 B), so the 8-row tile
 /// uses 16 of the 32 available — 32 f32 lanes, 64 u16 lanes, 16 f64
 /// lanes per row. `avx512bw` is what gives the 16-bit-element zmm ops the
-/// u16 semiring compiles to (`vpminuw`/`vpaddusw`); `avx512vl` lets the
+/// u16 semiring compiles to (`vpminuw`/`vpaddw`); `avx512vl` lets the
 /// compiler keep using registers 16–31 for any narrower helper ops.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
@@ -568,7 +577,8 @@ fn slab_times_tile_avx512<S: Semiring>(
 }
 
 /// AVX2 instantiations: an accumulator row is two YMM registers (64 B), the
-/// 4-row tile 8 of the 16 — 16 f32 lanes, 32 u16 lanes per row.
+/// 4-row tile 8 of the 16 — 16 f32 lanes per row. The u16 tile is two rows
+/// of four registers, 64 lanes each ([`Isa::micro_shape`] says why).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -585,7 +595,7 @@ fn slab_times_tile_avx2<S: Semiring>(
 ) {
     match std::mem::size_of::<S::Elem>() {
         1 => slab_times_tile_generic::<S, 4, 64>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
-        2 => slab_times_tile_generic::<S, 4, 32>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
+        2 => slab_times_tile_generic::<S, 2, 64>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
         4 => slab_times_tile_generic::<S, 4, 16>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
         8 => slab_times_tile_generic::<S, 4, 8>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
         _ => slab_times_tile_generic::<S, 4, 16>(c, pa, b_tile, i0, ib, j0, jb, stride, kb),
@@ -799,17 +809,19 @@ mod tests {
         assert!(c1.eq_exact(&c2));
     }
 
-    #[test]
-    fn every_isa_variant_is_bit_identical() {
-        // run the slab walk at each width supported by this machine on the
-        // same operands; unsupported widths cannot run and are skipped
+    /// The slab walk at each width this machine supports against
+    /// `gemm_naive` on the same operands; unsupported widths cannot run and
+    /// are skipped.
+    fn assert_every_isa_matches_naive<S: Semiring>(elem: impl Fn(f32) -> S::Elem) {
         let (m, n, k) = (21, 37, 40);
-        let a = lcg_matrix(m, k, 61);
-        let b = lcg_matrix(k, n, 62);
-        let c0 = lcg_matrix(m, n, 63);
-        let pb = PackedB::pack::<MinPlus<f32>>(&b.view());
+        let mk = |rows, cols, seed| {
+            let f = lcg_matrix(rows, cols, seed);
+            Matrix::from_fn(rows, cols, |i, j| elem(f[(i, j)]))
+        };
+        let (a, b, c0) = (mk(m, k, 61), mk(k, n, 62), mk(m, n, 63));
+        let pb = PackedB::pack::<S>(&b.view());
         let mut oracle = c0.clone();
-        gemm_naive::<MinPlus<f32>>(&mut oracle.view_mut(), &a.view(), &b.view());
+        gemm_naive::<S>(&mut oracle.view_mut(), &a.view(), &b.view());
 
         let mut variants: Vec<Isa> = vec![Isa::Baseline];
         #[cfg(target_arch = "x86_64")]
@@ -825,7 +837,7 @@ mod tests {
             }
         }
         for isa in variants {
-            let (mr, _) = isa.micro_shape(std::mem::size_of::<f32>());
+            let (mr, _) = isa.micro_shape(std::mem::size_of::<S::Elem>());
             let mut c = c0.clone();
             let mut pa = PackedA::new();
             {
@@ -833,24 +845,24 @@ mod tests {
                 let av = a.view();
                 for kt in 0..pb.kt_count() {
                     let (k0, kb) = pb.row_range(kt);
-                    pa.pack_slab::<MinPlus<f32>>(&av, 0, k0, m, kb, mr);
+                    pa.pack_slab::<S>(&av, 0, k0, m, kb, mr);
                     let stride = pb.padded_tile_width(0);
-                    slab_times_tile::<MinPlus<f32>>(
-                        isa,
-                        &mut cv,
-                        &pa,
-                        pb.tile(kt, 0),
-                        0,
-                        m,
-                        0,
-                        n,
-                        stride,
-                        kb,
-                    );
+                    slab_times_tile::<S>(isa, &mut cv, &pa, pb.tile(kt, 0), 0, m, 0, n, stride, kb);
                 }
             }
-            assert!(oracle.eq_exact(&c), "mismatch for {isa:?}");
+            assert!(oracle.eq_exact(&c), "{} mismatch for {isa:?}", S::NAME);
         }
+    }
+
+    #[test]
+    fn every_isa_variant_is_bit_identical() {
+        assert_every_isa_matches_naive::<MinPlus<f32>>(|x| x);
+        // the u16 shapes (2×64 on AVX2, not 4×32): whole values below 1000,
+        // every seventh one the sentinel
+        assert_every_isa_matches_naive::<MinPlusSatU16>(|x| {
+            let q = (x * 8.0) as u16;
+            if q.is_multiple_of(7) { MinPlusSatU16::SENTINEL } else { q }
+        });
     }
 
     #[test]
@@ -861,13 +873,14 @@ mod tests {
         for &m in &[1, 5, 8, 13] {
             for &n in &[1, 31, 33, 63, 64, 65, 129] {
                 for &k in &[0, 1, 17] {
+                    let inf = MinPlusSatU16::SENTINEL;
                     let au = Matrix::from_fn(m, k, |i, j| {
-                        if (i + j) % 7 == 0 { u16::MAX } else { ((i * 31 + j * 7) % 999) as u16 }
+                        if (i + j) % 7 == 0 { inf } else { ((i * 31 + j * 7) % 999) as u16 }
                     });
                     let bu = Matrix::from_fn(k, n, |i, j| {
-                        if (i * j) % 5 == 4 { u16::MAX } else { ((i * 13 + j * 3) % 999) as u16 }
+                        if (i * j) % 5 == 4 { inf } else { ((i * 13 + j * 3) % 999) as u16 }
                     });
-                    let mut c1 = Matrix::filled(m, n, u16::MAX);
+                    let mut c1 = Matrix::filled(m, n, inf);
                     let mut c2 = c1.clone();
                     gemm_naive::<MinPlusSatU16>(&mut c1.view_mut(), &au.view(), &bu.view());
                     gemm_packed::<MinPlusSatU16>(&mut c2.view_mut(), &au.view(), &bu.view());

@@ -234,19 +234,36 @@ impl Semiring for BoolOr {
     }
 }
 
-/// Quantized tropical semiring over `u16`: `(u16, min, saturating +)` with
-/// `u16::MAX` as the `∞` sentinel / additive identity.
+/// Quantized tropical semiring over `u16`: min-plus that saturates at the
+/// half-range sentinel `S = 2¹⁵ − 1 = 32 767` ([`MinPlusSatU16::SENTINEL`]),
+/// evaluated without a saturating instruction.
 ///
-/// Because every `u16` is non-negative, `a.saturating_add(b)` equals
-/// `min(a + b, u16::MAX)` computed in ℕ, which makes the axioms hold
-/// **exactly**: saturating add is associative and monotone (so `⊗`
-/// distributes over `min`), and the sentinel absorbs
-/// (`MAX.saturating_add(x) = MAX`) — so the annihilator law is not an
-/// approximation, and zero-padded [`crate::gemm::PackedB`] tails stay exact
-/// no-ops. On AVX-512 this runs 32 lanes per vector (`vpminuw` +
-/// `vpaddusw`), 4× the f32 width.
+/// The domain is `0..=S`; `zero() = S` is `+∞` / "no edge", `⊕` is `min`
+/// and `⊗` is a plain 16-bit add. For in-domain operands `a + b ≤ 2S < 2¹⁶`
+/// cannot wrap, and for an in-domain accumulator `c`
+///
+/// > `min(c, a + b) = min(c, min(a + b, S))`,
+///
+/// so `c ← c ⊕ a ⊗ b` — the only way the kernels combine the two — is bit
+/// for bit what the saturating semiring at `S` computes, and the result is
+/// again `≤ S`. A bare `a ⊗ b` may exceed `S`; it reads as `+∞` (any value
+/// `≥ S` does) and must pass through `⊕` with an in-domain value before it
+/// is an operand again. The axioms therefore hold exactly modulo
+/// `canon(x) = min(x, S)`, the sentinel absorbs (`min(c, S + x) = c`), and
+/// `S`-padded [`crate::gemm::PackedB`] tails stay exact no-ops.
+///
+/// Why half the range: the saturating add (`vpaddusw`) is the port-limited
+/// instruction of the u16 micro-tile, the plain one (`vpaddw`) is not —
+/// 131–144 against 91–98 Gflop/s on the same 8×64 tile (DESIGN.md §16). On
+/// AVX-512 this runs 32 lanes per vector (`vpminuw` + `vpaddw`), twice the
+/// f32 width.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MinPlusSatU16;
+
+impl MinPlusSatU16 {
+    /// `S = 2¹⁵ − 1`: the `+∞` sentinel and the largest in-domain element.
+    pub const SENTINEL: u16 = i16::MAX as u16;
+}
 
 impl Semiring for MinPlusSatU16 {
     type Elem = u16;
@@ -255,7 +272,7 @@ impl Semiring for MinPlusSatU16 {
 
     #[inline(always)]
     fn zero() -> u16 {
-        u16::MAX
+        Self::SENTINEL
     }
     #[inline(always)]
     fn one() -> u16 {
@@ -265,9 +282,15 @@ impl Semiring for MinPlusSatU16 {
     fn add(a: u16, b: u16) -> u16 {
         a.min(b)
     }
+    /// The bare add in a release build; a debug build panics on an operand
+    /// outside the domain, which is the only way the sum could wrap.
     #[inline(always)]
     fn mul(a: u16, b: u16) -> u16 {
-        a.saturating_add(b)
+        debug_assert!(
+            a <= Self::SENTINEL && b <= Self::SENTINEL,
+            "u16 min-plus operand above the sentinel: {a} (x) {b}"
+        );
+        a.wrapping_add(b)
     }
 }
 
@@ -354,19 +377,32 @@ mod tests {
     #[test]
     fn quantized_u16_identities_and_saturation() {
         type S = MinPlusSatU16;
-        assert_eq!(S::zero(), u16::MAX);
+        const INF: u16 = 32_767;
+        assert_eq!((S::zero(), S::SENTINEL), (INF, INF));
         assert_eq!(S::one(), 0);
         // 0̄ is additive identity, 1̄ multiplicative identity.
         assert_eq!(S::add(S::zero(), 17), 17);
         assert_eq!(S::mul(S::one(), 17), 17);
-        // sentinel absorbs under ⊗ — exactly, not approximately.
-        assert_eq!(S::mul(S::zero(), 17), u16::MAX);
-        assert_eq!(S::mul(17, S::zero()), u16::MAX);
-        // finite sums that would wrap saturate to the sentinel instead.
-        assert_eq!(S::mul(u16::MAX - 1, 10), u16::MAX);
+        // through the sentinel a bare ⊗ lands at or above it (reads as +∞)
+        // without wrapping, even at the top of the domain: 2S = 65 534
+        assert_eq!(S::mul(S::zero(), 17), INF + 17);
+        assert_eq!(S::mul(17, S::zero()), INF + 17);
+        assert_eq!(S::mul(INF, INF), u16::MAX - 1);
+        // …and the accumulate, which is all a kernel ever stores, saturates
+        // at the sentinel exactly: absorption, and finite sums past it
+        assert_eq!(S::fma(INF, INF, 17), INF);
+        assert_eq!(S::fma(INF, INF - 1, 10), INF);
+        assert_eq!(S::fma(INF, INF - 11, 10), INF - 1);
         // relaxation semantics.
         assert_eq!(S::fma(10, 3, 4), 7);
-        assert_eq!(S::fma(5, u16::MAX, 4), 5);
+        assert_eq!(S::fma(5, INF, 4), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "above the sentinel")]
+    fn quantized_u16_mul_checks_its_domain_in_debug_builds() {
+        MinPlusSatU16::mul(MinPlusSatU16::SENTINEL + 1, 0);
     }
 
     #[test]
