@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # apsp-bench — paper-figure regeneration harnesses and kernel benches
+//! # apsp-bench — paper-figure regeneration harnesses and the serve load generator
 //!
 //! One binary per data figure of the paper (see DESIGN.md §4 for the full
 //! index):
@@ -18,12 +18,10 @@
 //! | `comm_volume_validation` | §5.2.2 — functional byte-count validation of §3.4.1 |
 //!
 //! Wall-clock numbers for the *real* CPU kernels of this reproduction on
-//! this machine come from `benchmark/` at the repository root (the source
-//! of truth for perf claims) and from the [`perf`] suite, complementing the
-//! simulated Summit numbers above.
+//! this machine come from `benchmark/` at the repository root, the only
+//! source of timings, complementing the simulated Summit numbers above.
+//! [`serve_load`] is the traffic generator behind `apsp bench serve-load`.
 
-pub mod json;
-pub mod perf;
 pub mod serve_load;
 
 /// Simple fixed-width table printer shared by the figure binaries.

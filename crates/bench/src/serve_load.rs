@@ -4,9 +4,10 @@
 //!
 //! Two transports, one traffic shape:
 //!
-//! * **in-process** ([`run_inproc`]) — readers call the engine directly;
-//!   this is what the perf suite's `serve/*` entries measure (no socket
-//!   noise, pure engine latency);
+//! * **in-process** ([`run_inproc`]) — readers call the engine directly
+//!   (no socket noise; a 32-query batch is about as cheap as the two
+//!   `Instant::now()` calls around it, so use it for the consistency
+//!   assertions and throughput, not for latency);
 //! * **TCP** ([`run_tcp`]) — readers and the writer speak the
 //!   `apsp serve` line protocol over sockets; this is what CI's
 //!   `serve-smoke` drives against a real server process, including a
@@ -29,9 +30,6 @@ use apsp_graph::generators::{self, WeightKind};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::json::Json;
-use crate::perf::Entry;
-
 /// Traffic shape for one load-generator run.
 #[derive(Clone, Debug)]
 pub struct LoadCfg {
@@ -51,20 +49,6 @@ pub struct LoadCfg {
     pub bad_input: bool,
     /// RNG seed for the whole run.
     pub seed: u64,
-}
-
-impl Default for LoadCfg {
-    fn default() -> Self {
-        LoadCfg {
-            n: 256,
-            readers: 4,
-            batch: 32,
-            batches_per_reader: 200,
-            update_batch: 4,
-            bad_input: false,
-            seed: 42,
-        }
-    }
 }
 
 /// Measured result of a load run.
@@ -434,59 +418,6 @@ pub fn run_tcp(addr: &str, cfg: &LoadCfg) -> Result<LoadReport, String> {
 }
 
 impl LoadReport {
-    /// Render as `apsp-bench-perf/1` entries: a `serve/query/p50` and
-    /// `serve/query/p99` pair (latency as `wall_s`, so the comparator
-    /// gates regressions), plus a `serve/load` summary entry carrying the
-    /// full parameter set — `p50_us`/`p99_us`/`epoch_lag_max` included.
-    pub fn to_entries(&self, suffix: &str) -> Vec<Entry> {
-        let params = vec![
-            ("n".to_string(), self.n as f64),
-            ("readers".to_string(), self.readers as f64),
-            ("batch".to_string(), self.batch as f64),
-            ("queries".to_string(), self.total_queries as f64),
-            ("qps".to_string(), self.qps),
-            ("p50_us".to_string(), self.p50_us),
-            ("p99_us".to_string(), self.p99_us),
-            ("epochs".to_string(), self.epochs_published as f64),
-            ("updates_applied".to_string(), self.updates_applied as f64),
-            ("updates_rejected".to_string(), self.updates_rejected as f64),
-            ("epoch_lag_max".to_string(), self.epoch_lag_max as f64),
-            ("epoch_lag_mean".to_string(), self.epoch_lag_mean),
-        ];
-        vec![
-            Entry {
-                name: format!("serve/query/p50{suffix}"),
-                group: "serve".to_string(),
-                params: params.clone(),
-                wall_s: self.p50_us / 1e6,
-                dtype: None,
-                gflops: None,
-                baseline_wall_s: None,
-                speedup: None,
-            },
-            Entry {
-                name: format!("serve/query/p99{suffix}"),
-                group: "serve".to_string(),
-                params: params.clone(),
-                wall_s: self.p99_us / 1e6,
-                dtype: None,
-                gflops: None,
-                baseline_wall_s: None,
-                speedup: None,
-            },
-            Entry {
-                name: format!("serve/load{suffix}"),
-                group: "serve".to_string(),
-                params,
-                wall_s: self.duration_s,
-                dtype: None,
-                gflops: None,
-                baseline_wall_s: None,
-                speedup: None,
-            },
-        ]
-    }
-
     /// Human-readable one-screen summary.
     pub fn render(&self) -> String {
         format!(
@@ -513,17 +444,31 @@ impl LoadReport {
         )
     }
 
-    /// Wrap the entries in a standalone `apsp-bench-perf/1` document
-    /// (mode `serve-load`), for `apsp bench serve-load --out`.
-    pub fn to_json(&self, suffix: &str) -> Json {
-        let report = crate::perf::Report {
-            schema: crate::perf::SCHEMA.to_string(),
-            mode: "serve-load".to_string(),
-            reps: 1,
-            available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            entries: self.to_entries(suffix),
-        };
-        report.to_json()
+    /// The report as one flat JSON object, for `apsp bench serve-load
+    /// --out`; `transport` is `"inproc"` or `"tcp"`. A non-finite number is
+    /// written `null`.
+    pub fn to_json(&self, transport: &str) -> String {
+        let num = |x: f64| if x.is_finite() { x.to_string() } else { "null".to_string() };
+        format!(
+            "{{\n  \"transport\": \"{transport}\",\n  \"n\": {},\n  \"readers\": {},\n  \"batch\": {},\n  \
+             \"queries\": {},\n  \"qps\": {},\n  \"p50_us\": {},\n  \"p99_us\": {},\n  \"max_us\": {},\n  \
+             \"duration_s\": {},\n  \"epochs\": {},\n  \"updates_applied\": {},\n  \"updates_rejected\": {},\n  \
+             \"epoch_lag_max\": {},\n  \"epoch_lag_mean\": {}\n}}\n",
+            self.n,
+            self.readers,
+            self.batch,
+            self.total_queries,
+            num(self.qps),
+            num(self.p50_us),
+            num(self.p99_us),
+            num(self.max_us),
+            num(self.duration_s),
+            self.epochs_published,
+            self.updates_applied,
+            self.updates_rejected,
+            self.epoch_lag_max,
+            num(self.epoch_lag_mean),
+        )
     }
 }
 
@@ -547,14 +492,16 @@ mod tests {
         assert_eq!(r.total_queries, 320);
         assert!(r.p50_us > 0.0 && r.p99_us >= r.p50_us && r.max_us >= r.p99_us);
         assert!(r.updates_rejected > 0, "bad-input mix must be rejected");
-        let entries = r.to_entries("");
-        assert_eq!(entries.len(), 3);
-        assert!(entries.iter().any(|e| e.name == "serve/query/p50"));
-        assert!(entries.iter().any(|e| e.name == "serve/query/p99"));
-        let load = entries.iter().find(|e| e.name == "serve/load").unwrap();
-        for key in ["p50_us", "p99_us", "epoch_lag_max", "qps"] {
-            assert!(load.params.iter().any(|(k, _)| k == key), "missing {key}");
+        let json = r.to_json("inproc");
+        assert!(json.contains("\"transport\": \"inproc\""), "{json}");
+        let keys = "transport n readers batch queries qps p50_us p99_us max_us duration_s epochs \
+                    updates_applied updates_rejected epoch_lag_max epoch_lag_mean";
+        for key in keys.split(' ') {
+            assert_eq!(json.matches(&format!("\"{key}\": ")).count(), 1, "{key} in {json}");
         }
+        let nan = LoadReport { epoch_lag_mean: f64::NAN, qps: f64::INFINITY, ..r };
+        let json = nan.to_json("tcp");
+        assert!(json.contains("\"qps\": null") && json.contains("\"epoch_lag_mean\": null"), "{json}");
     }
 
     #[test]

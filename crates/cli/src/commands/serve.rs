@@ -7,13 +7,13 @@
 //! `err …` line, never a crash — CI's `serve-smoke` job feeds this
 //! command garbage on purpose.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use apsp_core::serve::{handle_line, Engine};
+use apsp_core::serve::{handle_line, Engine, Reply};
 
 use crate::args::Args;
 
@@ -70,20 +70,48 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// One request/response session over stdin/stdout. Returns whether the
-/// peer asked for a full shutdown (irrelevant here — both end the loop).
-fn serve_stdin(engine: &Engine) -> Result<(), String> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        let Some(reply) = handle_line(engine, &line) else { continue };
-        writeln!(out, "{}", reply.text).and_then(|_| out.flush()).map_err(|e| format!("stdout: {e}"))?;
+/// Longest request line a session accepts, newline excluded. A 32-pair
+/// `dist` line is under 1 KiB; `many s t1 … tn` at n = 10⁵ is about 0.6 MB.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One request/response session — stdin/stdout, or one TCP connection.
+/// Returns whether the peer asked for the whole server to stop.
+///
+/// A line is read through a `MAX_LINE_BYTES + 1` window, so a peer that
+/// never sends a newline costs one buffer of that size and one typed reply,
+/// and loses its session.
+fn session(engine: &Engine, mut reader: impl BufRead, mut writer: impl Write) -> std::io::Result<bool> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(false);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
+        let mut reply = if buf.len() > MAX_LINE_BYTES {
+            Reply { text: format!("err parse: line exceeds {MAX_LINE_BYTES} bytes"), close: true, shutdown: false }
+        } else {
+            // bytes that are not UTF-8 become U+FFFD, which no request token
+            // accepts: they come back as `err parse:` like any other typo
+            match handle_line(engine, &String::from_utf8_lossy(&buf)) {
+                Some(reply) => reply,
+                None => continue,
+            }
+        };
+        // one write per reply: a TCP peer gets the line in one segment
+        reply.text.push('\n');
+        writer.write_all(reply.text.as_bytes())?;
+        writer.flush()?;
         if reply.close || reply.shutdown {
-            break;
+            return Ok(reply.shutdown);
         }
     }
+}
+
+fn serve_stdin(engine: &Engine) -> Result<(), String> {
+    session(engine, std::io::stdin().lock(), std::io::stdout().lock()).map_err(|e| format!("stdio: {e}"))?;
     eprintln!("serve: session closed");
     Ok(())
 }
@@ -94,7 +122,7 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
     eprintln!("serve: listening on {local}");
     let stop = Arc::new(AtomicBool::new(false));
 
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
@@ -108,10 +136,15 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
         };
         let engine = Arc::clone(&engine);
         let conn_stop = Arc::clone(&stop);
-        workers.push(std::thread::spawn(move || {
-            if let Err(e) = serve_conn(&engine, stream, &conn_stop, local) {
-                eprintln!("serve: connection: {e}");
+        workers.retain(|w| !w.is_finished());
+        workers.push(std::thread::spawn(move || match serve_conn(&engine, stream) {
+            Ok(true) => {
+                conn_stop.store(true, Ordering::Release);
+                // wake the accept loop so it can observe the stop flag
+                TcpStream::connect(local).ok();
             }
+            Ok(false) => {}
+            Err(e) => eprintln!("serve: connection: {e}"),
         }));
         // a shutdown handled on the connection we just spawned may have
         // raced past the top-of-loop check; re-check before blocking in
@@ -127,31 +160,95 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_conn(
-    engine: &Engine,
-    stream: TcpStream,
-    stop: &AtomicBool,
-    local: std::net::SocketAddr,
-) -> Result<(), String> {
+fn serve_conn(engine: &Engine, stream: TcpStream) -> std::io::Result<bool> {
     stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("recv: {e}"))?;
-        let Some(reply) = handle_line(engine, &line) else { continue };
-        writer
-            .write_all(reply.text.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .map_err(|e| format!("send: {e}"))?;
-        if reply.shutdown {
-            stop.store(true, Ordering::Release);
-            // wake the accept loop so it can observe the stop flag
-            TcpStream::connect(local).ok();
-            return Ok(());
-        }
-        if reply.close {
-            return Ok(());
+    let writer = stream.try_clone()?;
+    session(engine, BufReader::new(stream), writer)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apsp_graph::generators::{self, WeightKind};
+
+    fn engine() -> Engine {
+        Engine::solve_from_graph(&generators::erdos_renyi(16, 0.3, WeightKind::small_ints(), 5), 8)
+    }
+
+    /// Counts the bytes `session` consumes from the reader it wraps.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: BufRead> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
         }
     }
-    Ok(())
+
+    impl<R: BufRead> BufRead for Counting<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.inner.fill_buf()
+        }
+        fn consume(&mut self, amt: usize) {
+            self.consumed += amt;
+            self.inner.consume(amt);
+        }
+    }
+
+    fn replies(out: &[u8]) -> Vec<&str> {
+        std::str::from_utf8(out).expect("replies are UTF-8").split_terminator('\n').collect()
+    }
+
+    #[test]
+    fn invalid_utf8_gets_a_typed_reply_and_the_session_goes_on() {
+        let mut out = Vec::new();
+        let shutdown = session(&engine(), &b"dist 0 1\n\xff\xfe\ndist 0 2\nquit\n"[..], &mut out).unwrap();
+        assert!(!shutdown);
+        let lines = replies(&out);
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert!(lines[0].starts_with("ok 0 "), "{lines:?}");
+        assert!(lines[1].starts_with("err parse:"), "{lines:?}");
+        assert!(lines[2].starts_with("ok 0 "), "{lines:?}");
+        assert_eq!(lines[3], "bye");
+    }
+
+    #[test]
+    fn an_endless_line_ends_the_session_after_one_bounded_read() {
+        let mut reader = Counting { inner: BufReader::new(std::io::repeat(b'a')), consumed: 0 };
+        let mut out = Vec::new();
+        let shutdown = session(&engine(), &mut reader, &mut out).unwrap();
+        assert!(!shutdown);
+        assert_eq!(replies(&out), [format!("err parse: line exceeds {MAX_LINE_BYTES} bytes")]);
+        assert!(reader.consumed <= MAX_LINE_BYTES + 1, "pulled {} bytes", reader.consumed);
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_still_handled() {
+        // a comment line owes no reply, so the only replies are the ones
+        // around it: the line was parsed, not refused
+        let mut input = b"#".repeat(MAX_LINE_BYTES);
+        input.extend_from_slice(b"\nepoch\n");
+        let mut out = Vec::new();
+        session(&engine(), &input[..], &mut out).unwrap();
+        assert_eq!(replies(&out), ["ok 0"]);
+
+        // one byte more is refused and closes the session before `epoch`
+        let mut input = b"#".repeat(MAX_LINE_BYTES + 1);
+        input.extend_from_slice(b"\nepoch\n");
+        let mut out = Vec::new();
+        session(&engine(), &input[..], &mut out).unwrap();
+        assert_eq!(replies(&out), [format!("err parse: line exceeds {MAX_LINE_BYTES} bytes")]);
+    }
+
+    #[test]
+    fn shutdown_is_reported_to_the_caller_and_quit_is_not() {
+        let mut out = Vec::new();
+        assert!(session(&engine(), &b"shutdown\nepoch\n"[..], &mut out).unwrap());
+        assert_eq!(replies(&out).len(), 1);
+        assert!(!session(&engine(), &b"quit\n"[..], &mut Vec::new()).unwrap());
+    }
 }

@@ -8,7 +8,6 @@
 //! apsp serve    --input g.gr --listen 127.0.0.1:4711
 //! apsp simulate --nodes 64 --n 300000 --variant async
 //! apsp info     --input g.gr
-//! apsp bench    run --quick --out bench.json
 //! apsp bench    serve-load --n 256 --readers 4 --out serve.json
 //! ```
 //!
@@ -65,7 +64,7 @@ COMMANDS:
     serve      serve distance/path queries with streaming updates (stdin/TCP)
     simulate   predict a run on the calibrated Summit model
     info       print statistics of a graph file
-    bench      run the wall-clock perf suite / diff two suite JSON files
+    bench      drive load against the serve layer (serve-load)
     help       this message
 
 Graph files: DIMACS .gr ('--format dimacs', default for *.gr) or

@@ -277,7 +277,7 @@ pub trait Solver: Send + Sync {
 }
 
 /// The set of known solvers; the single dispatch point for the CLI, the
-/// perf suite, and the oracle tests.
+/// benchmark, and the oracle tests.
 pub struct Registry {
     solvers: Vec<Box<dyn Solver>>,
 }
