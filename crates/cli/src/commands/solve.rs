@@ -2,16 +2,14 @@
 //!
 //! Dispatch goes through the [`apsp_core::Registry`]: every algorithm is a
 //! [`apsp_core::Solver`] adapter, `--algo auto` lets the planner pick, and
-//! eligibility failures surface as typed, explained errors. The one special
-//! case kept outside the registry is `--trace`, which needs the traced
-//! distributed API to emit per-rank Chrome traces.
+//! eligibility failures surface as typed, explained errors. `--trace` runs
+//! the same path with an `apsp_trace` recorder installed on this thread.
 
 use std::io::Write;
 use std::time::Instant;
 
 use apsp_core::model::fw_flops;
-use apsp_core::{Registry, SolveOpts};
-use srgemm::{Matrix, MinPlusF32};
+use apsp_core::{Registry, Solution, SolveOpts};
 
 use crate::args::Args;
 
@@ -30,9 +28,9 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
                      provably exact quantizations)
   --out <FILE>       write the distance matrix as TSV (careful: n² values)
   --format <dimacs|edges>
-  --trace <FILE>     write a per-rank Chrome trace_events JSON and print the
-                     per-phase summary (implies --algo dist; --input becomes
-                     optional — a built-in demo graph is traced without one)
+  --trace <FILE>     record the solve: write Chrome trace_events JSON (one
+                     track per thread; --algo dist adds one per rank) and
+                     print the per-phase summary
   --pr <N> --pc <N>  process grid for --algo dist (default 2x2)
   --variant <baseline|pipelined|async|offload|come>  dist preset (default pipelined)
   --schedule <bulksync|lookahead>   override the iteration-schedule axis
@@ -47,14 +45,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(tokens)?;
-    let trace_path = args.opt_str("trace");
-    let algo: String = args.opt(
-        "algo",
-        if trace_path.is_some() { "dist".to_string() } else { "blocked".to_string() },
-    )?;
-    if trace_path.is_some() && algo != "dist" {
-        return Err(format!("--trace records per-rank phases, which only --algo dist produces (got '{algo}')"));
-    }
+    let algo: String = args.opt("algo", "blocked".to_string())?;
     if algo != "dist" && (args.opt_str("fault").is_some() || args.opt_str("recv-timeout").is_some()) {
         return Err(format!("--fault/--recv-timeout act on the simulated runtime, which only --algo dist uses (got '{algo}')"));
     }
@@ -64,67 +55,49 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         println!("fault injection: {spec}");
     }
 
-    let g = match args.opt_str("input") {
-        Some(input) => {
-            let g = super::load_graph(input, args.opt_str("format"))?;
-            println!("loaded {} vertices, {} edges from {input}", g.n(), g.m());
-            g
-        }
-        None if trace_path.is_some() => {
-            println!("no --input given; tracing a built-in 64-vertex random graph");
-            apsp_graph::generators::erdos_renyi(
-                64,
-                0.3,
-                apsp_graph::generators::WeightKind::small_ints(),
-                7,
-            )
-        }
-        None => return Err("missing required option --input".into()),
-    };
+    let input = args.opt_str("input").ok_or("missing required option --input")?;
+    let g = super::load_graph(input, args.opt_str("format"))?;
+    println!("loaded {} vertices, {} edges from {input}", g.n(), g.m());
     let n = g.n();
     if n == 0 {
         return Err("graph is empty".into());
     }
 
-    let t0 = Instant::now();
-    let dist: Matrix<f32> = if let Some(trace_out) = trace_path {
-        // traced distributed run: the registry's dist adapter covers the
-        // untraced case; tracing needs the *_traced API and its artifacts
-        let (pr, pc) = opts.grid;
-        let cfg = { let mut c = opts.dist; c.block = opts.block; c };
-        println!("dist: {} on a {pr}x{pc} simulated grid, b = {}", cfg.legend(), cfg.block);
-        let (d, traffic, trace) = apsp_core::distributed_apsp_traced_opts::<MinPlusF32>(
-            pr, pc, &cfg, &g.to_dense(), None, &opts.dist_run,
-        )
-        .map_err(|e| format!("dist: {e}"))?;
-        print!("{}", trace.phase_summary(&traffic));
-        std::fs::write(trace_out, trace.to_chrome_json())
-            .map_err(|e| format!("write {trace_out}: {e}"))?;
-        println!("wrote per-rank trace to {trace_out} (open in chrome://tracing or Perfetto)");
-        d
-    } else {
+    let solve = || -> Result<Solution, String> {
         let reg = Registry::with_all();
-        let sol = if algo == "auto" {
-            let (plan, sol) = reg.solve_auto(&g, &opts).map_err(|e| e.to_string())?;
-            let chosen = plan.chosen.unwrap_or("?");
-            match plan.entry(chosen).and_then(|e| e.outcome.as_ref().ok()) {
-                Some(est) => println!(
-                    "auto: picked '{chosen}' (est {}); run 'apsp plan' for the full table",
-                    apsp_core::solver::planner::human_seconds(est.seconds)
-                ),
-                None => println!("auto: picked '{chosen}'"),
-            }
-            sol
-        } else {
-            reg.solve(&algo, &g, &opts).map_err(|e| e.to_string())?
-        };
-        for note in &sol.stats.notes {
-            println!("{note}");
+        if algo != "auto" {
+            return reg.solve(&algo, &g, &opts).map_err(|e| e.to_string());
         }
-        sol.dist
+        let (plan, sol) = reg.solve_auto(&g, &opts).map_err(|e| e.to_string())?;
+        let chosen = plan.chosen.unwrap_or("?");
+        match plan.entry(chosen).and_then(|e| e.outcome.as_ref().ok()) {
+            Some(est) => println!(
+                "auto: picked '{chosen}' (est {}); run 'apsp plan' for the full table",
+                apsp_core::solver::planner::human_seconds(est.seconds)
+            ),
+            None => println!("auto: picked '{chosen}'"),
+        }
+        Ok(sol)
+    };
+    let t0 = Instant::now();
+    let (sol, trace) = match args.opt_str("trace") {
+        Some(path) => {
+            let (sol, trace) = apsp_trace::record("main", solve);
+            (sol?, Some((path, trace)))
+        }
+        None => (solve()?, None),
     };
     let secs = t0.elapsed().as_secs_f64();
+    for note in &sol.stats.notes {
+        println!("{note}");
+    }
+    if let Some((path, trace)) = trace {
+        print!("{}", trace.summary());
+        std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
+        println!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
+    }
     println!("solved in {:.3} s ({:.2} Gflop/s FW-equivalent)", secs, fw_flops(n) / secs / 1e9);
+    let dist = sol.dist;
 
     // summary statistics
     let mut finite = 0u64;
@@ -232,7 +205,8 @@ mod tests {
     fn threads_cap_and_serial_flag_agree_with_default() {
         let (dir, input) = fixture();
         let mut outputs = Vec::new();
-        for extra in ["", "--serial", "--threads 2"] {
+        let traced = format!("--serial --trace {}", dir.join("t.json").display());
+        for extra in ["", "--serial", "--threads 2", &traced] {
             let out = dir.join(format!("t{}.tsv", outputs.len()));
             let cmd = format!(
                 "--input {} --algo blocked --block 4 {extra} --out {}",
@@ -367,42 +341,40 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_implies_dist_and_writes_chrome_json() {
+    fn trace_works_for_every_algo_and_leaves_the_output_unchanged() {
         let (dir, input) = fixture();
-        let out = dir.join("trace.json");
-        let cmd = format!("--input {} --block 4 --trace {}", input.display(), out.display());
-        run(&toks(&cmd)).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        for phase in ["DiagUpdate", "DiagBcast", "PanelUpdate", "PanelBcast", "OuterUpdate"] {
-            assert!(json.contains(&format!("\"name\":\"{phase}\"")), "missing {phase}");
+        let (plain, traced, json) = (dir.join("plain.tsv"), dir.join("traced.tsv"), dir.join("t.json"));
+        for algo in Registry::with_all().names().into_iter().chain(["auto"]) {
+            let cmd = |out: &std::path::Path| {
+                format!(
+                    "--input {} --algo {algo} --block 4 --error-tolerance 0 --out {}",
+                    input.display(),
+                    out.display()
+                )
+            };
+            run(&toks(&cmd(&plain))).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            run(&toks(&format!("{} --trace {}", cmd(&traced), json.display())))
+                .unwrap_or_else(|e| panic!("{algo} traced: {e}"));
+            assert_eq!(std::fs::read(&traced).unwrap(), std::fs::read(&plain).unwrap(), "{algo}");
+            let json = std::fs::read_to_string(&json).unwrap();
+            assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"), "{algo}");
+            assert_eq!(json.matches('{').count(), json.matches('}').count(), "{algo}");
+            assert!(json.contains("\"name\":\"solve\""), "{algo}");
+            if ["blocked", "quant", "ooc", "dist"].contains(&algo) {
+                for phase in ["DiagUpdate", "PanelUpdate", "OuterUpdate"] {
+                    assert!(json.contains(&format!("\"name\":\"{phase}\"")), "{algo}: no {phase}");
+                }
+            }
+            if algo == "dist" {
+                // the calling thread, then the four ranks of the default 2x2 grid
+                let tracks = json.matches("\"ph\":\"M\"").count();
+                assert_eq!(tracks, 5, "{json}");
+                assert!(json.contains("\"name\":\"rank 3\"") && json.contains("\"cat\":\"msg\""));
+            }
         }
-        // all four ranks of the default 2x2 grid have a timeline
-        for tid in 0..4 {
-            assert!(json.contains(&format!("\"tid\":{tid}")), "missing rank {tid}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn trace_without_input_uses_the_demo_graph() {
-        let dir = std::env::temp_dir().join(format!(
-            "apsp-solve-demo-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("trace.json");
-        run(&toks(&format!("--trace {}", out.display()))).unwrap();
-        assert!(std::fs::read_to_string(&out).unwrap().contains("OuterUpdate"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn trace_rejects_non_dist_algos() {
-        let (dir, input) = fixture();
-        let cmd = format!("--input {} --algo fw --trace x.json", input.display());
-        assert!(run(&toks(&cmd)).unwrap_err().contains("--algo dist"));
+        // --input stays required with --trace: there is no demo graph
+        let err = run(&toks(&format!("--trace {}", json.display()))).unwrap_err();
+        assert!(err.contains("--input"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

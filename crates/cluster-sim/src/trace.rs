@@ -1,7 +1,9 @@
 //! ASCII Gantt rendering of a finished [`crate::engine::Schedule`] — the
 //! debugging view used when tuning the variant schedules (which task
-//! blocked which resource, where the pipeline bubbles are) — plus the
-//! Chrome trace_events export sharing `mpi-sim`'s schema.
+//! blocked which resource, where the pipeline bubbles are) — plus its
+//! Chrome trace_events export.
+
+use apsp_trace::{Span, Timeline, Trace};
 
 use crate::engine::Schedule;
 use crate::task::{TaskGraph, TaskId};
@@ -52,67 +54,30 @@ impl TaskGraph {
     }
 }
 
-/// Export a finished schedule as Chrome trace_events JSON — the same schema
-/// `mpi_sim::RunTrace::to_chrome_json` emits, so simulated schedules and
-/// real (mpi-sim) runs open side by side in `chrome://tracing` / Perfetto.
+/// Export a finished schedule as Chrome trace_events JSON through the
+/// workspace's one writer ([`apsp_trace::Trace::to_chrome_json`]), so
+/// simulated schedules and recorded runs open side by side in
+/// `chrome://tracing` / Perfetto.
 ///
 /// Each resource becomes one timeline (`tid` = [`crate::task::ResourceId::index`],
 /// named from `names` when provided, `r{i}` otherwise); each task becomes a
-/// complete `"X"` event named by its phase label. Schedule times are seconds;
-/// the export converts to the trace format's microseconds.
+/// span named by its phase label. Schedule times are seconds.
 pub fn chrome_trace(graph: &TaskGraph, sched: &Schedule, names: &[String]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str(&ev);
-    };
-    for r in 0..graph.num_resources() as usize {
-        let name = names
-            .get(r)
-            .filter(|n| !n.is_empty())
-            .cloned()
-            .unwrap_or_else(|| format!("r{r}"));
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{r},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(&name)
-            ),
-        );
-    }
+    let ns = |s: f64| (s * 1e9).round() as u64;
+    let mut timelines: Vec<Timeline> = (0..graph.num_resources() as usize)
+        .map(|r| Timeline {
+            name: names.get(r).filter(|n| !n.is_empty()).cloned().unwrap_or_else(|| format!("r{r}")),
+            ..Timeline::default()
+        })
+        .collect();
     for (i, t) in graph.tasks.iter().enumerate() {
-        let label = graph.label_of(TaskId(i as u32));
-        let ts = sched.start[i] * 1e6;
-        let dur = (sched.finish[i] - sched.start[i]) * 1e6;
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":0,\"tid\":{},\
-                 \"ts\":{ts:.3},\"dur\":{dur:.3}}}",
-                escape_json(label),
-                t.resource.index()
-            ),
-        );
+        timelines[t.resource.index()].spans.push(Span {
+            name: graph.label_of(TaskId(i as u32)),
+            start_ns: ns(sched.start[i]),
+            end_ns: ns(sched.finish[i]),
+        });
     }
-    out.push_str("]}");
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    Trace { timelines }.to_chrome_json()
 }
 
 #[cfg(test)]

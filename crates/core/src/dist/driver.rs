@@ -29,6 +29,7 @@
 
 use std::cell::OnceCell;
 
+use apsp_trace::span;
 use gpu_sim::{oog_srgemm, SimGpu};
 use mpi_sim::ProcessGrid;
 use srgemm::gemm::{gemm_packed_threads, PackedB};
@@ -117,7 +118,6 @@ impl<S: Semiring> OuterExec<S> for InCoreGemm {
 pub struct GpuOffload {
     gpu: SimGpu,
     oog: gpu_sim::OogConfig,
-    stats: OffloadStats,
 }
 
 impl GpuOffload {
@@ -154,16 +154,7 @@ impl GpuOffload {
         if need > cfg.gpu_spec.mem_bytes {
             return Err(DistError::DeviceOom { requested: need, available: cfg.gpu_spec.mem_bytes });
         }
-        Ok(GpuOffload {
-            gpu: SimGpu::new(cfg.gpu_spec),
-            oog: cfg.oog,
-            stats: OffloadStats::default(),
-        })
-    }
-
-    /// Per-rank offload statistics accumulated so far.
-    pub fn stats(&self) -> OffloadStats {
-        self.stats
+        Ok(GpuOffload { gpu: SimGpu::new(cfg.gpu_spec), oog: cfg.oog })
     }
 }
 
@@ -177,7 +168,7 @@ impl<S: Semiring> OuterExec<S> for GpuOffload {
         if c.rows() == 0 || c.cols() == 0 {
             return Ok(());
         }
-        let oog_stats = oog_srgemm::<S>(&self.gpu, &self.oog, c, a, b.view()).map_err(|e| match e {
+        oog_srgemm::<S>(&self.gpu, &self.oog, c, a, b.view()).map_err(|e| match e {
             gpu_sim::OogError::Oom(oom) => {
                 DistError::DeviceOom { requested: oom.requested, available: oom.available }
             }
@@ -185,25 +176,8 @@ impl<S: Semiring> OuterExec<S> for GpuOffload {
                 DistError::BadConfig { detail: bad.to_string() }
             }
         })?;
-        self.stats.gpu_seconds += oog_stats.sim_time;
-        self.stats.flops += oog_stats.flops;
-        self.stats.tiles += oog_stats.tiles;
-        self.stats.peak_device_bytes = self.stats.peak_device_bytes.max(oog_stats.device_bytes);
         Ok(())
     }
-}
-
-/// Aggregated per-rank offload statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OffloadStats {
-    /// Simulated device+host pipeline seconds across all iterations.
-    pub gpu_seconds: f64,
-    /// Semiring flops pushed through `ooGSrGemm`.
-    pub flops: f64,
-    /// Output tiles processed.
-    pub tiles: usize,
-    /// High-water device memory, bytes.
-    pub peak_device_bytes: u64,
 }
 
 /// Run the configured schedule on this rank's share with the given
@@ -241,7 +215,7 @@ fn run_bulk_sync<S: Semiring, E: OuterExec<S>>(
         let panels = diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast)?;
         // OuterUpdate(k): whole local matrix (re-touching the freshly-updated
         // k-th strips is a no-op — see `fw_blocked`'s module docs)
-        let _p = grid.grid.phase("OuterUpdate");
+        let _p = span("OuterUpdate");
         exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
     }
     Ok(())
@@ -265,7 +239,7 @@ fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
         let next = if k + 1 < a.nb {
             // ---- look-ahead: apply OuterUpdate(k) to the (k+1)-th strips only ----
             {
-                let _p = grid.grid.phase("OuterUpdate");
+                let _p = span("OuterUpdate");
                 lookahead_update::<S, E>(a, k + 1, &panels, exec)?;
             }
             // ---- then the full (k+1) diag/panel phase, overlapping the big
@@ -278,7 +252,7 @@ fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
         // ---- OuterUpdate(k) over the whole local matrix ----
         // (the k+1 strips were already relaxed with these same panels, and
         // min-plus relaxation is monotone, so re-touching them is a no-op)
-        let _p = grid.grid.phase("OuterUpdate");
+        let _p = span("OuterUpdate");
         exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
 
         if let Some(p) = next {

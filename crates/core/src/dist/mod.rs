@@ -37,15 +37,16 @@ pub mod incremental_dist;
 pub mod layout;
 pub mod oned;
 
-pub use driver::{GpuOffload, InCoreGemm, OffloadStats, OuterB, OuterExec};
+pub use driver::{GpuOffload, InCoreGemm, OuterB, OuterExec};
 pub use incremental_dist::{decrease_edge_dist, DistUpdateError};
 pub use layout::DistMatrix;
 
 use std::time::Duration;
 
+use apsp_trace::{span, Trace};
 use gpu_sim::{GpuSpec, OogConfig};
 use mpi_sim::{
-    Comm, CommError, FailureKind, FaultPlan, Placement, ProcessGrid, RunError, RunTrace, Runtime,
+    Comm, CommError, FailureKind, FaultPlan, Placement, ProcessGrid, RunError, Runtime,
     TrafficReport,
 };
 use srgemm::matrix::Matrix;
@@ -433,7 +434,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
 
     // DiagUpdate at the owner
     {
-        let _p = grid.grid.phase("DiagUpdate");
+        let _p = span("DiagUpdate");
         if a.owns_row(k) && a.owns_col(k) {
             let mut d = a.diag_block_mut(k);
             match diag_method {
@@ -448,7 +449,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     let mut diag_row: Option<Matrix<S::Elem>> = None;
     let mut diag_col: Option<Matrix<S::Elem>> = None;
     {
-        let _p = grid.grid.phase("DiagBcast");
+        let _p = span("DiagBcast");
         if a.owns_row(k) {
             let mine = a.owns_col(k).then(|| a.diag_block(k));
             diag_row = Some(bcast_matrix::<S>(&grid.row, kc, mine, bk, bk, PanelBcastAlgo::Tree)?);
@@ -462,7 +463,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     // PanelUpdate on the owning strips (includes the diagonal block itself,
     // where D ⊕ D⊗D = D is a no-op)
     {
-        let _p = grid.grid.phase("PanelUpdate");
+        let _p = span("PanelUpdate");
         if let Some(d) = &diag_row {
             let mut strip = a.row_strip_mut(k);
             panel_update_left::<S>(&mut strip, &d.view());
@@ -475,7 +476,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
 
     // PanelBcast: row panel down each process column, column panel across
     // each process row
-    let _p = grid.grid.phase("PanelBcast");
+    let _p = span("PanelBcast");
     let lcols = a.local.cols();
     let lrows = a.local.rows();
     let row_panel = bcast_matrix::<S>(
@@ -498,13 +499,12 @@ pub(crate) fn diag_and_panels<S: Semiring>(
 }
 
 /// Run the configured policy triple on this rank's share of an existing
-/// distributed matrix. Collective over `grid`. Returns the offload
-/// statistics when `cfg.exec` is [`Exec::GpuOffload`], `None` otherwise.
+/// distributed matrix. Collective over `grid`.
 pub fn run_on_grid<S: Semiring>(
     grid: &ProcessGrid,
     a: &mut DistMatrix<S::Elem>,
     cfg: &FwConfig,
-) -> Result<Option<OffloadStats>, DistError> {
+) -> Result<(), DistError> {
     match cfg.exec {
         Exec::InCoreGemm => {
             // Every rank of this grid is a thread on the same machine, so
@@ -513,16 +513,14 @@ pub fn run_on_grid<S: Semiring>(
             let threads = cfg
                 .kernel_threads
                 .unwrap_or_else(|| (crate::host_threads() / grid.grid.size()).max(1));
-            driver::run::<S, _>(grid, a, cfg, &mut InCoreGemm::with_threads(threads))?;
-            Ok(None)
+            driver::run::<S, _>(grid, a, cfg, &mut InCoreGemm::with_threads(threads))
         }
         Exec::GpuOffload => {
             // The preflight is deterministic in (n, b, pr, pc), so every
             // rank of the grid agrees on feasibility and the error path
             // never strands a peer inside a collective.
             let mut exec = GpuOffload::preflight::<S>(cfg, a.n, a.pr, a.pc)?;
-            driver::run::<S, _>(grid, a, cfg, &mut exec)?;
-            Ok(Some(exec.stats()))
+            driver::run::<S, _>(grid, a, cfg, &mut exec)
         }
     }
 }
@@ -614,21 +612,21 @@ pub fn distributed_apsp_opts<S: Semiring>(
     }
 }
 
-/// Like [`distributed_apsp`] but additionally records the per-rank,
-/// per-phase [`RunTrace`] (Chrome-exportable; see
-/// [`mpi_sim::Runtime::run_with_trace`]). The five paper phase names appear
-/// on every rank's timeline, one set per iteration.
+/// Like [`distributed_apsp`] but additionally returns the run's [`Trace`]:
+/// the calling thread's track, then one per rank carrying the five paper
+/// phase names once per iteration.
 pub fn distributed_apsp_traced<S: Semiring>(
     pr: usize,
     pc: usize,
     cfg: &FwConfig,
     global: &Matrix<S::Elem>,
     placement: Option<Placement>,
-) -> Result<(Matrix<S::Elem>, TrafficReport, RunTrace), DistError> {
+) -> Result<(Matrix<S::Elem>, TrafficReport, Trace), DistError> {
     distributed_apsp_traced_opts::<S>(pr, pc, cfg, global, placement, &DistRunOpts::default())
 }
 
-/// [`distributed_apsp_traced`] with explicit [`DistRunOpts`].
+/// [`distributed_apsp_traced`] with explicit [`DistRunOpts`]:
+/// [`distributed_apsp_opts`] under a recorder of its own.
 pub fn distributed_apsp_traced_opts<S: Semiring>(
     pr: usize,
     pc: usize,
@@ -636,13 +634,10 @@ pub fn distributed_apsp_traced_opts<S: Semiring>(
     global: &Matrix<S::Elem>,
     placement: Option<Placement>,
     opts: &DistRunOpts,
-) -> Result<(Matrix<S::Elem>, TrafficReport, RunTrace), DistError> {
-    let rt = build_runtime(pr * pc, placement, opts);
-    let cfg = *cfg;
-    let (out, traffic, trace) =
-        rt.try_run_with_trace(move |comm| distributed_apsp_on::<S>(comm, pr, pc, &cfg, global));
-    match out {
-        Ok(results) => Ok((collect_root::<S>(results), traffic, trace)),
-        Err(e) => Err(flatten_failure(e)),
-    }
+) -> Result<(Matrix<S::Elem>, TrafficReport, Trace), DistError> {
+    let (out, trace) = apsp_trace::record("caller", || {
+        distributed_apsp_opts::<S>(pr, pc, cfg, global, placement, opts)
+    });
+    let (d, traffic) = out?;
+    Ok((d, traffic, trace))
 }

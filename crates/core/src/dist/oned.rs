@@ -51,11 +51,11 @@ pub fn oned_apsp<S: Semiring>(
         // this formulation's PanelBcast, the rank-1 relax its OuterUpdate
         let owner = k % p;
         let pivot: Vec<S::Elem> = {
-            let _p = comm.phase("PanelBcast");
+            let _p = apsp_trace::span("PanelBcast");
             comm.bcast(owner, (owner == me).then(|| local[k / p].clone()))?
         };
         // relax every local row
-        let _p = comm.phase("OuterUpdate");
+        let _p = apsp_trace::span("OuterUpdate");
         for (li, &i) in my_rows.iter().enumerate() {
             let d_ik = local[li][k];
             let row = &mut local[li];

@@ -16,7 +16,12 @@
 //! [`PackedB::repack`]) and streamed by every row slab of the GEMM, at any
 //! thread count — the single-node form of the per-`k` panel reuse the
 //! distributed driver performs on its broadcast panels.
+//!
+//! Each iteration opens the paper's phase spans (`DiagUpdate`,
+//! `PanelUpdate`, `OuterUpdate`, with the panel copies and the repack as
+//! `pack` inside the last) on the calling thread's `apsp_trace` recorder.
 
+use apsp_trace::span;
 use srgemm::closure::{fw_closure, fw_closure_squaring};
 use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::Matrix;
@@ -75,15 +80,16 @@ pub fn fw_blocked_threads<S: Semiring>(
 
         // ----- DiagUpdate -----
         {
+            let _p = span("DiagUpdate");
             let mut dblk = d.subview_mut(k0, k0, bk, bk);
             match diag {
                 DiagMethod::FwClosure => fw_closure::<S>(&mut dblk),
                 DiagMethod::Squaring => fw_closure_squaring::<S>(&mut dblk, threads),
             }
         }
-        let diag_snapshot = d.block(k0, k0, bk, bk);
-
         // ----- PanelUpdate -----
+        let panel_update = span("PanelUpdate");
+        let diag_snapshot = d.block(k0, k0, bk, bk);
         // row panel A(k, :) — everything left and right of the diagonal block
         if k0 > 0 {
             let mut left = d.subview_mut(k0, 0, bk, k0);
@@ -102,9 +108,12 @@ pub fn fw_blocked_threads<S: Semiring>(
             let mut bottom = d.subview_mut(k0 + bk, k0, n - k0 - bk, bk);
             panel_update_right::<S>(&mut bottom, &diag_snapshot.view());
         }
+        drop(panel_update);
 
         // ----- MinPlus outer product -----
         // snapshot the k-th block column and row, then one full-matrix GEMM
+        let _p = span("OuterUpdate");
+        let pack = span("pack");
         let col_panel = d.block(0, k0, n, bk);
         let row_panel = d.block(k0, 0, bk, n);
         let pb = match packed_row.as_mut() {
@@ -114,6 +123,7 @@ pub fn fw_blocked_threads<S: Semiring>(
             }
             None => packed_row.insert(PackedB::pack::<S>(&row_panel.view())),
         };
+        drop(pack);
         gemm_packed_threads::<S>(&mut d.view_mut(), &col_panel.view(), pb, threads);
     }
 }

@@ -21,6 +21,11 @@
 //!   `t3`, and [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that
 //!   predicts the tile size where the run turns compute-bound.
 //!
+//! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
+//! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
+//! and `io-wait` around every store read, write-back and flush, on the
+//! calling thread's `apsp_trace` recorder. [`OocStats`] holds counts only.
+//!
 //! Budget semantics: `peak resident = cached tiles + the packed B scratch +
 //! in-flight I/O buffers (+ every tile, for the in-memory store)` never
 //! exceeds [`OocConfig::budget_bytes`]; a budget below
@@ -31,8 +36,8 @@
 pub mod store;
 
 use std::collections::HashMap;
-use std::time::Instant;
 
+use apsp_trace::span;
 use srgemm::gemm::{gemm_packed_threads, pad_quantum, PackedB};
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
@@ -103,7 +108,7 @@ impl From<StoreError> for OocError {
 }
 
 /// Counters from one out-of-core solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OocStats {
     /// Matrix dimension.
     pub n: usize,
@@ -125,13 +130,6 @@ pub struct OocStats {
     pub peak_resident_bytes: u64,
     /// The configured budget.
     pub budget_bytes: u64,
-    /// Time in GEMM / panel / closure kernels and in packing `B`.
-    pub compute_seconds: f64,
-    /// Time moving tiles: encode, checksum and queueing on the way out;
-    /// waiting on the store, verify and decode on the way in.
-    pub io_seconds: f64,
-    /// End-to-end driver time.
-    pub wall_seconds: f64,
 }
 
 /// Bytes of the driver's one persistent packed `B` operand: a `tile × tile`
@@ -237,14 +235,12 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(total);
     }
 
-    /// Write `entry` back to the store, booking encode + queueing as I/O.
+    /// Write `entry` back to the store.
     fn spill(&mut self, key: (usize, usize), entry: &Resident<E>) -> Result<(), OocError> {
         self.stats.tiles_written += 1;
         self.stats.bytes_written += entry.bytes;
-        let t0 = Instant::now();
-        let res = write_tile(self.store, key.0, key.1, &entry.tile.view());
-        self.stats.io_seconds += t0.elapsed().as_secs_f64();
-        res.map_err(OocError::Store)
+        let _io = span("io-wait");
+        write_tile(self.store, key.0, key.1, &entry.tile.view()).map_err(OocError::Store)
     }
 
     /// Evict least-recently-used entries until `need` more bytes fit,
@@ -271,10 +267,10 @@ impl<'s, E: TileElem> TileCache<'s, E> {
             e.stamp = self.clock;
             return Ok(());
         }
-        let t0 = Instant::now();
-        let fetched = read_tile::<E>(self.store, key.0, key.1);
-        self.stats.io_seconds += t0.elapsed().as_secs_f64();
-        let tile = fetched?;
+        let tile = {
+            let _io = span("io-wait");
+            read_tile::<E>(self.store, key.0, key.1)?
+        };
         let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
         let entry = Resident { tile, bytes, dirty: false, stamp: self.clock };
         self.stats.tiles_read += 1;
@@ -293,8 +289,8 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         }
     }
 
-    /// Run kernel work `f` on tile `key`, booking its time as compute and
-    /// marking the tile dirty if `f` writes it.
+    /// Run kernel work `f` on tile `key`, marking the tile dirty if `f`
+    /// writes it.
     fn run(
         &mut self,
         key: (usize, usize),
@@ -303,9 +299,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     ) -> Result<(), OocError> {
         self.ensure(key)?;
         let entry = self.map.get_mut(&key).expect("tile was just made resident");
-        let t0 = Instant::now();
         f(&mut entry.tile.view_mut());
-        self.stats.compute_seconds += t0.elapsed().as_secs_f64();
         entry.dirty |= access == Access::Write;
         Ok(())
     }
@@ -334,9 +328,8 @@ impl<'s, E: TileElem> TileCache<'s, E> {
                 self.spill(key, &entry)?;
             }
         }
-        let t0 = Instant::now();
+        let _io = span("io-wait");
         self.store.flush()?;
-        self.stats.io_seconds += t0.elapsed().as_secs_f64();
         Ok(self.stats)
     }
 }
@@ -412,7 +405,6 @@ where
         "out-of-core FW relies on an idempotent ⊕ ({} is not)",
         S::NAME
     );
-    let wall = Instant::now();
     let nb = store.tiles_per_side();
     // The one persistent packed operand, sized up front for a full tile so
     // that no later repack grows it.
@@ -424,10 +416,14 @@ where
         let others: Vec<usize> = (0..nb).filter(|&x| x != k).collect();
 
         // ----- DiagUpdate -----
-        cache.run((k, k), Access::Write, |d| fw_closure::<S>(d))?;
-        let diag = cache.take((k, k))?;
+        {
+            let _p = span("DiagUpdate");
+            cache.run((k, k), Access::Write, |d| fw_closure::<S>(d))?;
+        }
 
         // ----- PanelUpdate: block row k, then block column k -----
+        let panel_update = span("PanelUpdate");
+        let diag = cache.take((k, k))?;
         for (idx, &j) in others.iter().enumerate() {
             if let Some(&jn) = others.get(idx + 1) {
                 cache.prefetch((k, jn));
@@ -441,8 +437,10 @@ where
             cache.run((i, k), Access::Write, |c| panel_update_right::<S>(c, &diag.tile.view()))?;
         }
         cache.restore((k, k), diag);
+        drop(panel_update);
 
         // ----- MinPlus outer product -----
+        let _p = span("OuterUpdate");
         for (ii, &i) in others.iter().enumerate() {
             let a = cache.take((i, k))?;
             for (jj, &j) in others.iter().enumerate() {
@@ -455,7 +453,10 @@ where
                 if let Some(next) = next {
                     cache.prefetch(next);
                 }
-                cache.run((k, j), Access::Read, |b| pb.repack::<S>(&b.as_view()))?;
+                cache.run((k, j), Access::Read, |b| {
+                    let _pack = span("pack");
+                    pb.repack::<S>(&b.as_view())
+                })?;
                 cache.run((i, j), Access::Write, |c| {
                     gemm_packed_threads::<S>(c, &a.tile.view(), &pb, cfg.threads)
                 })?;
@@ -464,12 +465,11 @@ where
         }
     }
 
-    let mut stats = cache.finish()?;
-    stats.wall_seconds = wall.elapsed().as_secs_f64();
-    Ok(stats)
+    cache.finish()
 }
 
-/// Ingest `d`, run [`ooc_fw`], and export the closure back into `d`.
+/// Ingest `d`, run [`ooc_fw`], and export the closure back into `d`; the
+/// first and last step are `ingest` and `export` spans.
 pub fn solve_in_store<S: Semiring>(
     d: &mut Matrix<S::Elem>,
     store: &mut dyn TileStore,
@@ -478,8 +478,12 @@ pub fn solve_in_store<S: Semiring>(
 where
     S::Elem: TileElem,
 {
-    ingest(store, &d.view())?;
+    {
+        let _s = span("ingest");
+        ingest(store, &d.view())?;
+    }
     let stats = ooc_fw::<S>(store, cfg)?;
+    let _s = span("export");
     export_into(store, &mut d.view_mut())?;
     Ok(stats)
 }

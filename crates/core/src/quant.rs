@@ -284,7 +284,8 @@ pub fn dequantize_u16(d: &Matrix<u16>, scale: f64) -> Matrix<f32> {
 }
 
 /// Quantize per `plan`, run blocked FW over [`MinPlusSatU16`] on at most
-/// `threads` kernel threads, and dequantize.
+/// `threads` kernel threads, and dequantize — the two passes as `quantize`
+/// and `dequantize` spans around the FW's own.
 ///
 /// `plan` is meant to come from [`plan`] / [`plan_for_graph`] on this graph —
 /// that is what makes the `eps` guarantee hold. The precondition the lanes'
@@ -297,12 +298,16 @@ pub fn solve_quantized(
     block: usize,
     threads: usize,
 ) -> Result<Matrix<f32>, QuantError> {
-    let (mut d, max_weight) = quantize_rows(g, plan.scale);
+    let (mut d, max_weight) = {
+        let _s = apsp_trace::span("quantize");
+        quantize_rows(g, plan.scale)
+    };
     let hops = hop_bound(g.n());
     if !fits(hops, max_weight as f64, plan.scale) {
         return Err(overflow(hops, max_weight));
     }
     fw_blocked_threads::<MinPlusSatU16>(&mut d, block.max(1), DiagMethod::FwClosure, threads);
+    let _s = apsp_trace::span("dequantize");
     Ok(dequantize_u16(&d, plan.scale))
 }
 

@@ -213,9 +213,10 @@ pub fn simulate_unchecked(spec: &MachineSpec, cfg: &ScheduleConfig) -> SimOutcom
 }
 
 /// [`simulate`], additionally exporting the finished schedule as Chrome
-/// trace_events JSON (the same schema `mpi_sim::RunTrace::to_chrome_json`
-/// emits): one timeline per node resource (`gpu{i}`, `nic{i}`, …), each
-/// task named by its phase (DiagUpdate … OuterUpdate, Sync barriers).
+/// trace_events JSON (the writer recorded solves use,
+/// `apsp_trace::Trace::to_chrome_json`): one timeline per node resource
+/// (`gpu{i}`, `nic{i}`, …), each task named by its phase (DiagUpdate …
+/// OuterUpdate, Sync barriers).
 pub fn simulate_with_trace(spec: &MachineSpec, cfg: &ScheduleConfig) -> Result<(SimOutcome, String), Infeasible> {
     check_memory(spec, cfg)?;
     let (outcome, cl, sched) = run_sim(spec, cfg);

@@ -196,8 +196,6 @@ pub struct SolverStats {
     pub threads: usize,
     /// Human-readable detail lines for the CLI to print.
     pub notes: Vec<String>,
-    /// Machine-readable counters (`("block_gemms", 512.0)`, …).
-    pub metrics: Vec<(&'static str, f64)>,
 }
 
 /// A solved instance: the distance matrix plus provenance.
@@ -276,6 +274,12 @@ pub trait Solver: Send + Sync {
     }
 }
 
+/// [`GraphProfile::compute`] as a `profile` span.
+fn profile(g: &Graph, block: usize) -> GraphProfile {
+    let _s = apsp_trace::span("profile");
+    GraphProfile::compute(g, block)
+}
+
 /// The set of known solvers; the single dispatch point for the CLI, the
 /// benchmark, and the oracle tests.
 pub struct Registry {
@@ -313,12 +317,14 @@ impl Registry {
 
     /// Profile the graph, check eligibility, run the named solver, and
     /// stamp the wall clock. `"auto"` delegates to [`Registry::solve_auto`].
+    /// The profile pass and the run are `profile` and `solve` spans on the
+    /// calling thread's `apsp_trace` recorder.
     pub fn solve(&self, name: &str, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
         if name == "auto" {
             return self.solve_auto(g, opts).map(|(_, sol)| sol);
         }
         let solver = self.get(name)?;
-        self.solve_profiled(solver, &GraphProfile::compute(g, opts.block), g, &opts.resolved())
+        self.solve_profiled(solver, &profile(g, opts.block), g, &opts.resolved())
     }
 
     /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
@@ -337,7 +343,10 @@ impl Registry {
             .eligible(profile, opts)
             .map_err(|reason| SolveError::Ineligible { solver: solver.name(), reason })?;
         let t0 = Instant::now();
-        let mut sol = solver.solve(g, profile, opts)?;
+        let mut sol = {
+            let _s = apsp_trace::span("solve");
+            solver.solve(g, profile, opts)?
+        };
         sol.stats.wall_s = t0.elapsed().as_secs_f64();
         if profile.has_negative() && (0..profile.n).any(|i| sol.dist[(i, i)] < 0.0) {
             return Err(SolveError::NegativeCycle);
@@ -345,13 +354,15 @@ impl Registry {
         Ok(sol)
     }
 
-    /// Score every solver on this graph and return the explainable plan.
+    /// Score every solver on this graph and return the explainable plan
+    /// (`profile`, then `plan` spans).
     pub fn plan(&self, g: &Graph, opts: &SolveOpts) -> Plan {
-        self.plan_for_profile(GraphProfile::compute(g, opts.block), opts)
+        self.plan_for_profile(profile(g, opts.block), opts)
     }
 
     /// [`Registry::plan`] when the profile is already in hand.
     pub fn plan_for_profile(&self, profile: GraphProfile, opts: &SolveOpts) -> Plan {
+        let _s = apsp_trace::span("plan");
         planner::plan(self, profile, &opts.resolved())
     }
 

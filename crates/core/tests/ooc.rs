@@ -271,24 +271,43 @@ fn choose_tile_picks_the_largest_fit_and_gives_up_below_the_smallest() {
 #[test]
 fn measured_run_is_consistent_with_the_four_engine_cost_model() {
     // Validate the §4.5 disk-tier extension against a real staged run: with
-    // the run's own measured compute and I/O times as t0/t3, the model's
+    // the run's own recorded compute and I/O times as t0/t3, the model's
     // fully-overlapped (≥4-lane) prediction is a lower bound on the wall
     // time — compute and I/O are disjoint sub-intervals of it on the
     // driver's one thread, so this holds by construction, not by timing.
+    // Compute is the three phase spans less the io-wait spans inside them;
+    // io-wait is every io-wait span, the final flush included.
     let (n, t) = (96usize, 24usize);
     let path = TempPath::new("model");
     let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-    let mut d = dense(n, 13);
+    ingest(&mut store, &dense(n, 13).view()).unwrap();
     let cfg = OocConfig::with_budget(tight_budget(t));
-    let stats = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg).unwrap();
-    let c = OffloadCosts { t0: stats.compute_seconds, t1: 0.0, t2: 0.0, t3: stats.io_seconds };
+    let (stats, trace) = apsp_trace::record("driver", || {
+        let _wall = apsp_trace::span("wall");
+        ooc_fw::<MinPlusF32>(&mut store, &cfg)
+    });
+    assert!(stats.unwrap().tiles_written > 0);
+    let spans = &trace.timelines[0].spans;
+    let sum = |name: &str| spans.iter().filter(|s| s.name == name).map(|s| s.dur_ns()).sum::<u64>();
+    let phases: Vec<_> =
+        spans.iter().filter(|s| ["DiagUpdate", "PanelUpdate", "OuterUpdate"].contains(&s.name)).collect();
+    let io_in_phases: u64 = spans
+        .iter()
+        .filter(|s| s.name == "io-wait")
+        .filter(|s| phases.iter().any(|p| p.start_ns <= s.start_ns && s.end_ns <= p.end_ns))
+        .map(|s| s.dur_ns())
+        .sum();
+    let (wall, io) = (sum("wall"), sum("io-wait"));
+    let compute = phases.iter().map(|s| s.dur_ns()).sum::<u64>() - io_in_phases;
+    assert!(io > 0 && compute > 0, "io {io} ns, compute {compute} ns");
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    let c = OffloadCosts { t0: secs(compute), t1: 0.0, t2: 0.0, t3: secs(io) };
     assert!(
-        stats.wall_seconds >= c.predicted_time(4),
-        "wall {} below the overlap lower bound {}",
-        stats.wall_seconds,
+        secs(wall) >= c.predicted_time(4),
+        "wall {wall} ns below the overlap lower bound {}",
         c.predicted_time(4)
     );
-    assert!(stats.wall_seconds >= stats.compute_seconds + stats.io_seconds);
+    assert!(wall >= compute + io, "wall {wall} < compute {compute} + io {io} (ns)");
 }
 
 #[test]

@@ -403,7 +403,8 @@ mod tests {
         // phase. The per-rank message events from the trace expose ingress.
         for p in [2usize, 4, 5, 7, 8] {
             let rt = Runtime::new(p);
-            let (_, report, trace) = rt.run_with_trace(|comm| comm.barrier().unwrap());
+            let ((_, report), trace) =
+                apsp_trace::record("caller", || rt.run_traced(|comm| comm.barrier().unwrap()));
             assert_eq!(
                 report.total_msgs,
                 2 * (p as u64 - 1),
@@ -411,9 +412,9 @@ mod tests {
             );
             let log2p = p.next_power_of_two().trailing_zeros() as usize;
             let mut ingress = vec![0usize; p];
-            for tl in &trace.per_rank {
+            for tl in &trace.timelines {
                 for e in &tl.events {
-                    ingress[e.dst_world] += 1;
+                    ingress[e.dst] += 1;
                 }
             }
             for (r, n) in ingress.into_iter().enumerate() {

@@ -14,7 +14,6 @@ use crate::fault::{FaultState, SendFate};
 use crate::p2p::{Mailbox, Polled};
 use crate::payload::Payload;
 use crate::placement::Placement;
-use crate::trace::{self, MsgEvent, Span, TraceState};
 
 /// Tags with the top bit set are reserved for collectives.
 pub(crate) const INTERNAL_TAG: u64 = 1 << 63;
@@ -25,7 +24,6 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     pub(crate) placement: Placement,
     pub(crate) recv_timeout: Duration,
-    pub(crate) trace: Option<Arc<TraceState>>,
     pub(crate) faults: Option<FaultState>,
     /// The cooperative rank scheduler: parks blocked tasks, multiplexes the
     /// worker slots, owns the deadline wheel (see [`crate::exec`]).
@@ -60,7 +58,6 @@ impl Shared {
         workers: usize,
         placement: Placement,
         recv_timeout: Duration,
-        trace: Option<Arc<TraceState>>,
         faults: Option<FaultState>,
     ) -> Self {
         assert_eq!(placement.num_ranks(), p, "placement covers a different rank count");
@@ -69,7 +66,6 @@ impl Shared {
             counters: Counters::new(placement.num_nodes()),
             placement,
             recv_timeout,
-            trace,
             faults,
             sched: Scheduler::new(p, workers),
             splits: Mutex::new(SplitState::default()),
@@ -192,17 +188,12 @@ impl Comm {
         // Dropped and delayed messages still left this rank: charge them to
         // the traffic counters and the trace like any other send.
         let bytes = msg.size_bytes();
-        let phase = trace::current_phase();
+        let phase = apsp_trace::current_phase();
         let nic = self
             .shared
             .counters
             .record(&self.shared.placement, src_world, dst_world, bytes, phase);
-        if let Some(tr) = &self.shared.trace {
-            tr.record_msg(
-                src_world,
-                MsgEvent { ts_us: tr.now_us(), dst_world, bytes, nic, phase },
-            );
-        }
+        apsp_trace::record_send(dst_world, bytes, nic, phase);
         let key = (self.ctx, self.rank, tag);
         match fate {
             SendFate::Deliver => {
@@ -272,7 +263,7 @@ impl Comm {
                     src_world: self.members.get(src).copied().unwrap_or(usize::MAX),
                     ctx: self.ctx,
                     tag: tag & !INTERNAL_TAG,
-                    phase: trace::current_phase(),
+                    phase: apsp_trace::current_phase(),
                     pending: mb.pending_keys(),
                 })));
             }
@@ -301,22 +292,6 @@ impl Comm {
         );
         self.send_raw(dst, send_tag, msg)?;
         self.recv_raw(src, recv_tag)
-    }
-
-    /// Open a named trace phase on this rank; the returned guard closes it.
-    ///
-    /// While the guard lives, every byte this rank sends is attributed to
-    /// `name` in the run's [`crate::TrafficReport::per_phase`], and — when
-    /// the runtime was started via [`crate::Runtime::run_with_trace`] — a
-    /// [`Span`] is recorded on this rank's timeline at guard drop. Guards
-    /// nest (innermost wins for attribution), matching the look-ahead
-    /// structure of the pipelined FW variants.
-    #[must_use = "the phase closes when the guard drops"]
-    pub fn phase(&self, name: &'static str) -> PhaseGuard {
-        trace::push_phase(name);
-        let trace = self.shared.trace.clone();
-        let start_us = trace.as_deref().map_or(0, TraceState::now_us);
-        PhaseGuard { trace, world_rank: self.members[self.rank], name, start_us }
     }
 
     /// Non-blocking probe for a pending message.
@@ -406,24 +381,6 @@ impl Comm {
             shared: self.shared.clone(),
             op_seq: Cell::new(0),
         })
-    }
-}
-
-/// RAII guard for an open trace phase (see [`Comm::phase`]).
-pub struct PhaseGuard {
-    trace: Option<Arc<TraceState>>,
-    world_rank: usize,
-    name: &'static str,
-    start_us: u64,
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        trace::pop_phase();
-        if let Some(tr) = &self.trace {
-            let span = Span { name: self.name, start_us: self.start_us, end_us: tr.now_us() };
-            tr.record_span(self.world_rank, span);
-        }
     }
 }
 
@@ -546,7 +503,7 @@ mod tests {
         let (_, report) = Runtime::new(2).run_traced(|comm| {
             if comm.rank() == 0 {
                 {
-                    let _p = comm.phase("PanelBcast");
+                    let _p = apsp_trace::span("PanelBcast");
                     comm.send(1, 1, vec![0u8; 256]).unwrap();
                 }
                 let _: Vec<u8> = comm.recv(1, 2).unwrap();
@@ -556,7 +513,7 @@ mod tests {
             }
         });
         assert_eq!(report.phase_nic_bytes("PanelBcast"), 256);
-        assert_eq!(report.per_phase[crate::trace::UNTRACED].nic_bytes, 16);
+        assert_eq!(report.per_phase[apsp_trace::UNTRACED].nic_bytes, 16);
         assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
     }
 
@@ -569,7 +526,7 @@ mod tests {
         let err = rt
             .try_run(|comm| -> Result<(), CommError> {
                 if comm.rank() == 1 {
-                    let _p = comm.phase("OuterUpdate");
+                    let _p = apsp_trace::span("OuterUpdate");
                     let _: u64 = comm.recv(0, 42)?;
                 }
                 Ok(())

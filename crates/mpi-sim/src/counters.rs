@@ -9,10 +9,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use apsp_trace::{PhaseTraffic, UNTRACED};
 use parking_lot::Mutex;
 
 use crate::placement::Placement;
-use crate::trace::UNTRACED;
 
 /// Shared atomic counters; one slot per node.
 pub(crate) struct Counters {
@@ -25,7 +25,7 @@ pub(crate) struct Counters {
     /// inter-node message count per node (egress side)
     nic_msgs: Vec<AtomicU64>,
     total_msgs: AtomicU64,
-    /// traffic keyed by the sending rank's open phase (see [`crate::trace`])
+    /// traffic keyed by the sending rank's open phase
     per_phase: Mutex<BTreeMap<&'static str, PhaseTraffic>>,
 }
 
@@ -43,7 +43,7 @@ impl Counters {
     }
 
     /// Record one message. `phase` is the *sending* rank's currently-open
-    /// trace phase ([`crate::trace::current_phase`]); `None` lands in the
+    /// span ([`apsp_trace::current_phase`]); `None` lands in the
     /// [`UNTRACED`] bucket so per-phase totals always sum to the run totals.
     /// Returns whether the message crossed node boundaries.
     pub(crate) fn record(
@@ -64,15 +64,7 @@ impl Counters {
         } else {
             self.intra[sn].fetch_add(bytes as u64, Ordering::Relaxed);
         }
-        let mut per_phase = self.per_phase.lock();
-        let slot = per_phase.entry(phase.unwrap_or(UNTRACED)).or_default();
-        slot.msgs += 1;
-        if nic {
-            slot.nic_bytes += bytes as u64;
-            slot.nic_msgs += 1;
-        } else {
-            slot.intra_bytes += bytes as u64;
-        }
+        self.per_phase.lock().entry(phase.unwrap_or(UNTRACED)).or_default().add(bytes as u64, nic);
         nic
     }
 
@@ -94,19 +86,6 @@ impl Counters {
     }
 }
 
-/// Traffic attributed to one phase (keyed by the sender's open phase).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseTraffic {
-    /// Inter-node bytes sent while the phase was open.
-    pub nic_bytes: u64,
-    /// Intra-node bytes sent while the phase was open.
-    pub intra_bytes: u64,
-    /// Inter-node message count.
-    pub nic_msgs: u64,
-    /// All messages, any locality.
-    pub msgs: u64,
-}
-
 /// Immutable traffic summary of a finished run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficReport {
@@ -120,9 +99,9 @@ pub struct TrafficReport {
     pub nic_msgs: Vec<u64>,
     /// All messages, any locality.
     pub total_msgs: u64,
-    /// Traffic keyed by the sending rank's open trace phase; sends outside
-    /// any phase land under [`crate::trace::UNTRACED`]. Per-phase values
-    /// always sum exactly to the run totals.
+    /// Traffic keyed by the sending rank's open span; sends outside any
+    /// span land under [`UNTRACED`]. Per-phase values always sum exactly to
+    /// the run totals.
     pub per_phase: BTreeMap<String, PhaseTraffic>,
 }
 
@@ -194,7 +173,7 @@ mod tests {
         assert_eq!((pb.nic_bytes, pb.nic_msgs, pb.msgs), (65, 2, 2));
         let db = &r.per_phase["DiagBcast"];
         assert_eq!((db.nic_bytes, db.intra_bytes), (0, 10));
-        assert_eq!(r.per_phase[crate::trace::UNTRACED].nic_bytes, 5);
+        assert_eq!(r.per_phase[UNTRACED].nic_bytes, 5);
         assert_eq!(r.phase_nic_bytes_sum(), r.total_nic_bytes());
         assert_eq!(r.phase_nic_bytes("PanelBcast"), 65);
         assert_eq!(r.phase_nic_bytes("OuterUpdate"), 0);

@@ -55,10 +55,10 @@ pub mod p2p;
 pub mod payload;
 pub mod placement;
 pub mod runtime;
-pub mod trace;
+mod trace;
 
-pub use comm::{Comm, PhaseGuard};
-pub use counters::{PhaseTraffic, TrafficReport};
+pub use comm::Comm;
+pub use counters::TrafficReport;
 pub use error::{CommError, DeadlockReport};
 pub use exec::ExecStats;
 pub use fault::{FaultAction, FaultPlan};
@@ -67,4 +67,3 @@ pub use p2p::MatchKey;
 pub use payload::Payload;
 pub use placement::Placement;
 pub use runtime::{FailureKind, RankFailure, RunError, Runtime};
-pub use trace::{MsgEvent, RankTimeline, RunTrace, Span, PHASES};

@@ -33,7 +33,6 @@ use crate::error::CommError;
 use crate::exec::ExecStats;
 use crate::fault::{FaultPlan, FaultState};
 use crate::placement::Placement;
-use crate::trace::{RunTrace, TraceState};
 
 /// Why one rank failed.
 #[derive(Clone, PartialEq, Eq)]
@@ -115,11 +114,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Everything one run produces; the public `run*`/`try_run*` wrappers each
 /// expose the slice of this tuple they promise.
-type RunOutcome<R, E> = (Result<Vec<R>, RunError<E>>, TrafficReport, Option<RunTrace>, ExecStats);
+type RunOutcome<R, E> = (Result<Vec<R>, RunError<E>>, TrafficReport, ExecStats);
 
 /// Configures and launches an SPMD job. Each rank runs the user closure as
 /// a cooperatively-scheduled task with a [`Comm`] world communicator;
-/// [`Runtime::with_workers`] bounds how many execute concurrently.
+/// [`Runtime::with_workers`] bounds how many execute concurrently. A run
+/// started on a thread with an `apsp_trace` recorder installed records one
+/// track per rank on it.
 pub struct Runtime {
     p: usize,
     placement: Placement,
@@ -212,27 +213,9 @@ impl Runtime {
         &self,
         f: impl Fn(Comm) -> R + Send + Sync,
     ) -> (Vec<R>, TrafficReport) {
-        let (out, traffic, _, _) =
-            self.try_run_inner(move |comm| Ok::<R, CommError>(f(comm)), None);
+        let (out, traffic, _) = self.try_run_inner(move |comm| Ok::<R, CommError>(f(comm)));
         match out {
             Ok(v) => (v, traffic),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Runtime::run_traced`] but additionally records a full
-    /// [`RunTrace`]: per-rank phase spans (opened via [`Comm::phase`]) and
-    /// per-message events, on a shared monotonic clock. Export it with
-    /// [`RunTrace::to_chrome_json`] / [`RunTrace::phase_summary`].
-    pub fn run_with_trace<R: Send>(
-        &self,
-        f: impl Fn(Comm) -> R + Send + Sync,
-    ) -> (Vec<R>, TrafficReport, RunTrace) {
-        let state = Arc::new(TraceState::new(self.p));
-        let (out, traffic, trace, _) =
-            self.try_run_inner(move |comm| Ok::<R, CommError>(f(comm)), Some(state));
-        match out {
-            Ok(v) => (v, traffic, trace.expect("trace state was attached")),
             Err(e) => panic!("{e}"),
         }
     }
@@ -246,7 +229,7 @@ impl Runtime {
         &self,
         f: impl Fn(Comm) -> Result<R, E> + Send + Sync,
     ) -> Result<Vec<R>, RunError<E>> {
-        self.try_run_inner(f, None).0
+        self.try_run_inner(f).0
     }
 
     /// Like [`Runtime::try_run`] but also returns the traffic report
@@ -255,7 +238,7 @@ impl Runtime {
         &self,
         f: impl Fn(Comm) -> Result<R, E> + Send + Sync,
     ) -> (Result<Vec<R>, RunError<E>>, TrafficReport) {
-        let (out, traffic, _, _) = self.try_run_inner(f, None);
+        let (out, traffic, _) = self.try_run_inner(f);
         (out, traffic)
     }
 
@@ -267,26 +250,12 @@ impl Runtime {
         &self,
         f: impl Fn(Comm) -> Result<R, E> + Send + Sync,
     ) -> (Result<Vec<R>, RunError<E>>, TrafficReport, ExecStats) {
-        let (out, traffic, _, stats) = self.try_run_inner(f, None);
-        (out, traffic, stats)
-    }
-
-    /// Like [`Runtime::try_run_traced`] but additionally records a full
-    /// [`RunTrace`] (also returned for failed runs, where it shows how far
-    /// each rank got).
-    pub fn try_run_with_trace<R: Send, E: Send>(
-        &self,
-        f: impl Fn(Comm) -> Result<R, E> + Send + Sync,
-    ) -> (Result<Vec<R>, RunError<E>>, TrafficReport, RunTrace) {
-        let state = Arc::new(TraceState::new(self.p));
-        let (out, traffic, trace, _) = self.try_run_inner(f, Some(state));
-        (out, traffic, trace.expect("trace state was attached"))
+        self.try_run_inner(f)
     }
 
     fn try_run_inner<R: Send, E: Send>(
         &self,
         f: impl Fn(Comm) -> Result<R, E> + Send + Sync,
-        trace: Option<Arc<TraceState>>,
     ) -> RunOutcome<R, E> {
         let faults = (!self.faults.is_empty())
             .then(|| FaultState::new(self.faults.clone(), self.p));
@@ -295,7 +264,6 @@ impl Runtime {
             self.worker_count(),
             self.placement.clone(),
             self.recv_timeout,
-            trace.clone(),
             faults,
         ));
         let results: Vec<Mutex<Option<R>>> = (0..self.p).map(|_| Mutex::new(None)).collect();
@@ -322,7 +290,8 @@ impl Runtime {
                 .expect("spawn timekeeper thread");
 
             let mut handles = Vec::with_capacity(self.p);
-            for (rank, slot) in results.iter().enumerate() {
+            let tracks = crate::trace::rank_tracks(self.p);
+            for ((rank, slot), track) in results.iter().enumerate().zip(tracks) {
                 let shared = shared.clone();
                 let mut builder =
                     std::thread::Builder::new().name(format!("rank-{rank}"));
@@ -332,6 +301,7 @@ impl Runtime {
                 handles.push(
                     builder
                         .spawn_scoped(scope, move || {
+                            let _track = track.map(apsp_trace::Track::install);
                             // wait for a worker slot before touching user code
                             shared.sched.register_current(rank);
                             let comm = Comm::world(shared.clone(), rank);
@@ -375,7 +345,6 @@ impl Runtime {
         let failures = failures.into_inner();
         let traffic = shared.counters.snapshot();
         let stats = shared.sched.stats();
-        let trace = trace.map(|t| t.finish());
         let out = if failures.is_empty() {
             Ok(results
                 .into_iter()
@@ -384,7 +353,7 @@ impl Runtime {
         } else {
             Err(RunError { failures })
         };
-        (out, traffic, trace, stats)
+        (out, traffic, stats)
     }
 }
 
@@ -434,24 +403,28 @@ mod tests {
     #[test]
     fn traced_run_records_spans_and_messages() {
         let rt = Runtime::new(2);
-        let (_, report, trace) = rt.run_with_trace(|comm| {
-            let _p = comm.phase("DiagBcast");
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![0u8; 64]).unwrap();
-            } else {
-                let _: Vec<u8> = comm.recv(0, 0).unwrap();
-            }
+        let ((_, report), trace) = apsp_trace::record("caller", || {
+            rt.run_traced(|comm| {
+                let _p = apsp_trace::span("DiagBcast");
+                if comm.rank() == 0 {
+                    comm.send(1, 0, vec![0u8; 64]).unwrap();
+                } else {
+                    let _: Vec<u8> = comm.recv(0, 0).unwrap();
+                }
+            })
         });
-        assert_eq!(trace.num_ranks(), 2);
-        for tl in &trace.per_rank {
+        // the caller's track, then one per rank
+        assert_eq!(trace.timelines.len(), 3);
+        let ranks = &trace.timelines[1..];
+        for tl in ranks {
             assert_eq!(tl.spans.len(), 1);
             assert_eq!(tl.spans[0].name, "DiagBcast");
         }
         // only rank 0 sent anything
-        assert_eq!(trace.per_rank[0].events.len(), 1);
-        let e = trace.per_rank[0].events[0];
-        assert_eq!((e.dst_world, e.bytes, e.nic, e.phase), (1, 64, true, Some("DiagBcast")));
-        assert!(trace.per_rank[1].events.is_empty());
+        assert_eq!(ranks[0].events.len(), 1);
+        let e = ranks[0].events[0];
+        assert_eq!((e.dst, e.bytes, e.nic, e.phase), (1, 64, true, Some("DiagBcast")));
+        assert!(ranks[1].events.is_empty());
         assert_eq!(report.phase_nic_bytes("DiagBcast"), 64);
     }
 

@@ -1,331 +1,120 @@
-//! Per-rank, per-phase tracing of a runtime execution.
+//! How a run shows up in the workspace's span recorder ([`apsp_trace`]).
 //!
-//! The paper analyzes every variant through the same five-phase iteration
-//! structure (Alg. 3/4): `DiagUpdate → DiagBcast → PanelUpdate → PanelBcast
-//! → OuterUpdate`. This module records, for every rank, when each phase was
-//! open (monotonic-clock spans relative to a per-run epoch) and every
-//! message the rank sent, then merges the per-rank timelines into a
-//! [`RunTrace`] that exports
-//!
-//! * Chrome/Perfetto `trace_events` JSON ([`RunTrace::to_chrome_json`]) —
-//!   load it in `chrome://tracing` or <https://ui.perfetto.dev>; one track
-//!   (`tid`) per rank;
-//! * a phase-summary table ([`RunTrace::phase_summary`]) combining per-phase
-//!   wall time with the phase-attributed traffic of the run's
-//!   [`TrafficReport`].
-//!
-//! Phases are opened with the guard API [`crate::Comm::phase`]; the guard
-//! also parks the phase name in a thread-local, which is how the traffic
-//! [`crate::counters`] attribute each sent byte to the sending rank's
-//! currently-open phase even when no trace recorder is attached.
+//! A run records only when the thread that starts it has a recorder
+//! installed. Each rank thread is then handed a track of its own on that
+//! recorder, named `rank {r}` and made in rank order, so the trace of a run
+//! lists the caller's track first and one track per rank after it. The
+//! spans a rank opens land on its track, and each send becomes an instant
+//! event carrying bytes, NIC crossing and the open phase. With nothing
+//! installed the ranks record nothing, and the run's
+//! [`crate::TrafficReport`] still books every sent byte to the sender's open
+//! phase ([`apsp_trace::current_phase`]).
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::time::Instant;
+use apsp_trace::Track;
 
-use parking_lot::Mutex;
-
-use crate::counters::TrafficReport;
-
-/// The five phase names of one blocked-FW iteration, in paper order.
-pub const PHASES: [&str; 5] =
-    ["DiagUpdate", "DiagBcast", "PanelUpdate", "PanelBcast", "OuterUpdate"];
-
-/// Bucket name for traffic sent while no phase guard is open.
-pub const UNTRACED: &str = "(untraced)";
-
-thread_local! {
-    static PHASE_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The innermost phase currently open on this thread (= this rank), if any.
-pub fn current_phase() -> Option<&'static str> {
-    PHASE_STACK.with(|s| s.borrow().last().copied())
-}
-
-pub(crate) fn push_phase(name: &'static str) {
-    PHASE_STACK.with(|s| s.borrow_mut().push(name));
-}
-
-pub(crate) fn pop_phase() {
-    PHASE_STACK.with(|s| {
-        s.borrow_mut().pop().expect("phase guard dropped without a matching push");
-    });
-}
-
-/// One closed phase interval on one rank; times are µs since the run epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Span {
-    /// Phase name (one of [`PHASES`] for the FW loops; any label is legal).
-    pub name: &'static str,
-    /// Open time, µs since the runtime's epoch.
-    pub start_us: u64,
-    /// Close time, µs since the runtime's epoch.
-    pub end_us: u64,
-}
-
-impl Span {
-    /// Span length in µs.
-    pub fn dur_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-}
-
-/// One message leaving a rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MsgEvent {
-    /// Send time, µs since the runtime's epoch.
-    pub ts_us: u64,
-    /// Destination world rank.
-    pub dst_world: usize,
-    /// Payload bytes.
-    pub bytes: usize,
-    /// True when the message crossed node boundaries (NIC traffic).
-    pub nic: bool,
-    /// Sending rank's open phase at send time.
-    pub phase: Option<&'static str>,
-}
-
-/// One rank's recorded timeline.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RankTimeline {
-    /// Closed phase spans, in close order.
-    pub spans: Vec<Span>,
-    /// Sent messages, in send order.
-    pub events: Vec<MsgEvent>,
-}
-
-/// Live recorder shared by all ranks of one traced run.
-pub(crate) struct TraceState {
-    epoch: Instant,
-    ranks: Vec<Mutex<RankTimeline>>,
-}
-
-impl TraceState {
-    pub(crate) fn new(p: usize) -> Self {
-        TraceState {
-            epoch: Instant::now(),
-            ranks: (0..p).map(|_| Mutex::new(RankTimeline::default())).collect(),
-        }
-    }
-
-    pub(crate) fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    pub(crate) fn record_span(&self, world_rank: usize, span: Span) {
-        self.ranks[world_rank].lock().spans.push(span);
-    }
-
-    pub(crate) fn record_msg(&self, world_rank: usize, event: MsgEvent) {
-        self.ranks[world_rank].lock().events.push(event);
-    }
-
-    /// Drain into the immutable merged view (call after all ranks joined).
-    pub(crate) fn finish(&self) -> RunTrace {
-        RunTrace {
-            per_rank: self.ranks.iter().map(|m| m.lock().clone()).collect(),
-        }
-    }
-}
-
-/// Merged per-rank timelines of one finished run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunTrace {
-    /// Timeline of each rank, indexed by world rank.
-    pub per_rank: Vec<RankTimeline>,
-}
-
-impl RunTrace {
-    /// Number of ranks recorded.
-    pub fn num_ranks(&self) -> usize {
-        self.per_rank.len()
-    }
-
-    /// Total span wall time per phase name, summed across ranks
-    /// (rank-microseconds; concurrent ranks add up).
-    pub fn phase_wall_us(&self) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for tl in &self.per_rank {
-            for s in &tl.spans {
-                *out.entry(s.name).or_insert(0) += s.dur_us();
-            }
-        }
-        out
-    }
-
-    /// Chrome `trace_events` JSON: one process, one track (`tid`) per rank.
-    /// Phase spans are complete (`"ph":"X"`) events; sends are instant
-    /// (`"ph":"i"`) events carrying `dst`/`bytes`/`nic`/`phase` args.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |s: &str, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(s);
-        };
-        for (rank, tl) in self.per_rank.iter().enumerate() {
-            emit(
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
-                     \"args\":{{\"name\":\"rank {rank}\"}}}}"
-                ),
-                &mut out,
-            );
-            for s in &tl.spans {
-                emit(
-                    &format!(
-                        "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":0,\
-                         \"tid\":{rank},\"ts\":{},\"dur\":{}}}",
-                        escape_json(s.name),
-                        s.start_us,
-                        s.dur_us()
-                    ),
-                    &mut out,
-                );
-            }
-            for e in &tl.events {
-                emit(
-                    &format!(
-                        "{{\"name\":\"send\",\"cat\":\"msg\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"pid\":0,\"tid\":{rank},\"ts\":{},\"args\":{{\"dst\":{},\
-                         \"bytes\":{},\"nic\":{},\"phase\":\"{}\"}}}}",
-                        e.ts_us,
-                        e.dst_world,
-                        e.bytes,
-                        e.nic,
-                        escape_json(e.phase.unwrap_or(UNTRACED))
-                    ),
-                    &mut out,
-                );
-            }
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
-    }
-
-    /// Human-readable per-phase table: wall time (summed over ranks), NIC
-    /// bytes, NIC message count and total message count, joining this
-    /// trace's spans with the run's phase-attributed [`TrafficReport`].
-    pub fn phase_summary(&self, traffic: &TrafficReport) -> String {
-        let wall = self.phase_wall_us();
-        // stable row order: the five paper phases first, then anything else
-        let mut names: Vec<&str> = PHASES.to_vec();
-        for k in wall.keys() {
-            if !names.contains(k) {
-                names.push(k);
-            }
-        }
-        for k in traffic.per_phase.keys() {
-            if !names.iter().any(|n| n == k) {
-                names.push(k.as_str());
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<14} {:>14} {:>14} {:>10} {:>10}",
-            "phase", "rank-wall (ms)", "nic bytes", "nic msgs", "msgs"
-        );
-        for name in names {
-            let w = wall.get(name).copied().unwrap_or(0);
-            let t = traffic.per_phase.get(name).copied().unwrap_or_default();
-            if w == 0 && t.msgs == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:<14} {:>14.3} {:>14} {:>10} {:>10}",
-                name,
-                w as f64 / 1e3,
-                t.nic_bytes,
-                t.nic_msgs,
-                t.msgs
-            );
-        }
-        out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// One track per rank on the recorder installed on the calling thread, in
+/// rank order; all `None` when nothing is installed.
+pub(crate) fn rank_tracks(p: usize) -> Vec<Option<Track>> {
+    let rec = apsp_trace::current();
+    (0..p).map(|r| rec.as_ref().map(|rec| rec.track(format!("rank {r}")))).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use apsp_trace::{current_phase, record, span, Trace};
 
-    fn sample_trace() -> RunTrace {
-        RunTrace {
-            per_rank: vec![
-                RankTimeline {
-                    spans: vec![
-                        Span { name: "DiagUpdate", start_us: 0, end_us: 5 },
-                        Span { name: "OuterUpdate", start_us: 5, end_us: 30 },
-                    ],
-                    events: vec![MsgEvent {
-                        ts_us: 2,
-                        dst_world: 1,
-                        bytes: 64,
-                        nic: true,
-                        phase: Some("DiagUpdate"),
-                    }],
-                },
-                RankTimeline {
-                    spans: vec![Span { name: "OuterUpdate", start_us: 1, end_us: 11 }],
-                    events: vec![],
-                },
-            ],
-        }
+    use crate::Runtime;
+
+    /// Two ranks under a recorder: rank 0 sends 64 bytes to rank 1 inside
+    /// `DiagBcast`, and both open `OuterUpdate` for a while.
+    fn two_rank_trace() -> Trace {
+        let ((), trace) = record("caller", || {
+            Runtime::new(2).run(|comm| {
+                {
+                    let _p = span("DiagBcast");
+                    if comm.rank() == 0 {
+                        comm.send(1, 0, vec![0u8; 64]).unwrap();
+                    } else {
+                        let _: Vec<u8> = comm.recv(0, 0).unwrap();
+                    }
+                }
+                let _p = span("OuterUpdate");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+        });
+        trace
     }
 
     #[test]
     fn chrome_json_has_span_and_msg_events() {
-        let json = sample_trace().to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"DiagUpdate\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"tid\":1"));
+        let trace = two_rank_trace();
+        let names: Vec<_> = trace.timelines.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["caller", "rank 0", "rank 1"]);
+        let send = trace.timelines[1].events[0];
+        assert_eq!((send.dst, send.bytes, send.nic, send.phase), (1, 64, true, Some("DiagBcast")));
+        assert!(trace.timelines[2].events.is_empty());
+        let json = trace.to_chrome_json();
+        assert!(json.contains("\"ph\":\"X\"") && json.contains("\"ph\":\"i\""));
+        assert!(json.contains("\"name\":\"rank 1\""));
         assert!(json.contains("\"bytes\":64"));
-        // balanced braces/brackets — cheap well-formedness check
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
     fn phase_wall_sums_across_ranks() {
-        let wall = sample_trace().phase_wall_us();
-        assert_eq!(wall["DiagUpdate"], 5);
-        assert_eq!(wall["OuterUpdate"], 25 + 10);
+        let trace = two_rank_trace();
+        let per_rank: u64 = trace.timelines[1..]
+            .iter()
+            .flat_map(|t| &t.spans)
+            .filter(|s| s.name == "OuterUpdate")
+            .map(|s| s.dur_ns())
+            .sum();
+        assert_eq!(trace.phase_wall_us()["OuterUpdate"], per_rank / 1000);
+        // each rank slept 1 ms inside the phase, so the sum covers both
+        assert!(per_rank >= 2_000_000, "{per_rank} ns");
     }
 
     #[test]
     fn phase_stack_nests() {
-        assert_eq!(current_phase(), None);
-        push_phase("PanelBcast");
-        push_phase("OuterUpdate");
-        assert_eq!(current_phase(), Some("OuterUpdate"));
-        pop_phase();
-        assert_eq!(current_phase(), Some("PanelBcast"));
-        pop_phase();
-        assert_eq!(current_phase(), None);
+        // each rank thread has its own stack: the caller's open span is not
+        // a rank's phase, and a rank's innermost span is
+        let _caller = span("solve");
+        let seen = Runtime::new(2).run(|_comm| {
+            let outside = current_phase();
+            let _a = span("PanelBcast");
+            let _b = span("OuterUpdate");
+            (outside, current_phase())
+        });
+        assert_eq!(seen, vec![(None, Some("OuterUpdate")); 2]);
+        assert_eq!(current_phase(), Some("solve"));
     }
 
     #[test]
     fn escapes_hostile_names() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let ((), trace) = record("caller", || {
+            Runtime::new(1).run(|_comm| {
+                let _p = span("a\"b\\c\nd");
+            });
+        });
+        assert!(trace.to_chrome_json().contains("\"name\":\"a\\\"b\\\\c\\nd\""));
+    }
+
+    #[test]
+    fn without_a_recorder_spans_record_nothing_and_bytes_still_book_to_the_phase() {
+        // a recorder came and went on this thread; the run after it records
+        // into nothing, yet its traffic is attributed exactly as before
+        let ((), before) = record("caller", || {});
+        let (_, report) = Runtime::new(2).run_traced(|comm| {
+            assert!(apsp_trace::current().is_none());
+            let _p = span("PanelBcast");
+            if comm.rank() == 0 {
+                comm.send(1, 0, vec![0u8; 256]).unwrap();
+            } else {
+                let _: Vec<u8> = comm.recv(0, 0).unwrap();
+            }
+        });
+        assert_eq!(before.timelines.len(), 1);
+        assert!(before.timelines[0].spans.is_empty() && before.timelines[0].events.is_empty());
+        assert_eq!(report.phase_nic_bytes("PanelBcast"), 256);
+        assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
     }
 }

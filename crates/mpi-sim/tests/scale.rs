@@ -42,7 +42,8 @@ fn allgather_message_count_stays_linear_at_p512() {
 fn barrier_fan_in_stays_logarithmic_at_p512() {
     let p = 512usize;
     let rt = Runtime::new(p).with_recv_timeout(SCALE_TIMEOUT).with_stack_size(SMALL_STACK);
-    let (_, report, trace) = rt.run_with_trace(|comm| comm.barrier().unwrap());
+    let ((_, report), trace) =
+        apsp_trace::record("caller", || rt.run_traced(|comm| comm.barrier().unwrap()));
     assert_eq!(
         report.total_msgs,
         2 * (p as u64 - 1),
@@ -50,9 +51,9 @@ fn barrier_fan_in_stays_logarithmic_at_p512() {
     );
     let log2p = p.next_power_of_two().trailing_zeros() as usize;
     let mut ingress = vec![0usize; p];
-    for tl in &trace.per_rank {
+    for tl in &trace.timelines {
         for e in &tl.events {
-            ingress[e.dst_world] += 1;
+            ingress[e.dst] += 1;
         }
     }
     for (r, n) in ingress.into_iter().enumerate() {
@@ -76,13 +77,13 @@ fn smoke_1024_ranks_completes_under_wall_clock_cap() {
         .with_recv_timeout(SCALE_TIMEOUT);
     let (out, report, stats) = rt.try_run_with_stats(move |comm| -> Result<u64, CommError> {
         let got = {
-            let _g = comm.phase("DiagBcast");
+            let _g = apsp_trace::span("DiagBcast");
             let data = (comm.rank() == 0).then(|| vec![42u64; 16]);
             comm.bcast(0, data)?
         };
         comm.barrier()?;
         let sum = {
-            let _g = comm.phase("OuterUpdate");
+            let _g = apsp_trace::span("OuterUpdate");
             comm.allreduce(comm.rank() as u64, |a, b| a + b)?
         };
         Ok(got[0] + sum)

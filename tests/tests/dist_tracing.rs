@@ -1,12 +1,13 @@
 //! Cross-variant equivalence and trace/traffic invariants for the
 //! distributed FW variants (issue acceptance: every variant bit-identical
 //! to sequential FW; phase-attributed NIC bytes sum exactly to the traffic
-//! total; every rank's trace carries all five paper phase names).
+//! total, and the trace's own per-phase bytes equal the counters'; every
+//! rank's track carries all five paper phase names).
 
 use apsp_core::dist::{distributed_apsp, distributed_apsp_traced, FwConfig, Variant};
 use apsp_core::fw_seq::fw_seq;
 use apsp_graph::generators::{self, WeightKind};
-use mpi_sim::PHASES;
+use apsp_trace::PHASES;
 use srgemm::MinPlusF32;
 
 #[test]
@@ -49,9 +50,20 @@ fn phase_nic_bytes_sum_to_the_traffic_total_and_every_rank_sees_all_phases() {
             "{variant:?}: phase attribution lost bytes"
         );
 
-        // every rank's timeline shows the full five-phase structure
-        assert_eq!(trace.num_ranks(), 4);
-        for (rank, tl) in trace.per_rank.iter().enumerate() {
+        // the trace alone books the same bytes to the same phases: every
+        // send a rank made is an event on its track
+        let from_trace = trace.phase_traffic();
+        assert_eq!(from_trace.len(), traffic.per_phase.len(), "{variant:?}");
+        for (phase, counted) in &traffic.per_phase {
+            assert_eq!(from_trace.get(phase.as_str()), Some(counted), "{variant:?}: {phase}");
+        }
+        let nic_sum: u64 = from_trace.values().map(|t| t.nic_bytes).sum();
+        assert_eq!(nic_sum, traffic.total_nic_bytes(), "{variant:?}");
+
+        // the caller's track, then every rank's with the five-phase structure
+        let names: Vec<_> = trace.timelines.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["caller", "rank 0", "rank 1", "rank 2", "rank 3"]);
+        for (rank, tl) in trace.timelines[1..].iter().enumerate() {
             for phase in PHASES {
                 assert!(
                     tl.spans.iter().any(|s| s.name == phase),
