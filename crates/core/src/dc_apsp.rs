@@ -97,8 +97,9 @@ mod tests {
 
     #[test]
     fn parallel_gemms_give_identical_results() {
-        // 80 → 40-row quadrants: two slabs of ≥ 16 rows at the top level
-        let g = generators::uniform_dense(80, WeightKind::small_ints(), 3);
+        // 336 → 168-row quadrants: the top-level 168³ products carry two
+        // slabs of the GEMM's work floor
+        let g = generators::uniform_dense(336, WeightKind::small_ints(), 3);
         let mut a = g.to_dense();
         let mut b = g.to_dense();
         dc_apsp::<MinPlusF32>(&mut a, 8, 1);

@@ -33,12 +33,10 @@
 //! residency, which the `cluster-sim` schedules turn into time.
 
 pub mod driver;
-pub mod incremental_dist;
 pub mod layout;
 pub mod oned;
 
 pub use driver::{GpuOffload, InCoreGemm, OuterB, OuterExec};
-pub use incremental_dist::{decrease_edge_dist, DistUpdateError};
 pub use layout::DistMatrix;
 
 use std::time::Duration;

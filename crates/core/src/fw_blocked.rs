@@ -166,11 +166,12 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let base = dense(64, 3);
+        // n = 256 at block 64: the smallest full-width GEMM that splits
+        let base = dense(256, 3);
         let mut a = base.clone();
         let mut b = base.clone();
-        fw_blocked_threads::<MinPlusF32>(&mut a, 16, DiagMethod::FwClosure, 1);
-        fw_blocked_threads::<MinPlusF32>(&mut b, 16, DiagMethod::FwClosure, 2);
+        fw_blocked_threads::<MinPlusF32>(&mut a, 64, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<MinPlusF32>(&mut b, 64, DiagMethod::FwClosure, 2);
         assert!(a.eq_exact(&b));
     }
 

@@ -44,6 +44,9 @@
 //!   loop), and dequantize under a provable `±eps` bound, with typed
 //!   overflow/tolerance rejection ([`quant::QuantError`]) decided before
 //!   any work happens.
+//! * [`ooc`] — the tiled FW loop over a tile store: out-of-core under a
+//!   RAM budget (the disk tier of §4.3–4.5), and block-sparse where tiles
+//!   without paths are absent and skipped.
 //! * [`solver`] — one [`Solver`] registry over every APSP algorithm in the
 //!   workspace (dense FW, block-sparse, Johnson, Dijkstra, Δ-stepping,
 //!   the distributed driver), a one-pass [`GraphProfile`], and a
@@ -69,7 +72,6 @@ pub mod dc_apsp;
 pub mod dist;
 pub mod fw_blocked;
 pub mod fw_seq;
-pub mod fw_sparse;
 pub mod incremental;
 pub mod model;
 pub mod ooc;
@@ -96,4 +98,12 @@ pub use solver::{
 /// The host's parallelism: what a thread budget left at "all cores" means.
 pub(crate) fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+// Block-sparse Floyd-Warshall (the §7 direction, the paper's reference [31])
+// is `ooc::ooc_fw` over a store that holds a graph's all-∞ tiles absent; the
+// registry runs it as `sparse`. Its tests, on both store kinds, live here.
+#[cfg(test)]
+mod fw_sparse {
+    mod tests;
 }

@@ -15,6 +15,13 @@
 //!   host-RAM budget, running the same four kernels as
 //!   [`mod@crate::fw_blocked`] in place on views of the tiles cached in an LRU
 //!   working set, and spilling dirty ones back to the store;
+//! * a tile the store holds as *absent* is all ⊕-identity and is skipped as
+//!   an operand; only fill-in materializes it. That makes the same loop the
+//!   block-sparse FW of the paper's §7 direction (supernodal APSP, its
+//!   reference \[31\]): on clustered or banded graphs it multiplies only the
+//!   tiles that hold paths. [`ingest`] reads the [`Graph`] one tile row at a
+//!   time and declares every off-diagonal tile without an edge absent, so
+//!   the `n × n` matrix exists only when [`export`] builds the answer;
 //! * the [`FileStore`] overlaps its slot reads (prefetch) and write-backs
 //!   with the GEMM via a background I/O thread — the disk-tier double
 //!   buffer. The matching cost term is `gpu_sim::cost`'s fourth engine
@@ -37,12 +44,14 @@ pub mod store;
 
 use std::collections::HashMap;
 
+use apsp_graph::Graph;
 use apsp_trace::span;
 use srgemm::gemm::{gemm_packed_threads, pad_quantum, PackedB};
-use srgemm::matrix::{Matrix, View, ViewMut};
+use srgemm::matrix::{Matrix, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::prelude::fw_closure;
 use srgemm::semiring::Semiring;
+use srgemm::MinPlusF32;
 
 pub use store::{
     read_tile, tile_bytes, write_tile, FileStore, MemStore, StoreError, TileElem, TileStore,
@@ -126,6 +135,9 @@ pub struct OocStats {
     pub bytes_read: u64,
     /// Bytes written back.
     pub bytes_written: u64,
+    /// Outer-product tile GEMMs run: `nb·(nb − 1)²` when every tile is
+    /// present, fewer for each one an absent operand skipped.
+    pub outer_gemms: u64,
     /// Peak host-RAM residency observed (cache + scratch + store buffers).
     pub peak_resident_bytes: u64,
     /// The configured budget.
@@ -190,7 +202,8 @@ enum Access {
 
 /// Budget-bounded LRU over dense tiles of `store`, and the solve's
 /// counters. A tile is resident while it is in `map` *or* checked out with
-/// [`TileCache::take`]; checked-out tiles cannot be evicted.
+/// [`TileCache::take`]; checked-out tiles cannot be evicted. A tile the
+/// store holds as absent is materialized as all `zero` on first use.
 struct TileCache<'s, E> {
     store: &'s mut dyn TileStore,
     stats: OocStats,
@@ -199,12 +212,13 @@ struct TileCache<'s, E> {
     cap: u64,
     scratch: u64,
     clock: u64,
+    zero: E,
 }
 
 impl<'s, E: TileElem> TileCache<'s, E> {
     /// Split `budget` into the reserved part and the cache capacity, or
     /// refuse a budget below the floor.
-    fn new(store: &'s mut dyn TileStore, budget: u64) -> Result<Self, OocError> {
+    fn new(store: &'s mut dyn TileStore, budget: u64, zero: E) -> Result<Self, OocError> {
         let (n, tile) = (store.n(), store.tile());
         let baseline = store.resident_bytes();
         let required = baseline + staged_budget_floor::<E>(tile);
@@ -227,7 +241,14 @@ impl<'s, E: TileElem> TileCache<'s, E> {
             cap: budget - baseline - reserved_bytes::<E>(tile),
             scratch: packed_b_bytes::<E>(tile),
             clock: 0,
+            zero,
         })
+    }
+
+    /// Whether tile `key` holds anything but ⊕-identity: resident, or
+    /// present in the store. A checked-out tile is not asked about.
+    fn present(&self, key: (usize, usize)) -> bool {
+        self.map.contains_key(&key) || self.store.present(key.0, key.1)
     }
 
     fn note_peak(&mut self) {
@@ -260,21 +281,29 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         Ok(())
     }
 
-    /// Make `key` resident, fetching and verifying it on a miss.
+    /// Make `key` resident: fetch and verify it on a miss, or materialize
+    /// it as fill-in — dirty, so it is stored when it leaves — if the store
+    /// holds it as absent.
     fn ensure(&mut self, key: (usize, usize)) -> Result<(), OocError> {
         self.clock += 1;
         if let Some(e) = self.map.get_mut(&key) {
             e.stamp = self.clock;
             return Ok(());
         }
-        let tile = {
-            let _io = span("io-wait");
-            read_tile::<E>(self.store, key.0, key.1)?
+        let entry = if self.store.present(key.0, key.1) {
+            let tile = {
+                let _io = span("io-wait");
+                read_tile::<E>(self.store, key.0, key.1)?
+            };
+            let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
+            self.stats.tiles_read += 1;
+            self.stats.bytes_read += bytes;
+            Resident { tile, bytes, dirty: false, stamp: self.clock }
+        } else {
+            let (rows, cols) = self.store.tile_dims(key.0, key.1);
+            let tile = Matrix::filled(rows, cols, self.zero);
+            Resident { tile, bytes: tile_bytes::<E>(rows, cols), dirty: true, stamp: self.clock }
         };
-        let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
-        let entry = Resident { tile, bytes, dirty: false, stamp: self.clock };
-        self.stats.tiles_read += 1;
-        self.stats.bytes_read += entry.bytes;
         self.make_room(entry.bytes)?;
         self.resident += entry.bytes;
         self.map.insert(key, entry);
@@ -282,9 +311,10 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         Ok(())
     }
 
-    /// Ask the store to start reading `key` if it is not resident.
+    /// Ask the store to start reading `key` if it is stored and not
+    /// resident.
     fn prefetch(&mut self, key: (usize, usize)) {
-        if !self.map.contains_key(&key) {
+        if !self.map.contains_key(&key) && self.store.present(key.0, key.1) {
             self.store.prefetch(key.0, key.1);
         }
     }
@@ -338,44 +368,51 @@ impl<'s, E: TileElem> TileCache<'s, E> {
 // Ingest / export
 // ---------------------------------------------------------------------------
 
-/// Copy `d` tile by tile into `store`.
+/// Write the distance matrix of `g` into the `f32` store one tile row at a
+/// time, laid out as [`Graph::to_dense`] lays it out (`D[i][i] = min(0,
+/// w(i,i))`, `D[i][j] = w(i,j)`, `∞` elsewhere) without building it: each
+/// strip of [`Graph::tile_rows`] writes its diagonal tile and every tile
+/// that received an edge. Every other tile of the row is all ∞ and is
+/// declared absent.
 ///
 /// # Panics
-/// Panics if `d` is not `store.n() × store.n()`.
-pub fn ingest<E: TileElem>(store: &mut dyn TileStore, d: &View<'_, E>) -> Result<(), OocError> {
+/// Panics if `g` does not have `store.n()` vertices, or the store is not
+/// an `f32` store.
+pub fn ingest(store: &mut dyn TileStore, g: &Graph) -> Result<(), OocError> {
     let (n, t) = (store.n(), store.tile());
-    assert_eq!(d.rows(), n, "ingest: matrix rows != store dimension");
-    assert_eq!(d.cols(), n, "ingest: matrix cols != store dimension");
-    let nb = store.tiles_per_side();
-    for ti in 0..nb {
-        for tj in 0..nb {
-            let (rb, cb) = store.tile_dims(ti, tj);
-            write_tile(store, ti, tj, &d.subview(ti * t, tj * t, rb, cb))?;
+    assert_eq!(g.n(), n, "ingest: graph order != store dimension");
+    let mut tile_rows = g.tile_rows(t);
+    for ti in 0..tile_rows.tiles_per_side() {
+        let (strip, present) = tile_rows.row(ti);
+        for (tj, &present) in present.iter().enumerate() {
+            if present {
+                let (rows, cols) = store.tile_dims(ti, tj);
+                write_tile(store, ti, tj, &strip.subview(0, tj * t, rows, cols))?;
+            } else {
+                store.declare_absent(ti, tj);
+            }
         }
     }
     store.flush()?;
     Ok(())
 }
 
-/// Read every tile back out of `store` into the dense `out`.
-///
-/// # Panics
-/// Panics if `out` is not `store.n() × store.n()`.
-pub fn export_into<E: TileElem>(
-    store: &mut dyn TileStore,
-    out: &mut ViewMut<'_, E>,
-) -> Result<(), OocError> {
-    let (n, t) = (store.n(), store.tile());
-    assert_eq!(out.rows(), n, "export: matrix rows != store dimension");
-    assert_eq!(out.cols(), n, "export: matrix cols != store dimension");
-    let nb = store.tiles_per_side();
+/// The matrix held in `store`: a fresh `S::zero()` matrix with every
+/// present tile read into place.
+pub fn export<S: Semiring>(store: &mut dyn TileStore) -> Result<Matrix<S::Elem>, OocError>
+where
+    S::Elem: TileElem,
+{
+    let (n, t, nb) = (store.n(), store.tile(), store.tiles_per_side());
+    let mut out = Matrix::filled(n, n, S::zero());
     for ti in 0..nb {
         for tj in 0..nb {
-            let tile = read_tile::<E>(store, ti, tj)?;
-            out.subview_mut(ti * t, tj * t, tile.rows(), tile.cols()).copy_from(&tile.view());
+            if store.present(ti, tj) {
+                out.set_block(ti * t, tj * t, &read_tile::<S::Elem>(store, ti, tj)?.view());
+            }
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -390,6 +427,12 @@ pub fn export_into<E: TileElem>(
 /// dense tiles; the only copy per update is the pack of `B(k,j)`. Same
 /// kernels, same per-element ⊕ fold order as
 /// [`crate::fw_blocked::fw_blocked_threads`], hence bit-identical results.
+///
+/// Tiles the store holds as absent are skipped, which is exact because ⊕
+/// is idempotent: PanelUpdate leaves an absent `(k,j)` or `(i,k)` all
+/// `S::zero()`, and a product with an absent `A(i,k)` or `B(k,j)` adds
+/// nothing. An absent `(k,k)` or `C(i,j)` is materialized when it is
+/// updated, as fill-in.
 ///
 /// # Panics
 /// Panics if `S` is not ⊕-idempotent (same precondition as blocked FW).
@@ -410,28 +453,31 @@ where
     // that no later repack grows it.
     let side = store.tile().min(store.n());
     let mut pb = PackedB::pack::<S>(&Matrix::filled(side, side, S::zero()).view());
-    let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes)?;
+    let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes, S::zero())?;
 
     for k in 0..nb {
-        let others: Vec<usize> = (0..nb).filter(|&x| x != k).collect();
-
         // ----- DiagUpdate -----
         {
             let _p = span("DiagUpdate");
             cache.run((k, k), Access::Write, |d| fw_closure::<S>(d))?;
         }
 
+        // The present tiles of block row and column k: the operands of
+        // both later phases. Neither phase materializes one of them.
+        let cols: Vec<usize> = (0..nb).filter(|&j| j != k && cache.present((k, j))).collect();
+        let rows: Vec<usize> = (0..nb).filter(|&i| i != k && cache.present((i, k))).collect();
+
         // ----- PanelUpdate: block row k, then block column k -----
         let panel_update = span("PanelUpdate");
         let diag = cache.take((k, k))?;
-        for (idx, &j) in others.iter().enumerate() {
-            if let Some(&jn) = others.get(idx + 1) {
+        for (idx, &j) in cols.iter().enumerate() {
+            if let Some(&jn) = cols.get(idx + 1) {
                 cache.prefetch((k, jn));
             }
             cache.run((k, j), Access::Write, |c| panel_update_left::<S>(c, &diag.tile.view()))?;
         }
-        for (idx, &i) in others.iter().enumerate() {
-            if let Some(&inx) = others.get(idx + 1) {
+        for (idx, &i) in rows.iter().enumerate() {
+            if let Some(&inx) = rows.get(idx + 1) {
                 cache.prefetch((inx, k));
             }
             cache.run((i, k), Access::Write, |c| panel_update_right::<S>(c, &diag.tile.view()))?;
@@ -441,15 +487,15 @@ where
 
         // ----- MinPlus outer product -----
         let _p = span("OuterUpdate");
-        for (ii, &i) in others.iter().enumerate() {
+        for (ii, &i) in rows.iter().enumerate() {
             let a = cache.take((i, k))?;
-            for (jj, &j) in others.iter().enumerate() {
+            for (jj, &j) in cols.iter().enumerate() {
                 // Double buffer: ask the store for the next C tile of the
                 // sweep while this one multiplies.
-                let next = others
+                let next = cols
                     .get(jj + 1)
                     .map(|&jn| (i, jn))
-                    .or_else(|| others.get(ii + 1).map(|&inx| (inx, k)));
+                    .or_else(|| rows.get(ii + 1).map(|&inx| (inx, k)));
                 if let Some(next) = next {
                     cache.prefetch(next);
                 }
@@ -460,6 +506,7 @@ where
                 cache.run((i, j), Access::Write, |c| {
                     gemm_packed_threads::<S>(c, &a.tile.view(), &pb, cfg.threads)
                 })?;
+                cache.stats.outer_gemms += 1;
             }
             cache.restore((i, k), a);
         }
@@ -468,22 +515,19 @@ where
     cache.finish()
 }
 
-/// Ingest `d`, run [`ooc_fw`], and export the closure back into `d`; the
-/// first and last step are `ingest` and `export` spans.
-pub fn solve_in_store<S: Semiring>(
-    d: &mut Matrix<S::Elem>,
+/// [`ingest`] `g` into the empty `f32` store `store`, run min-plus
+/// [`ooc_fw`], and [`export`] the closure — the first and last step under
+/// `ingest` and `export` spans. The body of the `ooc` and `sparse` solvers.
+pub fn solve_in_store(
+    g: &Graph,
     store: &mut dyn TileStore,
     cfg: &OocConfig,
-) -> Result<OocStats, OocError>
-where
-    S::Elem: TileElem,
-{
+) -> Result<(Matrix<f32>, OocStats), OocError> {
     {
         let _s = span("ingest");
-        ingest(store, &d.view())?;
+        ingest(store, g)?;
     }
-    let stats = ooc_fw::<S>(store, cfg)?;
+    let stats = ooc_fw::<MinPlusF32>(store, cfg)?;
     let _s = span("export");
-    export_into(store, &mut d.view_mut())?;
-    Ok(stats)
+    Ok((export::<MinPlusF32>(store)?, stats))
 }

@@ -15,6 +15,12 @@
 //! write, a stomped payload or a never-written slot is a typed
 //! [`StoreError::CorruptTile`], never a decoded tile.
 //!
+//! A tile may also be *declared absent* ([`TileStore::declare_absent`]):
+//! entirely ⊕-identity, so it is never stored and [`super::ooc_fw`] never
+//! reads it until a write materializes it. Absence lives in RAM only — a
+//! store that is reopened has forgotten it, and a read of such a slot fails
+//! as a never-written one does.
+//!
 //! Two implementations:
 //!
 //! * [`MemStore`] — encoded tiles in a `Vec`; the test fake and the
@@ -255,6 +261,18 @@ pub trait TileStore: Send {
     /// before the bytes are durable; a later `read` of the same tile still
     /// observes them (FIFO), and [`TileStore::flush`] waits for all of them.
     fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError>;
+    /// Declare tile `(ti, tj)` entirely ⊕-identity: nothing is stored for
+    /// it, and it is absent until the next `write` of it.
+    fn declare_absent(&mut self, ti: usize, tj: usize);
+    /// False for a tile declared absent and not written since. A slot that
+    /// was neither written nor declared is present, and reading it is a
+    /// typed error.
+    fn present(&self, ti: usize, tj: usize) -> bool;
+    /// Tiles of the grid that are [`TileStore::present`].
+    fn present_tiles(&self) -> usize {
+        let nb = self.tiles_per_side();
+        (0..nb * nb).filter(|&s| self.present(s / nb, s % nb)).count()
+    }
     /// Hint that `(ti, tj)` will be read soon. Best-effort; default no-op.
     fn prefetch(&mut self, _ti: usize, _tj: usize) {}
     /// Wait until every queued write has completed, surfacing any deferred
@@ -292,6 +310,14 @@ pub trait TileStore: Send {
 // MemStore
 // ---------------------------------------------------------------------------
 
+/// What a [`MemStore`] slot holds.
+#[derive(Clone)]
+enum Slot {
+    Unwritten,
+    Absent,
+    Stored(Vec<u8>),
+}
+
 /// In-memory tile store: the whole grid of encoded tiles lives in host RAM.
 /// This is the no-staging baseline — same driver, same slot format, zero
 /// disk.
@@ -299,7 +325,7 @@ pub struct MemStore {
     n: usize,
     tile: usize,
     dtype: &'static str,
-    slots: Vec<Option<Vec<u8>>>,
+    slots: Vec<Slot>,
     resident: u64,
 }
 
@@ -312,7 +338,18 @@ impl MemStore {
     pub fn new<E: TileElem>(n: usize, tile: usize) -> Self {
         assert!(n > 0 && tile > 0, "tile store dimensions must be positive");
         let nb = n.div_ceil(tile);
-        MemStore { n, tile, dtype: E::DTYPE, slots: vec![None; nb * nb], resident: 0 }
+        MemStore { n, tile, dtype: E::DTYPE, slots: vec![Slot::Unwritten; nb * nb], resident: 0 }
+    }
+
+    /// Put `slot` at index `s`, releasing what it held.
+    fn replace(&mut self, s: usize, slot: Slot) {
+        if let Slot::Stored(old) = &self.slots[s] {
+            self.resident -= old.len() as u64;
+        }
+        if let Slot::Stored(new) = &slot {
+            self.resident += new.len() as u64;
+        }
+        self.slots[s] = slot;
     }
 }
 
@@ -330,17 +367,20 @@ impl TileStore for MemStore {
         self.dtype
     }
     fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError> {
-        let s = self.tile_index(ti, tj);
-        self.slots[s].clone().ok_or(StoreError::MissingTile { ti, tj })
+        match &self.slots[self.tile_index(ti, tj)] {
+            Slot::Stored(bytes) => Ok(bytes.clone()),
+            Slot::Unwritten | Slot::Absent => Err(StoreError::MissingTile { ti, tj }),
+        }
     }
     fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError> {
-        let s = self.tile_index(ti, tj);
-        if let Some(old) = self.slots[s].take() {
-            self.resident -= old.len() as u64;
-        }
-        self.resident += bytes.len() as u64;
-        self.slots[s] = Some(bytes);
+        self.replace(self.tile_index(ti, tj), Slot::Stored(bytes));
         Ok(())
+    }
+    fn declare_absent(&mut self, ti: usize, tj: usize) {
+        self.replace(self.tile_index(ti, tj), Slot::Absent);
+    }
+    fn present(&self, ti: usize, tj: usize) -> bool {
+        !matches!(self.slots[self.tile_index(ti, tj)], Slot::Absent)
     }
     fn resident_bytes(&self) -> u64 {
         self.resident
@@ -432,6 +472,8 @@ pub struct FileStore {
     inflight_reads: HashMap<(usize, usize), ReadReply>,
     pending_writes: Vec<(usize, WriteReply)>,
     resident: u64,
+    /// Slots declared absent since this handle was made; never persisted.
+    absent: Vec<bool>,
 }
 
 impl FileStore {
@@ -528,6 +570,7 @@ impl FileStore {
             inflight_reads: HashMap::new(),
             pending_writes: Vec::new(),
             resident: 0,
+            absent: vec![false; n.div_ceil(tile).pow(2)],
         }
     }
 
@@ -609,7 +652,18 @@ impl TileStore for FileStore {
             .map_err(|_| StoreError::WorkerGone)?;
         self.resident += len as u64;
         self.pending_writes.push((len, rx));
+        let s = self.tile_index(ti, tj);
+        self.absent[s] = false;
         Ok(())
+    }
+
+    fn declare_absent(&mut self, ti: usize, tj: usize) {
+        let s = self.tile_index(ti, tj);
+        self.absent[s] = true;
+    }
+
+    fn present(&self, ti: usize, tj: usize) -> bool {
+        !self.absent[self.tile_index(ti, tj)]
     }
 
     fn prefetch(&mut self, ti: usize, tj: usize) {

@@ -15,9 +15,9 @@ use crate::dc_apsp::dc_apsp;
 use crate::dist::distributed_apsp_opts;
 use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 use crate::fw_seq::fw_seq;
-use crate::fw_sparse::fw_block_sparse;
 use crate::ooc::{
     choose_tile, solve_in_store, staged_budget_floor, FileStore, MemStore, OocConfig, OocError,
+    OocStats, TileStore,
 };
 use crate::quant::{self, QuantDtype, QuantPlan};
 
@@ -264,6 +264,22 @@ impl Ooc {
         std::env::temp_dir()
             .join(format!("apsp-ooc-{}-{seq}-{n}x{tile}.tiles", std::process::id()))
     }
+
+    /// `ooc: <kind> store, tile …, peak resident … of budget …`.
+    fn note(stats: &OocStats, store: &dyn TileStore) -> String {
+        let budget = match stats.budget_bytes {
+            u64::MAX => "∞".to_string(),
+            b => super::profile::human_bytes(b),
+        };
+        format!(
+            "ooc: {} store, tile {} ({}×{} tiles), peak resident {} of budget {budget}",
+            store.kind(),
+            stats.tile,
+            stats.tiles_per_side,
+            stats.tiles_per_side,
+            super::profile::human_bytes(stats.peak_resident_bytes),
+        )
+    }
 }
 
 impl Solver for Ooc {
@@ -315,59 +331,58 @@ impl Solver for Ooc {
         _profile: &GraphProfile,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
-        let threads = opts.effective_threads();
-        let n = g.n();
-        let mut d = g.to_dense();
+        let (n, threads) = (g.n(), opts.effective_threads());
         if n == 0 {
-            return Ok(solution(d, self.name(), threads));
+            return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
         }
-        let dense_bytes = (n * n * 4) as u64;
-        let (stats, store_kind) = match Self::staged_under(opts, dense_bytes) {
-            Some(budget) => {
-                let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
-                    SolveError::Ooc(OocError::BudgetTooSmall {
-                        required: staged_budget_floor::<f32>(8.min(n)),
-                        budget,
-                    })
-                })?;
-                let path = Self::staging_path(n, tile);
-                // exclusive create: a failure here leaves no file of ours
-                let mut store = FileStore::create::<f32>(&path, n, tile)
-                    .map_err(|e| SolveError::Ooc(e.into()))?;
-                let cfg = OocConfig { budget_bytes: budget, threads };
-                let res = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg);
-                drop(store);
-                let _ = std::fs::remove_file(&path);
-                (res.map_err(SolveError::Ooc)?, "file")
-            }
-            None => {
-                let tile = opts.block.max(1).min(n);
-                let mut store = MemStore::new::<f32>(n, tile);
-                let cfg = OocConfig { threads, ..OocConfig::unbounded() };
-                let res = solve_in_store::<MinPlusF32>(&mut d, &mut store, &cfg);
-                (res.map_err(SolveError::Ooc)?, "memory")
-            }
+        let Some(budget) = Self::staged_under(opts, (n * n * 4) as u64) else {
+            let mut store = mem_store(n, opts);
+            return tiled_solve(self.name(), g, &mut store, u64::MAX, threads, Self::note);
         };
-        let mut sol = solution(d, self.name(), threads);
-        sol.stats.notes.push(format!(
-            "ooc: {} store, tile {} ({}×{} tiles), peak resident {} of budget {}",
-            store_kind,
-            stats.tile,
-            stats.tiles_per_side,
-            stats.tiles_per_side,
-            super::profile::human_bytes(stats.peak_resident_bytes),
-            if stats.budget_bytes == u64::MAX {
-                "∞".to_string()
-            } else {
-                super::profile::human_bytes(stats.budget_bytes)
-            },
-        ));
-        Ok(sol)
+        let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
+            SolveError::Ooc(OocError::BudgetTooSmall {
+                required: staged_budget_floor::<f32>(8.min(n)),
+                budget,
+            })
+        })?;
+        let path = Self::staging_path(n, tile);
+        // exclusive create: a failure here leaves no file of ours
+        let mut store =
+            FileStore::create::<f32>(&path, n, tile).map_err(|e| SolveError::Ooc(e.into()))?;
+        let sol = tiled_solve(self.name(), g, &mut store, budget, threads, Self::note);
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+        sol
     }
 }
 
-/// Block-sparse FW: only materialized blocks are stored and multiplied;
-/// fill-in grows the block set as closure proceeds.
+/// The memory store `sparse`, and `ooc` without a budget, solve in: one
+/// tile per `opts.block` (clamped to `n ≥ 1`).
+fn mem_store(n: usize, opts: &SolveOpts) -> MemStore {
+    MemStore::new::<f32>(n, opts.block.max(1).min(n))
+}
+
+/// The body `ooc` and `sparse` share: ingest `g` into `store`, run the
+/// tiled FW loop under `budget` on `threads` kernel threads, export, and
+/// leave the note `note` makes of the run and the store.
+fn tiled_solve(
+    name: &'static str,
+    g: &Graph,
+    store: &mut dyn TileStore,
+    budget: u64,
+    threads: usize,
+    note: impl FnOnce(&OocStats, &dyn TileStore) -> String,
+) -> Result<Solution, SolveError> {
+    let cfg = OocConfig { budget_bytes: budget, threads };
+    let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
+    let mut sol = solution(d, name, threads);
+    sol.stats.notes.push(note(&stats, store));
+    Ok(sol)
+}
+
+/// Block-sparse FW: the `ooc` loop on a memory store, where an off-diagonal
+/// tile without an edge is absent — never stored, skipped as an operand —
+/// until fill-in materializes it.
 struct Sparse;
 
 impl Solver for Sparse {
@@ -378,7 +393,7 @@ impl Solver for Sparse {
         &["block-sparse"]
     }
     fn description(&self) -> &'static str {
-        "block-sparse FW with fill-in (skips empty blocks)"
+        "block-sparse FW: the tiled loop skipping all-∞ tiles until fill-in"
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
         // fill stays within weak components, so the final block set is at
@@ -402,16 +417,20 @@ impl Solver for Sparse {
         _profile: &GraphProfile,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
-        let mut sp = g.to_block_sparse(opts.block.max(1));
-        let stats = fw_block_sparse::<MinPlusF32>(&mut sp);
-        let mut sol = solution(sp.to_dense(), self.name(), 1);
-        sol.stats.notes.push(format!(
-            "sparse: {} → {} blocks materialized, {:.0}% of dense block work",
-            stats.input_blocks,
-            stats.output_blocks,
-            100.0 * stats.work_ratio()
-        ));
-        Ok(sol)
+        let (n, threads) = (g.n(), opts.effective_threads());
+        if n == 0 {
+            return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
+        }
+        tiled_solve(self.name(), g, &mut mem_store(n, opts), u64::MAX, threads, |stats, store| {
+            let nb = stats.tiles_per_side as u64;
+            format!(
+                "sparse: {} of {} tiles materialized, {} of {} outer tile GEMMs",
+                store.present_tiles(),
+                nb * nb,
+                stats.outer_gemms,
+                nb * (nb - 1) * (nb - 1)
+            )
+        })
     }
 }
 
@@ -992,7 +1011,6 @@ mod tests {
         let reg = Registry::with_all();
         let base = SolveOpts { block: 8, ..Default::default() };
         // solver, its options beyond the cap, and a note the run must leave.
-        // Tiles of 32 rows, so that the ooc GEMMs split from two threads up:
         // 64 KiB is above the tile-32 staging floor and below the matrix.
         let tile32 = SolveOpts { block: 32, ..base.clone() };
         let rows = [
@@ -1004,6 +1022,7 @@ mod tests {
             ("quant", SolveOpts { error_tolerance: Some(0.0), ..base.clone() }, Some("bit-exact")),
             ("ooc", tile32.clone(), Some("memory store, tile 32")),
             ("ooc", SolveOpts { memory_budget: Some(64 << 10), ..tile32 }, Some("file store, tile 32")),
+            ("sparse", base.clone(), Some("sparse: 144 of 144 tiles materialized")),
             ("dist", base.clone(), Some("2x2 simulated grid")),
         ];
         for threads in [1, 2, 3] {

@@ -69,11 +69,6 @@ impl Default for SolveOpts {
 }
 
 impl SolveOpts {
-    /// Defaults with a specific block size.
-    pub fn with_block(block: usize) -> Self {
-        SolveOpts { block, ..Default::default() }
-    }
-
     /// The concrete thread budget: `threads`, or the host's parallelism
     /// when it is `0`.
     pub fn effective_threads(&self) -> usize {

@@ -1,22 +1,32 @@
 //! Out-of-core FW: oracle equivalence, budget enforcement, corruption
-//! handling, pinned store traffic, and cost-model consistency.
+//! handling, pinned store traffic, cost-model consistency, and the absent
+//! tiles that make the same loop the block-sparse solver.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::ooc::{
-    choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes, FileStore,
-    MemStore, OocConfig, OocError, StoreError,
+    choose_tile, ingest, ooc_fw, read_tile, solve_in_store, staged_budget_floor, tile_bytes,
+    FileStore, MemStore, OocConfig, OocError, StoreError, TileStore,
 };
+use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{self, WeightKind};
+use apsp_graph::{Graph, GraphBuilder, INF};
 use gpu_sim::OffloadCosts;
 use srgemm::matrix::Matrix;
 use srgemm::MinPlusF32;
 
-fn dense(n: usize, seed: u64) -> Matrix<f32> {
-    generators::uniform_dense(n, WeightKind::small_ints(), seed).to_dense()
+fn graph(n: usize, seed: u64) -> Graph {
+    generators::uniform_dense(n, WeightKind::small_ints(), seed)
+}
+
+fn closure(g: &Graph) -> Matrix<f32> {
+    let mut d = g.to_dense();
+    fw_seq::<MinPlusF32>(&mut d);
+    d
 }
 
 /// Unique temp file path, removed on drop.
@@ -48,18 +58,16 @@ fn tight_budget(tile: usize) -> u64 {
 fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
     // n × tile combos where tiles divide, don't divide, and exceed n
     for &(n, t) in &[(24usize, 8usize), (29, 8), (48, 16), (33, 7), (40, 64)] {
-        let base = dense(n, 0xA11CE + n as u64);
-        let mut want = base.clone();
-        fw_seq::<MinPlusF32>(&mut want);
-        let mut blocked = base.clone();
+        let g = graph(n, 0xA11CE + n as u64);
+        let want = closure(&g);
+        let mut blocked = g.to_dense();
         fw_blocked_threads::<MinPlusF32>(&mut blocked, t, DiagMethod::FwClosure, 1);
         assert!(want.eq_exact(&blocked), "fw_blocked oracle drifted at n={n} t={t}");
 
         let path = TempPath::new("oracle");
         let cfg = OocConfig::with_budget(tight_budget(t));
         let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        let mut got = base.clone();
-        let stats = solve_in_store::<MinPlusF32>(&mut got, &mut store, &cfg).unwrap();
+        let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "staged solve diverged at n={n} t={t}");
         assert!(stats.staged, "file-backed store must report staged");
         if n > t {
@@ -71,23 +79,20 @@ fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
 #[test]
 fn in_memory_store_matches_staged_and_fw_blocked() {
     let n = 56;
-    let base = dense(n, 7);
-    let mut want = base.clone();
+    let g = graph(n, 7);
+    let mut want = g.to_dense();
     fw_blocked_threads::<MinPlusF32>(&mut want, 16, DiagMethod::FwClosure, 1);
 
     let mut mem_store = MemStore::new::<f32>(n, 16);
-    let mut via_mem = base.clone();
-    let mem_stats =
-        solve_in_store::<MinPlusF32>(&mut via_mem, &mut mem_store, &OocConfig::unbounded())
-            .unwrap();
+    let (via_mem, mem_stats) =
+        solve_in_store(&g, &mut mem_store, &OocConfig::unbounded()).unwrap();
     assert!(want.eq_exact(&via_mem));
     assert!(!mem_stats.staged);
 
     let path = TempPath::new("memvsfile");
     let mut file_store = FileStore::create::<f32>(&path.0, n, 16).unwrap();
-    let mut via_file = base.clone();
     let cfg = OocConfig { budget_bytes: tight_budget(16), threads: 2 };
-    solve_in_store::<MinPlusF32>(&mut via_file, &mut file_store, &cfg).unwrap();
+    let (via_file, _) = solve_in_store(&g, &mut file_store, &cfg).unwrap();
     assert!(via_mem.eq_exact(&via_file), "staged and in-memory runs must agree bit-for-bit");
 }
 
@@ -95,17 +100,15 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
 fn budget_sweep_never_exceeds_the_budget() {
     // a grid the tile divides and a ragged one, from exactly the floor up
     for (n, t) in [(64usize, 16usize), (70, 16)] {
-        let base = dense(n, 11);
-        let mut want = base.clone();
-        fw_seq::<MinPlusF32>(&mut want);
+        let g = graph(n, 11);
+        let want = closure(&g);
         let floor = staged_budget_floor::<f32>(t);
         for extra in [0u64, 1, 1 << 12, 1 << 14, 1 << 16, 1 << 20] {
             let budget = floor + extra;
             let path = TempPath::new("sweep");
             let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-            let mut got = base.clone();
             let cfg = OocConfig::with_budget(budget);
-            let stats = solve_in_store::<MinPlusF32>(&mut got, &mut store, &cfg).unwrap();
+            let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
             assert!(want.eq_exact(&got), "wrong closure at n={n} budget {budget}");
             assert!(
                 stats.peak_resident_bytes <= budget,
@@ -121,7 +124,7 @@ fn budget_below_floor_fails_upfront_with_the_full_requirement() {
     let (n, t) = (32usize, 16usize);
     let path = TempPath::new("floor");
     let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-    ingest(&mut store, &dense(n, 3).view()).unwrap();
+    ingest(&mut store, &graph(n, 3)).unwrap();
     let floor = staged_budget_floor::<f32>(t);
     let cfg = OocConfig::with_budget(floor - 1);
     match ooc_fw::<MinPlusF32>(&mut store, &cfg) {
@@ -140,7 +143,7 @@ fn truncated_store_file_is_a_typed_error_not_a_panic() {
     let path = TempPath::new("trunc");
     {
         let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        ingest(&mut store, &dense(n, 5).view()).unwrap();
+        ingest(&mut store, &graph(n, 5)).unwrap();
     }
     let header = std::fs::read(&path.0).unwrap()[..36].to_vec();
     // Chop the file: open() must refuse with a header error.
@@ -223,7 +226,7 @@ fn corrupt_or_never_written_tile_is_a_typed_store_error() {
     let path = TempPath::new("corrupt");
     {
         let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        ingest(&mut store, &dense(n, 6).view()).unwrap();
+        ingest(&mut store, &graph(n, 6)).unwrap();
     }
     let mut f = std::fs::OpenOptions::new().write(true).open(&path.0).unwrap();
     f.seek(SeekFrom::Start(36 + 5 * slot + slot / 2)).unwrap();
@@ -280,7 +283,7 @@ fn measured_run_is_consistent_with_the_four_engine_cost_model() {
     let (n, t) = (96usize, 24usize);
     let path = TempPath::new("model");
     let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-    ingest(&mut store, &dense(n, 13).view()).unwrap();
+    ingest(&mut store, &graph(n, 13)).unwrap();
     let cfg = OocConfig::with_budget(tight_budget(t));
     let (stats, trace) = apsp_trace::record("driver", || {
         let _wall = apsp_trace::span("wall");
@@ -324,13 +327,137 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
     assert_eq!(t, 64);
     let path = TempPath::new("traffic");
     let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-    let mut d = dense(n, 13);
-    let stats =
-        solve_in_store::<MinPlusF32>(&mut d, &mut store, &OocConfig::with_budget(budget)).unwrap();
+    let cfg = OocConfig::with_budget(budget);
+    let (_, stats) = solve_in_store(&graph(n, 13), &mut store, &cfg).unwrap();
     assert_eq!(
         (stats.tiles_read, stats.tiles_written, stats.bytes_read, stats.bytes_written),
         (341, 209, 4_592_104, 2_732_488),
         "store traffic moved"
     );
     assert!(stats.peak_resident_bytes <= budget, "peak {}", stats.peak_resident_bytes);
+}
+
+#[test]
+fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent() {
+    // a ring over ragged 8-tiles, self-loops of both signs, and an ∞ edge
+    // alone in its tile: that tile stays all ∞ and must be declared absent
+    let (n, t) = (29, 8);
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n {
+        b.add_edge(v, (v + 1) % n, 1.0 + v as f32);
+    }
+    b.add_edge(3, 3, -1.0).add_edge(12, 12, 2.0).add_edge(2, 20, INF).add_edge(17, 9, 0.5);
+    let g = b.build();
+    let d = g.to_dense();
+    let mut store = MemStore::new::<f32>(n, t);
+    ingest(&mut store, &g).unwrap();
+    let nb = store.tiles_per_side();
+    for ti in 0..nb {
+        for tj in 0..nb {
+            let (rows, cols) = store.tile_dims(ti, tj);
+            let want = d.block(ti * t, tj * t, rows, cols);
+            let all_inf = want.as_slice().iter().all(|&v| v == INF);
+            assert_eq!(store.present(ti, tj), ti == tj || !all_inf, "tile ({ti}, {tj})");
+            if store.present(ti, tj) {
+                let got = read_tile::<f32>(&mut store, ti, tj).unwrap();
+                assert!(got.eq_exact(&want), "tile ({ti}, {tj})");
+            }
+        }
+    }
+    assert!(!store.present(0, 2), "the ∞ edge's tile is absent");
+}
+
+#[test]
+fn absence_is_not_persisted_so_a_reopened_store_reads_such_a_slot_as_corrupt() {
+    let (n, t) = (24usize, 4usize);
+    let path = TempPath::new("reopen");
+    {
+        let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+        let g = generators::multi_component(n, 3, WeightKind::small_ints(), 46);
+        ingest(&mut store, &g).unwrap();
+        assert!(!store.present(0, 2), "a cross-cluster tile is absent after ingest");
+    }
+    // the new handle has forgotten the declaration: the slot is presumed
+    // written, and its never-written bytes fail the checksum
+    let mut store = FileStore::open::<f32>(&path.0).unwrap();
+    assert!(store.present(0, 2));
+    let read = read_tile::<f32>(&mut store, 0, 2);
+    assert!(matches!(read, Err(StoreError::CorruptTile { ti: 0, tj: 2 })));
+    assert_eq!(
+        ooc_fw::<MinPlusF32>(&mut store, &OocConfig::with_budget(tight_budget(t))),
+        Err(OocError::Store(StoreError::CorruptTile { ti: 0, tj: 2 }))
+    );
+}
+
+/// A [`TileStore`] that records which slots were read (a prefetch is a
+/// read) and written.
+struct Touched<S> {
+    inner: S,
+    read: HashSet<(usize, usize)>,
+    written: HashSet<(usize, usize)>,
+}
+
+impl<S: TileStore> TileStore for Touched<S> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn tile(&self) -> usize {
+        self.inner.tile()
+    }
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn dtype(&self) -> &'static str {
+        self.inner.dtype()
+    }
+    fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError> {
+        self.read.insert((ti, tj));
+        self.inner.read(ti, tj)
+    }
+    fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError> {
+        self.written.insert((ti, tj));
+        self.inner.write(ti, tj, bytes)
+    }
+    fn declare_absent(&mut self, ti: usize, tj: usize) {
+        self.inner.declare_absent(ti, tj)
+    }
+    fn present(&self, ti: usize, tj: usize) -> bool {
+        self.inner.present(ti, tj)
+    }
+    fn prefetch(&mut self, ti: usize, tj: usize) {
+        self.read.insert((ti, tj));
+        self.inner.prefetch(ti, tj)
+    }
+    fn flush(&mut self) -> Result<(), StoreError> {
+        self.inner.flush()
+    }
+    fn resident_bytes(&self) -> u64 {
+        self.inner.resident_bytes()
+    }
+}
+
+#[test]
+fn staged_solve_of_sixteen_components_touches_only_their_tiles() {
+    // 16 components of 128 vertices at tile 64: 64 of 1 024 tiles hold
+    // paths, under a budget of a quarter of the matrix
+    let (n, t) = (2048usize, 64usize);
+    let g = generators::multi_component(n, 16, WeightKind::small_ints(), 5);
+    let path = TempPath::new("components");
+    let inner = FileStore::create::<f32>(&path.0, n, t).unwrap();
+    let mut store = Touched { inner, read: HashSet::new(), written: HashSet::new() };
+    let cfg = OocConfig::with_budget((n * n) as u64);
+    let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+    let nb = n / t;
+    let grid = (0..nb).flat_map(|i| (0..nb).map(move |j| (i, j)));
+    let present: HashSet<_> = grid.filter(|&(i, j)| store.present(i, j)).collect();
+    assert_eq!(present.len(), 64);
+    assert!(present.iter().all(|&(i, j)| i / 2 == j / 2), "a tile across components");
+    assert_eq!(store.written, present);
+    assert_eq!(store.read, present);
+    assert_eq!(stats.outer_gemms, 32, "one outer GEMM per k: the other tile of its component");
+    // rows of the closure against single-source Dijkstra, which shares
+    // nothing with the tiled loop
+    for src in [0, 700, 2047] {
+        assert_eq!(d.row(src), dijkstra(&g, src).as_slice(), "row {src}");
+    }
 }

@@ -2,6 +2,8 @@
 
 use srgemm::Matrix;
 
+use crate::block_sparse::TileRows;
+
 /// "No edge" marker, also the tropical additive identity.
 pub const INF: f32 = f32::INFINITY;
 
@@ -71,14 +73,14 @@ impl Graph {
         d
     }
 
-    /// Block-sparse distance-matrix form for the block-sparse
-    /// Floyd-Warshall solver: only blocks holding an edge (plus every
-    /// diagonal block, seeded `D[i][i] = min(0, w(i,i))`) are materialized.
-    /// Equivalent to [`Graph::to_dense`] followed by
-    /// `BlockSparseMatrix::from_dense`, without the `O(n²)` dense detour —
-    /// and the diagonal seeding callers used to hand-roll happens here.
-    pub fn to_block_sparse(&self, b: usize) -> srgemm::block_sparse::BlockSparseMatrix<f32> {
-        srgemm::block_sparse::BlockSparseMatrix::from_entries(self.n, b, INF, 0.0, self.edges())
+    /// The block-sparse form of [`Graph::to_dense`] in `b × b` tiles, built
+    /// one tile row at a time without the `O(n²)` dense detour: each row
+    /// says which of its tiles hold anything but `∞`.
+    ///
+    /// # Panics
+    /// Panics if `b == 0`.
+    pub fn tile_rows(&self, b: usize) -> TileRows<'_> {
+        TileRows::new(self, b)
     }
 
     /// Rebuild a graph from a dense matrix (entries `< ∞`, off-diagonal,
@@ -248,11 +250,17 @@ mod tests {
         b.add_edge(0, 6, 4.0).add_edge(6, 1, 2.0).add_undirected(2, 3, 0.5);
         b.add_edge(4, 4, -1.0); // negative self-loop survives the min
         let g = b.build();
-        let sp = g.to_block_sparse(3);
-        assert!(sp.to_dense().eq_exact(&g.to_dense()));
-        // diagonal blocks always materialize; off-diagonal only where edges live
-        assert!(sp.nnz_blocks() >= 3);
-        assert_eq!(sp.get(4, 4), -1.0);
-        assert_eq!(sp.get(5, 0), INF);
+        let d = g.to_dense();
+        let mut tile_rows = g.tile_rows(3);
+        let mut present = Vec::new();
+        for ti in 0..tile_rows.tiles_per_side() {
+            let (strip, p) = tile_rows.row(ti);
+            assert!(strip.to_matrix().eq_exact(&d.block(3 * ti, 0, strip.rows(), 7)), "row {ti}");
+            present.extend_from_slice(p);
+        }
+        assert_eq!(d[(4, 4)], -1.0);
+        assert_eq!(d[(5, 0)], INF);
+        // diagonal tiles always present; off-diagonal only where edges live
+        assert_eq!(present, [true, true, true, true, true, false, true, false, true]);
     }
 }

@@ -6,6 +6,8 @@
 //!
 //! * [`graph`] — a compact CSR weighted digraph and conversions to/from the
 //!   dense distance matrices consumed by the Floyd-Warshall kernels.
+//! * [`block_sparse`] — the block-sparse form of the distance matrix, one
+//!   tile row at a time, for tiled solvers that skip all-`∞` tiles.
 //! * [`generators`] — seeded workload generators. The paper evaluates on
 //!   *dense uniform random* matrices (§5.1.4); we add sparse, structured and
 //!   multi-component families for correctness tests and the example apps.
@@ -15,6 +17,7 @@
 //! * [`paths`] — parent-pointer path extraction and path validation.
 
 pub mod bellman_ford;
+pub mod block_sparse;
 pub mod components;
 pub mod delta_stepping;
 pub mod dijkstra;

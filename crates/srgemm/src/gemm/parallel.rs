@@ -22,17 +22,25 @@ use crate::gemm::pack::{gemm_packed_with_b, PackedB};
 use crate::matrix::{View, ViewMut};
 use crate::semiring::Semiring;
 
-/// Minimum rows per parallel slab; below this the serial kernel is used
-/// outright (spawn overhead would dominate).
-pub(crate) const MIN_ROWS_PER_SLAB: usize = 16;
+/// Minimum work, in ⊗-⊕ steps (rows × cols × depth), a slab must carry to
+/// pay for the thread it runs on. Below twice this much, `C` is updated on
+/// the calling thread. On the 2-vCPU AVX-512 box of DESIGN.md §10 a scoped
+/// spawn and join costs ≈ 70 µs, and a split at 2¹⁹ steps per slab ran
+/// 2.0× slower than serial; at 2²¹ (`fw_blocked` at n = 256) 1.14×; from
+/// 2²² even or faster. 2²¹ is the largest floor that still splits that
+/// `fw_blocked`, and keeps every 64 × 64 × 64 tile product serial.
+pub(crate) const MIN_SLAB_WORK: usize = 1 << 21;
 
-/// Row counts of the slabs `m` rows of `C` are split into under a budget of
-/// `threads`: as many slabs as the budget allows without any falling under
-/// [`MIN_ROWS_PER_SLAB`] (one slab when `m` itself is under it, or when
-/// `threads ≤ 1`), near-equal (sizes differ by at most one), in row order.
-fn slab_rows(m: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
-    // nslabs ≤ m / MIN ⇒ base = m / nslabs ≥ MIN: no slab under the floor.
-    let nslabs = threads.min(m / MIN_ROWS_PER_SLAB).max(1);
+/// Row counts of the slabs an `m × n` `C` with inner dimension `k` is split
+/// into under a budget of `threads`: as many slabs as the budget allows
+/// without any carrying under [`MIN_SLAB_WORK`] (one slab when the whole
+/// product is under twice that, or when `threads ≤ 1`), near-equal (sizes
+/// differ by at most one), in row order.
+fn slab_rows(m: usize, n: usize, k: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
+    // nslabs ≤ m / min_rows ⇒ base = m / nslabs ≥ min_rows: no slab under
+    // the floor.
+    let min_rows = MIN_SLAB_WORK.div_ceil((n * k).max(1));
+    let nslabs = threads.min(m / min_rows).max(1);
     let (base, extra) = (m / nslabs, m % nslabs);
     (0..nslabs).map(move |s| base + usize::from(s < extra))
 }
@@ -41,7 +49,7 @@ fn slab_rows(m: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
 /// row-slab workers. The caller packs once (e.g. per FW `k`-iteration) and
 /// every slab — and every *call* — streams the same copy. Runs the serial
 /// [`gemm_packed_with_b`] on the calling thread when `threads ≤ 1` or the
-/// slab floor (16 rows) leaves a single slab.
+/// slab floor (2²¹ ⊗-⊕ steps, rows × cols × depth) leaves a single slab.
 ///
 /// # Panics
 /// Panics if operand shapes disagree (`a.cols() != pb.rows()` etc.).
@@ -52,7 +60,7 @@ pub fn gemm_packed_threads<S: Semiring>(
     threads: usize,
 ) {
     let m = c.rows();
-    let slabs = slab_rows(m, threads);
+    let slabs = slab_rows(m, c.cols(), a.cols(), threads);
     if slabs.len() == 1 {
         gemm_packed_with_b::<S>(c, a, pb);
         return;
@@ -97,10 +105,11 @@ mod tests {
         })
     }
 
-    /// `gemm_packed_threads` against `gemm_naive` on one `m×k · k×n` shape.
+    /// `gemm_packed_threads` at each of `threads` against `gemm_naive` on
+    /// one `m×k · k×n` shape.
     fn assert_matches_naive<S: Semiring>(
         (m, n, k): (usize, usize, usize),
-        threads: usize,
+        threads: &[usize],
         elem: impl Fn(u16) -> S::Elem + Copy,
     ) where
         S::Elem: PartialEq + std::fmt::Debug,
@@ -108,73 +117,87 @@ mod tests {
         let a = lcg_matrix(m, k, 1, elem);
         let b = lcg_matrix(k, n, 2, elem);
         let mut want = Matrix::filled(m, n, S::zero());
-        let mut got = want.clone();
         gemm_naive::<S>(&mut want.view_mut(), &a.view(), &b.view());
         let pb = PackedB::pack::<S>(&b.view());
-        gemm_packed_threads::<S>(&mut got.view_mut(), &a.view(), &pb, threads);
-        assert_eq!(want.as_slice(), got.as_slice(), "{} {m}x{n}x{k} threads={threads}", S::NAME);
+        for &t in threads {
+            let mut got = Matrix::filled(m, n, S::zero());
+            gemm_packed_threads::<S>(&mut got.view_mut(), &a.view(), &pb, t);
+            assert_eq!(want.as_slice(), got.as_slice(), "{} {m}x{n}x{k} threads={t}", S::NAME);
+        }
     }
 
     #[test]
     fn parallel_matches_naive_minplus() {
-        assert_matches_naive::<MinPlus<f32>>((97, 63, 41), 4, f32::from);
+        // 97 rows over 4 threads: work enough for two slabs
+        assert_matches_naive::<MinPlus<f32>>((97, 256, 192), &[4], f32::from);
     }
 
     #[test]
     fn parallel_matches_naive_small_fallback() {
-        // m below MIN_ROWS_PER_SLAB exercises the serial fallback
-        assert_matches_naive::<MinPlus<f32>>((4, 5, 9), 4, f32::from);
+        // a product under two slabs of MIN_SLAB_WORK exercises the serial
+        // fallback
+        assert_matches_naive::<MinPlus<f32>>((4, 5, 9), &[4], f32::from);
     }
 
     #[test]
     fn parallel_real_arith_exact_on_integers() {
-        // integer-valued f32s: + and * are exact (max 512·512·32 ≈ 8.4e6 <
-        // 2^24), so the fold order across slabs is irrelevant
-        assert_matches_naive::<RealArith<f32>>((64, 48, 32), 4, f32::from);
+        // integer-valued f32s: + and * are exact (max 511·511·64 < 2^24),
+        // so the fold order across slabs is irrelevant
+        assert_matches_naive::<RealArith<f32>>((256, 256, 64), &[4], f32::from);
     }
 
     #[test]
     fn explicit_thread_counts_all_agree() {
-        // a shape below the slab floor, one at it (two slabs of exactly 16
-        // from 2 threads up), and a ragged one
-        for shape in [(15, 40, 30), (32, 40, 30), (130, 41, 29)] {
-            for threads in [0, 1, 2, 3, 7, 64] {
-                assert_matches_naive::<MinPlus<f32>>(shape, threads, f32::from);
-                assert_matches_naive::<MinPlusSatU16>(shape, threads, |v| v);
-                assert_matches_naive::<MaxMin<f32>>(shape, threads, f32::from);
-            }
+        // a product below two slabs, one of exactly two (128 rows carry
+        // MIN_SLAB_WORK at 256 × 64), and a ragged one that splits three
+        // ways from 3 threads up
+        for shape in [(15, 40, 30), (256, 256, 64), (400, 160, 100)] {
+            let threads = [0, 1, 2, 3, 7, 64];
+            assert_matches_naive::<MinPlus<f32>>(shape, &threads, f32::from);
+            assert_matches_naive::<MinPlusSatU16>(shape, &threads, |v| v);
+            assert_matches_naive::<MaxMin<f32>>(shape, &threads, f32::from);
         }
     }
 
     // Regression: the old ceil-divide slab sizing could produce a final slab
-    // far below MIN_ROWS_PER_SLAB (m=49, 3 threads gave 17+17+15, and m=65,
+    // far below the floor (m=49, 3 threads gave 17+17+15, and m=65,
     // 4 → 17×3+14; worst cases stranded a 1-row slab). The balanced
-    // partition must never go below the floor unless m itself is below it.
+    // partition must never leave a slab under MIN_SLAB_WORK unless the
+    // product is a single slab.
     #[test]
     fn no_slab_below_floor() {
-        for m in 1..200 {
-            for threads in 1..10 {
-                let sizes: Vec<usize> = slab_rows(m, threads).collect();
-                assert_eq!(sizes.iter().sum::<usize>(), m);
-                assert!(sizes.len() <= threads);
-                if sizes.len() > 1 {
-                    assert!(
-                        sizes.iter().all(|&s| s >= MIN_ROWS_PER_SLAB),
-                        "m={m} threads={threads} sizes={sizes:?}"
-                    );
+        for (n, k) in [(64, 64), (256, 64), (1024, 64), (192, 192), (4096, 512), (3, 1)] {
+            for m in (1..2000).step_by(7) {
+                for threads in 1..10 {
+                    let sizes: Vec<usize> = slab_rows(m, n, k, threads).collect();
+                    assert_eq!(sizes.iter().sum::<usize>(), m);
+                    assert!(sizes.len() <= threads);
+                    if sizes.len() > 1 {
+                        assert!(
+                            sizes.iter().all(|&s| s * n * k >= MIN_SLAB_WORK),
+                            "{m}x{n}x{k} threads={threads} sizes={sizes:?}"
+                        );
+                    }
+                    // near-equal: max - min ≤ 1
+                    let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                    assert!(hi - lo <= 1, "unbalanced {m}x{n}x{k} threads={threads}");
                 }
-                // near-equal: max - min ≤ 1
-                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(hi - lo <= 1, "unbalanced m={m} threads={threads}");
             }
         }
     }
 
     #[test]
     fn budget_floor_is_one() {
-        // a budget of zero threads, or no rows at all, is still one slab
-        assert_eq!(slab_rows(100, 0).collect::<Vec<_>>(), [100]);
-        assert_eq!(slab_rows(0, 8).collect::<Vec<_>>(), [0]);
-        assert_eq!(slab_rows(100, usize::MAX).count(), 100 / MIN_ROWS_PER_SLAB);
+        // a budget of zero threads, no rows, or an empty inner product is
+        // still one slab
+        assert_eq!(slab_rows(1000, 1000, 64, 0).collect::<Vec<_>>(), [1000]);
+        assert_eq!(slab_rows(0, 1000, 64, 8).collect::<Vec<_>>(), [0]);
+        assert_eq!(slab_rows(1000, 0, 64, 8).collect::<Vec<_>>(), [1000]);
+        // a 64×64×64 tile product stays on the calling thread; the
+        // full-width product of `fw_blocked` at n = 256, block 64, splits
+        assert_eq!(slab_rows(64, 64, 64, 64).count(), 1);
+        assert_eq!(slab_rows(256, 256, 64, 2).count(), 2);
+        let rows = MIN_SLAB_WORK / (256 * 64);
+        assert_eq!(slab_rows(10_000, 256, 64, usize::MAX).count(), 10_000 / rows);
     }
 }

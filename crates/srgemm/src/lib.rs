@@ -38,7 +38,6 @@
 //! assert_eq!(c[(0, 0)], 1.0); // min(1+0, 2+1)
 //! ```
 
-pub mod block_sparse;
 pub mod closure;
 pub mod gemm;
 pub mod matrix;

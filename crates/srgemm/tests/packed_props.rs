@@ -44,6 +44,14 @@ fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
     ]
 }
 
+/// Shapes two to three slabs deep for the row-slab kernel's work floor
+/// (2²¹ ⊗-⊕ steps, rows × cols × depth): `n·k ∈ [14 336, 20 777]` puts a
+/// slab at 101–147 rows, so 300–399 rows split from 2 threads up, with
+/// ragged slab, micro-tile and column tails.
+fn split_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+    (300usize..400, 224usize..264, 64usize..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -138,9 +146,12 @@ proptest! {
 
     #[test]
     fn parallel_with_packing_bit_equal_to_serial(
-        // m large enough that several slabs actually spawn (floor is 16 rows)
-        (m, n, k) in (1usize..80, 1usize..40, 0usize..32),
-        threads in 1usize..5,
+        // half the cases split into several slabs that actually spawn; the
+        // small half takes the serial fallback at every budget
+        ((m, n, k), threads) in prop_oneof![
+            ((1usize..80, 1usize..40, 0usize..32), 1usize..5),
+            (split_shapes(), 2usize..5),
+        ],
         seed in any::<u64>(),
     ) {
         let a = lcg_matrix(m, k, seed);
