@@ -6,14 +6,15 @@
 
 use apsp_bench::{arg, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
     let nodes: usize = arg("--nodes", 64);
     let n: usize = arg("--n", 131_072);
     let spec = MachineSpec::summit(nodes);
-    let (kr, kc) = optimal_node_grid(nodes);
+    let (kr, kc) = best_node_grid(nodes);
 
     println!("== block-size ablation: n = {n}, {nodes} nodes, K = {kr}x{kc} ==\n");
     let table = Table::new(&[

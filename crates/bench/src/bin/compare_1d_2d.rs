@@ -6,13 +6,14 @@
 
 use apsp_bench::{arg, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{optimal_node_grid, simulate, simulate_oned, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{simulate, simulate_oned, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
     let nodes: usize = arg("--nodes", 64);
     let spec = MachineSpec::summit(nodes);
-    let (kr, kc) = optimal_node_grid(nodes);
+    let (kr, kc) = best_node_grid(nodes);
     println!("== 1-D unblocked vs 2-D blocked Co-ParallelFw, {nodes} nodes ==\n");
     let table = Table::new(&[
         ("vertices", 9),

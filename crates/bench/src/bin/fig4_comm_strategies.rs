@@ -9,14 +9,15 @@
 
 use apsp_bench::{arg, paper_vertex_sweep, write_schedule_traces, Csv, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
     let nodes: usize = arg("--nodes", 64);
     let spec = MachineSpec::summit(nodes);
     let (dkr, dkc) = default_node_grid(nodes);
-    let (okr, okc) = optimal_node_grid(nodes);
+    let (okr, okc) = best_node_grid(nodes);
 
     println!("== Fig. 4: effective bandwidth (GB/s) of communication strategies, {nodes} nodes ==");
     println!("   legends: Baseline/Pipelined on the default K={dkr}x{dkc}; +Reordering/+Async on K={okr}x{okc}\n");

@@ -13,7 +13,8 @@
 
 use apsp_bench::{arg, paper_vertex_sweep, write_schedule_traces, Csv, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
     let max_n: usize = arg("--max-n", usize::MAX);
     let spec = MachineSpec::summit(nodes);
     let (dkr, dkc) = default_node_grid(nodes);
-    let (okr, okc) = optimal_node_grid(nodes);
+    let (okr, okc) = best_node_grid(nodes);
     let peak_pf = spec.total_flops() / 1e15;
 
     println!("== Fig. 7: ParallelFw Pflop/s on {nodes} nodes (sustained peak {peak_pf:.2} PF/s) ==\n");

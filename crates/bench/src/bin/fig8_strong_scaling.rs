@@ -7,7 +7,8 @@
 
 use apsp_bench::{arg, arg_str, execute_functional_scale, Csv, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
     for nodes in [16usize, 32, 64, 128, 256] {
         let spec = MachineSpec::summit(nodes);
         let (dkr, dkc) = default_node_grid(nodes);
-        let (okr, okc) = optimal_node_grid(nodes);
+        let (okr, okc) = best_node_grid(nodes);
         let run = |variant, kr, kc| -> Option<f64> {
             simulate(&spec, &ScheduleConfig::new(n, variant, kr, kc))
                 .ok()

@@ -7,7 +7,8 @@
 
 use apsp_bench::{arg, arg_str, execute_functional_scale, Csv, Table};
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
         let n = (n16 as f64 * (nodes as f64 / 16.0).cbrt()).round() as usize;
         let spec = MachineSpec::summit(nodes);
         let (dkr, dkc) = default_node_grid(nodes);
-        let (okr, okc) = optimal_node_grid(nodes);
+        let (okr, okc) = best_node_grid(nodes);
         let run = |variant, kr, kc| -> String {
             simulate(&spec, &ScheduleConfig::new(n, variant, kr, kc))
                 .map(|o| format!("{:.1}", o.seconds))

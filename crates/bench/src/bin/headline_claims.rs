@@ -3,8 +3,8 @@
 
 use apsp_bench::Table;
 use apsp_core::dist::Variant;
-use apsp_core::model::max_vertices_in_gpu_memory;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::{best_node_grid, max_vertices_in_gpu_memory};
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 use gpu_sim::cost::min_block_size;
 use gpu_sim::GpuSpec;
@@ -16,7 +16,7 @@ fn main() {
     // 1. speedup over baseline on 256 nodes (n = 300k)
     let spec256 = MachineSpec::summit(256);
     let (dkr, dkc) = default_node_grid(256);
-    let (okr, okc) = optimal_node_grid(256);
+    let (okr, okc) = best_node_grid(256);
     let base = simulate(&spec256, &ScheduleConfig::new(300_000, Variant::Baseline, dkr, dkc)).expect("feasible");
     let co = simulate(&spec256, &ScheduleConfig::new(300_000, Variant::AsyncRing, okr, okc)).expect("feasible");
     table.row(&[
@@ -49,7 +49,7 @@ fn main() {
     ]);
 
     // 4. offload overhead at an in-memory-feasible size
-    let (o64r, o64c) = optimal_node_grid(64);
+    let (o64r, o64c) = best_node_grid(64);
     let incore = simulate(&spec64, &ScheduleConfig::new(524_288, Variant::AsyncRing, o64r, o64c)).expect("feasible");
     let off = simulate(&spec64, &ScheduleConfig::new(524_288, Variant::Offload, o64r, o64c)).expect("feasible");
     table.row(&[

@@ -1,8 +1,10 @@
 //! `apsp simulate` — predict a run on the calibrated Summit model.
 
+use apsp_core::dist::PanelBcastAlgo;
+use apsp_core::model::best_node_grid;
 use apsp_core::schedule::{
-    default_node_grid, optimal_node_grid, simulate, simulate_node_fault, simulate_with_trace,
-    FaultedOutcome, ScheduleConfig,
+    default_node_grid, simulate, simulate_node_fault, simulate_with_trace, FaultedOutcome,
+    ScheduleConfig, SUMMIT_RING_CHUNKS,
 };
 use cluster_sim::MachineSpec;
 
@@ -16,6 +18,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
   --variant <baseline|pipelined|async|offload|come>  preset (default async)
   --schedule <bulksync|lookahead>                override the schedule axis
   --bcast <tree|ring|ring:CHUNKS>                override the PanelBcast axis
+                                                 (a ring with no count: 16 chunks)
   --exec <incore|offload>                        override the execution axis
   --block <N>                                    (default 768)
   --reorder / --no-reorder                       node-grid placement
@@ -30,17 +33,8 @@ Prints predicted seconds, Pflop/s, effective bandwidth, GPU utilization."
         return Ok(());
     }
     let args = Args::parse(tokens)?;
-    let nodes: usize = args.req("nodes")?;
-    let n: usize = args.req("n")?;
-    let (schedule, bcast, exec) = super::resolve_axes(&args, "async")?;
-    let (kr, kc) = if args.has_flag("no-reorder") {
-        default_node_grid(nodes)
-    } else {
-        optimal_node_grid(nodes)
-    };
-    let spec = MachineSpec::summit(nodes);
-    let mut cfg = ScheduleConfig::with_axes(n, schedule, bcast, exec, kr, kc);
-    cfg.block = args.opt("block", 768)?;
+    let (spec, cfg) = config(&args)?;
+    let (nodes, n, kr, kc) = (spec.nodes, cfg.n, cfg.kr, cfg.kc);
 
     if let Some(spec_str) = args.opt_str("fault") {
         let recv_timeout = super::parse_recv_timeout(&args)?
@@ -88,6 +82,29 @@ Prints predicted seconds, Pflop/s, effective bandwidth, GPU utilization."
         }
         Err(e) => Err(format!("infeasible: {e}")),
     }
+}
+
+/// The machine and schedule the flags describe. A ring whose chunk count
+/// was not spelled out (`ring:<chunks>`) — a preset's or a bare `ring` —
+/// gets the Summit-scale depth [`SUMMIT_RING_CHUNKS`].
+fn config(args: &Args) -> Result<(MachineSpec, ScheduleConfig), String> {
+    let nodes: usize = args.req("nodes")?;
+    let n: usize = args.req("n")?;
+    let (schedule, mut bcast, exec) = super::resolve_axes(args, "async")?;
+    let counted = args
+        .opt_str("bcast")
+        .is_some_and(|b| b.starts_with("ring:"));
+    if let (PanelBcastAlgo::Ring { chunks }, false) = (&mut bcast, counted) {
+        *chunks = SUMMIT_RING_CHUNKS;
+    }
+    let (kr, kc) = if args.has_flag("no-reorder") {
+        default_node_grid(nodes)
+    } else {
+        best_node_grid(nodes)
+    };
+    let mut cfg = ScheduleConfig::with_axes(n, schedule, bcast, exec, kr, kc);
+    cfg.block = args.opt("block", 768)?;
+    Ok((MachineSpec::summit(nodes), cfg))
 }
 
 /// Parse a `simulate --fault` spec: `node:<id>@<seconds>`.
@@ -172,5 +189,24 @@ mod tests {
         run(&toks("--nodes 64 --n 1664511 --variant baseline --exec offload")).unwrap();
         // and an explicit ring depth parses
         run(&toks("--nodes 16 --n 100000 --bcast ring:32 --schedule lookahead")).unwrap();
+    }
+
+    #[test]
+    fn explicit_ring_chunk_count_is_simulated_as_given() {
+        let seconds = |flags: &str| {
+            let args = Args::parse(&toks(&format!(
+                "--nodes 16 --n 100000 --variant async {flags}"
+            )))
+            .unwrap();
+            let (spec, cfg) = config(&args).unwrap();
+            (cfg.bcast, simulate(&spec, &cfg).unwrap().seconds)
+        };
+        let (ring4, t4) = seconds("--bcast ring:4");
+        let (ring16, t16) = seconds("--bcast ring:16");
+        assert_eq!(ring4, PanelBcastAlgo::Ring { chunks: 4 });
+        assert_ne!(t4, t16, "ring:4 and ring:16 must be different schedules");
+        // no count given: the preset's ring and a bare `ring` are 16 deep
+        assert_eq!(seconds(""), (ring16, t16));
+        assert_eq!(seconds("--bcast ring"), (ring16, t16));
     }
 }

@@ -1,136 +1,64 @@
-//! The one generic ParallelFw driver loop, parameterized by the policy
-//! triple (replacing the hand-rolled baseline/pipelined/offload loops).
+//! The one ParallelFw driver loop, parameterized by the policy triple.
 //!
-//! The [`Schedule`] axis picks between the bulk-synchronous loop of
-//! Algorithm 3 and the look-ahead pipeline of Algorithm 4: once the k-th
-//! panels are everywhere, the (k+1)-th panels are brought fully up to date
-//! first — OuterUpdate(k) restricted to them, then DiagUpdate(k+1),
-//! DiagBcast(k+1), PanelUpdate(k+1) and PanelBcast(k+1) — and only then is
-//! the big OuterUpdate(k) applied to the rest of the local matrix. In the
-//! real system the broadcast of the next panels is in flight *while* the
-//! GPU grinds the outer product; functionally the result is identical, and
-//! the `cluster-sim` schedule generator turns exactly this reordering into
+//! Algorithm 4 is Algorithm 3 with one change, and so is this loop: the
+//! panels of k = 0 are primed, then each iteration
+//!
+//! 1. under [`Schedule::LookAhead`] only, relaxes the (k+1)-th block row and
+//!    column with the k-th panels and runs DiagUpdate, DiagBcast,
+//!    PanelUpdate and PanelBcast for k+1;
+//! 2. applies OuterUpdate(k) to the whole local matrix;
+//! 3. under [`Schedule::BulkSync`], runs the (k+1) diag/panel phases only
+//!    now, after it.
+//!
+//! In the real system the look-ahead broadcast is in flight *while* the GPU
+//! grinds the outer product; functionally the result is identical, and the
+//! `cluster-sim` schedule generator turns exactly this reordering into
 //! hidden communication time.
 //!
-//! The [`OuterExec`] trait is the execution axis: [`InCoreGemm`] runs the
-//! outer product as one in-memory GEMM; [`GpuOffload`] stages it through a
-//! capacity-limited simulated device with `ooGSrGemm` (§4.3), so only the
-//! k-th panels plus `s` tile buffers ever live on the device and the
-//! feasible problem size is bounded by host memory instead of HBM — the
-//! paper's 2.5× head room. Under the look-ahead schedule the strip-level
-//! look-ahead updates also flow through the executor, so `Me-ParallelFw`
-//! inherits `Co-ParallelFw`'s overlap unchanged (the paper's composed
-//! Co+Me system).
-//!
-//! Device-capacity violations surface as [`DistError::DeviceOom`] — checked
-//! up front by [`GpuOffload::preflight`] with rank-independent worst-case
-//! arithmetic, so every rank of the grid takes the error path together
-//! instead of one rank aborting mid-collective.
-
-use std::cell::OnceCell;
+//! The execution axis is a private enum built from [`FwConfig::exec`]: the
+//! in-core executor runs each OuterUpdate as one packed GEMM; the offload
+//! executor stages it through a capacity-limited simulated device with
+//! `ooGSrGemm` (§4.3), so only the k-th panels plus `s` tile buffers ever
+//! live on the device. The look-ahead strip updates go through the same
+//! executor, so `Me-ParallelFw` inherits `Co-ParallelFw`'s overlap unchanged
+//! (the paper's composed Co+Me system). A device too small for the panels
+//! is a [`DistError::DeviceOom`] from the executor's constructor, decided
+//! by rank-independent worst-case arithmetic, so every rank of the grid
+//! takes the error path together instead of one rank aborting
+//! mid-collective.
 
 use apsp_trace::span;
-use gpu_sim::{oog_srgemm, SimGpu};
+use gpu_sim::{oog_srgemm, OogConfig, SimGpu};
 use mpi_sim::ProcessGrid;
 use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
-use super::{diag_and_panels, DistError, DistMatrix, FwConfig, PackedPanels, Schedule};
+use super::{diag_and_panels, DistError, DistMatrix, Exec, FwConfig, Panels, Schedule};
 
-/// The `B` operand of an OuterUpdate: the row panel (or a slice of it) as a
-/// view, plus the slot its packed form lands in the first time an in-core
-/// executor asks for it. Every update of an iteration that multiplies
-/// against the whole row panel shares one slot, so the panel is packed at
-/// most once per iteration — and never for an executor that stages the view
-/// through its own pipeline.
-pub struct OuterB<'a, T> {
-    view: View<'a, T>,
-    packed: &'a OnceCell<PackedB<T>>,
+/// Where this rank's OuterUpdates run.
+enum Outer {
+    /// One packed GEMM over the view on `threads` kernel threads. Every rank
+    /// of the mpi-sim grid is already a thread on the same machine, so the
+    /// budget follows `ranks × kernel threads ≤ cores` (DESIGN.md §10).
+    InCore { threads: usize },
+    /// `Me-ParallelFw`: the local matrix is host-resident and every update
+    /// is staged through the simulated GPU by `ooGSrGemm`.
+    Offload { gpu: SimGpu, oog: OogConfig },
 }
 
-impl<'a, T: Copy> OuterB<'a, T> {
-    /// `view` with `packed` as the slot for its packed form; an occupied
-    /// slot must hold the pack of exactly this view.
-    pub fn new(view: View<'a, T>, packed: &'a OnceCell<PackedB<T>>) -> Self {
-        OuterB { view, packed }
-    }
-
-    /// The unpacked operand.
-    pub fn view(&self) -> &View<'a, T> {
-        &self.view
-    }
-
-    /// The operand in the micro-kernel's tiled layout, packed on first use.
-    pub fn packed<S: Semiring<Elem = T>>(&self) -> &'a PackedB<T> {
-        self.packed.get_or_init(|| PackedB::pack::<S>(&self.view))
-    }
-}
-
-/// Execution policy for the OuterUpdate phase: applies
-/// `C ← C ⊕ A ⊗ B` to a view of the local matrix (the whole matrix for the
-/// bulk update, a single strip for look-ahead updates).
-pub trait OuterExec<S: Semiring> {
-    /// Apply one outer-product update. `c` is any sub-view of this rank's
-    /// local matrix; `a`/`b` are the broadcast column/row panels (or slices
-    /// of them).
-    fn outer_update(
-        &mut self,
-        c: &mut ViewMut<'_, S::Elem>,
-        a: &View<'_, S::Elem>,
-        b: &OuterB<'_, S::Elem>,
-    ) -> Result<(), DistError>;
-}
-
-/// In-core execution: the OuterUpdate is one packed GEMM over the view,
-/// row-slab parallel under an explicit thread budget.
-///
-/// The budget matters because every rank of the mpi-sim grid is already a
-/// thread on the same machine: `p` ranks each fanning out to all cores
-/// oversubscribes the box `p`-fold and the OuterUpdates *slow down*. The
-/// rule is `ranks × kernel threads ≤ cores` (DESIGN.md §10), applied by
-/// whoever builds the executor ([`super::run_on_grid`]).
-pub struct InCoreGemm {
-    threads: usize,
-}
-
-impl InCoreGemm {
-    /// In-core executor on `threads` kernel threads per OuterUpdate.
-    pub fn with_threads(threads: usize) -> Self {
-        InCoreGemm { threads }
-    }
-}
-
-impl<S: Semiring> OuterExec<S> for InCoreGemm {
-    fn outer_update(
-        &mut self,
-        c: &mut ViewMut<'_, S::Elem>,
-        a: &View<'_, S::Elem>,
-        b: &OuterB<'_, S::Elem>,
-    ) -> Result<(), DistError> {
-        gemm_packed_threads::<S>(c, a, b.packed::<S>(), self.threads);
-        Ok(())
-    }
-}
-
-/// `Me-ParallelFw` execution: the local matrix is host-resident and every
-/// OuterUpdate is staged through the simulated GPU by `ooGSrGemm`.
-pub struct GpuOffload {
-    gpu: SimGpu,
-    oog: gpu_sim::OogConfig,
-}
-
-impl GpuOffload {
-    /// Build the executor after checking that the worst-case panels plus
-    /// tile buffers fit on the device. The bound uses the *maximum* local
-    /// panel extents over the whole `pr × pc` grid, computed from
+impl Outer {
+    /// The executor `cfg.exec` names for an `n`-vertex run on a `pr × pc`
+    /// grid. The offload executor first checks that the worst-case panels
+    /// plus tile buffers fit on the device; the bound uses the *maximum*
+    /// local panel extents over the whole grid, computed from
     /// `(n, b, pr, pc)` alone, so all ranks agree on the verdict.
-    pub fn preflight<S: Semiring>(
-        cfg: &FwConfig,
-        n: usize,
-        pr: usize,
-        pc: usize,
-    ) -> Result<Self, DistError> {
+    fn new<S: Semiring>(cfg: &FwConfig, n: usize, pr: usize, pc: usize) -> Result<Self, DistError> {
+        if cfg.exec == Exec::InCoreGemm {
+            let threads =
+                cfg.kernel_threads.unwrap_or_else(|| (crate::host_threads() / (pr * pc)).max(1));
+            return Ok(Outer::InCore { threads });
+        }
         cfg.oog
             .validate()
             .map_err(|e| DistError::BadConfig { detail: e.to_string() })?;
@@ -154,39 +82,51 @@ impl GpuOffload {
         if need > cfg.gpu_spec.mem_bytes {
             return Err(DistError::DeviceOom { requested: need, available: cfg.gpu_spec.mem_bytes });
         }
-        Ok(GpuOffload { gpu: SimGpu::new(cfg.gpu_spec), oog: cfg.oog })
+        Ok(Outer::Offload { gpu: SimGpu::new(cfg.gpu_spec), oog: cfg.oog })
     }
-}
 
-impl<S: Semiring> OuterExec<S> for GpuOffload {
-    fn outer_update(
-        &mut self,
+    /// `b` in the micro-kernel's tiled layout, for the in-core executor
+    /// only (the offload executor stages the view through its own pipeline).
+    fn pack<S: Semiring>(&self, b: &View<'_, S::Elem>) -> Option<PackedB<S::Elem>> {
+        matches!(self, Outer::InCore { .. }).then(|| PackedB::pack::<S>(b))
+    }
+
+    /// `c ← c ⊕ a ⊗ b` on any sub-view `c` of the local matrix; `packed`
+    /// is [`Outer::pack`] of `b` when the caller already holds it.
+    fn update<S: Semiring>(
+        &self,
         c: &mut ViewMut<'_, S::Elem>,
         a: &View<'_, S::Elem>,
-        b: &OuterB<'_, S::Elem>,
+        b: &View<'_, S::Elem>,
+        packed: Option<&PackedB<S::Elem>>,
     ) -> Result<(), DistError> {
-        if c.rows() == 0 || c.cols() == 0 {
-            return Ok(());
+        match self {
+            Outer::InCore { threads } => match packed {
+                Some(pb) => gemm_packed_threads::<S>(c, a, pb, *threads),
+                None => gemm_packed_threads::<S>(c, a, &PackedB::pack::<S>(b), *threads),
+            },
+            Outer::Offload { .. } if c.rows() == 0 || c.cols() == 0 => {}
+            Outer::Offload { gpu, oog } => {
+                oog_srgemm::<S>(gpu, oog, c, a, b).map_err(|e| match e {
+                    gpu_sim::OogError::Oom(oom) => {
+                        DistError::DeviceOom { requested: oom.requested, available: oom.available }
+                    }
+                    bad @ gpu_sim::OogError::InvalidConfig { .. } => {
+                        DistError::BadConfig { detail: bad.to_string() }
+                    }
+                })?;
+            }
         }
-        oog_srgemm::<S>(&self.gpu, &self.oog, c, a, b.view()).map_err(|e| match e {
-            gpu_sim::OogError::Oom(oom) => {
-                DistError::DeviceOom { requested: oom.requested, available: oom.available }
-            }
-            bad @ gpu_sim::OogError::InvalidConfig { .. } => {
-                DistError::BadConfig { detail: bad.to_string() }
-            }
-        })?;
         Ok(())
     }
 }
 
-/// Run the configured schedule on this rank's share with the given
-/// executor. Collective over `grid`.
-pub fn run<S: Semiring, E: OuterExec<S>>(
+/// Run the configured policy triple on this rank's share. Collective over
+/// `grid`.
+pub(super) fn run<S: Semiring>(
     grid: &ProcessGrid,
     a: &mut DistMatrix<S::Elem>,
     cfg: &FwConfig,
-    exec: &mut E,
 ) -> Result<(), DistError> {
     assert!(
         S::IDEMPOTENT_ADD,
@@ -196,101 +136,74 @@ pub fn run<S: Semiring, E: OuterExec<S>>(
     if a.nb == 0 {
         return Ok(());
     }
-    match cfg.schedule {
-        Schedule::BulkSync => run_bulk_sync::<S, E>(grid, a, cfg, exec),
-        Schedule::LookAhead => run_look_ahead::<S, E>(grid, a, cfg, exec),
-    }
-}
+    let outer = Outer::new::<S>(cfg, a.n, a.pr, a.pc)?;
+    let phases =
+        |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast);
 
-/// Algorithm 3 shape: each iteration's five phases run to completion before
-/// the next starts — the next iteration's broadcasts cannot complete until
-/// every rank reaches them, an implicit bulk-synchronous barrier.
-fn run_bulk_sync<S: Semiring, E: OuterExec<S>>(
-    grid: &ProcessGrid,
-    a: &mut DistMatrix<S::Elem>,
-    cfg: &FwConfig,
-    exec: &mut E,
-) -> Result<(), DistError> {
+    let mut panels = phases(a, 0)?;
     for k in 0..a.nb {
-        let panels = diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast)?;
-        // OuterUpdate(k): whole local matrix (re-touching the freshly-updated
-        // k-th strips is a no-op — see `fw_blocked`'s module docs)
-        let _p = span("OuterUpdate");
-        exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
-    }
-    Ok(())
-}
-
-/// Algorithm 4 shape: look-ahead pipeline. The (k+1)-th strips are relaxed
-/// with the k-th panels and broadcast before the bulk OuterUpdate(k).
-fn run_look_ahead<S: Semiring, E: OuterExec<S>>(
-    grid: &ProcessGrid,
-    a: &mut DistMatrix<S::Elem>,
-    cfg: &FwConfig,
-    exec: &mut E,
-) -> Result<(), DistError> {
-    // Prime the pipeline: diag/panel work for k = 0. Each panel set is
-    // packed at most once, by the first in-core update that multiplies
-    // against it, and the same packed copy then serves the look-ahead row
-    // strip *and* the bulk OuterUpdate of its iteration.
-    let mut panels = diag_and_panels::<S>(grid, a, 0, cfg.diag, cfg.bcast)?;
-
-    for k in 0..a.nb {
-        let next = if k + 1 < a.nb {
-            // ---- look-ahead: apply OuterUpdate(k) to the (k+1)-th strips only ----
+        let next = k + 1 < a.nb;
+        let look_ahead = next && cfg.schedule == Schedule::LookAhead;
+        // The row panel is the B operand of every update of this iteration
+        // but the look-ahead column strip: it is packed once, in the
+        // iteration's first OuterUpdate span.
+        let mut packed = None;
+        let mut ahead = None;
+        if look_ahead {
             {
                 let _p = span("OuterUpdate");
-                lookahead_update::<S, E>(a, k + 1, &panels, exec)?;
+                packed = outer.pack::<S>(&panels.row_panel.view());
+                lookahead_update::<S>(a, k + 1, &panels, &outer, packed.as_ref())?;
             }
-            // ---- then the full (k+1) diag/panel phase, overlapping the big
-            //      OuterUpdate(k) in the schedule model ----
-            Some(diag_and_panels::<S>(grid, a, k + 1, cfg.diag, cfg.bcast)?)
-        } else {
-            None
-        };
-
-        // ---- OuterUpdate(k) over the whole local matrix ----
-        // (the k+1 strips were already relaxed with these same panels, and
-        // min-plus relaxation is monotone, so re-touching them is a no-op)
-        let _p = span("OuterUpdate");
-        exec.outer_update(&mut a.local.view_mut(), &panels.col_panel.view(), &panels.row_b())?;
-
-        if let Some(p) = next {
-            panels = p;
+            ahead = Some(phases(a, k + 1)?);
+        }
+        {
+            // OuterUpdate(k) over the whole local matrix (re-touching the
+            // k-th strips, and under look-ahead the (k+1)-th ones relaxed
+            // with these same panels, is a no-op — see `fw_blocked`'s docs)
+            let _p = span("OuterUpdate");
+            if !look_ahead {
+                packed = outer.pack::<S>(&panels.row_panel.view());
+            }
+            let (col, row) = (panels.col_panel.view(), panels.row_panel.view());
+            outer.update::<S>(&mut a.local.view_mut(), &col, &row, packed.as_ref())?;
+        }
+        if next {
+            panels = match ahead {
+                Some(p) => p,
+                None => phases(a, k + 1)?,
+            };
         }
     }
     Ok(())
 }
 
-/// OuterUpdate(k-panels only): relax the (k+1)-th block row and column with
-/// the k-th panels, so DiagUpdate(k+1)/PanelUpdate(k+1) can run before the
-/// bulk OuterUpdate(k) finishes. Flows through the executor so the offload
-/// policy stages the strips through the device like any other update.
-fn lookahead_update<S: Semiring, E: OuterExec<S>>(
+/// OuterUpdate(k) on the (k+1)-th strips only, so DiagUpdate(k+1) and
+/// PanelUpdate(k+1) can run before the bulk OuterUpdate(k). `packed` is the
+/// iteration's packed row panel.
+fn lookahead_update<S: Semiring>(
     a: &mut DistMatrix<S::Elem>,
     next: usize,
-    panels: &PackedPanels<S::Elem>,
-    exec: &mut E,
+    panels: &Panels<S::Elem>,
+    outer: &Outer,
+    packed: Option<&PackedB<S::Elem>>,
 ) -> Result<(), DistError> {
-    // row strip `next`: A(next, :) ⊕= A(next, k) ⊗ A(k, :) — the B operand
-    // is the *whole* row panel, so the iteration's packed copy is reused
+    let bk1 = a.block_dim(next);
+    // row strip: A(next, :) ⊕= A(next, k) ⊗ A(k, :) — B is the whole row panel
     if a.owns_row(next) {
         let r0 = a.local_row_start(next);
-        let bk1 = a.block_dim(next);
         let col_slice = panels.col_panel.subview(r0, 0, bk1, panels.col_panel.cols());
-        exec.outer_update(&mut a.row_strip_mut(next), &col_slice, &panels.row_b())?;
+        let row = panels.row_panel.view();
+        outer.update::<S>(&mut a.row_strip_mut(next), &col_slice, &row, packed)?;
     }
-    // column strip `next`: A(:, next) ⊕= A(:, k) ⊗ A(k, next) — the B
-    // operand is a b×b column *slice* of the row panel, which does not
-    // coincide with packed-tile boundaries, so this small update brings a
-    // slot of its own (it is O(n·b²) against the O(n²·b) bulk update)
+    // column strip: A(:, next) ⊕= A(:, k) ⊗ A(k, next) — B is a b×b column
+    // slice of the row panel, which does not line up with packed-tile
+    // boundaries, so this O(n·b²) update packs its own
     if a.owns_col(next) {
         let c0 = a.local_col_start(next);
-        let bk1 = a.block_dim(next);
         let row_slice = panels.row_panel.subview(0, c0, panels.row_panel.rows(), bk1);
-        let slot = OnceCell::new();
-        let b = OuterB::new(row_slice, &slot);
-        exec.outer_update(&mut a.col_strip_mut(next), &panels.col_panel.view(), &b)?;
+        let col = panels.col_panel.view();
+        outer.update::<S>(&mut a.col_strip_mut(next), &col, &row_slice, None)?;
     }
     Ok(())
 }

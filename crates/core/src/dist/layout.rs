@@ -137,12 +137,12 @@ impl<T: Copy> DistMatrix<T> {
         self.local.subview_mut(r0, c0, bk, bk)
     }
 
-    /// Owned diagonal block, copied out.
-    pub fn diag_block(&self, k: usize) -> Matrix<T> {
+    /// Owned diagonal block `(k, k)`, immutable.
+    pub fn diag_block(&self, k: usize) -> View<'_, T> {
         let r0 = self.local_row_start(k);
         let c0 = self.local_col_start(k);
         let bk = self.block_dim(k);
-        self.local.block(r0, c0, bk, bk)
+        self.local.subview(r0, c0, bk, bk)
     }
 }
 

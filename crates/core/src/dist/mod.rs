@@ -7,14 +7,15 @@
 //!   (Algorithm 3) or look-ahead pipelined (Algorithm 4, §3.1–3.2).
 //! * [`PanelBcastAlgo`] — how the k-th panels travel: binomial tree or the
 //!   bandwidth-optimal pipelined ring (§3.3).
-//! * [`Exec`] / the [`OuterExec`] trait — where the OuterUpdate runs:
-//!   in-core GEMM ([`InCoreGemm`]) or staged through a capacity-limited
-//!   simulated GPU by `ooGSrGemm` ([`GpuOffload`], §4.3).
+//! * [`Exec`] — where the OuterUpdate runs: in-core GEMM or staged through
+//!   a capacity-limited simulated GPU by `ooGSrGemm` (§4.3).
 //!
-//! One generic driver loop ([`driver::run`]) consumes the triple; the paper's
-//! named systems are thin presets over it:
+//! One driver loop (the private `driver` module) consumes the triple: the
+//! look-ahead schedule is the bulk-synchronous loop with the next panels
+//! moved ahead of the OuterUpdate. The paper's named systems are thin
+//! presets over it:
 //!
-//! | Preset | Schedule | PanelBcast | OuterExec |
+//! | Preset | Schedule | PanelBcast | Exec |
 //! |---|---|---|---|
 //! | [`Variant::Baseline`] | BulkSync (Alg. 3) | Tree | InCoreGemm |
 //! | [`Variant::Pipelined`] | LookAhead (Alg. 4) | Tree | InCoreGemm |
@@ -32,11 +33,9 @@
 //! Floyd-Warshall; the axes only change communication structure and memory
 //! residency, which the `cluster-sim` schedules turn into time.
 
-pub mod driver;
+mod driver;
 pub mod layout;
-pub mod oned;
 
-pub use driver::{GpuOffload, InCoreGemm, OuterB, OuterExec};
 pub use layout::DistMatrix;
 
 use std::time::Duration;
@@ -104,16 +103,15 @@ impl PanelBcastAlgo {
     }
 }
 
-/// Outer-product execution axis: selects which [`OuterExec`] implementation
-/// the driver instantiates.
+/// Outer-product execution axis: where the driver runs each OuterUpdate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exec {
-    /// [`InCoreGemm`]: the local matrix stays in (simulated GPU) core and
-    /// the OuterUpdate is one in-memory GEMM.
+    /// The local matrix stays in (simulated GPU) core and the OuterUpdate
+    /// is one in-memory packed GEMM.
     InCoreGemm,
-    /// [`GpuOffload`]: the local matrix is host-resident and the
-    /// OuterUpdate is staged through the capacity-limited device by
-    /// `ooGSrGemm` (§4.3) — `Me-ParallelFw`'s memory model.
+    /// The local matrix is host-resident and the OuterUpdate is staged
+    /// through the capacity-limited device by `ooGSrGemm` (§4.3) —
+    /// `Me-ParallelFw`'s memory model.
     GpuOffload,
 }
 
@@ -313,7 +311,7 @@ pub struct FwConfig {
     pub exec: Exec,
     /// How diagonal blocks are closed.
     pub diag: DiagMethod,
-    /// Kernel threads each rank's [`InCoreGemm`] OuterUpdate may use.
+    /// Kernel threads each rank's in-core OuterUpdate may use.
     /// `None` → `available_parallelism / (pr·pc)`, floor 1, so ranks ×
     /// kernel threads never exceeds the machine (DESIGN.md §10); the solver
     /// layer fills it from [`crate::solver::SolveOpts::threads`] instead.
@@ -355,56 +353,33 @@ impl FwConfig {
     }
 }
 
-/// Broadcast a matrix (flattened) over `comm` from `root`; `mine` is
-/// `Some(matrix)` at the root. Returns the matrix on every rank, or the
-/// communication error that broke the collective.
+/// Broadcast a row-major `rows × cols` block over `comm` from `root`;
+/// `mine` is `Some(elements)` at the root. Returns the block on every rank,
+/// or the communication error that broke the collective.
 pub(crate) fn bcast_matrix<S: Semiring>(
     comm: &Comm,
     root: usize,
-    mine: Option<Matrix<S::Elem>>,
+    mine: Option<Vec<S::Elem>>,
     rows: usize,
     cols: usize,
     how: PanelBcastAlgo,
 ) -> Result<Matrix<S::Elem>, CommError> {
-    let payload = mine.map(|m| {
-        debug_assert_eq!((m.rows(), m.cols()), (rows, cols));
-        m.as_slice().to_vec()
-    });
     let data = match how {
-        PanelBcastAlgo::Tree => comm.bcast(root, payload)?,
-        PanelBcastAlgo::Ring { chunks } => comm.ring_bcast(root, payload, chunks)?,
+        PanelBcastAlgo::Tree => comm.bcast(root, mine)?,
+        PanelBcastAlgo::Ring { chunks } => comm.ring_bcast(root, mine, chunks)?,
     };
     assert_eq!(data.len(), rows * cols, "broadcast panel size mismatch");
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Per-iteration context shared by the driver loops: the closed diagonal
-/// broadcast to the k-th process row/column, then the panels to everyone —
-/// plus the slot the row panel's packed form lands in once an in-core
-/// executor asks for it.
-///
-/// Packing happens **at most once per iteration** (on the first in-core
-/// update against the panel) and the same `PackedB` then feeds both the
-/// look-ahead row-strip update and the bulk OuterUpdate — the panel is the
-/// `B` operand of every GEMM of the iteration, so one pack amortizes over
-/// all of them. The column panel is the `A` operand (packed per-slab inside
-/// the kernel) and the look-ahead *column* strip multiplies against a
-/// `b_k`-column sub-slice of the row panel, whose packed tiles would not
-/// line up, so it does not share the slot (see `lookahead_update`).
-pub(crate) struct PackedPanels<T> {
+/// The k-th panels every rank holds after [`diag_and_panels`]: the operands
+/// of iteration k's OuterUpdates. The row panel is the `B` operand of every
+/// GEMM of the iteration, the column panel the `A` operand.
+pub(crate) struct Panels<T> {
     /// `local_rows × b_k` column panel (`A(:,k)` restricted to my rows).
     pub col_panel: Matrix<T>,
     /// `b_k × local_cols` row panel (`A(k,:)` restricted to my cols).
     pub row_panel: Matrix<T>,
-    /// `row_panel` in packed-tile layout, once [`OuterB::packed`] ran.
-    packed_row: std::cell::OnceCell<srgemm::gemm::PackedB<T>>,
-}
-
-impl<T: Copy> PackedPanels<T> {
-    /// The whole row panel as the `B` operand of an OuterUpdate.
-    pub fn row_b(&self) -> OuterB<'_, T> {
-        OuterB::new(self.row_panel.view(), &self.packed_row)
-    }
 }
 
 /// DiagUpdate + DiagBcast + PanelUpdate + PanelBcast for iteration `k` —
@@ -418,7 +393,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     k: usize,
     diag_method: DiagMethod,
     how: PanelBcastAlgo,
-) -> Result<PackedPanels<S::Elem>, DistError> {
+) -> Result<Panels<S::Elem>, DistError> {
     use srgemm::closure::{fw_closure, fw_closure_squaring};
     use srgemm::panel::{panel_update_left, panel_update_right};
 
@@ -449,11 +424,11 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     {
         let _p = span("DiagBcast");
         if a.owns_row(k) {
-            let mine = a.owns_col(k).then(|| a.diag_block(k));
+            let mine = a.owns_col(k).then(|| a.diag_block(k).to_vec());
             diag_row = Some(bcast_matrix::<S>(&grid.row, kc, mine, bk, bk, PanelBcastAlgo::Tree)?);
         }
         if a.owns_col(k) {
-            let mine = a.owns_row(k).then(|| a.diag_block(k));
+            let mine = a.owns_row(k).then(|| a.diag_block(k).to_vec());
             diag_col = Some(bcast_matrix::<S>(&grid.col, kr, mine, bk, bk, PanelBcastAlgo::Tree)?);
         }
     }
@@ -480,7 +455,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     let row_panel = bcast_matrix::<S>(
         &grid.col,
         kr,
-        a.owns_row(k).then(|| a.row_strip(k).to_matrix()),
+        a.owns_row(k).then(|| a.row_strip(k).to_vec()),
         bk,
         lcols,
         how,
@@ -488,39 +463,12 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     let col_panel = bcast_matrix::<S>(
         &grid.row,
         kc,
-        a.owns_col(k).then(|| a.col_strip(k).to_matrix()),
+        a.owns_col(k).then(|| a.col_strip(k).to_vec()),
         lrows,
         bk,
         how,
     )?;
-    Ok(PackedPanels { col_panel, row_panel, packed_row: Default::default() })
-}
-
-/// Run the configured policy triple on this rank's share of an existing
-/// distributed matrix. Collective over `grid`.
-pub fn run_on_grid<S: Semiring>(
-    grid: &ProcessGrid,
-    a: &mut DistMatrix<S::Elem>,
-    cfg: &FwConfig,
-) -> Result<(), DistError> {
-    match cfg.exec {
-        Exec::InCoreGemm => {
-            // Every rank of this grid is a thread on the same machine, so
-            // each one's kernel gets cores / (pr·pc) threads unless the
-            // config pins a count.
-            let threads = cfg
-                .kernel_threads
-                .unwrap_or_else(|| (crate::host_threads() / grid.grid.size()).max(1));
-            driver::run::<S, _>(grid, a, cfg, &mut InCoreGemm::with_threads(threads))
-        }
-        Exec::GpuOffload => {
-            // The preflight is deterministic in (n, b, pr, pc), so every
-            // rank of the grid agrees on feasibility and the error path
-            // never strands a peer inside a collective.
-            let mut exec = GpuOffload::preflight::<S>(cfg, a.n, a.pr, a.pc)?;
-            driver::run::<S, _>(grid, a, cfg, &mut exec)
-        }
-    }
+    Ok(Panels { col_panel, row_panel })
 }
 
 /// Run distributed APSP on an existing communicator (one call per rank,
@@ -537,7 +485,7 @@ pub fn distributed_apsp_on<S: Semiring>(
     let grid = ProcessGrid::new(comm, pr, pc)?;
     let (my_r, my_c) = grid.coords();
     let mut a = DistMatrix::from_global(global, cfg.block, pr, pc, my_r, my_c);
-    run_on_grid::<S>(&grid, &mut a, cfg)?;
+    driver::run::<S>(&grid, &mut a, cfg)?;
     Ok(a.gather(&grid)?)
 }
 

@@ -15,6 +15,7 @@
 //! exactly the quantity §3.4.1 shows the NIC volume depends on.
 
 use cluster_sim::{chrome_trace, Cluster, EngineError, MachineSpec, Schedule, TaskId};
+use gpu_sim::OffloadCosts;
 
 use crate::dist::{Exec, PanelBcastAlgo, Schedule as FwSchedule, Variant};
 use crate::model;
@@ -25,6 +26,12 @@ use crate::model;
 const PRI_LOOKAHEAD: u32 = 0;
 const PRI_PANEL: u32 = 1;
 const PRI_OUTER: u32 = 10;
+
+/// Ring chunk count of the Summit-scale schedules where none was given:
+/// the ring's bandwidth optimality needs chunk_count ≫ ring length to
+/// amortize the fill latency (the functional runs default to
+/// [`crate::dist::DEFAULT_RING_CHUNKS`]).
+pub const SUMMIT_RING_CHUNKS: usize = 16;
 
 /// One simulated configuration.
 #[derive(Clone, Copy, Debug)]
@@ -50,32 +57,26 @@ pub struct ScheduleConfig {
 }
 
 impl ScheduleConfig {
-    /// Paper-default tuning for a named preset: `b = 768`, deeply pipelined
-    /// 16-chunk rings (the ring's bandwidth optimality needs
-    /// chunk_count ≫ ring length to amortize the fill latency), 3 offload
-    /// streams.
+    /// Paper-default tuning for a named preset: `b = 768`, rings of
+    /// [`SUMMIT_RING_CHUNKS`] chunks, 3 offload streams.
     pub fn new(n: usize, variant: Variant, kr: usize, kc: usize) -> Self {
-        let (schedule, bcast, exec) = variant.axes();
+        let (schedule, mut bcast, exec) = variant.axes();
+        if let PanelBcastAlgo::Ring { chunks } = &mut bcast {
+            *chunks = SUMMIT_RING_CHUNKS;
+        }
         Self::with_axes(n, schedule, bcast, exec, kr, kc)
     }
 
     /// Build directly from a policy triple (same tuning defaults as
-    /// [`ScheduleConfig::new`]). A `Ring` still carrying the functional
-    /// test-scale default chunk count is deepened to 16; an explicitly
-    /// tuned chunk count is kept.
+    /// [`ScheduleConfig::new`]); a `Ring` keeps the chunk count it carries.
     pub fn with_axes(
         n: usize,
         schedule: FwSchedule,
-        mut bcast: PanelBcastAlgo,
+        bcast: PanelBcastAlgo,
         exec: Exec,
         kr: usize,
         kc: usize,
     ) -> Self {
-        if let PanelBcastAlgo::Ring { chunks } = &mut bcast {
-            if *chunks == crate::dist::DEFAULT_RING_CHUNKS {
-                *chunks = 16;
-            }
-        }
         ScheduleConfig {
             n,
             block: 768,
@@ -165,11 +166,6 @@ impl std::fmt::Display for Infeasible {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.reason)
     }
-}
-
-/// The most-square node grid for `nodes` (the `+Reordering` placement).
-pub fn optimal_node_grid(nodes: usize) -> (usize, usize) {
-    model::best_node_grid(nodes)
 }
 
 /// A "typical" contiguous-rank node grid: the factor pair with aspect ratio
@@ -293,8 +289,9 @@ fn summarize(cfg: &ScheduleConfig, cl: &Cluster, sched: &Schedule) -> SimOutcome
     }
 }
 
-/// Simulate the 1-D row-partitioned comparator
-/// ([`crate::dist::oned::oned_apsp`]) on `spec`: `n` scalar iterations,
+/// Simulate the 1-D row-partitioned Floyd-Warshall of Jenq & Sahni (the
+/// pre-blocked distributed formulation of the paper's §6) on `spec`: rows
+/// dealt cyclically over the nodes, `n` scalar iterations,
 /// each a pivot-row tree broadcast over all nodes followed by a rank-1
 /// relaxation. The relaxation has O(1) arithmetic intensity, so it runs at
 /// memory bandwidth, not at the GEMM rate — the §6 observation that
@@ -509,7 +506,7 @@ fn diag_and_panel_phase(
 
     // DiagUpdate (§4.2: on the GPU either way; squaring costs log₂b GEMMs)
     cl.set_phase("DiagUpdate");
-    let diag_flops = 2.0 * b * b * b * (b.log2().ceil().max(1.0));
+    let diag_flops = srgemm::closure::closure_squaring_flops(cfg.block);
     let t_diag = cl.gpu_task(diag_node, diag_flops, pri, diag_dep);
 
     // DiagBcast: tree along the k-th node row and node column
@@ -542,8 +539,8 @@ fn diag_and_panel_phase(
 }
 
 /// Per-node OuterUpdate duration in flops-equivalent: in-core variants run
-/// at the GPU pool rate; the offload variant is bounded by
-/// `max(t0, t1, t2)` of §4.5 (or worse with fewer streams).
+/// at the GPU pool rate; the offload variant takes §4.5's
+/// [`OffloadCosts::predicted_time`] of its streams (0 counts as 1).
 fn outer_task(cl: &mut Cluster, cfg: &ScheduleConfig, node: usize, deps: &[TaskId]) -> TaskId {
     cl.set_phase("OuterUpdate");
     let m_loc = cfg.n as f64 / cfg.kr as f64;
@@ -557,14 +554,13 @@ fn outer_task(cl: &mut Cluster, cfg: &ScheduleConfig, node: usize, deps: &[TaskI
             let eb = cfg.elem_bytes as f64;
             let gpu_rate = spec.gpu_flops * spec.gpus_per_node as f64;
             let hd_rate = spec.hd_bw * spec.gpus_per_node as f64;
-            let t0 = flops / gpu_rate;
-            let t1 = (m_loc * n_loc + (m_loc + n_loc) * b) * eb / hd_rate;
-            let t2 = 3.0 * m_loc * n_loc * eb / spec.host_mem_bw;
-            let dur = match cfg.oog_streams {
-                0 | 1 => t0 + t1 + t2,
-                2 => (t0.max(t1 + t2)).min(t1.max(t0 + t2)).min(t2.max(t0 + t1)),
-                _ => t0.max(t1).max(t2),
+            let costs = OffloadCosts {
+                t0: flops / gpu_rate,
+                t1: (m_loc * n_loc + (m_loc + n_loc) * b) * eb / hd_rate,
+                t2: 3.0 * m_loc * n_loc * eb / spec.host_mem_bw,
+                t3: 0.0,
             };
+            let dur = costs.predicted_time(cfg.oog_streams.max(1));
             // charge the equivalent flops so utilization stays meaningful
             cl.gpu_task(node, dur * gpu_rate, PRI_OUTER, deps)
         }

@@ -15,6 +15,7 @@ use crate::dc_apsp::dc_apsp;
 use crate::dist::distributed_apsp_opts;
 use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
 use crate::fw_seq::fw_seq;
+use crate::model::fw_flops;
 use crate::ooc::{
     choose_tile, solve_in_store, staged_budget_floor, FileStore, MemStore, OocConfig, OocError,
     OocStats, TileStore,
@@ -22,8 +23,8 @@ use crate::ooc::{
 use crate::quant::{self, QuantDtype, QuantPlan};
 
 use super::planner::{
-    delta_sweep_seconds, dense_flops, sssp_sweep_seconds, T_DISK, T_FLOP_BLOCKED, T_FLOP_PACKED,
-    T_FLOP_SEQ, T_QUANT_U16, T_RELAX, T_SIM_RANK,
+    delta_sweep_seconds, sssp_sweep_seconds, T_DISK, T_FLOP_BLOCKED, T_FLOP_PACKED, T_FLOP_SEQ,
+    T_QUANT_U16, T_RELAX, T_SIM_RANK,
 };
 use super::{
     Estimate, GraphProfile, Ineligible, Solution, SolveError, SolveOpts, Solver, SolverStats,
@@ -70,7 +71,7 @@ impl Solver for Blocked {
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
         Estimate {
-            seconds: dense_flops(profile.n) * T_FLOP_PACKED / t as f64,
+            seconds: fw_flops(profile.n) * T_FLOP_PACKED / t as f64,
             detail: "2n³ · t_packed / threads".into(),
         }
     }
@@ -139,7 +140,7 @@ impl Solver for Quant {
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
         Estimate {
-            seconds: dense_flops(profile.n) * T_QUANT_U16 / t as f64,
+            seconds: fw_flops(profile.n) * T_QUANT_U16 / t as f64,
             detail: "2n³ · t_quant(u16) / threads".into(),
         }
     }
@@ -186,7 +187,7 @@ impl Solver for Dc {
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
         Estimate {
-            seconds: dense_flops(profile.n) * T_FLOP_PACKED * 1.2 / t as f64,
+            seconds: fw_flops(profile.n) * T_FLOP_PACKED * 1.2 / t as f64,
             detail: "2n³ · 1.2·t_packed / threads (recursion overhead)".into(),
         }
     }
@@ -221,7 +222,10 @@ impl Solver for FwSeq {
         profile.dense_bytes
     }
     fn estimate(&self, profile: &GraphProfile, _opts: &SolveOpts) -> Estimate {
-        Estimate { seconds: dense_flops(profile.n) * T_FLOP_SEQ, detail: "2n³ · t_seq, serial".into() }
+        Estimate {
+            seconds: fw_flops(profile.n) * T_FLOP_SEQ,
+            detail: "2n³ · t_seq, serial".into(),
+        }
     }
     fn solve(
         &self,
@@ -305,7 +309,7 @@ impl Solver for Ooc {
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
-        let compute = dense_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
+        let compute = fw_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
         match Self::staged_under(opts, profile.dense_bytes) {
             Some(budget) => {
                 let tile = choose_tile::<f32>(profile.n, budget).unwrap_or(8);
@@ -404,7 +408,7 @@ impl Solver for Sparse {
     }
     fn estimate(&self, profile: &GraphProfile, _opts: &SolveOpts) -> Estimate {
         Estimate {
-            seconds: dense_flops(profile.n) * T_FLOP_BLOCKED * profile.est_fill_work_ratio(),
+            seconds: fw_flops(profile.n) * T_FLOP_BLOCKED * profile.est_fill_work_ratio(),
             detail: format!(
                 "2n³ · t_blocked · {:.2} est. fill work, serial",
                 profile.est_fill_work_ratio()
@@ -589,7 +593,7 @@ impl Solver for Dist {
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let p = (opts.grid.0 * opts.grid.1).max(1) as f64;
         let rounds = profile.n.div_ceil(opts.block.max(1)) as f64;
-        let seconds = dense_flops(profile.n) * T_FLOP_PACKED / opts.effective_threads() as f64
+        let seconds = fw_flops(profile.n) * T_FLOP_PACKED / opts.effective_threads() as f64
             + p * T_SIM_RANK
             + rounds * p * 1e-4;
         Estimate { seconds, detail: "2n³·t_packed/threads + simulated-runtime overhead".into() }

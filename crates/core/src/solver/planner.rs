@@ -65,11 +65,6 @@ pub const T_DISK: f64 = 5.0e-10;
 /// fact that it simulates a cluster rather than using one.
 pub const T_SIM_RANK: f64 = 2.0e-3;
 
-/// Dense FW work: `2n³` semiring FLOPs (one ⊕ and one ⊗ per inner step).
-pub fn dense_flops(n: usize) -> f64 {
-    2.0 * (n as f64).powi(3)
-}
-
 /// One SSSP sweep per source: `n · (m·t_relax + n·log₂n·t_heap) / threads`.
 pub fn sssp_sweep_seconds(p: &GraphProfile, threads: usize) -> f64 {
     let n = p.n as f64;

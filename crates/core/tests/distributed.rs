@@ -224,3 +224,46 @@ fn come_composes_offload_with_ring_and_lookahead() {
     let (got, _) = distributed_apsp::<MinPlusF32>(2, 3, &cfg, &input, None).expect("run");
     assert_matrices_equal(&want, &got, "Co+Me");
 }
+
+#[test]
+fn traffic_is_pinned_for_every_corner_of_the_policy_cube() {
+    // Exact message and NIC-byte counts for n = 30 (b = 4: eight block
+    // steps, the last one ragged) on a 2×4 grid tiled onto 2×2 nodes.
+    // Schedule and exec reorder work but move the same messages; only the
+    // panel broadcast changes the traffic. `(untraced)` is the result gather.
+    use apsp_core::dist::{Exec, Schedule, DEFAULT_RING_CHUNKS};
+    let (input, want) = reference(30, GraphKind::UniformDense, 29);
+    let ring = PanelBcastAlgo::Ring {
+        chunks: DEFAULT_RING_CHUNKS,
+    };
+    // (bcast, total msgs, total NIC bytes, PanelBcast NIC bytes, PanelBcast msgs)
+    let table = [
+        (PanelBcastAlgo::Tree, 119, 14_480, 10_560, 80),
+        (ring, 439, 13_248, 9_328, 400),
+    ];
+    for (bcast, msgs, nic, panel_nic, panel_msgs) in table {
+        for schedule in Schedule::all() {
+            for exec in Exec::all() {
+                let cfg = FwConfig::from_axes(4, schedule, bcast, exec);
+                let placement = Placement::tiled(2, 4, 1, 2);
+                let (got, t) = distributed_apsp::<MinPlusF32>(2, 4, &cfg, &input, Some(placement))
+                    .expect("run");
+                let corner = cfg.legend();
+                assert_matrices_equal(&want, &got, &corner);
+                assert_eq!(t.total_msgs, msgs, "{corner}");
+                assert_eq!(t.total_nic_bytes(), nic, "{corner}");
+                let phases: Vec<(&str, u64, u64)> = t
+                    .per_phase
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.nic_bytes, v.msgs))
+                    .collect();
+                let pinned = [
+                    ("(untraced)", 2_576, 7),
+                    ("DiagBcast", 1_344, 32),
+                    ("PanelBcast", panel_nic, panel_msgs),
+                ];
+                assert_eq!(phases, pinned, "{corner}");
+            }
+        }
+    }
+}

@@ -2,7 +2,8 @@
 //! the paper's evaluation must emerge from the simulated task DAGs.
 
 use apsp_core::dist::Variant;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::best_node_grid;
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn sim(n: usize, variant: Variant, nodes: usize, kr: usize, kc: usize) -> apsp_core::schedule::SimOutcome {
@@ -29,7 +30,7 @@ fn reordering_and_ring_add_further_gains() {
     // deep in the bandwidth-bound regime (Fig. 4's left half), where each
     // optimization is separable
     let (dkr, dkc) = default_node_grid(64);
-    let (okr, okc) = optimal_node_grid(64);
+    let (okr, okc) = best_node_grid(64);
     let n = 32_768;
     let pipe = sim(n, Variant::Pipelined, 64, dkr, dkc);
     let reorder = sim(n, Variant::Pipelined, 64, okr, okc);
@@ -46,7 +47,7 @@ fn reordering_and_ring_add_further_gains() {
 #[test]
 fn optimizations_wash_out_when_compute_bound() {
     // Fig. 7: past ~208k vertices on 64 nodes everything converges
-    let (okr, okc) = optimal_node_grid(64);
+    let (okr, okc) = best_node_grid(64);
     let (dkr, dkc) = default_node_grid(64);
     let n = 400_000;
     let base = sim(n, Variant::Baseline, 64, dkr, dkc);
@@ -79,7 +80,7 @@ fn strong_scaling_co_parallelfw_gains_grow_with_node_count() {
     let n = 300_000;
     let ratio_at = |nodes: usize| {
         let (dkr, dkc) = default_node_grid(nodes);
-        let (okr, okc) = optimal_node_grid(nodes);
+        let (okr, okc) = best_node_grid(nodes);
         let base = sim(n, Variant::Baseline, nodes, dkr, dkc);
         let best = sim(n, Variant::AsyncRing, nodes, okr, okc);
         base.seconds / best.seconds
@@ -97,7 +98,7 @@ fn weak_scaling_async_is_flatter_than_baseline() {
     let runtime_growth = |variant: Variant, reorder: bool| {
         let t = |nodes: usize| {
             let n = (300_000.0f64 * (nodes as f64 / 16.0).cbrt()) as usize;
-            let (kr, kc) = if reorder { optimal_node_grid(nodes) } else { default_node_grid(nodes) };
+            let (kr, kc) = if reorder { best_node_grid(nodes) } else { default_node_grid(nodes) };
             sim(n, variant, nodes, kr, kc).seconds
         };
         t(256) / t(16)
@@ -115,7 +116,7 @@ fn weak_scaling_async_is_flatter_than_baseline() {
 fn offload_overhead_is_modest_at_large_n() {
     // headline: "2.5× larger graphs with a 20% increase in overall running
     // time" → at the same (large, feasible) n the offload penalty is small
-    let (okr, okc) = optimal_node_grid(64);
+    let (okr, okc) = best_node_grid(64);
     let n = 400_000;
     let incore = sim(n, Variant::Baseline, 64, okr, okc);
     let offload = sim(n, Variant::Offload, 64, okr, okc);
@@ -134,7 +135,7 @@ fn blocked_2d_dominates_the_1d_comparator() {
     let spec = MachineSpec::summit(16);
     let n = 65_536;
     let oned = simulate_oned(&spec, n, 4);
-    let (kr, kc) = optimal_node_grid(16);
+    let (kr, kc) = best_node_grid(16);
     let twod = sim(n, Variant::AsyncRing, 16, kr, kc);
     assert!(
         twod.seconds * 3.0 < oned.seconds,
@@ -146,7 +147,7 @@ fn blocked_2d_dominates_the_1d_comparator() {
 
 #[test]
 fn node_grid_helpers_factor_correctly() {
-    assert_eq!(optimal_node_grid(64), (8, 8));
+    assert_eq!(best_node_grid(64), (8, 8));
     let (r, c) = default_node_grid(64);
     assert_eq!(r * c, 64);
     assert!(r > c, "default grid is skewed");

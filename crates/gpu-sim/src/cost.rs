@@ -52,17 +52,6 @@ impl OffloadCosts {
         }
     }
 
-    /// [`OffloadCosts::new`] with the tensor-like lane-width `t_f` variant:
-    /// the SRGEMM term runs at [`GpuSpec::srgemm_flops_for`]`(elem_bytes)`
-    /// — a fixed-bytes-per-cycle datapath, so `u16` elements double the
-    /// flop rate while every traffic term shrinks with the element width
-    /// too. `elem_bytes = 4` reproduces [`OffloadCosts::new`] exactly.
-    pub fn new_quantized(spec: &GpuSpec, m: usize, n: usize, k: usize, elem_bytes: usize) -> Self {
-        let mut c = Self::new(spec, m, n, k, elem_bytes);
-        c.t0 = 2.0 * m as f64 * n as f64 * k as f64 / spec.srgemm_flops_for(elem_bytes);
-        c
-    }
-
     /// [`OffloadCosts::new`] with the out-of-core disk tier engaged:
     /// `C` tiles cross the disk twice (read + write-back) and the `A`/`B`
     /// panels once, at `disk_bw` bytes/s.
@@ -196,26 +185,6 @@ mod tests {
         let slow_disk = OffloadCosts { t3: 9.0, ..c };
         assert!(!slow_disk.compute_bound());
         assert_eq!(slow_disk.predicted_time(4), 9.0);
-    }
-
-    #[test]
-    fn lane_width_variant_scales_t_f_with_element_bytes() {
-        let spec = GpuSpec::summit_v100();
-        // f32 is the calibration point: the quantized model is the identity
-        let f32c = OffloadCosts::new(&spec, 4096, 4096, 512, 4);
-        assert_eq!(OffloadCosts::new_quantized(&spec, 4096, 4096, 512, 4), f32c);
-        // u16: twice the lanes → half the SRGEMM time, half the traffic
-        let u16c = OffloadCosts::new_quantized(&spec, 4096, 4096, 512, 2);
-        assert!((u16c.t0 - f32c.t0 / 2.0).abs() < 1e-12);
-        assert!((u16c.t1 - f32c.t1 / 2.0).abs() < 1e-12);
-        assert!((u16c.t2 - f32c.t2 / 2.0).abs() < 1e-12);
-        // f64 halves the rate instead
-        let f64c = OffloadCosts::new_quantized(&spec, 4096, 4096, 512, 8);
-        assert!((f64c.t0 - f32c.t0 * 2.0).abs() < 1e-12);
-        assert_eq!(spec.srgemm_flops_for(2), 2.0 * spec.srgemm_flops);
-        // lane-width scaling preserves the compute-bound threshold shape:
-        // both terms scale together, so Eq. 5's k_min is width-invariant
-        assert_eq!(f32c.compute_bound(), u16c.compute_bound());
     }
 
     #[test]

@@ -59,19 +59,6 @@ impl GpuSpec {
         self.op_latency + flops / self.srgemm_flops
     }
 
-    /// Sustained SRGEMM rate for an `elem_bytes`-wide datapath, flop/s.
-    ///
-    /// The tensor-like low-precision model: the vector/tensor datapath
-    /// retires a fixed number of *bytes* per cycle, so the semiring flop
-    /// rate scales inversely with element width relative to the measured
-    /// `f32` calibration — `u16` doubles it, `f64` halves it. This is the
-    /// `t_f` variant the quantized (`MinPlusSatU16`) kernel feeds, and what
-    /// the lane-width ablation sweeps. (The host kernel measures 1.6× for
-    /// `u16` on this box, not 2×: a model of the device, not of the CPU.)
-    pub fn srgemm_flops_for(&self, elem_bytes: usize) -> f64 {
-        self.srgemm_flops * 4.0 / (elem_bytes.max(1) as f64)
-    }
-
     /// Seconds to move `bytes` host→device.
     pub fn h2d_time(&self, bytes: f64) -> f64 {
         self.op_latency + bytes / self.h2d_bw

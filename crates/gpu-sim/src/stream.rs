@@ -81,9 +81,7 @@ impl Stream {
             assert_eq!(data.len(), rows * cols, "h2d length mismatch");
             ViewMut::from_slice(&mut data, rows, cols).copy_from(src);
         }
-        let bytes = (rows * cols * std::mem::size_of::<T>()) as f64;
-        let dur = self.gpu.spec.h2d_time(bytes);
-        self.run_on_engine(|e| &mut e.h2d, dur)
+        self.h2d_timed((rows * cols * std::mem::size_of::<T>()) as f64)
     }
 
     /// Copy a device buffer back to host memory (d2hXfer).
@@ -93,27 +91,7 @@ impl Stream {
             assert!(dst.len() <= data.len(), "d2h longer than source buffer");
             dst.copy_from_slice(&data[..dst.len()]);
         }
-        let bytes = std::mem::size_of_val(dst) as f64;
-        let dur = self.gpu.spec.d2h_time(bytes);
-        self.run_on_engine(|e| &mut e.d2h, dur)
-    }
-
-    /// Launch `X ← A ⊗ B` (`init = true`: X is first filled with 0̄) or
-    /// `X ← X ⊕ A ⊗ B` (`init = false`) on the SRGEMM engine. Buffers hold
-    /// row-major `m×k`, `k×n`, `m×n` data.
-    #[allow(clippy::too_many_arguments)]
-    pub fn srgemm<S: Semiring>(
-        &mut self,
-        x: &DeviceBuffer<S::Elem>,
-        a: &DeviceBuffer<S::Elem>,
-        b: &DeviceBuffer<S::Elem>,
-        m: usize,
-        n: usize,
-        k: usize,
-        init: bool,
-    ) -> Event {
-        let pb = self.stage_b::<S>(b, k, n);
-        self.srgemm_staged::<S>(x, a, &pb, m, init, &mut PackedA::new())
+        self.d2h_timed(std::mem::size_of_val(dst) as f64)
     }
 
     /// Stage the row-major `k×n` operand in `b` the way the kernel reads it
@@ -130,10 +108,12 @@ impl Stream {
         PackedB::pack::<S>(&View::from_slice(&b.data.lock(), k, n))
     }
 
-    /// [`Stream::srgemm`] against an operand staged by [`Stream::stage_b`]:
-    /// the kernel runs in place on the device buffers, `A` staged through the
-    /// caller's `pa`, so a tile loop allocates nothing per launch. Charged
-    /// `2·m·n·k` flops like any launch.
+    /// Launch `X ← A ⊗ B` (`init = true`: X is first filled with 0̄) or
+    /// `X ← X ⊕ A ⊗ B` (`init = false`) on the SRGEMM engine, against an
+    /// operand staged by [`Stream::stage_b`]. Buffers hold row-major `m×k`
+    /// and `m×n` data. The kernel runs in place on the device buffers, `A`
+    /// staged through the caller's `pa`, so a tile loop allocates nothing
+    /// per launch. Charged `2·m·n·k` flops.
     pub fn srgemm_staged<S: Semiring>(
         &mut self,
         x: &DeviceBuffer<S::Elem>,
@@ -153,13 +133,12 @@ impl Stream {
             }
             gemm_packed_with_scratch::<S>(&mut xv, &View::from_slice(&a_data, m, k), pb, pa);
         }
-        let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let dur = self.gpu.spec.gemm_time(flops);
-        self.run_on_engine(|e| &mut e.gemm, dur)
+        self.srgemm_timed(2.0 * m as f64 * n as f64 * k as f64)
     }
 
-    /// Timing-only variants — advance the clocks exactly like the real ops
-    /// but move no data. Used by the Summit-scale figure harnesses.
+    /// Timing-only h2dXfer of `bytes`: advances the clocks, moves no data.
+    /// Each data-moving op charges its engine through the timing-only op of
+    /// that engine; the Summit-scale figure harnesses call these alone.
     pub fn h2d_timed(&mut self, bytes: f64) -> Event {
         let dur = self.gpu.spec.h2d_time(bytes);
         self.run_on_engine(|e| &mut e.h2d, dur)
@@ -178,33 +157,11 @@ impl Stream {
     }
 }
 
-/// Host-side ⊕-accumulate (`hostUpdate`): `C_tile ← C_tile ⊕ X`, charged to
-/// the host-memory engine starting no earlier than `ready` (the d2h event).
-/// Returns the completion event.
-pub fn host_update<S: Semiring>(
-    gpu: &SimGpu,
-    ready: Event,
-    c_tile: &mut ViewMut<'_, S::Elem>,
-    x: &View<'_, S::Elem>,
-) -> Event {
-    assert_eq!((c_tile.rows(), c_tile.cols()), (x.rows(), x.cols()), "tile shape mismatch");
-    for i in 0..c_tile.rows() {
-        let crow = c_tile.row_mut(i);
-        let xrow = x.row(i);
-        for (cv, &xv) in crow.iter_mut().zip(xrow) {
-            *cv = S::add(*cv, xv);
-        }
-    }
-    let elems = (c_tile.rows() * c_tile.cols()) as f64;
-    let dur = gpu.spec.host_update_time(elems, std::mem::size_of::<S::Elem>() as f64);
-    Event { at: gpu.host_work(ready.at, dur) }
-}
-
-/// `hostUpdate` straight from a row-major staging slice — the d2h
-/// destination itself — so the tile loop accumulates into `C` with **zero
-/// intermediate copies**: the old path materialized each tile as a fresh
-/// `Matrix` (`to_vec` + `from_vec`) before accumulating, an allocation and
-/// a full extra pass over the tile per iteration.
+/// Host-side ⊕-accumulate (`hostUpdate`): `C_tile ← C_tile ⊕ X`, straight
+/// from a row-major staging slice — the d2h destination itself — so the tile
+/// loop accumulates into `C` with zero intermediate copies. Charged to the
+/// host-memory engine starting no earlier than `ready` (the d2h event);
+/// returns the completion event.
 ///
 /// # Panics
 /// Panics if `x.len() != c_tile.rows() * c_tile.cols()`.
@@ -223,10 +180,7 @@ pub fn host_update_slice<S: Semiring>(
             *cv = S::add(*cv, xv);
         }
     }
-    let dur = gpu
-        .spec
-        .host_update_time((rows * cols) as f64, std::mem::size_of::<S::Elem>() as f64);
-    Event { at: gpu.host_work(ready.at, dur) }
+    host_update_timed(gpu, ready, (rows * cols) as f64, std::mem::size_of::<S::Elem>() as f64)
 }
 
 /// Timing-only host update.
@@ -302,7 +256,8 @@ mod tests {
         let mut s = gpu.stream();
         s.h2d(&a, &[1.0, 2.0, 4.0, 1.0]);
         s.h2d(&b, &[0.0, 5.0, 1.0, 0.0]);
-        let e = s.srgemm::<MinPlusF32>(&x, &a, &b, 2, 2, 2, true);
+        let pb = s.stage_b::<MinPlusF32>(&b, 2, 2);
+        let e = s.srgemm_staged::<MinPlusF32>(&x, &a, &pb, 2, true, &mut PackedA::new());
         let mut out = [0.0f32; 4];
         s.d2h(&x, &mut out);
         assert_eq!(out, [1.0, 2.0, 2.0, 1.0]);
@@ -352,19 +307,22 @@ mod tests {
 
     #[test]
     fn host_update_slice_matches_view_form() {
+        // the slice form ⊕-accumulates a 2×2 tile exactly like an
+        // element-wise min over the two views, and costs what the
+        // timing-only form charges for the same tile
         let gpu = tiny();
-        let mut c1 = srgemm::Matrix::from_rows(&[&[5.0f32, 1.0], &[0.5, 9.0]]);
-        let mut c2 = c1.clone();
+        let mut c = srgemm::Matrix::from_rows(&[&[5.0f32, 1.0], &[0.5, 9.0]]);
         let x = srgemm::Matrix::from_rows(&[&[3.0f32, 2.0], &[4.0, 0.25]]);
-        let e1 = host_update::<MinPlusF32>(&gpu, Event { at: 1.0 }, &mut c1.view_mut(), &x.view());
-        gpu.reset_clocks();
-        let e2 = host_update_slice::<MinPlusF32>(
+        let want = srgemm::Matrix::from_fn(2, 2, |i, j| c[(i, j)].min(x[(i, j)]));
+        let e1 = host_update_slice::<MinPlusF32>(
             &gpu,
             Event { at: 1.0 },
-            &mut c2.view_mut(),
+            &mut c.view_mut(),
             x.as_slice(),
         );
-        assert!(c1.eq_exact(&c2));
+        gpu.reset_clocks();
+        let e2 = host_update_timed(&gpu, Event { at: 1.0 }, 4.0, 4.0);
+        assert!(c.eq_exact(&want));
         assert_eq!(e1.at, e2.at);
     }
 
@@ -373,7 +331,7 @@ mod tests {
         let gpu = tiny();
         let mut c = srgemm::Matrix::from_rows(&[&[5.0f32, 1.0]]);
         let x = srgemm::Matrix::from_rows(&[&[3.0f32, 2.0]]);
-        let e = host_update::<MinPlusF32>(&gpu, Event { at: 1.0 }, &mut c.view_mut(), &x.view());
+        let e = host_update_slice::<MinPlusF32>(&gpu, Event { at: 1.0 }, &mut c.view_mut(), x.as_slice());
         assert_eq!(c[(0, 0)], 3.0);
         assert_eq!(c[(0, 1)], 1.0);
         // starts at ready=1.0, duration = 3*2*4/1e9

@@ -140,12 +140,6 @@ impl Comm {
         self.members.len()
     }
 
-    /// World rank of communicator member `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// Node hosting communicator member `r` (per the runtime's placement).
     pub fn node_of(&self, r: usize) -> usize {
         self.shared.placement.node_of(self.members[r])
@@ -463,8 +457,11 @@ mod tests {
             let color = (comm.rank() / 3) as u64;
             let key = (comm.rank() % 3) as u64;
             let sub = comm.split(color, key).unwrap();
-            // ring of partial sums inside the sub-communicator
-            (sub.size(), sub.rank(), sub.world_rank_of(0))
+            // member 0 of each sub-communicator names its world rank
+            let first = sub
+                .bcast(0, (sub.rank() == 0).then(|| comm.rank()))
+                .unwrap();
+            (sub.size(), sub.rank(), first)
         });
         assert_eq!(out[0], (3, 0, 0));
         assert_eq!(out[4], (3, 1, 3));

@@ -49,19 +49,6 @@ impl ProcessGrid {
         debug_assert!(r < self.pr && c < self.pc);
         r * self.pc + c
     }
-
-    /// Block-cyclic owner of block `(i, j)`: grid coordinates
-    /// `(i mod P_r, j mod P_c)` (paper §2.5.1).
-    pub fn block_owner(&self, i: usize, j: usize) -> usize {
-        self.rank_of(i % self.pr, j % self.pc)
-    }
-
-    /// Block-rows of a `nb × nb` block matrix owned by process-row `r`:
-    /// `r, r+P_r, r+2P_r, …`.
-    pub fn my_block_rows(&self, nb: usize) -> Vec<usize> {
-        let (r, _) = self.coords();
-        (r..nb).step_by(self.pr).collect()
-    }
 }
 
 #[cfg(test)]
@@ -80,29 +67,6 @@ mod tests {
         assert_eq!(out[4], (1, 1, 1, 3, 1, 2));
         assert_eq!(out[0], (0, 0, 0, 3, 0, 2));
         assert_eq!(out[5], (1, 2, 2, 3, 1, 2));
-    }
-
-    #[test]
-    fn block_cyclic_ownership() {
-        let out = Runtime::new(4).run(|comm| {
-            let g = ProcessGrid::new(comm, 2, 2).unwrap();
-            (g.block_owner(0, 0), g.block_owner(3, 2), g.block_owner(5, 5))
-        });
-        for &(a, b, c) in &out {
-            assert_eq!(a, 0); // (0,0)
-            assert_eq!(b, 2); // (1,0) → rank 1*2+0
-            assert_eq!(c, 3); // (1,1)
-        }
-    }
-
-    #[test]
-    fn my_block_rows_stride_by_pr() {
-        let out = Runtime::new(6).run(|comm| {
-            let g = ProcessGrid::new(comm, 2, 3).unwrap();
-            g.my_block_rows(7)
-        });
-        assert_eq!(out[0], vec![0, 2, 4, 6]); // grid row 0
-        assert_eq!(out[3], vec![1, 3, 5]); // grid row 1
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl Placement {
     pub fn node_grid_dims(&self) -> (usize, usize) {
         (self.pr / self.qr, self.pc / self.qc)
     }
-
-    /// The paper's §3.4.1 communication-volume lower bound per node for an
-    /// `n × n` Floyd-Warshall, in *elements*:
-    /// `n²·Q_r/P_r + n²·Q_c/P_c = n²/K_r + n²/K_c`.
-    pub fn comm_volume_lower_bound(&self, n: usize) -> f64 {
-        let (kr, kc) = self.node_grid_dims();
-        let n2 = (n as f64) * (n as f64);
-        n2 / kr as f64 + n2 / kc as f64
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +137,6 @@ mod tests {
         }
         assert!(per_node.iter().all(|&c| c == 4));
         assert_eq!(p.num_nodes(), 12);
-    }
-
-    #[test]
-    fn lower_bound_prefers_square_node_grids() {
-        // same node count (16) and Q (4): square K=4x4 beats skinny K=16x1
-        let square = Placement::tiled(8, 8, 2, 2); // K = 4x4
-        let skinny = Placement::tiled(16, 4, 1, 4); // K = 16x1
-        assert_eq!(square.num_nodes(), 16);
-        assert_eq!(skinny.num_nodes(), 16);
-        let n = 1000;
-        assert!(square.comm_volume_lower_bound(n) < skinny.comm_volume_lower_bound(n));
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub(crate) fn check_shapes<T: Copy>(c: &ViewMut<'_, T>, a: &View<'_, T>, b: &Vie
     assert_eq!(c.cols(), b.cols(), "gemm: C cols != B cols");
 }
 
-/// Flop count convention used throughout the workspace and by the paper:
-/// one ⊕ and one ⊗ per inner-loop step, i.e. `2·m·n·k` for an `m×k · k×n`
-/// product.
-pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
-    2.0 * m as f64 * n as f64 * k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,10 +123,5 @@ mod tests {
         let before = c.clone();
         gemm_packed::<MP>(&mut c.view_mut(), &a.view(), &b.view());
         assert!(c.eq_exact(&before));
-    }
-
-    #[test]
-    fn flop_count_convention() {
-        assert_eq!(gemm_flops(10, 20, 30), 2.0 * 10.0 * 20.0 * 30.0);
     }
 }

@@ -448,23 +448,6 @@ impl<'a, T: Copy> ViewMut<'a, T> {
         (top, bottom)
     }
 
-    /// Partition into disjoint mutable row-chunks of at most `chunk` rows.
-    /// Used to hand independent slabs of `C` to worker threads.
-    pub fn chunk_rows_mut(self, chunk: usize) -> Vec<ViewMut<'a, T>> {
-        assert!(chunk > 0, "chunk must be positive");
-        let mut out = Vec::with_capacity(self.rows.div_ceil(chunk));
-        let mut rest = self;
-        while rest.rows > chunk {
-            let (head, tail) = rest.split_rows_mut(chunk);
-            out.push(head);
-            rest = tail;
-        }
-        if rest.rows > 0 {
-            out.push(rest);
-        }
-        out
-    }
-
     /// Copy every element from `src` (shapes must match).
     pub fn copy_from(&mut self, src: &View<'_, T>) {
         assert_eq!((self.rows, self.cols), (src.rows(), src.cols()), "shape mismatch");
@@ -580,23 +563,6 @@ mod tests {
         bot.set(0, 0, 200);
         assert_eq!(m[(0, 0)], 100);
         assert_eq!(m[(2, 0)], 200);
-    }
-
-    #[test]
-    fn chunk_rows_covers_everything_once() {
-        let mut m = iota(7, 2);
-        let chunks = m.view_mut().chunk_rows_mut(3);
-        assert_eq!(chunks.iter().map(|c| c.rows()).collect::<Vec<_>>(), vec![3, 3, 1]);
-        // write a sentinel through each chunk; all 7 rows reachable
-        let mut chunks = chunks;
-        for c in chunks.iter_mut() {
-            for i in 0..c.rows() {
-                c.set(i, 0, -7);
-            }
-        }
-        for i in 0..7 {
-            assert_eq!(m[(i, 0)], -7);
-        }
     }
 
     #[test]

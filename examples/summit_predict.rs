@@ -8,8 +8,8 @@
 //! ```
 
 use apsp_core::dist::Variant;
-use apsp_core::model::max_vertices_in_gpu_memory;
-use apsp_core::schedule::{default_node_grid, optimal_node_grid, simulate, ScheduleConfig};
+use apsp_core::model::{best_node_grid, max_vertices_in_gpu_memory};
+use apsp_core::schedule::{default_node_grid, simulate, ScheduleConfig};
 use cluster_sim::MachineSpec;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     // 1. the 8.1 PF/s claim: Co-ParallelFw, 256 nodes, n = 300k (Fig. 8)
     {
         let spec = MachineSpec::summit(256);
-        let (kr, kc) = optimal_node_grid(256);
+        let (kr, kc) = best_node_grid(256);
         let co = simulate(&spec, &ScheduleConfig::new(300_000, Variant::AsyncRing, kr, kc)).expect("feasible");
         let (dkr, dkc) = default_node_grid(256);
         let base = simulate(&spec, &ScheduleConfig::new(300_000, Variant::Baseline, dkr, dkc)).expect("feasible");
@@ -35,7 +35,7 @@ fn main() {
         let wall = max_vertices_in_gpu_memory(&spec, 4);
         println!("64 nodes (Fig. 7):");
         println!("  in-GPU-memory limit : {wall} vertices (paper: between 524,288 and 660,562)");
-        let (kr, kc) = optimal_node_grid(64);
+        let (kr, kc) = best_node_grid(64);
         let big = simulate(&spec, &ScheduleConfig::new(1_664_511, Variant::Offload, kr, kc)).expect("offload feasible");
         let footprint = 1_664_511f64 * 1_664_511f64 * 4.0 / 1e12;
         println!(
