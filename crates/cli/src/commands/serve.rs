@@ -8,9 +8,9 @@
 //! command garbage on purpose.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use apsp_core::serve::{handle_line, Engine, Reply};
@@ -65,7 +65,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     );
 
     match args.opt_str("listen") {
-        Some(addr) => serve_tcp(engine, addr),
+        Some(addr) => {
+            let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+            serve_tcp(engine, listener)
+        }
         None => serve_stdin(&engine),
     }
 }
@@ -116,19 +119,24 @@ fn serve_stdin(engine: &Engine) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+/// Accept connections on `listener`, one session thread each, until a peer
+/// sends `shutdown`. Then the read side of every connection still open is
+/// shut down, which ends its session as if the peer had closed, and every
+/// session thread is joined: an idle peer cannot keep the server running.
+fn serve_tcp(engine: Arc<Engine>, listener: TcpListener) -> Result<(), String> {
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
     eprintln!("serve: listening on {local}");
     let stop = Arc::new(AtomicBool::new(false));
 
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // each session thread, beside a handle to its connection that lives
+    // only as long as the session holds the connection
+    let mut workers: Vec<(Weak<TcpStream>, std::thread::JoinHandle<()>)> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
         let stream = match conn {
-            Ok(s) => s,
+            Ok(s) => Arc::new(s),
             Err(e) => {
                 eprintln!("serve: accept: {e}");
                 continue;
@@ -136,8 +144,9 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
         };
         let engine = Arc::clone(&engine);
         let conn_stop = Arc::clone(&stop);
-        workers.retain(|w| !w.is_finished());
-        workers.push(std::thread::spawn(move || match serve_conn(&engine, stream) {
+        workers.retain(|(_, w)| !w.is_finished());
+        let handle = Arc::downgrade(&stream);
+        let worker = std::thread::spawn(move || match serve_conn(&engine, &stream) {
             Ok(true) => {
                 conn_stop.store(true, Ordering::Release);
                 // wake the accept loop so it can observe the stop flag
@@ -145,7 +154,8 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
             }
             Ok(false) => {}
             Err(e) => eprintln!("serve: connection: {e}"),
-        }));
+        });
+        workers.push((handle, worker));
         // a shutdown handled on the connection we just spawned may have
         // raced past the top-of-loop check; re-check before blocking in
         // accept again (the handler wakes us with a dummy connection)
@@ -153,17 +163,19 @@ fn serve_tcp(engine: Arc<Engine>, addr: &str) -> Result<(), String> {
             break;
         }
     }
-    for w in workers {
+    for (conn, w) in workers {
+        if let Some(conn) = conn.upgrade() {
+            conn.shutdown(Shutdown::Read).ok();
+        }
         w.join().ok();
     }
     eprintln!("serve: shut down");
     Ok(())
 }
 
-fn serve_conn(engine: &Engine, stream: TcpStream) -> std::io::Result<bool> {
+fn serve_conn(engine: &Engine, stream: &TcpStream) -> std::io::Result<bool> {
     stream.set_nodelay(true).ok();
-    let writer = stream.try_clone()?;
-    session(engine, BufReader::new(stream), writer)
+    session(engine, BufReader::new(stream), stream)
 }
 
 #[cfg(test)]
@@ -250,5 +262,27 @@ mod tests {
         assert!(session(&engine(), &b"shutdown\nepoch\n"[..], &mut out).unwrap());
         assert_eq!(replies(&out).len(), 1);
         assert!(!session(&engine(), &b"quit\n"[..], &mut Vec::new()).unwrap());
+    }
+
+    #[test]
+    fn shutdown_stops_the_server_while_another_connection_sits_idle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, stopped) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || done.send(serve_tcp(Arc::new(engine()), listener)));
+        // a peer that connects and never sends a byte…
+        let idle = TcpStream::connect(addr).unwrap();
+        // …and one that asks the whole server to stop
+        let mut peer = TcpStream::connect(addr).unwrap();
+        peer.write_all(b"shutdown\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&peer).read_line(&mut reply).unwrap();
+        assert_eq!(reply, "bye\n");
+        // the deadline only bounds how long a hang takes to report: the
+        // server must return while `idle` is still open
+        let stopped = stopped.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(matches!(stopped, Ok(Ok(()))), "server still running: {stopped:?}");
+        server.join().unwrap().unwrap();
+        drop(idle);
     }
 }

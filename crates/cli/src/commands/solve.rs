@@ -3,13 +3,14 @@
 //! Dispatch goes through the [`apsp_core::Registry`]: every algorithm is a
 //! [`apsp_core::Solver`] adapter, `--algo auto` lets the planner pick, and
 //! eligibility failures surface as typed, explained errors. `--trace` runs
-//! the same path with an `apsp_trace` recorder installed on this thread.
+//! the same command with an `apsp_trace` recorder installed on this thread,
+//! from reading the input to writing `--out`.
 
 use std::io::Write;
 use std::time::Instant;
 
 use apsp_core::model::fw_flops;
-use apsp_core::{Registry, Solution, SolveOpts};
+use apsp_core::{Registry, SolveOpts};
 
 use crate::args::Args;
 
@@ -19,7 +20,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         println!(
             "apsp solve --input <FILE> [--algo {}|auto]
   --algo auto        profile the graph and let the planner pick (see 'apsp plan')
-  --block <N>        block size for blocked/sparse/dist (default 64)
+  --block <N>        block size for blocked/dc/ooc/dist (default 64)
   --threads <N>      cap worker threads (0 = all cores)
   --serial           shorthand for --threads 1
   --memory-budget <BYTES[k|m|g]>  working-set ceiling for planner eligibility
@@ -28,9 +29,9 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
                      provably exact quantizations)
   --out <FILE>       write the distance matrix as TSV (careful: n² values)
   --format <dimacs|edges>
-  --trace <FILE>     record the solve: write Chrome trace_events JSON (one
-                     track per thread; --algo dist adds one per rank) and
-                     print the per-phase summary
+  --trace <FILE>     record the command from read to --out: write Chrome
+                     trace_events JSON (one track per thread; --algo dist
+                     adds one per rank) and print the per-phase summary
   --pr <N> --pc <N>  process grid for --algo dist (default 2x2)
   --variant <baseline|pipelined|async|offload|come>  dist preset (default pipelined)
   --schedule <bulksync|lookahead>   override the iteration-schedule axis
@@ -45,29 +46,44 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(tokens)?;
+    let Some(path) = args.opt_str("trace") else {
+        return solve(&args);
+    };
+    let (solved, trace) = apsp_trace::record("main", || solve(&args));
+    solved?;
+    print!("{}", trace.summary());
+    std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
+    println!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
+    Ok(())
+}
+
+/// The command itself: read, solve, report, write `--out` — under `read`,
+/// the registry's spans and `write` when a recorder is installed.
+fn solve(args: &Args) -> Result<(), String> {
     let algo: String = args.opt("algo", "blocked".to_string())?;
     if algo != "dist" && (args.opt_str("fault").is_some() || args.opt_str("recv-timeout").is_some()) {
         return Err(format!("--fault/--recv-timeout act on the simulated runtime, which only --algo dist uses (got '{algo}')"));
     }
-    let mut opts: SolveOpts = super::build_solve_opts(&args)?;
+    let mut opts: SolveOpts = super::build_solve_opts(args)?;
     if let Some(spec) = args.opt_str("fault") {
         opts.dist_run.faults = super::parse_fault_plan(spec, opts.grid.0 * opts.grid.1)?;
         println!("fault injection: {spec}");
     }
 
     let input = args.opt_str("input").ok_or("missing required option --input")?;
-    let g = super::load_graph(input, args.opt_str("format"))?;
+    let g = {
+        let _s = apsp_trace::span("read");
+        super::load_graph(input, args.opt_str("format"))?
+    };
     println!("loaded {} vertices, {} edges from {input}", g.n(), g.m());
     let n = g.n();
     if n == 0 {
         return Err("graph is empty".into());
     }
 
-    let solve = || -> Result<Solution, String> {
-        let reg = Registry::with_all();
-        if algo != "auto" {
-            return reg.solve(&algo, &g, &opts).map_err(|e| e.to_string());
-        }
+    let t0 = Instant::now();
+    let reg = Registry::with_all();
+    let sol = if algo == "auto" {
         let (plan, sol) = reg.solve_auto(&g, &opts).map_err(|e| e.to_string())?;
         let chosen = plan.chosen.unwrap_or("?");
         match plan.entry(chosen).and_then(|e| e.outcome.as_ref().ok()) {
@@ -77,24 +93,13 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
             ),
             None => println!("auto: picked '{chosen}'"),
         }
-        Ok(sol)
-    };
-    let t0 = Instant::now();
-    let (sol, trace) = match args.opt_str("trace") {
-        Some(path) => {
-            let (sol, trace) = apsp_trace::record("main", solve);
-            (sol?, Some((path, trace)))
-        }
-        None => (solve()?, None),
+        sol
+    } else {
+        reg.solve(&algo, &g, &opts).map_err(|e| e.to_string())?
     };
     let secs = t0.elapsed().as_secs_f64();
     for note in &sol.stats.notes {
         println!("{note}");
-    }
-    if let Some((path, trace)) = trace {
-        print!("{}", trace.summary());
-        std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
     }
     println!("solved in {:.3} s ({:.2} Gflop/s FW-equivalent)", secs, fw_flops(n) / secs / 1e9);
     let dist = sol.dist;
@@ -120,6 +125,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
     );
 
     if let Some(out) = args.opt_str("out") {
+        let _s = apsp_trace::span("write");
         let mut f = std::io::BufWriter::new(
             std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?,
         );
@@ -359,7 +365,12 @@ mod tests {
             let json = std::fs::read_to_string(&json).unwrap();
             assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"), "{algo}");
             assert_eq!(json.matches('{').count(), json.matches('}').count(), "{algo}");
-            assert!(json.contains("\"name\":\"solve\""), "{algo}");
+            for span in ["read", "solve", "write"] {
+                assert!(json.contains(&format!("\"name\":\"{span}\"")), "{algo}: no {span}");
+            }
+            if ["blocked", "dc", "fw", "dist"].contains(&algo) {
+                assert!(json.contains("\"name\":\"to_dense\""), "{algo}: no to_dense");
+            }
             if ["blocked", "quant", "ooc", "dist"].contains(&algo) {
                 for phase in ["DiagUpdate", "PanelUpdate", "OuterUpdate"] {
                     assert!(json.contains(&format!("\"name\":\"{phase}\"")), "{algo}: no {phase}");

@@ -11,14 +11,15 @@ use crate::ooc::{
     OocStats, TileStore,
 };
 
-/// A store file in the temp dir, removed on drop.
-struct TempPath(PathBuf);
+/// A store file in the temp dir, removed on drop. The crate's unit tests
+/// share it.
+pub(crate) struct TempPath(pub(crate) PathBuf);
 
 impl TempPath {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let name = format!("apsp-fw-sparse-test-{}-{seq}.tiles", std::process::id());
+        let name = format!("apsp-core-test-{}-{seq}.tiles", std::process::id());
         TempPath(std::env::temp_dir().join(name))
     }
 }
@@ -55,9 +56,9 @@ fn present_grid(store: &dyn TileStore) -> Vec<bool> {
     (0..nb * nb).map(|t| store.present(t / nb, t % nb)).collect()
 }
 
-/// Solve `g` at tile `t` on a memory store, as `sparse` does, and on a file
-/// store at a budget far below the matrix; assert each closure is
-/// bit-identical to `fw_seq`'s.
+/// Solve `g` at tile `t` on a memory store, as `ooc` does without a budget,
+/// and on a file store at a budget far below the matrix; assert each
+/// closure is bit-identical to `fw_seq`'s.
 fn solve_on_both_stores(g: &Graph, t: usize) -> [Run; 2] {
     let n = g.n();
     let mut want = g.to_dense();

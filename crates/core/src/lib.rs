@@ -48,8 +48,9 @@
 //!   RAM budget (the disk tier of §4.3–4.5), and block-sparse where tiles
 //!   without paths are absent and skipped.
 //! * [`solver`] — one [`Solver`] registry over every APSP algorithm in the
-//!   workspace (dense FW, block-sparse, Johnson, Dijkstra, Δ-stepping,
-//!   the distributed driver), a one-pass [`GraphProfile`], and a
+//!   workspace, one name per code path (dense FW, the tiled FW loop that is
+//!   both out-of-core and block-sparse, Johnson's Dijkstra sweep,
+//!   Δ-stepping, the distributed driver), a one-pass [`GraphProfile`], and a
 //!   calibrated cost-model planner behind `--algo auto` / `apsp plan` that
 //!   picks a solver and explains why — ineligibility is typed
 //!   ([`Ineligible`]), never a panic.
@@ -102,8 +103,9 @@ pub(crate) fn host_threads() -> usize {
 
 // Block-sparse Floyd-Warshall (the §7 direction, the paper's reference [31])
 // is `ooc::ooc_fw` over a store that holds a graph's all-∞ tiles absent; the
-// registry runs it as `sparse`. Its tests, on both store kinds, live here.
+// registry runs it as `ooc` (alias `sparse`), on a memory store unless a
+// budget forces a file. Its tests, on both store kinds, live here.
 #[cfg(test)]
 mod fw_sparse {
-    mod tests;
+    pub(crate) mod tests;
 }

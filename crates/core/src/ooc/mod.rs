@@ -517,7 +517,7 @@ where
 
 /// [`ingest`] `g` into the empty `f32` store `store`, run min-plus
 /// [`ooc_fw`], and [`export`] the closure — the first and last step under
-/// `ingest` and `export` spans. The body of the `ooc` and `sparse` solvers.
+/// `ingest` and `export` spans. The body of the `ooc` solver.
 pub fn solve_in_store(
     g: &Graph,
     store: &mut dyn TileStore,

@@ -706,6 +706,8 @@ impl Drop for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fw_sparse::tests::TempPath;
+    use proptest::prelude::*;
 
     /// Deterministic bit patterns, including ones that are NaNs or
     /// negative zeros when read as floats: the codec must move bits, not
@@ -767,6 +769,62 @@ mod tests {
             assert!(decode::<f32>(&blank, rows, cols).is_none(), "blank {rows}×{cols}");
             let blank = vec![0u8; tile_bytes::<u16>(rows, cols) as usize];
             assert!(decode::<u16>(&blank, rows, cols).is_none(), "blank u16 {rows}×{cols}");
+        }
+    }
+
+    /// The header and length `create` writes for an `n × n` f32 store.
+    fn created(n: usize, tile: usize) -> (Vec<u8>, u64) {
+        let tmp = TempPath::new();
+        drop(FileStore::create::<f32>(&tmp.0, n, tile).unwrap());
+        let bytes = std::fs::read(&tmp.0).unwrap();
+        (bytes[..FILE_HEADER].to_vec(), bytes.len() as u64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn open_accepts_only_a_header_and_length_create_could_have_written(
+            (n, tile) in (1usize..40, 1usize..12),
+            // 0: as written; 1: one byte xor-ed; 2–5: n, tile, slot or the
+            // elem field overwritten
+            (mutation, at, value) in (0usize..6, 0..FILE_HEADER, any::<u64>()),
+            // an overwritten field is `value % 64` (a plausible geometry)
+            // rather than any `u64`
+            small in any::<bool>(),
+            // the file's length: short of, at, or past the geometry's
+            len_delta in -600i64..600,
+        ) {
+            let (mut header, want) = created(n, tile);
+            let field = if small { value % 64 } else { value };
+            match mutation {
+                1 => header[at] ^= (value as u8).max(1),
+                2..=4 => {
+                    let o = 12 + 8 * (mutation - 2);
+                    header[o..o + 8].copy_from_slice(&field.to_le_bytes());
+                }
+                5 => header[8..12].copy_from_slice(&(field as u32).to_le_bytes()),
+                _ => {}
+            }
+            let len = (want as i64 + len_delta).max(0) as u64;
+            let tmp = TempPath::new();
+            let mut file = File::create(&tmp.0).unwrap();
+            file.write_all(&header[..FILE_HEADER.min(len as usize)]).unwrap();
+            file.set_len(len).unwrap();
+            drop(file);
+            match FileStore::open::<f32>(&tmp.0) {
+                Ok(store) => {
+                    // what `create` writes for the geometry that opened, over
+                    // no more bytes than the file holds
+                    let (again, created_len) = created(store.n(), store.tile());
+                    prop_assert_eq!(&again, &header);
+                    prop_assert!(created_len <= len, "{created_len} > {len}");
+                }
+                Err(_) => prop_assert!(
+                    mutation != 0 || len < want,
+                    "a header create wrote, over {len} ≥ {want} bytes, was refused"
+                ),
+            }
         }
     }
 }

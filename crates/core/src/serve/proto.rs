@@ -266,6 +266,7 @@ pub fn parse_dist_tok(tok: &str) -> Result<f32, String> {
 mod tests {
     use super::*;
     use apsp_graph::generators::{self, WeightKind};
+    use proptest::prelude::*;
 
     fn engine() -> Engine {
         let g = generators::erdos_renyi(16, 0.3, WeightKind::small_ints(), 5);
@@ -354,5 +355,53 @@ mod tests {
         assert!(q.close && !q.shutdown);
         let s = handle_line(&e, "shutdown").unwrap();
         assert!(s.close && s.shutdown);
+    }
+
+    /// First words of a hostile line: every verb, other spellings, junk.
+    const VERBS: [&str; 14] = [
+        "dist", "many", "path", "update", "epoch", "info", "quit", "shutdown", "DIST", "Update",
+        "frob", "#", "", "ü",
+    ];
+    /// Arguments besides the small vertices `0..=16` (16 is out of range):
+    /// huge, negative, signed zero, non-finite, beyond `f32`, fractional,
+    /// empty and non-ASCII.
+    const HOSTILE: [&str; 20] = [
+        "4294967296", "18446744073709551615", "18446744073709551616", "-1", "-7", "-0", "nan",
+        "NaN", "inf", "-inf", "1e40", "-1e40", "0.5", "2.25", "1e-40", "", "ü", "∞", "٣", "𝟙",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn hostile_lines_get_a_typed_reply_and_never_panic(
+            verb in 0..VERBS.len(),
+            args in prop_oneof![2 => 0usize..7, 1 => 0usize..41].prop_flat_map(|len| {
+                let token = prop_oneof![
+                    2 => (0usize..17).prop_map(|v| v.to_string()),
+                    1 => (0..HOSTILE.len()).prop_map(|i| HOSTILE[i].to_string()),
+                ];
+                proptest::collection::vec(token, len)
+            }),
+        ) {
+            // one engine across cases, so accepted updates pile up as they
+            // would on a long-lived server
+            static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
+            let e = ENGINE.get_or_init(engine);
+            let words: Vec<String> = std::iter::once(VERBS[verb].to_string()).chain(args).collect();
+            let line = words.join(" ");
+            match handle_line(e, &line) {
+                Some(r) => prop_assert!(
+                    (r.text == "bye" || r.text.starts_with("ok ") || r.text.starts_with("err "))
+                        && !r.text.contains('\n'),
+                    "{line:?} -> {:?}",
+                    r.text
+                ),
+                None => prop_assert!(
+                    line.split_whitespace().next().is_none_or(|w| w.starts_with('#')),
+                    "{line:?} got no reply"
+                ),
+            }
+        }
     }
 }

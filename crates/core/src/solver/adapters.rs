@@ -6,7 +6,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apsp_graph::delta_stepping::apsp_by_delta_stepping;
-use apsp_graph::dijkstra::apsp_by_dijkstra_threads;
 use apsp_graph::johnson::{johnson_apsp_threads, JohnsonError};
 use apsp_graph::Graph;
 use srgemm::{Matrix, MinPlusF32};
@@ -18,7 +17,7 @@ use crate::fw_seq::fw_seq;
 use crate::model::fw_flops;
 use crate::ooc::{
     choose_tile, solve_in_store, staged_budget_floor, FileStore, MemStore, OocConfig, OocError,
-    OocStats, TileStore,
+    TileStore,
 };
 use crate::quant::{self, QuantDtype, QuantPlan};
 
@@ -39,9 +38,7 @@ pub fn all() -> Vec<Box<dyn Solver>> {
         Box::new(Dc),
         Box::new(FwSeq),
         Box::new(Ooc),
-        Box::new(Sparse),
         Box::new(Johnson),
-        Box::new(Dijkstra),
         Box::new(DeltaStepping),
         Box::new(Dist),
     ]
@@ -49,6 +46,13 @@ pub fn all() -> Vec<Box<dyn Solver>> {
 
 fn solution(dist: Matrix<f32>, solver: &'static str, threads: usize) -> Solution {
     Solution { dist, solver, stats: SolverStats { threads, ..Default::default() } }
+}
+
+/// [`Graph::to_dense`] under a `to_dense` span: the `n × n` matrix a dense
+/// solver starts from.
+fn to_dense(g: &Graph) -> Matrix<f32> {
+    let _s = apsp_trace::span("to_dense");
+    g.to_dense()
 }
 
 /// Packed register-tiled blocked Floyd-Warshall (the paper's single-node
@@ -82,7 +86,7 @@ impl Solver for Blocked {
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
-        let mut d = g.to_dense();
+        let mut d = to_dense(g);
         fw_blocked_threads::<MinPlusF32>(&mut d, opts.block.max(1), DiagMethod::FwClosure, threads);
         Ok(solution(d, self.name(), threads))
     }
@@ -198,7 +202,7 @@ impl Solver for Dc {
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
-        let mut d = g.to_dense();
+        let mut d = to_dense(g);
         dc_apsp::<MinPlusF32>(&mut d, opts.block.max(1), threads);
         Ok(solution(d, self.name(), threads))
     }
@@ -233,31 +237,47 @@ impl Solver for FwSeq {
         _profile: &GraphProfile,
         _opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
-        let mut d = g.to_dense();
+        let mut d = to_dense(g);
         fw_seq::<MinPlusF32>(&mut d);
         Ok(solution(d, self.name(), 1))
     }
 }
 
 /// Out-of-core blocked FW: the matrix lives in a tile store of dense
-/// checksummed tiles (file-backed when the memory budget forces staging),
-/// and the driver walks the blocked-FW schedule under that budget. The only dense
-/// solver that stays eligible when `--memory-budget` is below the dense
-/// matrix size.
+/// checksummed tiles, and the driver walks the blocked-FW schedule under a
+/// budget. An off-diagonal tile without an edge is absent — never stored,
+/// skipped as an operand — until fill-in materializes it, so the same run is
+/// the block-sparse FW. The store is in memory unless the budget forces
+/// staging to a file ([`Ooc::mode`]); the only dense solver that stays
+/// eligible when `--memory-budget` is below the dense matrix size.
 struct Ooc;
 
+/// Where an [`Ooc`] run keeps its tiles.
+enum Mode {
+    /// A memory store at `--block`.
+    Memory,
+    /// A file store at the largest tile whose working set fits `budget`.
+    Staged { budget: u64 },
+}
+
 impl Ooc {
-    /// Resident bytes of an *in-memory* out-of-core run: the encoded tile
-    /// store (~dense), the decoded tile cache (~dense again), and scratch.
-    /// The margin keeps this mode honest — if it doesn't fit, the solver
-    /// stages to disk instead.
-    fn in_mem_bytes(dense_bytes: u64) -> u64 {
-        2 * dense_bytes + dense_bytes / 4
+    /// The one mode rule: a memory store when there is no budget or it
+    /// covers `2f + f/4` — the encoded tiles, the decoded cache beside them
+    /// (~the same again) and scratch — where `f` bounds the bytes of the
+    /// tiles the run materializes: the [`GraphProfile::fill_blocks`] fill
+    /// can reach, never more than the dense matrix. Staged otherwise.
+    fn mode(profile: &GraphProfile, opts: &SolveOpts) -> Mode {
+        match opts.memory_budget {
+            Some(budget) if budget < Self::in_mem_bytes(profile, opts) => Mode::Staged { budget },
+            _ => Mode::Memory,
+        }
     }
 
-    /// Staged when a budget exists and the in-memory footprint busts it.
-    fn staged_under(opts: &SolveOpts, dense_bytes: u64) -> Option<u64> {
-        opts.memory_budget.filter(|&b| b < Self::in_mem_bytes(dense_bytes))
+    /// `2f + f/4`, the resident bytes of a memory-store run (see [`Ooc::mode`]).
+    fn in_mem_bytes(profile: &GraphProfile, opts: &SolveOpts) -> u64 {
+        let b = opts.block.max(1) as u64;
+        let f = (profile.fill_blocks as u64 * b * b * 4).min(profile.dense_bytes);
+        2 * f + f / 4
     }
 
     /// A temp-dir path no other staged solve of this process has drawn:
@@ -269,20 +289,36 @@ impl Ooc {
             .join(format!("apsp-ooc-{}-{seq}-{n}x{tile}.tiles", std::process::id()))
     }
 
-    /// `ooc: <kind> store, tile …, peak resident … of budget …`.
-    fn note(stats: &OocStats, store: &dyn TileStore) -> String {
+    /// Ingest `g` into `store`, run the tiled FW loop under `budget`, export,
+    /// and leave the note: `ooc: <kind> store, tile …, P of N² tiles
+    /// materialized, G of D outer tile GEMMs, peak resident … of budget …`.
+    fn run(
+        &self,
+        g: &Graph,
+        store: &mut dyn TileStore,
+        budget: u64,
+        threads: usize,
+    ) -> Result<Solution, SolveError> {
+        let cfg = OocConfig { budget_bytes: budget, threads };
+        let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
+        let nb = stats.tiles_per_side as u64;
         let budget = match stats.budget_bytes {
             u64::MAX => "∞".to_string(),
             b => super::profile::human_bytes(b),
         };
-        format!(
-            "ooc: {} store, tile {} ({}×{} tiles), peak resident {} of budget {budget}",
+        let mut sol = solution(d, self.name(), threads);
+        sol.stats.notes.push(format!(
+            "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
+             {} of {} outer tile GEMMs, peak resident {} of budget {budget}",
             store.kind(),
             stats.tile,
-            stats.tiles_per_side,
-            stats.tiles_per_side,
+            store.present_tiles(),
+            nb * nb,
+            stats.outer_gemms,
+            nb * (nb - 1) * (nb - 1),
             super::profile::human_bytes(stats.peak_resident_bytes),
-        )
+        ));
+        Ok(sol)
     }
 }
 
@@ -291,27 +327,34 @@ impl Solver for Ooc {
         "ooc"
     }
     fn aliases(&self) -> &'static [&'static str] {
-        &["out-of-core", "staged"]
+        &["out-of-core", "staged", "sparse", "block-sparse"]
     }
     fn description(&self) -> &'static str {
-        "out-of-core blocked FW (tile store staged to disk under a RAM budget)"
+        "tiled FW over a tile store (all-∞ tiles skipped; staged to disk under a RAM budget)"
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        match Self::staged_under(opts, profile.dense_bytes) {
-            Some(budget) => match choose_tile::<f32>(profile.n, budget) {
+        match Self::mode(profile, opts) {
+            Mode::Memory => Self::in_mem_bytes(profile, opts),
+            Mode::Staged { budget } => match choose_tile::<f32>(profile.n, budget) {
                 Some(tile) => staged_budget_floor::<f32>(tile),
                 // nothing fits: report the smallest possible floor, which
                 // exceeds the budget and turns into a typed MemoryBudget row
                 None => staged_budget_floor::<f32>(8.min(profile.n.max(1))),
             },
-            None => Self::in_mem_bytes(profile.dense_bytes),
         }
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        let t = opts.effective_threads();
-        let compute = fw_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
-        match Self::staged_under(opts, profile.dense_bytes) {
-            Some(budget) => {
+        match Self::mode(profile, opts) {
+            Mode::Memory => {
+                let fill = profile.est_fill_work_ratio();
+                Estimate {
+                    seconds: fw_flops(profile.n) * T_FLOP_BLOCKED * fill,
+                    detail: format!("2n³ · t_blocked · {fill:.2} est. fill work"),
+                }
+            }
+            Mode::Staged { budget } => {
+                let t = opts.effective_threads();
+                let compute = fw_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
                 let tile = choose_tile::<f32>(profile.n, budget).unwrap_or(8);
                 let passes = profile.n.div_ceil(tile.max(1)) as f64;
                 // each block iteration re-reads and re-writes ~the matrix
@@ -323,25 +366,21 @@ impl Solver for Ooc {
                     ),
                 }
             }
-            None => Estimate {
-                seconds: compute,
-                detail: "2n³ · 1.15·t_packed / threads (tile-store overhead)".into(),
-            },
         }
     }
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        profile: &GraphProfile,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let (n, threads) = (g.n(), opts.effective_threads());
         if n == 0 {
             return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
         }
-        let Some(budget) = Self::staged_under(opts, (n * n * 4) as u64) else {
-            let mut store = mem_store(n, opts);
-            return tiled_solve(self.name(), g, &mut store, u64::MAX, threads, Self::note);
+        let Mode::Staged { budget } = Self::mode(profile, opts) else {
+            let mut store = MemStore::new::<f32>(n, opts.block.max(1).min(n));
+            return self.run(g, &mut store, u64::MAX, threads);
         };
         let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
             SolveError::Ooc(OocError::BudgetTooSmall {
@@ -353,110 +392,40 @@ impl Solver for Ooc {
         // exclusive create: a failure here leaves no file of ours
         let mut store =
             FileStore::create::<f32>(&path, n, tile).map_err(|e| SolveError::Ooc(e.into()))?;
-        let sol = tiled_solve(self.name(), g, &mut store, budget, threads, Self::note);
+        let sol = self.run(g, &mut store, budget, threads);
         drop(store);
         let _ = std::fs::remove_file(&path);
         sol
     }
 }
 
-/// The memory store `sparse`, and `ooc` without a budget, solve in: one
-/// tile per `opts.block` (clamped to `n ≥ 1`).
-fn mem_store(n: usize, opts: &SolveOpts) -> MemStore {
-    MemStore::new::<f32>(n, opts.block.max(1).min(n))
-}
-
-/// The body `ooc` and `sparse` share: ingest `g` into `store`, run the
-/// tiled FW loop under `budget` on `threads` kernel threads, export, and
-/// leave the note `note` makes of the run and the store.
-fn tiled_solve(
-    name: &'static str,
-    g: &Graph,
-    store: &mut dyn TileStore,
-    budget: u64,
-    threads: usize,
-    note: impl FnOnce(&OocStats, &dyn TileStore) -> String,
-) -> Result<Solution, SolveError> {
-    let cfg = OocConfig { budget_bytes: budget, threads };
-    let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
-    let mut sol = solution(d, name, threads);
-    sol.stats.notes.push(note(&stats, store));
-    Ok(sol)
-}
-
-/// Block-sparse FW: the `ooc` loop on a memory store, where an off-diagonal
-/// tile without an edge is absent — never stored, skipped as an operand —
-/// until fill-in materializes it.
-struct Sparse;
-
-impl Solver for Sparse {
-    fn name(&self) -> &'static str {
-        "sparse"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["block-sparse"]
-    }
-    fn description(&self) -> &'static str {
-        "block-sparse FW: the tiled loop skipping all-∞ tiles until fill-in"
-    }
-    fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        // fill stays within weak components, so the final block set is at
-        // most one dense matrix per component
-        let b = opts.block.max(1) as u64;
-        let input = profile.nnz_blocks as u64 * b * b * 4;
-        input.max(profile.dense_bytes / profile.weak_components.max(1) as u64)
-    }
-    fn estimate(&self, profile: &GraphProfile, _opts: &SolveOpts) -> Estimate {
-        Estimate {
-            seconds: fw_flops(profile.n) * T_FLOP_BLOCKED * profile.est_fill_work_ratio(),
-            detail: format!(
-                "2n³ · t_blocked · {:.2} est. fill work, serial",
-                profile.est_fill_work_ratio()
-            ),
-        }
-    }
-    fn solve(
-        &self,
-        g: &Graph,
-        _profile: &GraphProfile,
-        opts: &SolveOpts,
-    ) -> Result<Solution, SolveError> {
-        let (n, threads) = (g.n(), opts.effective_threads());
-        if n == 0 {
-            return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
-        }
-        tiled_solve(self.name(), g, &mut mem_store(n, opts), u64::MAX, threads, |stats, store| {
-            let nb = stats.tiles_per_side as u64;
-            format!(
-                "sparse: {} of {} tiles materialized, {} of {} outer tile GEMMs",
-                store.present_tiles(),
-                nb * nb,
-                stats.outer_gemms,
-                nb * (nb - 1) * (nb - 1)
-            )
-        })
-    }
-}
-
-/// Johnson's algorithm: Bellman-Ford potentials + one Dijkstra per source,
-/// parallel over sources. Handles negative edges (not negative cycles).
+/// Johnson's algorithm: one Dijkstra per source, parallel over sources,
+/// after Bellman-Ford potentials reweight the edges when some are negative
+/// (not negative cycles). Without a negative edge it is the plain sweep.
 struct Johnson;
 
 impl Solver for Johnson {
     fn name(&self) -> &'static str {
         "johnson"
     }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["dijkstra"]
+    }
     fn description(&self) -> &'static str {
-        "Johnson APSP (BF reweight + Dijkstra sweep, handles negative edges)"
+        "Johnson APSP (per-source Dijkstra sweep, BF reweight on negative edges)"
     }
     fn working_set_bytes(&self, profile: &GraphProfile, _opts: &SolveOpts) -> u64 {
         profile.dense_bytes + 12 * profile.m as u64
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        let bf = profile.n as f64 * profile.m as f64 * T_RELAX;
+        let sweep = sssp_sweep_seconds(profile, opts.effective_threads());
+        let detail = "n sweeps (m·t_relax + n·log₂n·t_heap)/threads";
+        if !profile.has_negative() {
+            return Estimate { seconds: sweep, detail: detail.into() };
+        }
         Estimate {
-            seconds: bf + sssp_sweep_seconds(profile, opts.effective_threads()),
-            detail: "n·m·t_relax BF + n sweeps (m·t_relax + n·log₂n·t_heap)/threads".into(),
+            seconds: profile.n as f64 * profile.m as f64 * T_RELAX + sweep,
+            detail: format!("n·m·t_relax BF + {detail}"),
         }
     }
     fn solve(
@@ -470,46 +439,6 @@ impl Solver for Johnson {
             JohnsonError::NegativeCycle => SolveError::NegativeCycle,
         })?;
         Ok(solution(d, self.name(), threads))
-    }
-}
-
-/// One Dijkstra per source, parallel over sources. Non-negative weights
-/// only.
-struct Dijkstra;
-
-impl Solver for Dijkstra {
-    fn name(&self) -> &'static str {
-        "dijkstra"
-    }
-    fn description(&self) -> &'static str {
-        "per-source Dijkstra sweep (non-negative weights)"
-    }
-    fn check(&self, profile: &GraphProfile, _opts: &SolveOpts) -> Result<(), Ineligible> {
-        if profile.has_negative() {
-            return Err(Ineligible::NegativeWeights {
-                count: profile.negative_edges,
-                min: profile.min_weight,
-            });
-        }
-        Ok(())
-    }
-    fn working_set_bytes(&self, profile: &GraphProfile, _opts: &SolveOpts) -> u64 {
-        profile.dense_bytes + 12 * profile.m as u64
-    }
-    fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        Estimate {
-            seconds: sssp_sweep_seconds(profile, opts.effective_threads()),
-            detail: "n sweeps (m·t_relax + n·log₂n·t_heap)/threads".into(),
-        }
-    }
-    fn solve(
-        &self,
-        g: &Graph,
-        _profile: &GraphProfile,
-        opts: &SolveOpts,
-    ) -> Result<Solution, SolveError> {
-        let threads = opts.effective_threads();
-        Ok(solution(apsp_by_dijkstra_threads(g, threads), self.name(), threads))
     }
 }
 
@@ -612,7 +541,7 @@ impl Solver for Dist {
         cfg.kernel_threads.get_or_insert(kernel_threads);
         let mut run = opts.dist_run.clone();
         run.workers.get_or_insert(workers);
-        let (d, _) = distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &g.to_dense(), None, &run)
+        let (d, _) = distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &to_dense(g), None, &run)
             .map_err(SolveError::Dist)?;
         let mut sol = solution(d, self.name(), threads);
         sol.stats.notes.push(format!(
@@ -677,7 +606,7 @@ mod tests {
     fn aliases_resolve_to_the_same_solver() {
         let reg = Registry::with_all();
         for (alias, canonical) in
-            [("dense", "blocked"), ("packed", "blocked"), ("seq", "fw"), ("block-sparse", "sparse"), ("delta-stepping", "delta"), ("out-of-core", "ooc"), ("staged", "ooc")]
+            [("dense", "blocked"), ("packed", "blocked"), ("seq", "fw"), ("sparse", "ooc"), ("block-sparse", "ooc"), ("dijkstra", "johnson"), ("delta-stepping", "delta"), ("out-of-core", "ooc"), ("staged", "ooc")]
         {
             assert_eq!(reg.get(alias).unwrap().name(), canonical, "{alias}");
         }
@@ -693,27 +622,6 @@ mod tests {
             }
             other => panic!("expected UnknownSolver, got {:?}", other.map(|s| s.name())),
         }
-    }
-
-    #[test]
-    fn dijkstra_and_delta_reject_negative_weights_with_typed_reason() {
-        let reg = Registry::with_all();
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 2.0).add_edge(1, 2, -1.5).add_edge(2, 3, 2.0);
-        let g = b.build();
-        let opts = SolveOpts::default();
-        for name in ["dijkstra", "delta"] {
-            match reg.solve(name, &g, &opts) {
-                Err(SolveError::Ineligible { solver, reason }) => {
-                    assert_eq!(solver, name);
-                    assert_eq!(reason, Ineligible::NegativeWeights { count: 1, min: -1.5 });
-                }
-                other => panic!("{name}: expected Ineligible, got {other:?}"),
-            }
-        }
-        // johnson handles the same graph (no negative cycle)
-        let want = reference(&g);
-        assert!(reg.solve("johnson", &g, &opts).unwrap().dist.eq_exact(&want));
     }
 
     #[test]
@@ -744,7 +652,7 @@ mod tests {
                 match reg.solve(name, &g, &opts) {
                     Err(SolveError::NegativeCycle) => {}
                     Err(SolveError::Ineligible { solver, .. }) => {
-                        assert!(["dijkstra", "delta", "quant"].contains(&solver), "{name}")
+                        assert!(["delta", "quant"].contains(&solver), "{name}")
                     }
                     other => panic!("{name}, block {block}: {:?}", other.map(|s| s.solver)),
                 }
@@ -825,6 +733,45 @@ mod tests {
         assert_ne!(plan.chosen, Some("ooc"));
     }
 
+    /// `Ooc::mode`'s `f` bounds what a memory-store run materializes whatever
+    /// the vertex ids. A connected grid with 100 unused ids spread through
+    /// and after its own is 101 weak components, yet its fill spans every
+    /// tile the grid touches: a budget below `2f + f/4` must stage, and the
+    /// staged run must stay under it.
+    #[test]
+    fn memory_mode_bound_covers_fill_across_interleaved_components() {
+        let grid = generators::grid(16, 16, WeightKind::small_ints(), 2);
+        // grid vertex v at id v + v/4: an unused id after every fourth
+        let mut b = GraphBuilder::new(356);
+        for (u, v, w) in grid.edges() {
+            b.add_edge(u + u / 4, v + v / 4, w);
+        }
+        let g = b.build();
+        let want = reference(&g);
+        let opts = SolveOpts { block: 8, threads: 1, ..Default::default() };
+        let profile = GraphProfile::compute(&g, opts.block);
+        assert_eq!(profile.weak_components, 101);
+        let mut store = MemStore::new::<f32>(g.n(), opts.block);
+        let cfg = OocConfig { budget_bytes: u64::MAX, threads: 1 };
+        let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+        assert!(d.eq_exact(&want));
+        assert!(store.present_tiles() <= profile.fill_blocks, "{profile:?}");
+        assert!(stats.peak_resident_bytes <= Ooc::in_mem_bytes(&profile, &opts), "{stats:?}");
+        // 256 KiB covers 2f + f/4 for f = max(present tiles, dense / weak
+        // components), and not the memory run's peak
+        let budget = 256 << 10;
+        let guess = (profile.nnz_blocks as u64 * 8 * 8 * 4).max(profile.dense_bytes / 101);
+        assert!(2 * guess + guess / 4 <= budget && stats.peak_resident_bytes > budget);
+        let opts = SolveOpts { memory_budget: Some(budget), ..opts };
+        assert!(matches!(Ooc::mode(&profile, &opts), Mode::Staged { .. }));
+        let sol = Registry::with_all().solve("ooc", &g, &opts).unwrap();
+        assert!(sol.dist.eq_exact(&want));
+        let note = sol.stats.notes.iter().find(|n| n.starts_with("ooc: file store")).unwrap();
+        let peak = note.split("peak resident ").nth(1).unwrap();
+        let kib: f64 = peak.strip_suffix(" KiB of budget 256.0 KiB").unwrap().parse().unwrap();
+        assert!(kib <= 256.0, "{note}");
+    }
+
     #[test]
     fn impossible_budget_is_a_typed_ooc_error() {
         let reg = Registry::with_all();
@@ -865,21 +812,28 @@ mod tests {
             block_size: block,
             nnz_blocks: n.div_ceil(block).pow(2),
             block_density: 1.0,
+            fill_blocks: n.div_ceil(block).pow(2),
             dense_bytes: (n * n * 4) as u64,
         };
         let grid = of(&generators::grid(64, 64, ints(), 2));
         let one_negative_edge = GraphProfile { negative_edges: 1, min_weight: -1.0, ..grid.clone() };
+        let multi = of(&generators::multi_component(2048, 16, ints(), 5));
         // family (n, density, weights and sign are the profile's), memory
         // budget, error tolerance → the planner's pick
         let rows = [
             // below the crossover (n ≈ 4k) dense FW wins even on grids
             ("grid 16×16", of(&generators::grid(16, 16, ints(), 2)), None, None, "blocked"),
             // road-like n = 4096: an SSSP sweep beats cubic work
-            ("grid 64×64", grid, None, None, "dijkstra"),
+            ("grid 64×64", grid, None, None, "johnson"),
             ("grid 64×64, a negative edge", one_negative_edge, None, None, "johnson"),
             // sparsest family: Δ-stepping's heap-free sweep (measured 2.4×)
             ("ring + chords 4096", of(&generators::ring_with_chords(4096, ints(), 3)), None, None, "delta"),
-            ("16 components 2048", of(&generators::multi_component(2048, 16, ints(), 5)), None, None, "sparse"),
+            // the benchmark's `sparse-auto` shape: delta 132.7 ms vs blocked 159.5
+            ("ring + chords 1536", of(&generators::ring_with_chords(1536, ints(), 3)), None, None, "delta"),
+            // fill never leaves a component: 64 of 1024 tiles, in memory…
+            ("16 components 2048", multi.clone(), None, None, "ooc"),
+            // …and staged once the budget is below 2f + f/4 (f = 1 MiB)
+            ("16 components 2048, budget 1 MiB", multi, Some(1 << 20), None, "ooc"),
             ("dense 4096", dense(4096, 9.0), None, None, "blocked"),
             // 4095 · 8 = 32 760 is below the lanes' sentinel 32 767; 9 is not
             ("dense 4096, weights fit u16", dense(4096, 8.0), None, Some(0.0), "quant"),
@@ -891,8 +845,13 @@ mod tests {
         for (row, profile, memory_budget, error_tolerance, want) in rows.clone() {
             let opts =
                 SolveOpts { block, threads: 1, memory_budget, error_tolerance, ..Default::default() };
+            let staged = memory_budget.is_some() && want == "ooc";
             let plan = reg.plan_for_profile(profile, &opts);
             assert_eq!(plan.chosen, Some(want), "{row}\n{}", plan.render());
+            if staged {
+                let est = &plan.entry("ooc").unwrap().outcome.as_ref().unwrap().detail;
+                assert!(est.ends_with("t_disk staged"), "{row}: {est}");
+            }
         }
         for s in reg.solvers() {
             assert!(
@@ -988,11 +947,11 @@ mod tests {
         let plan = reg.plan(&b.build(), &SolveOpts::default());
         let text = plan.render();
         assert!(text.contains("graph profile"), "{text}");
-        assert!(text.contains("dijkstra  ineligible: negative weights"), "{text}");
+        assert!(text.contains("delta     ineligible: negative weights"), "{text}");
         assert!(text.contains("never auto-selected"), "{text}"); // dist row
         assert!(text.contains("chosen: "), "{text}");
         // negative weights: only the FW family and johnson remain eligible
-        assert!(["blocked", "dc", "fw", "sparse", "johnson"].contains(&plan.chosen.unwrap()));
+        assert!(["blocked", "dc", "fw", "ooc", "johnson"].contains(&plan.chosen.unwrap()));
     }
 
     #[test]
@@ -1021,12 +980,11 @@ mod tests {
             ("blocked", base.clone(), None),
             ("dc", base.clone(), None),
             ("johnson", base.clone(), None),
-            ("dijkstra", base.clone(), None),
             ("delta", base.clone(), None),
             ("quant", SolveOpts { error_tolerance: Some(0.0), ..base.clone() }, Some("bit-exact")),
-            ("ooc", tile32.clone(), Some("memory store, tile 32")),
+            ("ooc", tile32.clone(), Some("memory store, tile 32 (3×3 tiles), 9 of 9 tiles materialized")),
             ("ooc", SolveOpts { memory_budget: Some(64 << 10), ..tile32 }, Some("file store, tile 32")),
-            ("sparse", base.clone(), Some("sparse: 144 of 144 tiles materialized")),
+            ("ooc", base.clone(), Some("memory store, tile 8 (12×12 tiles), 144 of 144 tiles materialized")),
             ("dist", base.clone(), Some("2x2 simulated grid")),
         ];
         for threads in [1, 2, 3] {

@@ -3,9 +3,10 @@
 //!
 //! The paper's pipeline is a single dense engine; real workloads are not
 //! uniformly dense. This module gives each algorithm — dense packed FW,
-//! blocked/divide-and-conquer FW, block-sparse FW, Johnson, per-source
-//! Dijkstra and Δ-stepping sweeps, and the simulated distributed
-//! driver — a common [`Solver`] surface: a typed eligibility `check`
+//! divide-and-conquer FW, the tiled FW loop (out-of-core and block-sparse in
+//! one), Johnson's per-source Dijkstra, Δ-stepping sweeps, and the
+//! simulated distributed driver — one registered name per code path and a
+//! common [`Solver`] surface: a typed eligibility `check`
 //! ([`Ineligible`]), a cost `estimate` fed by a one-pass [`GraphProfile`],
 //! and a `solve` returning a [`Solution`] with per-solver stats. The
 //! [`planner`] scores every registered solver and returns an explainable
@@ -30,7 +31,7 @@ pub use profile::GraphProfile;
 /// solver, so all three agree on block size and thread budget.
 #[derive(Clone, Debug)]
 pub struct SolveOpts {
-    /// Block size for the tiled solvers (blocked/dc/sparse/dist).
+    /// Block size for the tiled solvers (blocked/dc/ooc/dist).
     pub block: usize,
     /// Thread budget of the solve; `0` → all cores. Every solver spends
     /// its kernel threads, source sweeps or simulated ranks out of this
@@ -89,7 +90,7 @@ impl SolveOpts {
 /// planner's rendering) can react to the reason rather than parse a string.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Ineligible {
-    /// The algorithm requires non-negative weights (Dijkstra, Δ-stepping).
+    /// The algorithm requires non-negative weights (Δ-stepping).
     NegativeWeights {
         /// How many negative edges the profile counted.
         count: usize,

@@ -14,8 +14,10 @@
 //! has since improved: the packed dense kernel now measures ≈ 71 G
 //! semiring-flop/s on one core (1.4e-11 s/flop against `T_FLOP_PACKED` =
 //! 2.2e-11), `dc` measures 0.80–1.00× `blocked` at n ≤ 2048 where it is
-//! priced at 1.2×, and `sparse` wins grid n = 1024 by 1.85× where `auto`
-//! picks `blocked`. A Dijkstra sweep costs ~3 ns/relaxation + ~9 ns/heap
+//! priced at 1.2×, and `ooc` on a memory store (the block-sparse run) wins
+//! grid n = 1024 by 1.85× where `auto` picks `blocked`. One tiled loop is
+//! priced at two per-flop rates: `t_blocked` × fill in memory, 1.15 ×
+//! `t_packed` staged. A Dijkstra sweep costs ~3 ns/relaxation + ~9 ns/heap
 //! op and a Δ-stepping sweep ~45 ns/edge with no heap term, which is why
 //! Δ-stepping overtakes dense FW first on very sparse graphs (ring
 //! n = 4096: 0.91 s vs 2.15 s measured) while Dijkstra's n²·log n heap bill
@@ -42,9 +44,10 @@ pub const T_FLOP_PACKED: f64 = 2.2e-11;
 /// where it read 0.36–0.48. The value did not move; the solve did. Frozen
 /// with the rest (module header).
 pub const T_QUANT_U16: f64 = 1.2e-11;
-/// Seconds per FLOP of the block-sparse path — one small product per
-/// `b×b` block, each packing its own operands, so well below the dense
-/// engine's rate.
+/// Seconds per FLOP of `ooc` on a memory store, before the fill forecast
+/// scales it. Fitted to the block-sparse loop that `ooc` replaced (one small
+/// product per `b×b` block, each packing its own operands); frozen with the
+/// rest.
 pub const T_FLOP_BLOCKED: f64 = 8.0e-11;
 /// Seconds per FLOP of the sequential triple loop.
 pub const T_FLOP_SEQ: f64 = 1.55e-10;
@@ -221,6 +224,7 @@ mod tests {
             block_size: 64,
             nnz_blocks: 1,
             block_density: 1.0,
+            fill_blocks: 1,
             dense_bytes: (n * n * 4) as u64,
         };
         let sparse = mk(1000, 4000);

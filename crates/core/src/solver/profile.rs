@@ -1,13 +1,15 @@
 //! Graph feature profile: everything the planner needs to pick a solver,
-//! computed in one pass over the edges (plus one BFS for component count).
+//! computed in one pass over the edges (plus one union-find pass for the
+//! component count).
 
-use apsp_graph::components::weak_components;
+use apsp_graph::components::{weak_components, UnionFind};
 use apsp_graph::Graph;
 
 /// Structural and numeric features of a graph, extracted once and shared by
 /// every solver's eligibility check and cost estimate. All edge-derived
-/// fields come from a single `O(m)` sweep; the component count is one BFS,
-/// `O(n + m)`.
+/// fields come from a single `O(m)` sweep, which also joins blocks into the
+/// block graph's components; the vertex component count is one union-find
+/// pass, `O(n + m)`.
 #[derive(Clone, Debug)]
 pub struct GraphProfile {
     /// Vertex count.
@@ -22,7 +24,8 @@ pub struct GraphProfile {
     pub max_weight: f32,
     /// Mean edge weight (`0` when there are no edges).
     pub mean_weight: f64,
-    /// Any `w < 0` edge present — disqualifies Dijkstra and Δ-stepping.
+    /// Any `w < 0` edge present — disqualifies Δ-stepping and makes
+    /// Johnson pay its Bellman-Ford pass.
     pub negative_edges: usize,
     /// Every weight is a whole number — quantization (`--algo quant`) can
     /// be bit-exact instead of merely `eps`-bounded.
@@ -32,10 +35,15 @@ pub struct GraphProfile {
     /// Block size the block-occupancy fields below were measured at.
     pub block_size: usize,
     /// Blocks of the `block_size`-tiled distance matrix holding at least
-    /// one edge or diagonal entry — the block-sparse solver's input size.
+    /// one edge or diagonal entry — the tiles `ooc` ingests as present.
     pub nnz_blocks: usize,
     /// `nnz_blocks / nb²`.
     pub block_density: f64,
+    /// Blocks fill-in can reach: `Σ size²` over the weak components of the
+    /// block graph (blocks `I` and `J` joined when a present tile `(I, J)`
+    /// holds an edge). The tiled FW loop fills the present tiles' transitive
+    /// closure, so it never materializes more — whatever the vertex ids.
+    pub fill_blocks: usize,
     /// Bytes of one dense `n×n` f32 distance matrix.
     pub dense_bytes: u64,
 }
@@ -55,6 +63,7 @@ impl GraphProfile {
         // an edge into block column `bj`. O(nb) memory, no hashing.
         let mut offdiag_blocks = 0usize;
         let mut hit_from = vec![0usize; nb];
+        let mut block_graph = UnionFind::new(nb);
 
         for u in 0..n {
             let (targets, row_weights) = g.out_edges(u);
@@ -71,6 +80,7 @@ impl GraphProfile {
                     if bi != bj && hit_from[bj] != bi + 1 {
                         hit_from[bj] = bi + 1;
                         offdiag_blocks += 1;
+                        block_graph.union(bi as u32, bj as u32);
                     }
                 }
             }
@@ -80,6 +90,10 @@ impl GraphProfile {
         let (_, weak_components) = weak_components(g);
         // diagonal blocks always materialize (zero-seeded diagonal)
         let nnz_blocks = nb + offdiag_blocks;
+        let mut sizes = vec![0usize; nb];
+        for b in 0..nb {
+            sizes[block_graph.find(b as u32) as usize] += 1;
+        }
         GraphProfile {
             n,
             m,
@@ -93,6 +107,7 @@ impl GraphProfile {
             block_size: block,
             nnz_blocks,
             block_density: if nb > 0 { nnz_blocks as f64 / (nb as f64 * nb as f64) } else { 0.0 },
+            fill_blocks: sizes.iter().map(|s| s * s).sum(),
             dense_bytes: (n as u64) * (n as u64) * 4,
         }
     }
@@ -102,9 +117,10 @@ impl GraphProfile {
         self.negative_edges > 0
     }
 
-    /// Crude forecast of the fraction of dense block-GEMM work the
-    /// block-sparse solver will perform: fill-in grows occupancy toward
-    /// `√block_density → 1` on connected graphs, while disconnected
+    /// Crude forecast of the fraction of dense block-GEMM work the tiled
+    /// loop performs on a memory store, skipping absent tiles: fill-in
+    /// grows occupancy toward `√block_density → 1` on connected graphs,
+    /// while disconnected
     /// components bound it by `1/c²` (fill never crosses components, and
     /// each component's cube shrinks as `(1/c)³` summed over `c` columns of
     /// the elimination). Calibration, not a theorem — see DESIGN.md §13.
@@ -264,8 +280,35 @@ mod tests {
         assert!(p.est_fill_work_ratio() <= 1.0);
     }
 
+    /// Component sizes of the undirected graph on `0..n` with `pairs` as
+    /// edges, by flood fill.
+    fn flood_fill_sizes(n: usize, pairs: &[(usize, usize)]) -> Vec<usize> {
+        let mut seen = vec![false; n];
+        let mut sizes = Vec::new();
+        for root in 0..n {
+            if seen[root] {
+                continue;
+            }
+            seen[root] = true;
+            let (mut stack, mut size) = (vec![root], 0);
+            while let Some(x) = stack.pop() {
+                size += 1;
+                for &(u, v) in pairs {
+                    let next = if u == x { v } else if v == x { u } else { continue };
+                    if !seen[next] {
+                        seen[next] = true;
+                        stack.push(next);
+                    }
+                }
+            }
+            sizes.push(size);
+        }
+        sizes
+    }
+
     /// The profile spelled out edge by edge: a division and a `fract` per
-    /// edge, components by flood fill over the undirected adjacency.
+    /// edge, components by flood fill over the undirected adjacency of the
+    /// vertices and of the blocks.
     fn profile_edge_by_edge(g: &Graph, block: usize) -> GraphProfile {
         let (n, m) = (g.n(), g.m());
         let nb = n.div_ceil(block);
@@ -273,25 +316,10 @@ mod tests {
         let weights = || edges.iter().map(|e| e.2);
         let mut blocks: std::collections::BTreeSet<_> = (0..nb).map(|k| (k, k)).collect();
         blocks.extend(edges.iter().map(|&(u, v, _)| (u / block, v / block)));
-        let mut comp = vec![usize::MAX; n];
-        let mut weak_components = 0;
-        for root in 0..n {
-            if comp[root] != usize::MAX {
-                continue;
-            }
-            comp[root] = weak_components;
-            let mut stack = vec![root];
-            while let Some(x) = stack.pop() {
-                for &(u, v, _) in &edges {
-                    let next = if u == x { v } else if v == x { u } else { continue };
-                    if comp[next] == usize::MAX {
-                        comp[next] = weak_components;
-                        stack.push(next);
-                    }
-                }
-            }
-            weak_components += 1;
-        }
+        let pairs: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+        let weak_components = flood_fill_sizes(n, &pairs).len();
+        let block_pairs: Vec<_> = blocks.iter().copied().collect();
+        let fill_blocks = flood_fill_sizes(nb, &block_pairs).iter().map(|s| s * s).sum();
         GraphProfile {
             n,
             m,
@@ -305,6 +333,7 @@ mod tests {
             block_size: block,
             nnz_blocks: blocks.len(),
             block_density: if nb > 0 { blocks.len() as f64 / (nb * nb) as f64 } else { 0.0 },
+            fill_blocks,
             dense_bytes: (n * n * 4) as u64,
         }
     }
@@ -368,6 +397,7 @@ mod tests {
         let g = generators::multi_component(24, 3, WeightKind::small_ints(), 7);
         let p = GraphProfile::compute(&g, 4);
         assert_eq!(p.weak_components, 3);
+        assert_eq!(p.fill_blocks, 3 * 2 * 2); // each component spans two blocks
         let connected = generators::uniform_dense(24, WeightKind::small_ints(), 7);
         let pc = GraphProfile::compute(&connected, 4);
         assert!(p.est_fill_work_ratio() < pc.est_fill_work_ratio());

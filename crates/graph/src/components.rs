@@ -1,29 +1,34 @@
-//! Connected components and component-wise APSP.
+//! Weakly connected components.
 //!
 //! The paper (§2.1, §6): "On graphs with multiple components one may use
 //! graph connected-components algorithm \[30\], and perform Apsp on each
 //! connected component of the graph." No directed path crosses a *weak*
-//! component boundary, so solving each component independently and leaving
-//! `∞` across components is exact — and on a graph with `c` equal
-//! components it cuts the `O(n³)` dense cost by `c²`.
+//! component boundary, so the closure is `∞` across components. The solver
+//! profile counts them: the tiled FW loop gets the per-component saving
+//! without splitting the graph, because fill-in never crosses a component —
+//! a tile whose rows and columns lie in two different components stays
+//! absent. Components that share a tile do share its fill, so the profile
+//! bounds the fill with a [`UnionFind`] over tiles, not over vertices.
 
-use crate::graph::{Graph, GraphBuilder, INF};
+use crate::graph::Graph;
 
 /// Union-find with path halving and union by size.
-struct UnionFind {
+pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    /// `n` singleton sets.
+    pub fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
         }
     }
 
-    fn find(&mut self, mut x: u32) -> u32 {
+    /// The representative of `x`'s set.
+    pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
             x = self.parent[x as usize];
@@ -32,7 +37,7 @@ impl UnionFind {
     }
 
     /// Merge the sets of `a` and `b`; `true` if they were two sets.
-    fn union(&mut self, a: u32, b: u32) -> bool {
+    pub fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -80,65 +85,9 @@ pub fn weak_components(g: &Graph) -> (Vec<usize>, usize) {
     (comp, next)
 }
 
-/// Vertices per component, in ascending vertex order.
-pub fn component_members(comp: &[usize], count: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); count];
-    for (v, &c) in comp.iter().enumerate() {
-        out[c].push(v);
-    }
-    out
-}
-
-/// The induced subgraph on `members`, plus the local→global vertex map.
-pub fn induced_subgraph(g: &Graph, members: &[usize]) -> Graph {
-    let mut local_of = std::collections::HashMap::new();
-    for (li, &v) in members.iter().enumerate() {
-        local_of.insert(v, li);
-    }
-    let mut b = GraphBuilder::new(members.len());
-    for &u in members {
-        let (ts, ws) = g.out_edges(u);
-        for (&v, &w) in ts.iter().zip(ws) {
-            if let Some(&lv) = local_of.get(&(v as usize)) {
-                b.add_edge(local_of[&u], lv, w);
-            }
-        }
-    }
-    b.build()
-}
-
-/// Component-wise APSP: decompose into weak components, solve each with
-/// `solver` (a dense in-place APSP like blocked FW), and assemble the full
-/// matrix with `∞` across components. Returns the matrix and the component
-/// count.
-pub fn componentwise_apsp(
-    g: &Graph,
-    mut solver: impl FnMut(&mut srgemm::Matrix<f32>),
-) -> (srgemm::Matrix<f32>, usize) {
-    let n = g.n();
-    let (comp, count) = weak_components(g);
-    let members = component_members(&comp, count);
-    let mut out = srgemm::Matrix::filled(n, n, INF);
-    for i in 0..n {
-        out[(i, i)] = 0.0;
-    }
-    for m in &members {
-        let sub = induced_subgraph(g, m);
-        let mut d = sub.to_dense();
-        solver(&mut d);
-        for (li, &gi) in m.iter().enumerate() {
-            for (lj, &gj) in m.iter().enumerate() {
-                out[(gi, gj)] = d[(li, lj)];
-            }
-        }
-    }
-    (out, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::apsp_by_dijkstra;
     use crate::generators::{self, WeightKind};
 
     #[test]
@@ -166,32 +115,5 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[3], comp[0]);
-    }
-
-    #[test]
-    fn componentwise_apsp_matches_global_solve() {
-        let g = generators::multi_component(30, 3, WeightKind::small_ints(), 9);
-        let want = apsp_by_dijkstra(&g);
-        let (got, count) = componentwise_apsp(&g, |d| {
-            srgemm::closure::fw_closure::<srgemm::MinPlusF32>(&mut d.view_mut());
-        });
-        assert_eq!(count, 3);
-        assert!(want.eq_exact(&got));
-    }
-
-    #[test]
-    fn induced_subgraph_preserves_weights() {
-        let g = generators::multi_component(9, 3, WeightKind::small_ints(), 2);
-        let (comp, count) = weak_components(&g);
-        let members = component_members(&comp, count);
-        for m in &members {
-            let sub = induced_subgraph(&g, m);
-            assert_eq!(sub.n(), m.len());
-            for (li, &gu) in m.iter().enumerate() {
-                for (lj, &gv) in m.iter().enumerate() {
-                    assert_eq!(sub.weight(li, lj), g.weight(gu, gv));
-                }
-            }
-        }
     }
 }

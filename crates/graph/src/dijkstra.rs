@@ -87,15 +87,11 @@ pub fn apsp_by_dijkstra(g: &Graph) -> srgemm::Matrix<f32> {
     out
 }
 
-/// [`apsp_by_dijkstra`] with the sources fanned out over all cores — the
-/// embarrassingly parallel Johnson-style APSP the paper's related work (§6)
-/// compares against. Requires non-negative weights.
-pub fn apsp_by_dijkstra_parallel(g: &Graph) -> srgemm::Matrix<f32> {
-    apsp_by_dijkstra_threads(g, 0)
-}
-
-/// [`apsp_by_dijkstra_parallel`] capped at `threads` workers (`0` → all
-/// cores). Rows are bit-identical to the serial sweep for any thread count.
+/// [`apsp_by_dijkstra`] with the sources fanned out over at most `threads`
+/// workers (`0` → all cores) — the embarrassingly parallel Johnson-style
+/// APSP the paper's related work (§6) compares against. Requires
+/// non-negative weights. Rows are bit-identical to the serial sweep for any
+/// thread count.
 pub fn apsp_by_dijkstra_threads(g: &Graph, threads: usize) -> srgemm::Matrix<f32> {
     let n = g.n();
     let rows = crate::par_rows(n, threads, |s| dijkstra(g, s));
@@ -167,7 +163,7 @@ mod tests {
     fn parallel_apsp_matches_serial() {
         let g = generators::erdos_renyi(30, 0.2, WeightKind::small_ints(), 6);
         let serial = apsp_by_dijkstra(&g);
-        let parallel = apsp_by_dijkstra_parallel(&g);
+        let parallel = apsp_by_dijkstra_threads(&g, 0);
         assert!(serial.eq_exact(&parallel));
     }
 

@@ -4,10 +4,12 @@
 //! Bellman-Ford from a virtual super-source computes a potential `h`, edges
 //! are reweighted to `w'(u,v) = w(u,v) + h(u) − h(v) ≥ 0`, then one Dijkstra
 //! per source recovers the true distances. `O(mn + n² log n)` — beats dense
-//! Floyd-Warshall when `m = O(n)`.
+//! Floyd-Warshall when `m = O(n)`. Without a negative edge every potential
+//! is zero, so the reweighting is skipped and the sweep is plain per-source
+//! Dijkstra.
 
 use crate::bellman_ford::{bellman_ford, BellmanFord};
-use crate::dijkstra::dijkstra;
+use crate::dijkstra::{apsp_by_dijkstra_threads, dijkstra};
 use crate::graph::{Graph, GraphBuilder, INF};
 use srgemm::Matrix;
 
@@ -27,12 +29,14 @@ pub fn johnson_apsp(g: &Graph) -> Result<Matrix<f32>, JohnsonError> {
 /// capped at `threads` workers (`0` → all cores; callers sharing the
 /// machine pass their budget). Every source's row is produced by the
 /// same code path in the same float-op order as the serial sweep, so the
-/// result is bit-identical for any thread count.
+/// result is bit-identical for any thread count. On a graph without a
+/// negative edge this is [`apsp_by_dijkstra_threads`]: Bellman-Ford and the
+/// reweighted copy run only when some edge needs them.
 pub fn johnson_apsp_threads(g: &Graph, threads: usize) -> Result<Matrix<f32>, JohnsonError> {
-    let n = g.n();
-    if n == 0 {
-        return Ok(Matrix::filled(0, 0, INF));
+    if !g.edges().any(|(_, _, w)| w < 0.0) {
+        return Ok(apsp_by_dijkstra_threads(g, threads));
     }
+    let n = g.n();
 
     // augmented graph: super-source n with zero edges to everyone
     let mut aug = GraphBuilder::new(n + 1);
@@ -132,27 +136,34 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_bit_for_bit() {
-        // negative edges included: the potential shift h[s]/h[t] is live
-        let mut b = GraphBuilder::new(30);
-        let mut state = 99u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state
-        };
-        for i in 0..29 {
-            b.add_edge(i, i + 1, ((next() % 100) as f32) / 7.0 - 1.0);
-        }
-        for _ in 0..60 {
-            let (u, v) = ((next() % 30) as usize, (next() % 30) as usize);
-            if u < v {
-                b.add_edge(u, v, ((next() % 100) as f32) / 7.0 - 1.0);
+        // fractional weights shifted by −1 (negative edges: the potential
+        // shift h[s]/h[t] is live) and by 0 (no negative edge: the plain
+        // Dijkstra sweep, which must equal `apsp_by_dijkstra`)
+        for shift in [-1.0, 0.0] {
+            let mut b = GraphBuilder::new(30);
+            let mut state = 99u64;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                state
+            };
+            for i in 0..29 {
+                b.add_edge(i, i + 1, ((next() % 100) as f32) / 7.0 + shift);
             }
-        }
-        let g = b.build();
-        let serial = johnson_apsp(&g).unwrap();
-        for threads in [0, 2, 3, 7] {
-            let par = johnson_apsp_threads(&g, threads).unwrap();
-            assert!(serial.eq_exact(&par), "threads={threads}");
+            for _ in 0..60 {
+                let (u, v) = ((next() % 30) as usize, (next() % 30) as usize);
+                if u < v {
+                    b.add_edge(u, v, ((next() % 100) as f32) / 7.0 + shift);
+                }
+            }
+            let g = b.build();
+            let serial = johnson_apsp(&g).unwrap();
+            if shift == 0.0 {
+                assert!(serial.eq_exact(&apsp_by_dijkstra(&g)));
+            }
+            for threads in [0, 2, 3, 7] {
+                let par = johnson_apsp_threads(&g, threads).unwrap();
+                assert!(serial.eq_exact(&par), "shift={shift} threads={threads}");
+            }
         }
     }
 

@@ -62,11 +62,10 @@ where
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bellman_ford::bellman_ford;
-    pub use crate::components::{componentwise_apsp, weak_components};
+    pub use crate::components::weak_components;
     pub use crate::delta_stepping::{apsp_by_delta_stepping, delta_stepping};
     pub use crate::dijkstra::{
-        apsp_by_dijkstra, apsp_by_dijkstra_parallel, apsp_by_dijkstra_threads, dijkstra,
-        dijkstra_with_parents,
+        apsp_by_dijkstra, apsp_by_dijkstra_threads, dijkstra, dijkstra_with_parents,
     };
     pub use crate::generators::{self, GraphKind};
     pub use crate::graph::{Graph, GraphBuilder, INF};
