@@ -21,8 +21,6 @@ fn main() {
     );
 
     let buffers = [512usize, 1024, 2048, 4096];
-    let mut headers = vec![("block", 6)];
-    headers.extend(buffers.iter().map(|_| ("", 0)));
     let table = Table::new(&[
         ("block", 6),
         ("mx=512", 9),
@@ -31,15 +29,14 @@ fn main() {
         ("mx=4k", 9),
         ("%peak@2k", 9),
     ]);
-    let _ = headers;
 
     for k in [128usize, 256, 512, 768, 1024, 2048] {
         let mut cells = vec![k.to_string()];
         let mut at2k = 0.0;
         for &mx in &buffers {
             let cfg = OogConfig::new(mx, mx, 4);
-            let out = oog_srgemm_model(&gpu, &cfg, n, n, k, 4).expect("fits on device");
-            let gf = out.gflops();
+            let secs = oog_srgemm_model(&gpu, &cfg, n, n, k, 4).expect("fits on device");
+            let gf = 2.0 * n as f64 * n as f64 * k as f64 / secs / 1e9;
             if mx == 2048 {
                 at2k = gf;
             }

@@ -26,6 +26,6 @@ pub mod task;
 pub mod trace;
 
 pub use engine::{run, try_run, try_run_with_faults, EngineError, ResourceFault, Schedule};
-pub use trace::{chrome_trace, gantt};
+pub use trace::chrome_trace;
 pub use machine::{Cluster, MachineSpec};
 pub use task::{ResourceId, TaskGraph, TaskId};

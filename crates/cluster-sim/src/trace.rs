@@ -1,53 +1,13 @@
-//! ASCII Gantt rendering of a finished [`crate::engine::Schedule`] — the
-//! debugging view used when tuning the variant schedules (which task
-//! blocked which resource, where the pipeline bubbles are) — plus its
-//! Chrome trace_events export.
+//! Chrome trace_events export of a finished [`crate::engine::Schedule`] —
+//! the schedule view used when tuning the variant schedules (which task
+//! blocked which resource, where the pipeline bubbles are).
 
 use apsp_trace::{Span, Timeline, Trace};
 
 use crate::engine::Schedule;
 use crate::task::{TaskGraph, TaskId};
 
-/// Render up to `max_resources` resource timelines as `width`-column ASCII
-/// bars. Each `#` is busy time, `.` idle; the header shows the makespan.
-pub fn gantt(graph: &TaskGraph, sched: &Schedule, width: usize, max_resources: usize) -> String {
-    let width = width.max(10);
-    let mut out = String::new();
-    let span = sched.makespan.max(1e-12);
-    out.push_str(&format!("makespan: {:.6e} s\n", sched.makespan));
-
-    let nres = graph.num_resources() as usize;
-    for r in 0..nres.min(max_resources) {
-        let mut cols = vec!['.'; width];
-        for (i, t) in graph.tasks().enumerate() {
-            if t == r {
-                let (s, f) = (sched.start[i], sched.finish[i]);
-                let lo = ((s / span) * width as f64).floor() as usize;
-                let hi = (((f / span) * width as f64).ceil() as usize).min(width);
-                for c in cols.iter_mut().take(hi).skip(lo.min(width)) {
-                    *c = '#';
-                }
-            }
-        }
-        let busy = sched.busy[r];
-        out.push_str(&format!(
-            "r{r:<3} |{}| {:5.1}%\n",
-            cols.iter().collect::<String>(),
-            100.0 * busy / span
-        ));
-    }
-    if nres > max_resources {
-        out.push_str(&format!("… {} more resources\n", nres - max_resources));
-    }
-    out
-}
-
 impl TaskGraph {
-    /// Resource index of each task, in task order (for trace rendering).
-    pub fn tasks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.tasks.iter().map(|t| t.resource.0 as usize)
-    }
-
     /// Number of registered resources.
     pub fn num_resources(&self) -> u32 {
         self.num_resources
@@ -86,23 +46,6 @@ mod tests {
     use crate::engine::run;
 
     #[test]
-    fn gantt_shows_busy_and_idle() {
-        let mut g = TaskGraph::new();
-        let r1 = g.resource();
-        let r2 = g.resource();
-        let a = g.task(r1, 1.0, 0, &[]);
-        g.task(r2, 1.0, 0, &[a]); // r2 idles the first half
-        let s = run(&g);
-        let txt = gantt(&g, &s, 20, 8);
-        assert!(txt.contains("makespan"));
-        assert!(txt.contains("r0"));
-        assert!(txt.contains("r1"));
-        // r1 is ~50% busy, r0 ~50% too (each one of two seconds)
-        assert!(txt.matches('#').count() >= 20);
-        assert!(txt.contains('.'));
-    }
-
-    #[test]
     fn chrome_trace_labels_tasks_and_resources() {
         let mut g = TaskGraph::new();
         let r1 = g.resource();
@@ -122,17 +65,5 @@ mod tests {
         assert!(json.contains("\"r1\"")); // fallback name
         // second task starts after the first: ts = 1.0 s = 1e6 µs
         assert!(json.contains("\"ts\":1000000.000"));
-    }
-
-    #[test]
-    fn gantt_truncates_resource_list() {
-        let mut g = TaskGraph::new();
-        for _ in 0..5 {
-            let r = g.resource();
-            g.task(r, 1.0, 0, &[]);
-        }
-        let s = run(&g);
-        let txt = gantt(&g, &s, 10, 2);
-        assert!(txt.contains("3 more resources"));
     }
 }

@@ -1,4 +1,6 @@
-//! The simulated device: capacity-limited memory and engine clocks.
+//! The simulated device: a memory capacity and engine clocks. It holds no
+//! data — the offload computes from host memory — so capacity is decided by
+//! the offload's preflight against [`GpuSpec::mem_bytes`].
 
 use std::sync::Arc;
 
@@ -6,13 +8,12 @@ use parking_lot::Mutex;
 
 use crate::spec::GpuSpec;
 
-/// Allocation failure: the device is out of memory. Carries the request and
-/// the headroom at the time of the attempt.
+/// The device is out of memory. Carries the request and the device size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Oom {
     /// Bytes requested.
     pub requested: u64,
-    /// Bytes that were still free.
+    /// Bytes the device holds.
     pub available: u64,
 }
 
@@ -39,28 +40,20 @@ pub(crate) struct Engines {
     pub host: f64,
 }
 
-pub(crate) struct GpuState {
-    pub used: u64,
-    pub engines: Engines,
-}
+const IDLE: Engines = Engines { gemm: 0.0, h2d: 0.0, d2h: 0.0, host: 0.0 };
 
-/// A simulated GPU: allocator + engine clocks. Cheap to clone (shared state).
+/// A simulated GPU: a spec and its engine clocks. Cheap to clone (shared
+/// clocks).
 #[derive(Clone)]
 pub struct SimGpu {
     pub(crate) spec: GpuSpec,
-    pub(crate) state: Arc<Mutex<GpuState>>,
+    pub(crate) engines: Arc<Mutex<Engines>>,
 }
 
 impl SimGpu {
     /// A device with the given spec, all engines at time zero.
     pub fn new(spec: GpuSpec) -> Self {
-        SimGpu {
-            spec,
-            state: Arc::new(Mutex::new(GpuState {
-                used: 0,
-                engines: Engines { gemm: 0.0, h2d: 0.0, d2h: 0.0, host: 0.0 },
-            })),
-        }
+        SimGpu { spec, engines: Arc::new(Mutex::new(IDLE)) }
     }
 
     /// The device's spec.
@@ -68,133 +61,31 @@ impl SimGpu {
         &self.spec
     }
 
-    /// Bytes currently allocated.
-    pub fn used_bytes(&self) -> u64 {
-        self.state.lock().used
-    }
-
-    /// Bytes still free.
-    pub fn free_bytes(&self) -> u64 {
-        self.spec.mem_bytes - self.used_bytes()
-    }
-
-    /// Allocate an `len`-element device buffer of `T`, zero-initialized with
-    /// `fill`. Fails with [`Oom`] when the device is full — the condition
-    /// that forces the offload algorithm.
-    pub fn alloc<T: Copy>(&self, len: usize, fill: T) -> Result<DeviceBuffer<T>, Oom> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        {
-            let mut st = self.state.lock();
-            let available = self.spec.mem_bytes - st.used;
-            if bytes > available {
-                return Err(Oom { requested: bytes, available });
-            }
-            st.used += bytes;
-        }
-        Ok(DeviceBuffer {
-            data: Mutex::new(vec![fill; len]),
-            bytes,
-            gpu: self.state.clone(),
-        })
-    }
-
     /// Simulated wall-clock so far: the furthest-ahead engine.
     pub fn now(&self) -> f64 {
-        let st = self.state.lock();
-        st.engines
-            .gemm
-            .max(st.engines.h2d)
-            .max(st.engines.d2h)
-            .max(st.engines.host)
+        let e = self.engines.lock();
+        e.gemm.max(e.h2d).max(e.d2h).max(e.host)
     }
 
-    /// Reset all engine clocks (memory stays allocated). Benches reuse one
-    /// device across measurements.
+    /// Reset all engine clocks. Benches reuse one device across
+    /// measurements.
     pub fn reset_clocks(&self) {
-        let mut st = self.state.lock();
-        st.engines = Engines { gemm: 0.0, h2d: 0.0, d2h: 0.0, host: 0.0 };
+        *self.engines.lock() = IDLE;
     }
 
     /// Advance the host engine to at least `t` and charge `dur` seconds of
     /// host-memory work; returns the completion time. Used by the offload
     /// engine's `hostUpdate`.
     pub(crate) fn host_work(&self, ready_at: f64, dur: f64) -> f64 {
-        let mut st = self.state.lock();
-        let start = st.engines.host.max(ready_at);
-        st.engines.host = start + dur;
-        st.engines.host
-    }
-}
-
-/// Memory on the simulated device. The backing store is host RAM (there is
-/// no real GPU), but its size is charged against the device's capacity and
-/// the data is only reachable through stream operations — the same contract
-/// CUDA device pointers give you.
-pub struct DeviceBuffer<T> {
-    pub(crate) data: Mutex<Vec<T>>,
-    bytes: u64,
-    gpu: Arc<Mutex<GpuState>>,
-}
-
-impl<T> std::fmt::Debug for DeviceBuffer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceBuffer").field("bytes", &self.bytes).finish()
-    }
-}
-
-impl<T: Copy> DeviceBuffer<T> {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.lock().len()
-    }
-
-    /// True for zero-length buffers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Allocated bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.gpu.lock().used -= self.bytes;
+        let mut e = self.engines.lock();
+        e.host = e.host.max(ready_at) + dur;
+        e.host
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn alloc_charges_and_drop_releases() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny()); // 1 MiB
-        assert_eq!(gpu.used_bytes(), 0);
-        let buf = gpu.alloc::<f32>(1024, 0.0).unwrap();
-        assert_eq!(gpu.used_bytes(), 4096);
-        assert_eq!(buf.size_bytes(), 4096);
-        drop(buf);
-        assert_eq!(gpu.used_bytes(), 0);
-    }
-
-    #[test]
-    fn oom_when_capacity_exceeded() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
-        let _keep = gpu.alloc::<u8>(1 << 20, 0).unwrap(); // fills the device
-        let err = gpu.alloc::<u8>(1, 0).unwrap_err();
-        assert_eq!(err, Oom { requested: 1, available: 0 });
-    }
-
-    #[test]
-    fn oom_reports_partial_headroom() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
-        let _half = gpu.alloc::<u8>(1 << 19, 0).unwrap();
-        let err = gpu.alloc::<u8>(1 << 20, 0).unwrap_err();
-        assert_eq!(err.available, 1 << 19);
-    }
 
     #[test]
     fn clocks_start_at_zero() {
