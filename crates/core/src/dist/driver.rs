@@ -160,7 +160,8 @@ pub(super) fn run<S: Semiring>(
         {
             // OuterUpdate(k) over the whole local matrix (re-touching the
             // k-th strips, and under look-ahead the (k+1)-th ones relaxed
-            // with these same panels, is a no-op — see `fw_blocked`'s docs)
+            // with these same panels, is a no-op in an idempotent semiring
+            // once the diagonal block is closed)
             let _p = span("OuterUpdate");
             if !look_ahead {
                 packed = outer.pack::<S>(&panels.row_panel.view());

@@ -2,24 +2,25 @@
 //!
 //! Per block-iteration `k`: DiagUpdate closes `A(k,k)`, PanelUpdate fixes the
 //! k-th block row and column, and the MinPlus outer product updates the rest
-//! of the matrix. The outer product here is one big
-//! `A ← A ⊕ A(:,k) ⊗ A(k,:)` GEMM over the *whole* matrix: re-touching the
-//! already-updated k-th row/column with a closed diagonal is an exact no-op
-//! in any idempotent semiring (see `outer_product_is_idempotent_on_panels`),
-//! so correctness is unchanged while the update becomes a single GEMM that
-//! splits into row slabs — the same trade the GPU implementation makes by
-//! launching one large SRGEMM instead of one kernel per block.
+//! of the matrix. Every phase runs in place on views of the matrix, split
+//! into the 3 × 3 bands around block `k`: the diagonal block is read as a
+//! view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k` as up to
+//! four quadrant GEMMs (above/below × left/right of block `k`), each taking
+//! its `A` straight from the column panel beside it.
 //!
-//! The outer product consumes the row panel through a [`PackedB`]: the
-//! panel is packed into the micro-kernel's tiled layout **once per
-//! iteration** (reusing one allocation across all `nb` iterations via
-//! [`PackedB::repack`]) and streamed by every row slab of the GEMM, at any
-//! thread count — the single-node form of the per-`k` panel reuse the
-//! distributed driver performs on its broadcast panels.
+//! The outer product consumes the two halves of the row panel (left and
+//! right of the diagonal block) through two [`PackedB`]s, packed from the
+//! matrix into the micro-kernel's tiled layout **once per iteration**
+//! (reusing their allocations across all `nb` iterations via
+//! [`PackedB::repack`]) and streamed by the two quadrants below and above
+//! them and every row slab of those GEMMs, at any thread count — the
+//! single-node form of the per-`k` panel reuse the distributed driver
+//! performs on its broadcast panels. That repack is the iteration's only
+//! copy.
 //!
 //! Each iteration opens the paper's phase spans (`DiagUpdate`,
-//! `PanelUpdate`, `OuterUpdate`, with the panel copies and the repack as
-//! `pack` inside the last) on the calling thread's `apsp_trace` recorder.
+//! `PanelUpdate`, `OuterUpdate`, with the repack as `pack` inside the last)
+//! on the calling thread's `apsp_trace` recorder.
 
 use apsp_trace::span;
 use srgemm::closure::{fw_closure, fw_closure_squaring};
@@ -70,61 +71,57 @@ pub fn fw_blocked_threads<S: Semiring>(
         return;
     }
     let nb = n.div_ceil(b);
-    // One packed-B buffer for the whole run: repacked (allocation reused)
-    // with each iteration's row panel, shared by every slab of the GEMM.
-    let mut packed_row: Option<PackedB<S::Elem>> = None;
+    // The row panel's left and right halves, packed into these two buffers
+    // each iteration (allocations reused); empty until the first repack.
+    let mut left_b = PackedB::pack::<S>(&d.subview(0, 0, 0, 0));
+    let mut right_b = PackedB::pack::<S>(&d.subview(0, 0, 0, 0));
 
     for k in 0..nb {
         let k0 = k * b;
         let bk = b.min(n - k0);
+        // The 3 × 3 bands around block k; at k = 0 the top row and left
+        // column of them are empty, at k = nb − 1 the bottom and right.
+        let (top, rest) = d.view_mut().split_rows_mut(k0);
+        let (row_k, bottom) = rest.split_rows_mut(bk);
+        let (mut top_left, rest) = top.split_cols_mut(k0);
+        let (mut top_k, mut top_right) = rest.split_cols_mut(bk);
+        let (mut k_left, rest) = row_k.split_cols_mut(k0);
+        let (mut diag_k, mut k_right) = rest.split_cols_mut(bk);
+        let (mut bottom_left, rest) = bottom.split_cols_mut(k0);
+        let (mut bottom_k, mut bottom_right) = rest.split_cols_mut(bk);
 
         // ----- DiagUpdate -----
         {
             let _p = span("DiagUpdate");
-            let mut dblk = d.subview_mut(k0, k0, bk, bk);
             match diag {
-                DiagMethod::FwClosure => fw_closure::<S>(&mut dblk),
-                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut dblk, threads),
+                DiagMethod::FwClosure => fw_closure::<S>(&mut diag_k),
+                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut diag_k, threads),
             }
         }
         // ----- PanelUpdate -----
-        let panel_update = span("PanelUpdate");
-        let diag_snapshot = d.block(k0, k0, bk, bk);
-        // row panel A(k, :) — everything left and right of the diagonal block
-        if k0 > 0 {
-            let mut left = d.subview_mut(k0, 0, bk, k0);
-            panel_update_left::<S>(&mut left, &diag_snapshot.view());
+        {
+            let _p = span("PanelUpdate");
+            let diag_k = diag_k.as_view();
+            // row panel A(k, :): left and right of the diagonal block
+            panel_update_left::<S>(&mut k_left, &diag_k);
+            panel_update_left::<S>(&mut k_right, &diag_k);
+            // column panel A(:, k): above and below it
+            panel_update_right::<S>(&mut top_k, &diag_k);
+            panel_update_right::<S>(&mut bottom_k, &diag_k);
         }
-        if k0 + bk < n {
-            let mut right = d.subview_mut(k0, k0 + bk, bk, n - k0 - bk);
-            panel_update_left::<S>(&mut right, &diag_snapshot.view());
-        }
-        // column panel A(:, k)
-        if k0 > 0 {
-            let mut top = d.subview_mut(0, k0, k0, bk);
-            panel_update_right::<S>(&mut top, &diag_snapshot.view());
-        }
-        if k0 + bk < n {
-            let mut bottom = d.subview_mut(k0 + bk, k0, n - k0 - bk, bk);
-            panel_update_right::<S>(&mut bottom, &diag_snapshot.view());
-        }
-        drop(panel_update);
 
-        // ----- MinPlus outer product -----
-        // snapshot the k-th block column and row, then one full-matrix GEMM
+        // ----- MinPlus outer product, i ∉ k and j ∉ k -----
         let _p = span("OuterUpdate");
-        let pack = span("pack");
-        let col_panel = d.block(0, k0, n, bk);
-        let row_panel = d.block(k0, 0, bk, n);
-        let pb = match packed_row.as_mut() {
-            Some(pb) => {
-                pb.repack::<S>(&row_panel.view());
-                pb
-            }
-            None => packed_row.insert(PackedB::pack::<S>(&row_panel.view())),
-        };
-        drop(pack);
-        gemm_packed_threads::<S>(&mut d.view_mut(), &col_panel.view(), pb, threads);
+        {
+            let _pack = span("pack");
+            left_b.repack::<S>(&k_left.as_view());
+            right_b.repack::<S>(&k_right.as_view());
+        }
+        let (top_k, bottom_k) = (top_k.as_view(), bottom_k.as_view());
+        gemm_packed_threads::<S>(&mut top_left, &top_k, &left_b, threads);
+        gemm_packed_threads::<S>(&mut top_right, &top_k, &right_b, threads);
+        gemm_packed_threads::<S>(&mut bottom_left, &bottom_k, &left_b, threads);
+        gemm_packed_threads::<S>(&mut bottom_right, &bottom_k, &right_b, threads);
     }
 }
 
@@ -133,12 +130,46 @@ mod tests {
     use super::*;
     use crate::fw_seq::fw_seq;
     use apsp_graph::generators::{self, WeightKind};
-    use srgemm::gemm::gemm_naive;
-    use srgemm::semiring::{MaxMin, MinPlus};
+    use srgemm::semiring::{MaxMin, MinPlusSatU16};
     use srgemm::MinPlusF32;
 
     fn dense(n: usize, seed: u64) -> Matrix<f32> {
         generators::uniform_dense(n, WeightKind::small_ints(), seed).to_dense()
+    }
+
+    /// `fw_blocked_threads` bit for bit against `fw_seq` at ragged n, with
+    /// blocks of 1, 7, n − 1, n and n + 5 on 1–3 threads: the quadrants
+    /// above and left of block k are empty at k = 0, those below and right
+    /// at the last (ragged) block, and b ≥ n is one diagonal block alone.
+    /// `edge` maps a hash to an edge value; a third of the pairs get one.
+    fn assert_matches_seq<S: Semiring>(edge: impl Fn(u64) -> S::Elem) {
+        for n in [2usize, 37, 100] {
+            let base = Matrix::from_fn(n, n, |i, j| {
+                let h = ((i * n + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if i != j && h.is_multiple_of(3) { edge(h >> 2) } else { S::zero() }
+            });
+            let mut want = base.clone();
+            fw_seq::<S>(&mut want);
+            for b in [1, 7, n - 1, n, n + 5] {
+                for threads in 1..=3 {
+                    let mut got = base.clone();
+                    fw_blocked_threads::<S>(&mut got, b, DiagMethod::FwClosure, threads);
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "{} n={n} b={b} threads={threads}",
+                        S::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadrant_outer_update_matches_sequential_per_semiring() {
+        assert_matches_seq::<MinPlusF32>(|h| (h % 100 + 1) as f32);
+        assert_matches_seq::<MinPlusSatU16>(|h| (h % 100 + 1) as u16);
+        assert_matches_seq::<MaxMin<f32>>(|h| (h % 50) as f32);
     }
 
     #[test]
@@ -166,8 +197,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // n = 256 at block 64: the smallest full-width GEMM that splits
-        let base = dense(256, 3);
+        // n = 384 at block 64: the 320 × 320 × 64 quadrant at k = 0 splits
+        // (at n = 256 the largest, 192 × 192 × 64, would not)
+        let base = dense(384, 3);
         let mut a = base.clone();
         let mut b = base.clone();
         fw_blocked_threads::<MinPlusF32>(&mut a, 64, DiagMethod::FwClosure, 1);
@@ -204,42 +236,6 @@ mod tests {
         let mut got = m.clone();
         fw_blocked_threads::<WP>(&mut got, 6, DiagMethod::FwClosure, 1);
         assert!(want.eq_exact(&got));
-    }
-
-    #[test]
-    fn outer_product_is_idempotent_on_panels() {
-        // the doc-comment claim: re-applying the outer product to the k-th
-        // row/col after PanelUpdate changes nothing
-        let base = dense(24, 7);
-        let mut d = base.clone();
-        let b = 8;
-        // run one manual iteration k=0 with the full-matrix outer product
-        {
-            let mut blk = d.subview_mut(0, 0, b, b);
-            fw_closure::<MinPlus<f32>>(&mut blk);
-        }
-        let diag = d.block(0, 0, b, b);
-        {
-            let mut right = d.subview_mut(0, b, b, 24 - b);
-            panel_update_left::<MinPlus<f32>>(&mut right, &diag.view());
-            let mut bottom = d.subview_mut(b, 0, 24 - b, b);
-            panel_update_right::<MinPlus<f32>>(&mut bottom, &diag.view());
-        }
-        let col = d.block(0, 0, 24, b);
-        let row = d.block(0, 0, b, 24);
-        let mut once = d.clone();
-        gemm_naive::<MinPlus<f32>>(&mut once.view_mut(), &col.view(), &row.view());
-        // panels (row 0..b and col 0..b) must be unchanged by the product
-        for i in 0..24 {
-            for j in 0..b {
-                assert_eq!(once[(i, j)], d[(i, j)], "col panel perturbed at {i},{j}");
-            }
-        }
-        for i in 0..b {
-            for j in 0..24 {
-                assert_eq!(once[(i, j)], d[(i, j)], "row panel perturbed at {i},{j}");
-            }
-        }
     }
 
     #[test]

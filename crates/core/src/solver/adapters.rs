@@ -838,7 +838,8 @@ mod tests {
             // 4095 · 8 = 32 760 is below the lanes' sentinel 32 767; 9 is not
             ("dense 4096, weights fit u16", dense(4096, 8.0), None, Some(0.0), "quant"),
             ("dense 4096, weights overflow u16", dense(4096, 100.0), None, Some(0.0), "blocked"),
-            // the matrix fits, blocked's two panel copies beside it do not
+            // the matrix fits, blocked's two n × b panel buffers (the packed
+            // row panel, the PanelUpdate copies) beside it do not
             ("dense 1024, budget = matrix", dense(1024, 9.0), Some(4 << 20), None, "dc"),
             ("dense 1024, budget = matrix / 2", dense(1024, 9.0), Some(2 << 20), None, "ooc"),
         ];

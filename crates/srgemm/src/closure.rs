@@ -23,6 +23,10 @@ use crate::semiring::Semiring;
 /// vertices local to the block. The diagonal is first ⊕-ed with `1̄`
 /// (distance 0 to self), matching `Dist[i,i] = 0` initialization.
 ///
+/// Row `k` is read through one buffer per call. It holds row `k` as it was
+/// when iteration `k` began, and is refreshed right after row `k` updates
+/// itself, so every row reads exactly the row `k` it would read in place.
+///
 /// # Panics
 /// Panics if the view is not square.
 pub fn fw_closure<S: Semiring>(a: &mut ViewMut<'_, S::Elem>) {
@@ -32,15 +36,16 @@ pub fn fw_closure<S: Semiring>(a: &mut ViewMut<'_, S::Elem>) {
         let d = S::add(a.at(i, i), S::one());
         a.set(i, i, d);
     }
+    let mut k_row = vec![S::zero(); n];
     for k in 0..n {
+        k_row.copy_from_slice(a.row(k));
         for i in 0..n {
             let a_ik = a.at(i, k);
-            let (k_row, i_row_mut): (Vec<S::Elem>, &mut [S::Elem]) = {
-                // copy row k (it may alias row i when i == k)
-                (a.row(k).to_vec(), a.row_mut(i))
-            };
-            for (j, &a_kj) in k_row.iter().enumerate() {
-                i_row_mut[j] = S::fma(i_row_mut[j], a_ik, a_kj);
+            for (x, &a_kj) in a.row_mut(i).iter_mut().zip(&k_row) {
+                *x = S::fma(*x, a_ik, a_kj);
+            }
+            if i == k {
+                k_row.copy_from_slice(a.row(k));
             }
         }
     }
@@ -88,9 +93,63 @@ pub fn closure_squaring_flops(b: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{BoolOr, MinPlus};
+    use crate::semiring::{BoolOr, MaxMin, MinPlus, MinPlusSatU16};
 
     type MP = MinPlus<f64>;
+
+    /// The in-place k-i-j loop as textbooks write it, on the owned matrix,
+    /// with `d[i][k]` read once per `(k, i)`: row `k` is read live, so rows
+    /// below `k` see row `k` after it updated itself.
+    fn textbook_closure<S: Semiring>(d: &mut Matrix<S::Elem>) {
+        let n = d.rows();
+        for i in 0..n {
+            d[(i, i)] = S::add(d[(i, i)], S::one());
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let d_ik = d[(i, k)];
+                for j in 0..n {
+                    d[(i, j)] = S::fma(d[(i, j)], d_ik, d[(k, j)]);
+                }
+            }
+        }
+    }
+
+    /// `fw_closure` against [`textbook_closure`] at n ∈ {0, 1, 2, 7, 70};
+    /// `cell(i, j, h)` is the input at `(i, j)` given a hash `h` of it.
+    fn assert_matches_textbook<S: Semiring>(cell: impl Fn(usize, usize, u64) -> S::Elem) {
+        for n in [0usize, 1, 2, 7, 70] {
+            let base = Matrix::from_fn(n, n, |i, j| {
+                let h = ((i * n + j) as u64 + 7).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                cell(i, j, h)
+            });
+            let mut want = base.clone();
+            textbook_closure::<S>(&mut want);
+            let mut got = base;
+            fw_closure::<S>(&mut got.view_mut());
+            assert_eq!(got.as_slice(), want.as_slice(), "{} n={n}", S::NAME);
+        }
+    }
+
+    #[test]
+    fn fw_closure_matches_the_textbook_loop() {
+        // 0 → 1 → 0 costs −2: from k = 1 on the diagonal is negative, so
+        // row k changes when it updates itself, and rows below must read
+        // the changed row
+        assert_matches_textbook::<MP>(|i, j, h| match (i, j) {
+            (0, 1) => -3.0,
+            (1, 0) => 1.0,
+            _ if h.is_multiple_of(4) => (h >> 2) as f64 % 100.0 - 5.0,
+            _ => f64::INFINITY,
+        });
+        assert_matches_textbook::<MaxMin<f32>>(|_, _, h| {
+            if h.is_multiple_of(3) { (h >> 2) as f32 % 50.0 } else { f32::NEG_INFINITY }
+        });
+        assert_matches_textbook::<BoolOr>(|_, _, h| h.is_multiple_of(5));
+        assert_matches_textbook::<MinPlusSatU16>(|_, _, h| {
+            if h.is_multiple_of(3) { (h >> 2) as u16 % 100 } else { MinPlusSatU16::SENTINEL }
+        });
+    }
 
     fn lcg_dist(n: usize, seed: u64, density_mod: u64) -> Matrix<f64> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(11);

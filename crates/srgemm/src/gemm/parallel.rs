@@ -26,9 +26,10 @@ use crate::semiring::Semiring;
 /// pay for the thread it runs on. Below twice this much, `C` is updated on
 /// the calling thread. On the 2-vCPU AVX-512 box of DESIGN.md §10 a scoped
 /// spawn and join costs ≈ 70 µs, and a split at 2¹⁹ steps per slab ran
-/// 2.0× slower than serial; at 2²¹ (`fw_blocked` at n = 256) 1.14×; from
-/// 2²² even or faster. 2²¹ is the largest floor that still splits that
-/// `fw_blocked`, and keeps every 64 × 64 × 64 tile product serial.
+/// 2.0× slower than serial; at 2²¹ (a 256 × 256 × 64 product) 1.14×; from
+/// 2²² even or faster. 2²¹ keeps every 64 × 64 × 64 tile product serial,
+/// and splits `fw_blocked`'s largest OuterUpdate quadrant at block 64 from
+/// n = 320 on (256 × 256 × 64 at k = 0).
 pub(crate) const MIN_SLAB_WORK: usize = 1 << 21;
 
 /// Row counts of the slabs an `m × n` `C` with inner dimension `k` is split
@@ -193,8 +194,9 @@ mod tests {
         assert_eq!(slab_rows(1000, 1000, 64, 0).collect::<Vec<_>>(), [1000]);
         assert_eq!(slab_rows(0, 1000, 64, 8).collect::<Vec<_>>(), [0]);
         assert_eq!(slab_rows(1000, 0, 64, 8).collect::<Vec<_>>(), [1000]);
-        // a 64×64×64 tile product stays on the calling thread; the
-        // full-width product of `fw_blocked` at n = 256, block 64, splits
+        // a 64×64×64 tile product stays on the calling thread; a
+        // 256 × 256 × 64 product (`fw_blocked`'s k = 0 quadrant at n = 320,
+        // block 64) splits
         assert_eq!(slab_rows(64, 64, 64, 64).count(), 1);
         assert_eq!(slab_rows(256, 256, 64, 2).count(), 2);
         let rows = MIN_SLAB_WORK / (256 * 64);

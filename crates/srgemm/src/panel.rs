@@ -6,28 +6,32 @@
 //! * column panel: `A(i, k) ← A(i, k) ⊕ A(i, k) ⊗ D` — [`panel_update_right`].
 //!
 //! Both update a panel in place. Because the product reads the same panel it
-//! writes, the kernel stages a snapshot of the panel and accumulates the
-//! product of `D` with the snapshot — exactly what the GPU implementation
-//! does by reading the panel out of global memory into a fresh output tile.
+//! writes, the kernel reads the panel from a copy taken before the first
+//! write — exactly what the GPU implementation does by reading the panel out
+//! of global memory into a fresh output tile. For the row panel that copy is
+//! the packed `B` operand itself; the column panel keeps a plain snapshot.
 
-use crate::gemm::gemm_packed;
+use crate::gemm::{gemm_packed, gemm_packed_with_b, PackedB};
 use crate::matrix::ViewMut;
 use crate::semiring::Semiring;
 
 /// `P ← P ⊕ D ⊗ P` where `D` is `b×b` and `P` is `b×w` (a block of the k-th
-/// block *row*).
+/// block *row*). `P` is packed once as the `B` operand, and the kernel reads
+/// only that packed copy, so the writes to `P` cannot reach it.
 ///
 /// # Panics
 /// Panics if `d` is not square or its order differs from `p.rows()`.
 pub fn panel_update_left<S: Semiring>(p: &mut ViewMut<'_, S::Elem>, d: &crate::matrix::View<'_, S::Elem>) {
     assert_eq!(d.rows(), d.cols(), "diagonal block must be square");
     assert_eq!(d.cols(), p.rows(), "diagonal order must match panel rows");
-    let snapshot = p.to_matrix();
-    gemm_packed::<S>(p, d, &snapshot.view());
+    let pb = PackedB::pack::<S>(&p.as_view());
+    gemm_packed_with_b::<S>(p, d, &pb);
 }
 
 /// `P ← P ⊕ P ⊗ D` where `P` is `h×b` (a block of the k-th block *column*)
-/// and `D` is `b×b`.
+/// and `D` is `b×b`. `P` is the `A` operand here, which the kernel packs
+/// slab by slab as it goes: once `b > KC` a later reduction pass would pack
+/// rows of `P` it has already written. So `P` is first copied to a snapshot.
 ///
 /// # Panics
 /// Panics if `d` is not square or its order differs from `p.cols()`.
