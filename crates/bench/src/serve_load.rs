@@ -155,7 +155,7 @@ fn writer_batch(rng: &mut StdRng, n: usize, k: usize, bad: bool, seq: usize) -> 
 /// decrease batches; the writer stops when the readers finish.
 pub fn run_inproc(cfg: &LoadCfg) -> LoadReport {
     let g = generators::erdos_renyi(cfg.n, (8.0 / cfg.n as f64).min(1.0), WeightKind::small_ints(), cfg.seed);
-    let engine = Arc::new(Engine::solve_from_graph(&g, 64));
+    let engine = Arc::new(Engine::solve_from_graph(&g, 64).expect("small_ints weights are positive"));
     let done = Arc::new(AtomicBool::new(false));
 
     let t0 = Instant::now();

@@ -2,6 +2,7 @@
 //! vertex sequence (predecessor-tracking Floyd-Warshall).
 
 use apsp_core::fw_seq::{fw_seq_with_paths, reconstruct_path};
+use apsp_core::solver::screen_negative_cycle;
 use apsp_graph::paths::validate_path;
 
 use crate::args::Args;
@@ -29,6 +30,7 @@ so repeated queries on the same graph should use 'solve --out' instead)."
 
     let mut dist = g.to_dense();
     let pred = fw_seq_with_paths(&mut dist);
+    screen_negative_cycle(g.n(), |i| dist[(i, i)]).map_err(|e| e.to_string())?;
     let d = dist[(from, to)];
     if !d.is_finite() {
         println!("{from} → {to}: unreachable");
@@ -62,6 +64,21 @@ mod tests {
         // out-of-range vertex
         let bad = format!("--input {} --from 0 --to 9", input.display());
         assert!(run(&toks(&bad)).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_negative_cycle_is_refused_not_routed() {
+        let dir = std::env::temp_dir().join(format!("apsp-route-neg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("neg.gr");
+        std::fs::write(&input, "p sp 3 3\na 1 2 -1\na 2 1 -1\na 2 3 1\n").unwrap();
+        // 1 → 1 runs the cycle; 0 → 2 is a route its walk could shorten
+        for (from, to) in [(1, 1), (0, 2)] {
+            let cmd = format!("--input {} --from {from} --to {to}", input.display());
+            let got = run(&toks(&cmd));
+            assert_eq!(got, Err("graph contains a negative cycle".to_string()), "{from} → {to}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

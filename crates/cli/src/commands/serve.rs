@@ -55,7 +55,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let g = super::load_graph(&input, args.opt_str("format"))?;
     let t0 = Instant::now();
-    let engine = Arc::new(Engine::solve_from_graph(&g, block));
+    let engine = Arc::new(Engine::solve_from_graph(&g, block).map_err(|e| e.to_string())?);
     eprintln!(
         "serve: solved {} (n = {}, m = {}) in {:.3} s; epoch 0 published",
         input,
@@ -184,7 +184,7 @@ mod tests {
     use apsp_graph::generators::{self, WeightKind};
 
     fn engine() -> Engine {
-        Engine::solve_from_graph(&generators::erdos_renyi(16, 0.3, WeightKind::small_ints(), 5), 8)
+        Engine::solve_from_graph(&generators::erdos_renyi(16, 0.3, WeightKind::small_ints(), 5), 8).unwrap()
     }
 
     /// Counts the bytes `session` consumes from the reader it wraps.
@@ -213,6 +213,16 @@ mod tests {
 
     fn replies(out: &[u8]) -> Vec<&str> {
         std::str::from_utf8(out).expect("replies are UTF-8").split_terminator('\n').collect()
+    }
+
+    #[test]
+    fn a_negative_cycle_is_refused_before_serving() {
+        let path = std::env::temp_dir().join(format!("apsp-serve-neg-{}.gr", std::process::id()));
+        std::fs::write(&path, "p sp 3 3\na 1 2 -1\na 2 1 -1\na 2 3 1\n").unwrap();
+        let argv: Vec<String> = ["--input", path.to_str().unwrap()].map(String::from).into();
+        let got = run(&argv);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(got, Err("graph contains a negative cycle".to_string()));
     }
 
     #[test]

@@ -137,8 +137,7 @@ pub(super) fn run<S: Semiring>(
         return Ok(());
     }
     let outer = Outer::new::<S>(cfg, a.n, a.pr, a.pc)?;
-    let phases =
-        |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.diag, cfg.bcast);
+    let phases = |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.bcast);
 
     let mut panels = phases(a, 0)?;
     for k in 0..a.nb {

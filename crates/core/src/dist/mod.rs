@@ -49,8 +49,6 @@ use mpi_sim::{
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
 
-use crate::fw_blocked::DiagMethod;
-
 /// Iteration-ordering axis: how OuterUpdate(k) relates to the (k+1)-th
 /// diag/panel phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -309,8 +307,6 @@ pub struct FwConfig {
     pub bcast: PanelBcastAlgo,
     /// Outer-product execution axis.
     pub exec: Exec,
-    /// How diagonal blocks are closed.
-    pub diag: DiagMethod,
     /// Kernel threads each rank's in-core OuterUpdate may use.
     /// `None` → `available_parallelism / (pr·pc)`, floor 1, so ranks ×
     /// kernel threads never exceeds the machine (DESIGN.md §10); the solver
@@ -324,9 +320,8 @@ pub struct FwConfig {
 
 impl FwConfig {
     /// Preset constructor. Defaults: 4-chunk ring (where the preset uses
-    /// one), FW-closure diagonals, and a tiny test GPU with 64×64 tile
-    /// buffers on 3 streams (sized to fit [`GpuSpec::test_tiny`]; production
-    /// harnesses override both).
+    /// one) and a tiny test GPU with 64×64 tile buffers on 3 streams (sized
+    /// to fit [`GpuSpec::test_tiny`]; production harnesses override both).
     pub fn new(block: usize, variant: Variant) -> Self {
         let (schedule, bcast, exec) = variant.axes();
         FwConfig::from_axes(block, schedule, bcast, exec)
@@ -340,7 +335,6 @@ impl FwConfig {
             schedule,
             bcast,
             exec,
-            diag: DiagMethod::FwClosure,
             kernel_threads: None,
             gpu_spec: GpuSpec::test_tiny(),
             oog: OogConfig::new(64, 64, 3),
@@ -391,10 +385,9 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     grid: &ProcessGrid,
     a: &mut DistMatrix<S::Elem>,
     k: usize,
-    diag_method: DiagMethod,
     how: PanelBcastAlgo,
 ) -> Result<Panels<S::Elem>, DistError> {
-    use srgemm::closure::{fw_closure, fw_closure_squaring};
+    use srgemm::closure::fw_closure;
     use srgemm::panel::{panel_update_left, panel_update_right};
 
     let bk = a.block_dim(k);
@@ -409,11 +402,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     {
         let _p = span("DiagUpdate");
         if a.owns_row(k) && a.owns_col(k) {
-            let mut d = a.diag_block_mut(k);
-            match diag_method {
-                DiagMethod::FwClosure => fw_closure::<S>(&mut d),
-                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut d, 1),
-            }
+            fw_closure::<S>(&mut a.diag_block_mut(k));
         }
     }
 

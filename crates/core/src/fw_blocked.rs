@@ -23,29 +23,29 @@
 //! on the calling thread's `apsp_trace` recorder.
 
 use apsp_trace::span;
-use srgemm::closure::{fw_closure, fw_closure_squaring};
+use srgemm::closure::fw_closure;
 use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::Matrix;
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
 
-/// How DiagUpdate closes the diagonal block (§4.2).
+/// The DiagUpdate choice `benchmark/src/layers.rs` still names when it calls
+/// [`fw_blocked`]. [`srgemm::closure::fw_closure`] is the one DiagUpdate
+/// kernel; this enum and the wrapper below are deleted by the next
+/// `[benchmark]` PR, once that file stops naming them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiagMethod {
-    /// Classic `O(b³)` Floyd-Warshall on the block — the CPU form.
+    /// Classic `O(b³)` Floyd-Warshall on the block.
     FwClosure,
-    /// Repeated squaring (`⌈log₂ b⌉` SRGEMMs, Eq. 4) — the GPU-friendly
-    /// form; more flops, all of them GEMM flops.
-    Squaring,
 }
 
 /// [`fw_blocked_threads`] behind the signature `benchmark/src/layers.rs`
 /// compiles against: `parallel` means every core of the host, otherwise one
 /// thread. A change outside `benchmark/` may not edit that file, so this
 /// wrapper stays until the next `[benchmark]` PR moves the call over and
-/// deletes it; nothing else in the workspace calls it.
-pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, diag: DiagMethod, parallel: bool) {
-    fw_blocked_threads::<S>(d, b, diag, if parallel { crate::host_threads() } else { 1 })
+/// deletes it with [`DiagMethod`]; nothing else in the workspace calls it.
+pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, _: DiagMethod, parallel: bool) {
+    fw_blocked_threads::<S>(d, b, if parallel { crate::host_threads() } else { 1 })
 }
 
 /// In-place blocked Floyd-Warshall with block size `b`, its GEMMs on at
@@ -53,12 +53,7 @@ pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, diag: DiagMeth
 ///
 /// # Panics
 /// Panics if `d` is not square or `b == 0`.
-pub fn fw_blocked_threads<S: Semiring>(
-    d: &mut Matrix<S::Elem>,
-    b: usize,
-    diag: DiagMethod,
-    threads: usize,
-) {
+pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, threads: usize) {
     let n = d.rows();
     assert_eq!(n, d.cols(), "distance matrix must be square");
     assert!(b > 0, "block size must be positive");
@@ -93,10 +88,7 @@ pub fn fw_blocked_threads<S: Semiring>(
         // ----- DiagUpdate -----
         {
             let _p = span("DiagUpdate");
-            match diag {
-                DiagMethod::FwClosure => fw_closure::<S>(&mut diag_k),
-                DiagMethod::Squaring => fw_closure_squaring::<S>(&mut diag_k, threads),
-            }
+            fw_closure::<S>(&mut diag_k);
         }
         // ----- PanelUpdate -----
         {
@@ -153,7 +145,7 @@ mod tests {
             for b in [1, 7, n - 1, n, n + 5] {
                 for threads in 1..=3 {
                     let mut got = base.clone();
-                    fw_blocked_threads::<S>(&mut got, b, DiagMethod::FwClosure, threads);
+                    fw_blocked_threads::<S>(&mut got, b, threads);
                     assert_eq!(
                         got.as_slice(),
                         want.as_slice(),
@@ -180,19 +172,9 @@ mod tests {
         // block sizes that divide, don't divide, exceed, and equal n
         for b in [1, 3, 7, 16, 17, 48, 64] {
             let mut got = base.clone();
-            fw_blocked_threads::<MinPlusF32>(&mut got, b, DiagMethod::FwClosure, 1);
+            fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
             assert!(want.eq_exact(&got), "b={b}");
         }
-    }
-
-    #[test]
-    fn squaring_diag_matches_fw_diag() {
-        let base = dense(40, 2);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        fw_blocked_threads::<MinPlusF32>(&mut a, 8, DiagMethod::FwClosure, 1);
-        fw_blocked_threads::<MinPlusF32>(&mut b, 8, DiagMethod::Squaring, 1);
-        assert!(a.eq_exact(&b));
     }
 
     #[test]
@@ -202,8 +184,8 @@ mod tests {
         let base = dense(384, 3);
         let mut a = base.clone();
         let mut b = base.clone();
-        fw_blocked_threads::<MinPlusF32>(&mut a, 64, DiagMethod::FwClosure, 1);
-        fw_blocked_threads::<MinPlusF32>(&mut b, 64, DiagMethod::FwClosure, 2);
+        fw_blocked_threads::<MinPlusF32>(&mut a, 64, 1);
+        fw_blocked_threads::<MinPlusF32>(&mut b, 64, 2);
         assert!(a.eq_exact(&b));
     }
 
@@ -213,7 +195,7 @@ mod tests {
         let mut want = g.to_dense();
         fw_seq::<MinPlusF32>(&mut want);
         let mut got = g.to_dense();
-        fw_blocked_threads::<MinPlusF32>(&mut got, 8, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<MinPlusF32>(&mut got, 8, 1);
         assert!(want.eq_exact(&got));
     }
 
@@ -234,16 +216,16 @@ mod tests {
         let mut want = m.clone();
         fw_seq::<WP>(&mut want);
         let mut got = m.clone();
-        fw_blocked_threads::<WP>(&mut got, 6, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<WP>(&mut got, 6, 1);
         assert!(want.eq_exact(&got));
     }
 
     #[test]
     fn single_vertex_and_empty_edge_cases() {
         let mut one = Matrix::filled(1, 1, f32::INFINITY);
-        fw_blocked_threads::<MinPlusF32>(&mut one, 4, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<MinPlusF32>(&mut one, 4, 1);
         assert_eq!(one[(0, 0)], 0.0);
         let mut zero = Matrix::filled(0, 0, 0.0f32);
-        fw_blocked_threads::<MinPlusF32>(&mut zero, 4, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<MinPlusF32>(&mut zero, 4, 1);
     }
 }

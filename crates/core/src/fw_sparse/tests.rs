@@ -31,9 +31,10 @@ impl Drop for TempPath {
 }
 
 /// One solve: which tiles of the grid (row-major) the store held after
-/// ingest and after the solve, and the solve's counters.
+/// ingest and after the solve, the grid's side and the solve's counters.
 struct Run {
     kind: &'static str,
+    nb: usize,
     ingested: Vec<bool>,
     present: Vec<bool>,
     stats: OocStats,
@@ -46,7 +47,7 @@ impl Run {
 
     /// Outer-product tile GEMMs of a run with every tile present.
     fn dense_outer_gemms(&self) -> u64 {
-        let nb = self.stats.tiles_per_side as u64;
+        let nb = self.nb as u64;
         nb * (nb - 1) * (nb - 1)
     }
 }
@@ -75,7 +76,8 @@ fn solve_on_both_stores(g: &Graph, t: usize) -> [Run; 2] {
         let (got, stats) = solve_in_store(g, store, &OocConfig::with_budget(budget)).unwrap();
         let kind = store.kind();
         assert!(want.eq_exact(&got), "n={n} tile={t}, {kind} store");
-        Run { kind, ingested: ingested.clone(), present: present_grid(store), stats }
+        let nb = store.tiles_per_side();
+        Run { kind, nb, ingested: ingested.clone(), present: present_grid(store), stats }
     })
 }
 
@@ -126,7 +128,7 @@ fn disconnected_clusters_never_fill_across() {
         // 3 clusters of 2 tile rows each → 3 · 4 = 12 intra tiles of 36,
         // and no tile across ever materializes
         assert_eq!(run.tiles_present(), 12, "{} store", run.kind);
-        let nb = run.stats.tiles_per_side;
+        let nb = run.nb;
         assert!(run.present.iter().enumerate().all(|(t, &p)| !p || t / nb / 2 == t % nb / 2));
         // at most one outer GEMM per k: the other tile of its cluster
         assert!(run.stats.outer_gemms <= nb as u64, "{} store", run.kind);

@@ -9,9 +9,9 @@
 //! * [`fw_seq`](mod@fw_seq) — Algorithm 1, the classic `O(n³)` triple loop
 //!   (plus a predecessor-tracking variant for path reconstruction).
 //! * [`fw_blocked`](mod@fw_blocked) — Algorithm 2: DiagUpdate / PanelUpdate
-//!   / MinPlus outer product over `b×b` blocks, with the diagonal closed
-//!   either by Floyd-Warshall or by the repeated-squaring Neumann form
-//!   (Eq. 4).
+//!   / MinPlus outer product over `b×b` blocks, the diagonal closed by
+//!   [`srgemm::closure::fw_closure`] (the one DiagUpdate kernel of every FW
+//!   path).
 //! * [`dist`] — the distributed algorithms over the [`mpi_sim`] runtime,
 //!   spanned by three orthogonal policy axes rather than a closed variant
 //!   list:
@@ -27,7 +27,8 @@
 //!   [`dist::Variant::CoMe`] (`Co+Me`: look-ahead + ring + offload, the
 //!   Fig. 7 configuration that reaches n = 1.66M).
 //! * [`model`] — the paper's performance models: Eq. 1, the §3.4.1
-//!   communication-volume lower bound, Eq. 5, and the §5.1.3 metrics.
+//!   communication-volume lower bound, Eq. 4's GPU DiagUpdate flops, Eq. 5,
+//!   and the §5.1.3 metrics.
 //! * [`schedule`] — lowers any policy triple to a [`cluster_sim`] task DAG
 //!   at Summit scale; this is what regenerates the paper's Figs. 3–4 and
 //!   7–9.
@@ -59,12 +60,12 @@
 //!
 //! ```
 //! use apsp_graph::generators::{uniform_dense, WeightKind};
-//! use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
+//! use apsp_core::fw_blocked::fw_blocked_threads;
 //! use srgemm::MinPlusF32;
 //!
 //! let g = uniform_dense(64, WeightKind::small_ints(), 42);
 //! let mut d = g.to_dense();
-//! fw_blocked_threads::<MinPlusF32>(&mut d, 16, DiagMethod::FwClosure, 2);
+//! fw_blocked_threads::<MinPlusF32>(&mut d, 16, 2);
 //! // d now holds all-pairs shortest distances.
 //! assert_eq!(d[(0, 0)], 0.0);
 //! ```

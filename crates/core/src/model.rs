@@ -2,6 +2,7 @@
 //!
 //! * Eq. 1 — total ParallelFw cost `2n³/P·t_f + 2(n/b)·t_l + t_w·(n²/P_r + n²/P_c)`.
 //! * §3.4.1 — per-node NIC volume lower bound `t_w·(n²·Q_r/P_r + n²·Q_c/P_c)`.
+//! * Eq. 4 — the flops of a GPU DiagUpdate by repeated squaring.
 //! * §5.1.3 — the effective-bandwidth metric `W_min / t_FW` and flop-rate
 //!   normalizations used by every figure harness.
 
@@ -11,6 +12,18 @@ use cluster_sim::MachineSpec;
 /// `2n³` convention: one ⊕ and one ⊗ per relaxation).
 pub fn fw_flops(n: usize) -> f64 {
     2.0 * (n as f64).powi(3)
+}
+
+/// Eq. 4: GEMM flops of closing a `b × b` diagonal block on the GPU by
+/// repeated squaring — `⌈log₂ b⌉ · 2b³`. The CPU closes it with the `2b³`
+/// of [`srgemm::closure::fw_closure`]; only the schedule simulator prices
+/// this form.
+pub fn closure_squaring_flops(b: usize) -> f64 {
+    if b <= 1 {
+        return 2.0 * (b as f64).powi(3);
+    }
+    let rounds = (usize::BITS - (b - 1).leading_zeros()) as f64;
+    rounds * 2.0 * (b as f64).powi(3)
 }
 
 /// Eq. 1: predicted ParallelFw seconds on `spec` with an `P_r×P_c` grid of
@@ -88,6 +101,15 @@ mod tests {
     #[test]
     fn fw_flop_convention() {
         assert_eq!(fw_flops(100), 2e6);
+    }
+
+    #[test]
+    fn squaring_flop_model() {
+        assert_eq!(closure_squaring_flops(1), 2.0);
+        // b=8: 3 rounds of 2·8³
+        assert_eq!(closure_squaring_flops(8), 3.0 * 2.0 * 512.0);
+        // b=9: 4 rounds
+        assert_eq!(closure_squaring_flops(9), 4.0 * 2.0 * 729.0);
     }
 
     #[test]

@@ -116,17 +116,11 @@ impl From<StoreError> for OocError {
     }
 }
 
-/// Counters from one out-of-core solve.
+/// Counters from one out-of-core solve; its shape is the store's
+/// ([`TileStore::tile`], [`TileStore::tiles_per_side`], [`TileStore::kind`])
+/// and its budget the caller's [`OocConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OocStats {
-    /// Matrix dimension.
-    pub n: usize,
-    /// Tile side length.
-    pub tile: usize,
-    /// Tiles per side (`⌈n/t⌉`).
-    pub tiles_per_side: usize,
-    /// Whether the store was file-backed (true) or in-memory.
-    pub staged: bool,
     /// Tiles fetched from the store.
     pub tiles_read: u64,
     /// Tiles spilled or flushed back.
@@ -140,8 +134,6 @@ pub struct OocStats {
     pub outer_gemms: u64,
     /// Peak host-RAM residency observed (cache + scratch + store buffers).
     pub peak_resident_bytes: u64,
-    /// The configured budget.
-    pub budget_bytes: u64,
 }
 
 /// Bytes of the driver's one persistent packed `B` operand: a `tile × tile`
@@ -219,23 +211,15 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     /// Split `budget` into the reserved part and the cache capacity, or
     /// refuse a budget below the floor.
     fn new(store: &'s mut dyn TileStore, budget: u64, zero: E) -> Result<Self, OocError> {
-        let (n, tile) = (store.n(), store.tile());
+        let tile = store.tile();
         let baseline = store.resident_bytes();
         let required = baseline + staged_budget_floor::<E>(tile);
         if budget < required {
             return Err(OocError::BudgetTooSmall { required, budget });
         }
-        let stats = OocStats {
-            n,
-            tile,
-            tiles_per_side: store.tiles_per_side(),
-            staged: store.kind() == "file",
-            budget_bytes: budget,
-            ..OocStats::default()
-        };
         Ok(TileCache {
             store,
-            stats,
+            stats: OocStats::default(),
             map: HashMap::new(),
             resident: 0,
             cap: budget - baseline - reserved_bytes::<E>(tile),

@@ -147,7 +147,7 @@ pub fn reconstruct_path_annotated(
 mod tests {
     use super::*;
     use crate::dist::{distributed_apsp, FwConfig, Variant};
-    use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
+    use crate::fw_blocked::fw_blocked_threads;
     use crate::fw_seq::{fw_seq, reconstruct_path};
     use apsp_graph::generators::{self, WeightKind};
     use apsp_graph::paths::validate_path;
@@ -189,7 +189,7 @@ mod tests {
     fn blocked_fw_generates_valid_paths() {
         let g = generators::erdos_renyi(28, 0.25, WeightKind::small_ints(), 19);
         let mut annotated = annotate(&g.to_dense());
-        fw_blocked_threads::<S>(&mut annotated, 8, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<S>(&mut annotated, 8, 1);
         let (d, pred) = split(&annotated);
 
         // distances equal plain FW
@@ -237,7 +237,7 @@ mod tests {
     fn combine_round_trips_and_annotated_walk_matches_split_walk() {
         let g = generators::erdos_renyi(18, 0.3, WeightKind::small_ints(), 23);
         let mut annotated = annotate(&g.to_dense());
-        fw_blocked_threads::<S>(&mut annotated, 6, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<S>(&mut annotated, 6, 1);
         let (d, pred) = split(&annotated);
         let back = combine(&d, &pred);
         assert_eq!(annotated, back);
@@ -256,7 +256,7 @@ mod tests {
     fn unreachable_pairs_have_no_witness() {
         let g = generators::multi_component(12, 2, WeightKind::small_ints(), 3);
         let mut annotated = annotate(&g.to_dense());
-        fw_blocked_threads::<S>(&mut annotated, 4, DiagMethod::FwClosure, 1);
+        fw_blocked_threads::<S>(&mut annotated, 4, 1);
         let (d, pred) = split(&annotated);
         assert_eq!(d[(0, 11)], f32::INFINITY);
         assert_eq!(pred[(0, 11)], crate::fw_seq::NO_PRED);

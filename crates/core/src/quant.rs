@@ -52,7 +52,7 @@
 use apsp_graph::Graph;
 use srgemm::{Matrix, MinPlusSatU16};
 
-use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
+use crate::fw_blocked::fw_blocked_threads;
 use crate::solver::profile::WeightSweep;
 
 /// Largest power-of-two exponent [`plan`] will consider for the scale.
@@ -306,7 +306,7 @@ pub fn solve_quantized(
     if !fits(hops, max_weight as f64, plan.scale) {
         return Err(overflow(hops, max_weight));
     }
-    fw_blocked_threads::<MinPlusSatU16>(&mut d, block.max(1), DiagMethod::FwClosure, threads);
+    fw_blocked_threads::<MinPlusSatU16>(&mut d, block.max(1), threads);
     let _s = apsp_trace::span("dequantize");
     Ok(dequantize_u16(&d, plan.scale))
 }

@@ -506,7 +506,7 @@ fn diag_and_panel_phase(
 
     // DiagUpdate (§4.2: on the GPU either way; squaring costs log₂b GEMMs)
     cl.set_phase("DiagUpdate");
-    let diag_flops = srgemm::closure::closure_squaring_flops(cfg.block);
+    let diag_flops = model::closure_squaring_flops(cfg.block);
     let t_diag = cl.gpu_task(diag_node, diag_flops, pri, diag_dep);
 
     // DiagBcast: tree along the k-th node row and node column

@@ -20,9 +20,10 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use apsp_graph::graph::Graph;
 use srgemm::matrix::Matrix;
 
-use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
+use crate::fw_blocked::fw_blocked_threads;
 use crate::incremental::{decrease_edges_pred, BatchReport};
 use crate::paths_dist::{annotate, reconstruct_path_annotated, split, DistPred, MinPlusPred};
+use crate::solver::{screen_negative_cycle, SolveError};
 
 /// A reader-side query failure (the request was understood but cannot be
 /// answered on this matrix).
@@ -166,12 +167,15 @@ impl Engine {
     }
 
     /// Solve `g` (witness-carrying blocked Floyd-Warshall) and serve the
-    /// result. `block` is the FW block size (64 is a good default).
-    pub fn solve_from_graph(g: &Graph, block: usize) -> Engine {
+    /// result. `block` is the FW block size (64 is a good default). A graph
+    /// with a negative cycle has no distances to serve:
+    /// [`SolveError::NegativeCycle`].
+    pub fn solve_from_graph(g: &Graph, block: usize) -> Result<Engine, SolveError> {
         let mut annotated = annotate(&g.to_dense());
         let b = block.clamp(1, g.n().max(1));
-        fw_blocked_threads::<MinPlusPred>(&mut annotated, b, DiagMethod::FwClosure, 1);
-        Engine::from_annotated(annotated)
+        fw_blocked_threads::<MinPlusPred>(&mut annotated, b, 1);
+        screen_negative_cycle(g.n(), |i| annotated[(i, i)].d)?;
+        Ok(Engine::from_annotated(annotated))
     }
 
     /// Number of vertices served.
@@ -233,7 +237,7 @@ mod tests {
 
     fn engine(n: usize, p: f64, seed: u64) -> (Graph, Engine) {
         let g = generators::erdos_renyi(n, p, WeightKind::small_ints(), seed);
-        let e = Engine::solve_from_graph(&g, 8);
+        let e = Engine::solve_from_graph(&g, 8).unwrap();
         (g, e)
     }
 

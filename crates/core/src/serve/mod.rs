@@ -32,7 +32,7 @@
 //! use apsp_graph::generators::{uniform_dense, WeightKind};
 //!
 //! let g = uniform_dense(32, WeightKind::small_ints(), 7);
-//! let engine = Engine::solve_from_graph(&g, 16);
+//! let engine = Engine::solve_from_graph(&g, 16).unwrap();
 //! let snap = engine.snapshot();               // epoch 0
 //! let d = snap.dist(0, 31).unwrap();
 //! engine.apply(&[(0, 31, 0.5)]);              // writer publishes epoch 1

@@ -270,7 +270,7 @@ mod tests {
 
     fn engine() -> Engine {
         let g = generators::erdos_renyi(16, 0.3, WeightKind::small_ints(), 5);
-        Engine::solve_from_graph(&g, 8)
+        Engine::solve_from_graph(&g, 8).unwrap()
     }
 
     #[test]

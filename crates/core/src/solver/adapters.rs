@@ -12,7 +12,7 @@ use srgemm::{Matrix, MinPlusF32};
 
 use crate::dc_apsp::dc_apsp;
 use crate::dist::distributed_apsp_opts;
-use crate::fw_blocked::{fw_blocked_threads, DiagMethod};
+use crate::fw_blocked::fw_blocked_threads;
 use crate::fw_seq::fw_seq;
 use crate::model::fw_flops;
 use crate::ooc::{
@@ -87,7 +87,7 @@ impl Solver for Blocked {
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
         let mut d = to_dense(g);
-        fw_blocked_threads::<MinPlusF32>(&mut d, opts.block.max(1), DiagMethod::FwClosure, threads);
+        fw_blocked_threads::<MinPlusF32>(&mut d, opts.block.max(1), threads);
         Ok(solution(d, self.name(), threads))
     }
 }
@@ -301,8 +301,8 @@ impl Ooc {
     ) -> Result<Solution, SolveError> {
         let cfg = OocConfig { budget_bytes: budget, threads };
         let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
-        let nb = stats.tiles_per_side as u64;
-        let budget = match stats.budget_bytes {
+        let nb = store.tiles_per_side() as u64;
+        let budget = match budget {
             u64::MAX => "∞".to_string(),
             b => super::profile::human_bytes(b),
         };
@@ -311,7 +311,7 @@ impl Ooc {
             "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
              {} of {} outer tile GEMMs, peak resident {} of budget {budget}",
             store.kind(),
-            stats.tile,
+            store.tile(),
             store.present_tiles(),
             nb * nb,
             stats.outer_gemms,

@@ -183,6 +183,16 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
+/// The negative-cycle screen of every APSP entry point: a closure whose
+/// diagonal entry `diag(i)` is negative for some `i < n` — which only a
+/// negative cycle through `i` can produce — is [`SolveError::NegativeCycle`].
+pub fn screen_negative_cycle(n: usize, diag: impl Fn(usize) -> f32) -> Result<(), SolveError> {
+    if (0..n).any(|i| diag(i) < 0.0) {
+        return Err(SolveError::NegativeCycle);
+    }
+    Ok(())
+}
+
 /// What a solver reports about its own run.
 #[derive(Clone, Debug, Default)]
 pub struct SolverStats {
@@ -325,8 +335,8 @@ impl Registry {
 
     /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
     /// eligibility against a profile already in hand, the run, the wall
-    /// clock, and the negative-cycle screen (a negative diagonal entry, which
-    /// only a graph with negative edges can produce). `profile` must be
+    /// clock, and [`screen_negative_cycle`] (skipped on a graph without
+    /// negative edges, which cannot fail it). `profile` must be
     /// `g`'s at `opts.block`.
     fn solve_profiled(
         &self,
@@ -344,8 +354,8 @@ impl Registry {
             solver.solve(g, profile, opts)?
         };
         sol.stats.wall_s = t0.elapsed().as_secs_f64();
-        if profile.has_negative() && (0..profile.n).any(|i| sol.dist[(i, i)] < 0.0) {
-            return Err(SolveError::NegativeCycle);
+        if profile.has_negative() {
+            screen_negative_cycle(profile.n, |i| sol.dist[(i, i)])?;
         }
         Ok(sol)
     }

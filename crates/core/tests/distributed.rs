@@ -71,16 +71,6 @@ fn async_ring_matches_with_various_chunk_counts() {
 }
 
 #[test]
-fn squaring_diag_method_matches_in_distributed_runs() {
-    use apsp_core::fw_blocked::DiagMethod;
-    let (input, want) = reference(24, GraphKind::UniformDense, 9);
-    let mut cfg = FwConfig::new(4, Variant::Pipelined);
-    cfg.diag = DiagMethod::Squaring;
-    let (got, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
-    assert_matrices_equal(&want, &got, "squaring diag");
-}
-
-#[test]
 fn offload_matches_with_tiny_tiles_and_single_stream() {
     use gpu_sim::OogConfig;
     let (input, want) = reference(24, GraphKind::UniformDense, 13);

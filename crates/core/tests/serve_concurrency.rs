@@ -32,7 +32,7 @@ const BATCH: usize = 16;
 #[test]
 fn readers_see_consistent_monotone_epochs_under_update_pressure() {
     let g = generators::erdos_renyi(N, 0.08, WeightKind::small_ints(), 42);
-    let engine = Arc::new(Engine::solve_from_graph(&g, 16));
+    let engine = Arc::new(Engine::solve_from_graph(&g, 16).unwrap());
     let done = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..READERS)

@@ -1,21 +1,16 @@
-//! Block closure kernels — the paper's *DiagUpdate* (§2.4, §4.2).
+//! Block closure kernel — the paper's *DiagUpdate* (§2.4, §4.2).
 //!
 //! The diagonal update of blocked Floyd-Warshall computes the semiring
-//! closure `A* = I ⊕ A ⊕ A² ⊕ …` of a single `b × b` block. Two forms:
+//! closure `A* = I ⊕ A ⊕ A² ⊕ …` of a single `b × b` block with the classic
+//! in-place k-i-j Floyd-Warshall triple loop, `O(b³)` semiring FMAs. The
+//! paper's GPU form, `⌈log₂ b⌉` repeated squarings (Eq. 4), spends
+//! `⌈log₂ b⌉` times the flops and measured 1.2–2.9× slower on a CPU
+//! (EXPERIMENTS.md); it survives only as cluster-sim's price of a GPU
+//! DiagUpdate, `apsp_core::model::closure_squaring_flops`.
 //!
-//! * [`fw_closure`] — the classic in-place k-i-j Floyd-Warshall triple loop,
-//!   `O(b³)` semiring FMAs. This is the "CPU" form.
-//! * [`fw_closure_squaring`] — Eq. (4) of the paper: the Neumann-series form
-//!   `(I ⊕ A)^(2^t)` computed by `⌈log₂ b⌉` repeated squarings, each a dense
-//!   SRGEMM. Asymptotically `O(b³ log b)`, but every flop is a GEMM flop —
-//!   which is why the paper runs it on the GPU. Blocked FW selects it with
-//!   `DiagMethod::Squaring`.
-//!
-//! Requires an idempotent ⊕ (min/max-style semirings); the squaring form also
-//! assumes no negative cycles, same as Floyd-Warshall itself.
+//! Requires an idempotent ⊕ (min/max-style semirings).
 
-use crate::gemm::{gemm_packed_threads, PackedB};
-use crate::matrix::{Matrix, ViewMut};
+use crate::matrix::ViewMut;
 use crate::semiring::Semiring;
 
 /// In-place Floyd-Warshall closure of a square block: after the call,
@@ -51,48 +46,10 @@ pub fn fw_closure<S: Semiring>(a: &mut ViewMut<'_, S::Elem>) {
     }
 }
 
-/// Closure by repeated squaring (paper Eq. 4): `B ← I ⊕ A`, then
-/// `B ← B ⊗ B` for `⌈log₂ n⌉` rounds. Returns nothing; `a` is replaced by
-/// its closure. Each squaring runs on at most `threads` kernel threads.
-pub fn fw_closure_squaring<S: Semiring>(a: &mut ViewMut<'_, S::Elem>, threads: usize) {
-    assert!(
-        S::IDEMPOTENT_ADD,
-        "closure-by-squaring needs an idempotent ⊕ ({} is not)",
-        S::NAME
-    );
-    let n = a.rows();
-    assert_eq!(n, a.cols(), "closure requires a square block");
-    if n == 0 {
-        return;
-    }
-    for i in 0..n {
-        let d = S::add(a.at(i, i), S::one());
-        a.set(i, i, d);
-    }
-    let rounds = usize::BITS - (n - 1).leading_zeros(); // ⌈log₂ n⌉
-    let mut cur = a.to_matrix();
-    for _ in 0..rounds.max(1) {
-        let mut next = Matrix::filled(n, n, S::zero());
-        let pb = PackedB::pack::<S>(&cur.view());
-        gemm_packed_threads::<S>(&mut next.view_mut(), &cur.view(), &pb, threads);
-        cur = next;
-    }
-    a.copy_from(&cur.view());
-}
-
-/// Number of GEMM flops the squaring form spends on a `b × b` block —
-/// `⌈log₂ b⌉ · 2b³`.
-pub fn closure_squaring_flops(b: usize) -> f64 {
-    if b <= 1 {
-        return 2.0 * (b as f64).powi(3);
-    }
-    let rounds = (usize::BITS - (b - 1).leading_zeros()) as f64;
-    rounds * 2.0 * (b as f64).powi(3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::semiring::{BoolOr, MaxMin, MinPlus, MinPlusSatU16};
 
     type MP = MinPlus<f64>;
@@ -190,29 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn squaring_matches_fw_closure_dense() {
-        // 70 > MC: the squarings cross a packed-slab boundary
-        for n in [1usize, 2, 3, 5, 8, 17, 32, 70] {
-            let base = lcg_dist(n, n as u64, 2);
-            let mut by_fw = base.clone();
-            let mut by_sq = base.clone();
-            fw_closure::<MP>(&mut by_fw.view_mut());
-            fw_closure_squaring::<MP>(&mut by_sq.view_mut(), 1);
-            assert!(by_fw.eq_exact(&by_sq), "n={n}");
-        }
-    }
-
-    #[test]
-    fn squaring_matches_fw_closure_sparse_and_parallel() {
-        let base = lcg_dist(33, 7, 5);
-        let mut by_fw = base.clone();
-        let mut by_sq = base.clone();
-        fw_closure::<MP>(&mut by_fw.view_mut());
-        fw_closure_squaring::<MP>(&mut by_sq.view_mut(), 2);
-        assert!(by_fw.eq_exact(&by_sq));
-    }
-
-    #[test]
     fn bool_closure_is_reachability() {
         // 0 -> 1 -> 2, plus 3 isolated.
         let mut a = Matrix::from_fn(4, 4, |i, j| (i == 0 && j == 1) || (i == 1 && j == 2));
@@ -251,12 +185,4 @@ mod tests {
         assert_eq!(parent[(4, 4)], 42.0);
     }
 
-    #[test]
-    fn squaring_flop_model() {
-        assert_eq!(closure_squaring_flops(1), 2.0);
-        // b=8: 3 rounds of 2·8³
-        assert_eq!(closure_squaring_flops(8), 3.0 * 2.0 * 512.0);
-        // b=9: 4 rounds
-        assert_eq!(closure_squaring_flops(9), 4.0 * 2.0 * 729.0);
-    }
 }

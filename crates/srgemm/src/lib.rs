@@ -21,7 +21,7 @@
 //!   packed/register-tiled, serial or on row-slab threads sharing one packed
 //!   `B`, plus the naive triple loop the tests use as oracle.
 //! * [`closure`] — in-place Floyd-Warshall closure of a block (the paper's
-//!   *DiagUpdate*) and the repeated-squaring Neumann-series form (Eq. 4).
+//!   *DiagUpdate*), the one DiagUpdate kernel of every FW path.
 //! * [`panel`] — the paper's *PanelUpdate* kernels (left/right multiply by a
 //!   closed diagonal block).
 //!
@@ -57,7 +57,7 @@ pub type MinPlusF64 = MinPlus<f64>;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::closure::{fw_closure, fw_closure_squaring};
+    pub use crate::closure::fw_closure;
     pub use crate::gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
     pub use crate::matrix::{Matrix, View, ViewMut};
     pub use crate::panel::{panel_update_left, panel_update_right};

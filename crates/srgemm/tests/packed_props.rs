@@ -79,7 +79,7 @@ proptest! {
 
     // The other element widths and semirings the packed kernel serves:
     // 1-byte Boolean reachability, the real-arithmetic sanity oracle, and
-    // the widest-path instances of `dc_apsp` / `fw_closure_squaring`.
+    // the widest-path instances of `dc_apsp`.
 
     #[test]
     fn packed_bit_identical_to_naive_boolor((m, n, k) in shapes(), seed in any::<u64>()) {

@@ -258,9 +258,18 @@ proptest! {
             else { ((r >> 33) % 100) as f64 + 1.0 }
         });
         let mut fw = base.clone();
-        let mut sq = base.clone();
         fw_closure::<MinPlus<f64>>(&mut fw.view_mut());
-        fw_closure_squaring::<MinPlus<f64>>(&mut sq.view_mut(), 1);
+        // paper Eq. 4 on the naive triple loop, sharing no code with
+        // `fw_closure`: ⌈log₂ n⌉ squarings of I ⊕ A
+        let mut sq = base;
+        for i in 0..n {
+            sq[(i, i)] = MinPlus::<f64>::add(sq[(i, i)], MinPlus::<f64>::one());
+        }
+        for _ in 0..(usize::BITS - (n - 1).leading_zeros()).max(1) {
+            let mut next = Matrix::filled(n, n, MinPlus::<f64>::zero());
+            gemm_naive::<MinPlus<f64>>(&mut next.view_mut(), &sq.view(), &sq.view());
+            sq = next;
+        }
         prop_assert!(fw.eq_exact(&sq));
     }
 

@@ -37,7 +37,7 @@ fn main() {
 
     // stand up the service: one annotated solve, epoch 0 published
     let t = Instant::now();
-    let engine = Arc::new(Engine::solve_from_graph(&roads, 64));
+    let engine = Arc::new(Engine::solve_from_graph(&roads, 64).expect("road weights are positive"));
     let t_solve = t.elapsed().as_secs_f64();
     println!(
         "initial APSP solve: {:.3} s ({:.2} Gflop/s); serving epoch 0",
@@ -150,12 +150,7 @@ fn main() {
         b.add_edge(u, v, w);
     }
     let mut want = b.build().to_dense();
-    apsp_core::fw_blocked::fw_blocked_threads::<srgemm::MinPlusF32>(
-        &mut want,
-        64,
-        apsp_core::fw_blocked::DiagMethod::FwClosure,
-        1,
-    );
+    apsp_core::fw_blocked::fw_blocked_threads::<srgemm::MinPlusF32>(&mut want, 64, 1);
     let (got, _) = engine.snapshot().split();
     assert_matrices_equal(&want, &got, "served epoch vs re-solve");
     println!(

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
+use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::model::fw_flops;
 use apsp_core::verify::assert_matrices_equal;
@@ -37,7 +37,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut d_blk = graph.to_dense();
     let t = Instant::now();
-    fw_blocked_threads::<MinPlusF32>(&mut d_blk, 64, DiagMethod::FwClosure, threads);
+    fw_blocked_threads::<MinPlusF32>(&mut d_blk, 64, threads);
     let t_blk = t.elapsed().as_secs_f64();
     println!(
         "blocked FW (par): {:8.3} s  ({:6.2} Gflop/s, {:.1}x)",

@@ -4,7 +4,7 @@
 //! runs.
 
 use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
-use apsp_core::fw_blocked::{fw_blocked_threads, DiagMethod};
+use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::{fw_seq, fw_seq_with_paths, reconstruct_path};
 use apsp_core::verify::{assert_matrices_equal, check_apsp_invariants};
 use apsp_graph::dijkstra::apsp_by_dijkstra;
@@ -31,7 +31,7 @@ fn five_independent_solvers_agree_on_the_paper_workload() {
     fw_seq::<MinPlusF32>(&mut seq);
     // solver 4: blocked FW
     let mut blk = input.clone();
-    fw_blocked_threads::<MinPlusF32>(&mut blk, 8, DiagMethod::Squaring, 2);
+    fw_blocked_threads::<MinPlusF32>(&mut blk, 8, 2);
     // solver 5: the full distributed offload pipeline
     let cfg = FwConfig::new(8, Variant::Offload);
     let (dist, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
