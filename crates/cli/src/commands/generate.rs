@@ -34,6 +34,9 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         "dense" => generators::generate(GraphKind::UniformDense, n, weights, seed),
         "er" => {
             let p: f64 = args.opt("p", 0.1)?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("--p must be a probability in [0, 1], got {p}"));
+            }
             generators::generate(GraphKind::ErdosRenyi { p }, n, weights, seed)
         }
         "grid" => {
@@ -43,6 +46,9 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         "ring" => generators::generate(GraphKind::Ring, n, weights, seed),
         "multi" => {
             let components: usize = args.opt("components", 4)?;
+            if components == 0 {
+                return Err("--components must be positive".into());
+            }
             generators::generate(GraphKind::MultiComponent { components }, n, weights, seed)
         }
         "geometric" => generators::geometric(n, 0.15, seed).0,
@@ -82,5 +88,20 @@ mod tests {
     #[test]
     fn rejects_inverted_weight_range() {
         assert!(run(&toks("--kind dense --n 5 --wmin 9 --wmax 2 --out /tmp/x.gr")).is_err());
+    }
+
+    #[test]
+    fn zero_components_is_an_input_error() {
+        let err = run(&toks("--kind multi --n 10 --components 0 --out /tmp/x.gr")).unwrap_err();
+        assert!(err.contains("--components must be positive"), "{err}");
+    }
+
+    #[test]
+    fn edge_probability_outside_the_unit_interval_is_an_input_error() {
+        for p in ["2", "-0.5", "NaN"] {
+            let cmd = format!("--kind er --n 10 --p {p} --out /tmp/x.gr");
+            let err = run(&toks(&cmd)).unwrap_err();
+            assert!(err.contains("--p must be a probability in [0, 1]"), "{p}: {err}");
+        }
     }
 }

@@ -186,13 +186,17 @@ pub fn build_solve_opts(args: &crate::args::Args) -> Result<apsp_core::SolveOpts
             return Err("--error-tolerance must be a non-negative finite number".into());
         }
     }
+    let grid = (args.opt("pr", 2)?, args.opt("pc", 2)?);
+    if grid.0 == 0 || grid.1 == 0 {
+        return Err("--pr and --pc must be positive".into());
+    }
     let (schedule, bcast, exec) = resolve_axes(args, "pipelined")?;
     Ok(apsp_core::SolveOpts {
         block,
         threads,
         memory_budget,
         error_tolerance,
-        grid: (args.opt("pr", 2)?, args.opt("pc", 2)?),
+        grid,
         dist: apsp_core::FwConfig::from_axes(block, schedule, bcast, exec),
         dist_run: apsp_core::DistRunOpts {
             recv_timeout: parse_recv_timeout(args)?,

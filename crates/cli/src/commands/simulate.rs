@@ -89,6 +89,9 @@ Prints predicted seconds, Pflop/s, effective bandwidth, GPU utilization."
 /// gets the Summit-scale depth [`SUMMIT_RING_CHUNKS`].
 fn config(args: &Args) -> Result<(MachineSpec, ScheduleConfig), String> {
     let nodes: usize = args.req("nodes")?;
+    if nodes == 0 {
+        return Err("--nodes must be positive".into());
+    }
     let n: usize = args.req("n")?;
     let (schedule, mut bcast, exec) = super::resolve_axes(args, "async")?;
     let counted = args
@@ -104,6 +107,9 @@ fn config(args: &Args) -> Result<(MachineSpec, ScheduleConfig), String> {
     };
     let mut cfg = ScheduleConfig::with_axes(n, schedule, bcast, exec, kr, kc);
     cfg.block = args.opt("block", 768)?;
+    if cfg.block == 0 {
+        return Err("--block must be positive".into());
+    }
     Ok((MachineSpec::summit(nodes), cfg))
 }
 
@@ -151,6 +157,18 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"PanelBcast\"") && json.contains("\"gpu0\""));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_nodes_is_an_input_error() {
+        let err = run(&toks("--nodes 0 --n 1000")).unwrap_err();
+        assert!(err.contains("--nodes must be positive"), "{err}");
+    }
+
+    #[test]
+    fn zero_block_is_an_input_error() {
+        let err = run(&toks("--nodes 4 --n 1000 --block 0")).unwrap_err();
+        assert!(err.contains("--block must be positive"), "{err}");
     }
 
     #[test]

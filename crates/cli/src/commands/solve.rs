@@ -452,4 +452,13 @@ mod tests {
         assert!(err.contains("blocked"), "should list known names: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn zero_process_grid_dimension_is_an_input_error() {
+        let (dir, input) = fixture();
+        let cmd = format!("--input {} --algo dist --pr 0 --pc 2", input.display());
+        let err = run(&toks(&cmd)).unwrap_err();
+        assert!(err.contains("--pr and --pc must be positive"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -10,9 +10,6 @@
 use mpi_sim::{CommError, ProcessGrid};
 use srgemm::matrix::{Matrix, View, ViewMut};
 
-/// Tag used by [`DistMatrix::gather`].
-const GATHER_TAG: u64 = 0x5157;
-
 /// One rank's share of a block-cyclic distributed square matrix.
 #[derive(Clone)]
 pub struct DistMatrix<T> {
@@ -151,42 +148,30 @@ impl<T: Copy + Send + Sync + 'static> DistMatrix<T> {
     /// elsewhere). Collective over `grid.grid`; a lost or failed peer
     /// surfaces as the typed [`CommError`].
     pub fn gather(&self, grid: &ProcessGrid) -> Result<Option<Matrix<T>>, CommError> {
-        let comm = &grid.grid;
-        if comm.rank() != 0 {
-            comm.send(0, GATHER_TAG, self.local.as_slice().to_vec())?;
+        let Some(locals) = grid.grid.gather(0, self.local.as_slice().to_vec())? else {
             return Ok(None);
-        }
+        };
         if self.n == 0 {
-            for src in 1..comm.size() {
-                let _: Vec<T> = comm.recv(src, GATHER_TAG)?;
-            }
             return Ok(Some(Matrix::from_vec(0, 0, Vec::new())));
         }
         // rank 0 always owns block (0,0), so its local matrix is non-empty here
         let fill = self.local.as_slice()[0];
         let mut out = Matrix::filled(self.n, self.n, fill);
         let dim = |k: usize| self.b.min(self.n - k * self.b);
-        // local matrices per rank, rank 0's own first
-        for r in 0..self.pr {
-            for c in 0..self.pc {
-                let rank = r * self.pc + c;
-                let lrows: usize = (r..self.nb).step_by(self.pr).map(dim).sum();
-                let lcols: usize = (c..self.nb).step_by(self.pc).map(dim).sum();
-                let data: Vec<T> = if rank == 0 {
-                    self.local.as_slice().to_vec()
-                } else {
-                    comm.recv(rank, GATHER_TAG)?
-                };
-                assert_eq!(data.len(), lrows * lcols, "gather size mismatch from rank {rank}");
-                if lrows == 0 || lcols == 0 {
-                    continue;
-                }
-                let lm = Matrix::from_vec(lrows, lcols, data);
-                for (li, i) in (r..self.nb).step_by(self.pr).enumerate() {
-                    for (lj, j) in (c..self.nb).step_by(self.pc).enumerate() {
-                        let src = lm.subview(li * self.b, lj * self.b, dim(i), dim(j));
-                        out.set_block(i * self.b, j * self.b, &src);
-                    }
+        // gathered in grid-rank order: rank = r · pc + c
+        for (rank, data) in locals.into_iter().enumerate() {
+            let (r, c) = (rank / self.pc, rank % self.pc);
+            let lrows: usize = (r..self.nb).step_by(self.pr).map(dim).sum();
+            let lcols: usize = (c..self.nb).step_by(self.pc).map(dim).sum();
+            assert_eq!(data.len(), lrows * lcols, "gather size mismatch from rank {rank}");
+            if lrows == 0 || lcols == 0 {
+                continue;
+            }
+            let lm = Matrix::from_vec(lrows, lcols, data);
+            for (li, i) in (r..self.nb).step_by(self.pr).enumerate() {
+                for (lj, j) in (c..self.nb).step_by(self.pc).enumerate() {
+                    let src = lm.subview(li * self.b, lj * self.b, dim(i), dim(j));
+                    out.set_block(i * self.b, j * self.b, &src);
                 }
             }
         }
@@ -244,7 +229,7 @@ mod tests {
         for (pr, pc, n, b) in [(1, 1, 5, 2), (2, 2, 10, 3), (2, 3, 13, 4), (3, 2, 9, 3)] {
             let g = iota(n);
             let got = Runtime::new(pr * pc).run(|comm| {
-                let grid = ProcessGrid::new(comm, pr, pc).unwrap();
+                let grid = ProcessGrid::new(comm, pr, pc);
                 let (r, c) = grid.coords();
                 let d = DistMatrix::from_global(&g, b, pr, pc, r, c);
                 d.gather(&grid).unwrap()

@@ -143,8 +143,8 @@ pub enum DistError {
         available: u64,
     },
     /// A communication primitive failed on some rank: a structured deadlock
-    /// report, a peer-failure notification, a split timeout, or an injected
-    /// fault (see [`mpi_sim::CommError`]).
+    /// report, a peer-failure notification, a payload type mismatch, or an
+    /// injected fault (see [`mpi_sim::CommError`]).
     Comm(CommError),
     /// The offload configuration itself is invalid (zero tile dims or
     /// stream count reaching the executor via literal construction).
@@ -471,7 +471,7 @@ pub fn distributed_apsp_on<S: Semiring>(
     cfg: &FwConfig,
     global: &Matrix<S::Elem>,
 ) -> Result<Option<Matrix<S::Elem>>, DistError> {
-    let grid = ProcessGrid::new(comm, pr, pc)?;
+    let grid = ProcessGrid::new(comm, pr, pc);
     let (my_r, my_c) = grid.coords();
     let mut a = DistMatrix::from_global(global, cfg.block, pr, pc, my_r, my_c);
     driver::run::<S>(&grid, &mut a, cfg)?;

@@ -1,4 +1,5 @@
-//! Collective operations built on tag-matched p2p.
+//! Collective operations built on tag-matched p2p — the three that
+//! ParallelFw speaks.
 //!
 //! Two broadcast algorithms, matching the paper's §3.3:
 //!
@@ -11,6 +12,9 @@
 //!   overlap freely — the asynchrony that lets `Co-ParallelFw` drift across
 //!   iterations.
 //!
+//! [`Comm::gather`] collects one value per rank at a root: the end-of-run
+//! result collection.
+//!
 //! Every collective returns `Result<_, CommError>`: a deadlock, a failed
 //! peer, or an injected fault surfaces as a typed error on every
 //! participating rank instead of a panic cascade.
@@ -22,46 +26,14 @@ use crate::error::CommError;
 use crate::payload::Payload;
 
 impl Comm {
-    /// Block until every member of the communicator has entered the barrier.
-    ///
-    /// Both phases are binomial trees rooted at rank 0 — an `O(log p)`-round
-    /// reduction of empty tokens followed by the `O(log p)`-round release
-    /// broadcast — `2(p-1)` messages total with no rank receiving more than
-    /// `⌈log₂ p⌉` of them (the old linear gather funnelled `p-1` receives
-    /// through rank 0).
-    pub fn barrier(&self) -> Result<(), CommError> {
-        let op = self.next_op();
-        let tag = INTERNAL_TAG | op;
-        let (rank, size) = (self.rank(), self.size());
-        if size == 1 {
-            return Ok(());
-        }
-        // reduce phase: mirror image of the binomial broadcast below — each
-        // rank absorbs its subtree's tokens, then reports to its parent.
-        let mut mask = 1usize;
-        while mask < size {
-            if rank & mask != 0 {
-                self.send_raw(rank - mask, tag, ())?;
-                break;
-            }
-            if rank + mask < size {
-                self.recv_raw::<()>(rank + mask, tag)?;
-            }
-            mask <<= 1;
-        }
-        // release: binomial fan-out of an empty token
-        self.bcast_internal(0, if rank == 0 { Some(Arc::new(())) } else { None }, tag | (1 << 62))?;
-        Ok(())
-    }
-
     /// Binomial-tree broadcast from `root`. The root passes `Some(data)`,
     /// everyone else `None`; all members return the broadcast value.
     ///
-    /// Internally the payload travels as one shared allocation (see
-    /// [`Comm::bcast_shared`]); the clone here happens only if the caller's
-    /// returned copy still shares with in-flight sends, i.e. at most once
-    /// per rank and never for the last-to-finish holders. Callers that can
-    /// hold an `Arc` should use [`Comm::bcast_shared`] and skip even that.
+    /// The payload travels as one shared allocation: each tree hop forwards
+    /// the root's `Arc` by reference count, while the traffic counters still
+    /// charge every hop the full `size_bytes()` of the inner value. The one
+    /// deep copy a rank may make is of its returned value, and only while
+    /// in-flight sends still share it.
     ///
     /// # Panics
     /// Panics if the root passes `None` or a non-root passes `Some`.
@@ -70,36 +42,7 @@ impl Comm {
         root: usize,
         data: Option<T>,
     ) -> Result<T, CommError> {
-        let shared = self.bcast_shared(root, data.map(Arc::new))?;
-        Ok(Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone()))
-    }
-
-    /// Binomial-tree broadcast from `root`, returning the payload by shared
-    /// reference: every rank's `Arc` points at the root's single allocation.
-    ///
-    /// Zero deep copies, deterministically: each tree hop forwards the `Arc`
-    /// by reference count (the old implementation deep-cloned the payload
-    /// once per child *on the root's critical path*). The traffic counters
-    /// still charge every hop the full `size_bytes()` of the inner value —
-    /// wire accounting is independent of host-memory sharing.
-    ///
-    /// # Panics
-    /// Panics if the root passes `None` or a non-root passes `Some`.
-    pub fn bcast_shared<T: Payload + Sync>(
-        &self,
-        root: usize,
-        data: Option<Arc<T>>,
-    ) -> Result<Arc<T>, CommError> {
-        let op = self.next_op();
-        self.bcast_internal(root, data, INTERNAL_TAG | op)
-    }
-
-    fn bcast_internal<T: Payload + Sync>(
-        &self,
-        root: usize,
-        data: Option<Arc<T>>,
-        tag: u64,
-    ) -> Result<Arc<T>, CommError> {
+        let tag = INTERNAL_TAG | self.next_op();
         let (rank, size) = (self.rank(), self.size());
         assert_eq!(
             rank == root,
@@ -112,7 +55,7 @@ impl Comm {
         let relative = (rank + size - root) % size;
 
         // receive phase: my parent is relative - lowest_set_bit(relative)
-        let mut value = data;
+        let mut value = data.map(Arc::new);
         let mut mask = 1usize;
         while mask < size {
             if relative & mask != 0 {
@@ -133,7 +76,7 @@ impl Comm {
             }
             mask >>= 1;
         }
-        Ok(value)
+        Ok(Arc::try_unwrap(value).unwrap_or_else(|arc| (*arc).clone()))
     }
 
     /// Pipelined ring broadcast of a slice-able payload from `root`,
@@ -220,36 +163,11 @@ impl Comm {
             Ok(None)
         }
     }
-
-    /// Every rank contributes one value; every rank gets the full rank-ordered
-    /// vector. Implemented as a gather to rank 0 followed by one binomial
-    /// broadcast of the assembled vector: `2(p-1)` messages total, vs the
-    /// `p` separate broadcasts (`p(p-1)` messages) of the naive formulation.
-    /// The `Copy` bound is what gives `Vec<T>` its wire format.
-    pub fn allgather<T: Payload + Copy + Sync>(&self, value: T) -> Result<Vec<T>, CommError> {
-        let gathered = self.gather(0, value)?;
-        self.bcast(0, gathered)
-    }
-
-    /// Fold all ranks' values with `op` (applied in rank order) and return
-    /// the result on every rank.
-    pub fn allreduce<T: Payload + Clone + Sync>(
-        &self,
-        value: T,
-        op: impl Fn(T, T) -> T,
-    ) -> Result<T, CommError> {
-        let gathered = self.gather(0, value)?;
-        let folded = gathered.map(|vs| {
-            let mut it = vs.into_iter();
-            let first = it.next().expect("non-empty communicator");
-            it.fold(first, &op)
-        });
-        self.bcast(0, folded)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::grid::ProcessGrid;
     use crate::placement::Placement;
     use crate::runtime::Runtime;
 
@@ -264,55 +182,6 @@ mod tests {
                 assert_eq!(v, vec![root as u64, 99]);
             }
         }
-    }
-
-    #[test]
-    fn tree_bcast_shares_one_allocation_zero_deep_clones() {
-        // Regression: the binomial tree used to deep-clone the payload once
-        // per child (`value.clone()` on every forward), putting up to
-        // ⌈log₂ p⌉ full copies on the root's critical path. `bcast_shared`
-        // forwards the root's single allocation by refcount: a broadcast
-        // across 8 ranks must invoke the payload's `Clone` exactly ZERO
-        // times, while the wire counters still charge every hop full price.
-        use crate::payload::Payload;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        static DEEP_CLONES: AtomicUsize = AtomicUsize::new(0);
-
-        struct CloneCounted(Vec<u8>);
-        impl Clone for CloneCounted {
-            fn clone(&self) -> Self {
-                DEEP_CLONES.fetch_add(1, Ordering::SeqCst);
-                CloneCounted(self.0.clone())
-            }
-        }
-        impl Payload for CloneCounted {
-            fn size_bytes(&self) -> usize {
-                self.0.len()
-            }
-        }
-
-        DEEP_CLONES.store(0, Ordering::SeqCst);
-        let p = 8;
-        let rt = Runtime::new(p);
-        let (out, report) = rt.run_traced(move |comm| {
-            let data = (comm.rank() == 0).then(|| Arc::new(CloneCounted(vec![7u8; 1024])));
-            let got = comm.bcast_shared(0, data).unwrap();
-            (got.0[0], got.0.len())
-        });
-        for v in out {
-            assert_eq!(v, (7u8, 1024));
-        }
-        assert_eq!(
-            DEEP_CLONES.load(Ordering::SeqCst),
-            0,
-            "tree bcast must not deep-clone the payload"
-        );
-        // every rank still receives the full payload once: p-1 hops × 1024
-        // wire bytes (one rank per node here, so all hops cross the NIC)
-        assert_eq!(report.total_nic_bytes(), (p as u64 - 1) * 1024);
-        assert_eq!(report.total_msgs, p as u64 - 1);
     }
 
     #[test]
@@ -381,107 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_orders_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static PHASE1: AtomicUsize = AtomicUsize::new(0);
-        let out = Runtime::new(6).run(|comm| {
-            PHASE1.fetch_add(1, Ordering::SeqCst);
-            comm.barrier().unwrap();
-            // after the barrier, everyone must have bumped the counter
-            PHASE1.load(Ordering::SeqCst)
-        });
-        for v in out {
-            assert_eq!(v, 6);
-        }
-    }
-
-    #[test]
-    fn barrier_uses_logarithmic_fan_in() {
-        // binomial-reduction regression pin: 2(p-1) messages total, and —
-        // unlike the old linear gather, which funnelled p-1 receives into
-        // rank 0 — no rank receives more than ceil(log2 p) messages per
-        // phase. The per-rank message events from the trace expose ingress.
-        for p in [2usize, 4, 5, 7, 8] {
-            let rt = Runtime::new(p);
-            let ((_, report), trace) =
-                apsp_trace::record("caller", || rt.run_traced(|comm| comm.barrier().unwrap()));
-            assert_eq!(
-                report.total_msgs,
-                2 * (p as u64 - 1),
-                "barrier on {p} ranks must move exactly 2(p-1) messages"
-            );
-            let log2p = p.next_power_of_two().trailing_zeros() as usize;
-            let mut ingress = vec![0usize; p];
-            for tl in &trace.timelines {
-                for e in &tl.events {
-                    ingress[e.dst] += 1;
-                }
-            }
-            for (r, n) in ingress.into_iter().enumerate() {
-                assert!(
-                    n <= log2p + 1,
-                    "barrier on {p} ranks: rank {r} received {n} messages, \
-                     expected at most ⌈log₂ p⌉ + 1 = {}",
-                    log2p + 1
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_collects_in_rank_order() {
-        let out = Runtime::new(4).run(|comm| comm.allgather(comm.rank() as u64 * 10).unwrap());
-        for v in out {
-            assert_eq!(v, vec![0, 10, 20, 30]);
-        }
-    }
-
-    #[test]
-    fn allgather_uses_linear_message_count() {
-        // gather-then-bcast regression pin: (p-1) gather sends plus (p-1)
-        // binomial-broadcast sends = 2(p-1) messages, NOT the p(p-1) of a
-        // broadcast-per-contributor formulation.
-        for p in [2usize, 4, 7, 8] {
-            let rt = Runtime::new(p);
-            let (out, report) =
-                rt.run_traced(move |comm| comm.allgather(comm.rank() as u64).unwrap());
-            for v in out {
-                assert_eq!(v, (0..p as u64).collect::<Vec<_>>());
-            }
-            assert_eq!(
-                report.total_msgs,
-                2 * (p as u64 - 1),
-                "allgather on {p} ranks must move exactly 2(p-1) messages"
-            );
-        }
-    }
-
-    #[test]
-    fn allreduce_min_and_sum() {
-        let out = Runtime::new(5).run(|comm| {
-            let r = comm.rank() as f64;
-            let min = comm.allreduce(r, f64::min).unwrap();
-            let sum = comm.allreduce(r, |a, b| a + b).unwrap();
-            (min, sum)
-        });
-        for (min, sum) in out {
-            assert_eq!(min, 0.0);
-            assert_eq!(sum, 10.0);
-        }
-    }
-
-    #[test]
-    fn collectives_work_on_split_subcommunicators() {
-        let out = Runtime::new(6).run(|comm| {
-            let row = comm.split((comm.rank() / 3) as u64, (comm.rank() % 3) as u64).unwrap();
-
-            row.allreduce(comm.rank() as u64, |a, b| a + b).unwrap()
-        });
-        assert_eq!(out[0], 1 + 2);
-        assert_eq!(out[5], 3 + 4 + 5);
-    }
-
-    #[test]
     fn tiled_placement_cuts_nic_traffic_for_column_bcast() {
         // 4x4 grid, Q=4. Contiguous packs whole rows per node, so a column
         // broadcast crosses NICs on every hop; tiled 2x2 keeps half the
@@ -489,7 +257,7 @@ mod tests {
         let run = |placement: Placement| {
             let rt = Runtime::new(16).with_placement(placement);
             let (_, report) = rt.run_traced(|comm| {
-                let col = comm.split((comm.rank() % 4) as u64, (comm.rank() / 4) as u64).unwrap();
+                let col = ProcessGrid::new(comm, 4, 4).col;
                 let data = (col.rank() == 0).then(|| vec![0u8; 4096]);
                 col.ring_bcast(0, data, 4).unwrap();
             });

@@ -1,4 +1,4 @@
-//! Communicators: p2p endpoints plus MPI-style `split`.
+//! Communicators: p2p endpoints and the sub-communicators of a process grid.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -28,7 +28,6 @@ pub(crate) struct Shared {
     /// The cooperative rank scheduler: parks blocked tasks, multiplexes the
     /// worker slots, owns the deadline wheel (see [`crate::exec`]).
     pub(crate) sched: Scheduler,
-    splits: Mutex<SplitState>,
     ctx_alloc: Mutex<CtxAlloc>,
 }
 
@@ -36,20 +35,6 @@ pub(crate) struct Shared {
 struct CtxAlloc {
     next: u64,
     by_origin: HashMap<(u64, u64, u64), u64>,
-}
-
-#[derive(Default)]
-struct SplitState {
-    slots: HashMap<(u64, u64), SplitSlot>,
-    /// World rank of the first failed rank, once the runtime poisons us —
-    /// observed by ranks blocked waiting for peers to reach a `split`.
-    poisoned: Option<usize>,
-}
-
-#[derive(Default)]
-struct SplitSlot {
-    /// (color, key, world rank, rank in parent)
-    entries: Vec<(u64, u64, usize, usize)>,
 }
 
 impl Shared {
@@ -68,13 +53,12 @@ impl Shared {
             recv_timeout,
             faults,
             sched: Scheduler::new(p, workers),
-            splits: Mutex::new(SplitState::default()),
             ctx_alloc: Mutex::new(CtxAlloc { next: 1, by_origin: HashMap::new() }),
         }
     }
 
     /// Deterministic context id for the sub-communicator born from
-    /// `(parent ctx, split op, color)` — every member resolves to the same id.
+    /// `(parent ctx, op, color)` — every member resolves to the same id.
     fn ctx_for(&self, parent: u64, op: u64, color: u64) -> u64 {
         let mut alloc = self.ctx_alloc.lock();
         if let Some(&id) = alloc.by_origin.get(&(parent, op, color)) {
@@ -87,18 +71,13 @@ impl Shared {
     }
 
     /// Fail-fast fan-out after world rank `rank` failed: poison every
-    /// mailbox and the split table, then wake every parked task so blocked
-    /// ranks observe [`CommError::PeerFailed`] immediately instead of
-    /// burning the full receive timeout. The first failure wins attribution.
+    /// mailbox, then wake every parked task so blocked ranks observe
+    /// [`CommError::PeerFailed`] immediately instead of burning the full
+    /// receive timeout. The first failure wins attribution.
     pub(crate) fn poison(&self, rank: usize) {
         for mb in &self.mailboxes {
             mb.poison(rank);
         }
-        let mut splits = self.splits.lock();
-        if splits.poisoned.is_none() {
-            splits.poisoned = Some(rank);
-        }
-        drop(splits);
         self.sched.wake_all();
     }
 }
@@ -106,8 +85,8 @@ impl Shared {
 /// A communicator handle owned by one rank's task.
 ///
 /// `rank`/`size` are relative to this communicator; `members` maps
-/// communicator ranks to world ranks. All collectives and `split` must be
-/// called by every member in the same order (standard MPI contract).
+/// communicator ranks to world ranks. All collectives must be called by
+/// every member in the same order (standard MPI contract).
 pub struct Comm {
     pub(crate) ctx: u64,
     rank: usize,
@@ -138,11 +117,6 @@ impl Comm {
     #[inline]
     pub fn size(&self) -> usize {
         self.members.len()
-    }
-
-    /// Node hosting communicator member `r` (per the runtime's placement).
-    pub fn node_of(&self, r: usize) -> usize {
-        self.shared.placement.node_of(self.members[r])
     }
 
     /// Reserve the next collective-operation sequence number.
@@ -265,116 +239,24 @@ impl Comm {
         }
     }
 
-    /// Combined buffered send + blocking receive — the safe way to do a
-    /// pairwise exchange. Because sends are buffered, two ranks calling
-    /// `sendrecv` at each other cannot deadlock, and both halves run on this
-    /// rank's own scheduled task: a panic anywhere in the exchange is caught
-    /// by the runtime and surfaces as a typed `RankFailure` (earlier
-    /// revisions used raw helper threads here, which escaped the runtime's
-    /// failure accounting entirely).
-    pub fn sendrecv<S: Payload, R: Payload>(
-        &self,
-        dst: usize,
-        send_tag: u64,
-        msg: S,
-        src: usize,
-        recv_tag: u64,
-    ) -> Result<R, CommError> {
-        assert!(
-            send_tag & INTERNAL_TAG == 0 && recv_tag & INTERNAL_TAG == 0,
-            "user tags must not set the top bit"
-        );
-        self.send_raw(dst, send_tag, msg)?;
-        self.recv_raw(src, recv_tag)
-    }
-
-    /// Non-blocking probe for a pending message.
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
-        let my_world = self.members[self.rank];
-        self.shared.mailboxes[my_world].probe((self.ctx, src, tag))
-    }
-
-    /// Cooperatively hand this rank's worker slot to the next runnable rank,
-    /// if any is waiting. Call this inside [`Comm::probe`] polling loops so
-    /// they make progress even when the worker pool is smaller than the
-    /// rank count; a no-op when no other rank is waiting for a slot.
-    pub fn yield_now(&self) {
-        self.shared.sched.yield_now(self.members[self.rank]);
-    }
-
-    /// Collective: partition members by `color`; within a color, ranks are
-    /// ordered by `(key, parent rank)`. Returns this rank's sub-communicator.
-    ///
-    /// Fails with [`CommError::SplitTimeout`] when not every member reaches
-    /// the call before the receive timeout, or [`CommError::PeerFailed`]
-    /// when another rank fails while this one waits.
-    pub fn split(&self, color: u64, key: u64) -> Result<Comm, CommError> {
+    /// The sub-communicator of parent ranks `ranks`, in that order; this
+    /// rank must be one of them. Built locally, without a message or a
+    /// wait: every member passes the same `color` and `ranks`, so all
+    /// resolve the same context id. Like a collective, it takes the next
+    /// operation number, so every member of `self` calls it in the same
+    /// order.
+    pub(crate) fn sub(&self, color: u64, ranks: impl Iterator<Item = usize>) -> Comm {
         let op = self.next_op();
-        let slot_key = (self.ctx, op);
-        let world = self.members[self.rank];
-        let parent_size = self.size();
-        let deadline = Instant::now() + self.shared.recv_timeout;
-        let complete = {
-            let mut splits = self.shared.splits.lock();
-            if let Some(rank) = splits.poisoned {
-                return Err(CommError::PeerFailed { rank });
-            }
-            let slot = splits.slots.entry(slot_key).or_default();
-            slot.entries.push((color, key, world, self.rank));
-            slot.entries.len() == parent_size
-        };
-        if complete {
-            // last arriver: every other member has already registered, so
-            // wake them all (parked members re-poll; members still running
-            // absorb the wake via their notified flag)
-            for &m in self.members.iter() {
-                if m != world {
-                    self.shared.sched.wake(m);
-                }
-            }
-        } else {
-            let mut timed_out = false;
-            loop {
-                let splits = self.shared.splits.lock();
-                if splits.slots.get(&slot_key).map(|s| s.entries.len()) == Some(parent_size) {
-                    break;
-                }
-                if let Some(rank) = splits.poisoned {
-                    return Err(CommError::PeerFailed { rank });
-                }
-                if timed_out {
-                    let arrived = splits.slots.get(&slot_key).map_or(0, |s| s.entries.len());
-                    return Err(CommError::SplitTimeout {
-                        ctx: self.ctx,
-                        op,
-                        arrived,
-                        expected: parent_size,
-                    });
-                }
-                drop(splits);
-                timed_out = self.shared.sched.park(world, Some(deadline)) == Wake::TimedOut;
-            }
-        }
-        // read phase: slot complete; compute my sub-communicator
-        let splits = self.shared.splits.lock();
-        let slot = &splits.slots[&slot_key];
-        let mut mine: Vec<(u64, usize, usize)> = slot
-            .entries
-            .iter()
-            .filter(|e| e.0 == color)
-            .map(|&(_, k, w, pr)| (k, pr, w))
-            .collect();
-        drop(splits);
-        mine.sort_unstable();
-        let members: Vec<usize> = mine.iter().map(|&(_, _, w)| w).collect();
-        let my_rank = members.iter().position(|&w| w == world).expect("self in split");
-        Ok(Comm {
+        let members: Vec<usize> = ranks.map(|r| self.members[r]).collect();
+        let me = self.members[self.rank];
+        let rank = members.iter().position(|&w| w == me).expect("this rank is a member");
+        Comm {
             ctx: self.shared.ctx_for(self.ctx, op, color),
-            rank: my_rank,
+            rank,
             members: Arc::new(members),
             shared: self.shared.clone(),
             op_seq: Cell::new(0),
-        })
+        }
     }
 }
 
@@ -413,80 +295,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], 1020);
-    }
-
-    #[test]
-    fn sendrecv_pairwise_exchange_cannot_deadlock() {
-        // every rank sendrecvs with its ring neighbours simultaneously —
-        // the classic pattern that deadlocks with unbuffered sends
-        let p = 6;
-        let out = Runtime::new(p).run(move |comm| {
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let got: u64 = comm.sendrecv(right, 7, comm.rank() as u64, left, 7).unwrap();
-            got
-        });
-        for (r, &got) in out.iter().enumerate() {
-            assert_eq!(got as usize, (r + p - 1) % p, "rank {r} got its left neighbour's value");
-        }
-    }
-
-    #[test]
-    fn yield_now_lets_probe_loops_progress_on_a_tiny_pool() {
-        // rank 1 spins on probe() while rank 0 still needs a worker slot to
-        // send — with a 1-slot pool this only terminates because the probe
-        // loop yields its slot cooperatively
-        let out = Runtime::new(2).with_workers(1).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 9, 41u64).unwrap();
-                0
-            } else {
-                while !comm.probe(0, 9) {
-                    comm.yield_now();
-                }
-                comm.recv::<u64>(0, 9).unwrap() + 1
-            }
-        });
-        assert_eq!(out[1], 42);
-    }
-
-    #[test]
-    fn split_builds_row_communicators() {
-        // 6 ranks → 2 colors of 3; rank order inside = key order
-        let out = Runtime::new(6).run(|comm| {
-            let color = (comm.rank() / 3) as u64;
-            let key = (comm.rank() % 3) as u64;
-            let sub = comm.split(color, key).unwrap();
-            // member 0 of each sub-communicator names its world rank
-            let first = sub
-                .bcast(0, (sub.rank() == 0).then(|| comm.rank()))
-                .unwrap();
-            (sub.size(), sub.rank(), first)
-        });
-        assert_eq!(out[0], (3, 0, 0));
-        assert_eq!(out[4], (3, 1, 3));
-        assert_eq!(out[5], (3, 2, 3));
-    }
-
-    #[test]
-    fn split_subcomm_messages_do_not_leak_across_colors() {
-        let out = Runtime::new(4).run(|comm| {
-            let color = (comm.rank() % 2) as u64;
-            let sub = comm.split(color, comm.rank() as u64).unwrap();
-            if sub.rank() == 0 {
-                comm.barrier().unwrap(); // let both sends happen before receives
-                sub.send(1, 3, (color + 1) * 111).unwrap();
-                comm.barrier().unwrap();
-                0
-            } else {
-                comm.barrier().unwrap();
-                comm.barrier().unwrap();
-                sub.recv::<u64>(0, 3).unwrap()
-            }
-        });
-        // ranks 2 and 3 are rank 1 of their color's subcomm
-        assert_eq!(out[2], 111); // color 0
-        assert_eq!(out[3], 222); // color 1
     }
 
     #[test]
@@ -543,27 +351,6 @@ mod tests {
         assert!(msg.contains("recv timed out after 30ms"), "{msg}");
         assert!(msg.contains("during phase OuterUpdate"), "{msg}");
         assert!(msg.contains("distributed deadlock"), "{msg}");
-    }
-
-    #[test]
-    fn split_timeout_is_a_typed_error() {
-        // rank 0 never calls split, so rank 1's split cannot complete.
-        let rt = Runtime::new(2).with_recv_timeout(Duration::from_millis(30));
-        let err = rt
-            .try_run(|comm| -> Result<(), CommError> {
-                if comm.rank() == 1 {
-                    let _sub = comm.split(0, 0)?;
-                }
-                Ok(())
-            })
-            .expect_err("the split must time out");
-        let first = err.first();
-        let FailureKind::App(CommError::SplitTimeout { arrived, expected, .. }) = &first.error
-        else {
-            panic!("expected a split timeout, got {:?}", first.error)
-        };
-        assert_eq!((*arrived, *expected), (1, 2));
-        assert!(format!("{err}").contains("split timed out"), "{err}");
     }
 
     #[test]

@@ -79,18 +79,6 @@ pub enum CommError {
         /// World rank of the first rank that failed.
         rank: usize,
     },
-    /// Not every member of the communicator reached a `split` call before
-    /// the timeout.
-    SplitTimeout {
-        /// Context id of the parent communicator.
-        ctx: u64,
-        /// Collective-operation sequence number of the split.
-        op: u64,
-        /// How many ranks had arrived when the timeout expired.
-        arrived: usize,
-        /// How many were expected (the parent communicator's size).
-        expected: usize,
-    },
     /// A message arrived on the right `(ctx, src, tag)` but its payload was
     /// a different Rust type than the receiver asked for — a mismatched
     /// send/recv pair (a program bug, not a deadlock).
@@ -120,11 +108,6 @@ impl fmt::Display for CommError {
                 f,
                 "peer failure: world rank {rank} failed first; the runtime poisoned all \
                  mailboxes so this rank fails fast instead of waiting out its recv timeout"
-            ),
-            CommError::SplitTimeout { ctx, op, arrived, expected } => write!(
-                f,
-                "split timed out: not all ranks reached the split call \
-                 (ctx={ctx} op={op}: {arrived}/{expected} arrived) — distributed deadlock?"
             ),
             CommError::PayloadTypeMismatch { ctx, src, tag, expected } => write!(
                 f,

@@ -5,9 +5,9 @@
 //! almost-always-parked) call stack, but its **execution** is multiplexed
 //! over a small worker pool: the scheduler hands out `workers` *run slots*,
 //! and only a task holding a slot makes progress. A task that blocks in
-//! `recv`/`split`/`bcast`/`barrier` parks itself and releases its slot, so
-//! the slot immediately goes to the next runnable rank; message delivery
-//! re-enqueues the waiter. That is what lets one box simulate 1024+ ranks:
+//! `recv` (and so in every collective built on it) parks itself and
+//! releases its slot, so the slot immediately goes to the next runnable
+//! rank; message delivery re-enqueues the waiter. That is what lets one box simulate 1024+ ranks:
 //! the cost of a blocked rank is a parked stack, not a schedulable OS
 //! thread, and the number of ranks *executing* concurrently never exceeds
 //! the pool size regardless of `p`.
@@ -46,8 +46,8 @@ use crate::p2p::MatchKey;
 /// Why [`Scheduler::park`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Wake {
-    /// Something happened (delivery, poison, split completion, or a spurious
-    /// neighbour event) — re-poll the condition.
+    /// Something happened (a delivery, a poison, or a spurious neighbour
+    /// event) — re-poll the mailbox.
     Notified,
     /// The operation's deadline expired on the scheduler wheel. The caller
     /// must do one final poll (a delivery can race the deadline) before
@@ -69,7 +69,7 @@ pub struct ExecStats {
     pub peak_running: usize,
     /// Total park operations (a task releasing its slot to block).
     pub parks: u64,
-    /// Total wake notifications (deliveries, poisons, split completions).
+    /// Total wake notifications (deliveries and poisons).
     pub wakes: u64,
     /// Deadline-wheel entries that fired as timeouts.
     pub expired_deadlines: u64,
@@ -281,29 +281,6 @@ impl Scheduler {
                 inner.tasks[t].timed_out = false;
                 return wake;
             }
-        }
-    }
-
-    /// Cooperatively hand the slot to the next runnable task, if any. A
-    /// no-op when nobody is waiting. Lets long-polling loops (e.g. over
-    /// [`crate::Comm::probe`]) coexist with a saturated pool.
-    pub(crate) fn yield_now(&self, t: usize) {
-        let mut inner = self.inner.lock();
-        if inner.runnable.is_empty() {
-            return;
-        }
-        debug_assert_eq!(inner.tasks[t].state, TaskState::Running);
-        inner.tasks[t].state = TaskState::Runnable;
-        inner.runnable.push_back(t);
-        inner.running -= 1;
-        Self::grant(&mut inner);
-        loop {
-            if inner.tasks[t].state == TaskState::Running {
-                return;
-            }
-            drop(inner);
-            std::thread::park();
-            inner = self.inner.lock();
         }
     }
 

@@ -1,7 +1,6 @@
 //! 2-D process grids and block-cyclic ownership (paper §2.5.1).
 
 use crate::comm::Comm;
-use crate::error::CommError;
 
 /// A `P_r × P_c` process grid layered over a communicator, with row and
 /// column sub-communicators. Grid coordinates are row-major:
@@ -14,40 +13,29 @@ pub struct ProcessGrid {
     pub row: Comm,
     /// This rank's column communicator, ordered by row.
     pub col: Comm,
-    pr: usize,
-    pc: usize,
 }
 
 impl ProcessGrid {
-    /// Build the grid collectively. Every member of `comm` must call this
-    /// with the same `(pr, pc)`. Fails if either underlying `split` fails
-    /// (peer failure or split timeout).
+    /// Lay the grid over `comm`. Every member of `comm` calls this with the
+    /// same `(pr, pc)`, at the same point among its collectives. The row and
+    /// column communicators follow from the grid arithmetic alone — row `r`
+    /// is grid ranks `r·pc … r·pc + pc − 1`, column `c` is `c, c + pc, …` —
+    /// so building a grid sends nothing and waits for nobody.
     ///
     /// # Panics
     /// Panics if `pr · pc != comm.size()`.
-    pub fn new(comm: Comm, pr: usize, pc: usize) -> Result<Self, CommError> {
+    pub fn new(comm: Comm, pr: usize, pc: usize) -> Self {
         assert_eq!(pr * pc, comm.size(), "grid dims must cover the communicator");
-        let my_r = comm.rank() / pc;
-        let my_c = comm.rank() % pc;
-        let row = comm.split(my_r as u64, my_c as u64)?;
-        let col = comm.split((pr as u64) + my_c as u64, my_r as u64)?;
-        Ok(ProcessGrid { grid: comm, row, col, pr, pc })
+        let (my_r, my_c) = (comm.rank() / pc, comm.rank() % pc);
+        let row = comm.sub(my_r as u64, (0..pc).map(|c| my_r * pc + c));
+        let col = comm.sub(my_c as u64, (0..pr).map(|r| r * pc + my_c));
+        ProcessGrid { grid: comm, row, col }
     }
 
-    /// `(P_r, P_c)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.pr, self.pc)
-    }
-
-    /// This rank's `(row, col)` coordinates.
+    /// This rank's `(row, col)` coordinates: its rank in the column
+    /// communicator and its rank in the row communicator.
     pub fn coords(&self) -> (usize, usize) {
-        (self.grid.rank() / self.pc, self.grid.rank() % self.pc)
-    }
-
-    /// Grid rank of coordinates `(r, c)`.
-    pub fn rank_of(&self, r: usize, c: usize) -> usize {
-        debug_assert!(r < self.pr && c < self.pc);
-        r * self.pc + c
+        (self.col.rank(), self.row.rank())
     }
 }
 
@@ -59,7 +47,7 @@ mod tests {
     #[test]
     fn coordinates_and_subcomms_line_up() {
         let out = Runtime::new(6).run(|comm| {
-            let g = ProcessGrid::new(comm, 2, 3).unwrap();
+            let g = ProcessGrid::new(comm, 2, 3);
             let (r, c) = g.coords();
             (r, c, g.row.rank(), g.row.size(), g.col.rank(), g.col.size())
         });
@@ -72,11 +60,22 @@ mod tests {
     #[test]
     fn row_comm_exchanges_stay_in_row() {
         let out = Runtime::new(4).run(|comm| {
-            let g = ProcessGrid::new(comm, 2, 2).unwrap();
+            let g = ProcessGrid::new(comm, 2, 2);
             // row broadcast: column 0 member broadcasts its grid rank
             let data = (g.row.rank() == 0).then(|| g.grid.rank() as u64);
             g.row.bcast(0, data).unwrap()
         });
         assert_eq!(out, vec![0, 0, 2, 2]);
+    }
+
+    #[test]
+    fn building_a_grid_moves_no_messages() {
+        let (out, report) = Runtime::new(12).run_traced(|comm| {
+            let g = ProcessGrid::new(comm, 3, 4);
+            (g.row.size(), g.col.size())
+        });
+        assert!(out.iter().all(|&dims| dims == (4, 3)));
+        assert_eq!(report.total_msgs, 0);
+        assert_eq!(report.total_nic_bytes() + report.total_intra_bytes(), 0);
     }
 }

@@ -5,11 +5,13 @@
 //! Stand-in for MPI (the paper runs IBM Spectrum MPI on Summit): every rank
 //! is a cooperatively-scheduled task multiplexed over a bounded worker pool
 //! (see [`exec`]), point-to-point messages are tag-matched through per-rank
-//! mailboxes, and collectives (binomial-tree broadcast, **pipelined ring
-//! broadcast**, barriers, gathers) are built on top of p2p exactly as MPI
-//! implementations build theirs. A rank that blocks parks its task and
-//! yields its worker slot, so one development box can simulate the paper's
-//! 1024+ rank configurations — concurrency is bounded by the pool size
+//! mailboxes, and the three collectives ParallelFw uses (binomial-tree
+//! broadcast, **pipelined ring broadcast**, gather) are built on top of p2p
+//! exactly as MPI implementations build theirs. A [`ProcessGrid`] derives
+//! its row and column communicators from the grid arithmetic, without a
+//! message. A rank that blocks parks its task and yields its worker slot,
+//! so one development box can simulate the paper's 1024+ rank
+//! configurations — concurrency is bounded by the pool size
 //! ([`Runtime::with_workers`]), not by the rank count.
 //!
 //! Two features matter for reproducing the paper:

@@ -105,11 +105,6 @@ impl Mailbox {
     pub(crate) fn pending_keys(&self) -> Vec<MatchKey> {
         self.state.lock().queue.iter().map(|e| e.key).collect()
     }
-
-    /// Non-blocking probe: is a matching message queued?
-    pub(crate) fn probe(&self, key: MatchKey) -> bool {
-        self.state.lock().queue.iter().any(|e| e.key == key)
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,7 @@ mod tests {
         mb.deliver((0, 1, 1), Box::new(42u32));
         let got = ready::<u32>(&mb, (0, 1, 1));
         assert_eq!(got, 42);
-        assert!(mb.probe((0, 2, 1)));
+        assert_eq!(mb.pending_keys(), vec![(0, 2, 1)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ impl<T: Copy + Send + 'static> Payload for Vec<T> {
 
 /// Shared buffers move by reference count — a forwarding rank in
 /// [`crate::Comm::ring_bcast`] re-sends the chunk it received, and every
-/// hop of the binomial tree in [`crate::Comm::bcast_shared`] passes the
+/// hop of the binomial tree in [`crate::Comm::bcast`] passes the
 /// root's allocation on, without copying the bytes. The *wire* size is
 /// still the full inner payload: sharing is a host-memory optimization,
 /// not a traffic one, and the counters must keep telling the truth about
@@ -38,7 +38,7 @@ macro_rules! impl_payload_scalar {
     };
 }
 
-impl_payload_scalar!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool, ());
+impl_payload_scalar!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
 
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn size_bytes(&self) -> usize {

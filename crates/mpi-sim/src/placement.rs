@@ -15,10 +15,6 @@
 /// row-major order (`rank = r·pc + c`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
-    pr: usize,
-    pc: usize,
-    qr: usize,
-    qc: usize,
     /// node id per world rank
     node_of: Vec<usize>,
 }
@@ -27,24 +23,12 @@ impl Placement {
     /// Every rank on its own node (the degenerate `Q = 1` case); all traffic
     /// is inter-node. This is the default when no placement is given.
     pub fn one_rank_per_node(p: usize) -> Self {
-        Placement {
-            pr: 1,
-            pc: p,
-            qr: 1,
-            qc: 1,
-            node_of: (0..p).collect(),
-        }
+        Placement { node_of: (0..p).collect() }
     }
 
     /// All ranks on a single node; no traffic crosses a NIC.
     pub fn single_node(p: usize) -> Self {
-        Placement {
-            pr: 1,
-            pc: p,
-            qr: 1,
-            qc: p,
-            node_of: vec![0; p],
-        }
+        Placement { node_of: vec![0; p] }
     }
 
     /// Consecutive world ranks share a node, `q` ranks per node. With a
@@ -52,13 +36,7 @@ impl Placement {
     /// style intranode footprints the paper calls "typical".
     pub fn contiguous(pr: usize, pc: usize, q: usize) -> Self {
         assert!(q > 0 && (pr * pc).is_multiple_of(q), "q must divide P");
-        Placement {
-            pr,
-            pc,
-            qr: 1,
-            qc: q, // footprint within a row-major layout
-            node_of: (0..pr * pc).map(|r| r / q).collect(),
-        }
+        Placement { node_of: (0..pr * pc).map(|r| r / q).collect() }
     }
 
     /// Paper Fig. 1: node `(kr, kc)` owns the `qr × qc` tile of grid
@@ -75,7 +53,7 @@ impl Placement {
                 (r / qr) * kc + (c / qc)
             })
             .collect();
-        Placement { pr, pc, qr, qc, node_of }
+        Placement { node_of }
     }
 
     /// Node hosting world rank `rank`.
@@ -92,11 +70,6 @@ impl Placement {
     /// Number of distinct nodes.
     pub fn num_nodes(&self) -> usize {
         self.node_of.iter().copied().max().map_or(0, |m| m + 1)
-    }
-
-    /// `(K_r, K_c)` node-grid dimensions.
-    pub fn node_grid_dims(&self) -> (usize, usize) {
-        (self.pr / self.qr, self.pc / self.qc)
     }
 }
 
@@ -120,7 +93,6 @@ mod tests {
         // take P = 4x6 with Q = 2x3 → K = 2x2.
         let p = Placement::tiled(4, 6, 2, 3);
         assert_eq!(p.num_nodes(), 4);
-        assert_eq!(p.node_grid_dims(), (2, 2));
         // rank (0,0) and (1,2) share node 0; (0,3) is node 1; (2,0) is node 2.
         assert_eq!(p.node_of(0), 0);
         assert_eq!(p.node_of(6 + 2), 0); // grid (1,2)

@@ -2,15 +2,15 @@
 //!
 //! The paper's headline runs use 1024–1536 ranks (Figs. 8/9); under the old
 //! thread-per-rank runtime these tests could not even start on a small dev
-//! box. Here they pin three things at paper scale: the collectives keep
-//! their asymptotic message counts (allgather 2(p-1) total, barrier
-//! ⌈log₂p⌉+1 ingress per rank), per-phase NIC accounting stays exact
-//! (`phase_nic_bytes_sum == total_nic_bytes`), and the worker pool — not
-//! the rank count — bounds concurrently-executing tasks.
+//! box. Here they pin three things at paper scale: the collectives
+//! ParallelFw uses keep their exact message counts (tree broadcast `p − 1`
+//! with at most one receive per rank, gather `p − 1`, ring broadcast
+//! `(p − 1)(chunks + 1)`), per-phase NIC accounting stays exact, and the
+//! worker pool — not the rank count — bounds concurrently-executing tasks.
 
 use std::time::{Duration, Instant};
 
-use mpi_sim::{CommError, Runtime};
+use mpi_sim::{CommError, ProcessGrid, Runtime};
 
 /// Long timeout for large-p runs on small hosts: ranks spend most of their
 /// wall-clock parked waiting for a worker slot, which must not be
@@ -20,36 +20,22 @@ const SCALE_TIMEOUT: Duration = Duration::from_secs(120);
 /// Small stacks keep 1024 rank tasks cheap; these closures are shallow.
 const SMALL_STACK: usize = 256 * 1024;
 
-#[test]
-fn allgather_message_count_stays_linear_at_p512() {
-    let p = 512usize;
-    let rt = Runtime::new(p).with_recv_timeout(SCALE_TIMEOUT).with_stack_size(SMALL_STACK);
-    let (out, report) = rt.run_traced(move |comm| comm.allgather(comm.rank() as u64).unwrap());
-    let expect: Vec<u64> = (0..p as u64).collect();
-    for v in &out {
-        assert_eq!(v, &expect);
-    }
-    // gather-then-bcast: (p-1) + (p-1) messages — O(p), comfortably inside
-    // the O(p log p) budget, and NOT the p(p-1) of naive all-to-all
-    assert_eq!(
-        report.total_msgs,
-        2 * (p as u64 - 1),
-        "allgather on {p} ranks must move exactly 2(p-1) messages"
-    );
+fn runtime(p: usize) -> Runtime {
+    Runtime::new(p).with_recv_timeout(SCALE_TIMEOUT).with_stack_size(SMALL_STACK)
 }
 
 #[test]
-fn barrier_fan_in_stays_logarithmic_at_p512() {
+fn tree_bcast_moves_p_minus_1_messages_at_p512() {
     let p = 512usize;
-    let rt = Runtime::new(p).with_recv_timeout(SCALE_TIMEOUT).with_stack_size(SMALL_STACK);
-    let ((_, report), trace) =
-        apsp_trace::record("caller", || rt.run_traced(|comm| comm.barrier().unwrap()));
-    assert_eq!(
-        report.total_msgs,
-        2 * (p as u64 - 1),
-        "barrier on {p} ranks must move exactly 2(p-1) messages"
-    );
-    let log2p = p.next_power_of_two().trailing_zeros() as usize;
+    let root = 137;
+    let rt = runtime(p);
+    let ((out, report), trace) = apsp_trace::record("caller", || {
+        rt.run_traced(move |comm| {
+            comm.bcast(root, (comm.rank() == root).then_some(7u64)).unwrap()
+        })
+    });
+    assert!(out.iter().all(|&v| v == 7));
+    assert_eq!(report.total_msgs, p as u64 - 1, "tree bcast on {p} ranks");
     let mut ingress = vec![0usize; p];
     for tl in &trace.timelines {
         for e in &tl.events {
@@ -57,47 +43,69 @@ fn barrier_fan_in_stays_logarithmic_at_p512() {
         }
     }
     for (r, n) in ingress.into_iter().enumerate() {
-        assert!(
-            n <= log2p + 1,
-            "barrier on {p} ranks: rank {r} received {n} messages, \
-             expected at most ⌈log₂ p⌉ + 1 = {}",
-            log2p + 1
-        );
+        assert_eq!(n, usize::from(r != root), "rank {r} received {n} messages");
     }
 }
 
 #[test]
+fn gather_moves_p_minus_1_messages_at_p512() {
+    let p = 512usize;
+    let (out, report) =
+        runtime(p).run_traced(|comm| comm.gather(0, comm.rank() as u64).unwrap());
+    assert_eq!(out[0], Some((0..p as u64).collect::<Vec<_>>()));
+    assert!(out[1..].iter().all(Option::is_none));
+    assert_eq!(report.total_msgs, p as u64 - 1, "gather on {p} ranks");
+}
+
+#[test]
+fn ring_bcast_moves_p_minus_1_times_chunks_plus_1_messages_at_p512() {
+    let p = 512usize;
+    let chunks = 4u64;
+    let (out, report) = runtime(p).run_traced(move |comm| {
+        let data = (comm.rank() == 3).then(|| vec![5u32; 100]);
+        comm.ring_bcast(3, data, chunks as usize).unwrap()
+    });
+    assert!(out.iter().all(|v| v == &vec![5u32; 100]));
+    // every hop carries the chunk-count header and each chunk once
+    assert_eq!(report.total_msgs, (p as u64 - 1) * (chunks + 1), "ring bcast on {p} ranks");
+}
+
+#[test]
 fn smoke_1024_ranks_completes_under_wall_clock_cap() {
-    let p = 1024usize;
+    let (pr, pc) = (32usize, 32usize);
+    let p = pr * pc;
     let workers = 8;
     let start = Instant::now();
-    let rt = Runtime::new(p)
-        .with_workers(workers)
-        .with_stack_size(SMALL_STACK)
-        .with_recv_timeout(SCALE_TIMEOUT);
-    let (out, report, stats) = rt.try_run_with_stats(move |comm| -> Result<u64, CommError> {
-        let got = {
+    let rt = runtime(p).with_workers(workers);
+    let (out, report, stats) = rt.try_run_with_stats(move |comm| -> Result<_, CommError> {
+        let g = ProcessGrid::new(comm, pr, pc);
+        let (r, c) = g.coords();
+        let diag = {
             let _g = apsp_trace::span("DiagBcast");
-            let data = (comm.rank() == 0).then(|| vec![42u64; 16]);
-            comm.bcast(0, data)?
+            g.row.bcast(0, (c == 0).then(|| vec![r as u64; 16]))?
         };
-        comm.barrier()?;
-        let sum = {
-            let _g = apsp_trace::span("OuterUpdate");
-            comm.allreduce(comm.rank() as u64, |a, b| a + b)?
+        let panel = {
+            let _g = apsp_trace::span("PanelBcast");
+            g.col.ring_bcast(0, (r == 0).then(|| vec![c as u64; 64]), 4)?
         };
-        Ok(got[0] + sum)
+        g.grid.gather(0, diag[0] * 100 + panel[0])
     });
     let elapsed = start.elapsed();
-    let expect_sum = (p as u64 - 1) * p as u64 / 2;
-    assert_eq!(out.expect("1024-rank smoke must succeed"), vec![42 + expect_sum; p]);
+    let out = out.expect("1024-rank smoke must succeed");
+    let expect: Vec<u64> = (0..p as u64).map(|g| g / pc as u64 * 100 + g % pc as u64).collect();
+    assert_eq!(out[0].as_ref(), Some(&expect));
     assert!(
         elapsed < Duration::from_secs(90),
         "1024-rank smoke took {elapsed:?} — the executor is not event-driven enough"
     );
-    // per-phase NIC accounting must stay exact at scale
+    // per-phase NIC accounting is exact at scale (one rank per node, so
+    // every hop crosses a NIC): pr row trees of pc − 1 hops, pc column
+    // rings of pr − 1 hops (64 u64s in 4 chunks plus the 8-byte header),
+    // and p − 1 untraced gather sends
+    assert_eq!(report.phase_nic_bytes("DiagBcast"), (pr * (pc - 1) * 16 * 8) as u64);
+    assert_eq!(report.phase_nic_bytes("PanelBcast"), (pc * (pr - 1) * (64 * 8 + 8)) as u64);
+    assert_eq!(report.per_phase[apsp_trace::UNTRACED].nic_bytes, (p as u64 - 1) * 8);
     assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
-    assert!(report.phase_nic_bytes("DiagBcast") > 0);
     // the pool, not the rank count, bounds concurrent execution
     assert_eq!((stats.ranks, stats.workers), (p, workers));
     assert!(
@@ -110,24 +118,20 @@ fn smoke_1024_ranks_completes_under_wall_clock_cap() {
 
 #[test]
 fn worker_pool_bounds_concurrent_execution() {
-    // 256 ranks over 4 slots doing a split + sub-communicator broadcast:
-    // heavy park/wake traffic through both the mailbox and split paths
+    // 256 ranks over 4 slots, each row of a 16 × 16 grid broadcasting on
+    // its own row communicator: heavy park/wake traffic through the mailboxes
     let p = 256usize;
     let workers = 4;
-    let rt = Runtime::new(p)
-        .with_workers(workers)
-        .with_stack_size(SMALL_STACK)
-        .with_recv_timeout(SCALE_TIMEOUT);
+    let rt = runtime(p).with_workers(workers);
     let (out, _, stats) = rt.try_run_with_stats(move |comm| -> Result<u64, CommError> {
-        let color = (comm.rank() % 16) as u64;
-        let sub = comm.split(color, comm.rank() as u64)?;
-        let data = (sub.rank() == 0).then(|| vec![color; 4]);
-        let got = sub.bcast(0, data)?;
+        let g = ProcessGrid::new(comm, 16, 16);
+        let (r, _) = g.coords();
+        let got = g.row.bcast(0, (g.row.rank() == 0).then(|| vec![r as u64; 4]))?;
         Ok(got[0])
     });
-    let out = out.expect("split + bcast at p=256");
-    for (r, &v) in out.iter().enumerate() {
-        assert_eq!(v, (r % 16) as u64);
+    let out = out.expect("row bcasts at p=256");
+    for (rank, &v) in out.iter().enumerate() {
+        assert_eq!(v, (rank / 16) as u64);
     }
     assert!(
         stats.peak_running <= workers,
