@@ -6,7 +6,9 @@
 //! 1. under [`Schedule::LookAhead`] only, relaxes the (k+1)-th block row and
 //!    column with the k-th panels and runs DiagUpdate, DiagBcast,
 //!    PanelUpdate and PanelBcast for k+1;
-//! 2. applies OuterUpdate(k) to the whole local matrix;
+//! 2. applies OuterUpdate(k) to the local matrix outside the strips already
+//!    closed: the owned k-th ones and, under look-ahead, the (k+1)-th ones
+//!    (a no-op there in an idempotent semiring, so it is skipped);
 //! 3. under [`Schedule::BulkSync`], runs the (k+1) diag/panel phases only
 //!    now, after it.
 //!
@@ -15,8 +17,12 @@
 //! `cluster-sim` schedule generator turns exactly this reordering into
 //! hidden communication time.
 //!
+//! Every update is one [`QuadrantUpdate::update`] call, the band-split
+//! OuterUpdate blocked FW runs too: up to four corner GEMMs around one
+//! excluded row range and one excluded column range.
+//!
 //! The execution axis is a private enum built from [`FwConfig::exec`]: the
-//! in-core executor runs each OuterUpdate as one packed GEMM; the offload
+//! in-core executor runs each corner as one packed GEMM; the offload
 //! executor stages it through a capacity-limited simulated device with
 //! `ooGSrGemm` (§4.3), so only the k-th panels plus `s` tile buffers ever
 //! live on the device. The look-ahead strip updates go through the same
@@ -27,14 +33,17 @@
 //! takes the error path together instead of one rank aborting
 //! mid-collective.
 
+use std::ops::Range;
+
 use apsp_trace::span;
 use gpu_sim::{oog_srgemm, OogConfig, SimGpu};
 use mpi_sim::ProcessGrid;
-use srgemm::gemm::{gemm_packed_threads, PackedB};
+use srgemm::gemm::gemm_packed_threads;
 use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
 use super::{diag_and_panels, DistError, DistMatrix, Exec, FwConfig, Panels, Schedule};
+use crate::fw_blocked::QuadrantUpdate;
 
 /// Where this rank's OuterUpdates run.
 enum Outer {
@@ -85,39 +94,34 @@ impl Outer {
         Ok(Outer::Offload { gpu: SimGpu::new(cfg.gpu_spec), oog: cfg.oog })
     }
 
-    /// `b` in the micro-kernel's tiled layout, for the in-core executor
-    /// only (the offload executor stages the view through its own pipeline).
-    fn pack<S: Semiring>(&self, b: &View<'_, S::Elem>) -> Option<PackedB<S::Elem>> {
-        matches!(self, Outer::InCore { .. }).then(|| PackedB::pack::<S>(b))
-    }
-
-    /// `c ← c ⊕ a ⊗ b` on any sub-view `c` of the local matrix; `packed`
-    /// is [`Outer::pack`] of `b` when the caller already holds it.
+    /// `c ⊕= a ⊗ b` outside the rows `rows` and columns `cols` of `c`, a
+    /// sub-view of the local matrix, through `quadrants`: the in-core
+    /// executor streams each corner's packed `B` half, the offload executor
+    /// stages the corner and its operand views through the device.
     fn update<S: Semiring>(
         &self,
-        c: &mut ViewMut<'_, S::Elem>,
+        quadrants: &mut QuadrantUpdate<S>,
+        c: ViewMut<'_, S::Elem>,
+        rows: Range<usize>,
+        cols: Range<usize>,
         a: &View<'_, S::Elem>,
         b: &View<'_, S::Elem>,
-        packed: Option<&PackedB<S::Elem>>,
     ) -> Result<(), DistError> {
-        match self {
-            Outer::InCore { threads } => match packed {
-                Some(pb) => gemm_packed_threads::<S>(c, a, pb, *threads),
-                None => gemm_packed_threads::<S>(c, a, &PackedB::pack::<S>(b), *threads),
-            },
-            Outer::Offload { .. } if c.rows() == 0 || c.cols() == 0 => {}
-            Outer::Offload { gpu, oog } => {
-                oog_srgemm::<S>(gpu, oog, c, a, b).map_err(|e| match e {
-                    gpu_sim::OogError::Oom(oom) => {
-                        DistError::DeviceOom { requested: oom.requested, available: oom.available }
-                    }
-                    bad @ gpu_sim::OogError::InvalidConfig { .. } => {
-                        DistError::BadConfig { detail: bad.to_string() }
-                    }
-                })?;
+        quadrants.update(c, rows, cols, a, b, |c, a, b| match self {
+            Outer::InCore { threads } => {
+                gemm_packed_threads::<S>(c, a, b.packed(), *threads);
+                Ok(())
             }
-        }
-        Ok(())
+            Outer::Offload { gpu, oog } => match oog_srgemm::<S>(gpu, oog, c, a, b.view()) {
+                Ok(_) => Ok(()),
+                Err(gpu_sim::OogError::Oom(oom)) => {
+                    Err(DistError::DeviceOom { requested: oom.requested, available: oom.available })
+                }
+                Err(bad @ gpu_sim::OogError::InvalidConfig { .. }) => {
+                    Err(DistError::BadConfig { detail: bad.to_string() })
+                }
+            },
+        })
     }
 }
 
@@ -139,34 +143,30 @@ pub(super) fn run<S: Semiring>(
     let outer = Outer::new::<S>(cfg, a.n, a.pr, a.pc)?;
     let phases = |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.bcast);
 
+    let mut quadrants = QuadrantUpdate::<S>::new();
     let mut panels = phases(a, 0)?;
     for k in 0..a.nb {
         let next = k + 1 < a.nb;
         let look_ahead = next && cfg.schedule == Schedule::LookAhead;
-        // The row panel is the B operand of every update of this iteration
-        // but the look-ahead column strip: it is packed once, in the
-        // iteration's first OuterUpdate span.
-        let mut packed = None;
         let mut ahead = None;
         if look_ahead {
             {
                 let _p = span("OuterUpdate");
-                packed = outer.pack::<S>(&panels.row_panel.view());
-                lookahead_update::<S>(a, k + 1, &panels, &outer, packed.as_ref())?;
+                lookahead_update::<S>(a, k, &panels, &outer, &mut quadrants)?;
             }
             ahead = Some(phases(a, k + 1)?);
         }
         {
-            // OuterUpdate(k) over the whole local matrix (re-touching the
-            // k-th strips, and under look-ahead the (k+1)-th ones relaxed
-            // with these same panels, is a no-op in an idempotent semiring
-            // once the diagonal block is closed)
+            // OuterUpdate(k) outside the strips already closed: the owned
+            // k-th ones, which PanelUpdate(k) finished, and under look-ahead
+            // the (k+1)-th ones, relaxed with these same panels before
+            // PanelUpdate(k+1) finished them. On a one-wide grid side one
+            // rank owns both, side by side, so each side stays one range.
             let _p = span("OuterUpdate");
-            if !look_ahead {
-                packed = outer.pack::<S>(&panels.row_panel.view());
-            }
+            let closed = k..k + 1 + usize::from(look_ahead);
+            let (rows, cols) = (a.local_rows(closed.clone()), a.local_cols(closed));
             let (col, row) = (panels.col_panel.view(), panels.row_panel.view());
-            outer.update::<S>(&mut a.local.view_mut(), &col, &row, packed.as_ref())?;
+            outer.update::<S>(&mut quadrants, a.local.view_mut(), rows, cols, &col, &row)?;
         }
         if next {
             panels = match ahead {
@@ -179,31 +179,31 @@ pub(super) fn run<S: Semiring>(
 }
 
 /// OuterUpdate(k) on the (k+1)-th strips only, so DiagUpdate(k+1) and
-/// PanelUpdate(k+1) can run before the bulk OuterUpdate(k). `packed` is the
-/// iteration's packed row panel.
+/// PanelUpdate(k+1) can run before the bulk OuterUpdate(k). Each strip
+/// skips what needs no update: the row strip the k-th columns, the column
+/// strip the k-th rows (both final since PanelUpdate(k)) and the
+/// (k+1, k+1) block, which the row strip has just updated.
 fn lookahead_update<S: Semiring>(
     a: &mut DistMatrix<S::Elem>,
-    next: usize,
+    k: usize,
     panels: &Panels<S::Elem>,
     outer: &Outer,
-    packed: Option<&PackedB<S::Elem>>,
+    quadrants: &mut QuadrantUpdate<S>,
 ) -> Result<(), DistError> {
+    let next = k + 1;
     let bk1 = a.block_dim(next);
-    // row strip: A(next, :) ⊕= A(next, k) ⊗ A(k, :) — B is the whole row panel
+    let (col, row) = (panels.col_panel.view(), panels.row_panel.view());
+    // row strip: A(next, :) ⊕= A(next, k) ⊗ A(k, :)
     if a.owns_row(next) {
-        let r0 = a.local_row_start(next);
-        let col_slice = panels.col_panel.subview(r0, 0, bk1, panels.col_panel.cols());
-        let row = panels.row_panel.view();
-        outer.update::<S>(&mut a.row_strip_mut(next), &col_slice, &row, packed)?;
+        let col_slice = col.subview(a.local_row_start(next), 0, bk1, col.cols());
+        let cols = a.local_cols(k..next);
+        outer.update::<S>(quadrants, a.row_strip_mut(next), 0..0, cols, &col_slice, &row)?;
     }
-    // column strip: A(:, next) ⊕= A(:, k) ⊗ A(k, next) — B is a b×b column
-    // slice of the row panel, which does not line up with packed-tile
-    // boundaries, so this O(n·b²) update packs its own
+    // column strip: A(:, next) ⊕= A(:, k) ⊗ A(k, next)
     if a.owns_col(next) {
-        let c0 = a.local_col_start(next);
-        let row_slice = panels.row_panel.subview(0, c0, panels.row_panel.rows(), bk1);
-        let col = panels.col_panel.view();
-        outer.update::<S>(&mut a.col_strip_mut(next), &col, &row_slice, None)?;
+        let row_slice = row.subview(0, a.local_col_start(next), row.rows(), bk1);
+        let rows = a.local_rows(k..next + 1);
+        outer.update::<S>(quadrants, a.col_strip_mut(next), rows, 0..0, &col, &row_slice)?;
     }
     Ok(())
 }

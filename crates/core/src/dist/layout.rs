@@ -3,9 +3,11 @@
 //! Block `(i, j)` of the `n×n` matrix (blocks of `b×b`, the last block row
 //! and column possibly ragged) lives on the rank with grid coordinates
 //! `(i mod P_r, j mod P_c)`. Each rank stores its blocks packed into one
-//! contiguous local matrix, so the k-th panel strips and the whole-matrix
-//! outer product are plain sub-views — the same reason the GPU
+//! contiguous local matrix, so the k-th panel strips and the bands of the
+//! outer product around them are plain sub-views — the same reason the GPU
 //! implementation packs local blocks into single device allocations.
+
+use std::ops::Range;
 
 use mpi_sim::{CommError, ProcessGrid};
 use srgemm::matrix::{Matrix, View, ViewMut};
@@ -98,6 +100,19 @@ impl<T: Copy> DistMatrix<T> {
         (k / self.pc) * self.b
     }
 
+    /// Local rows of the block rows among `blocks` that this rank owns.
+    /// Owned blocks sit side by side locally, so this is one range; it is
+    /// empty when the rank owns none of them.
+    pub(crate) fn local_rows(&self, blocks: Range<usize>) -> Range<usize> {
+        local_span(blocks, self.pr, self.my_r, self.b, self.local.rows())
+    }
+
+    /// Local columns of the owned block columns among `blocks`, as
+    /// `DistMatrix::local_rows`.
+    pub(crate) fn local_cols(&self, blocks: Range<usize>) -> Range<usize> {
+        local_span(blocks, self.pc, self.my_c, self.b, self.local.cols())
+    }
+
     /// The k-th block-row strip (all my columns), immutable.
     pub fn row_strip(&self, k: usize) -> View<'_, T> {
         let r0 = self.local_row_start(k);
@@ -141,6 +156,15 @@ impl<T: Copy> DistMatrix<T> {
         let bk = self.block_dim(k);
         self.local.subview(r0, c0, bk, bk)
     }
+}
+
+/// Where blocks `blocks` of one grid axis land in the `len` local
+/// rows (or columns) of rank `me` of the `p` along it: block `k` starts
+/// after the owned blocks before it, each `b` wide (only the last block of
+/// the axis is ragged, and it ends the local extent).
+fn local_span(blocks: Range<usize>, p: usize, me: usize, b: usize, len: usize) -> Range<usize> {
+    let at = |k: usize| ((k + p - 1 - me) / p * b).min(len);
+    at(blocks.start)..at(blocks.end)
 }
 
 impl<T: Copy + Send + Sync + 'static> DistMatrix<T> {
@@ -222,6 +246,32 @@ mod tests {
         let cs = d.col_strip(3); // block col 3, local col offset = 3
         assert_eq!(cs.cols(), 3);
         assert_eq!(cs.at(0, 0), g[(0, 9)]);
+    }
+
+    #[test]
+    fn local_spans_cover_exactly_the_owned_blocks() {
+        // n = 13, b = 3: five blocks, the last one a single row; rank 5 of a
+        // six-row grid owns none, and a one-row grid owns every pair
+        let g = iota(13);
+        for (p, me) in [(1, 0), (2, 0), (2, 1), (3, 2), (6, 5)] {
+            let rows = DistMatrix::from_global(&g, 3, p, 1, me, 0);
+            let cols = DistMatrix::from_global(&g, 3, 1, p, 0, me);
+            for start in 0..rows.nb {
+                for end in start..=rows.nb {
+                    let owned: Vec<usize> = (start..end).filter(|&k| rows.owns_row(k)).collect();
+                    let (got_rows, got_cols) = (rows.local_rows(start..end), cols.local_cols(start..end));
+                    assert_eq!(got_rows, got_cols, "p={p} me={me} blocks {start}..{end}");
+                    match (owned.first(), owned.last()) {
+                        (Some(&first), Some(&last)) => assert_eq!(
+                            got_rows,
+                            rows.local_row_start(first)..rows.local_row_start(last) + rows.block_dim(last),
+                            "p={p} me={me} blocks {start}..{end}"
+                        ),
+                        _ => assert!(got_rows.is_empty(), "p={p} me={me} blocks {start}..{end}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -387,6 +387,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     k: usize,
     how: PanelBcastAlgo,
 ) -> Result<Panels<S::Elem>, DistError> {
+    use crate::fw_blocked::{col_bands, row_bands};
     use srgemm::closure::fw_closure;
     use srgemm::panel::{panel_update_left, panel_update_right};
 
@@ -422,17 +423,22 @@ pub(crate) fn diag_and_panels<S: Semiring>(
         }
     }
 
-    // PanelUpdate on the owning strips (includes the diagonal block itself,
-    // where D ⊕ D⊗D = D is a no-op)
+    // PanelUpdate on the owning strips, split around the diagonal block
+    // where this rank owns it (DiagUpdate has already closed that one)
     {
         let _p = span("PanelUpdate");
+        let (rows, cols) = (a.local_rows(k..k + 1), a.local_cols(k..k + 1));
         if let Some(d) = &diag_row {
-            let mut strip = a.row_strip_mut(k);
-            panel_update_left::<S>(&mut strip, &d.view());
+            let [left, _, right] = col_bands(a.row_strip_mut(k), cols);
+            for mut part in [left, right] {
+                panel_update_left::<S>(&mut part, &d.view());
+            }
         }
         if let Some(d) = &diag_col {
-            let mut strip = a.col_strip_mut(k);
-            panel_update_right::<S>(&mut strip, &d.view());
+            let [above, _, below] = row_bands(a.col_strip_mut(k), rows);
+            for mut part in [above, below] {
+                panel_update_right::<S>(&mut part, &d.view());
+            }
         }
     }
 

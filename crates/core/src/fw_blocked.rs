@@ -2,30 +2,33 @@
 //!
 //! Per block-iteration `k`: DiagUpdate closes `A(k,k)`, PanelUpdate fixes the
 //! k-th block row and column, and the MinPlus outer product updates the rest
-//! of the matrix. Every phase runs in place on views of the matrix, split
-//! into the 3 × 3 bands around block `k`: the diagonal block is read as a
-//! view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k` as up to
-//! four quadrant GEMMs (above/below × left/right of block `k`), each taking
-//! its `A` straight from the column panel beside it.
+//! of the matrix. Every phase runs in place on views of the matrix, cut by
+//! `bands` into the 3 × 3 bands around block `k`: the diagonal block is
+//! read as a view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k`
+//! as up to four quadrant GEMMs (above/below × left/right of block `k`),
+//! each taking its `A` straight from the column panel beside it.
 //!
-//! The outer product consumes the two halves of the row panel (left and
-//! right of the diagonal block) through two [`PackedB`]s, packed from the
-//! matrix into the micro-kernel's tiled layout **once per iteration**
-//! (reusing their allocations across all `nb` iterations via
+//! That OuterUpdate is `QuadrantUpdate`, the one band-split update of the
+//! crate: the distributed driver runs it too, around the strips each of its
+//! iterations has already closed. It consumes the two halves of `B` (here
+//! the row panel, left and right of the diagonal block) through one
+//! [`PackedB`]: each half is packed into the micro-kernel's tiled layout
+//! **once per update** (reusing the allocation across all updates via
 //! [`PackedB::repack`]) and streamed by the two quadrants below and above
-//! them and every row slab of those GEMMs, at any thread count — the
-//! single-node form of the per-`k` panel reuse the distributed driver
-//! performs on its broadcast panels. That repack is the iteration's only
-//! copy.
+//! it and every row slab of those GEMMs, at any thread count. Those repacks
+//! are the iteration's only copy.
 //!
 //! Each iteration opens the paper's phase spans (`DiagUpdate`,
 //! `PanelUpdate`, `OuterUpdate`, with the repack as `pack` inside the last)
 //! on the calling thread's `apsp_trace` recorder.
 
+use std::convert::Infallible;
+use std::ops::Range;
+
 use apsp_trace::span;
 use srgemm::closure::fw_closure;
 use srgemm::gemm::{gemm_packed_threads, PackedB};
-use srgemm::matrix::Matrix;
+use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
 
@@ -62,28 +65,14 @@ pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, thread
         "blocked FW relies on an idempotent ⊕ ({} is not)",
         S::NAME
     );
-    if n == 0 {
-        return;
-    }
-    let nb = n.div_ceil(b);
-    // The row panel's left and right halves, packed into these two buffers
-    // each iteration (allocations reused); empty until the first repack.
-    let mut left_b = PackedB::pack::<S>(&d.subview(0, 0, 0, 0));
-    let mut right_b = PackedB::pack::<S>(&d.subview(0, 0, 0, 0));
-
-    for k in 0..nb {
-        let k0 = k * b;
-        let bk = b.min(n - k0);
-        // The 3 × 3 bands around block k; at k = 0 the top row and left
-        // column of them are empty, at k = nb − 1 the bottom and right.
-        let (top, rest) = d.view_mut().split_rows_mut(k0);
-        let (row_k, bottom) = rest.split_rows_mut(bk);
-        let (mut top_left, rest) = top.split_cols_mut(k0);
-        let (mut top_k, mut top_right) = rest.split_cols_mut(bk);
-        let (mut k_left, rest) = row_k.split_cols_mut(k0);
-        let (mut diag_k, mut k_right) = rest.split_cols_mut(bk);
-        let (mut bottom_left, rest) = bottom.split_cols_mut(k0);
-        let (mut bottom_k, mut bottom_right) = rest.split_cols_mut(bk);
+    let mut quadrants = QuadrantUpdate::<S>::new();
+    for k0 in (0..n).step_by(b) {
+        let k = k0..n.min(k0 + b);
+        let [
+            [top_left, mut top_k, top_right],
+            [mut k_left, mut diag_k, mut k_right],
+            [bottom_left, mut bottom_k, bottom_right],
+        ] = bands(d.view_mut(), k.clone(), k);
 
         // ----- DiagUpdate -----
         {
@@ -104,16 +93,145 @@ pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, thread
 
         // ----- MinPlus outer product, i ∉ k and j ∉ k -----
         let _p = span("OuterUpdate");
-        {
-            let _pack = span("pack");
-            left_b.repack::<S>(&k_left.as_view());
-            right_b.repack::<S>(&k_right.as_view());
+        let Ok(()) = quadrants.corners::<Infallible>(
+            [[top_left, top_right], [bottom_left, bottom_right]],
+            [top_k.as_view(), bottom_k.as_view()],
+            [k_left.as_view(), k_right.as_view()],
+            |c, a, b| {
+                gemm_packed_threads::<S>(c, a, b.packed(), threads);
+                Ok(())
+            },
+        );
+    }
+}
+
+/// `m`'s rows cut into the bands above, inside and below `rows`.
+pub(crate) fn row_bands<T: Copy>(m: ViewMut<'_, T>, rows: Range<usize>) -> [ViewMut<'_, T>; 3] {
+    let (above, rest) = m.split_rows_mut(rows.start);
+    let (inside, below) = rest.split_rows_mut(rows.len());
+    [above, inside, below]
+}
+
+/// `m`'s columns cut into the bands left of, inside and right of `cols`.
+pub(crate) fn col_bands<T: Copy>(m: ViewMut<'_, T>, cols: Range<usize>) -> [ViewMut<'_, T>; 3] {
+    let (left, rest) = m.split_cols_mut(cols.start);
+    let (inside, right) = rest.split_cols_mut(cols.len());
+    [left, inside, right]
+}
+
+/// `m` cut into the 3 × 3 bands around the row range `rows` and the column
+/// range `cols`: `[above, rows, below]` × `[left, cols, right]`, any of
+/// them possibly empty.
+pub(crate) fn bands<T: Copy>(
+    m: ViewMut<'_, T>,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> [[ViewMut<'_, T>; 3]; 3] {
+    row_bands(m, rows).map(|band| col_bands(band, cols.clone()))
+}
+
+/// The band-split OuterUpdate every FW loop here runs: `C ⊕= A ⊗ B` on
+/// the four corners of `C` outside one excluded row band and one excluded
+/// column band (the strips an iteration has already closed), as up to four
+/// corner GEMMs. The corners run column by column, so each half of `B`
+/// (left and right of the excluded columns) is packed at most once per
+/// update, into the one [`PackedB`] held here, whose allocation every later
+/// update reuses; that repack is the update's only copy.
+pub(crate) struct QuadrantUpdate<S: Semiring> {
+    packed: PackedB<S::Elem>,
+}
+
+impl<S: Semiring> QuadrantUpdate<S> {
+    /// An empty buffer, sized by the first pack.
+    pub(crate) fn new() -> Self {
+        QuadrantUpdate { packed: PackedB::pack::<S>(&View::from_slice(&[], 0, 0)) }
+    }
+
+    /// `c ⊕= a ⊗ b` outside the rows `rows` and the columns `cols` of `c`,
+    /// which stay untouched. `a` has `c`'s rows and `b` its columns; both
+    /// lie outside `c`. `gemm(corner, a, b)` updates one non-empty corner.
+    ///
+    /// # Panics
+    /// Panics if a range or an operand does not fit `c`.
+    pub(crate) fn update<Err>(
+        &mut self,
+        c: ViewMut<'_, S::Elem>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        a: &View<'_, S::Elem>,
+        b: &View<'_, S::Elem>,
+        gemm: impl FnMut(
+            &mut ViewMut<'_, S::Elem>,
+            &View<'_, S::Elem>,
+            &mut BHalf<'_, '_, S>,
+        ) -> Result<(), Err>,
+    ) -> Result<(), Err> {
+        assert_eq!((a.rows(), b.cols()), (c.rows(), c.cols()), "operands must fit the output");
+        let [[top_left, _, top_right], _, [bottom_left, _, bottom_right]] =
+            bands(c, rows.clone(), cols.clone());
+        let (depth, m, n) = (a.cols(), a.rows(), b.cols());
+        self.corners(
+            [[top_left, top_right], [bottom_left, bottom_right]],
+            [a.subview(0, 0, rows.start, depth), a.subview(rows.end, 0, m - rows.end, depth)],
+            [b.subview(0, 0, depth, cols.start), b.subview(0, cols.end, depth, n - cols.end)],
+            gemm,
+        )
+    }
+
+    /// [`QuadrantUpdate::update`] on corners [`bands`] has already cut out,
+    /// `[[above-left, above-right], [below-left, below-right]]`, with `A`'s
+    /// rows beside them (`[above, below]`) and `B`'s columns over them
+    /// (`[left, right]`). This is the form for operands that are themselves
+    /// bands of the matrix being written, as blocked FW's panels are.
+    pub(crate) fn corners<Err>(
+        &mut self,
+        [[top_left, top_right], [bottom_left, bottom_right]]: [[ViewMut<'_, S::Elem>; 2]; 2],
+        [above, below]: [View<'_, S::Elem>; 2],
+        [left, right]: [View<'_, S::Elem>; 2],
+        mut gemm: impl FnMut(
+            &mut ViewMut<'_, S::Elem>,
+            &View<'_, S::Elem>,
+            &mut BHalf<'_, '_, S>,
+        ) -> Result<(), Err>,
+    ) -> Result<(), Err> {
+        for (view, column) in [
+            (left, [top_left, bottom_left]),
+            (right, [top_right, bottom_right]),
+        ] {
+            let mut b = BHalf { view, packed: &mut self.packed, is_packed: false };
+            for (mut c, a) in column.into_iter().zip([&above, &below]) {
+                if c.rows() > 0 && c.cols() > 0 {
+                    gemm(&mut c, a, &mut b)?;
+                }
+            }
         }
-        let (top_k, bottom_k) = (top_k.as_view(), bottom_k.as_view());
-        gemm_packed_threads::<S>(&mut top_left, &top_k, &left_b, threads);
-        gemm_packed_threads::<S>(&mut top_right, &top_k, &right_b, threads);
-        gemm_packed_threads::<S>(&mut bottom_left, &bottom_k, &left_b, threads);
-        gemm_packed_threads::<S>(&mut bottom_right, &bottom_k, &right_b, threads);
+        Ok(())
+    }
+}
+
+/// One half of a [`QuadrantUpdate`]'s `B` operand: a view, packed into the
+/// update's buffer on first use, so an executor that reads views never
+/// packs.
+pub(crate) struct BHalf<'v, 'p, S: Semiring> {
+    view: View<'v, S::Elem>,
+    packed: &'p mut PackedB<S::Elem>,
+    is_packed: bool,
+}
+
+impl<'v, S: Semiring> BHalf<'v, '_, S> {
+    /// The half as a view of its source.
+    pub(crate) fn view(&self) -> &View<'v, S::Elem> {
+        &self.view
+    }
+
+    /// The half in the micro-kernel's tiled layout, packed on the first call.
+    pub(crate) fn packed(&mut self) -> &PackedB<S::Elem> {
+        if !self.is_packed {
+            let _pack = span("pack");
+            self.packed.repack::<S>(&self.view);
+            self.is_packed = true;
+        }
+        self.packed
     }
 }
 
@@ -122,6 +240,7 @@ mod tests {
     use super::*;
     use crate::fw_seq::fw_seq;
     use apsp_graph::generators::{self, WeightKind};
+    use srgemm::gemm::gemm_naive;
     use srgemm::semiring::{MaxMin, MinPlusSatU16};
     use srgemm::MinPlusF32;
 
@@ -162,6 +281,73 @@ mod tests {
         assert_matches_seq::<MinPlusF32>(|h| (h % 100 + 1) as f32);
         assert_matches_seq::<MinPlusSatU16>(|h| (h % 100 + 1) as u16);
         assert_matches_seq::<MaxMin<f32>>(|h| (h % 50) as f32);
+    }
+
+    /// [`QuadrantUpdate::update`] against one full `gemm_naive` update,
+    /// for every excluded row range × excluded column range: bit for bit
+    /// outside both bands, untouched inside either. Each run streams the
+    /// packed `B` halves, then the same update reads them as views (the
+    /// offload executor's form); one buffer serves every run.
+    fn assert_quadrants_match_naive<S: Semiring>(edge: impl Fn(u64) -> S::Elem) {
+        let (m, n, depth) = (14, 17, 6);
+        let random = |rows, cols, seed: u64| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                let h = ((seed << 32) + (i * cols + j) as u64 + 1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    >> 40;
+                if h.is_multiple_of(5) {
+                    S::zero()
+                } else {
+                    edge(h >> 3)
+                }
+            })
+        };
+        let (before, a, b) = (random(m, n, 1), random(m, depth, 2), random(depth, n, 3));
+        let mut full = before.clone();
+        gemm_naive::<S>(&mut full.view_mut(), &a.view(), &b.view());
+        // in blocks of 4: empty (at the start and inside), the first block,
+        // the last (ragged) one, a middle one, two blocks wide, everything
+        let shapes = |len: usize| [0..0, 5..5, 0..4, len - len % 4..len, 4..8, 4..12, 0..len];
+        let mut quadrants = QuadrantUpdate::<S>::new();
+        for rows in shapes(m) {
+            for cols in shapes(n) {
+                for on_views in [false, true] {
+                    let mut got = before.clone();
+                    let Ok(()) = quadrants.update::<Infallible>(
+                        got.view_mut(),
+                        rows.clone(),
+                        cols.clone(),
+                        &a.view(),
+                        &b.view(),
+                        |c, a, b| {
+                            if on_views {
+                                gemm_naive::<S>(c, a, b.view());
+                            } else {
+                                gemm_packed_threads::<S>(c, a, b.packed(), 1);
+                            }
+                            Ok(())
+                        },
+                    );
+                    for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                        let banded = rows.contains(&i) || cols.contains(&j);
+                        let want = if banded { before[(i, j)] } else { full[(i, j)] };
+                        assert_eq!(
+                            got[(i, j)],
+                            want,
+                            "{} rows {rows:?} cols {cols:?} views {on_views} at ({i}, {j})",
+                            S::NAME
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadrant_update_skips_exactly_the_excluded_bands() {
+        assert_quadrants_match_naive::<MinPlusF32>(|h| (h % 100 + 1) as f32);
+        assert_quadrants_match_naive::<MinPlusSatU16>(|h| (h % 100 + 1) as u16);
+        assert_quadrants_match_naive::<MaxMin<f32>>(|h| (h % 50) as f32);
     }
 
     #[test]
