@@ -146,7 +146,7 @@ pub fn execute_functional_scale(p: usize, n: usize) {
     use std::time::{Duration, Instant};
 
     use apsp_core::dist::{
-        distributed_apsp_opts, DistRunOpts, Exec, FwConfig, PanelBcastAlgo, Schedule,
+        distributed_apsp_traced_opts, DistRunOpts, Exec, FwConfig, PanelBcastAlgo, Schedule,
     };
     use apsp_core::fw_seq::fw_seq;
     use apsp_core::model::comm_lower_bound_bytes;
@@ -203,13 +203,13 @@ pub fn execute_functional_scale(p: usize, n: usize) {
         };
         let placement = Placement::tiled(pr, pc, qr, qc);
         let t0 = Instant::now();
-        let (got, traffic) =
-            distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement), &opts)
+        let (got, traffic, trace) =
+            distributed_apsp_traced_opts::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement), &opts)
                 .unwrap_or_else(|e| panic!("functional {p}-rank run ({name}): {e}"));
         let secs = t0.elapsed().as_secs_f64();
         assert_matrices_equal(&want, &got, "functional at-scale run");
         assert_eq!(
-            traffic.phase_nic_bytes_sum(),
+            trace.phase_traffic().values().map(|t| t.nic_bytes).sum::<u64>(),
             traffic.total_nic_bytes(),
             "per-phase NIC attribution must stay exact at p = {p}"
         );

@@ -2,7 +2,9 @@
 //! family must reproduce sequential Floyd-Warshall bit-for-bit — the §5.1
 //! validation methodology of the paper.
 
-use apsp_core::dist::{distributed_apsp, DistError, FwConfig, PanelBcastAlgo, Variant};
+use apsp_core::dist::{
+    distributed_apsp, distributed_apsp_traced, DistError, FwConfig, PanelBcastAlgo, Variant,
+};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::verify::assert_matrices_equal;
 use apsp_graph::generators::{self, GraphKind, WeightKind};
@@ -241,16 +243,17 @@ fn traffic_is_pinned_for_every_corner_of_the_policy_cube() {
             for exec in Exec::all() {
                 let cfg = FwConfig::from_axes(4, schedule, bcast, exec);
                 let placement = Placement::tiled(2, 4, 1, 2);
-                let (got, t) = distributed_apsp::<MinPlusF32>(2, 4, &cfg, &input, Some(placement))
-                    .expect("run");
+                let (got, t, trace) =
+                    distributed_apsp_traced::<MinPlusF32>(2, 4, &cfg, &input, Some(placement))
+                        .expect("run");
                 let corner = cfg.legend();
                 assert_matrices_equal(&want, &got, &corner);
                 assert_eq!(t.total_msgs, msgs, "{corner}");
                 assert_eq!(t.total_nic_bytes(), nic, "{corner}");
-                let phases: Vec<(&str, u64, u64)> = t
-                    .per_phase
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.nic_bytes, v.msgs))
+                let phases: Vec<(&str, u64, u64)> = trace
+                    .phase_traffic()
+                    .into_iter()
+                    .map(|(k, v)| (k, v.nic_bytes, v.msgs))
                     .collect();
                 let pinned = [
                     ("(untraced)", 2_576, 7),

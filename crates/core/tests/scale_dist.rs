@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use apsp_core::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
+use apsp_core::dist::{distributed_apsp_traced_opts, DistRunOpts, FwConfig, Variant};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::verify::assert_matrices_equal;
 use apsp_graph::generators::{self, GraphKind, WeightKind};
@@ -40,12 +40,13 @@ fn distributed_apsp_runs_at_1024_ranks() {
     // 4 ranks per node × 256 nodes, 2×2 tiles — the paper's Summit layout
     let placement = Placement::tiled(pr, pc, 2, 2);
 
-    let (got, traffic) =
-        distributed_apsp_opts::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement), &opts)
+    let (got, traffic, trace) =
+        distributed_apsp_traced_opts::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement), &opts)
             .expect("1024-rank distributed run");
     assert_matrices_equal(&want, &got, "1024 ranks, 32x32 grid");
 
     // per-phase NIC attribution stays exact at paper scale
-    assert_eq!(traffic.phase_nic_bytes_sum(), traffic.total_nic_bytes());
+    let phase_nic: u64 = trace.phase_traffic().values().map(|t| t.nic_bytes).sum();
+    assert_eq!(phase_nic, traffic.total_nic_bytes());
     assert!(traffic.total_nic_bytes() > 0, "a 32x32 grid must exchange panels over the NIC");
 }

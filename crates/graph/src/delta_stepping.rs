@@ -85,13 +85,7 @@ pub fn delta_stepping(g: &Graph, src: usize, delta: f32) -> Vec<f32> {
 /// `threads` workers (`0` → all cores).
 /// Requires non-negative weights and positive `delta`.
 pub fn apsp_by_delta_stepping(g: &Graph, delta: f32, threads: usize) -> srgemm::Matrix<f32> {
-    let n = g.n();
-    let rows = crate::par_rows(n, threads, |s| delta_stepping(g, s, delta));
-    let mut out = srgemm::Matrix::filled(n, n, INF);
-    for (s, row) in rows.into_iter().enumerate() {
-        out.row_mut(s).copy_from_slice(&row);
-    }
-    out
+    crate::par_rows(g.n(), threads, |s, row| row.copy_from_slice(&delta_stepping(g, s, delta)))
 }
 
 #[cfg(test)]

@@ -40,15 +40,9 @@ impl PartialOrd for HeapItem {
 /// # Panics
 /// Panics if the graph has a negative edge.
 pub fn dijkstra(g: &Graph, src: usize) -> Vec<f32> {
-    dijkstra_with_parents(g, src).0
-}
-
-/// Distances plus parent pointers (`usize::MAX` = no parent).
-pub fn dijkstra_with_parents(g: &Graph, src: usize) -> (Vec<f32>, Vec<usize>) {
     let n = g.n();
     assert!(src < n, "source out of range");
     let mut dist = vec![INF; n];
-    let mut parent = vec![usize::MAX; n];
     let mut settled = vec![false; n];
     let mut heap = BinaryHeap::new();
     dist[src] = 0.0;
@@ -67,12 +61,11 @@ pub fn dijkstra_with_parents(g: &Graph, src: usize) -> (Vec<f32>, Vec<usize>) {
             let nd = d + w;
             if nd < dist[v] {
                 dist[v] = nd;
-                parent[v] = u;
                 heap.push(HeapItem { dist: nd, vertex: v as u32 });
             }
         }
     }
-    (dist, parent)
+    dist
 }
 
 /// All-pairs by repeated Dijkstra; rows are sources. Quadratic memory —
@@ -93,13 +86,7 @@ pub fn apsp_by_dijkstra(g: &Graph) -> srgemm::Matrix<f32> {
 /// non-negative weights. Rows are bit-identical to the serial sweep for any
 /// thread count.
 pub fn apsp_by_dijkstra_threads(g: &Graph, threads: usize) -> srgemm::Matrix<f32> {
-    let n = g.n();
-    let rows = crate::par_rows(n, threads, |s| dijkstra(g, s));
-    let mut out = srgemm::Matrix::filled(n, n, INF);
-    for (s, row) in rows.into_iter().enumerate() {
-        out.row_mut(s).copy_from_slice(&row);
-    }
-    out
+    crate::par_rows(g.n(), threads, |s, row| row.copy_from_slice(&dijkstra(g, s)))
 }
 
 #[cfg(test)]
@@ -120,10 +107,8 @@ mod tests {
     fn prefers_cheaper_indirect_route() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 2, 10.0).add_edge(0, 1, 1.0).add_edge(1, 2, 1.0);
-        let (d, parent) = dijkstra_with_parents(&b.build(), 0);
+        let d = dijkstra(&b.build(), 0);
         assert_eq!(d[2], 2.0);
-        assert_eq!(parent[2], 1);
-        assert_eq!(parent[1], 0);
     }
 
     #[test]

@@ -60,28 +60,21 @@ pub fn johnson_apsp_threads(g: &Graph, threads: usize) -> Result<Matrix<f32>, Jo
     }
     let rw = rw.build();
 
-    let rows = crate::par_rows(n, threads, |s| johnson_row(&rw, &h, s));
-    let mut out = Matrix::filled(n, n, INF);
-    for (s, row) in rows.into_iter().enumerate() {
-        out.row_mut(s).copy_from_slice(&row);
-    }
-    Ok(out)
+    Ok(crate::par_rows(n, threads, |s, row| johnson_row(&rw, &h, s, row)))
 }
 
-/// One source's distance row: Dijkstra on the reweighted graph, shifted
-/// back through the potentials. Shared verbatim by the serial and parallel
-/// sweeps (that is what makes them bit-identical).
-fn johnson_row(rw: &Graph, h: &[f32], s: usize) -> Vec<f32> {
-    let n = rw.n();
+/// One source's distance row, written in place into `row` (all `∞` on
+/// entry): Dijkstra on the reweighted graph, shifted back through the
+/// potentials. Shared verbatim by the serial and parallel sweeps (that is
+/// what makes them bit-identical).
+fn johnson_row(rw: &Graph, h: &[f32], s: usize, row: &mut [f32]) {
     let d = dijkstra(rw, s);
-    let mut row = vec![INF; n];
-    for t in 0..n {
+    for t in 0..row.len() {
         if d[t] < INF {
             row[t] = d[t] - h[s] + h[t];
         }
     }
     row[s] = row[s].min(0.0);
-    row
 }
 
 #[cfg(test)]

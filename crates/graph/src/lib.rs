@@ -14,7 +14,8 @@
 //! * [`dijkstra`], [`bellman_ford`], [`johnson`], [`delta_stepping`] —
 //!   reference single-source/all-pairs algorithms from the paper's related
 //!   work (§6), used as correctness oracles and single-node comparators.
-//! * [`paths`] — parent-pointer path extraction and path validation.
+//! * [`paths`] — path length and validation: checks that a reported path
+//!   exists in the graph and realizes the reported distance.
 
 pub mod bellman_ford;
 pub mod block_sparse;
@@ -29,34 +30,46 @@ pub mod paths;
 
 pub use graph::{Graph, GraphBuilder, INF};
 
-/// Map `0..n` to rows with at most `threads` workers (`0` → all cores),
-/// preserving order. The single shared fan-out for every
-/// one-task-per-source APSP sweep (Johnson, Dijkstra, Δ-stepping): `f` runs
-/// identically whether the sweep is serial or parallel, so results are
-/// bit-identical for any thread count.
-pub(crate) fn par_rows<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+/// The all-pairs answer of a one-task-per-source sweep (Johnson, Dijkstra,
+/// Δ-stepping), filled in place. The `INF`-filled n×n matrix is allocated
+/// once and split into contiguous near-equal slabs of rows, one per worker
+/// (at most `threads`, `0` → all cores); `row(s, out)` writes source `s`'s
+/// row into `out`, which arrives all `INF`. `row` runs identically whether
+/// the sweep is serial or parallel, so the answer is bit-identical for any
+/// thread count, and the sweep holds nothing beside it but what `row`
+/// allocates itself.
+pub(crate) fn par_rows<F>(n: usize, threads: usize, row: F) -> srgemm::Matrix<f32>
 where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(usize, &mut [f32]) + Sync,
 {
     let threads = match threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
         t => t,
     };
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // contiguous near-equal chunks, one per worker, joined in source order
+    let workers = threads.min(n).max(1);
     let (base, extra) = (n / workers, n % workers);
-    let start = move |w: usize| w * base + w.min(extra);
-    let f = &f;
+    let fill = &|first: usize, slab: &mut [f32]| {
+        for (i, out) in slab.chunks_exact_mut(n.max(1)).enumerate() {
+            row(first + i, out);
+        }
+    };
+    let mut data = vec![INF; n * n];
+    // the calling thread takes the last slab; a serial sweep spawns nothing
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move || (start(w)..start(w + 1)).map(f).collect::<Vec<R>>()))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("sweep worker panicked")).collect()
-    })
+        let (mut rest, mut first) = (&mut data[..], 0);
+        for w in 0..workers {
+            let rows = base + usize::from(w < extra);
+            let (slab, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
+            rest = tail;
+            if w + 1 < workers {
+                scope.spawn(move || fill(first, slab));
+            } else {
+                fill(first, slab);
+            }
+            first += rows;
+        }
+    });
+    srgemm::Matrix::from_vec(n, n, data)
 }
 
 /// Convenient glob-import surface.
@@ -64,24 +77,33 @@ pub mod prelude {
     pub use crate::bellman_ford::bellman_ford;
     pub use crate::components::weak_components;
     pub use crate::delta_stepping::{apsp_by_delta_stepping, delta_stepping};
-    pub use crate::dijkstra::{
-        apsp_by_dijkstra, apsp_by_dijkstra_threads, dijkstra, dijkstra_with_parents,
-    };
+    pub use crate::dijkstra::{apsp_by_dijkstra, apsp_by_dijkstra_threads, dijkstra};
     pub use crate::generators::{self, GraphKind};
     pub use crate::graph::{Graph, GraphBuilder, INF};
     pub use crate::johnson::{johnson_apsp, johnson_apsp_threads};
-    pub use crate::paths::{extract_path, path_length, validate_path};
+    pub use crate::paths::{path_length, validate_path};
 }
 
 #[cfg(test)]
 mod tests {
+    use super::INF;
+
     #[test]
     fn par_rows_preserves_order_at_any_thread_count() {
-        // empty, fewer items than workers, ragged chunks, `0` → all cores
+        // empty, fewer rows than workers, ragged slabs, `0` → all cores;
+        // every row arrives all INF and lands at its own source's index
         for n in [0usize, 1, 2, 7, 64] {
-            let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+            let want = srgemm::Matrix::from_fn(n, n, |s, j| if s == j { INF } else { (s * n + j) as f32 });
             for threads in [0, 1, 2, 3, 8, 100] {
-                assert_eq!(super::par_rows(n, threads, |i| i * i), want, "n={n} threads={threads}");
+                let got = super::par_rows(n, threads, |s, out| {
+                    assert!(out.len() == n && out.iter().all(|&x| x == INF));
+                    for (j, x) in out.iter_mut().enumerate() {
+                        if j != s {
+                            *x = (s * n + j) as f32;
+                        }
+                    }
+                });
+                assert!(got.eq_exact(&want), "n={n} threads={threads}");
             }
         }
     }

@@ -1,34 +1,13 @@
-//! Parent-pointer path extraction and validation helpers.
+//! Path length and validation helpers.
 //!
 //! Used by the examples (route printing) and by tests that check not just
-//! distances but the realizability of the reported paths. Distributed
-//! shortest-*path* generation is the paper's declared future work (§7); the
-//! single-node predecessor machinery here plus `apsp_core::fw_seq::fw_seq_with_paths`
-//! implements that extension at library scale.
+//! distances but the realizability of the reported paths. The paths
+//! themselves come from the predecessor matrix of
+//! `apsp_core::fw_seq::fw_seq_with_paths` or from the witnesses of
+//! `apsp_core::paths_dist` — distributed shortest-*path* generation, the
+//! paper's declared future work (§7), at library scale.
 
 use crate::graph::{Graph, INF};
-
-/// Follow `parent` pointers from `dst` back to `src`.
-/// Returns the vertex sequence `src … dst`, or `None` if `dst` is unreachable.
-pub fn extract_path(parent: &[usize], src: usize, dst: usize) -> Option<Vec<usize>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while parent[cur] != usize::MAX {
-        cur = parent[cur];
-        path.push(cur);
-        if cur == src {
-            path.reverse();
-            return Some(path);
-        }
-        if path.len() > parent.len() {
-            return None; // cycle in parent pointers — corrupt input
-        }
-    }
-    None
-}
 
 /// Sum of edge weights along `path`; `∞` if some edge is missing.
 pub fn path_length(g: &Graph, path: &[usize]) -> f32 {
@@ -59,35 +38,7 @@ pub fn validate_path(g: &Graph, path: &[usize], src: usize, dst: usize, expected
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra_with_parents;
-    use crate::generators::{self, WeightKind};
     use crate::graph::GraphBuilder;
-
-    #[test]
-    fn extracts_simple_path() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0).add_edge(1, 2, 1.0).add_edge(2, 3, 1.0);
-        let g = b.build();
-        let (d, parent) = dijkstra_with_parents(&g, 0);
-        let p = extract_path(&parent, 0, 3).unwrap();
-        assert_eq!(p, vec![0, 1, 2, 3]);
-        assert!(validate_path(&g, &p, 0, 3, d[3], 1e-6));
-    }
-
-    #[test]
-    fn trivial_path_to_self() {
-        let parent = vec![usize::MAX; 3];
-        assert_eq!(extract_path(&parent, 1, 1), Some(vec![1]));
-    }
-
-    #[test]
-    fn unreachable_gives_none() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0);
-        let g = b.build();
-        let (_, parent) = dijkstra_with_parents(&g, 0);
-        assert_eq!(extract_path(&parent, 0, 2), None);
-    }
 
     #[test]
     fn validate_rejects_fake_paths() {
@@ -100,17 +51,5 @@ mod tests {
         assert!(!validate_path(&g, &[0, 1, 2], 0, 2, 5.0, 1e-6));
         // right path, right total
         assert!(validate_path(&g, &[0, 1, 2], 0, 2, 2.0, 1e-6));
-    }
-
-    #[test]
-    fn random_graph_paths_realize_reported_distances() {
-        let g = generators::erdos_renyi(30, 0.2, WeightKind::small_ints(), 17);
-        let (d, parent) = dijkstra_with_parents(&g, 3);
-        for (t, &dt) in d.iter().enumerate() {
-            if dt < INF {
-                let p = extract_path(&parent, 3, t).unwrap();
-                assert!(validate_path(&g, &p, 3, t, dt, 1e-4));
-            }
-        }
     }
 }

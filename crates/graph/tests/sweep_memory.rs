@@ -1,0 +1,116 @@
+//! The all-pairs SSSP sweeps hold one n×n answer: the rows are written
+//! straight into it, never staged beside it.
+//!
+//! A counting global allocator tracks live heap bytes. This file is its own
+//! test binary with a single test, so nothing else allocates while a sweep
+//! is measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use apsp_graph::delta_stepping::apsp_by_delta_stepping;
+use apsp_graph::dijkstra::apsp_by_dijkstra_threads;
+use apsp_graph::generators::{ring_with_chords, WeightKind};
+use apsp_graph::johnson::johnson_apsp_threads;
+use apsp_graph::{Graph, GraphBuilder};
+use srgemm::Matrix;
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+    }
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+            grew(new_size);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Peak heap bytes allocated while `sweep` runs, over what was live before
+/// it; the answer it returns is counted (it is live at the end).
+fn peak_over_baseline(sweep: impl FnOnce() -> Matrix<f32>) -> usize {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let answer = std::hint::black_box(sweep());
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    drop(answer);
+    peak
+}
+
+/// `g` with its first edge's weight replaced by −1: every cycle through it
+/// still weighs ≥ 0 (the other weights are ≥ 1), so Johnson must reweight.
+fn with_one_negative_edge(g: &Graph) -> Graph {
+    let mut b = GraphBuilder::new(g.n());
+    for (i, (u, v, w)) in g.edges().enumerate() {
+        b.add_edge(u, v, if i == 0 { -1.0 } else { w });
+    }
+    b.build()
+}
+
+#[test]
+fn sweeps_hold_one_answer_matrix_plus_per_worker_scratch() {
+    let n = 300;
+    let plain = ring_with_chords(n, WeightKind::small_ints(), 7);
+    let negative = with_one_negative_edge(&plain);
+    let m = plain.m();
+    // Beside the 4n² answer: per worker, one source's distance vector (4n B)
+    // and Dijkstra's `settled` flags and heap (≤ m + 1 pushes of 8 B,
+    // capacity ≤ 2×) or Δ-stepping's buckets (≤ one per Δ of distance, ~n
+    // here, plus ≤ m + 1 queued u32s twice over), bounded by 64(n + m) B;
+    // Johnson also keeps the reweighted graph (8(n + 1) + 8m B) and the
+    // potentials (4(n + 1) B) through the sweep.
+    let answer = 4 * n * n;
+    let scratch = 64 * (n + m);
+    let johnson_graphs = 8 * (n + 1) + 8 * m + 4 * (n + 1);
+
+    type Sweep<'a> = (&'a str, &'a Graph, Box<dyn Fn(usize) -> Matrix<f32> + 'a>);
+    let sweeps: [Sweep; 4] = [
+        ("dijkstra", &plain, Box::new(|t| apsp_by_dijkstra_threads(&plain, t))),
+        ("delta", &plain, Box::new(|t| apsp_by_delta_stepping(&plain, 30.0, t))),
+        ("johnson", &plain, Box::new(|t| johnson_apsp_threads(&plain, t).unwrap())),
+        ("johnson, one negative edge", &negative, Box::new(|t| johnson_apsp_threads(&negative, t).unwrap())),
+    ];
+    for (name, g, sweep) in &sweeps {
+        assert_eq!((g.n(), g.m()), (n, m));
+        for threads in [1, 2, 3] {
+            let peak = peak_over_baseline(|| sweep(threads));
+            let bound = answer + threads * scratch + johnson_graphs;
+            assert!(
+                peak <= bound,
+                "{name} at {threads} threads peaked at {peak} B over the baseline; \
+                 one {n}×{n} answer is {answer} B and the bound is {bound} B"
+            );
+        }
+    }
+}

@@ -156,12 +156,8 @@ impl Comm {
         // Dropped and delayed messages still left this rank: charge them to
         // the traffic counters and the trace like any other send.
         let bytes = msg.size_bytes();
-        let phase = apsp_trace::current_phase();
-        let nic = self
-            .shared
-            .counters
-            .record(&self.shared.placement, src_world, dst_world, bytes, phase);
-        apsp_trace::record_send(dst_world, bytes, nic, phase);
+        let nic = self.shared.counters.record(&self.shared.placement, src_world, dst_world, bytes);
+        apsp_trace::record_send(dst_world, bytes, nic, apsp_trace::current_phase());
         let key = (self.ctx, self.rank, tag);
         match fate {
             SendFate::Deliver => {
@@ -305,21 +301,25 @@ mod tests {
 
     #[test]
     fn phase_guards_attribute_traffic() {
-        let (_, report) = Runtime::new(2).run_traced(|comm| {
-            if comm.rank() == 0 {
-                {
-                    let _p = apsp_trace::span("PanelBcast");
-                    comm.send(1, 1, vec![0u8; 256]).unwrap();
+        let rt = Runtime::new(2);
+        let ((_, report), trace) = apsp_trace::record("caller", || {
+            rt.run_traced(|comm| {
+                if comm.rank() == 0 {
+                    {
+                        let _p = apsp_trace::span("PanelBcast");
+                        comm.send(1, 1, vec![0u8; 256]).unwrap();
+                    }
+                    let _: Vec<u8> = comm.recv(1, 2).unwrap();
+                } else {
+                    let _: Vec<u8> = comm.recv(0, 1).unwrap();
+                    comm.send(0, 2, vec![0u8; 16]).unwrap(); // outside any phase
                 }
-                let _: Vec<u8> = comm.recv(1, 2).unwrap();
-            } else {
-                let _: Vec<u8> = comm.recv(0, 1).unwrap();
-                comm.send(0, 2, vec![0u8; 16]).unwrap(); // outside any phase
-            }
+            })
         });
-        assert_eq!(report.phase_nic_bytes("PanelBcast"), 256);
-        assert_eq!(report.per_phase[apsp_trace::UNTRACED].nic_bytes, 16);
-        assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
+        let phases = trace.phase_traffic();
+        assert_eq!(phases["PanelBcast"].nic_bytes, 256);
+        assert_eq!(phases[apsp_trace::UNTRACED].nic_bytes, 16);
+        assert_eq!(phases.values().map(|t| t.nic_bytes).sum::<u64>(), report.total_nic_bytes());
     }
 
     #[test]

@@ -432,7 +432,8 @@ mod tests {
         let e = ranks[0].events[0];
         assert_eq!((e.dst, e.bytes, e.nic, e.phase), (1, 64, true, Some("DiagBcast")));
         assert!(ranks[1].events.is_empty());
-        assert_eq!(report.phase_nic_bytes("DiagBcast"), 64);
+        assert_eq!(trace.phase_traffic()["DiagBcast"].nic_bytes, 64);
+        assert_eq!(report.total_nic_bytes(), 64);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! recorder, named `rank {r}` and made in rank order, so the trace of a run
 //! lists the caller's track first and one track per rank after it. The
 //! spans a rank opens land on its track, and each send becomes an instant
-//! event carrying bytes, NIC crossing and the open phase. With nothing
-//! installed the ranks record nothing, and the run's
-//! [`crate::TrafficReport`] still books every sent byte to the sender's open
-//! phase ([`apsp_trace::current_phase`]).
+//! event carrying bytes, NIC crossing and the open phase
+//! ([`apsp_trace::current_phase`]); [`apsp_trace::Trace::phase_traffic`]
+//! sums those events per phase, with sends outside any span under
+//! [`apsp_trace::UNTRACED`], so its NIC bytes add up to the run's
+//! [`crate::TrafficReport::total_nic_bytes`]. With nothing installed the
+//! ranks record nothing, and the [`crate::TrafficReport`] still counts
+//! every sent byte per node.
 
 use apsp_trace::Track;
 
@@ -101,20 +104,29 @@ mod tests {
     #[test]
     fn without_a_recorder_spans_record_nothing_and_bytes_still_book_to_the_phase() {
         // a recorder came and went on this thread; the run after it records
-        // into nothing, yet its traffic is attributed exactly as before
+        // into nothing, yet sends the same bytes under the same open phase,
+        // which a recorded run books them to
+        let run = |rt: &Runtime| {
+            rt.run_traced(|comm| {
+                let _p = span("PanelBcast");
+                if comm.rank() == 0 {
+                    comm.send(1, 0, vec![0u8; 256]).unwrap();
+                } else {
+                    let _: Vec<u8> = comm.recv(0, 0).unwrap();
+                }
+                (apsp_trace::current().is_some(), current_phase())
+            })
+        };
+        let rt = Runtime::new(2);
         let ((), before) = record("caller", || {});
-        let (_, report) = Runtime::new(2).run_traced(|comm| {
-            assert!(apsp_trace::current().is_none());
-            let _p = span("PanelBcast");
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![0u8; 256]).unwrap();
-            } else {
-                let _: Vec<u8> = comm.recv(0, 0).unwrap();
-            }
-        });
+        let (seen, report) = run(&rt);
+        assert_eq!(seen, vec![(false, Some("PanelBcast")); 2]);
         assert_eq!(before.timelines.len(), 1);
         assert!(before.timelines[0].spans.is_empty() && before.timelines[0].events.is_empty());
-        assert_eq!(report.phase_nic_bytes("PanelBcast"), 256);
-        assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
+        assert_eq!(report.total_nic_bytes(), 256);
+        let ((seen, recorded), trace) = record("caller", || run(&rt));
+        assert_eq!(seen, vec![(true, Some("PanelBcast")); 2]);
+        assert_eq!(recorded, report);
+        assert_eq!(trace.phase_traffic()["PanelBcast"].nic_bytes, 256);
     }
 }

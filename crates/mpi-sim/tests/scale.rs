@@ -77,18 +77,20 @@ fn smoke_1024_ranks_completes_under_wall_clock_cap() {
     let workers = 8;
     let start = Instant::now();
     let rt = runtime(p).with_workers(workers);
-    let (out, report, stats) = rt.try_run_with_stats(move |comm| -> Result<_, CommError> {
-        let g = ProcessGrid::new(comm, pr, pc);
-        let (r, c) = g.coords();
-        let diag = {
-            let _g = apsp_trace::span("DiagBcast");
-            g.row.bcast(0, (c == 0).then(|| vec![r as u64; 16]))?
-        };
-        let panel = {
-            let _g = apsp_trace::span("PanelBcast");
-            g.col.ring_bcast(0, (r == 0).then(|| vec![c as u64; 64]), 4)?
-        };
-        g.grid.gather(0, diag[0] * 100 + panel[0])
+    let ((out, report, stats), trace) = apsp_trace::record("caller", || {
+        rt.try_run_with_stats(move |comm| -> Result<_, CommError> {
+            let g = ProcessGrid::new(comm, pr, pc);
+            let (r, c) = g.coords();
+            let diag = {
+                let _g = apsp_trace::span("DiagBcast");
+                g.row.bcast(0, (c == 0).then(|| vec![r as u64; 16]))?
+            };
+            let panel = {
+                let _g = apsp_trace::span("PanelBcast");
+                g.col.ring_bcast(0, (r == 0).then(|| vec![c as u64; 64]), 4)?
+            };
+            g.grid.gather(0, diag[0] * 100 + panel[0])
+        })
     });
     let elapsed = start.elapsed();
     let out = out.expect("1024-rank smoke must succeed");
@@ -102,10 +104,11 @@ fn smoke_1024_ranks_completes_under_wall_clock_cap() {
     // every hop crosses a NIC): pr row trees of pc − 1 hops, pc column
     // rings of pr − 1 hops (64 u64s in 4 chunks plus the 8-byte header),
     // and p − 1 untraced gather sends
-    assert_eq!(report.phase_nic_bytes("DiagBcast"), (pr * (pc - 1) * 16 * 8) as u64);
-    assert_eq!(report.phase_nic_bytes("PanelBcast"), (pc * (pr - 1) * (64 * 8 + 8)) as u64);
-    assert_eq!(report.per_phase[apsp_trace::UNTRACED].nic_bytes, (p as u64 - 1) * 8);
-    assert_eq!(report.phase_nic_bytes_sum(), report.total_nic_bytes());
+    let phases = trace.phase_traffic();
+    assert_eq!(phases["DiagBcast"].nic_bytes, (pr * (pc - 1) * 16 * 8) as u64);
+    assert_eq!(phases["PanelBcast"].nic_bytes, (pc * (pr - 1) * (64 * 8 + 8)) as u64);
+    assert_eq!(phases[apsp_trace::UNTRACED].nic_bytes, (p as u64 - 1) * 8);
+    assert_eq!(phases.values().map(|t| t.nic_bytes).sum::<u64>(), report.total_nic_bytes());
     // the pool, not the rank count, bounds concurrent execution
     assert_eq!((stats.ranks, stats.workers), (p, workers));
     assert!(
