@@ -3,6 +3,7 @@
 //! cost model (constants in [`super::planner`]), and the translation from the
 //! algorithm's native error type into [`SolveError`].
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apsp_graph::delta_stepping::apsp_by_delta_stepping;
@@ -69,8 +70,11 @@ impl Solver for Blocked {
     fn description(&self) -> &'static str {
         "packed register-tiled blocked FW (multicore dense engine)"
     }
+    /// The matrix and the one repacked row panel, `b·(n − b)` elements
+    /// (block row k outside the diagonal block).
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        profile.dense_bytes + (2 * profile.n * opts.block.max(1) * 4) as u64
+        let b = opts.block.max(1);
+        profile.dense_bytes + (b * profile.n.saturating_sub(b) * 4) as u64
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
@@ -82,7 +86,7 @@ impl Solver for Blocked {
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
@@ -132,14 +136,18 @@ impl Solver for Quant {
     fn description(&self) -> &'static str {
         "quantized integer blocked FW (u16 saturating lanes, ±eps bound)"
     }
-    fn check(&self, profile: &GraphProfile, opts: &SolveOpts) -> Result<(), Ineligible> {
+    fn check(
+        &self,
+        profile: &dyn Deref<Target = GraphProfile>,
+        opts: &SolveOpts,
+    ) -> Result<(), Ineligible> {
         Self::quant_plan(profile, opts).map(|_| ())
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
         let ebytes = QuantDtype::U16.bytes() as u64;
-        let n = profile.n as u64;
-        // quantized matrix + dequantized f32 result + two pack panels
-        n * n * ebytes + profile.dense_bytes + 2 * n * opts.block.max(1) as u64 * ebytes
+        let (n, b) = (profile.n as u64, opts.block.max(1) as u64);
+        // quantized matrix + dequantized f32 result + the repacked row panel
+        n * n * ebytes + profile.dense_bytes + b * n.saturating_sub(b) * ebytes
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
         let t = opts.effective_threads();
@@ -151,7 +159,7 @@ impl Solver for Quant {
     fn solve(
         &self,
         g: &Graph,
-        profile: &GraphProfile,
+        profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let ineligible = |reason| SolveError::Ineligible { solver: self.name(), reason };
@@ -198,7 +206,7 @@ impl Solver for Dc {
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
@@ -234,7 +242,7 @@ impl Solver for FwSeq {
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        _profile: &dyn Deref<Target = GraphProfile>,
         _opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let mut d = to_dense(g);
@@ -265,8 +273,9 @@ impl Ooc {
     /// covers `2f + f/4` — the encoded tiles, the decoded cache beside them
     /// (~the same again) and scratch — where `f` bounds the bytes of the
     /// tiles the run materializes: the [`GraphProfile::fill_blocks`] fill
-    /// can reach, never more than the dense matrix. Staged otherwise.
-    fn mode(profile: &GraphProfile, opts: &SolveOpts) -> Mode {
+    /// can reach, never more than the dense matrix. Staged otherwise. Reads
+    /// the profile only under a budget.
+    fn mode(profile: &dyn Deref<Target = GraphProfile>, opts: &SolveOpts) -> Mode {
         match opts.memory_budget {
             Some(budget) if budget < Self::in_mem_bytes(profile, opts) => Mode::Staged { budget },
             _ => Mode::Memory,
@@ -333,7 +342,7 @@ impl Solver for Ooc {
         "tiled FW over a tile store (all-∞ tiles skipped; staged to disk under a RAM budget)"
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        match Self::mode(profile, opts) {
+        match Self::mode(&profile, opts) {
             Mode::Memory => Self::in_mem_bytes(profile, opts),
             Mode::Staged { budget } => match choose_tile::<f32>(profile.n, budget) {
                 Some(tile) => staged_budget_floor::<f32>(tile),
@@ -344,7 +353,7 @@ impl Solver for Ooc {
         }
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        match Self::mode(profile, opts) {
+        match Self::mode(&profile, opts) {
             Mode::Memory => {
                 let fill = profile.est_fill_work_ratio();
                 Estimate {
@@ -371,7 +380,7 @@ impl Solver for Ooc {
     fn solve(
         &self,
         g: &Graph,
-        profile: &GraphProfile,
+        profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let (n, threads) = (g.n(), opts.effective_threads());
@@ -431,7 +440,7 @@ impl Solver for Johnson {
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let threads = opts.effective_threads();
@@ -455,7 +464,11 @@ impl Solver for DeltaStepping {
     fn description(&self) -> &'static str {
         "per-source Δ-stepping sweep (non-negative weights)"
     }
-    fn check(&self, profile: &GraphProfile, _opts: &SolveOpts) -> Result<(), Ineligible> {
+    fn check(
+        &self,
+        profile: &dyn Deref<Target = GraphProfile>,
+        _opts: &SolveOpts,
+    ) -> Result<(), Ineligible> {
         if profile.has_negative() {
             return Err(Ineligible::NegativeWeights {
                 count: profile.negative_edges,
@@ -476,7 +489,7 @@ impl Solver for DeltaStepping {
     fn solve(
         &self,
         g: &Graph,
-        profile: &GraphProfile,
+        profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         // Δ = mean edge weight: one bucket ≈ one expected hop
@@ -530,7 +543,7 @@ impl Solver for Dist {
     fn solve(
         &self,
         g: &Graph,
-        _profile: &GraphProfile,
+        _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let (pr, pc) = opts.grid;
@@ -660,6 +673,45 @@ mod tests {
         }
     }
 
+    /// A solve profiles the graph only when something reads the profile,
+    /// and then once: `quant`'s and `delta`'s checks read the weights, the
+    /// budget screen reads the working set, `auto` and `plan` score on it.
+    #[test]
+    fn a_solve_profiles_once_and_only_when_the_profile_is_read() {
+        let reg = Registry::with_all();
+        let g = unit_fixture(24, 14, 9);
+        let opts = SolveOpts { block: 4, error_tolerance: Some(0.0), ..Default::default() };
+        let budget = SolveOpts { memory_budget: Some(1 << 30), ..opts.clone() };
+        let profiles = |trace: apsp_trace::Trace| {
+            trace.timelines.iter().flat_map(|t| &t.spans).filter(|s| s.name == "profile").count()
+        };
+        let solve = |name: &str, opts: &SolveOpts| {
+            let (sol, trace) = apsp_trace::record("main", || reg.solve(name, &g, opts));
+            sol.unwrap_or_else(|e| panic!("{name}: {e}"));
+            profiles(trace)
+        };
+        for name in ["blocked", "dist", "fw", "dc", "johnson", "ooc"] {
+            assert_eq!(solve(name, &opts), 0, "{name}");
+        }
+        for name in ["quant", "delta", "auto"] {
+            assert_eq!(solve(name, &opts), 1, "{name}");
+        }
+        for name in reg.names().into_iter().chain(["auto"]) {
+            assert_eq!(solve(name, &budget), 1, "{name} under a budget");
+        }
+        assert_eq!(profiles(apsp_trace::record("main", || reg.plan(&g, &opts)).1), 1, "plan");
+        // delta still refuses a negative edge it has to profile to see
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 2.0).add_edge(1, 2, -1.0);
+        match reg.solve("delta", &b.build(), &opts) {
+            Err(SolveError::Ineligible {
+                solver: "delta",
+                reason: Ineligible::NegativeWeights { count: 1, min },
+            }) => assert_eq!(min, -1.0),
+            other => panic!("expected NegativeWeights, got {:?}", other.map(|s| s.solver)),
+        }
+    }
+
     #[test]
     fn memory_budget_zero_makes_everything_ineligible() {
         let reg = Registry::with_all();
@@ -763,7 +815,7 @@ mod tests {
         let guess = (profile.nnz_blocks as u64 * 8 * 8 * 4).max(profile.dense_bytes / 101);
         assert!(2 * guess + guess / 4 <= budget && stats.peak_resident_bytes > budget);
         let opts = SolveOpts { memory_budget: Some(budget), ..opts };
-        assert!(matches!(Ooc::mode(&profile, &opts), Mode::Staged { .. }));
+        assert!(matches!(Ooc::mode(&&profile, &opts), Mode::Staged { .. }));
         let sol = Registry::with_all().solve("ooc", &g, &opts).unwrap();
         assert!(sol.dist.eq_exact(&want));
         let note = sol.stats.notes.iter().find(|n| n.starts_with("ooc: file store")).unwrap();
@@ -838,13 +890,12 @@ mod tests {
             // 4095 · 8 = 32 760 is below the lanes' sentinel 32 767; 9 is not
             ("dense 4096, weights fit u16", dense(4096, 8.0), None, Some(0.0), "quant"),
             ("dense 4096, weights overflow u16", dense(4096, 100.0), None, Some(0.0), "blocked"),
-            // as priced, the matrix fits and blocked's 2·n·b·4 of panel
-            // buffers beside it do not. Both prices are off (ROADMAP item
-            // 7): blocked now repacks one b × (n − b) row panel, as it no
-            // longer copies panels for PanelUpdate, and dc_apsp packs the
+            // as priced, the matrix fits and blocked's one repacked
+            // b × (n − b) row panel beside it (240 KiB) does not. dc's
+            // price is still off (ROADMAP item 9): dc_apsp packs the
             // top-level (n/2)² B quadrant, a quarter of the matrix more,
-            // which `Dc::working_set_bytes` does not charge. At this budget
-            // neither truly fits.
+            // which `Dc::working_set_bytes` does not charge, so at this
+            // budget dc does not truly fit either.
             ("dense 1024, budget = matrix", dense(1024, 9.0), Some(4 << 20), None, "dc"),
             ("dense 1024, budget = matrix / 2", dense(1024, 9.0), Some(2 << 20), None, "ooc"),
         ];

@@ -10,12 +10,17 @@
 //! ([`Ineligible`]), a cost `estimate` fed by a one-pass [`GraphProfile`],
 //! and a `solve` returning a [`Solution`] with per-solver stats. The
 //! [`planner`] scores every registered solver and returns an explainable
-//! [`Plan`] (`apsp plan`, `--algo auto`). See DESIGN.md §13.
+//! [`Plan`] (`apsp plan`, `--algo auto`). A solve computes the profile at
+//! most once, and only when something reads it: `auto` always does, a
+//! forced solver only when its `check`, the memory-budget screen or its
+//! `solve` asks for a field. See DESIGN.md §13.
 
 pub mod adapters;
 pub mod planner;
 pub mod profile;
 
+use std::cell::LazyCell;
+use std::ops::Deref;
 use std::time::Instant;
 
 use apsp_graph::Graph;
@@ -240,7 +245,13 @@ pub trait Solver: Send + Sync {
 
     /// Algorithmic eligibility on this graph (shape/sign requirements).
     /// Memory-budget screening is layered on top by [`Solver::eligible`].
-    fn check(&self, _profile: &GraphProfile, _opts: &SolveOpts) -> Result<(), Ineligible> {
+    /// `profile` is computed the first time it is read, so a solver with
+    /// nothing to check leaves it unread.
+    fn check(
+        &self,
+        _profile: &dyn Deref<Target = GraphProfile>,
+        _opts: &SolveOpts,
+    ) -> Result<(), Ineligible> {
         Ok(())
     }
 
@@ -258,17 +269,24 @@ pub trait Solver: Send + Sync {
 
     /// Run the algorithm. `profile` is `g`'s at `opts.block`, the one
     /// [`Solver::eligible`] has just passed on: a solver that needs a graph
-    /// feature reads it there instead of walking the edges again.
+    /// feature reads it there instead of walking the edges again. It is
+    /// computed the first time it is read (if [`Solver::eligible`] has not
+    /// already), so a solver that needs nothing from it never pays for it.
     /// `stats.wall_s` is filled by the caller.
     fn solve(
         &self,
         g: &Graph,
-        profile: &GraphProfile,
+        profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError>;
 
-    /// [`Solver::check`] plus the uniform memory-budget screen.
-    fn eligible(&self, profile: &GraphProfile, opts: &SolveOpts) -> Result<(), Ineligible> {
+    /// [`Solver::check`] plus the uniform memory-budget screen, which reads
+    /// the profile only when there is a budget.
+    fn eligible(
+        &self,
+        profile: &dyn Deref<Target = GraphProfile>,
+        opts: &SolveOpts,
+    ) -> Result<(), Ineligible> {
         self.check(profile, opts)?;
         if let Some(budget) = opts.memory_budget {
             let required = self.working_set_bytes(profile, opts);
@@ -321,27 +339,32 @@ impl Registry {
             .ok_or_else(|| SolveError::UnknownSolver { name: name.to_string(), known: self.names() })
     }
 
-    /// Profile the graph, check eligibility, run the named solver, and
-    /// stamp the wall clock. `"auto"` delegates to [`Registry::solve_auto`].
-    /// The profile pass and the run are `profile` and `solve` spans on the
-    /// calling thread's `apsp_trace` recorder.
+    /// Check eligibility, run the named solver, and stamp the wall clock.
+    /// `"auto"` delegates to [`Registry::solve_auto`]. The graph is
+    /// profiled only if the solver's `check`, the memory-budget screen or
+    /// its `solve` reads the profile, and then once, so a solver that reads
+    /// nothing from it (a forced `blocked`, say) never walks the edges
+    /// before it solves. The profile pass, when there is one, and the run
+    /// are `profile` and `solve` spans on the calling thread's `apsp_trace`
+    /// recorder.
     pub fn solve(&self, name: &str, g: &Graph, opts: &SolveOpts) -> Result<Solution, SolveError> {
         if name == "auto" {
             return self.solve_auto(g, opts).map(|(_, sol)| sol);
         }
         let solver = self.get(name)?;
-        self.solve_profiled(solver, &profile(g, opts.block), g, &opts.resolved())
+        let lazy = LazyCell::new(|| profile(g, opts.block));
+        self.solve_profiled(solver, &lazy, g, &opts.resolved())
     }
 
     /// The shared tail of [`Registry::solve`] and [`Registry::solve_auto`]:
-    /// eligibility against a profile already in hand, the run, the wall
-    /// clock, and [`screen_negative_cycle`] (skipped on a graph without
-    /// negative edges, which cannot fail it). `profile` must be
-    /// `g`'s at `opts.block`.
+    /// eligibility, the run, the wall clock, and [`screen_negative_cycle`]
+    /// (O(n), so it runs on every solve rather than asking the profile
+    /// whether any edge is negative). `profile` must be `g`'s at
+    /// `opts.block`, computed now or when first read.
     fn solve_profiled(
         &self,
         solver: &dyn Solver,
-        profile: &GraphProfile,
+        profile: &dyn Deref<Target = GraphProfile>,
         g: &Graph,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
@@ -354,9 +377,7 @@ impl Registry {
             solver.solve(g, profile, opts)?
         };
         sol.stats.wall_s = t0.elapsed().as_secs_f64();
-        if profile.has_negative() {
-            screen_negative_cycle(profile.n, |i| sol.dist[(i, i)])?;
-        }
+        screen_negative_cycle(g.n(), |i| sol.dist[(i, i)])?;
         Ok(sol)
     }
 
@@ -379,7 +400,7 @@ impl Registry {
         let opts = &opts.resolved();
         let plan = self.plan(g, opts);
         let chosen = plan.chosen.ok_or(SolveError::NoEligibleSolver)?;
-        let sol = self.solve_profiled(self.get(chosen)?, &plan.profile, g, opts)?;
+        let sol = self.solve_profiled(self.get(chosen)?, &&plan.profile, g, opts)?;
         Ok((plan, sol))
     }
 }

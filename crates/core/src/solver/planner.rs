@@ -177,7 +177,7 @@ pub fn plan(reg: &Registry, profile: GraphProfile, opts: &SolveOpts) -> Plan {
         .map(|s| PlanEntry {
             solver: s.name(),
             description: s.description(),
-            outcome: match s.eligible(&profile, opts) {
+            outcome: match s.eligible(&&profile, opts) {
                 Ok(()) => Ok(s.estimate(&profile, opts)),
                 Err(reason) => Err(reason),
             },

@@ -259,8 +259,16 @@ impl<'a, T: Copy> View<'a, T> {
     pub fn subview(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> View<'a, T> {
         assert!(r0 + rows <= self.rows && c0 + cols <= self.cols, "subview out of bounds");
         View {
-            // SAFETY: in bounds per the assertion above.
-            ptr: unsafe { self.ptr.add(r0 * self.stride + c0) },
+            // An empty window keeps this view's pointer: its offset may lie
+            // past the end of the allocation.
+            ptr: if rows == 0 || cols == 0 {
+                self.ptr
+            } else {
+                // SAFETY: a non-empty window starts at element (r0, c0) of
+                // this view (r0 < self.rows, c0 < self.cols per the
+                // assertion), which lies inside the allocation.
+                unsafe { self.ptr.add(r0 * self.stride + c0) }
+            },
             rows,
             cols,
             stride: self.stride,
@@ -382,8 +390,14 @@ impl<'a, T: Copy> ViewMut<'a, T> {
     pub fn subview_mut(&mut self, r0: usize, c0: usize, rows: usize, cols: usize) -> ViewMut<'_, T> {
         assert!(r0 + rows <= self.rows && c0 + cols <= self.cols, "subview out of bounds");
         ViewMut {
-            // SAFETY: in bounds per assertion; exclusive via &mut self.
-            ptr: unsafe { self.ptr.add(r0 * self.stride + c0) },
+            // an empty window keeps this view's pointer (see `View::subview`)
+            ptr: if rows == 0 || cols == 0 {
+                self.ptr
+            } else {
+                // SAFETY: element (r0, c0) of this view, inside the
+                // allocation per the assertion; exclusive via &mut self.
+                unsafe { self.ptr.add(r0 * self.stride + c0) }
+            },
             rows,
             cols,
             stride: self.stride,
@@ -395,9 +409,15 @@ impl<'a, T: Copy> ViewMut<'a, T> {
     pub fn into_subview(self, r0: usize, c0: usize, rows: usize, cols: usize) -> ViewMut<'a, T> {
         assert!(r0 + rows <= self.rows && c0 + cols <= self.cols, "subview out of bounds");
         ViewMut {
-            // SAFETY: in bounds per assertion; `self` is consumed so the new
-            // view is the only live borrow.
-            ptr: unsafe { self.ptr.add(r0 * self.stride + c0) },
+            // an empty window keeps this view's pointer (see `View::subview`)
+            ptr: if rows == 0 || cols == 0 {
+                self.ptr
+            } else {
+                // SAFETY: element (r0, c0) of this view, inside the
+                // allocation per the assertion; `self` is consumed so the
+                // new view is the only live borrow.
+                unsafe { self.ptr.add(r0 * self.stride + c0) }
+            },
             rows,
             cols,
             stride: self.stride,
@@ -416,9 +436,17 @@ impl<'a, T: Copy> ViewMut<'a, T> {
             _marker: std::marker::PhantomData,
         };
         let right = ViewMut {
-            // SAFETY: columns mid.. never alias columns ..mid within a row,
-            // and both views share the parent's stride
-            ptr: unsafe { self.ptr.add(mid) },
+            // an empty right side keeps the parent's pointer: `mid` may
+            // reach past the end of the allocation
+            ptr: if self.rows == 0 || mid == self.cols {
+                self.ptr
+            } else {
+                // SAFETY: element (0, mid) of the parent, inside the
+                // allocation as mid < cols and rows > 0; columns mid..
+                // never alias columns ..mid within a row, and both views
+                // share the parent's stride
+                unsafe { self.ptr.add(mid) }
+            },
             rows: self.rows,
             cols: self.cols - mid,
             stride: self.stride,
@@ -438,8 +466,16 @@ impl<'a, T: Copy> ViewMut<'a, T> {
             _marker: std::marker::PhantomData,
         };
         let bottom = ViewMut {
-            // SAFETY: rows mid.. are disjoint from rows ..mid.
-            ptr: unsafe { self.ptr.add(mid * self.stride) },
+            // an empty bottom keeps the parent's pointer: row `mid` may lie
+            // past the end of the allocation
+            ptr: if mid == self.rows || self.cols == 0 {
+                self.ptr
+            } else {
+                // SAFETY: element (mid, 0) of the parent, inside the
+                // allocation as mid < rows and cols > 0; rows mid.. are
+                // disjoint from rows ..mid.
+                unsafe { self.ptr.add(mid * self.stride) }
+            },
             rows: self.rows - mid,
             cols: self.cols,
             stride: self.stride,
@@ -563,6 +599,87 @@ mod tests {
         bot.set(0, 0, 200);
         assert_eq!(m[(0, 0)], 100);
         assert_eq!(m[(2, 0)], 200);
+    }
+
+    /// Every window and split keeps its pointer inside the allocation, the
+    /// empty ones too. Blocked FW's last iteration makes the band below its
+    /// last block row (no rows, starting past the end of the matrix) and
+    /// then splits that band's columns at the block column.
+    #[test]
+    fn empty_sides_keep_their_pointer_inside_the_allocation() {
+        let (rows, cols, c0, b) = (6, 7, 2, 2);
+        let mut m = iota(rows, cols);
+        let alloc = m.data.as_ptr_range();
+        let inside = |p: *const i64| alloc.contains(&p);
+        for mid in 0..=cols - c0 {
+            let view = m.view_mut().into_subview(0, c0, rows, cols - c0);
+            let (_, last) = view.split_rows_mut(rows - b);
+            let (last, below) = last.split_rows_mut(b);
+            assert!(inside(last.ptr) && inside(below.ptr), "row split");
+            for band in [last, below] {
+                let (left, right) = band.split_cols_mut(mid);
+                assert!(inside(left.ptr) && inside(right.ptr), "column split at {mid}");
+            }
+        }
+        for mid in 0..=b {
+            let last = m.view_mut().into_subview(rows - b, c0, b, cols - c0);
+            let (top, bottom) = last.split_rows_mut(mid);
+            assert!(inside(top.ptr) && inside(bottom.ptr), "row split at {mid}");
+        }
+        for r0 in 0..=rows {
+            for c in 0..=cols {
+                let (r, w) = (rows - r0, cols - c);
+                assert!(inside(m.view().subview(r0, c, 0, w).ptr), "({r0}, {c})");
+                assert!(inside(m.view().subview(r0, c, r, 0).ptr), "({r0}, {c})");
+                assert!(inside(m.view_mut().subview_mut(r0, c, 0, w).ptr), "({r0}, {c})");
+                assert!(inside(m.view_mut().into_subview(r0, c, r, 0).ptr), "({r0}, {c})");
+            }
+        }
+    }
+
+    /// The halves of `split_rows_mut` and `split_cols_mut` are disjoint:
+    /// at every split point of a view with a row and a column offset, two
+    /// threads each add their tag to every element of their half, and each
+    /// element of the view ends up with exactly one tag, the right one.
+    #[test]
+    fn split_halves_written_from_two_threads_are_disjoint() {
+        let (rows, cols, r0, c0) = (5, 6, 1, 2);
+        for by_rows in [false, true] {
+            let extent = if by_rows { rows - r0 } else { cols - c0 };
+            for mid in 0..=extent {
+                let mut m = Matrix::filled(rows, cols, 0i64);
+                let view = m.view_mut().into_subview(r0, c0, rows - r0, cols - c0);
+                let halves =
+                    if by_rows { view.split_rows_mut(mid) } else { view.split_cols_mut(mid) };
+                std::thread::scope(|s| {
+                    for (mut half, tag) in [(halves.0, 1), (halves.1, 2)] {
+                        s.spawn(move || {
+                            for i in 0..half.rows() {
+                                for j in 0..half.cols() {
+                                    let v = half.at(i, j);
+                                    half.set(i, j, v + tag);
+                                }
+                            }
+                        });
+                    }
+                });
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let want = match (i.checked_sub(r0), j.checked_sub(c0)) {
+                            (Some(vi), Some(vj)) => {
+                                if (if by_rows { vi } else { vj }) < mid {
+                                    1
+                                } else {
+                                    2
+                                }
+                            }
+                            _ => 0,
+                        };
+                        assert_eq!(m[(i, j)], want, "by_rows {by_rows}, mid {mid}, ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
