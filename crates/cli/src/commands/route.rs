@@ -1,10 +1,16 @@
 //! `apsp route` — shortest route between two vertices, with the full
-//! vertex sequence (predecessor-tracking Floyd-Warshall).
+//! vertex sequence. It runs the witness-carrying blocked Floyd-Warshall
+//! that `apsp serve` runs at startup (`Engine::solve_from_graph`, same
+//! block size) and answers through the snapshot query behind serve's
+//! `path` verb, so the two commands print the same route.
 
-use apsp_core::fw_seq::{fw_seq_with_paths, reconstruct_path};
-use apsp_core::solver::screen_negative_cycle;
+use std::io::Write;
+
+use apsp_core::serve::Engine;
+use apsp_graph::graph::Graph;
 use apsp_graph::paths::validate_path;
 
+use super::serve::DEFAULT_BLOCK;
 use crate::args::Args;
 
 /// Entry point.
@@ -13,8 +19,9 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         println!(
             "apsp route --input <FILE> --from <V> --to <V>
   --format <dimacs|edges>
-Prints the shortest route and its length (all-pairs solve under the hood,
-so repeated queries on the same graph should use 'solve --out' instead)."
+Prints the shortest route and its length. Runs the witness-carrying blocked
+Floyd-Warshall that 'serve' runs (an all-pairs solve under the hood), so
+repeated queries on the same graph should use 'serve' instead."
         );
         return Ok(());
     }
@@ -28,19 +35,33 @@ so repeated queries on the same graph should use 'solve --out' instead)."
         return Err(format!("vertices must be < {}", g.n()));
     }
 
-    let mut dist = g.to_dense();
-    let pred = fw_seq_with_paths(&mut dist);
-    screen_negative_cycle(g.n(), |i| dist[(i, i)]).map_err(|e| e.to_string())?;
-    let d = dist[(from, to)];
-    if !d.is_finite() {
-        println!("{from} → {to}: unreachable");
-        return Ok(());
+    let snap = Engine::solve_from_graph(&g, DEFAULT_BLOCK).map_err(|e| e.to_string())?.snapshot();
+    let route = snap.path(from, to).map_err(|e| format!("internal: {e}"))?;
+    write_route(&mut std::io::stdout().lock(), &g, from, to, route)
+}
+
+/// Print `route` (as [`apsp_core::Snapshot::path`] returns it) after
+/// checking that it realizes its distance in `g`. A failed write, such as
+/// a closed pipe, is the command's error.
+fn write_route(
+    out: &mut impl Write,
+    g: &Graph,
+    from: usize,
+    to: usize,
+    route: Option<(f32, Vec<usize>)>,
+) -> Result<(), String> {
+    let stdout_err = |e: std::io::Error| format!("stdout: {e}");
+    let Some((d, path)) = route else {
+        return writeln!(out, "{from} → {to}: unreachable").map_err(stdout_err);
+    };
+    // the path's own sum rounds in another order than the solve's: allow
+    // for that relative to the distance
+    if !validate_path(g, &path, from, to, d, 1e-3 * d.abs().max(1.0)) {
+        return Err(format!("internal: route {path:?} does not realize distance {d}"));
     }
-    let path = reconstruct_path(&pred, from, to).ok_or("internal: missing path")?;
-    debug_assert!(validate_path(&g, &path, from, to, d, 1e-3));
-    println!("{from} → {to}: distance {d}, {} hop(s)", path.len() - 1);
+    writeln!(out, "{from} → {to}: distance {d}, {} hop(s)", path.len() - 1).map_err(stdout_err)?;
     for win in path.windows(2) {
-        println!("  {:>6} → {:<6} ({})", win[0], win[1], g.weight(win[0], win[1]));
+        writeln!(out, "  {:>6} → {:<6} ({})", win[0], win[1], g.weight(win[0], win[1])).map_err(stdout_err)?;
     }
     Ok(())
 }
@@ -80,5 +101,33 @@ mod tests {
             assert_eq!(got, Err("graph contains a negative cycle".to_string()), "{from} → {to}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_closed_stdout_is_an_error_not_a_panic() {
+        struct BrokenPipe;
+        impl Write for BrokenPipe {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut b = apsp_graph::graph::GraphBuilder::new(3);
+        b.add_edge(0, 1, 1.0).add_edge(1, 2, 2.0);
+        let g = b.build();
+        for route in [Some((3.0, vec![0, 1, 2])), None] {
+            let got = write_route(&mut BrokenPipe, &g, 0, 2, route);
+            assert!(got.as_ref().is_err_and(|e| e.starts_with("stdout: ")), "{got:?}");
+        }
+        // a route that does not realize its distance is refused, not printed
+        let mut sink = Vec::new();
+        let got = write_route(&mut sink, &g, 0, 2, Some((2.0, vec![0, 1, 2])));
+        assert!(got.is_err_and(|e| e.starts_with("internal: ")));
+        assert!(sink.is_empty());
+        write_route(&mut sink, &g, 0, 2, Some((3.0, vec![0, 1, 2]))).unwrap();
+        let text = String::from_utf8(sink).unwrap();
+        assert!(text.starts_with("0 → 2: distance 3, 2 hop(s)\n"), "{text}");
     }
 }

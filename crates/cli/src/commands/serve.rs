@@ -40,6 +40,10 @@ PROTOCOL (one request per line; '#' starts a comment):
 Replies are 'ok <epoch> …' or 'err <kind>: …'; rejected updates come back
 in-line as 'reject@<i>=<kind>' tokens. Bad input never kills the server.";
 
+/// Blocked-FW tile size of the startup solve when `--block` is absent; `apsp
+/// route` solves with it too, so both commands pick the same witnesses.
+pub(super) const DEFAULT_BLOCK: usize = 64;
+
 /// Entry point for `apsp serve`.
 pub fn run(argv: &[String]) -> Result<(), String> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -48,7 +52,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     let args = Args::parse(argv)?;
     let input: String = args.req("input")?;
-    let block: usize = args.opt("block", 64)?;
+    let block: usize = args.opt("block", DEFAULT_BLOCK)?;
     if block == 0 {
         return Err("--block must be positive".into());
     }

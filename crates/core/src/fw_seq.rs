@@ -8,9 +8,6 @@ use srgemm::closure::fw_closure;
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
 
-/// Sentinel in predecessor matrices: "no path".
-pub const NO_PRED: u32 = u32::MAX;
-
 /// In-place sequential Floyd-Warshall over any idempotent semiring:
 /// `d[i][j] ← ⊕_k d[i][k] ⊗ d[k][j]`, with the diagonal seeded with `1̄`.
 ///
@@ -20,72 +17,11 @@ pub fn fw_seq<S: Semiring>(d: &mut Matrix<S::Elem>) {
     fw_closure::<S>(&mut d.view_mut());
 }
 
-/// Sequential min-plus Floyd-Warshall with predecessor tracking.
-///
-/// Returns the predecessor matrix: `pred[(i, j)]` is the vertex preceding
-/// `j` on a shortest `i → j` path, or [`NO_PRED`] when `j` is unreachable
-/// from `i` (or `i == j`). Distributed shortest-path *generation* is the
-/// paper's declared future work (§7); this provides it at single-node scale.
-pub fn fw_seq_with_paths(d: &mut Matrix<f32>) -> Matrix<u32> {
-    let n = d.rows();
-    assert_eq!(n, d.cols(), "distance matrix must be square");
-    let mut pred = Matrix::from_fn(n, n, |i, j| {
-        if i != j && d[(i, j)] < f32::INFINITY {
-            i as u32
-        } else {
-            NO_PRED
-        }
-    });
-    for i in 0..n {
-        let v = d[(i, i)].min(0.0);
-        d[(i, i)] = v;
-    }
-    for k in 0..n {
-        for i in 0..n {
-            let d_ik = d[(i, k)];
-            if d_ik == f32::INFINITY {
-                continue;
-            }
-            for j in 0..n {
-                let cand = d_ik + d[(k, j)];
-                if cand < d[(i, j)] {
-                    d[(i, j)] = cand;
-                    pred[(i, j)] = pred[(k, j)];
-                }
-            }
-        }
-    }
-    pred
-}
-
-/// Walk `pred` back from `dst` to produce the vertex sequence `src … dst`,
-/// or `None` if unreachable.
-pub fn reconstruct_path(pred: &Matrix<u32>, src: usize, dst: usize) -> Option<Vec<usize>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while pred[(src, cur)] != NO_PRED {
-        cur = pred[(src, cur)] as usize;
-        path.push(cur);
-        if cur == src {
-            path.reverse();
-            return Some(path);
-        }
-        if path.len() > pred.rows() {
-            return None;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apsp_graph::dijkstra::apsp_by_dijkstra;
     use apsp_graph::generators::{self, WeightKind};
-    use apsp_graph::paths::validate_path;
     use srgemm::MinPlusF32;
 
     #[test]
@@ -109,33 +45,6 @@ mod tests {
             let mut d = g.to_dense();
             fw_seq::<MinPlusF32>(&mut d);
             assert!(want.eq_exact(&d), "kind {kind:?}");
-        }
-    }
-
-    #[test]
-    fn with_paths_distances_match_plain_fw() {
-        let g = generators::erdos_renyi(25, 0.3, WeightKind::small_ints(), 11);
-        let mut d1 = g.to_dense();
-        fw_seq::<MinPlusF32>(&mut d1);
-        let mut d2 = g.to_dense();
-        let _ = fw_seq_with_paths(&mut d2);
-        assert!(d1.eq_exact(&d2));
-    }
-
-    #[test]
-    fn reconstructed_paths_realize_distances() {
-        let g = generators::erdos_renyi(20, 0.25, WeightKind::small_ints(), 13);
-        let mut d = g.to_dense();
-        let pred = fw_seq_with_paths(&mut d);
-        for s in 0..20 {
-            for t in 0..20 {
-                if s != t && d[(s, t)] < f32::INFINITY {
-                    let p = reconstruct_path(&pred, s, t).expect("reachable path");
-                    assert!(validate_path(&g, &p, s, t, d[(s, t)], 1e-3), "{s}->{t}");
-                } else if s != t {
-                    assert_eq!(reconstruct_path(&pred, s, t), None);
-                }
-            }
         }
     }
 

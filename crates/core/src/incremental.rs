@@ -24,10 +24,10 @@
 //! running it over [`crate::paths_dist::MinPlusPred`] (via
 //! [`decrease_edge_pred`] / [`decrease_edges_pred`]) updates the
 //! predecessor witnesses *together with* the distances — after a batch of
-//! decreases, `reconstruct_path` still returns paths that realize the
-//! reported distances. Updating only the `f32` distance matrix leaves any
-//! separately-held predecessor matrix stale; the witness-carrying form is
-//! what the serve layer uses.
+//! decreases, [`crate::paths_dist::reconstruct_path_annotated`] still
+//! returns paths that realize the reported distances. Updating only the
+//! `f32` distance matrix would leave any separately-held predecessors
+//! stale; the witness-carrying form is what the serve layer uses.
 
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
@@ -230,8 +230,8 @@ pub fn decrease_edges_pred(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fw_seq::{fw_seq, fw_seq_with_paths, reconstruct_path};
-    use crate::paths_dist::{combine, split};
+    use crate::fw_seq::fw_seq;
+    use crate::paths_dist::{annotate, distances, reconstruct_path_annotated};
     use apsp_graph::generators::{self, WeightKind};
     use apsp_graph::graph::Graph;
     use apsp_graph::paths::validate_path;
@@ -411,14 +411,13 @@ mod tests {
 
     #[test]
     fn witness_carrying_update_keeps_paths_realizable() {
-        // regression: updating only the f32 distance matrix leaves a
-        // separately-held predecessor matrix stale — reconstruct_path then
-        // returns routes that no longer realize the reported distances.
-        // The witness-carrying update fixes both together.
+        // regression: updating only the f32 distance matrix leaves
+        // separately-held predecessors stale — the path walk then returns
+        // routes that no longer realize the reported distances. The
+        // witness-carrying update fixes both together.
         let g = generators::erdos_renyi(24, 0.18, WeightKind::small_ints(), 21);
-        let mut dist = g.to_dense();
-        let pred = fw_seq_with_paths(&mut dist);
-        let mut annotated = combine(&dist, &pred);
+        let mut annotated = annotate(&g);
+        fw_seq::<MinPlusPred>(&mut annotated);
 
         let updates = [(0usize, 17usize, 1.0f32), (9, 3, 1.0), (20, 5, 2.0), (3, 3, -1.0)];
         let report = decrease_edges_pred(&mut annotated, &updates);
@@ -440,12 +439,12 @@ mod tests {
         let mut want = g2.to_dense();
         fw_seq::<MinPlusF32>(&mut want);
 
-        let (d2, p2) = split(&annotated);
+        let d2 = distances(&annotated);
         assert!(want.eq_exact(&d2), "witness-carrying update distances match recompute");
         for s in 0..24 {
             for t in 0..24 {
                 if s != t && d2[(s, t)].is_finite() {
-                    let p = reconstruct_path(&p2, s, t).expect("path exists");
+                    let p = reconstruct_path_annotated(&annotated, s, t).expect("path exists");
                     assert!(
                         validate_path(&g2, &p, s, t, d2[(s, t)], 1e-3),
                         "{s}->{t}: reconstructed path must realize the updated distance"

@@ -6,8 +6,8 @@
 //! Multi-GPU Clusters* (Sao et al., HPDC 2021) as a Rust library. The
 //! paper's algorithms, bottom-up:
 //!
-//! * [`fw_seq`](mod@fw_seq) — Algorithm 1, the classic `O(n³)` triple loop
-//!   (plus a predecessor-tracking variant for path reconstruction).
+//! * [`fw_seq`](mod@fw_seq) — Algorithm 1, the classic `O(n³)` triple loop;
+//!   the oracle every other solver is checked against.
 //! * [`fw_blocked`](mod@fw_blocked) — Algorithm 2: DiagUpdate / PanelUpdate
 //!   / MinPlus outer product over `b×b` blocks, the diagonal closed by
 //!   [`srgemm::closure::fw_closure`] (the one DiagUpdate kernel of every FW
@@ -90,7 +90,7 @@ pub use dist::{
     Schedule, Variant,
 };
 pub use fw_blocked::{fw_blocked, fw_blocked_threads, DiagMethod};
-pub use fw_seq::{fw_seq, fw_seq_with_paths};
+pub use fw_seq::fw_seq;
 pub use incremental::{BatchReport, IncrementalError};
 pub use serve::{Engine, Snapshot};
 pub use solver::{

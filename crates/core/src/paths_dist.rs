@@ -15,15 +15,19 @@
 //! [`MinPlusPred`] satisfies the semiring laws (identity, distributivity —
 //! see the tests), so **every** solver in this workspace — blocked FW, and
 //! all four distributed variants over real message passing — computes
-//! predecessor-annotated APSP just by switching the type parameter. Ties
-//! may pick different (equally shortest) witnesses than the sequential
-//! reference; tests therefore validate realizability and length, not
-//! witness identity.
+//! predecessor-annotated APSP just by switching the type parameter. This
+//! is the workspace's one path representation: `apsp route` and `apsp
+//! serve` both walk these witnesses with [`reconstruct_path_annotated`].
+//! Ties may pick different (equally shortest) witnesses than another
+//! solver or block size; tests therefore validate realizability and
+//! length, not witness identity.
 
+use apsp_graph::graph::Graph;
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
 
-use crate::fw_seq::NO_PRED;
+/// Witness sentinel: "no predecessor" (unreachable, or `i == j`).
+pub const NO_PRED: u32 = u32::MAX;
 
 /// Distance + predecessor witness.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,39 +77,24 @@ impl Semiring for MinPlusPred {
     }
 }
 
-/// Annotated initial matrix: `(w(i,j), i)` for edges, `(0, NO_PRED)` on the
-/// diagonal, `(∞, NO_PRED)` elsewhere.
-pub fn annotate(dist: &Matrix<f32>) -> Matrix<DistPred> {
-    let n = dist.rows();
-    Matrix::from_fn(n, n, |i, j| {
-        let d = dist[(i, j)];
-        if i == j {
-            DistPred { d: d.min(0.0), pred: NO_PRED }
-        } else if d.is_finite() {
-            DistPred { d, pred: i as u32 }
-        } else {
-            DistPred { d: f32::INFINITY, pred: NO_PRED }
+/// Annotated initial matrix of `g`, built straight from its edges: `(w, u)`
+/// for an edge `u → v` (the lighter of parallel edges), `(min(0, w_ii),
+/// NO_PRED)` on the diagonal, `(∞, NO_PRED)` elsewhere. Its `d` half is
+/// bitwise [`Graph::to_dense`].
+pub fn annotate(g: &Graph) -> Matrix<DistPred> {
+    let n = g.n();
+    let mut m = Matrix::from_fn(n, n, |i, j| if i == j { MinPlusPred::one() } else { MinPlusPred::zero() });
+    for (u, v, w) in g.edges() {
+        if w < m[(u, v)].d {
+            m[(u, v)] = if u == v { DistPred { d: w, pred: NO_PRED } } else { edge_elem(u, w) };
         }
-    })
+    }
+    m
 }
 
-/// Split an annotated result into the distance and predecessor matrices
-/// (`pred` is directly consumable by [`crate::fw_seq::reconstruct_path`]).
-pub fn split(annotated: &Matrix<DistPred>) -> (Matrix<f32>, Matrix<u32>) {
-    let n = annotated.rows();
-    let d = Matrix::from_fn(n, n, |i, j| annotated[(i, j)].d);
-    let p = Matrix::from_fn(n, n, |i, j| annotated[(i, j)].pred);
-    (d, p)
-}
-
-/// Inverse of [`split`]: zip a solved distance matrix and its predecessor
-/// matrix (e.g. from [`crate::fw_seq::fw_seq_with_paths`]) back into the
-/// annotated form that the witness-carrying incremental updater and the
-/// [`crate::serve`] engine operate on.
-pub fn combine(dist: &Matrix<f32>, pred: &Matrix<u32>) -> Matrix<DistPred> {
-    let n = dist.rows();
-    assert_eq!((n, n), (pred.rows(), pred.cols()), "dist/pred shape mismatch");
-    Matrix::from_fn(n, n, |i, j| DistPred { d: dist[(i, j)], pred: pred[(i, j)] })
+/// The distance half of an annotated matrix (a copy).
+pub fn distances(m: &Matrix<DistPred>) -> Matrix<f32> {
+    Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)].d)
 }
 
 /// The annotated element for a raw edge `u → v` of weight `w`: the witness
@@ -115,10 +104,9 @@ pub fn edge_elem(u: usize, w: f32) -> DistPred {
 }
 
 /// Walk witnesses back from `dst` on an annotated closure, producing the
-/// vertex sequence `src … dst` (`None` if unreachable). Equivalent to
-/// [`crate::fw_seq::reconstruct_path`] on the [`split`] predecessor matrix,
-/// without materializing it — the serve layer answers path queries on a
-/// shared annotated snapshot directly.
+/// vertex sequence `src … dst` (`None` if unreachable). The serve layer,
+/// and through it `apsp route`, answers path queries with it on a shared
+/// annotated snapshot.
 pub fn reconstruct_path_annotated(
     m: &Matrix<DistPred>,
     src: usize,
@@ -129,7 +117,7 @@ pub fn reconstruct_path_annotated(
     }
     let mut path = vec![dst];
     let mut cur = dst;
-    while m[(src, cur)].pred != crate::fw_seq::NO_PRED {
+    while m[(src, cur)].pred != NO_PRED {
         cur = m[(src, cur)].pred as usize;
         path.push(cur);
         if cur == src {
@@ -148,8 +136,9 @@ mod tests {
     use super::*;
     use crate::dist::{distributed_apsp, FwConfig, Variant};
     use crate::fw_blocked::fw_blocked_threads;
-    use crate::fw_seq::{fw_seq, reconstruct_path};
+    use crate::fw_seq::fw_seq;
     use apsp_graph::generators::{self, WeightKind};
+    use apsp_graph::graph::GraphBuilder;
     use apsp_graph::paths::validate_path;
 
     type S = MinPlusPred;
@@ -185,27 +174,82 @@ mod tests {
         assert_eq!(S::mul(dp(3.0, 7), S::one()), dp(3.0, 7));
     }
 
+    /// Every finite off-diagonal pair of a solved witness matrix walks to a
+    /// path in `g` of exactly its distance; every infinite one has no path.
+    fn assert_paths_realize(g: &Graph, annotated: &Matrix<DistPred>) {
+        let n = g.n();
+        for s in 0..n {
+            for t in 0..n {
+                let d = annotated[(s, t)].d;
+                let path = reconstruct_path_annotated(annotated, s, t);
+                if s == t {
+                    continue;
+                } else if d.is_finite() {
+                    let p = path.expect("path exists");
+                    assert!(validate_path(g, &p, s, t, d, 1e-3), "{s}->{t}");
+                } else {
+                    assert_eq!(path, None, "{s}->{t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn annotate_matches_to_dense_and_witnesses_the_edge_source() {
+        // parallel edges (the lighter one wins), a negative and a positive
+        // self-loop, and a vertex nothing reaches
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 4.0).add_edge(0, 1, 2.5).add_edge(1, 2, -1.0);
+        b.add_edge(2, 2, -3.0).add_edge(1, 1, 7.0).add_edge(2, 0, 0.0);
+        let mut graphs = vec![b.build()];
+        graphs.push(generators::erdos_renyi(30, 0.2, WeightKind::small_ints(), 4));
+        graphs.push(generators::multi_component(16, 2, WeightKind::small_ints(), 8));
+        for g in &graphs {
+            let got = annotate(g);
+            let want = g.to_dense();
+            let n = g.n();
+            for i in 0..n {
+                for j in 0..n {
+                    let DistPred { d, pred } = got[(i, j)];
+                    assert_eq!(d.to_bits(), want[(i, j)].to_bits(), "d[{i}][{j}]");
+                    let expect = if i == j || d == f32::INFINITY { NO_PRED } else { i as u32 };
+                    assert_eq!(pred, expect, "pred[{i}][{j}]");
+                }
+            }
+        }
+        let hand = annotate(&graphs[0]);
+        assert_eq!(hand[(0, 1)], dp(2.5, 0));
+        assert_eq!(hand[(2, 2)], dp(-3.0, NO_PRED));
+        assert_eq!(hand[(1, 1)], dp(0.0, NO_PRED));
+        assert_eq!(hand[(3, 4)], S::zero());
+    }
+
+    #[test]
+    fn witnesses_do_not_depend_on_the_thread_count() {
+        // small integer weights make many equal-length routes: any
+        // scheduling-dependent tie-break would show as a different witness
+        let g = generators::erdos_renyi(90, 0.15, WeightKind::small_ints(), 29);
+        let mut one = annotate(&g);
+        fw_blocked_threads::<S>(&mut one, 16, 1);
+        let mut three = annotate(&g);
+        fw_blocked_threads::<S>(&mut three, 16, 3);
+        assert_eq!(one, three);
+        assert_paths_realize(&g, &three);
+    }
+
     #[test]
     fn blocked_fw_generates_valid_paths() {
         let g = generators::erdos_renyi(28, 0.25, WeightKind::small_ints(), 19);
-        let mut annotated = annotate(&g.to_dense());
+        let mut annotated = annotate(&g);
         fw_blocked_threads::<S>(&mut annotated, 8, 1);
-        let (d, pred) = split(&annotated);
 
         // distances equal plain FW
         let mut want = g.to_dense();
         fw_seq::<srgemm::MinPlusF32>(&mut want);
-        assert!(want.eq_exact(&d));
+        assert!(want.eq_exact(&distances(&annotated)));
 
         // every finite pair has a realizable path of exactly that length
-        for s in 0..28 {
-            for t in 0..28 {
-                if s != t && d[(s, t)].is_finite() {
-                    let p = reconstruct_path(&pred, s, t).expect("path exists");
-                    assert!(validate_path(&g, &p, s, t, d[(s, t)], 1e-3), "{s}->{t}");
-                }
-            }
-        }
+        assert_paths_realize(&g, &annotated);
     }
 
     #[test]
@@ -213,53 +257,26 @@ mod tests {
         // the §7 extension: predecessor-annotated APSP through the real
         // message-passing pipeline, every variant
         let g = generators::uniform_dense(20, WeightKind::small_ints(), 5);
-        let input = annotate(&g.to_dense());
+        let input = annotate(&g);
         let mut want = g.to_dense();
         fw_seq::<srgemm::MinPlusF32>(&mut want);
 
         for variant in Variant::all() {
             let cfg = FwConfig::new(5, variant);
             let (annotated, _) = distributed_apsp::<S>(2, 2, &cfg, &input, None).expect("run");
-            let (d, pred) = split(&annotated);
-            assert!(want.eq_exact(&d), "{variant:?} distances");
-            for s in 0..20 {
-                for t in 0..20 {
-                    if s != t {
-                        let p = reconstruct_path(&pred, s, t).expect("dense graph");
-                        assert!(validate_path(&g, &p, s, t, d[(s, t)], 1e-3));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn combine_round_trips_and_annotated_walk_matches_split_walk() {
-        let g = generators::erdos_renyi(18, 0.3, WeightKind::small_ints(), 23);
-        let mut annotated = annotate(&g.to_dense());
-        fw_blocked_threads::<S>(&mut annotated, 6, 1);
-        let (d, pred) = split(&annotated);
-        let back = combine(&d, &pred);
-        assert_eq!(annotated, back);
-        for s in 0..18 {
-            for t in 0..18 {
-                assert_eq!(
-                    reconstruct_path_annotated(&annotated, s, t),
-                    reconstruct_path(&pred, s, t),
-                    "{s}->{t}"
-                );
-            }
+            assert!(want.eq_exact(&distances(&annotated)), "{variant:?} distances");
+            // dense graph: every pair is reachable
+            assert!(annotated.as_slice().iter().all(|e| e.d.is_finite()));
+            assert_paths_realize(&g, &annotated);
         }
     }
 
     #[test]
     fn unreachable_pairs_have_no_witness() {
         let g = generators::multi_component(12, 2, WeightKind::small_ints(), 3);
-        let mut annotated = annotate(&g.to_dense());
+        let mut annotated = annotate(&g);
         fw_blocked_threads::<S>(&mut annotated, 4, 1);
-        let (d, pred) = split(&annotated);
-        assert_eq!(d[(0, 11)], f32::INFINITY);
-        assert_eq!(pred[(0, 11)], crate::fw_seq::NO_PRED);
-        assert_eq!(reconstruct_path(&pred, 0, 11), None);
+        assert_eq!(annotated[(0, 11)], dp(f32::INFINITY, NO_PRED));
+        assert_eq!(reconstruct_path_annotated(&annotated, 0, 11), None);
     }
 }

@@ -22,7 +22,7 @@ use srgemm::matrix::Matrix;
 
 use crate::fw_blocked::fw_blocked_threads;
 use crate::incremental::{decrease_edges_pred, BatchReport};
-use crate::paths_dist::{annotate, reconstruct_path_annotated, split, DistPred, MinPlusPred};
+use crate::paths_dist::{annotate, distances, reconstruct_path_annotated, DistPred, MinPlusPred};
 use crate::solver::{screen_negative_cycle, SolveError};
 
 /// A reader-side query failure (the request was understood but cannot be
@@ -118,9 +118,9 @@ impl Snapshot {
         Ok(reconstruct_path_annotated(&self.data, s, t).map(|p| (d, p)))
     }
 
-    /// Split into plain distance + predecessor matrices (copies).
-    pub fn split(&self) -> (Matrix<f32>, Matrix<u32>) {
-        split(&self.data)
+    /// The plain distance matrix of this epoch (a copy).
+    pub fn distances(&self) -> Matrix<f32> {
+        distances(&self.data)
     }
 }
 
@@ -166,14 +166,14 @@ impl Engine {
         }
     }
 
-    /// Solve `g` (witness-carrying blocked Floyd-Warshall) and serve the
-    /// result. `block` is the FW block size (64 is a good default). A graph
-    /// with a negative cycle has no distances to serve:
-    /// [`SolveError::NegativeCycle`].
+    /// Solve `g` (witness-carrying blocked Floyd-Warshall on all the host's
+    /// threads) and serve the result. `block` is the FW block size (64 is a
+    /// good default). A graph with a negative cycle has no distances to
+    /// serve: [`SolveError::NegativeCycle`].
     pub fn solve_from_graph(g: &Graph, block: usize) -> Result<Engine, SolveError> {
-        let mut annotated = annotate(&g.to_dense());
+        let mut annotated = annotate(g);
         let b = block.clamp(1, g.n().max(1));
-        fw_blocked_threads::<MinPlusPred>(&mut annotated, b, 1);
+        fw_blocked_threads::<MinPlusPred>(&mut annotated, b, crate::host_threads());
         screen_negative_cycle(g.n(), |i| annotated[(i, i)].d)?;
         Ok(Engine::from_annotated(annotated))
     }
@@ -248,8 +248,7 @@ mod tests {
         assert_eq!(snap.epoch(), 0);
         let mut want = g.to_dense();
         fw_seq::<MinPlusF32>(&mut want);
-        let (d, _) = snap.split();
-        assert!(want.eq_exact(&d));
+        assert!(want.eq_exact(&snap.distances()));
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn readers_see_consistent_monotone_epochs_under_update_pressure() {
     }
     let mut want = b.build().to_dense();
     fw_seq::<MinPlusF32>(&mut want);
-    let (got, _) = engine.snapshot().split();
+    let got = engine.snapshot().distances();
     assert!(want.eq_exact(&got), "final epoch must equal oracle recompute");
     assert_eq!(engine.snapshot().epoch(), engine.latest_epoch());
 }

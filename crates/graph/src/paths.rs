@@ -1,11 +1,11 @@
 //! Path length and validation helpers.
 //!
-//! Used by the examples (route printing) and by tests that check not just
-//! distances but the realizability of the reported paths. The paths
-//! themselves come from the predecessor matrix of
-//! `apsp_core::fw_seq::fw_seq_with_paths` or from the witnesses of
-//! `apsp_core::paths_dist` — distributed shortest-*path* generation, the
-//! paper's declared future work (§7), at library scale.
+//! Used by `apsp route` (which refuses a route that fails the check), the
+//! examples, and tests that check not just distances but the realizability
+//! of the reported paths. The paths themselves come from one place: the
+//! predecessor witnesses of `apsp_core::paths_dist`, which any of the FW
+//! solvers carries by running the `MinPlusPred` semiring — distributed
+//! shortest-*path* generation, the paper's declared future work (§7).
 
 use crate::graph::{Graph, INF};
 

@@ -151,7 +151,7 @@ fn main() {
     }
     let mut want = b.build().to_dense();
     apsp_core::fw_blocked::fw_blocked_threads::<srgemm::MinPlusF32>(&mut want, 64, 1);
-    let (got, _) = engine.snapshot().split();
+    let got = engine.snapshot().distances();
     assert_matrices_equal(&want, &got, "served epoch vs re-solve");
     println!(
         "final epoch {} matches a from-scratch re-solve bit-for-bit; \

@@ -7,10 +7,11 @@
 //! ```
 //!
 //! Generates `n` intersections on the unit square, connects nearby ones,
-//! runs predecessor-tracking Floyd-Warshall, and prints turn-by-turn routes
-//! plus network statistics (diameter, mean distance, unreachable pairs).
+//! solves it with the witness-carrying blocked Floyd-Warshall that `apsp
+//! serve` and `apsp route` run, and prints turn-by-turn routes plus network
+//! statistics (diameter, mean distance, unreachable pairs).
 
-use apsp_core::fw_seq::{fw_seq_with_paths, reconstruct_path};
+use apsp_core::serve::Engine;
 use apsp_graph::generators::geometric;
 use apsp_graph::paths::validate_path;
 
@@ -21,8 +22,8 @@ fn main() {
     let (graph, points) = geometric(n, 0.12, 7);
     println!("road segments (directed): {}", graph.m());
 
-    let mut dist = graph.to_dense();
-    let pred = fw_seq_with_paths(&mut dist);
+    let snap = Engine::solve_from_graph(&graph, 64).expect("road weights are positive").snapshot();
+    let dist = snap.distances();
 
     // network statistics
     let mut finite = 0u64;
@@ -49,7 +50,7 @@ fn main() {
 
     // the longest shortest route, turn by turn
     let (s, t) = far_pair;
-    if let Some(route) = reconstruct_path(&pred, s, t) {
+    if let Ok(Some((_, route))) = snap.path(s, t) {
         assert!(validate_path(&graph, &route, s, t, dist[(s, t)], 1e-3));
         println!("\nlongest route ({} hops, length {:.4}):", route.len() - 1, dist[(s, t)]);
         for leg in route.windows(2) {

@@ -5,7 +5,8 @@
 
 use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
 use apsp_core::fw_blocked::fw_blocked_threads;
-use apsp_core::fw_seq::{fw_seq, fw_seq_with_paths, reconstruct_path};
+use apsp_core::fw_seq::fw_seq;
+use apsp_core::paths_dist::{annotate, distances, reconstruct_path_annotated, MinPlusPred};
 use apsp_core::verify::{assert_matrices_equal, check_apsp_invariants};
 use apsp_graph::dijkstra::apsp_by_dijkstra;
 use apsp_graph::generators::{self, WeightKind};
@@ -43,9 +44,9 @@ fn five_independent_solvers_agree_on_the_paper_workload() {
     check_apsp_invariants(&dist, "distributed output");
 }
 
-/// Distributed paths extension: distances from the distributed run feed
-/// path reconstruction from the sequential predecessor matrix, and the
-/// paths are realizable in the original graph.
+/// Distributed paths extension: the distributed run carries witnesses
+/// (the `MinPlusPred` semiring), its distances equal the plain run's, and
+/// every path walked from its witnesses is realizable in the original graph.
 #[test]
 fn distributed_distances_are_realizable_as_paths() {
     let n = 24;
@@ -53,15 +54,13 @@ fn distributed_distances_are_realizable_as_paths() {
     let input = g.to_dense();
     let cfg = FwConfig::new(6, Variant::AsyncRing);
     let (dist, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
-
-    let mut with_pred = input.clone();
-    let pred = fw_seq_with_paths(&mut with_pred);
-    assert_matrices_equal(&with_pred, &dist, "pred-run vs distributed");
+    let (annotated, _) = distributed_apsp::<MinPlusPred>(2, 2, &cfg, &annotate(&g), None).expect("run");
+    assert_matrices_equal(&distances(&annotated), &dist, "witness run vs distributed");
 
     for s in 0..n {
         for t in 0..n {
             if s != t && dist[(s, t)].is_finite() {
-                let p = reconstruct_path(&pred, s, t).expect("path exists");
+                let p = reconstruct_path_annotated(&annotated, s, t).expect("path exists");
                 assert!(validate_path(&g, &p, s, t, dist[(s, t)], 1e-3));
             }
         }
