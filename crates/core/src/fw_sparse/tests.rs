@@ -11,8 +11,9 @@ use crate::ooc::{
     OocStats, TileStore,
 };
 
-/// A store file in the temp dir, removed on drop. The crate's unit tests
-/// share it.
+/// A temp-dir path for a store file that no other test has drawn;
+/// `FileStore::create` unlinks the file it makes there. The crate's unit
+/// tests share it.
 pub(crate) struct TempPath(pub(crate) PathBuf);
 
 impl TempPath {
@@ -21,12 +22,6 @@ impl TempPath {
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let name = format!("apsp-core-test-{}-{seq}.tiles", std::process::id());
         TempPath(std::env::temp_dir().join(name))
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
     }
 }
 
@@ -52,7 +47,7 @@ impl Run {
     }
 }
 
-fn present_grid(store: &dyn TileStore) -> Vec<bool> {
+fn present_grid(store: &dyn TileStore<f32>) -> Vec<bool> {
     let nb = store.tiles_per_side();
     (0..nb * nb).map(|t| store.present(t / nb, t % nb)).collect()
 }
@@ -64,14 +59,14 @@ fn solve_on_both_stores(g: &Graph, t: usize) -> [Run; 2] {
     let n = g.n();
     let mut want = g.to_dense();
     fw_seq::<MinPlusF32>(&mut want);
-    let mut ingested = MemStore::new::<f32>(n, t);
+    let mut ingested = MemStore::<f32>::new(n, t);
     ingest(&mut ingested, g).unwrap();
     let ingested = present_grid(&ingested);
     let tmp = TempPath::new();
-    let mut mem = MemStore::new::<f32>(n, t);
-    let mut file = FileStore::create::<f32>(&tmp.0, n, t).unwrap();
+    let mut mem = MemStore::<f32>::new(n, t);
+    let mut file = FileStore::<f32>::create(&tmp.0, n, t).unwrap();
     let tight = staged_budget_floor::<f32>(t) + 3 * tile_bytes::<f32>(t, t);
-    let stores: [(&mut dyn TileStore, u64); 2] = [(&mut mem, u64::MAX), (&mut file, tight)];
+    let stores: [(&mut dyn TileStore<f32>, u64); 2] = [(&mut mem, u64::MAX), (&mut file, tight)];
     stores.map(|(store, budget)| {
         let (got, stats) = solve_in_store(g, store, &OocConfig::with_budget(budget)).unwrap();
         let kind = store.kind();

@@ -22,12 +22,12 @@
 //!
 //! Witness maintenance: the update rule is generic over the semiring, so
 //! running it over [`crate::paths_dist::MinPlusPred`] (via
-//! [`decrease_edge_pred`] / [`decrease_edges_pred`]) updates the
-//! predecessor witnesses *together with* the distances — after a batch of
-//! decreases, [`crate::paths_dist::reconstruct_path_annotated`] still
-//! returns paths that realize the reported distances. Updating only the
-//! `f32` distance matrix would leave any separately-held predecessors
-//! stale; the witness-carrying form is what the serve layer uses.
+//! [`decrease_edges_pred`]) updates the predecessor witnesses *together
+//! with* the distances — after a batch of decreases,
+//! [`crate::paths_dist::reconstruct_path_annotated`] still returns paths
+//! that realize the reported distances. Updating only the `f32` distance
+//! matrix would leave any separately-held predecessors stale; the
+//! witness-carrying form is what the serve layer uses.
 
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
@@ -196,35 +196,17 @@ pub fn decrease_edges<S: Semiring>(
     report
 }
 
-/// Witness-carrying single update: absorb edge `u → v` of weight `w` into
-/// an annotated closure (distances *and* predecessor witnesses), so path
-/// reconstruction stays correct after the update. The new edge's witness is
-/// `u` (the vertex preceding `v` when the path uses the edge).
-pub fn decrease_edge_pred(
-    d: &mut Matrix<DistPred>,
-    u: usize,
-    v: usize,
-    w: f32,
-) -> Result<usize, IncrementalError> {
-    decrease_edge::<MinPlusPred>(d, u, v, edge_elem(u, w))
-}
-
-/// Witness-carrying batched update over raw `(u, v, w)` triples; the
+/// Witness-carrying batched update over raw `(u, v, w)` triples: absorb
+/// each edge into an annotated closure (distances *and* predecessor
+/// witnesses), so path reconstruction stays correct after the batch. An
+/// edge's witness is `u`, the vertex preceding `v` when a path uses it. The
 /// non-panicking batch form the [`crate::serve`] writer uses.
 pub fn decrease_edges_pred(
     d: &mut Matrix<DistPred>,
     updates: &[(usize, usize, f32)],
 ) -> BatchReport {
-    let mut report = BatchReport::default();
-    for &(u, v, w) in updates {
-        let outcome = decrease_edge_pred(d, u, v, w);
-        if let Ok(k) = outcome {
-            report.applied += 1;
-            report.improved += k;
-        }
-        report.outcomes.push(outcome);
-    }
-    report
+    let updates: Vec<_> = updates.iter().map(|&(u, v, w)| (u, v, edge_elem(u, w))).collect();
+    decrease_edges::<MinPlusPred>(d, &updates)
 }
 
 #[cfg(test)]

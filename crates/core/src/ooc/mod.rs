@@ -6,10 +6,11 @@
 //! of {host RAM, PCIe, device} — so graphs whose dense closure exceeds host
 //! RAM still solve on one node:
 //!
-//! * the matrix lives in a [`TileStore`] in its plain layout — dense
-//!   row-major tiles, checksummed per slot ([`store`] owns the format) —
-//!   and only the operand a product needs is staged: the row tile
-//!   `B(k, j)` is packed into one persistent [`PackedB`] per update;
+//! * the matrix lives in a [`TileStore`] — the solve's private scratch,
+//!   created, filled and dropped by one solve — as dense tiles (only the
+//!   [`FileStore`] turns them into checksummed bytes), and only the operand
+//!   a product needs is staged: the row tile `B(k, j)` is packed into one
+//!   persistent [`PackedB`] per update;
 //! * [`ooc_fw`] walks the blocked-FW schedule (Algorithm 2: DiagUpdate →
 //!   PanelUpdate → per-tile MinPlus outer product) under an explicit
 //!   host-RAM budget, running the same four kernels as
@@ -22,11 +23,12 @@
 //!   tiles that hold paths. [`ingest`] reads the [`Graph`] one tile row at a
 //!   time and declares every off-diagonal tile without an edge absent, so
 //!   the `n × n` matrix exists only when [`export`] builds the answer;
-//! * the [`FileStore`] overlaps its slot reads (prefetch) and write-backs
-//!   with the GEMM via a background I/O thread — the disk-tier double
-//!   buffer. The matching cost term is `gpu_sim::cost`'s fourth engine
-//!   `t3`, and [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that
-//!   predicts the tile size where the run turns compute-bound.
+//! * the [`FileStore`] keeps the tiles in one unlinked temp file and
+//!   overlaps its slot reads (prefetch) and write-backs with the GEMM via a
+//!   background I/O thread — the disk-tier double buffer. The matching
+//!   cost term is `gpu_sim::cost`'s fourth engine `t3`, and
+//!   [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that predicts
+//!   the tile size where the run turns compute-bound.
 //!
 //! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
 //! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
@@ -53,10 +55,7 @@ use srgemm::prelude::fw_closure;
 use srgemm::semiring::Semiring;
 use srgemm::MinPlusF32;
 
-pub use store::{
-    read_tile, tile_bytes, write_tile, FileStore, MemStore, StoreError, TileElem, TileStore,
-    IO_DEPTH,
-};
+pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore, IO_DEPTH};
 
 /// Out-of-core driver configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +91,8 @@ pub enum OocError {
         /// The configured budget.
         budget: u64,
     },
-    /// The tile store failed (I/O error, bad file, missing or corrupt tile).
+    /// The tile store failed (I/O error, bad geometry, missing or corrupt
+    /// tile).
     Store(StoreError),
 }
 
@@ -197,7 +197,7 @@ enum Access {
 /// [`TileCache::take`]; checked-out tiles cannot be evicted. A tile the
 /// store holds as absent is materialized as all `zero` on first use.
 struct TileCache<'s, E> {
-    store: &'s mut dyn TileStore,
+    store: &'s mut dyn TileStore<E>,
     stats: OocStats,
     map: HashMap<(usize, usize), Resident<E>>,
     resident: u64,
@@ -210,7 +210,7 @@ struct TileCache<'s, E> {
 impl<'s, E: TileElem> TileCache<'s, E> {
     /// Split `budget` into the reserved part and the cache capacity, or
     /// refuse a budget below the floor.
-    fn new(store: &'s mut dyn TileStore, budget: u64, zero: E) -> Result<Self, OocError> {
+    fn new(store: &'s mut dyn TileStore<E>, budget: u64, zero: E) -> Result<Self, OocError> {
         let tile = store.tile();
         let baseline = store.resident_bytes();
         let required = baseline + staged_budget_floor::<E>(tile);
@@ -245,7 +245,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         self.stats.tiles_written += 1;
         self.stats.bytes_written += entry.bytes;
         let _io = span("io-wait");
-        write_tile(self.store, key.0, key.1, &entry.tile.view()).map_err(OocError::Store)
+        self.store.write(key.0, key.1, &entry.tile.view()).map_err(OocError::Store)
     }
 
     /// Evict least-recently-used entries until `need` more bytes fit,
@@ -277,7 +277,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         let entry = if self.store.present(key.0, key.1) {
             let tile = {
                 let _io = span("io-wait");
-                read_tile::<E>(self.store, key.0, key.1)?
+                self.store.read(key.0, key.1)?
             };
             let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
             self.stats.tiles_read += 1;
@@ -360,9 +360,8 @@ impl<'s, E: TileElem> TileCache<'s, E> {
 /// declared absent.
 ///
 /// # Panics
-/// Panics if `g` does not have `store.n()` vertices, or the store is not
-/// an `f32` store.
-pub fn ingest(store: &mut dyn TileStore, g: &Graph) -> Result<(), OocError> {
+/// Panics if `g` does not have `store.n()` vertices.
+pub fn ingest(store: &mut dyn TileStore<f32>, g: &Graph) -> Result<(), OocError> {
     let (n, t) = (store.n(), store.tile());
     assert_eq!(g.n(), n, "ingest: graph order != store dimension");
     let mut tile_rows = g.tile_rows(t);
@@ -371,7 +370,7 @@ pub fn ingest(store: &mut dyn TileStore, g: &Graph) -> Result<(), OocError> {
         for (tj, &present) in present.iter().enumerate() {
             if present {
                 let (rows, cols) = store.tile_dims(ti, tj);
-                write_tile(store, ti, tj, &strip.subview(0, tj * t, rows, cols))?;
+                store.write(ti, tj, &strip.subview(0, tj * t, rows, cols))?;
             } else {
                 store.declare_absent(ti, tj);
             }
@@ -383,16 +382,15 @@ pub fn ingest(store: &mut dyn TileStore, g: &Graph) -> Result<(), OocError> {
 
 /// The matrix held in `store`: a fresh `S::zero()` matrix with every
 /// present tile read into place.
-pub fn export<S: Semiring>(store: &mut dyn TileStore) -> Result<Matrix<S::Elem>, OocError>
-where
-    S::Elem: TileElem,
-{
+pub fn export<S: Semiring>(
+    store: &mut dyn TileStore<S::Elem>,
+) -> Result<Matrix<S::Elem>, OocError> {
     let (n, t, nb) = (store.n(), store.tile(), store.tiles_per_side());
     let mut out = Matrix::filled(n, n, S::zero());
     for ti in 0..nb {
         for tj in 0..nb {
             if store.present(ti, tj) {
-                out.set_block(ti * t, tj * t, &read_tile::<S::Elem>(store, ti, tj)?.view());
+                out.set_block(ti * t, tj * t, &store.read(ti, tj)?.view());
             }
         }
     }
@@ -421,7 +419,7 @@ where
 /// # Panics
 /// Panics if `S` is not ⊕-idempotent (same precondition as blocked FW).
 pub fn ooc_fw<S: Semiring>(
-    store: &mut dyn TileStore,
+    store: &mut dyn TileStore<S::Elem>,
     cfg: &OocConfig,
 ) -> Result<OocStats, OocError>
 where
@@ -504,7 +502,7 @@ where
 /// `ingest` and `export` spans. The body of the `ooc` solver.
 pub fn solve_in_store(
     g: &Graph,
-    store: &mut dyn TileStore,
+    store: &mut dyn TileStore<f32>,
     cfg: &OocConfig,
 ) -> Result<(Matrix<f32>, OocStats), OocError> {
     {

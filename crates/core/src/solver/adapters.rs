@@ -251,11 +251,11 @@ impl Solver for FwSeq {
     }
 }
 
-/// Out-of-core blocked FW: the matrix lives in a tile store of dense
-/// checksummed tiles, and the driver walks the blocked-FW schedule under a
-/// budget. An off-diagonal tile without an edge is absent — never stored,
-/// skipped as an operand — until fill-in materializes it, so the same run is
-/// the block-sparse FW. The store is in memory unless the budget forces
+/// Out-of-core blocked FW: the matrix lives in a tile store of dense tiles
+/// (checksummed in a file store), and the driver walks the blocked-FW
+/// schedule under a budget. An off-diagonal tile without an edge is absent
+/// — never stored, skipped as an operand — until fill-in materializes it,
+/// so the same run is the block-sparse FW. The store is in memory unless the budget forces
 /// staging to a file ([`Ooc::mode`]); the only dense solver that stays
 /// eligible when `--memory-budget` is below the dense matrix size.
 struct Ooc;
@@ -270,7 +270,7 @@ enum Mode {
 
 impl Ooc {
     /// The one mode rule: a memory store when there is no budget or it
-    /// covers `2f + f/4` — the encoded tiles, the decoded cache beside them
+    /// covers `2f + f/4` — the stored tiles, the cache's copies beside them
     /// (~the same again) and scratch — where `f` bounds the bytes of the
     /// tiles the run materializes: the [`GraphProfile::fill_blocks`] fill
     /// can reach, never more than the dense matrix. Staged otherwise. Reads
@@ -290,7 +290,8 @@ impl Ooc {
     }
 
     /// A temp-dir path no other staged solve of this process has drawn:
-    /// concurrent solves of equal `(n, tile)` must not share a store file.
+    /// concurrent solves of equal `(n, tile)` must not collide on the name
+    /// while each creates its store file.
     fn staging_path(n: usize, tile: usize) -> std::path::PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -304,7 +305,7 @@ impl Ooc {
     fn run(
         &self,
         g: &Graph,
-        store: &mut dyn TileStore,
+        store: &mut dyn TileStore<f32>,
         budget: u64,
         threads: usize,
     ) -> Result<Solution, SolveError> {
@@ -388,7 +389,7 @@ impl Solver for Ooc {
             return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
         }
         let Mode::Staged { budget } = Self::mode(profile, opts) else {
-            let mut store = MemStore::new::<f32>(n, opts.block.max(1).min(n));
+            let mut store = MemStore::<f32>::new(n, opts.block.max(1).min(n));
             return self.run(g, &mut store, u64::MAX, threads);
         };
         let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
@@ -397,14 +398,10 @@ impl Solver for Ooc {
                 budget,
             })
         })?;
-        let path = Self::staging_path(n, tile);
-        // exclusive create: a failure here leaves no file of ours
-        let mut store =
-            FileStore::create::<f32>(&path, n, tile).map_err(|e| SolveError::Ooc(e.into()))?;
-        let sol = self.run(g, &mut store, budget, threads);
-        drop(store);
-        let _ = std::fs::remove_file(&path);
-        sol
+        // exclusive create, unlinked at once: no exit path leaves a file
+        let mut store = FileStore::<f32>::create(&Self::staging_path(n, tile), n, tile)
+            .map_err(|e| SolveError::Ooc(e.into()))?;
+        self.run(g, &mut store, budget, threads)
     }
 }
 
@@ -803,7 +800,7 @@ mod tests {
         let opts = SolveOpts { block: 8, threads: 1, ..Default::default() };
         let profile = GraphProfile::compute(&g, opts.block);
         assert_eq!(profile.weak_components, 101);
-        let mut store = MemStore::new::<f32>(g.n(), opts.block);
+        let mut store = MemStore::<f32>::new(g.n(), opts.block);
         let cfg = OocConfig { budget_bytes: u64::MAX, threads: 1 };
         let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(d.eq_exact(&want));

@@ -1,5 +1,5 @@
-//! Out-of-core FW: oracle equivalence, budget enforcement, corruption
-//! handling, pinned store traffic, cost-model consistency, and the absent
+//! Out-of-core FW: oracle equivalence, budget enforcement, the unlinked
+//! store file, pinned store traffic, cost-model consistency, and the absent
 //! tiles that make the same loop the block-sparse solver.
 
 use std::collections::HashSet;
@@ -9,14 +9,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::ooc::{
-    choose_tile, ingest, ooc_fw, read_tile, solve_in_store, staged_budget_floor, tile_bytes,
-    FileStore, MemStore, OocConfig, OocError, StoreError, TileStore,
+    choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes, FileStore,
+    MemStore, OocConfig, OocError, StoreError, TileStore,
 };
 use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{Graph, GraphBuilder, INF};
 use gpu_sim::OffloadCosts;
-use srgemm::matrix::Matrix;
+use srgemm::matrix::{Matrix, View};
 use srgemm::MinPlusF32;
 
 fn graph(n: usize, seed: u64) -> Graph {
@@ -29,7 +29,8 @@ fn closure(g: &Graph) -> Matrix<f32> {
     d
 }
 
-/// Unique temp file path, removed on drop.
+/// A temp-dir path no other test has drawn. `FileStore::create` unlinks
+/// the file it makes there, so nothing is left to clean up.
 struct TempPath(PathBuf);
 
 impl TempPath {
@@ -39,12 +40,6 @@ impl TempPath {
         let mut p = std::env::temp_dir();
         p.push(format!("apsp-ooc-test-{}-{tag}-{seq}.tiles", std::process::id()));
         TempPath(p)
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
     }
 }
 
@@ -66,7 +61,7 @@ fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
 
         let path = TempPath::new("oracle");
         let cfg = OocConfig::with_budget(tight_budget(t));
-        let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+        let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
         let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "staged solve diverged at n={n} t={t}");
         assert_eq!(store.kind(), "file");
@@ -83,13 +78,13 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
     let mut want = g.to_dense();
     fw_blocked_threads::<MinPlusF32>(&mut want, 16, 1);
 
-    let mut mem_store = MemStore::new::<f32>(n, 16);
+    let mut mem_store = MemStore::<f32>::new(n, 16);
     let (via_mem, _) = solve_in_store(&g, &mut mem_store, &OocConfig::unbounded()).unwrap();
     assert!(want.eq_exact(&via_mem));
     assert_eq!(mem_store.kind(), "memory");
 
     let path = TempPath::new("memvsfile");
-    let mut file_store = FileStore::create::<f32>(&path.0, n, 16).unwrap();
+    let mut file_store = FileStore::<f32>::create(&path.0, n, 16).unwrap();
     let cfg = OocConfig { budget_bytes: tight_budget(16), threads: 2 };
     let (via_file, _) = solve_in_store(&g, &mut file_store, &cfg).unwrap();
     assert!(via_mem.eq_exact(&via_file), "staged and in-memory runs must agree bit-for-bit");
@@ -105,7 +100,7 @@ fn budget_sweep_never_exceeds_the_budget() {
         for extra in [0u64, 1, 1 << 12, 1 << 14, 1 << 16, 1 << 20] {
             let budget = floor + extra;
             let path = TempPath::new("sweep");
-            let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+            let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
             let cfg = OocConfig::with_budget(budget);
             let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
             assert!(want.eq_exact(&got), "wrong closure at n={n} budget {budget}");
@@ -122,7 +117,7 @@ fn budget_sweep_never_exceeds_the_budget() {
 fn budget_below_floor_fails_upfront_with_the_full_requirement() {
     let (n, t) = (32usize, 16usize);
     let path = TempPath::new("floor");
-    let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     ingest(&mut store, &graph(n, 3)).unwrap();
     let floor = staged_budget_floor::<f32>(t);
     let cfg = OocConfig::with_budget(floor - 1);
@@ -137,120 +132,23 @@ fn budget_below_floor_fails_upfront_with_the_full_requirement() {
 }
 
 #[test]
-fn truncated_store_file_is_a_typed_error_not_a_panic() {
-    let (n, t) = (32usize, 8usize);
-    let path = TempPath::new("trunc");
-    {
-        let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        ingest(&mut store, &graph(n, 5)).unwrap();
-    }
-    let header = std::fs::read(&path.0).unwrap()[..36].to_vec();
-    // Chop the file: open() must refuse with a header error.
-    let full = std::fs::metadata(&path.0).unwrap().len();
-    let f = std::fs::OpenOptions::new().write(true).open(&path.0).unwrap();
-    f.set_len(full / 2).unwrap();
-    drop(f);
-    match FileStore::open::<f32>(&path.0) {
-        Err(StoreError::BadHeader { detail }) => {
-            assert!(detail.contains("truncated"), "unhelpful detail: {detail}")
-        }
-        other => panic!("expected BadHeader, got {:?}", other.map(|_| ())),
-    }
-    // Chop into the header itself.
-    let f = std::fs::OpenOptions::new().write(true).open(&path.0).unwrap();
-    f.set_len(10).unwrap();
-    drop(f);
-    assert!(matches!(FileStore::open::<f32>(&path.0), Err(StoreError::Io { op: "read", .. })));
-
-    // Hostile headers: a valid magic and dtype field, then a geometry whose
-    // slot size or file length overflows. Each is 36 bytes and nothing
-    // else; none may panic, hang or allocate.
-    let (n_at, tile_at) = (12usize, 20usize);
-    for (what, at, value) in [
-        ("tile = 2^32", tile_at, 1u64 << 32),
-        ("tile = u64::MAX", tile_at, u64::MAX),
-        ("n = u64::MAX", n_at, u64::MAX),
-    ] {
-        let mut hostile = header.clone();
-        hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        std::fs::write(&path.0, &hostile).unwrap();
-        match FileStore::open::<f32>(&path.0) {
-            Err(StoreError::BadHeader { detail }) => {
-                assert!(detail.contains("geometry"), "{what}: unhelpful detail: {detail}")
-            }
-            other => panic!("{what}: expected BadHeader, got {:?}", other.map(|_| ())),
-        }
-    }
-}
-
-#[test]
-fn store_written_as_one_dtype_refuses_to_open_as_another() {
-    // i32 and f32 share the 4-byte width, so slot capacities are identical
-    // — only the header's dtype code can stop a silent bit-reinterpretation
-    // of every stored distance.
-    let (n, t) = (32usize, 16usize);
-    let path = TempPath::new("dtype");
-    drop(FileStore::create::<i32>(&path.0, n, t).unwrap());
-    match FileStore::open::<f32>(&path.0) {
-        Err(StoreError::BadHeader { detail }) => {
-            assert!(
-                detail.contains("i32") && detail.contains("f32"),
-                "unhelpful detail: {detail}"
-            );
-        }
-        other => panic!("expected BadHeader, got {:?}", other.map(|_| ())),
-    }
-    // same-dtype reopen still works
-    assert!(FileStore::open::<i32>(&path.0).is_ok());
-    // a u16 store differs in width and slot capacity, caught up front
-    let path2 = TempPath::new("dtype16");
-    drop(FileStore::create::<u16>(&path2.0, n, t).unwrap());
-    match FileStore::open::<f32>(&path2.0) {
-        Err(StoreError::BadHeader { detail }) => {
-            assert!(detail.contains("width 2"), "unhelpful detail: {detail}");
-        }
-        other => panic!("expected BadHeader, got {:?}", other.map(|_| ())),
-    }
-}
-
-#[test]
-fn corrupt_or_never_written_tile_is_a_typed_store_error() {
-    use std::io::{Seek, SeekFrom, Write};
-    let (n, t) = (32usize, 8usize);
+fn store_file_is_unlinked_at_create_and_still_solves() {
+    // nothing of the store is left to name once `create` returns: a killed
+    // or panicking solve cannot leak the file
+    let (n, t) = (40usize, 8usize);
+    let g = graph(n, 17);
+    let path = TempPath::new("unlinked");
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
+    assert!(!path.0.exists(), "{} outlived create", path.0.display());
     let cfg = OocConfig::with_budget(tight_budget(t));
-    let slot = tile_bytes::<f32>(t, t);
-
-    // Stomp four bytes in the middle of tile (1, 1)'s payload: no header or
-    // length field is touched, only distances.
-    let path = TempPath::new("corrupt");
-    {
-        let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        ingest(&mut store, &graph(n, 6)).unwrap();
-    }
-    let mut f = std::fs::OpenOptions::new().write(true).open(&path.0).unwrap();
-    f.seek(SeekFrom::Start(36 + 5 * slot + slot / 2)).unwrap();
-    f.write_all(&[0xA5; 4]).unwrap();
-    drop(f);
-    let mut store = FileStore::open::<f32>(&path.0).unwrap();
-    assert_eq!(
-        ooc_fw::<MinPlusF32>(&mut store, &cfg),
-        Err(OocError::Store(StoreError::CorruptTile { ti: 1, tj: 1 }))
-    );
-
-    // A created but never ingested store is all zeros after its header: the
-    // first tile read fails its checksum instead of decoding to zeros.
-    let blank = TempPath::new("blank");
-    let mut store = FileStore::create::<f32>(&blank.0, n, t).unwrap();
-    assert_eq!(
-        ooc_fw::<MinPlusF32>(&mut store, &cfg),
-        Err(OocError::Store(StoreError::CorruptTile { ti: 0, tj: 0 }))
-    );
+    let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+    assert!(closure(&g).eq_exact(&got));
+    assert!(stats.tiles_written > 0, "the solve went through the file");
 }
 
 #[test]
 fn mem_store_read_of_unwritten_tile_is_typed() {
-    let mut store = MemStore::new::<f32>(16, 8);
-    use apsp_core::ooc::TileStore;
+    let mut store = MemStore::<f32>::new(16, 8);
     assert_eq!(store.read(1, 0), Err(StoreError::MissingTile { ti: 1, tj: 0 }));
 }
 
@@ -281,7 +179,7 @@ fn measured_run_is_consistent_with_the_four_engine_cost_model() {
     // io-wait is every io-wait span, the final flush included.
     let (n, t) = (96usize, 24usize);
     let path = TempPath::new("model");
-    let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     ingest(&mut store, &graph(n, 13)).unwrap();
     let cfg = OocConfig::with_budget(tight_budget(t));
     let (stats, trace) = apsp_trace::record("driver", || {
@@ -325,7 +223,7 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
     let t = choose_tile::<f32>(n, budget).unwrap();
     assert_eq!(t, 64);
     let path = TempPath::new("traffic");
-    let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     let cfg = OocConfig::with_budget(budget);
     let (_, stats) = solve_in_store(&graph(n, 13), &mut store, &cfg).unwrap();
     assert_eq!(
@@ -348,7 +246,7 @@ fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent()
     b.add_edge(3, 3, -1.0).add_edge(12, 12, 2.0).add_edge(2, 20, INF).add_edge(17, 9, 0.5);
     let g = b.build();
     let d = g.to_dense();
-    let mut store = MemStore::new::<f32>(n, t);
+    let mut store = MemStore::<f32>::new(n, t);
     ingest(&mut store, &g).unwrap();
     let nb = store.tiles_per_side();
     for ti in 0..nb {
@@ -358,34 +256,12 @@ fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent()
             let all_inf = want.as_slice().iter().all(|&v| v == INF);
             assert_eq!(store.present(ti, tj), ti == tj || !all_inf, "tile ({ti}, {tj})");
             if store.present(ti, tj) {
-                let got = read_tile::<f32>(&mut store, ti, tj).unwrap();
+                let got = store.read(ti, tj).unwrap();
                 assert!(got.eq_exact(&want), "tile ({ti}, {tj})");
             }
         }
     }
     assert!(!store.present(0, 2), "the ∞ edge's tile is absent");
-}
-
-#[test]
-fn absence_is_not_persisted_so_a_reopened_store_reads_such_a_slot_as_corrupt() {
-    let (n, t) = (24usize, 4usize);
-    let path = TempPath::new("reopen");
-    {
-        let mut store = FileStore::create::<f32>(&path.0, n, t).unwrap();
-        let g = generators::multi_component(n, 3, WeightKind::small_ints(), 46);
-        ingest(&mut store, &g).unwrap();
-        assert!(!store.present(0, 2), "a cross-cluster tile is absent after ingest");
-    }
-    // the new handle has forgotten the declaration: the slot is presumed
-    // written, and its never-written bytes fail the checksum
-    let mut store = FileStore::open::<f32>(&path.0).unwrap();
-    assert!(store.present(0, 2));
-    let read = read_tile::<f32>(&mut store, 0, 2);
-    assert!(matches!(read, Err(StoreError::CorruptTile { ti: 0, tj: 2 })));
-    assert_eq!(
-        ooc_fw::<MinPlusF32>(&mut store, &OocConfig::with_budget(tight_budget(t))),
-        Err(OocError::Store(StoreError::CorruptTile { ti: 0, tj: 2 }))
-    );
 }
 
 /// A [`TileStore`] that records which slots were read (a prefetch is a
@@ -396,7 +272,7 @@ struct Touched<S> {
     written: HashSet<(usize, usize)>,
 }
 
-impl<S: TileStore> TileStore for Touched<S> {
+impl<S: TileStore<f32>> TileStore<f32> for Touched<S> {
     fn n(&self) -> usize {
         self.inner.n()
     }
@@ -406,16 +282,13 @@ impl<S: TileStore> TileStore for Touched<S> {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
-    fn dtype(&self) -> &'static str {
-        self.inner.dtype()
-    }
-    fn read(&mut self, ti: usize, tj: usize) -> Result<Vec<u8>, StoreError> {
+    fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<f32>, StoreError> {
         self.read.insert((ti, tj));
         self.inner.read(ti, tj)
     }
-    fn write(&mut self, ti: usize, tj: usize, bytes: Vec<u8>) -> Result<(), StoreError> {
+    fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, f32>) -> Result<(), StoreError> {
         self.written.insert((ti, tj));
-        self.inner.write(ti, tj, bytes)
+        self.inner.write(ti, tj, tile)
     }
     fn declare_absent(&mut self, ti: usize, tj: usize) {
         self.inner.declare_absent(ti, tj)
@@ -442,7 +315,7 @@ fn staged_solve_of_sixteen_components_touches_only_their_tiles() {
     let (n, t) = (2048usize, 64usize);
     let g = generators::multi_component(n, 16, WeightKind::small_ints(), 5);
     let path = TempPath::new("components");
-    let inner = FileStore::create::<f32>(&path.0, n, t).unwrap();
+    let inner = FileStore::<f32>::create(&path.0, n, t).unwrap();
     let mut store = Touched { inner, read: HashSet::new(), written: HashSet::new() };
     let cfg = OocConfig::with_budget((n * n) as u64);
     let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();

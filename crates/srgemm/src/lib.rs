@@ -12,7 +12,7 @@
 //! ## Layout
 //!
 //! * [`semiring`] — the [`Semiring`] trait and instances ([`MinPlus`],
-//!   [`MaxMin`], [`BoolOr`], [`MaxPlus`], [`RealArith`], and the quantized
+//!   [`MaxMin`], [`BoolOr`], [`RealArith`], and the quantized
 //!   integer tropical semiring [`MinPlusSatU16`], which runs twice the
 //!   SIMD lanes of `f32` per vector).
 //! * [`matrix`] — dense row-major [`Matrix`] plus borrowed strided
@@ -46,14 +46,10 @@ pub mod semiring;
 
 pub use gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
 pub use matrix::{Matrix, View, ViewMut};
-pub use semiring::{
-    BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatU16, RealArith, Semiring,
-};
+pub use semiring::{BoolOr, MaxMin, MinPlus, MinPlusSatU16, RealArith, Semiring};
 
 /// The paper's semiring: single-precision tropical (min, +).
 pub type MinPlusF32 = MinPlus<f32>;
-/// Double-precision tropical (min, +).
-pub type MinPlusF64 = MinPlus<f64>;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -61,8 +57,6 @@ pub mod prelude {
     pub use crate::gemm::{gemm_naive, gemm_packed, gemm_packed_threads, PackedB};
     pub use crate::matrix::{Matrix, View, ViewMut};
     pub use crate::panel::{panel_update_left, panel_update_right};
-    pub use crate::semiring::{
-        BoolOr, MaxMin, MaxPlus, MinPlus, MinPlusSatU16, RealArith, Semiring,
-    };
-    pub use crate::{MinPlusF32, MinPlusF64};
+    pub use crate::semiring::{BoolOr, MaxMin, MinPlus, MinPlusSatU16, RealArith, Semiring};
+    pub use crate::MinPlusF32;
 }

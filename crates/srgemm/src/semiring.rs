@@ -55,7 +55,7 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     }
 }
 
-/// Floating-point scalars usable by [`MinPlus`]/[`MaxMin`]/[`MaxPlus`]/[`RealArith`].
+/// Floating-point scalars usable by [`MinPlus`]/[`MaxMin`]/[`RealArith`].
 pub trait Scalar: Copy + Send + Sync + PartialEq + PartialOrd + Debug + 'static {
     /// `+∞`.
     fn infinity() -> Self;
@@ -177,33 +177,6 @@ impl<T: Scalar> Semiring for MaxMin<T> {
     #[inline(always)]
     fn mul(a: T, b: T) -> T {
         a.min_(b)
-    }
-}
-
-/// `(ℝ ∪ {-∞}, max, +)` — longest (critical) path semiring.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaxPlus<T>(PhantomData<T>);
-
-impl<T: Scalar> Semiring for MaxPlus<T> {
-    type Elem = T;
-    const NAME: &'static str = "max-plus";
-    const IDEMPOTENT_ADD: bool = true;
-
-    #[inline(always)]
-    fn zero() -> T {
-        T::neg_infinity()
-    }
-    #[inline(always)]
-    fn one() -> T {
-        T::zero()
-    }
-    #[inline(always)]
-    fn add(a: T, b: T) -> T {
-        a.max_(b)
-    }
-    #[inline(always)]
-    fn mul(a: T, b: T) -> T {
-        a.plus(b)
     }
 }
 
@@ -365,13 +338,6 @@ mod tests {
         assert!(S::fma(false, true, true));
         assert!(!S::fma(false, true, false));
         assert!(S::fma(true, false, false));
-    }
-
-    #[test]
-    fn max_plus_longest_path() {
-        type S = MaxPlus<f32>;
-        assert_eq!(S::fma(5.0, 3.0, 4.0), 7.0);
-        assert_eq!(S::add(S::zero(), 2.0), 2.0);
     }
 
     #[test]
