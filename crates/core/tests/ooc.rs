@@ -147,6 +147,21 @@ fn store_file_is_unlinked_at_create_and_still_solves() {
 }
 
 #[test]
+fn corrupt_or_never_written_tile_is_a_typed_store_error() {
+    // A created but never ingested store is all zeros: the first tile read
+    // fails its checksum instead of decoding to zeros. (A slot damaged
+    // after ingest is covered by the store's own unit tests, which stomp it
+    // through the store's I/O worker.)
+    let (n, t) = (32usize, 8usize);
+    let blank = TempPath::new("blank");
+    let mut store = FileStore::<f32>::create(&blank.0, n, t).unwrap();
+    assert_eq!(
+        ooc_fw::<MinPlusF32>(&mut store, &OocConfig::with_budget(tight_budget(t))),
+        Err(OocError::Store(StoreError::CorruptTile { ti: 0, tj: 0 }))
+    );
+}
+
+#[test]
 fn mem_store_read_of_unwritten_tile_is_typed() {
     let mut store = MemStore::<f32>::new(16, 8);
     assert_eq!(store.read(1, 0), Err(StoreError::MissingTile { ti: 1, tj: 0 }));
