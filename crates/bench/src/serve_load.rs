@@ -2,27 +2,28 @@
 //! an [`apsp_core::serve::Engine`], reporting p50/p99 batched-query
 //! latency and epoch lag under update pressure.
 //!
-//! Two transports, one traffic shape:
+//! Two transports, one traffic loop. A connection is one function from a
+//! request line of the `apsp serve` protocol to its reply line:
 //!
-//! * **in-process** ([`run_inproc`]) — readers call the engine directly
-//!   (no socket noise; a 32-query batch is about as cheap as the two
-//!   `Instant::now()` calls around it, so use it for the consistency
-//!   assertions and throughput, not for latency);
-//! * **TCP** ([`run_tcp`]) — readers and the writer speak the
-//!   `apsp serve` line protocol over sockets; this is what CI's
-//!   `serve-smoke` drives against a real server process, including a
-//!   bad-input mix to prove typed rejections don't kill the server.
+//! * **in-process** ([`run_inproc`]) — each line goes through
+//!   [`proto::handle_line`] on a shared engine (no socket noise; a 32-query
+//!   batch is about as cheap as the two `Instant::now()` calls around it,
+//!   so use it for the consistency checks and throughput, not for
+//!   latency);
+//! * **TCP** ([`run_tcp`]) — each line goes over a socket to a running
+//!   server; this is what CI's `serve-smoke` drives against a real server
+//!   process, including a bad-input mix to prove typed rejections don't
+//!   kill the server.
 //!
-//! Both modes *assert* epoch consistency while measuring: every reader
-//! batch must be internally consistent (one epoch per response line /
-//! snapshot), epochs must be monotone per reader, and distances for a
-//! repeated pair must never increase across epochs. A torn read fails the
-//! run loudly instead of skewing a percentile.
+//! Both modes *check* epoch consistency while measuring: every reader
+//! batch must be internally consistent (one epoch per response line),
+//! epochs must be monotone per reader, and distances for a repeated pair
+//! must never increase across epochs. A torn read ends the run with an
+//! `Err` instead of skewing a percentile.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use apsp_core::serve::{proto, Engine};
@@ -94,327 +95,229 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[idx]
 }
 
-fn summarize(
-    cfg: &LoadCfg,
-    mut lat_us: Vec<f64>,
-    lags: Vec<u64>,
-    duration_s: f64,
-    epochs_published: u64,
-    updates_applied: usize,
-    updates_rejected: usize,
-) -> LoadReport {
-    lat_us.sort_by(|a, b| a.total_cmp(b));
-    let total_batches = lat_us.len();
-    let total_queries = total_batches * cfg.batch;
-    let lag_max = lags.iter().copied().max().unwrap_or(0);
-    let lag_mean = if lags.is_empty() {
-        0.0
-    } else {
-        lags.iter().sum::<u64>() as f64 / lags.len() as f64
-    };
-    LoadReport {
-        n: cfg.n,
-        readers: cfg.readers,
-        batch: cfg.batch,
-        total_batches,
-        total_queries,
-        duration_s,
-        qps: total_queries as f64 / duration_s.max(1e-9),
-        p50_us: percentile(&lat_us, 0.50),
-        p99_us: percentile(&lat_us, 0.99),
-        max_us: lat_us.last().copied().unwrap_or(0.0),
-        epochs_published,
-        updates_applied,
-        updates_rejected,
-        epoch_lag_max: lag_max,
-        epoch_lag_mean: lag_mean,
-    }
-}
-
 /// Generate one writer batch; with `bad_input`, the first triple of every
 /// fourth batch is out of range (a typed `badvertex` rejection downstream).
 fn writer_batch(rng: &mut StdRng, n: usize, k: usize, bad: bool, seq: usize) -> Vec<(usize, usize, f32)> {
-    let mut batch: Vec<(usize, usize, f32)> = (0..k)
-        .map(|_| {
-            (
-                rng.random_range(0..n),
-                rng.random_range(0..n),
-                rng.random_range(1..8) as f32 * 0.5,
-            )
-        })
-        .collect();
+    let mut edge = || (rng.random_range(0..n), rng.random_range(0..n), rng.random_range(1..8) as f32 * 0.5);
+    let mut batch: Vec<_> = (0..k).map(|_| edge()).collect();
     if bad && seq.is_multiple_of(4) {
         batch[0] = (n + seq, 0, 1.0);
     }
     batch
 }
 
-/// Drive mixed traffic against an in-process engine serving an
-/// Erdős–Rényi graph of `cfg.n` vertices. Readers resolve
-/// `batches_per_reader` batches each while the writer continuously applies
-/// decrease batches; the writer stops when the readers finish.
-pub fn run_inproc(cfg: &LoadCfg) -> LoadReport {
-    let g = generators::erdos_renyi(cfg.n, (8.0 / cfg.n as f64).min(1.0), WeightKind::small_ints(), cfg.seed);
-    let engine = Arc::new(Engine::solve_from_graph(&g, 64).expect("small_ints weights are positive"));
-    let done = Arc::new(AtomicBool::new(false));
+/// One connection: sends a request line, returns the reply line.
+type Conn<'a> = Box<dyn FnMut(&str) -> Result<String, String> + 'a>;
 
-    let t0 = Instant::now();
-    let readers: Vec<_> = (0..cfg.readers)
-        .map(|r| {
-            let engine = Arc::clone(&engine);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5eed + r as u64));
-                let mut lat_us = Vec::with_capacity(cfg.batches_per_reader);
-                let mut lags = Vec::with_capacity(cfg.batches_per_reader);
-                let mut last_epoch = 0u64;
-                // fixed pool of pairs so monotonicity is repeatedly observable
-                let pool: Vec<(usize, usize)> = (0..64)
-                    .map(|_| (rng.random_range(0..cfg.n), rng.random_range(0..cfg.n)))
-                    .collect();
-                let mut history: Vec<(u64, f32)> = vec![(0, f32::INFINITY); pool.len()];
-                for _ in 0..cfg.batches_per_reader {
-                    let pairs: Vec<(usize, usize)> = (0..cfg.batch)
-                        .map(|_| pool[rng.random_range(0..pool.len())])
-                        .collect();
-                    let t = Instant::now();
-                    let snap = engine.snapshot();
-                    let answers = snap.dist_batch(&pairs).expect("pool is in range");
-                    lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+/// Where a run sends its traffic.
+enum Transport<'a> {
+    /// [`proto::handle_line`] on an engine in this process.
+    InProc(&'a Engine),
+    /// A running `apsp serve --listen` at this address.
+    Tcp(&'a str),
+}
 
-                    // consistency: monotone epochs per reader, monotone
-                    // non-increasing distances per pair across epochs
-                    assert!(snap.epoch() >= last_epoch, "epoch went backwards");
-                    last_epoch = snap.epoch();
-                    for (&(s, t_), &d) in pairs.iter().zip(&answers) {
-                        let slot = pool.iter().position(|&p| p == (s, t_)).unwrap();
-                        let (e0, d0) = history[slot];
-                        if snap.epoch() > e0 {
-                            assert!(d <= d0, "dist({s},{t_}) grew across epochs");
-                            history[slot] = (snap.epoch(), d);
-                        } else if snap.epoch() == e0 {
-                            assert!(d.to_bits() == d0.to_bits() || d0.is_infinite());
-                        }
+impl Transport<'_> {
+    fn connect(&self) -> Result<Conn<'_>, String> {
+        match *self {
+            Transport::InProc(engine) => Ok(Box::new(move |line| {
+                proto::handle_line(engine, line)
+                    .map(|reply| reply.text)
+                    .ok_or_else(|| format!("no reply to '{line}'"))
+            })),
+            Transport::Tcp(addr) => {
+                let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+                stream.set_nodelay(true).ok();
+                let mut rd = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+                Ok(Box::new(move |line| {
+                    stream.write_all(format!("{line}\n").as_bytes()).map_err(|e| format!("send: {e}"))?;
+                    let mut resp = String::new();
+                    rd.read_line(&mut resp).map_err(|e| format!("recv: {e}"))?;
+                    if resp.is_empty() {
+                        return Err("server closed the connection".into());
                     }
-                    lags.push(engine.latest_epoch().saturating_sub(snap.epoch()));
-                }
-                (lat_us, lags)
-            })
-        })
-        .collect();
-
-    // writer: continuous update pressure until the readers are done
-    let writer = {
-        let engine = Arc::clone(&engine);
-        let done = Arc::clone(&done);
-        let cfg = cfg.clone();
-        std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7772_6974);
-            let (mut applied, mut rejected, mut seq) = (0usize, 0usize, 0usize);
-            // `done` is read after the batch, not before: the readers may
-            // finish before this thread is first scheduled, and the run
-            // still needs one batch (seq 0 carries the bad update)
-            loop {
-                let batch = writer_batch(&mut rng, cfg.n, cfg.update_batch, cfg.bad_input, seq);
-                let out = engine.apply(&batch);
-                applied += out.report.applied;
-                rejected += out.report.rejected();
-                seq += 1;
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
+                    Ok(resp.trim_end().to_string())
+                }))
             }
-            (applied, rejected)
-        })
+        }
+    }
+}
+
+/// Reader `r`: `batches_per_reader` `dist` batches over a fixed pool of
+/// pairs (so monotonicity is repeatedly observable), each reply checked
+/// against the ones before it. Returns per-batch latencies and epoch lags.
+fn reader(
+    transport: &Transport<'_>,
+    cfg: &LoadCfg,
+    r: usize,
+    newest: &AtomicU64,
+) -> Result<(Vec<f64>, Vec<u64>), String> {
+    let mut send = transport.connect()?;
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5eed + r as u64));
+    let mut lat_us = Vec::with_capacity(cfg.batches_per_reader);
+    let mut lags = Vec::with_capacity(cfg.batches_per_reader);
+    let mut last_epoch = 0u64;
+    let pool: Vec<(usize, usize)> =
+        (0..64).map(|_| (rng.random_range(0..cfg.n), rng.random_range(0..cfg.n))).collect();
+    let mut history: Vec<(u64, f32)> = vec![(0, f32::INFINITY); pool.len()];
+    for _ in 0..cfg.batches_per_reader {
+        let slots: Vec<usize> = (0..cfg.batch).map(|_| rng.random_range(0..pool.len())).collect();
+        let mut line = String::from("dist");
+        for &slot in &slots {
+            let (s, t) = pool[slot];
+            line.push_str(&format!(" {s} {t}"));
+        }
+        let t = Instant::now();
+        let resp = send(&line)?;
+        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+
+        let (epoch, vals) = proto::parse_ok(&resp)?;
+        if vals.len() != slots.len() {
+            return Err(format!("short response: {} of {}", vals.len(), slots.len()));
+        }
+        if epoch < last_epoch {
+            return Err(format!("epoch went backwards {last_epoch} -> {epoch}"));
+        }
+        last_epoch = epoch;
+        for (&slot, tok) in slots.iter().zip(&vals) {
+            let d = proto::parse_dist_tok(tok)?;
+            let ((s, t), (e0, d0)) = (pool[slot], history[slot]);
+            if epoch > e0 {
+                if d > d0 {
+                    return Err(format!("dist({s},{t}) grew {d0} -> {d}"));
+                }
+                history[slot] = (epoch, d);
+            } else if epoch == e0 && d.to_bits() != d0.to_bits() && !d0.is_infinite() {
+                return Err(format!("torn read at epoch {epoch}: {d0} vs {d}"));
+            }
+        }
+        lags.push(newest.load(Ordering::Acquire).saturating_sub(epoch));
+        newest.fetch_max(epoch, Ordering::AcqRel);
+    }
+    let _ = send("quit");
+    Ok((lat_us, lags))
+}
+
+/// The writer: `update` batches until `done`, requiring the typed
+/// `badvertex` rejection wherever the bad-input mix put one. Returns
+/// (applied, rejected, last epoch).
+fn writer(
+    transport: &Transport<'_>,
+    cfg: &LoadCfg,
+    newest: &AtomicU64,
+    done: &AtomicBool,
+) -> Result<(usize, usize, u64), String> {
+    let mut send = transport.connect()?;
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7772_6974);
+    let (mut applied, mut rejected, mut seq) = (0usize, 0usize, 0usize);
+    // `done` is read after the batch, not before: the readers may finish
+    // before this thread is first scheduled, and the run still needs one
+    // batch (seq 0 carries the bad update)
+    let epoch = loop {
+        let mut line = String::from("update");
+        for (u, v, w) in writer_batch(&mut rng, cfg.n, cfg.update_batch, cfg.bad_input, seq) {
+            line.push_str(&format!(" {u} {v} {w}"));
+        }
+        let resp = send(&line)?;
+        let (epoch, toks) = proto::parse_ok(&resp)?;
+        newest.fetch_max(epoch, Ordering::AcqRel);
+        for tok in &toks {
+            if let Some(v) = tok.strip_prefix("applied=") {
+                applied += v.parse::<usize>().unwrap_or(0);
+            } else if let Some(v) = tok.strip_prefix("rejected=") {
+                rejected += v.parse::<usize>().unwrap_or(0);
+            }
+        }
+        if cfg.bad_input && seq.is_multiple_of(4) && !resp.contains("reject@0=badvertex") {
+            return Err(format!("expected typed badvertex rejection, got '{resp}'"));
+        }
+        seq += 1;
+        if done.load(Ordering::Acquire) {
+            break epoch;
+        }
     };
-
-    let mut lat_us = Vec::new();
-    let mut lags = Vec::new();
-    for h in readers {
-        let (l, g) = h.join().expect("reader thread");
-        lat_us.extend(l);
-        lags.extend(g);
-    }
-    done.store(true, Ordering::Release);
-    let (applied, rejected) = writer.join().expect("writer thread");
-    let duration_s = t0.elapsed().as_secs_f64();
-
-    if cfg.bad_input {
-        assert!(rejected > 0, "bad-input mix must surface typed rejections");
-    }
-    summarize(cfg, lat_us, lags, duration_s, engine.latest_epoch(), applied, rejected)
+    let _ = send("quit");
+    Ok((applied, rejected, epoch))
 }
 
-fn send_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<String, String> {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .map_err(|e| format!("send: {e}"))?;
-    let mut resp = String::new();
-    reader.read_line(&mut resp).map_err(|e| format!("recv: {e}"))?;
-    if resp.is_empty() {
-        return Err("server closed the connection".into());
-    }
-    Ok(resp.trim_end().to_string())
-}
-
-fn connect(addr: &str) -> Result<(TcpStream, BufReader<TcpStream>), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let rd = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    Ok((stream, rd))
-}
-
-/// Drive the same mixed traffic over TCP against a running `apsp serve
-/// --listen` process. Learns `n` from the server (`info`), so `cfg.n` is
-/// ignored for query generation. Latency here is request round-trip.
-pub fn run_tcp(addr: &str, cfg: &LoadCfg) -> Result<LoadReport, String> {
-    // learn the matrix size + starting epoch
-    let (mut probe, mut probe_rd) = connect(addr)?;
-    let resp = send_line(&mut probe, &mut probe_rd, "info")?;
+/// Drive the mixed traffic over `transport`: learn `n` and the starting
+/// epoch from `info`, run the readers and the writer until every reader
+/// has resolved its batches, and summarize. `cfg.n` is replaced by the
+/// served `n`.
+fn run(transport: &Transport<'_>, cfg: &LoadCfg) -> Result<LoadReport, String> {
+    let mut probe = transport.connect()?;
+    let resp = probe("info")?;
     let (epoch0, rest) = proto::parse_ok(&resp)?;
     let n: usize = rest
         .first()
         .and_then(|t| t.strip_prefix("n="))
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| format!("bad info response '{resp}'"))?;
-    let _ = send_line(&mut probe, &mut probe_rd, "quit");
-    let mut cfg = cfg.clone();
-    cfg.n = n;
+    if n == 0 {
+        return Err("the served graph has no vertices (n=0): nothing to query".into());
+    }
+    let _ = probe("quit");
+    let cfg = LoadCfg { n, ..cfg.clone() };
 
-    let newest = Arc::new(AtomicU64::new(epoch0));
-    let done = Arc::new(AtomicBool::new(false));
+    let newest = AtomicU64::new(epoch0);
+    let done = AtomicBool::new(false);
     let t0 = Instant::now();
-
-    let readers: Vec<_> = (0..cfg.readers)
-        .map(|r| {
-            let addr = addr.to_string();
-            let cfg = cfg.clone();
-            let newest = Arc::clone(&newest);
-            std::thread::spawn(move || -> Result<(Vec<f64>, Vec<u64>), String> {
-                let (mut stream, mut rd) = connect(&addr)?;
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5eed + r as u64));
-                let mut lat_us = Vec::with_capacity(cfg.batches_per_reader);
-                let mut lags = Vec::with_capacity(cfg.batches_per_reader);
-                let mut last_epoch = 0u64;
-                let pool: Vec<(usize, usize)> = (0..64)
-                    .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-                    .collect();
-                let mut history: Vec<(u64, f32)> = vec![(0, f32::INFINITY); pool.len()];
-                for _ in 0..cfg.batches_per_reader {
-                    let pairs: Vec<(usize, usize)> = (0..cfg.batch)
-                        .map(|_| pool[rng.random_range(0..pool.len())])
-                        .collect();
-                    let mut line = String::from("dist");
-                    for &(s, t) in &pairs {
-                        line.push_str(&format!(" {s} {t}"));
-                    }
-                    let t = Instant::now();
-                    let resp = send_line(&mut stream, &mut rd, &line)?;
-                    lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-
-                    let (epoch, vals) = proto::parse_ok(&resp)?;
-                    if vals.len() != pairs.len() {
-                        return Err(format!("short response: {} of {}", vals.len(), pairs.len()));
-                    }
-                    if epoch < last_epoch {
-                        return Err(format!("epoch went backwards {last_epoch} -> {epoch}"));
-                    }
-                    last_epoch = epoch;
-                    for ((s, t_), tok) in pairs.iter().zip(&vals) {
-                        let d = proto::parse_dist_tok(tok)?;
-                        let slot = pool.iter().position(|p| p == &(*s, *t_)).unwrap();
-                        let (e0, d0) = history[slot];
-                        if epoch > e0 {
-                            if d > d0 {
-                                return Err(format!("dist({s},{t_}) grew {d0} -> {d}"));
-                            }
-                            history[slot] = (epoch, d);
-                        } else if epoch == e0 && d.to_bits() != d0.to_bits() && !d0.is_infinite() {
-                            return Err(format!("torn read at epoch {epoch}: {d0} vs {d}"));
-                        }
-                    }
-                    lags.push(newest.load(Ordering::Acquire).saturating_sub(epoch));
-                    newest.fetch_max(epoch, Ordering::AcqRel);
-                }
-                let _ = send_line(&mut stream, &mut rd, "quit");
-                Ok((lat_us, lags))
-            })
-        })
-        .collect();
-
-    // writer connection: continuous update pressure
-    let writer = {
-        let addr = addr.to_string();
-        let cfg = cfg.clone();
-        let newest = Arc::clone(&newest);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || -> Result<(usize, usize, u64), String> {
-            let (mut stream, mut rd) = connect(&addr)?;
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7772_6974);
-            let (mut applied, mut rejected, mut seq) = (0usize, 0usize, 0usize);
-            let mut epoch;
-            // at least one batch, as in `run_inproc`
-            loop {
-                let batch = writer_batch(&mut rng, n, cfg.update_batch, cfg.bad_input, seq);
-                let mut line = String::from("update");
-                for &(u, v, w) in &batch {
-                    line.push_str(&format!(" {u} {v} {w}"));
-                }
-                let resp = send_line(&mut stream, &mut rd, &line)?;
-                let (e, toks) = proto::parse_ok(&resp)?;
-                epoch = e;
-                newest.fetch_max(e, Ordering::AcqRel);
-                for tok in &toks {
-                    if let Some(v) = tok.strip_prefix("applied=") {
-                        applied += v.parse::<usize>().unwrap_or(0);
-                    } else if let Some(v) = tok.strip_prefix("rejected=") {
-                        rejected += v.parse::<usize>().unwrap_or(0);
-                    }
-                }
-                if cfg.bad_input && seq.is_multiple_of(4) && !resp.contains("reject@0=badvertex") {
-                    return Err(format!("expected typed badvertex rejection, got '{resp}'"));
-                }
-                seq += 1;
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            let _ = send_line(&mut stream, &mut rd, "quit");
-            Ok((applied, rejected, epoch))
-        })
-    };
-
-    let mut lat_us = Vec::new();
-    let mut lags = Vec::new();
-    let mut reader_err = None;
-    for h in readers {
-        match h.join().expect("reader thread") {
-            Ok((l, g)) => {
-                lat_us.extend(l);
-                lags.extend(g);
-            }
-            Err(e) => reader_err = Some(e),
-        }
-    }
-    done.store(true, Ordering::Release);
-    let (applied, rejected, last_epoch) = writer.join().expect("writer thread")?;
-    if let Some(e) = reader_err {
-        return Err(format!("reader failed: {e}"));
-    }
+    let (readers, written) = std::thread::scope(|s| {
+        let (cfg, newest, done) = (&cfg, &newest, &done);
+        let readers: Vec<_> =
+            (0..cfg.readers).map(|r| s.spawn(move || reader(transport, cfg, r, newest))).collect();
+        let writer = s.spawn(move || writer(transport, cfg, newest, done));
+        let readers: Vec<_> = readers.into_iter().map(|h| h.join().expect("reader thread")).collect();
+        done.store(true, Ordering::Release);
+        (readers, writer.join().expect("writer thread"))
+    });
     let duration_s = t0.elapsed().as_secs_f64();
-    if cfg.bad_input && rejected == 0 {
+    let (updates_applied, updates_rejected, last_epoch) = written?;
+    let (mut lat_us, mut lags) = (Vec::new(), Vec::new());
+    for res in readers {
+        let (l, g) = res.map_err(|e| format!("reader failed: {e}"))?;
+        lat_us.extend(l);
+        lags.extend(g);
+    }
+    if cfg.bad_input && updates_rejected == 0 {
         return Err("bad-input mix produced no typed rejections".into());
     }
-    Ok(summarize(
-        &cfg,
-        lat_us,
-        lags,
+    lat_us.sort_by(|a, b| a.total_cmp(b));
+    let total_queries = lat_us.len() * cfg.batch;
+    Ok(LoadReport {
+        n,
+        readers: cfg.readers,
+        batch: cfg.batch,
+        total_batches: lat_us.len(),
+        total_queries,
         duration_s,
-        last_epoch.max(newest.load(Ordering::Acquire)),
-        applied,
-        rejected,
-    ))
+        qps: total_queries as f64 / duration_s.max(1e-9),
+        p50_us: percentile(&lat_us, 0.50),
+        p99_us: percentile(&lat_us, 0.99),
+        max_us: lat_us.last().copied().unwrap_or(0.0),
+        epochs_published: last_epoch.max(newest.load(Ordering::Acquire)),
+        updates_applied,
+        updates_rejected,
+        epoch_lag_max: lags.iter().copied().max().unwrap_or(0),
+        epoch_lag_mean: if lags.is_empty() { 0.0 } else { lags.iter().sum::<u64>() as f64 / lags.len() as f64 },
+    })
+}
+
+/// Drive mixed traffic against an in-process engine serving an
+/// Erdős–Rényi graph of `cfg.n` vertices. Readers resolve
+/// `batches_per_reader` batches each while the writer continuously applies
+/// decrease batches; the writer stops when the readers finish.
+pub fn run_inproc(cfg: &LoadCfg) -> Result<LoadReport, String> {
+    let g = generators::erdos_renyi(cfg.n, (8.0 / cfg.n as f64).min(1.0), WeightKind::small_ints(), cfg.seed);
+    let engine = Engine::solve_from_graph(&g, 64).map_err(|e| e.to_string())?;
+    run(&Transport::InProc(&engine), cfg)
+}
+
+/// Drive the same mixed traffic over TCP against a running `apsp serve
+/// --listen` process. Learns `n` from the server (`info`), so `cfg.n` is
+/// ignored for query generation. Latency here is request round-trip.
+pub fn run_tcp(addr: &str, cfg: &LoadCfg) -> Result<LoadReport, String> {
+    run(&Transport::Tcp(addr), cfg)
 }
 
 impl LoadReport {
@@ -487,7 +390,7 @@ mod tests {
             bad_input: true,
             seed: 7,
         };
-        let r = run_inproc(&cfg);
+        let r = run_inproc(&cfg).unwrap();
         assert_eq!(r.total_batches, 40);
         assert_eq!(r.total_queries, 320);
         assert!(r.p50_us > 0.0 && r.p99_us >= r.p50_us && r.max_us >= r.p99_us);
@@ -502,6 +405,23 @@ mod tests {
         let nan = LoadReport { epoch_lag_mean: f64::NAN, qps: f64::INFINITY, ..r };
         let json = nan.to_json("tcp");
         assert!(json.contains("\"qps\": null") && json.contains("\"epoch_lag_mean\": null"), "{json}");
+    }
+
+    #[test]
+    fn a_server_with_no_vertices_is_an_error_not_a_panic() {
+        let g = generators::erdos_renyi(0, 1.0, WeightKind::small_ints(), 1);
+        let engine = Engine::solve_from_graph(&g, 64).unwrap();
+        let cfg = LoadCfg {
+            n: 48,
+            readers: 1,
+            batch: 4,
+            batches_per_reader: 5,
+            update_batch: 1,
+            bad_input: false,
+            seed: 7,
+        };
+        let err = run(&Transport::InProc(&engine), &cfg).expect_err("n=0 has nothing to query");
+        assert!(err.contains("n=0"), "{err}");
     }
 
     #[test]

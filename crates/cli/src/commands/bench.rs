@@ -51,12 +51,12 @@ fn run_serve_load(argv: &[String]) -> Result<(), String> {
         bad_input: args.has_flag("bad-input"),
         seed: args.opt("seed", 42)?,
     };
-    if cfg.readers == 0 || cfg.batch == 0 || cfg.batches_per_reader == 0 {
-        return Err("--readers, --batch and --batches must be positive".into());
+    if cfg.n == 0 || cfg.readers == 0 || cfg.batch == 0 || cfg.batches_per_reader == 0 || cfg.update_batch == 0 {
+        return Err("--n, --readers, --batch, --batches and --update-batch must be positive".into());
     }
     let (report, transport) = match args.opt_str("connect") {
         Some(addr) => (serve_load::run_tcp(addr, &cfg)?, "tcp"),
-        None => (serve_load::run_inproc(&cfg), "inproc"),
+        None => (serve_load::run_inproc(&cfg)?, "inproc"),
     };
     eprint!("{}", report.render());
     if let Some(out) = args.opt_str("out") {
@@ -81,6 +81,18 @@ mod tests {
             let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
             let err = run(&args).expect_err("not a subcommand");
             assert!(err.contains("serve-load") && err.contains("benchmark/"), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_vertices_or_an_empty_update_batch_is_an_error_not_a_panic() {
+        for argv in [
+            "serve-load --n 32 --readers 1 --batches 5 --update-batch 0 --bad-input",
+            "serve-load --n 0 --readers 1 --batches 5",
+        ] {
+            let args: Vec<String> = argv.split(' ').map(String::from).collect();
+            let err = std::panic::catch_unwind(|| run(&args)).expect("no panic").expect_err(argv);
+            assert!(err.contains("must be positive"), "{argv}: {err}");
         }
     }
 }

@@ -23,22 +23,25 @@
 //!   tiles that hold paths. [`ingest`] reads the [`Graph`] one tile row at a
 //!   time and declares every off-diagonal tile without an edge absent, so
 //!   the `n × n` matrix exists only when [`export`] builds the answer;
-//! * the [`FileStore`] keeps the tiles in one unlinked temp file and
-//!   overlaps its slot reads (prefetch) and write-backs with the GEMM via a
-//!   background I/O thread — the disk-tier double buffer. The matching
-//!   cost term is `gpu_sim::cost`'s fourth engine `t3`, and
+//! * the [`FileStore`] keeps the tiles in one unlinked temp file and moves
+//!   a slot on the solving thread when the cache misses or spills: unlike
+//!   the paper's PCIe tier, the transfer does not overlap the GEMM. The
+//!   matching cost term is `gpu_sim::cost`'s fourth engine `t3`, and
 //!   [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that predicts
-//!   the tile size where the run turns compute-bound.
+//!   the tile size where an overlapped run would turn compute-bound.
 //!
 //! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
 //! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
-//! and `io-wait` around every store read, write-back and flush, on the
-//! calling thread's `apsp_trace` recorder. [`OocStats`] holds counts only.
+//! and `io-wait` around every store read and write-back, on the calling
+//! thread's `apsp_trace` recorder. [`OocStats`] holds counts only.
 //!
-//! Budget semantics: `peak resident = cached tiles + the packed B scratch +
-//! in-flight I/O buffers (+ every tile, for the in-memory store)` never
-//! exceeds [`OocConfig::budget_bytes`]; a budget below
-//! [`staged_budget_floor`] fails up front with
+//! Budget semantics: the budget splits into a reserve — the packed `B`
+//! scratch plus two tile slots, for the one transfer in progress and the
+//! one tile in transit beside the cache — and the cache, which gets the
+//! rest (less every tile, for the in-memory store). `peak resident` samples
+//! `cached tiles + the packed B scratch + what the store holds` between
+//! cache operations and never exceeds [`OocConfig::budget_bytes`]; a budget
+//! below [`staged_budget_floor`] fails up front with
 //! [`OocError::BudgetTooSmall`] — the same `{required, budget}` shape as
 //! the device tier's `Oom {requested, available}`.
 
@@ -55,12 +58,12 @@ use srgemm::prelude::fw_closure;
 use srgemm::semiring::Semiring;
 use srgemm::MinPlusF32;
 
-pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore, IO_DEPTH};
+pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore};
 
 /// Out-of-core driver configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OocConfig {
-    /// Host-RAM ceiling for the solve (cache + scratch + I/O buffers).
+    /// Host-RAM ceiling for the solve (cache + scratch + transfer slots).
     pub budget_bytes: u64,
     /// Kernel threads each outer-product update may use.
     pub threads: usize,
@@ -132,7 +135,8 @@ pub struct OocStats {
     /// Outer-product tile GEMMs run: `nb·(nb − 1)²` when every tile is
     /// present, fewer for each one an absent operand skipped.
     pub outer_gemms: u64,
-    /// Peak host-RAM residency observed (cache + scratch + store buffers).
+    /// Peak host-RAM residency observed between cache operations (cache +
+    /// scratch + what the store holds).
     pub peak_resident_bytes: u64,
 }
 
@@ -143,20 +147,23 @@ fn packed_b_bytes<E: TileElem>(tile: usize) -> u64 {
 }
 
 /// The part of a staged working set the tile cache may never use: the
-/// packed `B` scratch and the store's bounded in-flight I/O buffers —
-/// [`IO_DEPTH`] prefetch reads, [`IO_DEPTH`] queued writes and one demand
-/// read.
+/// packed `B` scratch and two tile slots — the byte buffer of the one store
+/// read or write in progress, and the one tile in transit beside the cache
+/// (decoded but not yet cached, or evicted and being encoded).
 fn reserved_bytes<E: TileElem>(tile: usize) -> u64 {
-    packed_b_bytes::<E>(tile) + (2 * IO_DEPTH as u64 + 1) * tile_bytes::<E>(tile, tile)
+    packed_b_bytes::<E>(tile) + 2 * tile_bytes::<E>(tile, tile)
 }
 
 /// Minimum [`OocConfig::budget_bytes`] a staged solve over `tile × tile`
-/// tiles of `E` can run under: the packed scratch and I/O reserve, plus two
-/// cache slots — the tile being updated and the one borrowed beside it
-/// (the diagonal during PanelUpdate, `A(i, k)` during the outer product).
-/// The planner, the solver adapter and [`ooc_fw`] all use this one number.
+/// tiles of `E` can run under: the reserve plus five cache slots. Two would
+/// run — the tile being updated and the one borrowed beside it (the
+/// diagonal during PanelUpdate, `A(i, k)` during the outer product) — but
+/// the floor picks the tile size, and a lower one makes [`choose_tile`]
+/// pick tiles that straddle the components of a clustered graph (see its
+/// test). The planner, the solver adapter and [`ooc_fw`] all use this one
+/// number.
 pub fn staged_budget_floor<E: TileElem>(tile: usize) -> u64 {
-    reserved_bytes::<E>(tile) + 2 * tile_bytes::<E>(tile, tile)
+    reserved_bytes::<E>(tile) + 5 * tile_bytes::<E>(tile, tile)
 }
 
 /// Largest tile size (from a fixed candidate ladder, clamped to `n`) whose
@@ -252,8 +259,8 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     /// spilling dirty tiles back to the store.
     fn make_room(&mut self, need: u64) -> Result<(), OocError> {
         while self.resident + need > self.cap {
-            // The floor's two cache slots hold the one checked-out tile and
-            // the incoming one, so there is always something to evict.
+            // The floor's cache slots hold the one checked-out tile and the
+            // incoming one, so there is always something to evict.
             let (&victim, _) =
                 self.map.iter().min_by_key(|(_, e)| e.stamp).expect("an evictable tile");
             let entry = self.map.remove(&victim).expect("victim exists");
@@ -295,14 +302,6 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         Ok(())
     }
 
-    /// Ask the store to start reading `key` if it is stored and not
-    /// resident.
-    fn prefetch(&mut self, key: (usize, usize)) {
-        if !self.map.contains_key(&key) && self.store.present(key.0, key.1) {
-            self.store.prefetch(key.0, key.1);
-        }
-    }
-
     /// Run kernel work `f` on tile `key`, marking the tile dirty if `f`
     /// writes it.
     fn run(
@@ -330,8 +329,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         self.map.insert(key, entry);
     }
 
-    /// Spill every dirty tile in slot order, wait for the store and hand
-    /// back the counters.
+    /// Spill every dirty tile in slot order and hand back the counters.
     fn finish(mut self) -> Result<OocStats, OocError> {
         let mut keys: Vec<_> = self.map.keys().copied().collect();
         keys.sort_unstable();
@@ -342,8 +340,6 @@ impl<'s, E: TileElem> TileCache<'s, E> {
                 self.spill(key, &entry)?;
             }
         }
-        let _io = span("io-wait");
-        self.store.flush()?;
         Ok(self.stats)
     }
 }
@@ -376,7 +372,6 @@ pub fn ingest(store: &mut dyn TileStore<f32>, g: &Graph) -> Result<(), OocError>
             }
         }
     }
-    store.flush()?;
     Ok(())
 }
 
@@ -452,16 +447,10 @@ where
         // ----- PanelUpdate: block row k, then block column k -----
         let panel_update = span("PanelUpdate");
         let diag = cache.take((k, k))?;
-        for (idx, &j) in cols.iter().enumerate() {
-            if let Some(&jn) = cols.get(idx + 1) {
-                cache.prefetch((k, jn));
-            }
+        for &j in &cols {
             cache.run((k, j), Access::Write, |c| panel_update_left::<S>(c, &diag.tile.view()))?;
         }
-        for (idx, &i) in rows.iter().enumerate() {
-            if let Some(&inx) = rows.get(idx + 1) {
-                cache.prefetch((inx, k));
-            }
+        for &i in &rows {
             cache.run((i, k), Access::Write, |c| panel_update_right::<S>(c, &diag.tile.view()))?;
         }
         cache.restore((k, k), diag);
@@ -469,18 +458,9 @@ where
 
         // ----- MinPlus outer product -----
         let _p = span("OuterUpdate");
-        for (ii, &i) in rows.iter().enumerate() {
+        for &i in &rows {
             let a = cache.take((i, k))?;
-            for (jj, &j) in cols.iter().enumerate() {
-                // Double buffer: ask the store for the next C tile of the
-                // sweep while this one multiplies.
-                let next = cols
-                    .get(jj + 1)
-                    .map(|&jn| (i, jn))
-                    .or_else(|| rows.get(ii + 1).map(|&inx| (inx, k)));
-                if let Some(next) = next {
-                    cache.prefetch(next);
-                }
+            for &j in &cols {
                 cache.run((k, j), Access::Read, |b| {
                     let _pack = span("pack");
                     pb.repack::<S>(&b.as_view())

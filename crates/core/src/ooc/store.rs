@@ -27,25 +27,19 @@
 //!   stomped payload or a never-written slot is a typed
 //!   [`StoreError::CorruptTile`], never a decoded tile. The file is
 //!   unlinked as soon as it is created, so the kernel reclaims it however
-//!   the process ends. All I/O runs on a background thread, so tile reads
-//!   (prefetch) and write-backs overlap the GEMM. Requests are processed
-//!   FIFO, which makes a read of a slot observe every write queued before
-//!   it — the driver's read-after-write guarantee.
+//!   the process ends. Every read and write runs to completion on the
+//!   calling thread, so a read observes every write before it and the
+//!   store holds no tile bytes between calls. The file lives in the page
+//!   cache, so a slot transfer costs about as much as its codec, and
+//!   running it on another thread beside the GEMM saves nothing
+//!   measurable.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
 
 use srgemm::matrix::{Matrix, View};
-
-/// Double-buffer depth of a [`FileStore`]: at most this many prefetch reads
-/// and this many queued writes are in flight, so its I/O buffers never hold
-/// more than `2 · IO_DEPTH + 1` slots (the `+ 1` is a demand read).
-pub const IO_DEPTH: usize = 2;
 
 /// Bytes of the per-slot checksum that follows a tile's payload.
 const CHECKSUM_BYTES: usize = 8;
@@ -180,8 +174,6 @@ pub enum StoreError {
         /// Block-column index.
         tj: usize,
     },
-    /// The store was used after its I/O worker shut down.
-    WorkerGone,
 }
 
 impl std::fmt::Display for StoreError {
@@ -197,7 +189,6 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptTile { ti, tj } => {
                 write!(f, "tile ({ti}, {tj}) is corrupt (checksum mismatch)")
             }
-            StoreError::WorkerGone => write!(f, "tile store I/O worker is gone"),
         }
     }
 }
@@ -217,12 +208,10 @@ pub trait TileStore<E>: Send {
     fn tile(&self) -> usize;
     /// `"memory"` or `"file"` — surfaced in solver notes and bench labels.
     fn kind(&self) -> &'static str;
-    /// Fetch tile `(ti, tj)`, consuming any in-flight prefetch for it.
-    /// Blocks until the tile is available.
+    /// Fetch tile `(ti, tj)`.
     fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<E>, StoreError>;
-    /// Queue `tile` as the new contents of tile `(ti, tj)`. May return
-    /// before the write is durable; a later `read` of the same tile still
-    /// observes it (FIFO), and [`TileStore::flush`] waits for all of them.
+    /// Store `tile` as the new contents of tile `(ti, tj)`; a later `read`
+    /// of the same tile observes it.
     ///
     /// # Panics
     /// Panics if `tile` does not have the dimensions of tile `(ti, tj)`.
@@ -239,16 +228,9 @@ pub trait TileStore<E>: Send {
         let nb = self.tiles_per_side();
         (0..nb * nb).filter(|&s| self.present(s / nb, s % nb)).count()
     }
-    /// Hint that `(ti, tj)` will be read soon. Best-effort; default no-op.
-    fn prefetch(&mut self, _ti: usize, _tj: usize) {}
-    /// Wait until every queued write has completed, surfacing any deferred
-    /// write error.
-    fn flush(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-    /// Host-RAM bytes this store currently holds (every tile for
-    /// [`MemStore`]; in-flight read/write buffers for [`FileStore`]).
-    /// Counted against the driver's budget.
+    /// Host-RAM bytes this store holds between calls: every tile for
+    /// [`MemStore`], nothing for [`FileStore`]. Counted against the
+    /// driver's budget.
     fn resident_bytes(&self) -> u64;
     /// Tiles per side, `⌈n/t⌉`.
     fn tiles_per_side(&self) -> usize {
@@ -365,58 +347,15 @@ fn file_geometry<E: TileElem>(n: usize, tile: usize) -> Option<(usize, u64)> {
     Some((slot, u64::try_from(len).ok()?))
 }
 
-/// Reply channel for an asynchronous slot read.
-type ReadReply = Receiver<Result<Vec<u8>, StoreError>>;
-/// Reply channel for an asynchronous slot write (bytes written).
-type WriteReply = Receiver<Result<usize, StoreError>>;
-
-enum IoReq {
-    Read { off: u64, len: usize, reply: Sender<Result<Vec<u8>, StoreError>> },
-    Write { off: u64, data: Vec<u8>, reply: Sender<Result<usize, StoreError>> },
-}
-
-fn io_worker(mut file: File, rx: Receiver<IoReq>) {
-    while let Ok(req) = rx.recv() {
-        match req {
-            IoReq::Read { off, len, reply } => {
-                let res = file
-                    .seek(SeekFrom::Start(off))
-                    .and_then(|_| {
-                        let mut buf = vec![0u8; len];
-                        file.read_exact(&mut buf)?;
-                        Ok(buf)
-                    })
-                    .map_err(|e| io_err("read", e));
-                let _ = reply.send(res);
-            }
-            IoReq::Write { off, data, reply } => {
-                let res = file
-                    .seek(SeekFrom::Start(off))
-                    .and_then(|_| file.write_all(&data))
-                    .map(|_| data.len())
-                    .map_err(|e| io_err("write", e));
-                let _ = reply.send(res);
-            }
-        }
-    }
-}
-
 /// File-backed tile store: `⌈n/t⌉²` fixed-capacity slots in an unlinked
-/// file, all I/O performed by one background worker thread. `prefetch`
-/// issues an asynchronous slot read; `write` encodes the tile, queues the
-/// bytes and returns immediately (bounded by [`IO_DEPTH`] outstanding
-/// writes, so queued buffers can never exceed `IO_DEPTH · slot` bytes of
-/// RAM); the FIFO request queue makes any read issued after a write to the
-/// same slot observe the new bytes.
+/// file. `read` and `write` seek to the slot and move its bytes on the
+/// calling thread; the only RAM they use beyond the tile is the one slot
+/// buffer of the transfer in progress, freed before they return.
 pub struct FileStore<E> {
     n: usize,
     tile: usize,
     slot_cap: usize,
-    tx: Option<Sender<IoReq>>,
-    worker: Option<JoinHandle<()>>,
-    inflight_reads: HashMap<(usize, usize), ReadReply>,
-    pending_writes: Vec<(usize, WriteReply)>,
-    resident: u64,
+    file: File,
     /// Slots declared absent and not written since.
     absent: Vec<bool>,
     elem: PhantomData<E>,
@@ -443,20 +382,11 @@ impl<E: TileElem> FileStore<E> {
             .map_err(|e| io_err("open", e))?;
         std::fs::remove_file(path).map_err(|e| io_err("unlink", e))?;
         file.set_len(len).map_err(|e| io_err("write", e))?;
-        let (tx, rx) = channel();
-        let worker = std::thread::Builder::new()
-            .name("ooc-tile-io".into())
-            .spawn(move || io_worker(file, rx))
-            .expect("spawn tile-store I/O worker");
         Ok(FileStore {
             n,
             tile,
             slot_cap,
-            tx: Some(tx),
-            worker: Some(worker),
-            inflight_reads: HashMap::new(),
-            pending_writes: Vec::new(),
-            resident: 0,
+            file,
             absent: vec![false; n.div_ceil(tile).pow(2)],
             elem: PhantomData,
         })
@@ -467,34 +397,6 @@ impl<E: TileElem> FileStore<E> {
         let off = self.tile_index(ti, tj) * self.slot_cap;
         let (rows, cols) = self.tile_dims(ti, tj);
         (off as u64, tile_bytes::<E>(rows, cols) as usize)
-    }
-
-    fn sender(&self) -> Result<&Sender<IoReq>, StoreError> {
-        self.tx.as_ref().ok_or(StoreError::WorkerGone)
-    }
-
-    /// Ask the worker for tile `(ti, tj)`, charging its buffer as resident.
-    fn request_read(&mut self, ti: usize, tj: usize) -> Result<ReadReply, StoreError> {
-        let (off, len) = self.slot(ti, tj);
-        let (reply, rx) = channel();
-        self.sender()?
-            .send(IoReq::Read { off, len, reply })
-            .map_err(|_| StoreError::WorkerGone)?;
-        self.resident += len as u64;
-        Ok(rx)
-    }
-
-    /// Wait for the oldest queued write to land.
-    fn retire_one_write(&mut self) -> Result<(), StoreError> {
-        if self.pending_writes.is_empty() {
-            return Ok(());
-        }
-        let (len, rx) = self.pending_writes.remove(0);
-        self.resident -= len as u64;
-        match rx.recv() {
-            Ok(res) => res.map(|_| ()),
-            Err(_) => Err(StoreError::WorkerGone),
-        }
     }
 }
 
@@ -510,29 +412,23 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
     }
 
     fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<E>, StoreError> {
-        let rx = match self.inflight_reads.remove(&(ti, tj)) {
-            Some(rx) => rx,
-            None => self.request_read(ti, tj)?,
-        };
-        let res = rx.recv().map_err(|_| StoreError::WorkerGone)?;
-        self.resident -= self.slot(ti, tj).1 as u64;
+        let (off, len) = self.slot(ti, tj);
+        let mut bytes = vec![0u8; len];
+        self.file
+            .seek(SeekFrom::Start(off))
+            .and_then(|_| self.file.read_exact(&mut bytes))
+            .map_err(|e| io_err("read", e))?;
         let (rows, cols) = self.tile_dims(ti, tj);
-        decode(&res?, rows, cols).ok_or(StoreError::CorruptTile { ti, tj })
+        decode(&bytes, rows, cols).ok_or(StoreError::CorruptTile { ti, tj })
     }
 
     fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, E>) -> Result<(), StoreError> {
         assert_eq!((tile.rows(), tile.cols()), self.tile_dims(ti, tj), "tile shape mismatch");
-        let (off, len) = self.slot(ti, tj);
-        // Bound queued-write RAM at IO_DEPTH · slot.
-        while self.pending_writes.len() >= IO_DEPTH {
-            self.retire_one_write()?;
-        }
-        let (reply, rx) = channel();
-        self.sender()?
-            .send(IoReq::Write { off, data: encode(tile), reply })
-            .map_err(|_| StoreError::WorkerGone)?;
-        self.resident += len as u64;
-        self.pending_writes.push((len, rx));
+        let (off, _) = self.slot(ti, tj);
+        self.file
+            .seek(SeekFrom::Start(off))
+            .and_then(|_| self.file.write_all(&encode(tile)))
+            .map_err(|e| io_err("write", e))?;
         let s = self.tile_index(ti, tj);
         self.absent[s] = false;
         Ok(())
@@ -547,40 +443,8 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
         !self.absent[self.tile_index(ti, tj)]
     }
 
-    fn prefetch(&mut self, ti: usize, tj: usize) {
-        // Keep read-ahead bounded by the same depth as writes.
-        if self.inflight_reads.contains_key(&(ti, tj)) || self.inflight_reads.len() >= IO_DEPTH {
-            return;
-        }
-        if let Ok(rx) = self.request_read(ti, tj) {
-            self.inflight_reads.insert((ti, tj), rx);
-        }
-    }
-
-    fn flush(&mut self) -> Result<(), StoreError> {
-        let mut first_err = Ok(());
-        while !self.pending_writes.is_empty() {
-            if let Err(e) = self.retire_one_write() {
-                if first_err.is_ok() {
-                    first_err = Err(e);
-                }
-            }
-        }
-        first_err
-    }
-
     fn resident_bytes(&self) -> u64 {
-        self.resident
-    }
-}
-
-impl<E> Drop for FileStore<E> {
-    fn drop(&mut self) {
-        // close the channel: the worker runs every queued request, then exits
-        drop(self.tx.take());
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
+        0
     }
 }
 
@@ -661,15 +525,13 @@ mod tests {
         let cfg = OocConfig::with_budget(tight);
 
         // Stomp four bytes in the middle of tile (1, 1)'s payload, through
-        // the store's own worker: only distances change, not the length.
+        // the store's own file: only distances change, not the length.
         let tmp = TempPath::new();
         let mut store = FileStore::<f32>::create(&tmp.0, n, t).unwrap();
         ingest(&mut store, &generators::uniform_dense(n, WeightKind::small_ints(), 6)).unwrap();
         let (off, len) = store.slot(1, 1);
-        let (reply, rx) = channel();
-        let stomp = IoReq::Write { off: off + len as u64 / 2, data: vec![0xA5; 4], reply };
-        store.sender().unwrap().send(stomp).unwrap();
-        assert_eq!(rx.recv().unwrap(), Ok(4));
+        store.file.seek(SeekFrom::Start(off + len as u64 / 2)).unwrap();
+        store.file.write_all(&[0xA5; 4]).unwrap();
         assert_eq!(
             ooc_fw::<MinPlusF32>(&mut store, &cfg),
             Err(OocError::Store(StoreError::CorruptTile { ti: 1, tj: 1 }))
