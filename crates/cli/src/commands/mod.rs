@@ -120,7 +120,9 @@ pub fn parse_recv_timeout(args: &crate::args::Args) -> Result<Option<std::time::
             if !(secs > 0.0 && secs.is_finite()) {
                 return Err(format!("--recv-timeout must be a positive number of seconds, got '{s}'"));
             }
-            Ok(Some(std::time::Duration::from_secs_f64(secs)))
+            std::time::Duration::try_from_secs_f64(secs)
+                .map(Some)
+                .map_err(|_| format!("--recv-timeout '{s}' is too long"))
         }
     }
 }
@@ -163,6 +165,10 @@ pub fn parse_byte_size(s: &str) -> Result<u64, String> {
     n.checked_mul(mult).ok_or_else(|| format!("byte size '{s}' overflows"))
 }
 
+/// Most ranks `--pr × --pc` may ask for: each simulated rank is an OS
+/// thread. The paper's largest run has 1 536 ranks.
+const MAX_RANKS: usize = 4096;
+
 /// Build the shared [`apsp_core::SolveOpts`] from CLI flags (`--block`,
 /// `--threads`/`--serial`, `--memory-budget`, `--pr`/`--pc`, the dist axes,
 /// `--recv-timeout`). Used identically by `apsp solve` and `apsp plan` so
@@ -186,9 +192,15 @@ pub fn build_solve_opts(args: &crate::args::Args) -> Result<apsp_core::SolveOpts
             return Err("--error-tolerance must be a non-negative finite number".into());
         }
     }
-    let grid = (args.opt("pr", 2)?, args.opt("pc", 2)?);
+    let grid: (usize, usize) = (args.opt("pr", 2)?, args.opt("pc", 2)?);
     if grid.0 == 0 || grid.1 == 0 {
         return Err("--pr and --pc must be positive".into());
+    }
+    if grid.0.checked_mul(grid.1).is_none_or(|p| p > MAX_RANKS) {
+        return Err(format!(
+            "--pr × --pc is at most {MAX_RANKS} ranks (one thread each), got {} × {}",
+            grid.0, grid.1
+        ));
     }
     let (schedule, bcast, exec) = resolve_axes(args, "pipelined")?;
     Ok(apsp_core::SolveOpts {
@@ -272,6 +284,28 @@ mod tests {
         assert_eq!(parse_byte_size("512M").unwrap(), 512 << 20);
         assert_eq!(parse_byte_size("2g").unwrap(), 2 << 30);
         assert!(parse_byte_size("lots").is_err());
+    }
+
+    fn args(line: &str) -> crate::args::Args {
+        crate::args::Args::parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+            .unwrap()
+    }
+
+    #[test]
+    fn recv_timeout_beyond_a_duration_is_an_error() {
+        assert!(parse_recv_timeout(&args("--recv-timeout 1e30")).is_err());
+        let longest = parse_recv_timeout(&args("--recv-timeout 1e19")).unwrap();
+        assert_eq!(longest, Some(std::time::Duration::from_secs(10_000_000_000_000_000_000)));
+    }
+
+    #[test]
+    fn rank_count_is_capped_without_overflow() {
+        let ranks = |line: &str| build_solve_opts(&args(line)).map(|o| o.grid.0 * o.grid.1);
+        assert_eq!(ranks("--pr 64 --pc 64"), Ok(MAX_RANKS));
+        assert!(ranks("--pr 1000 --pc 1000").unwrap_err().contains("at most 4096 ranks"));
+        assert!(ranks("--pr 4097 --pc 1").is_err());
+        let huge = format!("--pr {} --pc 3", usize::MAX / 2);
+        assert!(ranks(&huge).is_err());
     }
 
     #[test]

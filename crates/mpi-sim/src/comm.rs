@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use crate::counters::Counters;
 use crate::error::{CommError, DeadlockReport};
-use crate::exec::{Scheduler, Wake};
+use crate::exec::Scheduler;
 use crate::fault::{FaultState, SendFate};
 use crate::p2p::{Mailbox, Polled};
 use crate::payload::Payload;
@@ -25,8 +25,8 @@ pub(crate) struct Shared {
     pub(crate) placement: Placement,
     pub(crate) recv_timeout: Duration,
     pub(crate) faults: Option<FaultState>,
-    /// The cooperative rank scheduler: parks blocked tasks, multiplexes the
-    /// worker slots, owns the deadline wheel (see [`crate::exec`]).
+    /// The cooperative rank scheduler: parks blocked tasks and multiplexes
+    /// the worker slots (see [`crate::exec`]).
     pub(crate) sched: Scheduler,
     ctx_alloc: Mutex<CtxAlloc>,
 }
@@ -158,26 +158,19 @@ impl Comm {
         let bytes = msg.size_bytes();
         let nic = self.shared.counters.record(&self.shared.placement, src_world, dst_world, bytes);
         apsp_trace::record_send(dst_world, bytes, nic, apsp_trace::current_phase());
-        let key = (self.ctx, self.rank, tag);
-        match fate {
-            SendFate::Deliver => {
-                self.shared.mailboxes[dst_world].deliver(key, Box::new(msg));
-                self.shared.sched.wake(dst_world);
-            }
-            SendFate::Drop => {}
-            SendFate::Delay(by) => {
-                // delayed delivery rides the scheduler's deadline wheel and
-                // is executed by the runtime-scoped timekeeper — no helper
-                // thread that could outlive the runtime or dodge poisoning
-                self.shared.sched.schedule_delivery(
-                    Instant::now() + by,
-                    dst_world,
-                    key,
-                    Box::new(msg),
-                );
-            }
+        let due = match fate {
+            SendFate::Deliver => None,
+            // a delayed message waits in the receiver's mailbox until it is
+            // due; one due past the end of time never arrives, like a drop
+            SendFate::Delay(by) => match Instant::now().checked_add(by) {
+                Some(at) => Some(at),
+                None => return Ok(()),
+            },
+            SendFate::Drop => return Ok(()),
             SendFate::Kill => unreachable!("kill returns above"),
-        }
+        };
+        self.shared.mailboxes[dst_world].deliver((self.ctx, self.rank, tag), Box::new(msg), due);
+        self.shared.sched.wake(dst_world);
         Ok(())
     }
 
@@ -185,7 +178,7 @@ impl Comm {
     ///
     /// Blocking means *parking*: a pending receive releases this rank's
     /// worker slot to another runnable rank and is re-enqueued by message
-    /// delivery, poisoning, or its deadline on the scheduler wheel.
+    /// delivery or poisoning, or by itself when its deadline passes.
     ///
     /// Fails with [`CommError::RecvTimeout`] (structured deadlock report)
     /// when the message never arrives, [`CommError::PeerFailed`] when the
@@ -200,10 +193,10 @@ impl Comm {
         let my_world = self.members[self.rank];
         let mb = &self.shared.mailboxes[my_world];
         let key = (self.ctx, src, tag);
-        let deadline = Instant::now() + self.shared.recv_timeout;
-        let mut timed_out = false;
+        // a timeout too long to represent has no deadline
+        let deadline = Instant::now().checked_add(self.shared.recv_timeout);
         loop {
-            match mb.poll::<T>(key) {
+            let due = match mb.poll::<T>(key) {
                 Polled::Ready(value) => return Ok(value),
                 Polled::Poisoned { rank } => return Err(CommError::PeerFailed { rank }),
                 Polled::TypeMismatch { expected } => {
@@ -214,11 +207,11 @@ impl Comm {
                         expected,
                     })
                 }
-                Polled::Pending => {}
-            }
-            if timed_out {
-                // final poll above already ran (a delivery can race the
-                // deadline); nothing matched, so report the deadlock
+                Polled::Pending(due) => due,
+            };
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                // the deadline has passed and the poll above found nothing
+                // (a delivery can race the deadline): report the deadlock
                 return Err(CommError::RecvTimeout(Box::new(DeadlockReport {
                     timeout: self.shared.recv_timeout,
                     rank: self.rank,
@@ -231,7 +224,8 @@ impl Comm {
                     pending: mb.pending_keys(),
                 })));
             }
-            timed_out = self.shared.sched.park(my_world, Some(deadline)) == Wake::TimedOut;
+            // wake for a delayed match when it comes due
+            self.shared.sched.park(my_world, [deadline, due].into_iter().flatten().min());
         }
     }
 

@@ -12,48 +12,27 @@
 //! thread, and the number of ranks *executing* concurrently never exceeds
 //! the pool size regardless of `p`.
 //!
-//! Timeouts are **scheduler deadlines**, not per-thread `Condvar::wait_for`
-//! calls: every blocking operation registers an entry in one shared
-//! deadline wheel (a min-heap ordered by expiry), and a single runtime-owned
-//! timekeeper thread sleeps until the earliest expiry, waking expired tasks
-//! with a timed-out verdict. Delayed fault-injected messages ride the same
-//! wheel as `TimerEvent::Deliver` entries — there is no longer any
-//! fire-and-forget helper thread in the communication layer, so nothing can
-//! outlive the runtime scope or bypass poisoning (DESIGN.md §12).
+//! A parked task times itself out: `Scheduler::park` takes the instant to
+//! give up at and sleeps on its own thread until then, so no thread serves
+//! timeouts and a deadline lives only as long as the park that set it.
 //!
 //! Scheduling states of a task:
 //!
 //! ```text
 //! Init ──register──▶ Runnable ──slot──▶ Running ──park──▶ Blocked
 //!                        ▲                 │ ▲               │
-//!                        └──wake/deadline──┘ └──────slot─────┘ (→ Done)
+//!                        └──wake/timeout───┘ └──────slot─────┘ (→ Done)
 //! ```
 //!
 //! Wakeups never get lost: waking a task that has not parked yet (it is
 //! between its mailbox poll and its park) just sets a `notified` flag that
 //! the next `park` consumes without ever giving up the slot.
 
-use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::thread::Thread;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
-use crate::p2p::MatchKey;
-
-/// Why [`Scheduler::park`] returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Wake {
-    /// Something happened (a delivery, a poison, or a spurious neighbour
-    /// event) — re-poll the mailbox.
-    Notified,
-    /// The operation's deadline expired on the scheduler wheel. The caller
-    /// must do one final poll (a delivery can race the deadline) before
-    /// reporting a timeout.
-    TimedOut,
-}
+use parking_lot::Mutex;
 
 /// Executor counters of one finished run (see
 /// [`crate::Runtime::try_run_with_stats`]). The invariant the scale suite
@@ -69,55 +48,6 @@ pub struct ExecStats {
     pub peak_running: usize,
     /// Total park operations (a task releasing its slot to block).
     pub parks: u64,
-    /// Total wake notifications (deliveries and poisons).
-    pub wakes: u64,
-    /// Deadline-wheel entries that fired as timeouts.
-    pub expired_deadlines: u64,
-    /// Delayed (fault-injected) messages the timekeeper delivered.
-    pub timer_deliveries: u64,
-}
-
-/// One entry on the deadline wheel.
-pub(crate) enum TimerEvent {
-    /// A blocking operation's timeout: wake `task` with a timed-out verdict
-    /// if it is still parked in the same blocking operation (`gen` guards
-    /// against firing into a *later* park of the same task).
-    Deadline { task: usize, gen: u64 },
-    /// A fault-delayed message: deliver to `dst_world`'s mailbox and wake
-    /// it. Cancelled (dropped undelivered) if the run ends first — delayed
-    /// delivery must never outlive the runtime scope.
-    Deliver {
-        /// Destination world rank.
-        dst_world: usize,
-        /// Mailbox match key.
-        key: MatchKey,
-        /// The payload itself (wire bytes were charged at send time).
-        payload: Box<dyn Any + Send>,
-    },
-}
-
-struct TimerEntry {
-    at: Instant,
-    /// Tie-breaker so the heap never compares `TimerEvent`s.
-    seq: u64,
-    event: TimerEvent,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,11 +71,6 @@ struct Task {
     /// A wake arrived while the task was not parked; the next `park`
     /// consumes it without blocking (lost-wakeup prevention).
     notified: bool,
-    /// The wake that granted the slot was a deadline expiry.
-    timed_out: bool,
-    /// Blocking-operation generation; stale deadline entries (from an
-    /// operation that already completed) are ignored by comparing this.
-    gen: u64,
 }
 
 struct Inner {
@@ -153,24 +78,15 @@ struct Inner {
     running: usize,
     runnable: VecDeque<usize>,
     tasks: Vec<Task>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
-    shutdown: bool,
     // stats
     peak_running: usize,
     parks: u64,
-    wakes: u64,
-    expired_deadlines: u64,
-    timer_deliveries: u64,
 }
 
-/// The run-slot scheduler plus deadline wheel shared by all ranks of one
-/// [`crate::Runtime`] execution.
+/// The run-slot scheduler shared by all ranks of one [`crate::Runtime`]
+/// execution.
 pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
-    /// Wakes the timekeeper when the earliest wheel entry moves forward or
-    /// the run shuts down.
-    timer_cv: Condvar,
 }
 
 impl Scheduler {
@@ -182,24 +98,11 @@ impl Scheduler {
                 running: 0,
                 runnable: VecDeque::new(),
                 tasks: (0..ranks)
-                    .map(|_| Task {
-                        state: TaskState::Init,
-                        thread: None,
-                        notified: false,
-                        timed_out: false,
-                        gen: 0,
-                    })
+                    .map(|_| Task { state: TaskState::Init, thread: None, notified: false })
                     .collect(),
-                timers: BinaryHeap::new(),
-                timer_seq: 0,
-                shutdown: false,
                 peak_running: 0,
                 parks: 0,
-                wakes: 0,
-                expired_deadlines: 0,
-                timer_deliveries: 0,
             }),
-            timer_cv: Condvar::new(),
         }
     }
 
@@ -252,35 +155,45 @@ impl Scheduler {
     }
 
     /// Block the calling task (which must hold a slot) until it is woken or
-    /// `deadline` expires on the wheel. Releases the slot while parked and
-    /// holds it again on return. A wake that raced ahead of the park (the
-    /// `notified` flag) returns immediately *without* releasing the slot.
-    pub(crate) fn park(&self, t: usize, deadline: Option<Instant>) -> Wake {
+    /// `until` passes. Releases the slot while parked and holds it again on
+    /// return. A task still blocked at `until` makes itself runnable and
+    /// queues for a slot like a woken one. A wake that raced ahead of the
+    /// park (the `notified` flag) returns immediately *without* releasing
+    /// the slot. The caller re-polls either way; the deadline is local to
+    /// this call, so it cannot fire into a later park.
+    pub(crate) fn park(&self, t: usize, until: Option<Instant>) {
         let mut inner = self.inner.lock();
         inner.parks += 1;
         if inner.tasks[t].notified {
             inner.tasks[t].notified = false;
-            return Wake::Notified;
+            return;
         }
         debug_assert_eq!(inner.tasks[t].state, TaskState::Running);
-        inner.tasks[t].gen += 1;
-        let gen = inner.tasks[t].gen;
-        inner.tasks[t].timed_out = false;
         inner.tasks[t].state = TaskState::Blocked;
         inner.running -= 1;
         Self::grant(&mut inner);
-        if let Some(at) = deadline {
-            Self::push_timer(&mut inner, &self.timer_cv, at, TimerEvent::Deadline { task: t, gen });
-        }
         loop {
+            let timeout = match (inner.tasks[t].state, until) {
+                (TaskState::Running, _) => return,
+                (TaskState::Blocked, Some(at)) => {
+                    let now = Instant::now();
+                    if now >= at {
+                        inner.tasks[t].state = TaskState::Runnable;
+                        inner.runnable.push_back(t);
+                        Self::grant(&mut inner);
+                        continue;
+                    }
+                    Some(at - now)
+                }
+                // blocked with no deadline, or runnable and waiting for a slot
+                _ => None,
+            };
             drop(inner);
-            std::thread::park();
-            inner = self.inner.lock();
-            if inner.tasks[t].state == TaskState::Running {
-                let wake = if inner.tasks[t].timed_out { Wake::TimedOut } else { Wake::Notified };
-                inner.tasks[t].timed_out = false;
-                return wake;
+            match timeout {
+                Some(dur) => std::thread::park_timeout(dur),
+                None => std::thread::park(),
             }
+            inner = self.inner.lock();
         }
     }
 
@@ -291,7 +204,6 @@ impl Scheduler {
     }
 
     fn wake_locked(inner: &mut Inner, t: usize) {
-        inner.wakes += 1;
         match inner.tasks[t].state {
             TaskState::Blocked => {
                 inner.tasks[t].notified = false;
@@ -314,102 +226,6 @@ impl Scheduler {
         }
     }
 
-    /// Schedule a fault-delayed message on the wheel.
-    pub(crate) fn schedule_delivery(
-        &self,
-        at: Instant,
-        dst_world: usize,
-        key: MatchKey,
-        payload: Box<dyn Any + Send>,
-    ) {
-        let mut inner = self.inner.lock();
-        Self::push_timer(
-            &mut inner,
-            &self.timer_cv,
-            at,
-            TimerEvent::Deliver { dst_world, key, payload },
-        );
-    }
-
-    fn push_timer(inner: &mut Inner, cv: &Condvar, at: Instant, event: TimerEvent) {
-        // only prod the timekeeper when the earliest expiry moved forward —
-        // at high p almost every park pushes a far-future deadline and must
-        // not thundering-herd the timer thread
-        let earlier = inner.timers.peek().is_none_or(|Reverse(top)| at < top.at);
-        let seq = inner.timer_seq;
-        inner.timer_seq += 1;
-        inner.timers.push(Reverse(TimerEntry { at, seq, event }));
-        if earlier {
-            cv.notify_all();
-        }
-    }
-
-    /// End the run: the timekeeper exits and pending wheel entries (stale
-    /// deadlines, undelivered delayed messages) are dropped.
-    pub(crate) fn shutdown(&self) {
-        let mut inner = self.inner.lock();
-        inner.shutdown = true;
-        inner.timers.clear();
-        self.timer_cv.notify_all();
-    }
-
-    /// Body of the runtime's timekeeper thread: sleep until the earliest
-    /// wheel entry, fire expired deadlines, and hand expired
-    /// [`TimerEvent::Deliver`] entries to `deliver` (which must deposit the
-    /// message and wake the receiver) outside the scheduler lock.
-    pub(crate) fn timekeeper_loop(&self, deliver: impl Fn(usize, MatchKey, Box<dyn Any + Send>)) {
-        let mut inner = self.inner.lock();
-        loop {
-            if inner.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let mut deliveries = Vec::new();
-            while let Some(Reverse(top)) = inner.timers.peek() {
-                if top.at > now {
-                    break;
-                }
-                let Reverse(entry) = inner.timers.pop().expect("peeked entry");
-                match entry.event {
-                    TimerEvent::Deadline { task, gen } => {
-                        // fire only into the same blocking operation; a
-                        // stale entry whose op already completed is ignored
-                        if inner.tasks[task].state == TaskState::Blocked
-                            && inner.tasks[task].gen == gen
-                        {
-                            inner.expired_deadlines += 1;
-                            inner.tasks[task].timed_out = true;
-                            inner.tasks[task].state = TaskState::Runnable;
-                            inner.runnable.push_back(task);
-                            Self::grant(&mut inner);
-                        }
-                    }
-                    TimerEvent::Deliver { dst_world, key, payload } => {
-                        inner.timer_deliveries += 1;
-                        deliveries.push((dst_world, key, payload));
-                    }
-                }
-            }
-            if !deliveries.is_empty() {
-                // mailbox locks are taken outside the scheduler lock, same
-                // as the ordinary send path (no nested lock orders exist)
-                drop(inner);
-                for (dst, key, payload) in deliveries {
-                    deliver(dst, key, payload);
-                }
-                inner = self.inner.lock();
-                continue;
-            }
-            match inner.timers.peek() {
-                None => self.timer_cv.wait(&mut inner),
-                Some(Reverse(top)) => {
-                    let dur = top.at.saturating_duration_since(now);
-                    self.timer_cv.wait_for(&mut inner, dur);
-                }
-            }
-        }
-    }
-
     pub(crate) fn stats(&self) -> ExecStats {
         let inner = self.inner.lock();
         ExecStats {
@@ -417,9 +233,6 @@ impl Scheduler {
             workers: inner.workers,
             peak_running: inner.peak_running,
             parks: inner.parks,
-            wakes: inner.wakes,
-            expired_deadlines: inner.expired_deadlines,
-            timer_deliveries: inner.timer_deliveries,
         }
     }
 }
@@ -427,9 +240,26 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// Spin until task `t` is parked at `stage` (or has gone past it),
+    /// then run `then` under the scheduler lock if it is still parked there.
+    fn on_park(sched: &Scheduler, stage: &AtomicUsize, at: usize, then: impl FnOnce(&mut Inner)) {
+        loop {
+            let mut inner = sched.inner.lock();
+            let now = stage.load(Ordering::SeqCst);
+            if now > at {
+                return;
+            }
+            if now == at && inner.tasks[0].state == TaskState::Blocked {
+                return then(&mut inner);
+            }
+            drop(inner);
+            std::thread::yield_now();
+        }
+    }
 
     /// Drive S tasks over a 1-slot pool; each parks once and is woken by
     /// its successor — execution must interleave without ever exceeding
@@ -456,7 +286,7 @@ mod tests {
                     sched.wake(t - 1);
                 }
                 if t < n - 1 {
-                    assert_eq!(sched.park(t, None), Wake::Notified);
+                    sched.park(t, None);
                 } else {
                     // the last task wakes everyone still parked
                     sched.wake_all();
@@ -476,70 +306,81 @@ mod tests {
         assert_eq!(stats.workers, 1);
     }
 
+    /// A park whose deadline passes with no waker returns on its own, and
+    /// not before the deadline.
     #[test]
     fn deadline_fires_through_the_wheel() {
-        let sched = Arc::new(Scheduler::new(1, 1));
-        let sched_tk = sched.clone();
-        let tk = std::thread::spawn(move || {
-            sched_tk.timekeeper_loop(|_, _, _| panic!("no deliveries scheduled"));
-        });
-        let sched_task = sched.clone();
-        let task = std::thread::spawn(move || {
-            sched_task.register_current(0);
-            let w = sched_task.park(0, Some(Instant::now() + Duration::from_millis(20)));
-            sched_task.finish(0);
-            w
-        });
-        assert_eq!(task.join().unwrap(), Wake::TimedOut);
-        sched.shutdown();
-        tk.join().unwrap();
-        assert_eq!(sched.stats().expired_deadlines, 1);
+        let sched = Scheduler::new(1, 1);
+        sched.register_current(0);
+        let start = Instant::now();
+        sched.park(0, Some(start + Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        sched.finish(0);
     }
 
+    /// The first park's deadline passes while the task is parked a second
+    /// time; the second park must return only for its own wake.
     #[test]
     fn stale_deadlines_do_not_fire_into_later_ops() {
         let sched = Arc::new(Scheduler::new(1, 1));
-        let sched_tk = sched.clone();
-        let tk = std::thread::spawn(move || sched_tk.timekeeper_loop(|_, _, _| {}));
-        let sched_task = sched.clone();
-        let waker = sched.clone();
-        let task = std::thread::spawn(move || {
-            sched_task.register_current(0);
-            // first op: short deadline, but woken normally before it expires
-            let w1 = sched_task.park(0, Some(Instant::now() + Duration::from_millis(30)));
-            // second op: long deadline; the first op's stale entry expires
-            // during it and must NOT produce a timeout
-            let w2 = sched_task.park(0, Some(Instant::now() + Duration::from_millis(200)));
-            sched_task.finish(0);
-            (w1, w2)
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        waker.wake(0); // completes op 1 before its deadline
-        std::thread::sleep(Duration::from_millis(60)); // op-1 deadline expires, stale
-        waker.wake(0); // completes op 2 normally
-        let (w1, w2) = task.join().unwrap();
-        assert_eq!(w1, Wake::Notified);
-        assert_eq!(w2, Wake::Notified);
-        sched.shutdown();
-        tk.join().unwrap();
-        assert_eq!(sched.stats().expired_deadlines, 0);
+        let stage = Arc::new(AtomicUsize::new(0));
+        let released = Arc::new(AtomicBool::new(false));
+        let first_deadline = Instant::now() + Duration::from_millis(20);
+        let task = {
+            let (sched, stage, released) = (sched.clone(), stage.clone(), released.clone());
+            std::thread::spawn(move || {
+                sched.register_current(0);
+                stage.store(1, Ordering::SeqCst);
+                sched.park(0, Some(first_deadline));
+                stage.store(2, Ordering::SeqCst);
+                sched.park(0, None);
+                assert!(released.load(Ordering::SeqCst), "second park returned without a wake");
+                sched.finish(0);
+            })
+        };
+        // end the first park with a wake, unless its deadline got there first
+        on_park(&sched, &stage, 1, |inner| Scheduler::wake_locked(inner, 0));
+        on_park(&sched, &stage, 2, |_| {});
+        // give a stale deadline every chance to fire into the second park
+        while Instant::now() < first_deadline + Duration::from_millis(20) {
+            std::thread::yield_now();
+        }
+        let mut inner = sched.inner.lock();
+        let state = inner.tasks[0].state;
+        assert_eq!(state, TaskState::Blocked, "a stale deadline ended the second park");
+        released.store(true, Ordering::SeqCst);
+        Scheduler::wake_locked(&mut inner, 0);
+        drop(inner);
+        task.join().unwrap();
     }
 
     #[test]
     fn wake_before_park_is_not_lost() {
         let sched = Arc::new(Scheduler::new(1, 1));
-        let sched_task = sched.clone();
-        let task = std::thread::spawn(move || {
-            sched_task.register_current(0);
-            // the wake below lands while we are Running; the park must
-            // consume it instead of blocking forever (no timekeeper here)
-            std::thread::sleep(Duration::from_millis(30));
-            let w = sched_task.park(0, None);
-            sched_task.finish(0);
-            w
-        });
-        std::thread::sleep(Duration::from_millis(5));
+        let registered = Arc::new(AtomicBool::new(false));
+        let woken = Arc::new(AtomicBool::new(false));
+        let task = {
+            let (sched, registered, woken) = (sched.clone(), registered.clone(), woken.clone());
+            std::thread::spawn(move || {
+                sched.register_current(0);
+                registered.store(true, Ordering::SeqCst);
+                // the wake lands while we are Running; the park must consume
+                // it instead of blocking until the deadline
+                while !woken.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let start = Instant::now();
+                sched.park(0, Some(start + Duration::from_secs(60)));
+                sched.finish(0);
+                start.elapsed()
+            })
+        };
+        while !registered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
         sched.wake(0);
-        assert_eq!(task.join().unwrap(), Wake::Notified);
+        woken.store(true, Ordering::SeqCst);
+        assert!(task.join().unwrap() < Duration::from_secs(60), "the early wake was lost");
+        assert_eq!(sched.stats().parks, 1);
     }
 }

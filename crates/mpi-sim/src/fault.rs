@@ -12,10 +12,10 @@
 //! inside `Comm::send`: a killed rank's send returns
 //! [`crate::CommError::Killed`], a dropped message is charged to the
 //! traffic counters but never delivered (the receiver sees a typed
-//! [`crate::CommError::RecvTimeout`]), and a delayed message rides the
-//! scheduler's deadline wheel — the runtime-scoped timekeeper delivers it
-//! after the configured delay (and cancels it if the run ends first), so no
-//! delivery can outlive the runtime or bypass poisoning.
+//! [`crate::CommError::RecvTimeout`]), and a delayed message waits in the
+//! receiver's mailbox until the configured delay has passed. It keeps its
+//! place among the sender's messages on its tag, and it is dropped with the
+//! run if the run ends first, so no delivery can outlive the runtime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

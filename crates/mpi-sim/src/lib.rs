@@ -12,7 +12,8 @@
 //! message. A rank that blocks parks its task and yields its worker slot,
 //! so one development box can simulate the paper's 1024+ rank
 //! configurations — concurrency is bounded by the pool size
-//! ([`Runtime::with_workers`]), not by the rank count.
+//! ([`Runtime::with_workers`]), not by the rank count. A parked rank times
+//! itself out, so the runtime starts one thread per rank and no other.
 //!
 //! Two features matter for reproducing the paper:
 //!

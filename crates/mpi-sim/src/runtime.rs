@@ -6,10 +6,9 @@
 //! collective parks its task and hands its worker slot to the next runnable
 //! rank, and message delivery re-enqueues the waiter. That is what lets one
 //! development box simulate 1024+ ranks — concurrency is bounded by the
-//! pool, not by `p`. Receive timeouts are deadlines on the scheduler's
-//! timer wheel, serviced by a single runtime-scoped timekeeper thread that
-//! also performs fault-delayed deliveries (no fire-and-forget helper
-//! threads anywhere in the stack).
+//! pool, not by `p`. A blocked rank times itself out, and a fault-delayed
+//! message waits in its receiver's mailbox until it is due: the runtime
+//! starts no thread but the ranks, and nothing it creates outlives a run.
 //!
 //! Failure is a first-class outcome: the `try_run*` entry points return a
 //! typed [`RunError`] with per-rank failures in the order they happened
@@ -272,23 +271,6 @@ impl Runtime {
         let failures_ref = &failures;
 
         std::thread::scope(|scope| {
-            // The timekeeper services the deadline wheel (recv
-            // timeouts) and performs fault-delayed deliveries. It is scoped
-            // to this run: shutdown() below ends it, and any still-pending
-            // delayed deliveries are cancelled with it — nothing outlives
-            // the runtime.
-            let tk_shared = shared.clone();
-            std::thread::Builder::new()
-                .name("mpi-sim-timer".to_string())
-                .spawn_scoped(scope, move || {
-                    let deliver_shared = tk_shared.clone();
-                    tk_shared.sched.timekeeper_loop(move |dst, key, payload| {
-                        deliver_shared.mailboxes[dst].deliver(key, payload);
-                        deliver_shared.sched.wake(dst);
-                    });
-                })
-                .expect("spawn timekeeper thread");
-
             let mut handles = Vec::with_capacity(self.p);
             let tracks = crate::trace::rank_tracks(self.p);
             for ((rank, slot), track) in results.iter().enumerate().zip(tracks) {
@@ -338,8 +320,6 @@ impl Runtime {
                 // a bug in the harness itself
                 h.join().expect("rank thread infrastructure panicked");
             }
-            // all ranks are done — stop the timekeeper (joined by the scope)
-            shared.sched.shutdown();
         });
 
         let failures = failures.into_inner();
@@ -577,7 +557,6 @@ mod tests {
         assert_eq!((stats.ranks, stats.workers), (16, 2));
         assert!(stats.peak_running <= 2, "pool of 2 ran {} tasks at once", stats.peak_running);
         assert!(stats.parks > 0, "a gather over 16 ranks must park someone");
-        assert!(stats.wakes > 0);
     }
 
     #[test]
@@ -640,7 +619,7 @@ mod tests {
             Duration::from_millis(50),
         ));
         let start = Instant::now();
-        let (out, _, stats) = rt.try_run_with_stats(|comm| -> Result<u64, CommError> {
+        let out = rt.try_run(|comm| -> Result<u64, CommError> {
             if comm.rank() == 0 {
                 comm.send(1, 7, 42u64)?;
                 Ok(0)
@@ -650,9 +629,37 @@ mod tests {
         });
         assert_eq!(out.unwrap()[1], 42);
         assert!(start.elapsed() >= Duration::from_millis(45));
-        // the delayed message went through the timekeeper's wheel, not a
-        // fire-and-forget helper thread
-        assert_eq!(stats.timer_deliveries, 1);
+    }
+
+    /// A straggling link does not reorder one sender's messages on a tag:
+    /// the ring broadcast sends its chunks that way.
+    #[test]
+    fn delayed_message_is_not_overtaken_on_its_tag() {
+        let rt = Runtime::new(2).with_faults(FaultPlan::delay_nth(0, 0, Duration::from_millis(20)));
+        let out = rt.run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, 1u64).unwrap();
+                comm.send(1, 7, 2u64).unwrap();
+                (0, 0)
+            } else {
+                (comm.recv::<u64>(0, 7).unwrap(), comm.recv::<u64>(0, 7).unwrap())
+            }
+        });
+        assert_eq!(out[1], (1, 2));
+    }
+
+    #[test]
+    fn longest_recv_timeout_means_no_deadline() {
+        let rt = Runtime::new(2).with_recv_timeout(Duration::MAX);
+        let out = rt.run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, 42u64).unwrap();
+                0
+            } else {
+                comm.recv::<u64>(0, 7).unwrap()
+            }
+        });
+        assert_eq!(out[1], 42);
     }
 
     #[test]

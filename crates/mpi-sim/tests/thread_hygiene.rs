@@ -1,13 +1,11 @@
 //! OS-thread hygiene: nothing the runtime creates may outlive a run.
 //!
-//! The old communication layer spawned a fire-and-forget helper thread per
-//! fault-delayed message; a delayed delivery whose receiver failed fast
-//! would keep sleeping past the end of the run, outliving the runtime scope
-//! and bypassing poisoning entirely. Delayed deliveries now ride the
-//! scheduler's deadline wheel inside the runtime-scoped timekeeper, so
-//! ending the run cancels them. This file is a single test on purpose: it
-//! counts the process's OS threads via `/proc/self/status`, which only
-//! stays deterministic when no sibling test runs concurrently.
+//! The runtime starts one OS thread per rank and no other: a fault-delayed
+//! message waits in its receiver's mailbox until it is due, and a message
+//! still waiting when the run ends is dropped with the run, not served by a
+//! sleeper thread. This file is a single test on purpose: it counts the
+//! process's OS threads via `/proc/self/status`, which only stays
+//! deterministic when no sibling test runs concurrently.
 
 #![cfg(target_os = "linux")]
 
@@ -29,8 +27,8 @@ fn delayed_deliveries_and_timekeeper_die_with_the_runtime() {
     let before = os_threads_now();
     let start = Instant::now();
     // rank 0's only send is delayed by 2 s, but nobody waits for it — the
-    // run finishes immediately and the pending delivery must be cancelled
-    // with the runtime, not serviced by a leaked sleeper thread
+    // run finishes immediately and the waiting message is dropped with the
+    // run, not delivered by a leaked sleeper thread
     let rt = Runtime::new(2).with_faults(FaultPlan::delay_nth(0, 0, Duration::from_secs(2)));
     let out = rt.try_run(|comm| -> Result<(), CommError> {
         if comm.rank() == 0 {
@@ -45,8 +43,8 @@ fn delayed_deliveries_and_timekeeper_die_with_the_runtime() {
     );
     // scope exit waits for every task to signal completion, but the OS
     // thread needs a moment to fully unwind — poll briefly. The deadline is
-    // far below the 2 s delay, so a leaked sleeper thread (the old helper-
-    // thread behavior) still fails this check.
+    // far below the 2 s delay, so a thread sleeping out the delay still
+    // fails this check.
     let deadline = Instant::now() + Duration::from_secs(1);
     loop {
         let now = os_threads_now();
@@ -55,8 +53,8 @@ fn delayed_deliveries_and_timekeeper_die_with_the_runtime() {
         }
         assert!(
             Instant::now() < deadline,
-            "{} threads outlive the runtime (baseline {before}): rank tasks, \
-             the timekeeper, and pending delayed deliveries must all be gone",
+            "{} threads outlive the runtime (baseline {before}): rank tasks \
+             and anything serving a delayed message must all be gone",
             now - before
         );
         std::thread::sleep(Duration::from_millis(10));
