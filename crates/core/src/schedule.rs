@@ -716,6 +716,29 @@ mod tests {
     }
 
     #[test]
+    fn simulated_seconds_are_pinned() {
+        // exact makespans of every preset under both iteration schedules
+        // (bulk-sync, look-ahead), recorded against the two-loop builder
+        let spec = MachineSpec::summit(4);
+        let want = [
+            (Variant::Baseline, [1.1012516882823549, 0.875246869835297]),
+            (Variant::Pipelined, [1.1012516882823549, 0.875246869835297]),
+            (Variant::AsyncRing, [1.1044316882823797, 0.875366869835298]),
+            (Variant::Offload, [1.1012516882823549, 0.875246869835297]),
+            (Variant::CoMe, [1.1044316882823797, 0.875366869835298]),
+        ];
+        assert_eq!(want.map(|(v, _)| v), Variant::all());
+        for (variant, seconds) in want {
+            for (schedule, want) in FwSchedule::all().into_iter().zip(seconds) {
+                let mut cfg = ScheduleConfig::new(40_000, variant, 2, 2);
+                cfg.schedule = schedule;
+                let got = simulate(&spec, &cfg).expect("feasible").seconds;
+                assert_eq!(got, want, "{variant:?} under {schedule:?}");
+            }
+        }
+    }
+
+    #[test]
     fn trace_outcome_matches_untraced_simulation() {
         let spec = MachineSpec::summit(4);
         let cfg = ScheduleConfig::new(40_000, Variant::Pipelined, 2, 2);
