@@ -7,12 +7,11 @@
 
 use apsp_bench::{arg, Table};
 use gpu_sim::cost::min_block_size;
-use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig, SimGpu};
+use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig};
 
 fn main() {
     let n: usize = arg("--n", 32_768);
     let spec = GpuSpec::summit_v100();
-    let gpu = SimGpu::new(spec);
     println!("== Fig. 5: ooGSrGemm Gflop/s vs block size (m = n = {n}, 4 streams) ==\n");
     println!(
         "Eq. 5 predicted minimum block size: {:.0}; theoretical SRGEMM peak {:.0} Gflop/s\n",
@@ -35,7 +34,7 @@ fn main() {
         let mut at2k = 0.0;
         for &mx in &buffers {
             let cfg = OogConfig::new(mx, mx, 4);
-            let secs = oog_srgemm_model(&gpu, &cfg, n, n, k, 4).expect("fits on device");
+            let secs = oog_srgemm_model(&spec, &cfg, n, n, k, 4).expect("fits on device");
             let gf = 2.0 * n as f64 * n as f64 * k as f64 / secs / 1e9;
             if mx == 2048 {
                 at2k = gf;

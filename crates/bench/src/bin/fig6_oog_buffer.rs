@@ -7,12 +7,11 @@
 //! ~2.2 Tflop/s).
 
 use apsp_bench::{arg, Table};
-use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig, SimGpu};
+use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig};
 
 fn main() {
     let b: usize = arg("--block", 768);
     let spec = GpuSpec::summit_v100();
-    let gpu = SimGpu::new(spec);
     println!("== Fig. 6: ooGSrGemm Gflop/s, vertices × buffer dimension (block = {b}, 3 streams) ==\n");
 
     let buffers = [1024usize, 2048, 4096, 8192];
@@ -29,7 +28,7 @@ fn main() {
         let mut cells = vec![n.to_string()];
         for &mx in &buffers {
             let cfg = OogConfig::new(mx, mx, 3);
-            match oog_srgemm_model(&gpu, &cfg, n, n, b, 4) {
+            match oog_srgemm_model(&spec, &cfg, n, n, b, 4) {
                 Ok(secs) => {
                     let gflops = 2.0 * n as f64 * n as f64 * b as f64 / secs / 1e9;
                     cells.push(format!("{gflops:.1e}"));

@@ -93,6 +93,9 @@ fn config(args: &Args) -> Result<(MachineSpec, ScheduleConfig), String> {
         return Err("--nodes must be positive".into());
     }
     let n: usize = args.req("n")?;
+    if n == 0 {
+        return Err("--n must be positive".into());
+    }
     let (schedule, mut bcast, exec) = super::resolve_axes(args, "async")?;
     let counted = args
         .opt_str("bcast")
@@ -163,6 +166,16 @@ mod tests {
     fn zero_nodes_is_an_input_error() {
         let err = run(&toks("--nodes 0 --n 1000")).unwrap_err();
         assert!(err.contains("--nodes must be positive"), "{err}");
+    }
+
+    #[test]
+    fn zero_vertices_is_an_input_error() {
+        // an empty problem has no rate and no utilization to report, under
+        // either schedule
+        for variant in ["baseline", "async"] {
+            let err = run(&toks(&format!("--nodes 4 --n 0 --variant {variant}"))).unwrap_err();
+            assert!(err.contains("--n must be positive"), "{err}");
+        }
     }
 
     #[test]

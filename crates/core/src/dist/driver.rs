@@ -36,7 +36,7 @@
 use std::ops::Range;
 
 use apsp_trace::span;
-use gpu_sim::{oog_srgemm, OogConfig, SimGpu};
+use gpu_sim::{oog_srgemm, GpuSpec, OogConfig};
 use mpi_sim::ProcessGrid;
 use srgemm::gemm::gemm_packed_threads;
 use srgemm::matrix::{View, ViewMut};
@@ -53,7 +53,7 @@ enum Outer {
     InCore { threads: usize },
     /// `Me-ParallelFw`: the local matrix is host-resident and every update
     /// is staged through the simulated GPU by `ooGSrGemm`.
-    Offload { gpu: SimGpu, oog: OogConfig },
+    Offload { gpu: GpuSpec, oog: OogConfig },
 }
 
 impl Outer {
@@ -91,7 +91,7 @@ impl Outer {
         if need > cfg.gpu_spec.mem_bytes {
             return Err(DistError::DeviceOom { requested: need, available: cfg.gpu_spec.mem_bytes });
         }
-        Ok(Outer::Offload { gpu: SimGpu::new(cfg.gpu_spec), oog: cfg.oog })
+        Ok(Outer::Offload { gpu: cfg.gpu_spec, oog: cfg.oog })
     }
 
     /// `c ⊕= a ⊗ b` outside the rows `rows` and columns `cols` of `c`, a

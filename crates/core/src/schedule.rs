@@ -485,17 +485,17 @@ fn panel_bcasts(
     )
 }
 
-/// Diag update + diag broadcast + panel updates for iteration `k`.
-/// Returns (`row_panel_ready` per node column root, `col_panel_ready` per
-/// node row root).
-#[allow(clippy::too_many_arguments)]
-fn diag_and_panel_phase(
+/// DiagUpdate, DiagBcast, PanelUpdate and PanelBcast for iteration `k` —
+/// the driver's `diag_and_panels`. DiagUpdate waits on `diag_dep`; the
+/// PanelUpdate of node column `c` (node row `r`) also on `row_deps[c]`
+/// (`col_deps[r]`). Returns per-node panel arrivals, as [`panel_bcasts`].
+fn diag_and_panels(
     cl: &mut Cluster,
     cfg: &ScheduleConfig,
     k: usize,
     diag_dep: &[TaskId],
-    row_deps: &[Vec<TaskId>],
-    col_deps: &[Vec<TaskId>],
+    row_deps: &[Option<TaskId>],
+    col_deps: &[Option<TaskId>],
     pri: u32,
 ) -> (Vec<TaskId>, Vec<TaskId>) {
     let eb = cfg.elem_bytes as f64;
@@ -525,17 +525,17 @@ fn diag_and_panel_phase(
     for c in 0..cfg.kc {
         let node = node_at(cfg, krow, c);
         let mut deps = vec![diag_to_row[c]];
-        deps.extend_from_slice(&row_deps[c]);
+        deps.extend(row_deps[c]);
         row_ready.push(cl.gpu_task(node, row_panel_flops, pri, &deps));
     }
     let mut col_ready = Vec::with_capacity(cfg.kr);
     for r in 0..cfg.kr {
         let node = node_at(cfg, r, kcol);
         let mut deps = vec![diag_to_col[r]];
-        deps.extend_from_slice(&col_deps[r]);
+        deps.extend(col_deps[r]);
         col_ready.push(cl.gpu_task(node, col_panel_flops, pri, &deps));
     }
-    (row_ready, col_ready)
+    panel_bcasts(cl, cfg, k, &row_ready, &col_ready)
 }
 
 /// Per-node OuterUpdate duration in flops-equivalent: in-core variants run
@@ -568,82 +568,63 @@ fn outer_task(cl: &mut Cluster, cfg: &ScheduleConfig, node: usize, deps: &[TaskI
     }
 }
 
-/// Build the full DAG for `cfg` into `cl`.
+/// Build the full DAG for `cfg` into `cl`, in the driver's one loop
+/// ([`crate::dist`]): the panels of k = 0 are primed, then each iteration
+///
+/// 1. under look-ahead only, relaxes the (k+1) strips with the k panels and
+///    runs the (k+1) phases at [`PRI_LOOKAHEAD`];
+/// 2. adds every node's OuterUpdate(k), which under look-ahead overlaps the
+///    (k+1) broadcasts and follows the node's OuterUpdate(k−1);
+/// 3. under bulk-sync, closes with a `Sync` barrier that the (k+1) phases
+///    wait on.
 fn build_dag(cl: &mut Cluster, cfg: &ScheduleConfig) {
     let nodes = cfg.kr * cfg.kc;
     let nb = cfg.n.div_ceil(cfg.block);
-    let bulk_sync = cfg.schedule == FwSchedule::BulkSync;
-
-    if bulk_sync {
-        // ---- Algorithm 3 shape: strict phases with an iteration barrier ----
-        let mut barrier: Vec<TaskId> = Vec::new();
-        for k in 0..nb {
-            let diag_dep: Vec<TaskId> = barrier.clone();
-            let row_deps: Vec<Vec<TaskId>> = (0..cfg.kc).map(|_| barrier.clone()).collect();
-            let col_deps: Vec<Vec<TaskId>> = (0..cfg.kr).map(|_| barrier.clone()).collect();
-            let (row_ready, col_ready) =
-                diag_and_panel_phase(cl, cfg, k, &diag_dep, &row_deps, &col_deps, PRI_PANEL);
-            let (row_arr, col_arr) = panel_bcasts(cl, cfg, k, &row_ready, &col_ready);
-            let mut outers = Vec::with_capacity(nodes);
-            for nd in 0..nodes {
-                let deps = [row_arr[nd], col_arr[nd]];
-                outers.push(outer_task(cl, cfg, nd, &deps));
-            }
+    if nb == 0 {
+        return;
+    }
+    let look_ahead = cfg.schedule == FwSchedule::LookAhead;
+    let (kr, kc) = (cfg.kr, cfg.kc);
+    let none = vec![None; kr.max(kc)];
+    let (mut row_arr, mut col_arr) = diag_and_panels(cl, cfg, 0, &[], &none[..kc], &none[..kr], PRI_PANEL);
+    let mut last_outer: Vec<Option<TaskId>> = vec![None; nodes];
+    for k in 0..nb {
+        let next = k + 1 < nb;
+        let mut ahead = None;
+        if next && look_ahead {
+            // OuterUpdate(k) on the k+1 strips, then the (k+1) phases
+            let b = cfg.block as f64;
+            let (nrow, ncol) = ((k + 1) % kr, (k + 1) % kc);
+            let strip = |cl: &mut Cluster, node: usize, panel_rows: usize| {
+                let flops = 2.0 * b * b * (cfg.n as f64 / panel_rows as f64);
+                Some(cl.gpu_task(node, flops, PRI_LOOKAHEAD, &[row_arr[node], col_arr[node]]))
+            };
+            cl.set_phase("OuterUpdate");
+            let la_row: Vec<_> = (0..kc).map(|c| strip(cl, node_at(cfg, nrow, c), kc)).collect();
+            let la_col: Vec<_> = (0..kr).map(|r| strip(cl, node_at(cfg, r, ncol), kr)).collect();
+            let diag_node = node_at(cfg, nrow, ncol);
+            let diag_dep = [row_arr[diag_node], col_arr[diag_node]];
+            ahead = Some(diag_and_panels(cl, cfg, k + 1, &diag_dep, &la_row, &la_col, PRI_LOOKAHEAD));
+        }
+        let mut outers = Vec::with_capacity(nodes);
+        for nd in 0..nodes {
+            let mut deps = vec![row_arr[nd], col_arr[nd]];
+            deps.extend(last_outer[nd]);
+            outers.push(outer_task(cl, cfg, nd, &deps));
+        }
+        if look_ahead {
+            last_outer = outers.into_iter().map(Some).collect();
+        } else {
             // synthetic barrier: a zero-duration intra task on node 0
             cl.set_phase("Sync");
-            let b = cl.send_task(0, 0, 0.0, PRI_PANEL, &outers);
-            barrier = vec![b];
+            let barrier = cl.send_task(0, 0, 0.0, PRI_PANEL, &outers);
+            if next {
+                let dep = vec![Some(barrier); kr.max(kc)];
+                ahead = Some(diag_and_panels(cl, cfg, k + 1, &[barrier], &dep[..kc], &dep[..kr], PRI_PANEL));
+            }
         }
-    } else {
-        // ---- Algorithm 4 shape: look-ahead pipeline, no global barrier ----
-        // per-node "last outer update" (carried between iterations)
-        let mut last_outer: Vec<Vec<TaskId>> = vec![Vec::new(); nodes];
-        let no_deps: Vec<Vec<TaskId>> = vec![Vec::new(); cfg.kr.max(cfg.kc)];
-        // prologue: k = 0 panels
-        let (row_ready, col_ready) =
-            diag_and_panel_phase(cl, cfg, 0, &[], &no_deps[..cfg.kc], &no_deps[..cfg.kr], PRI_PANEL);
-        let (mut row_arr, mut col_arr) = panel_bcasts(cl, cfg, 0, &row_ready, &col_ready);
-
-        for k in 0..nb {
-            let mut next_arr = None;
-            if k + 1 < nb {
-                // look-ahead: relax the (k+1) strips with the k panels,
-                // then run the (k+1) diag/panel phase
-                let b = cfg.block as f64;
-                let nrow = (k + 1) % cfg.kr;
-                let ncol = (k + 1) % cfg.kc;
-                let la_row_flops = 2.0 * b * b * (cfg.n as f64 / cfg.kc as f64);
-                let la_col_flops = 2.0 * b * b * (cfg.n as f64 / cfg.kr as f64);
-                cl.set_phase("OuterUpdate"); // look-ahead = OuterUpdate(k) on the k+1 strips
-                let mut la_row: Vec<Vec<TaskId>> = Vec::with_capacity(cfg.kc);
-                for c in 0..cfg.kc {
-                    let node = node_at(cfg, nrow, c);
-                    let t = cl.gpu_task(node, la_row_flops, PRI_LOOKAHEAD, &[row_arr[node], col_arr[node]]);
-                    la_row.push(vec![t]);
-                }
-                let mut la_col: Vec<Vec<TaskId>> = Vec::with_capacity(cfg.kr);
-                for r in 0..cfg.kr {
-                    let node = node_at(cfg, r, ncol);
-                    let t = cl.gpu_task(node, la_col_flops, PRI_LOOKAHEAD, &[row_arr[node], col_arr[node]]);
-                    la_col.push(vec![t]);
-                }
-                let diag_node = node_at(cfg, nrow, ncol);
-                let diag_dep = vec![row_arr[diag_node], col_arr[diag_node]];
-                let (rr, cr) =
-                    diag_and_panel_phase(cl, cfg, k + 1, &diag_dep, &la_row, &la_col, PRI_LOOKAHEAD);
-                next_arr = Some(panel_bcasts(cl, cfg, k + 1, &rr, &cr));
-            }
-            // bulk OuterUpdate(k) per node — overlaps the (k+1) broadcasts
-            for nd in 0..nodes {
-                let mut deps = vec![row_arr[nd], col_arr[nd]];
-                deps.extend_from_slice(&last_outer[nd]);
-                let t = outer_task(cl, cfg, nd, &deps);
-                last_outer[nd] = vec![t];
-            }
-            if let Some((ra, ca)) = next_arr {
-                row_arr = ra;
-                col_arr = ca;
-            }
+        if let Some((ra, ca)) = ahead {
+            (row_arr, col_arr) = (ra, ca);
         }
     }
 }

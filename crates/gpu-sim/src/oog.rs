@@ -9,16 +9,19 @@
 //! `C` (`hostUpdate`). SRGEMM, d2hXfer and hostUpdate overlap across streams
 //! — the execution order of the paper's Fig. 2.
 //!
-//! The device holds no data. [`oog_srgemm`] computes each tile straight
-//! from the host operands at the tile's SrGemm point; [`oog_srgemm_model`]
-//! runs the same loop with nothing to compute. Both charge the same clocks.
+//! The device is its [`GpuSpec`] and holds no data. The tile loop keeps the
+//! four engine clocks and the `s` stream cursors as locals of one call;
+//! [`oog_srgemm`] computes each tile straight from the host operands at the
+//! tile's SrGemm point, and [`oog_srgemm_model`] runs the same loop with
+//! nothing to compute. Both charge the same clocks.
 
 use srgemm::gemm::{gemm_packed_with_scratch, PackedA, PackedB};
 use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
-use crate::device::{Oom, SimGpu};
-use crate::stream::{host_update, host_update_timed, Event, Stream};
+use crate::device::Oom;
+use crate::spec::GpuSpec;
+use crate::stream::issue;
 
 /// Tiling and stream configuration for [`oog_srgemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +100,7 @@ impl From<Oom> for OogError {
 /// borderline configuration passes both entry points or fails both with the
 /// same [`Oom`] numbers.
 fn oog_preflight(
-    gpu: &SimGpu,
+    spec: &GpuSpec,
     cfg: &OogConfig,
     m: usize,
     n: usize,
@@ -106,7 +109,7 @@ fn oog_preflight(
 ) -> Result<(), OogError> {
     cfg.validate()?;
     let need = ((m * k + k * n + cfg.streams * cfg.mx * cfg.nx) * elem_bytes) as u64;
-    let available = gpu.spec.mem_bytes;
+    let available = spec.mem_bytes;
     if need > available {
         return Err(Oom { requested: need, available }.into());
     }
@@ -115,30 +118,31 @@ fn oog_preflight(
 
 /// The one ooGSrGemm schedule for an `m×n×k` product of `elem_bytes`-element
 /// data, run after the preflight. Charges each tile's first-touch uploads,
-/// SrGemm, d2hXfer and hostUpdate on the device clocks, calling
-/// `srgemm(i0, j0, ib, jb)` at the SrGemm point of the `ib × jb` tile at
+/// SrGemm, d2hXfer and hostUpdate on the device's engine clocks, calling
+/// `tile(i0, j0, ib, jb)` at the SrGemm point of the `ib × jb` tile at
 /// `(i0, j0)`. Returns the simulated seconds until the last hostUpdate.
 fn pipeline(
-    gpu: &SimGpu,
+    spec: &GpuSpec,
     cfg: &OogConfig,
     m: usize,
     n: usize,
     k: usize,
     elem_bytes: usize,
-    mut srgemm: impl FnMut(usize, usize, usize, usize),
+    mut tile: impl FnMut(usize, usize, usize, usize),
 ) -> f64 {
-    gpu.reset_clocks();
     let eb = elem_bytes as f64;
     let mb = m.div_ceil(cfg.mx).max(1);
     let nb = n.div_ceil(cfg.nx).max(1);
     let s = cfg.streams;
 
-    let mut streams: Vec<Stream> = (0..s).map(|_| gpu.stream()).collect();
-    // host-consumption event per stream: the next SrGemm on that stream must
+    // engine clocks: SRGEMM unit, H2D and D2H copy engines, host memory
+    let (mut gemm, mut h2d, mut d2h, mut host) = (0.0, 0.0, 0.0, 0.0);
+    let mut cursor = vec![0.0; s];
+    // host-consumption time per stream: the next SrGemm on that stream must
     // not overwrite its tile buffer before the host has read the previous tile
-    let mut host_free = vec![Event { at: 0.0 }; s];
-    let mut a_up: Vec<Option<Event>> = vec![None; mb];
-    let mut b_up: Vec<Option<Event>> = vec![None; nb];
+    let mut host_free = vec![0.0; s];
+    let mut a_up: Vec<Option<f64>> = vec![None; mb];
+    let mut b_up: Vec<Option<f64>> = vec![None; nb];
 
     for (i, a_slab) in a_up.iter_mut().enumerate() {
         let i0 = i * cfg.mx;
@@ -147,28 +151,30 @@ fn pipeline(
             let j0 = j * cfg.nx;
             let jb = cfg.nx.min(n - j0);
             let r = (i * nb + j) % s;
-            let st = &mut streams[r];
+            let st = &mut cursor[r];
 
             // pipelined input uploads: first touch sends the slab
-            let a_ev = *a_slab.get_or_insert_with(|| st.h2d_timed((ib * k) as f64 * eb));
-            let b_ev = *b_slab.get_or_insert_with(|| st.h2d_timed((k * jb) as f64 * eb));
+            let a_at = *a_slab
+                .get_or_insert_with(|| issue(&mut h2d, st, spec.h2d_time((ib * k) as f64 * eb)));
+            let b_at = *b_slab
+                .get_or_insert_with(|| issue(&mut h2d, st, spec.h2d_time((k * jb) as f64 * eb)));
 
             // the tile's SrGemm waits for its inputs and for the host to
             // have consumed this stream's previous tile
-            st.wait_until(a_ev.at.max(b_ev.at).max(host_free[r].at));
-            srgemm(i0, j0, ib, jb);
-            st.srgemm_timed(2.0 * ib as f64 * jb as f64 * k as f64);
-            let d2h_ev = st.d2h_timed((ib * jb) as f64 * eb);
+            *st = st.max(a_at.max(b_at).max(host_free[r]));
+            tile(i0, j0, ib, jb);
+            issue(&mut gemm, st, spec.gemm_time(2.0 * ib as f64 * jb as f64 * k as f64));
+            let mut ready = issue(&mut d2h, st, spec.d2h_time((ib * jb) as f64 * eb));
             // hostUpdate: serialized on the host-memory engine, in
-            // initiation order
-            host_free[r] = host_update_timed(gpu, d2h_ev, (ib * jb) as f64, eb);
+            // initiation order, once the tile is back on the host
+            host_free[r] = issue(&mut host, &mut ready, spec.host_update_time((ib * jb) as f64, eb));
         }
     }
-    gpu.now()
+    gemm.max(h2d).max(d2h).max(host)
 }
 
-/// Functional + timed offload GEMM: `C ← C ⊕ A ⊗ B`. Returns the simulated
-/// seconds.
+/// Functional + timed offload GEMM on a device of `spec`: `C ← C ⊕ A ⊗ B`.
+/// Returns the simulated seconds.
 ///
 /// Returns a typed [`OogError`] if the config carries zero tile dims or
 /// streams, or if `A`, `B` and the `s` tile buffers do not fit on the device
@@ -177,7 +183,7 @@ fn pipeline(
 /// host: `X = A_i ⊗ B_j` into one reused buffer filled with 0̄, then
 /// `C_ij ← C_ij ⊕ X`, tile by tile in initiation order.
 pub fn oog_srgemm<S: Semiring>(
-    gpu: &SimGpu,
+    spec: &GpuSpec,
     cfg: &OogConfig,
     c: &mut ViewMut<'_, S::Elem>,
     a: &View<'_, S::Elem>,
@@ -188,37 +194,43 @@ pub fn oog_srgemm<S: Semiring>(
     assert_eq!(b.rows(), k, "B rows must match A cols");
     assert_eq!(b.cols(), n, "B cols must match C cols");
     let eb = std::mem::size_of::<S::Elem>();
-    oog_preflight(gpu, cfg, m, n, k, eb)?;
+    oog_preflight(spec, cfg, m, n, k, eb)?;
 
     // each B_j is packed on first touch and serves every tile of its column
     let mut packed: Vec<Option<PackedB<S::Elem>>> =
         std::iter::repeat_with(|| None).take(n.div_ceil(cfg.nx).max(1)).collect();
     let mut x = vec![S::zero(); cfg.mx * cfg.nx];
     let mut pa = PackedA::new();
-    Ok(pipeline(gpu, cfg, m, n, k, eb, |i0, j0, ib, jb| {
+    Ok(pipeline(spec, cfg, m, n, k, eb, |i0, j0, ib, jb| {
         let pb = packed[j0 / cfg.nx]
             .get_or_insert_with(|| PackedB::pack::<S>(&b.subview(0, j0, k, jb)));
         let mut xv = ViewMut::from_slice(&mut x, ib, jb);
         xv.fill(S::zero());
         gemm_packed_with_scratch::<S>(&mut xv, &a.subview(i0, 0, ib, k), pb, &mut pa);
-        host_update::<S>(&mut c.subview_mut(i0, j0, ib, jb), &xv.as_view());
+        // hostUpdate: C_ij ← C_ij ⊕ X, row by row
+        let mut cv = c.subview_mut(i0, j0, ib, jb);
+        for i in 0..ib {
+            for (cv, &xv) in cv.row_mut(i).iter_mut().zip(xv.row(i)) {
+                *cv = S::add(*cv, xv);
+            }
+        }
     }))
 }
 
 /// Timing-only run of the [`oog_srgemm`] schedule for an `m×n×k` product of
-/// `elem_bytes`-element data: the same tile loop with nothing to compute.
-/// Returns the simulated seconds. Used by the Fig. 5/6 harnesses at Summit
-/// scale.
+/// `elem_bytes`-element data on a device of `spec`: the same tile loop with
+/// nothing to compute. Returns the simulated seconds. Used by the Fig. 5/6
+/// harnesses at Summit scale.
 pub fn oog_srgemm_model(
-    gpu: &SimGpu,
+    spec: &GpuSpec,
     cfg: &OogConfig,
     m: usize,
     n: usize,
     k: usize,
     elem_bytes: usize,
 ) -> Result<f64, OogError> {
-    oog_preflight(gpu, cfg, m, n, k, elem_bytes)?;
-    Ok(pipeline(gpu, cfg, m, n, k, elem_bytes, |_, _, _, _| {}))
+    oog_preflight(spec, cfg, m, n, k, elem_bytes)?;
+    Ok(pipeline(spec, cfg, m, n, k, elem_bytes, |_, _, _, _| {}))
 }
 
 #[cfg(test)]
@@ -240,7 +252,7 @@ mod tests {
 
     #[test]
     fn oog_matches_in_core_gemm() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
+        let gpu = GpuSpec::test_tiny();
         let (m, n, k) = (37, 29, 11);
         let a = lcg(m, k, 1);
         let b = lcg(k, n, 2);
@@ -256,7 +268,7 @@ mod tests {
 
     #[test]
     fn oog_single_stream_matches_too() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
+        let gpu = GpuSpec::test_tiny();
         let a = lcg(16, 8, 4);
         let b = lcg(8, 16, 5);
         let mut want = Matrix::filled(16, 16, f32::INFINITY);
@@ -279,7 +291,7 @@ mod tests {
             let mut want = c0.clone();
             gemm_naive::<MinPlusF32>(&mut want.view_mut(), &a.view(), &b.view());
             for streams in [1, 3] {
-                let gpu = SimGpu::new(GpuSpec::test_tiny());
+                let gpu = GpuSpec::test_tiny();
                 let cfg = OogConfig::new(mx, nx, streams);
                 let mut got = c0.clone();
                 oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut got.view_mut(), &a.view(), &b.view())
@@ -294,7 +306,7 @@ mod tests {
         // m = 0: no flops, but the B slabs still upload, so the throughput
         // a caller computes is 0, not 0/0 = NaN. With n = 0 too nothing
         // moves at all (the tiny device has no op latency): 0 s.
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
+        let gpu = GpuSpec::test_tiny();
         let a = lcg(0, 8, 6);
         let b = lcg(8, 16, 7);
         let mut c = Matrix::filled(0, 16, f32::INFINITY);
@@ -308,7 +320,7 @@ mod tests {
 
     #[test]
     fn oog_fails_with_oom_when_operands_exceed_device() {
-        let gpu = SimGpu::new(GpuSpec::test_tiny()); // 1 MiB
+        let gpu = GpuSpec::test_tiny(); // 1 MiB
         let n = 512; // A+B = 2*512*512*4 B = 2 MiB > capacity
         let a = Matrix::filled(n, n, 1.0f32);
         let b = a.clone();
@@ -322,7 +334,7 @@ mod tests {
     fn literal_zero_config_yields_typed_error_not_panic() {
         // `pub` fields let a literal construction skip `new`'s assert; the
         // entry points must catch it before `div_ceil(0)` panics.
-        let gpu = SimGpu::new(GpuSpec::test_tiny());
+        let gpu = GpuSpec::test_tiny();
         let a = lcg(8, 8, 1);
         let b = lcg(8, 8, 2);
         for cfg in [
@@ -349,7 +361,7 @@ mod tests {
         // A+B alone fit, but A+B+tiles do not: the error must carry the
         // complete requirement and the device's size — not a figure with
         // the tile buffers already deducted.
-        let gpu = SimGpu::new(GpuSpec::test_tiny()); // 1 MiB
+        let gpu = GpuSpec::test_tiny(); // 1 MiB
         let n = 256; // A+B = 2·256·256·4 = 512 KiB
         let cfg = OogConfig::new(320, 320, 2); // tiles = 2·320·320·4 = 800 KiB
         let a = Matrix::filled(n, n, 1.0f32);
@@ -359,7 +371,7 @@ mod tests {
         let got = oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut c.view_mut(), &a.view(), &b.view());
         assert_eq!(
             got.unwrap_err(),
-            OogError::Oom(Oom { requested: want, available: gpu.spec().mem_bytes })
+            OogError::Oom(Oom { requested: want, available: gpu.mem_bytes })
         );
     }
 
@@ -376,11 +388,9 @@ mod tests {
             let need = ((2 * n * n + 3 * mx * mx) * 4) as u64;
             for mem in [need - 4, need, need + 4] {
                 let spec = GpuSpec { mem_bytes: mem, ..GpuSpec::test_tiny() };
-                let gpu_f = SimGpu::new(spec);
-                let gpu_m = SimGpu::new(spec);
                 let mut c = lcg(n, n, 13);
-                let f = oog_srgemm::<MinPlusF32>(&gpu_f, &cfg, &mut c.view_mut(), &a.view(), &b.view());
-                let m = oog_srgemm_model(&gpu_m, &cfg, n, n, n, 4);
+                let f = oog_srgemm::<MinPlusF32>(&spec, &cfg, &mut c.view_mut(), &a.view(), &b.view());
+                let m = oog_srgemm_model(&spec, &cfg, n, n, n, 4);
                 match (f, m) {
                     (Ok(fs), Ok(ms)) => {
                         assert!(mem >= need, "mx={mx} mem={mem}: both passed below the boundary");
@@ -399,7 +409,7 @@ mod tests {
 
     #[test]
     fn more_streams_cut_simulated_time() {
-        let gpu = SimGpu::new(GpuSpec::summit_v100());
+        let gpu = GpuSpec::summit_v100();
         // k small → transfer/host bound → overlap helps
         let run = |s| {
             oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, s), 16384, 16384, 256, 4).unwrap()
@@ -417,7 +427,7 @@ mod tests {
         // srgemm until the host consumed its previous tile — so adding the
         // third stream must strictly cut simulated time in a regime where
         // every stage has comparable weight (small k → transfer/host bound).
-        let gpu = SimGpu::new(GpuSpec::summit_v100());
+        let gpu = GpuSpec::summit_v100();
         let run = |s| {
             oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, s), 16384, 16384, 256, 4).unwrap()
         };
@@ -433,10 +443,10 @@ mod tests {
     #[test]
     fn model_tracks_analytic_cost_for_three_streams() {
         // with ≥3 streams and k ≥ k_min the pipeline should run at ~t0
-        let gpu = SimGpu::new(GpuSpec::summit_v100());
+        let gpu = GpuSpec::summit_v100();
         let (m, n, k) = (32768, 32768, 768);
         let secs = oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, 3), m, n, k, 4).unwrap();
-        let analytic = OffloadCosts::new(gpu.spec(), m, n, k, 4);
+        let analytic = OffloadCosts::new(&gpu, m, n, k, 4);
         assert!(analytic.compute_bound());
         let ratio = secs / analytic.t0;
         assert!((0.95..1.35).contains(&ratio), "sim {secs} vs t0 {} (ratio {ratio})", analytic.t0);
@@ -446,13 +456,13 @@ mod tests {
     fn small_block_sizes_fall_off_peak() {
         // Fig. 5's shape: block size below the Eq. 5 threshold ⇒ well under
         // peak; above it ⇒ close to peak.
-        let gpu = SimGpu::new(GpuSpec::summit_v100());
+        let gpu = GpuSpec::summit_v100();
         let n = 32768;
         let run = |k: usize| {
             let secs = oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, 4), n, n, k, 4).unwrap();
             2.0 * (n * n * k) as f64 / secs / 1e9
         };
-        let peak = gpu.spec().srgemm_flops / 1e9;
+        let peak = gpu.srgemm_flops / 1e9;
         let lo = run(128);
         let hi = run(1024);
         assert!(lo < 0.55 * peak, "k=128 should be far from peak: {lo} vs {peak}");
@@ -461,15 +471,14 @@ mod tests {
 
     #[test]
     fn functional_and_model_clocks_agree() {
-        let gpu1 = SimGpu::new(GpuSpec::test_tiny());
-        let gpu2 = SimGpu::new(GpuSpec::test_tiny());
+        let gpu = GpuSpec::test_tiny();
         let (m, n, k) = (24, 24, 8);
         let a = lcg(m, k, 7);
         let b = lcg(k, n, 8);
         let mut c = lcg(m, n, 9);
         let cfg = OogConfig::new(8, 8, 2);
-        let f = oog_srgemm::<MinPlusF32>(&gpu1, &cfg, &mut c.view_mut(), &a.view(), &b.view()).unwrap();
-        let t = oog_srgemm_model(&gpu2, &cfg, m, n, k, 4).unwrap();
+        let f = oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut c.view_mut(), &a.view(), &b.view()).unwrap();
+        let t = oog_srgemm_model(&gpu, &cfg, m, n, k, 4).unwrap();
         assert!((f - t).abs() < 1e-12, "{f} vs {t}");
     }
 
@@ -486,7 +495,7 @@ mod tests {
             (summit, (32768, 32768, 768), (2048, 2048, 4), 0.24638762085646942),
         ];
         for (spec, (m, n, k), (mx, nx, s), want) in cases {
-            let got = oog_srgemm_model(&SimGpu::new(spec), &OogConfig::new(mx, nx, s), m, n, k, 4);
+            let got = oog_srgemm_model(&spec, &OogConfig::new(mx, nx, s), m, n, k, 4);
             assert_eq!(got, Ok(want), "{m}x{n}x{k}, tiles {mx}x{nx}, {s} streams");
         }
     }
@@ -510,9 +519,8 @@ mod tests {
             for mem in [need - 1, need] {
                 let spec = GpuSpec { mem_bytes: mem, ..GpuSpec::test_tiny() };
                 let mut got = c0.clone();
-                let gpu = SimGpu::new(spec);
-                let f = oog_srgemm::<MinPlusF32>(&gpu, &cfg, &mut got.view_mut(), &a.view(), &b.view());
-                let model = oog_srgemm_model(&SimGpu::new(spec), &cfg, m, n, k, 4);
+                let f = oog_srgemm::<MinPlusF32>(&spec, &cfg, &mut got.view_mut(), &a.view(), &b.view());
+                let model = oog_srgemm_model(&spec, &cfg, m, n, k, 4);
                 prop_assert_eq!(f, model);
                 if mem < need {
                     prop_assert_eq!(f, Err(OogError::Oom(Oom { requested: need, available: mem })));

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::comm::{Comm, INTERNAL_TAG};
+use crate::comm::{Comm, INTERNAL_TAG, RING_HEADER_TAG};
 use crate::error::CommError;
 use crate::payload::Payload;
 
@@ -110,7 +110,7 @@ impl Comm {
         let is_last = relative == size - 1;
 
         // chunk messages travel on `tag`; the chunk-count header on `hdr`.
-        let hdr = tag | (1 << 62);
+        let hdr = tag | RING_HEADER_TAG;
         if rank == root {
             let data = data.expect("root payload");
             let nchunks = nchunks.clamp(1, data.len().max(1));
@@ -167,9 +167,40 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use crate::error::CommError;
+    use crate::fault::FaultPlan;
     use crate::grid::ProcessGrid;
     use crate::placement::Placement;
-    use crate::runtime::Runtime;
+    use crate::runtime::{FailureKind, Runtime};
+
+    #[test]
+    fn ring_deadlock_report_names_the_collective_tag() {
+        // dropping rank 0's first send loses the ring's chunk-count header:
+        // rank 1 times out on it with the chunks queued behind, and its
+        // report names the world's first operation, tag 0, without the
+        // internal or header bits. Rank 2 joins late, so rank 1's timeout
+        // is the one that fails the run.
+        let rt = Runtime::new(3)
+            .with_recv_timeout(Duration::from_millis(50))
+            .with_faults(FaultPlan::drop_nth(0, 0));
+        let err = rt
+            .try_run(|comm| {
+                if comm.rank() == 2 {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                comm.ring_bcast(0, (comm.rank() == 0).then(|| vec![7u32; 8]), 2)
+            })
+            .expect_err("the header never arrives");
+        let failure = err.failures.iter().find(|f| f.rank == 1).expect("rank 1 fails");
+        let FailureKind::App(CommError::RecvTimeout(report)) = &failure.error else {
+            panic!("expected a recv timeout, got {:?}", failure.error)
+        };
+        assert_eq!(report.tag, 0);
+        assert!(!report.pending.is_empty(), "the chunks are pending");
+        assert!(report.pending.iter().all(|&(_, _, tag)| tag >> 62 == 0), "{:?}", report.pending);
+    }
 
     #[test]
     fn bcast_from_every_root() {

@@ -17,6 +17,19 @@ use crate::placement::Placement;
 
 /// Tags with the top bit set are reserved for collectives.
 pub(crate) const INTERNAL_TAG: u64 = 1 << 63;
+/// Set beside [`INTERNAL_TAG`] on the ring broadcast's chunk-count header,
+/// so the header and the chunks travel on distinct tags.
+pub(crate) const RING_HEADER_TAG: u64 = 1 << 62;
+
+/// The tag an error reports: a user tag as sent, a collective's without its
+/// internal bits (its operation number).
+fn reported_tag(tag: u64) -> u64 {
+    if tag & INTERNAL_TAG == 0 {
+        tag
+    } else {
+        tag & !(INTERNAL_TAG | RING_HEADER_TAG)
+    }
+}
 
 /// State shared by all ranks of a runtime.
 pub(crate) struct Shared {
@@ -203,7 +216,7 @@ impl Comm {
                     return Err(CommError::PayloadTypeMismatch {
                         ctx: self.ctx,
                         src,
-                        tag: tag & !INTERNAL_TAG,
+                        tag: reported_tag(tag),
                         expected,
                     })
                 }
@@ -219,9 +232,13 @@ impl Comm {
                     src,
                     src_world: self.members.get(src).copied().unwrap_or(usize::MAX),
                     ctx: self.ctx,
-                    tag: tag & !INTERNAL_TAG,
+                    tag: reported_tag(tag),
                     phase: apsp_trace::current_phase(),
-                    pending: mb.pending_keys(),
+                    pending: mb
+                        .pending_keys()
+                        .into_iter()
+                        .map(|(ctx, src, tag)| (ctx, src, reported_tag(tag)))
+                        .collect(),
                 })));
             }
             // wake for a delayed match when it comes due

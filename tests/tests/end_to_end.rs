@@ -98,13 +98,12 @@ fn every_placement_yields_identical_answers_different_traffic() {
 #[test]
 fn gpu_sim_and_cost_model_agree_on_overlap_direction() {
     use gpu_sim::cost::OffloadCosts;
-    use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig, SimGpu};
+    use gpu_sim::{oog_srgemm_model, GpuSpec, OogConfig};
     let spec = GpuSpec::summit_v100();
-    let gpu = SimGpu::new(spec);
     let (m, n, k) = (16_384usize, 16_384usize, 256usize);
     let analytic = OffloadCosts::new(&spec, m, n, k, 4);
-    let t1 = oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, 1), m, n, k, 4).unwrap();
-    let t3 = oog_srgemm_model(&gpu, &OogConfig::new(2048, 2048, 3), m, n, k, 4).unwrap();
+    let t1 = oog_srgemm_model(&spec, &OogConfig::new(2048, 2048, 1), m, n, k, 4).unwrap();
+    let t3 = oog_srgemm_model(&spec, &OogConfig::new(2048, 2048, 3), m, n, k, 4).unwrap();
     assert!(t3 < t1);
     // both within a factor ~2 of the analytic regime predictions
     assert!(t1 / analytic.predicted_time(1) < 2.0);
