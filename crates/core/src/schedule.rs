@@ -595,8 +595,9 @@ fn build_dag(cl: &mut Cluster, cfg: &ScheduleConfig) {
             // OuterUpdate(k) on the k+1 strips, then the (k+1) phases
             let b = cfg.block as f64;
             let (nrow, ncol) = ((k + 1) % kr, (k + 1) % kc);
-            let strip = |cl: &mut Cluster, node: usize, panel_rows: usize| {
-                let flops = 2.0 * b * b * (cfg.n as f64 / panel_rows as f64);
+            // a strip spans the node's share n / side of the other dimension
+            let strip = |cl: &mut Cluster, node: usize, side: usize| {
+                let flops = 2.0 * b * b * (cfg.n as f64 / side as f64);
                 Some(cl.gpu_task(node, flops, PRI_LOOKAHEAD, &[row_arr[node], col_arr[node]]))
             };
             cl.set_phase("OuterUpdate");
