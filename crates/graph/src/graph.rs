@@ -1,4 +1,12 @@
 //! Compact weighted digraph in CSR form, plus dense-matrix conversions.
+//!
+//! [`GraphBuilder`] accumulates edges in the CSR's own columns. Edges added
+//! in strictly increasing `(src, dst)` order, as row loops and
+//! [`crate::io::write_dimacs`] files deliver them, become the [`Graph`] with
+//! no sort and no copy; any other order is sorted once at
+//! [`GraphBuilder::build`], keeping the minimum weight per pair.
+
+use std::cmp::Ordering;
 
 use srgemm::Matrix;
 
@@ -107,17 +115,38 @@ impl Graph {
     }
 }
 
-/// Mutable edge-list accumulator; [`GraphBuilder::build`] produces the CSR.
+/// Where the arcs added so far start from.
+#[derive(Clone, Debug)]
+enum Sources {
+    /// Each arc came strictly after the one before it in `(u, v)` order:
+    /// `starts[u]` is the index of source `u`'s first arc, for every `u` up
+    /// to the last source seen. These are the CSR's offsets, not yet closed.
+    Ordered(Vec<usize>),
+    /// Some arc did not: the source of each arc, beside its target and
+    /// weight.
+    Column(Vec<u32>),
+}
+
+/// Mutable edge accumulator; [`GraphBuilder::build`] produces the CSR.
+///
+/// The edges are kept in the CSR's own columns, targets and weights. While
+/// they arrive in strictly increasing `(u, v)` order — as a row-by-row loop
+/// adds them and as [`crate::io::write_dimacs`] writes them — the offsets
+/// grow with the sources, and `build` moves all three into the [`Graph`]
+/// with no sort and no copy. The first edge out of that order turns the
+/// offsets into a column of sources, and `build` then sorts.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(u32, u32, f32)>,
+    sources: Sources,
+    targets: Vec<u32>,
+    weights: Vec<f32>,
 }
 
 impl GraphBuilder {
     /// A builder for a graph on `n` vertices.
     pub fn new(n: usize) -> Self {
-        Self { n, edges: Vec::new() }
+        Self { n, sources: Sources::Ordered(Vec::new()), targets: Vec::new(), weights: Vec::new() }
     }
 
     /// Add directed edge `u → v` of weight `w`.
@@ -127,7 +156,28 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, u: usize, v: usize, w: f32) -> &mut Self {
         assert!(u < self.n && v < self.n, "edge endpoint out of range");
         assert!(!w.is_nan(), "edge weight must not be NaN");
-        self.edges.push((u as u32, v as u32, w));
+        let m = self.targets.len();
+        match &mut self.sources {
+            Sources::Ordered(starts) => {
+                // `starts` ends at the last source seen
+                let ordered = match starts.len().cmp(&(u + 1)) {
+                    Ordering::Less => {
+                        starts.resize(u + 1, m);
+                        true
+                    }
+                    Ordering::Equal => self.targets.last() < Some(&(v as u32)),
+                    Ordering::Greater => false,
+                };
+                if !ordered {
+                    let mut sources = source_column(starts, m);
+                    sources.push(u as u32);
+                    self.sources = Sources::Column(sources);
+                }
+            }
+            Sources::Column(sources) => sources.push(u as u32),
+        }
+        self.targets.push(v as u32);
+        self.weights.push(w);
         self
     }
 
@@ -139,48 +189,163 @@ impl GraphBuilder {
 
     /// Number of raw (pre-dedup) edges added so far.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.targets.len()
     }
 
     /// True if no edges were added.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.targets.is_empty()
+    }
+
+    /// Lower the vertex count to `n`, for a reader that learns it only
+    /// after the last edge. Every endpoint added so far must be below `n`.
+    pub(crate) fn shrink_vertices(&mut self, n: usize) {
+        debug_assert!(self.targets.iter().all(|&v| (v as usize) < n), "an endpoint is not below {n}");
+        assert!(n <= self.n, "the vertex count only shrinks");
+        if let Sources::Ordered(starts) = &self.sources {
+            assert!(starts.len() <= n, "a source is not below {n}");
+        }
+        self.n = n;
     }
 
     /// Finalize into CSR. Duplicate `(u, v)` pairs keep the minimum weight.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable_by_key(|a| (a.0, a.1));
-        self.edges.dedup_by(|next, kept| {
-            if next.0 == kept.0 && next.1 == kept.1 {
-                if next.2 < kept.2 {
-                    kept.2 = next.2;
-                }
-                true
-            } else {
-                false
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        let (offsets, targets, weights) = match self.sources {
+            Sources::Ordered(mut offsets) => {
+                offsets.resize(n + 1, self.targets.len());
+                let (mut targets, mut weights) = (self.targets, self.weights);
+                // the graph keeps no growth slack; a shrinking realloc
+                // stays in place
+                offsets.shrink_to_fit();
+                targets.shrink_to_fit();
+                weights.shrink_to_fit();
+                (offsets, targets, weights)
             }
-        });
-        let mut offsets = vec![0usize; self.n + 1];
-        for &(u, _, _) in &self.edges {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            offsets[i + 1] += offsets[i];
-        }
-        let targets = self.edges.iter().map(|e| e.1).collect();
-        let weights = self.edges.iter().map(|e| e.2).collect();
-        Graph {
-            n: self.n,
-            offsets,
-            targets,
-            weights,
-        }
+            Sources::Column(sources) => sorted_csr(n, sources, self.targets, self.weights),
+        };
+        Graph { n, offsets, targets, weights }
     }
+}
+
+/// The source of each of the first `m` arcs, from the row starts of
+/// [`Sources::Ordered`].
+fn source_column(starts: &[usize], m: usize) -> Vec<u32> {
+    let mut sources = Vec::with_capacity(m + 1);
+    for (u, &end) in starts[1..].iter().chain([&m]).enumerate() {
+        sources.resize(end, u as u32);
+    }
+    sources
+}
+
+/// The CSR of arcs in any order: a counting sort by source, then each row
+/// sorted by target, keeping the minimum weight of each `(u, v)` pair.
+fn sorted_csr(
+    n: usize,
+    sources: Vec<u32>,
+    targets: Vec<u32>,
+    weights: Vec<f32>,
+) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+    // row sizes, then row starts, then (after the scatter) row ends
+    let mut ends = vec![0usize; n + 1];
+    for &u in &sources {
+        ends[u as usize + 1] += 1;
+    }
+    for u in 0..n {
+        ends[u + 1] += ends[u];
+    }
+    let mut arcs = vec![(0u32, 0f32); sources.len()];
+    for ((u, v), w) in sources.into_iter().zip(targets).zip(weights) {
+        let at = &mut ends[u as usize];
+        arcs[*at] = (v, w);
+        *at += 1;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut targets = Vec::with_capacity(arcs.len());
+    let mut weights = Vec::with_capacity(arcs.len());
+    let mut start = 0;
+    for &end in &ends[..n] {
+        let row = &mut arcs[start..end];
+        row.sort_unstable_by_key(|a| a.0);
+        for pair in row.chunk_by(|a, b| a.0 == b.0) {
+            let min = pair[1..].iter().fold(pair[0].1, |kept, a| if a.1 < kept { a.1 } else { kept });
+            targets.push(pair[0].0);
+            weights.push(min);
+        }
+        offsets.push(targets.len());
+        start = end;
+    }
+    (offsets, targets, weights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    fn csr(g: &Graph) -> (&[usize], &[u32], Vec<u32>) {
+        (&g.offsets, &g.targets, g.weights.iter().map(|w| w.to_bits()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any order of an edge multiset builds one CSR: the model's, which
+        /// keeps the minimum weight per pair. Fed in the model's own order
+        /// the edges take the ordered path (no sort), shuffled the sorting
+        /// one. Weights are whole and half numbers, so no pair holds both
+        /// `0.0` and `-0.0`, whose order no sort specifies.
+        #[test]
+        fn every_order_of_an_edge_multiset_builds_the_same_csr(
+            n in 1usize..9,
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>(), -6i32..20, any::<u64>()), 40),
+            m in 0usize..41,
+        ) {
+            let edges: Vec<(usize, usize, f32, u64)> = picks[..m]
+                .iter()
+                .map(|&(u, v, w, key)| (u as usize % n, v as usize % n, w as f32 / 2.0, key))
+                .collect();
+            let mut model = BTreeMap::new();
+            for &(u, v, w, _) in &edges {
+                let kept = model.entry((u, v)).or_insert(w);
+                if w < *kept {
+                    *kept = w;
+                }
+            }
+            let builder = |edges: &mut dyn Iterator<Item = (usize, usize, f32)>| {
+                let mut b = GraphBuilder::new(n);
+                for (u, v, w) in edges {
+                    b.add_edge(u, v, w);
+                }
+                b
+            };
+            let ordered = builder(&mut model.iter().map(|(&(u, v), &w)| (u, v, w)));
+            prop_assert!(matches!(ordered.sources, Sources::Ordered(_)));
+            let want = ordered.build();
+            prop_assert_eq!(want.m(), model.len());
+            prop_assert_eq!(want.offsets.len(), n + 1);
+            let mut shuffled = edges.clone();
+            shuffled.sort_by_key(|e| e.3);
+            for order in [&edges, &shuffled] {
+                let got = builder(&mut order.iter().map(|&(u, v, w, _)| (u, v, w))).build();
+                prop_assert_eq!(csr(&got), csr(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_first_edge_out_of_order_leaves_the_ordered_path() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 1.0).add_edge(0, 3, 1.0).add_edge(2, 0, 1.0).add_edge(3, 3, 1.0);
+        assert!(matches!(&b.sources, Sources::Ordered(starts) if starts == &[0, 2, 2, 3]));
+        for (u, v) in [(3, 3), (3, 2), (1, 0)] {
+            let mut b = b.clone();
+            b.add_edge(u, v, 1.0);
+            assert!(matches!(&b.sources, Sources::Column(s) if s == &[0, 0, 2, 3, u as u32]), "({u}, {v})");
+        }
+    }
 
     #[test]
     fn builder_round_trip() {

@@ -4,11 +4,15 @@
 //! `apsp solve --out` writes.
 //!
 //! Both text directions work on bytes (DESIGN.md §17). Input goes through one
-//! streaming scanner: fixed-size chunks split on `\n` in place, tokens split
-//! on ASCII blanks, numbers of up to seven digits parsed by hand and every
-//! other spelling by `str::parse`. Output goes through one number formatter,
-//! [`write_weight`], into a buffer reused per row. Both parsers are strict
-//! about structure but tolerant about blanks; errors carry line numbers.
+//! streaming scanner over fixed-size chunks. An arc record in the common
+//! spelling (the tag, then three runs of up to seven digits after blanks) is
+//! parsed in one pass, eight digits at a time, and pushed straight into the
+//! [`GraphBuilder`]'s columns; any other line is split on `\n` in place and
+//! into tokens on ASCII blanks, numbers of up to seven digits parsed by hand
+//! and every other spelling by `str::parse`. Output goes through one number
+//! formatter, [`write_weight`], into a buffer reused per row. Both parsers are
+//! strict about structure but tolerant about blanks; errors carry line
+//! numbers.
 
 use std::io::{ErrorKind, Read, Write};
 use std::str::FromStr;
@@ -60,15 +64,27 @@ const MAX_VERTICES: usize = u32::MAX as usize;
 /// buffer (one line at most) this is all the input side holds of the file.
 const CHUNK: usize = 64 * 1024;
 
+/// One line as the scanner hands it over.
+enum Line<'a> {
+    /// A line in the common spelling of an arc record (see [`quick_arc`]),
+    /// already parsed: source, target and weight as written.
+    Arc([u32; 3]),
+    /// Any other line, without its `\n`.
+    Text(&'a [u8]),
+}
+
 /// Hand every line of `r` to `record` with its 1-based number, without its
-/// `\n`; the last line needs none. A line lying inside one chunk is passed as
-/// a slice of that chunk. Only the line that straddles a chunk boundary is
-/// copied, into `carry`: between chunks `carry` holds exactly the bytes of
-/// the unfinished line seen so far, so a line of any length, delivered in
-/// pieces of any size, reaches `record` whole.
+/// `\n`; the last line needs none. A line inside one chunk that
+/// [`quick_arc`] reads, with `tag` as its record tag, is handed over parsed;
+/// any other line inside one chunk as a slice of that chunk. Only the line
+/// that straddles a chunk boundary is copied, into `carry`: between chunks
+/// `carry` holds exactly the bytes of the unfinished line seen so far, so a
+/// line of any length, delivered in pieces of any size, reaches `record`
+/// whole.
 fn scan_lines(
     mut r: impl Read,
-    mut record: impl FnMut(usize, &[u8]) -> Result<(), IoError>,
+    tag: &[u8],
+    mut record: impl FnMut(usize, Line) -> Result<(), IoError>,
 ) -> Result<(), IoError> {
     let mut chunk = vec![0u8; CHUNK];
     let mut carry: Vec<u8> = Vec::new();
@@ -81,13 +97,22 @@ fn scan_lines(
             Err(e) => return Err(e.into()),
         };
         let mut rest = &chunk[..len];
-        while let Some(nl) = find_newline(rest) {
+        loop {
+            if carry.is_empty() {
+                if let Some((arc, used)) = quick_arc(rest, tag) {
+                    line += 1;
+                    record(line, Line::Arc(arc))?;
+                    rest = &rest[used..];
+                    continue;
+                }
+            }
+            let Some(nl) = find_newline(rest) else { break };
             line += 1;
             if carry.is_empty() {
-                record(line, &rest[..nl])?;
+                record(line, Line::Text(&rest[..nl]))?;
             } else {
                 carry.extend_from_slice(&rest[..nl]);
-                record(line, &carry)?;
+                record(line, Line::Text(&carry))?;
                 carry.clear();
             }
             rest = &rest[nl + 1..];
@@ -95,10 +120,13 @@ fn scan_lines(
         carry.extend_from_slice(rest);
     }
     if !carry.is_empty() {
-        record(line + 1, &carry)?;
+        record(line + 1, Line::Text(&carry))?;
     }
     Ok(())
 }
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
 
 /// `s.iter().position(|&b| b == b'\n')`, eight bytes at a step: a word XORed
 /// with eight `\n`s has a zero byte where the line ends, and
@@ -106,8 +134,6 @@ fn scan_lines(
 /// it may mark above that one is never read). Lines here are a dozen bytes, so
 /// this is two steps, not twelve, per line: 59 → 50 ms on a 12.8 MB file.
 fn find_newline(s: &[u8]) -> Option<usize> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGHS: u64 = 0x8080_8080_8080_8080;
     let mut words = s.chunks_exact(8);
     let mut at = 0;
     for word in words.by_ref() {
@@ -154,6 +180,65 @@ fn small_uint(tok: &[u8]) -> Option<u32> {
         let d = b.wrapping_sub(b'0');
         (d <= 9).then(|| v * 10 + u32::from(d))
     })
+}
+
+/// The value and length of the run of one to seven ASCII digits that
+/// `word` starts with, or `None` if it starts with eight digits or none.
+/// The digits are read all at once (SWAR). Byte by byte, `d = b ^ b'0'` is
+/// below 10 exactly for a digit, and `(d & 0x7f) + 0x76 | d` has its high
+/// bit set exactly when `d ≥ 10`, with no carry into the next byte, so the
+/// lowest marked byte ends the run. Shifted to the top of the word, the run
+/// is an eight-digit number with leading zeros, folded in three multiplies:
+/// neighbouring digits into pairs, then the pairs into the value. That value
+/// is what [`small_uint`] returns for the same bytes.
+fn swar_digits(word: [u8; 8]) -> Option<(u32, usize)> {
+    let d = u64::from_le_bytes(word) ^ (ONES * u64::from(b'0'));
+    let non_digit = (((d & !HIGHS) + ONES * 0x76) | d) & HIGHS;
+    let len = (non_digit.trailing_zeros() / 8) as usize;
+    if len == 0 || len == 8 {
+        return None;
+    }
+    let digits = d << (64 - 8 * len);
+    let pairs = digits * 10 + (digits >> 8);
+    const EVERY_FOURTH: u64 = 0x0000_00FF_0000_00FF;
+    let value = (pairs & EVERY_FOURTH)
+        .wrapping_mul(100 + (1_000_000 << 32))
+        .wrapping_add(((pairs >> 16) & EVERY_FOURTH).wrapping_mul(1 + (10_000 << 32)))
+        >> 32;
+    Some((value as u32, len))
+}
+
+/// The arc that `s` starts with, and its length with the `\n`, if its first
+/// line is spelled the common way: `tag`, then three runs of one to seven
+/// ASCII digits, each after blanks (the first right at the start when `tag`
+/// is empty), then blanks or nothing, then `\n`. Every run must also have
+/// eight bytes of `s` from its start on. Any other line is left to
+/// [`Tokens`], which reads a line spelled this way to the same numbers
+/// ([`small_uint`] on each token), so this decides nothing but speed.
+fn quick_arc(s: &[u8], tag: &[u8]) -> Option<([u32; 3], usize)> {
+    let skip_blanks = |mut at: usize| {
+        while s.get(at).copied().is_some_and(is_blank) {
+            at += 1;
+        }
+        at
+    };
+    let mut at = s.strip_prefix(tag).map(|_| tag.len())?;
+    let mut arc = [0u32; 3];
+    for (i, slot) in arc.iter_mut().enumerate() {
+        if i > 0 || !tag.is_empty() {
+            let run = skip_blanks(at);
+            if run == at {
+                return None;
+            }
+            at = run;
+        }
+        let word = s.get(at..at + 8)?.try_into().expect("a slice of eight bytes");
+        let (value, len) = swar_digits(word)?;
+        *slot = value;
+        at += len;
+    }
+    at = skip_blanks(at);
+    (s.get(at) == Some(&b'\n')).then_some((arc, at + 1))
 }
 
 /// Every spelling [`small_uint`] declines (sign, point, exponent, `inf`,
@@ -220,47 +305,54 @@ pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
     let mut declared_edges = 0usize;
     let mut seen_edges = 0usize;
 
-    scan_lines(r, |line, bytes| {
-        let mut toks = Tokens(bytes);
-        let Some(tag) = toks.next() else { return Ok(()) };
-        match tag {
-            b"a" => {
-                let b = builder.as_mut().ok_or_else(|| parse_err(line, "arc before problem line"))?;
-                let (u, v, w) = parse_arc(line, &mut toks)?;
-                if u == 0 || v == 0 {
-                    return Err(parse_err(line, "DIMACS vertices are 1-based"));
+    scan_lines(r, b"a", |line, record| {
+        let arc = match record {
+            Line::Arc([u, v, w]) => Ok((u as usize, v as usize, w as f32)),
+            Line::Text(bytes) => {
+                let mut toks = Tokens(bytes);
+                let Some(tag) = toks.next() else { return Ok(()) };
+                match tag {
+                    // a parse error here ranks below a missing problem line
+                    b"a" => parse_arc(line, &mut toks),
+                    b"p" => {
+                        if builder.is_some() {
+                            return Err(parse_err(line, "duplicate problem line"));
+                        }
+                        let kind = toks.next().ok_or_else(|| parse_err(line, "missing problem kind"))?;
+                        if kind != b"sp" {
+                            let kind = String::from_utf8_lossy(kind);
+                            return Err(parse_err(line, format!("unsupported problem kind '{kind}'")));
+                        }
+                        n = toks
+                            .next()
+                            .and_then(parse_id)
+                            .filter(|&n| n <= MAX_VERTICES)
+                            .ok_or_else(|| parse_err(line, "bad vertex count"))?;
+                        declared_edges =
+                            toks.next().and_then(parse_id).ok_or_else(|| parse_err(line, "bad edge count"))?;
+                        end_of_record(line, &mut toks)?;
+                        // the declared count is checked at the end and sizes
+                        // nothing: a hostile `p` line cannot make the reader
+                        // allocate
+                        builder = Some(GraphBuilder::new(n));
+                        return Ok(());
+                    }
+                    _ if tag[0] == b'c' => return check_comment(line, bytes),
+                    _ => {
+                        let tag = String::from_utf8_lossy(tag);
+                        return Err(parse_err(line, format!("unknown record '{tag}'")));
+                    }
                 }
-                check_arc(line, (u, v, w), 1, n)?;
-                b.add_edge(u - 1, v - 1, w);
-                seen_edges += 1;
             }
-            b"p" => {
-                if builder.is_some() {
-                    return Err(parse_err(line, "duplicate problem line"));
-                }
-                let kind = toks.next().ok_or_else(|| parse_err(line, "missing problem kind"))?;
-                if kind != b"sp" {
-                    let kind = String::from_utf8_lossy(kind);
-                    return Err(parse_err(line, format!("unsupported problem kind '{kind}'")));
-                }
-                n = toks
-                    .next()
-                    .and_then(parse_id)
-                    .filter(|&n| n <= MAX_VERTICES)
-                    .ok_or_else(|| parse_err(line, "bad vertex count"))?;
-                declared_edges =
-                    toks.next().and_then(parse_id).ok_or_else(|| parse_err(line, "bad edge count"))?;
-                end_of_record(line, &mut toks)?;
-                // the declared count is checked at the end and sizes nothing:
-                // a hostile `p` line cannot make the reader allocate
-                builder = Some(GraphBuilder::new(n));
-            }
-            _ if tag[0] == b'c' => check_comment(line, bytes)?,
-            _ => {
-                let tag = String::from_utf8_lossy(tag);
-                return Err(parse_err(line, format!("unknown record '{tag}'")));
-            }
+        };
+        let b = builder.as_mut().ok_or_else(|| parse_err(line, "arc before problem line"))?;
+        let (u, v, w) = arc?;
+        if u == 0 || v == 0 {
+            return Err(parse_err(line, "DIMACS vertices are 1-based"));
         }
+        check_arc(line, (u, v, w), 1, n)?;
+        b.add_edge(u - 1, v - 1, w);
+        seen_edges += 1;
         Ok(())
     })?;
     let b = builder.ok_or_else(|| parse_err(0, "missing problem line"))?;
@@ -277,29 +369,29 @@ pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
 /// (0-based vertices), `#` comments. Vertex count is `1 + max id`, or the
 /// `n` override.
 pub fn read_edge_list(r: impl Read, n: Option<usize>) -> Result<Graph, IoError> {
-    let mut edges: Vec<(usize, usize, f32)> = Vec::new();
-    let mut max_v = 0usize;
     let limit = n.unwrap_or(MAX_VERTICES);
-    scan_lines(r, |line, bytes| {
-        match bytes.iter().find(|&&b| !is_blank(b)) {
-            None => return Ok(()),
-            Some(b'#') => return check_comment(line, bytes),
-            Some(_) => {}
-        }
-        let (u, v, w) = parse_arc(line, &mut Tokens(bytes))?;
+    // sized by the override or the u32 CSR's limit until the last edge is in
+    let mut b = GraphBuilder::new(limit);
+    let mut max_v = 0usize;
+    scan_lines(r, b"", |line, record| {
+        let (u, v, w) = match record {
+            Line::Arc([u, v, w]) => (u as usize, v as usize, w as f32),
+            Line::Text(bytes) => {
+                match bytes.iter().find(|&&b| !is_blank(b)) {
+                    None => return Ok(()),
+                    Some(b'#') => return check_comment(line, bytes),
+                    Some(_) => {}
+                }
+                parse_arc(line, &mut Tokens(bytes))?
+            }
+        };
         check_arc(line, (u, v, w), 0, limit)?;
         max_v = max_v.max(u).max(v);
-        edges.push((u, v, w));
+        b.add_edge(u, v, w);
         Ok(())
     })?;
-    let n = match n {
-        Some(n) => n,
-        None if edges.is_empty() => 0,
-        None => max_v + 1,
-    };
-    let mut b = GraphBuilder::new(n);
-    for (u, v, w) in edges {
-        b.add_edge(u, v, w);
+    if n.is_none() {
+        b.shrink_vertices(if b.is_empty() { 0 } else { max_v + 1 });
     }
     Ok(b.build())
 }
@@ -464,6 +556,136 @@ mod tests {
     }
 
     #[test]
+    fn swar_digits_is_small_uint_on_every_run_length_and_stop_byte() {
+        // every length, leading zeros included, a spread of values, and
+        // after the run each kind of byte that ends one
+        for len in 1..=8usize {
+            let top = 10u64.pow(len as u32);
+            for value in (0..top).step_by((top / 4000).max(1) as usize).chain([top - 1]) {
+                let digits = format!("{value:0len$}");
+                for stop in [b' ', b'\n', b'x', b'/', b':', 0x80, 0xff, b'0' ^ 0x80] {
+                    let mut word = [stop; 8];
+                    word[..len].copy_from_slice(digits.as_bytes());
+                    let want = small_uint(digits.as_bytes()).map(|v| (v, len));
+                    assert_eq!(swar_digits(word), want, "{digits:?} then {stop:#x}");
+                }
+            }
+        }
+        assert_eq!(swar_digits(*b" 1234567"), None);
+        assert_eq!(swar_digits(*b"12345678"), None);
+    }
+
+    /// Picks from a proptest sample, each below its bound.
+    struct Picks(std::vec::IntoIter<u32>);
+
+    impl Picks {
+        fn below(&mut self, bound: u32) -> u32 {
+            self.0.next().expect("enough picks") % bound
+        }
+        fn one<'a, T>(&mut self, of: &'a [T]) -> &'a T {
+            &of[self.below(of.len() as u32) as usize]
+        }
+    }
+
+    /// One arc line without its tag: mostly the common spelling of ids in
+    /// `1..=9`, with leading zeros, every blank kind, trailing blanks and
+    /// `\r\n`; now and then a run of up to nine digits, a sign, a point,
+    /// `inf`, non-ASCII, a missing blank, or a token too few or too many.
+    fn arc_body(p: &mut Picks) -> Vec<u8> {
+        const BLANKS: [u8; 5] = [b' ', b'\t', b'\r', 0x0b, 0x0c];
+        const ODD: [&str; 12] = ["+3", "-1", "2.0", "2e0", "inf", "1x", "x", "\u{e9}", "\u{a0}1", ".5", "3.", "nan"];
+        let tokens = match p.below(16) {
+            0 => 2,
+            1 => 4,
+            _ => 3,
+        };
+        let mut line = Vec::new();
+        for _ in 0..tokens {
+            // mostly one blank, now and then two, or none (tokens run together)
+            let blanks = match p.below(16) {
+                0 => 0,
+                1..=3 => 2,
+                _ => 1,
+            };
+            for _ in 0..blanks {
+                line.push(*p.one(&BLANKS));
+            }
+            match p.below(12) {
+                0 => line.extend_from_slice(p.one(&ODD).as_bytes()),
+                1 => {
+                    for _ in 0..1 + p.below(9) {
+                        line.push(b'0' + p.below(10) as u8);
+                    }
+                }
+                _ => {
+                    line.extend(std::iter::repeat_n(b'0', p.below(8) as usize / 3));
+                    line.push(b'1' + p.below(9) as u8);
+                }
+            }
+        }
+        for _ in 0..p.below(6) / 3 {
+            line.push(*p.one(&BLANKS));
+        }
+        if p.below(4) == 0 {
+            line.push(b'\r');
+        }
+        line
+    }
+
+    /// `arc_body` is in the common spelling: three runs of one to seven
+    /// digits, each after blanks, then blanks.
+    fn common_spelling(body: &[u8]) -> bool {
+        let runs: Vec<&[u8]> = Tokens(body).collect();
+        body.first().is_some_and(|&b| is_blank(b))
+            && runs.len() == 3
+            && runs.iter().all(|t| (1..=7).contains(&t.len()) && t.iter().all(u8::is_ascii_digit))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fast path takes exactly the lines of the common spelling and
+        /// reads them as the tokenizer does; whole files read the same
+        /// through a slice, where the fast path takes those lines, and one
+        /// byte per `read`, where every line is carried and tokenized.
+        #[test]
+        fn the_arc_fast_path_and_the_tokenizer_agree(picks in proptest::collection::vec(any::<u32>(), 400)) {
+            let mut p = Picks(picks.into_iter());
+            let bodies: Vec<Vec<u8>> = (0..1 + p.below(6)).map(|_| arc_body(&mut p)).collect();
+            // after every line, at least eight bytes for the last word load
+            let pad = b"c padding\n";
+            for body in &bodies {
+                let line = [b"a".as_slice(), body, b"\n", pad].concat();
+                let quick = quick_arc(&line, b"a");
+                prop_assert_eq!(quick.is_some(), common_spelling(body), "{:?}", String::from_utf8_lossy(&line));
+                if let Some((arc, used)) = quick {
+                    prop_assert_eq!(used, body.len() + 2);
+                    let mut toks = Tokens(body);
+                    let slow = parse_arc(1, &mut toks).expect("the tokenizer reads it too");
+                    prop_assert_eq!((arc[0] as usize, arc[1] as usize, arc[2] as f32), slow);
+                }
+                // the same line as an edge list record, whose first run
+                // takes no blank before it
+                if is_blank(body[0]) {
+                    let edge = [&body[1..], b"\n", pad].concat();
+                    let want = quick.filter(|_| !is_blank(body[1])).map(|(arc, used)| (arc, used - 2));
+                    prop_assert_eq!(quick_arc(&edge, b""), want);
+                }
+            }
+            let mut gr = format!("p sp 9 {}\n", bodies.len()).into_bytes();
+            let mut edges = Vec::new();
+            for body in &bodies {
+                gr.extend_from_slice(&[b"a".as_slice(), body, b"\n"].concat());
+                edges.extend_from_slice(&[&body[1..], b"\n"].concat());
+            }
+            gr.extend_from_slice(pad);
+            // each helper asserts that the two sources agree
+            let _ = dimacs(&gr);
+            let _ = edge_list(&edges, Some(10));
+        }
+    }
+
+    #[test]
     fn blanks_comments_and_line_ends_follow_the_grammar() {
         let one_arc = Ok((2, vec![(0, 1, 3.0)]));
         let long = CHUNK + 100;
@@ -553,7 +775,7 @@ mod tests {
 
     #[test]
     fn malformed_dimacs_is_a_parse_error_at_its_line() {
-        let cases: [(&[u8], usize, &str); 26] = [
+        let cases: [(&[u8], usize, &str); 27] = [
             (b"p sp 2 1\na x 2 1\n", 2, "bad source"),
             (b"p sp 2 1\na 1 y 1\n", 2, "bad target"),
             (b"c\np sp 2 1\na 1 2 z\n", 3, "bad weight"),
@@ -566,6 +788,8 @@ mod tests {
             // parses as a float, so "bad weight" never fires
             (b"p sp 2 1\na 1 2 nan\n", 2, "NaN"),
             (b"a 1 2 3\n", 1, "arc before problem line"),
+            // a bad record before the problem line is reported as early
+            (b"a x 2 3\n", 1, "arc before problem line"),
             (b"p sp 2 0\n\np sp 2 0\n", 3, "duplicate problem line"),
             (b"p sp 2 5\na 1 2 1\n", 0, "declared 5 arcs, file has 1"),
             (b"c only\n", 0, "missing problem line"),

@@ -1,12 +1,11 @@
 //! The all-pairs SSSP sweeps hold one n×n answer: the rows are written
 //! straight into it, never staged beside it.
 //!
-//! A counting global allocator tracks live heap bytes. This file is its own
-//! test binary with a single test, so nothing else allocates while a sweep
-//! is measured.
+//! The counting global allocator of `counting/` tracks live heap bytes.
+//! This file is its own test binary with a single test, so nothing else
+//! allocates while a sweep is measured.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting;
 
 use apsp_graph::delta_stepping::apsp_by_delta_stepping;
 use apsp_graph::dijkstra::apsp_by_dijkstra_threads;
@@ -15,57 +14,10 @@ use apsp_graph::johnson::johnson_apsp_threads;
 use apsp_graph::{Graph, GraphBuilder};
 use srgemm::Matrix;
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    PEAK.fetch_max(live, Ordering::SeqCst);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
-            grew(new_size);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
 /// Peak heap bytes allocated while `sweep` runs, over what was live before
 /// it; the answer it returns is counted (it is live at the end).
 fn peak_over_baseline(sweep: impl FnOnce() -> Matrix<f32>) -> usize {
-    let before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(before, Ordering::SeqCst);
-    let answer = std::hint::black_box(sweep());
-    let peak = PEAK.load(Ordering::SeqCst) - before;
-    drop(answer);
-    peak
+    counting::measure(sweep).2
 }
 
 /// `g` with its first edge's weight replaced by −1: every cycle through it

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use crate::counters::Counters;
 use crate::error::{CommError, DeadlockReport};
 use crate::exec::Scheduler;
-use crate::fault::{FaultState, SendFate};
+use crate::fault::{DroppedMessage, FaultState, SendFate};
 use crate::p2p::{Mailbox, Polled};
 use crate::payload::Payload;
 use crate::placement::Placement;
@@ -47,7 +47,8 @@ pub(crate) struct Shared {
 #[derive(Default)]
 struct CtxAlloc {
     next: u64,
-    by_origin: HashMap<(u64, u64, u64), u64>,
+    /// The first context id of each split, by `(parent ctx, op)`.
+    bases: HashMap<(u64, u64), u64>,
 }
 
 impl Shared {
@@ -66,21 +67,25 @@ impl Shared {
             recv_timeout,
             faults,
             sched: Scheduler::new(p, workers),
-            ctx_alloc: Mutex::new(CtxAlloc { next: 1, by_origin: HashMap::new() }),
+            ctx_alloc: Mutex::new(CtxAlloc { next: 1, bases: HashMap::new() }),
         }
     }
 
     /// Deterministic context id for the sub-communicator born from
-    /// `(parent ctx, op, color)` — every member resolves to the same id.
-    fn ctx_for(&self, parent: u64, op: u64, color: u64) -> u64 {
+    /// `(parent ctx, op, color)` — every member resolves to the same id,
+    /// whichever member asks first. A split of a parent into colors below
+    /// `colors` reserves one id per color when its first member arrives;
+    /// a parent's splits arrive in its operation order, so the ids of the
+    /// world's splits do not depend on how the ranks are scheduled.
+    fn ctx_for(&self, parent: u64, op: u64, color: u64, colors: u64) -> u64 {
+        assert!(color < colors, "split color {color} is not below {colors}");
         let mut alloc = self.ctx_alloc.lock();
-        if let Some(&id) = alloc.by_origin.get(&(parent, op, color)) {
-            return id;
-        }
-        let id = alloc.next;
-        alloc.next += 1;
-        alloc.by_origin.insert((parent, op, color), id);
-        id
+        let CtxAlloc { next, bases } = &mut *alloc;
+        let base = *bases.entry((parent, op)).or_insert_with(|| {
+            *next += colors;
+            *next - colors
+        });
+        base + color
     }
 
     /// Fail-fast fan-out after world rank `rank` failed: poison every
@@ -179,7 +184,12 @@ impl Comm {
                 Some(at) => Some(at),
                 None => return Ok(()),
             },
-            SendFate::Drop => return Ok(()),
+            SendFate::Drop => {
+                if let Some(fs) = &self.shared.faults {
+                    fs.record_drop(DroppedMessage { src_world, dst_world, ctx: self.ctx, tag: reported_tag(tag) });
+                }
+                return Ok(());
+            }
             SendFate::Kill => unreachable!("kill returns above"),
         };
         self.shared.mailboxes[dst_world].deliver((self.ctx, self.rank, tag), Box::new(msg), due);
@@ -239,6 +249,7 @@ impl Comm {
                         .into_iter()
                         .map(|(ctx, src, tag)| (ctx, src, reported_tag(tag)))
                         .collect(),
+                    dropped: self.shared.faults.as_ref().map(FaultState::dropped).unwrap_or_default(),
                 })));
             }
             // wake for a delayed match when it comes due
@@ -248,17 +259,17 @@ impl Comm {
 
     /// The sub-communicator of parent ranks `ranks`, in that order; this
     /// rank must be one of them. Built locally, without a message or a
-    /// wait: every member passes the same `color` and `ranks`, so all
-    /// resolve the same context id. Like a collective, it takes the next
-    /// operation number, so every member of `self` calls it in the same
-    /// order.
+    /// wait: every member passes the same `color` (below the parent's size)
+    /// and `ranks`, so all resolve the same context id. Like a collective,
+    /// it takes the next operation number, so every member of `self` calls
+    /// it in the same order.
     pub(crate) fn sub(&self, color: u64, ranks: impl Iterator<Item = usize>) -> Comm {
         let op = self.next_op();
         let members: Vec<usize> = ranks.map(|r| self.members[r]).collect();
         let me = self.members[self.rank];
         let rank = members.iter().position(|&w| w == me).expect("this rank is a member");
         Comm {
-            ctx: self.shared.ctx_for(self.ctx, op, color),
+            ctx: self.shared.ctx_for(self.ctx, op, color, self.members.len() as u64),
             rank,
             members: Arc::new(members),
             shared: self.shared.clone(),

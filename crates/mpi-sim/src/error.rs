@@ -10,11 +10,13 @@
 use std::fmt;
 use std::time::Duration;
 
+use crate::fault::DroppedMessage;
 use crate::p2p::MatchKey;
 
 /// Everything known about a receive that gave up waiting: who blocked, on
-/// whom, on which communicator/tag, in which trace phase, and what *did*
-/// arrive while the expected message never did.
+/// whom, on which communicator/tag, in which trace phase, what *did*
+/// arrive while the expected message never did, and which messages fault
+/// injection dropped (the blocked rank is often a bystander of the loss).
 #[derive(Clone, PartialEq, Eq)]
 pub struct DeadlockReport {
     /// The timeout that expired.
@@ -35,6 +37,8 @@ pub struct DeadlockReport {
     pub phase: Option<&'static str>,
     /// Match keys of every unrelated message pending in the mailbox.
     pub pending: Vec<MatchKey>,
+    /// Every message the run's fault plan had dropped by the timeout.
+    pub dropped: Vec<DroppedMessage>,
 }
 
 impl fmt::Display for DeadlockReport {
@@ -54,7 +58,12 @@ impl fmt::Display for DeadlockReport {
             self.phase.unwrap_or("(none)"),
             self.pending.len(),
             self.pending,
-        )
+        )?;
+        if !self.dropped.is_empty() {
+            let dropped: Vec<String> = self.dropped.iter().map(ToString::to_string).collect();
+            write!(f, "; fault injection dropped {} message(s): {}", dropped.len(), dropped.join(", "))?;
+        }
+        Ok(())
     }
 }
 
@@ -144,6 +153,7 @@ mod tests {
             tag: 42,
             phase: Some("OuterUpdate"),
             pending: vec![],
+            dropped: vec![],
         };
         let msg = CommError::RecvTimeout(Box::new(r)).to_string();
         assert!(msg.contains("recv timed out after 30ms"), "{msg}");

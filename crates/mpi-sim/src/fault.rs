@@ -17,8 +17,11 @@
 //! place among the sender's messages on its tag, and it is dropped with the
 //! run if the run ends first, so no delivery can outlive the runtime.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 /// One injected failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,6 +120,27 @@ impl FaultPlan {
     }
 }
 
+/// A message a [`FaultPlan`] dropped: the one a blocked receive waits for,
+/// whichever rank's timeout reports the loss first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DroppedMessage {
+    /// World rank that sent it.
+    pub src_world: usize,
+    /// World rank it was sent to.
+    pub dst_world: usize,
+    /// Communicator context id.
+    pub ctx: u64,
+    /// Its tag, a collective's without its internal bits (as errors report
+    /// tags).
+    pub tag: u64,
+}
+
+impl fmt::Display for DroppedMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "world {} -> world {} on ctx={} tag={}", self.src_world, self.dst_world, self.ctx, self.tag)
+    }
+}
+
 /// What should happen to one outgoing message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SendFate {
@@ -131,17 +155,34 @@ pub(crate) enum SendFate {
 }
 
 /// Runtime-side evaluation state for a [`FaultPlan`]: per-rank send
-/// counters plus a per-action match counter, all lock-free.
+/// counters plus a per-action match counter, all lock-free, and the log of
+/// the messages dropped so far.
 pub(crate) struct FaultState {
     plan: FaultPlan,
     sends: Vec<AtomicU64>,
     matches: Vec<AtomicU64>,
+    dropped: Mutex<Vec<DroppedMessage>>,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, p: usize) -> Self {
         let matches = plan.actions.iter().map(|_| AtomicU64::new(0)).collect();
-        FaultState { plan, sends: (0..p).map(|_| AtomicU64::new(0)).collect(), matches }
+        FaultState {
+            plan,
+            sends: (0..p).map(|_| AtomicU64::new(0)).collect(),
+            matches,
+            dropped: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Log a message that [`FaultState::decide`] dropped.
+    pub(crate) fn record_drop(&self, message: DroppedMessage) {
+        self.dropped.lock().push(message);
+    }
+
+    /// Every message dropped so far, in the order they were dropped.
+    pub(crate) fn dropped(&self) -> Vec<DroppedMessage> {
+        self.dropped.lock().clone()
     }
 
     /// Decide the fate of a message about to be sent by `src_world` on

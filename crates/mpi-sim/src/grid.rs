@@ -69,6 +69,20 @@ mod tests {
     }
 
     #[test]
+    fn subcomm_context_ids_do_not_depend_on_the_schedule() {
+        // a 3 x 4 grid of 12 ranks: its row splits take ids 1..=12, its
+        // column splits 13..=24, whichever rank splits first
+        for workers in [1, 2, 12] {
+            let out = Runtime::new(12).with_workers(workers).run(|comm| {
+                let g = ProcessGrid::new(comm, 3, 4);
+                (g.row.ctx, g.col.ctx)
+            });
+            let want: Vec<(u64, u64)> = (0..12).map(|rank| (1 + rank / 4, 13 + rank % 4)).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn building_a_grid_moves_no_messages() {
         let (out, report) = Runtime::new(12).run_traced(|comm| {
             let g = ProcessGrid::new(comm, 3, 4);

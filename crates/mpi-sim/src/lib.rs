@@ -64,7 +64,7 @@ pub use comm::Comm;
 pub use counters::TrafficReport;
 pub use error::{CommError, DeadlockReport};
 pub use exec::ExecStats;
-pub use fault::{FaultAction, FaultPlan};
+pub use fault::{DroppedMessage, FaultAction, FaultPlan};
 pub use grid::ProcessGrid;
 pub use p2p::MatchKey;
 pub use payload::Payload;

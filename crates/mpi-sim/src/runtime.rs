@@ -30,7 +30,7 @@ use crate::comm::{Comm, Shared};
 use crate::counters::TrafficReport;
 use crate::error::CommError;
 use crate::exec::ExecStats;
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::{DroppedMessage, FaultPlan, FaultState};
 use crate::placement::Placement;
 
 /// Why one rank failed.
@@ -73,6 +73,10 @@ pub struct RankFailure<E> {
 pub struct RunError<E> {
     /// Per-rank failures in observation order (never empty).
     pub failures: Vec<RankFailure<E>>,
+    /// Every message the fault plan dropped, in the order it dropped them:
+    /// the cause that a receive timeout (`failures[0]`, often on a
+    /// bystander) only points at.
+    pub dropped: Vec<DroppedMessage>,
 }
 
 impl<E> RunError<E> {
@@ -331,7 +335,8 @@ impl Runtime {
                 .map(|m| m.into_inner().expect("rank finished without a result"))
                 .collect())
         } else {
-            Err(RunError { failures })
+            let dropped = shared.faults.as_ref().map(FaultState::dropped).unwrap_or_default();
+            Err(RunError { failures, dropped })
         };
         (out, traffic, stats)
     }
@@ -605,10 +610,13 @@ mod tests {
             })
             .expect_err("the dropped message never arrives");
         assert_eq!(err.first().rank, 1);
-        assert!(matches!(
-            err.first().error,
-            FailureKind::App(CommError::RecvTimeout(_))
-        ));
+        let dropped = DroppedMessage { src_world: 0, dst_world: 1, ctx: 0, tag: 7 };
+        assert_eq!(err.dropped, [dropped]);
+        match &err.first().error {
+            FailureKind::App(CommError::RecvTimeout(report)) => assert_eq!(report.dropped, [dropped]),
+            other => panic!("expected a receive timeout, got {other}"),
+        }
+        assert!(err.to_string().contains("fault injection dropped 1 message(s): world 0 -> world 1 on ctx=0 tag=7"), "{err}");
     }
 
     #[test]
