@@ -57,6 +57,22 @@ pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, _: DiagMethod,
 /// # Panics
 /// Panics if `d` is not square or `b == 0`.
 pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, threads: usize) {
+    fw_blocked_view::<S>(&mut d.view_mut(), b, threads, &mut QuadrantUpdate::new());
+}
+
+/// [`fw_blocked_threads`] on the square view `d`, packing into the buffer
+/// of `quadrants`. A `d` no wider than `b` is one [`fw_closure`] call.
+/// The out-of-core driver closes its diagonal tile with this, at the
+/// solve's block size.
+///
+/// # Panics
+/// Panics if `d` is not square or `b == 0`.
+pub(crate) fn fw_blocked_view<S: Semiring>(
+    d: &mut ViewMut<'_, S::Elem>,
+    b: usize,
+    threads: usize,
+    quadrants: &mut QuadrantUpdate<S>,
+) {
     let n = d.rows();
     assert_eq!(n, d.cols(), "distance matrix must be square");
     assert!(b > 0, "block size must be positive");
@@ -65,14 +81,13 @@ pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, thread
         "blocked FW relies on an idempotent ⊕ ({} is not)",
         S::NAME
     );
-    let mut quadrants = QuadrantUpdate::<S>::new();
     for k0 in (0..n).step_by(b) {
         let k = k0..n.min(k0 + b);
         let [
             [top_left, mut top_k, top_right],
             [mut k_left, mut diag_k, mut k_right],
             [bottom_left, mut bottom_k, bottom_right],
-        ] = bands(d.view_mut(), k.clone(), k);
+        ] = bands(d.subview_mut(0, 0, n, n), k.clone(), k);
 
         // ----- DiagUpdate -----
         {
@@ -138,7 +153,9 @@ pub(crate) fn bands<T: Copy>(
 /// update, into the one [`PackedB`] held here, whose allocation every later
 /// update reuses; that repack is the update's only copy.
 pub(crate) struct QuadrantUpdate<S: Semiring> {
-    packed: PackedB<S::Elem>,
+    /// The one packed `B`; the out-of-core driver packs its own operands
+    /// into it too, so that its budget pays for one buffer.
+    pub(crate) packed: PackedB<S::Elem>,
 }
 
 impl<S: Semiring> QuadrantUpdate<S> {

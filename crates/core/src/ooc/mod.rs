@@ -10,12 +10,13 @@
 //!   created, filled and dropped by one solve — as dense tiles (only the
 //!   [`FileStore`] turns them into checksummed bytes), and only the operand
 //!   a product needs is staged: the row tile `B(k, j)` is packed into one
-//!   persistent [`PackedB`] per update;
+//!   persistent [`srgemm::gemm::PackedB`] once per block-iteration;
 //! * [`ooc_fw`] walks the blocked-FW schedule (Algorithm 2: DiagUpdate →
-//!   PanelUpdate → per-tile MinPlus outer product) under an explicit
-//!   host-RAM budget, running the same four kernels as
-//!   [`mod@crate::fw_blocked`] in place on views of the tiles cached in an LRU
-//!   working set, and spilling dirty ones back to the store;
+//!   PanelUpdate → per-tile MinPlus outer product, column by column) under
+//!   an explicit host-RAM budget, running the kernels of
+//!   [`mod@crate::fw_blocked`] in place on views of the tiles in a cache,
+//!   spilling dirty ones back to the store. The diagonal tile is closed by
+//!   the blocked-FW loop itself, at the solve's block size;
 //! * a tile the store holds as *absent* is all ⊕-identity and is skipped as
 //!   an operand; only fill-in materializes it. That makes the same loop the
 //!   block-sparse FW of the paper's §7 direction (supernodal APSP, its
@@ -24,8 +25,10 @@
 //!   time and declares every off-diagonal tile without an edge absent, so
 //!   the `n × n` matrix exists only when [`export`] builds the answer;
 //! * the [`FileStore`] keeps the tiles in one unlinked temp file and moves
-//!   a slot on the solving thread when the cache misses or spills: unlike
-//!   the paper's PCIe tier, the transfer does not overlap the GEMM. The
+//!   a slot on the solving thread when the cache misses or spills, straight
+//!   between its one slot buffer and the evicted tile's matrix, so no
+//!   transfer allocates. Unlike the paper's PCIe tier, the transfer does
+//!   not overlap the GEMM. The
 //!   matching cost term is `gpu_sim::cost`'s fourth engine `t3`, and
 //!   [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that predicts
 //!   the tile size where an overlapped run would turn compute-bound.
@@ -33,10 +36,12 @@
 //! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
 //! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
 //! and `io-wait` around every store read and write-back, on the calling
-//! thread's `apsp_trace` recorder. [`OocStats`] holds counts only.
+//! thread's `apsp_trace` recorder. The blocked closure of a diagonal tile
+//! runs [`apsp_trace::muted`], so its own phases book under DiagUpdate.
+//! [`OocStats`] holds counts only.
 //!
 //! Budget semantics: the budget splits into a reserve — the packed `B`
-//! scratch plus two tile slots, for the one transfer in progress and the
+//! scratch plus two tile slots, for the file store's slot buffer and the
 //! one tile in transit beside the cache — and the cache, which gets the
 //! rest (less every tile, for the in-memory store). `peak resident` samples
 //! `cached tiles + the packed B scratch + what the store holds` between
@@ -50,13 +55,14 @@ pub mod store;
 use std::collections::HashMap;
 
 use apsp_graph::Graph;
-use apsp_trace::span;
-use srgemm::gemm::{gemm_packed_threads, pad_quantum, PackedB};
+use apsp_trace::{muted, span};
+use srgemm::gemm::{gemm_packed_threads, pad_quantum};
 use srgemm::matrix::{Matrix, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
-use srgemm::prelude::fw_closure;
 use srgemm::semiring::Semiring;
 use srgemm::MinPlusF32;
+
+use crate::fw_blocked::{fw_blocked_view, QuadrantUpdate};
 
 pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore};
 
@@ -67,12 +73,16 @@ pub struct OocConfig {
     pub budget_bytes: u64,
     /// Kernel threads each outer-product update may use.
     pub threads: usize,
+    /// Block size of the blocked-FW loop that closes each diagonal tile
+    /// (`--block`); a tile no wider is closed by one FW triple loop.
+    pub block: usize,
 }
 
 impl OocConfig {
-    /// A budget-limited, single-threaded config.
+    /// A budget-limited, single-threaded config at the CLI's default
+    /// `--block` of 64.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        OocConfig { budget_bytes, threads: 1 }
+        OocConfig { budget_bytes, threads: 1, block: 64 }
     }
 
     /// No effective budget — for in-memory baselines.
@@ -141,15 +151,15 @@ pub struct OocStats {
 }
 
 /// Bytes of the driver's one persistent packed `B` operand: a `tile × tile`
-/// [`PackedB`], its rows padded to the kernel's [`pad_quantum`] stride.
+/// [`srgemm::gemm::PackedB`], its rows padded to the kernel's [`pad_quantum`] stride.
 fn packed_b_bytes<E: TileElem>(tile: usize) -> u64 {
     (tile * tile.next_multiple_of(pad_quantum::<E>()) * E::BYTES) as u64
 }
 
 /// The part of a staged working set the tile cache may never use: the
-/// packed `B` scratch and two tile slots — the byte buffer of the one store
-/// read or write in progress, and the one tile in transit beside the cache
-/// (decoded but not yet cached, or evicted and being encoded).
+/// packed `B` scratch and two tile slots — the slot buffer a file store
+/// moves every tile through, and the one tile in transit beside the cache
+/// (evicted, and being encoded or refilled with the incoming tile).
 fn reserved_bytes<E: TileElem>(tile: usize) -> u64 {
     packed_b_bytes::<E>(tile) + 2 * tile_bytes::<E>(tile, tile)
 }
@@ -184,11 +194,13 @@ pub fn choose_tile<E: TileElem>(n: usize, budget: u64) -> Option<usize> {
 // ---------------------------------------------------------------------------
 
 /// One resident dense tile; `bytes` is what it is charged against the
-/// budget — its stored size.
+/// budget — its stored size. `spent` marks a tile the sweep is done with
+/// for the current block-iteration, until it is used again.
 struct Resident<E> {
     tile: Matrix<E>,
     bytes: u64,
     dirty: bool,
+    spent: bool,
     stamp: u64,
 }
 
@@ -199,8 +211,11 @@ enum Access {
     Write,
 }
 
-/// Budget-bounded LRU over dense tiles of `store`, and the solve's
-/// counters. A tile is resident while it is in `map` *or* checked out with
+/// Budget-bounded cache over dense tiles of `store`, and the solve's
+/// counters. It evicts the tiles the sweep has marked spent
+/// ([`TileCache::retire`]) first, then the least recently used; stamps are
+/// unique, so the victim, and with it the store traffic, is exact. A tile
+/// is resident while it is in `map` *or* checked out with
 /// [`TileCache::take`]; checked-out tiles cannot be evicted. A tile the
 /// store holds as absent is materialized as all `zero` on first use.
 struct TileCache<'s, E> {
@@ -255,51 +270,67 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         self.store.write(key.0, key.1, &entry.tile.view()).map_err(OocError::Store)
     }
 
-    /// Evict least-recently-used entries until `need` more bytes fit,
-    /// spilling dirty tiles back to the store.
-    fn make_room(&mut self, need: u64) -> Result<(), OocError> {
+    /// Evict until `need` more bytes fit — spent tiles first, then the
+    /// least recently used — spilling dirty ones back to the store. Hands
+    /// back the last victim's matrix: the tile in transit.
+    fn make_room(&mut self, need: u64) -> Result<Option<Matrix<E>>, OocError> {
+        let mut victim_tile = None;
         while self.resident + need > self.cap {
             // The floor's cache slots hold the one checked-out tile and the
             // incoming one, so there is always something to evict.
-            let (&victim, _) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).expect("an evictable tile");
+            let (&victim, _) = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| (!e.spent, e.stamp))
+                .expect("an evictable tile");
             let entry = self.map.remove(&victim).expect("victim exists");
             self.resident -= entry.bytes;
             if entry.dirty {
                 self.spill(victim, &entry)?;
             }
+            victim_tile = Some(entry.tile);
         }
-        Ok(())
+        Ok(victim_tile)
     }
 
     /// Make `key` resident: fetch and verify it on a miss, or materialize
     /// it as fill-in — dirty, so it is stored when it leaves — if the store
-    /// holds it as absent.
+    /// holds it as absent. Room is made first, so the incoming tile lands
+    /// in the victim's allocation whenever the two have the same shape.
     fn ensure(&mut self, key: (usize, usize)) -> Result<(), OocError> {
         self.clock += 1;
         if let Some(e) = self.map.get_mut(&key) {
             e.stamp = self.clock;
+            e.spent = false;
             return Ok(());
         }
-        let entry = if self.store.present(key.0, key.1) {
-            let tile = {
-                let _io = span("io-wait");
-                self.store.read(key.0, key.1)?
-            };
-            let bytes = tile_bytes::<E>(tile.rows(), tile.cols());
+        let (rows, cols) = self.store.tile_dims(key.0, key.1);
+        let bytes = tile_bytes::<E>(rows, cols);
+        // a victim of another shape is freed before the new tile is made
+        let victim = self.make_room(bytes)?.filter(|m| (m.rows(), m.cols()) == (rows, cols));
+        let mut tile = victim.unwrap_or_else(|| Matrix::filled(rows, cols, self.zero));
+        let present = self.store.present(key.0, key.1);
+        if present {
+            let _io = span("io-wait");
+            self.store.read_into(key.0, key.1, &mut tile.view_mut())?;
             self.stats.tiles_read += 1;
             self.stats.bytes_read += bytes;
-            Resident { tile, bytes, dirty: false, stamp: self.clock }
         } else {
-            let (rows, cols) = self.store.tile_dims(key.0, key.1);
-            let tile = Matrix::filled(rows, cols, self.zero);
-            Resident { tile, bytes: tile_bytes::<E>(rows, cols), dirty: true, stamp: self.clock }
-        };
-        self.make_room(entry.bytes)?;
-        self.resident += entry.bytes;
+            tile.view_mut().fill(self.zero);
+        }
+        self.resident += bytes;
+        let entry = Resident { tile, bytes, dirty: !present, spent: false, stamp: self.clock };
         self.map.insert(key, entry);
         self.note_peak();
         Ok(())
+    }
+
+    /// Mark resident tile `key` spent: the sweep is done with it for this
+    /// block-iteration, so it goes before every tile still in use.
+    fn retire(&mut self, key: (usize, usize)) {
+        if let Some(e) = self.map.get_mut(&key) {
+            e.spent = true;
+        }
     }
 
     /// Run kernel work `f` on tile `key`, marking the tile dirty if `f`
@@ -385,7 +416,8 @@ pub fn export<S: Semiring>(
     for ti in 0..nb {
         for tj in 0..nb {
             if store.present(ti, tj) {
-                out.set_block(ti * t, tj * t, &store.read(ti, tj)?.view());
+                let (rows, cols) = store.tile_dims(ti, tj);
+                store.read_into(ti, tj, &mut out.subview_mut(ti * t, tj * t, rows, cols))?;
             }
         }
     }
@@ -398,12 +430,17 @@ pub fn export<S: Semiring>(
 
 /// Out-of-core blocked Floyd-Warshall over the tiles in `store`, in place.
 ///
-/// Per block-iteration `k`: DiagUpdate closes tile `(k,k)`; PanelUpdate
-/// fixes block row and column `k`; then every remaining tile folds
-/// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)`. All four kernels run in place on the cached
-/// dense tiles; the only copy per update is the pack of `B(k,j)`. Same
-/// kernels, same per-element ⊕ fold order as
-/// [`crate::fw_blocked::fw_blocked_threads`], hence bit-identical results.
+/// Per block-iteration `k`: DiagUpdate closes tile `(k,k)` with the
+/// blocked-FW loop at [`OocConfig::block`]; PanelUpdate fixes block row
+/// and column `k`; then every remaining tile folds
+/// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)`, column by column, so each `B(k,j)` is
+/// packed once. Every kernel runs in place on the cached dense tiles; the
+/// only copy per update is that pack. A run whose tile is no wider than
+/// the block makes the kernel calls of
+/// [`crate::fw_blocked::fw_blocked_threads`] at block size `tile`, and its
+/// result is bit-identical to that. A wider tile closes its diagonal in
+/// blocks, so on real weights the rounding may differ from that run's;
+/// on integer weights both are exact.
 ///
 /// Tiles the store holds as absent are skipped, which is exact because ⊕
 /// is idempotent: PanelUpdate leaves an absent `(k,j)` or `(i,k)` all
@@ -427,16 +464,20 @@ where
     );
     let nb = store.tiles_per_side();
     // The one persistent packed operand, sized up front for a full tile so
-    // that no later repack grows it.
+    // that no later pack grows it: each `B(k, j)` is repacked into it, and
+    // so is every panel of a diagonal tile's blocked closure.
     let side = store.tile().min(store.n());
-    let mut pb = PackedB::pack::<S>(&Matrix::filled(side, side, S::zero()).view());
+    let mut quadrants = QuadrantUpdate::<S>::new();
+    quadrants.packed.repack::<S>(&Matrix::filled(side, side, S::zero()).view());
     let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes, S::zero())?;
 
     for k in 0..nb {
-        // ----- DiagUpdate -----
+        // ----- DiagUpdate: the tile's own phases book under this span -----
         {
             let _p = span("DiagUpdate");
-            cache.run((k, k), Access::Write, |d| fw_closure::<S>(d))?;
+            cache.run((k, k), Access::Write, |d| {
+                muted(|| fw_blocked_view::<S>(d, cfg.block, cfg.threads, &mut quadrants))
+            })?;
         }
 
         // The present tiles of block row and column k: the operands of
@@ -454,23 +495,26 @@ where
             cache.run((i, k), Access::Write, |c| panel_update_right::<S>(c, &diag.tile.view()))?;
         }
         cache.restore((k, k), diag);
+        cache.retire((k, k));
         drop(panel_update);
 
-        // ----- MinPlus outer product -----
+        // ----- MinPlus outer product, column by column -----
         let _p = span("OuterUpdate");
-        for &i in &rows {
-            let a = cache.take((i, k))?;
-            for &j in &cols {
-                cache.run((k, j), Access::Read, |b| {
-                    let _pack = span("pack");
-                    pb.repack::<S>(&b.as_view())
-                })?;
+        for &j in &cols {
+            cache.run((k, j), Access::Read, |b| {
+                let _pack = span("pack");
+                quadrants.packed.repack::<S>(&b.as_view())
+            })?;
+            cache.retire((k, j));
+            for &i in &rows {
+                let a = cache.take((i, k))?;
                 cache.run((i, j), Access::Write, |c| {
-                    gemm_packed_threads::<S>(c, &a.tile.view(), &pb, cfg.threads)
+                    gemm_packed_threads::<S>(c, &a.tile.view(), &quadrants.packed, cfg.threads)
                 })?;
+                cache.restore((i, k), a);
+                cache.retire((i, j));
                 cache.stats.outer_gemms += 1;
             }
-            cache.restore((i, k), a);
         }
     }
 
@@ -490,6 +534,10 @@ pub fn solve_in_store(
         ingest(store, g)?;
     }
     let stats = ooc_fw::<MinPlusF32>(store, cfg)?;
+    // The slot buffer has sat since ingest under everything the solve
+    // allocated; regrown by export, it reuses the freed cache's memory, and
+    // the process peaks about a slot lower.
+    store.release_scratch();
     let _s = span("export");
     Ok((export::<MinPlusF32>(store)?, stats))
 }

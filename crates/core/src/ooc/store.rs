@@ -28,18 +28,18 @@
 //!   [`StoreError::CorruptTile`], never a decoded tile. The file is
 //!   unlinked as soon as it is created, so the kernel reclaims it however
 //!   the process ends. Every read and write runs to completion on the
-//!   calling thread, so a read observes every write before it and the
-//!   store holds no tile bytes between calls. The file lives in the page
-//!   cache, so a slot transfer costs about as much as its codec, and
-//!   running it on another thread beside the GEMM saves nothing
-//!   measurable.
+//!   calling thread, so a read observes every write before it. Each one
+//!   encodes or decodes through the one slot buffer the store keeps, so
+//!   no transfer allocates. The file lives in the page cache, so a slot
+//!   transfer costs about as much as its codec, and running it on another
+//!   thread beside the GEMM saves nothing measurable.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::marker::PhantomData;
 use std::path::Path;
 
-use srgemm::matrix::{Matrix, View};
+use srgemm::matrix::{Matrix, View, ViewMut};
 
 /// Bytes of the per-slot checksum that follows a tile's payload.
 const CHECKSUM_BYTES: usize = 8;
@@ -110,12 +110,12 @@ fn checksum(payload: &[u8]) -> u64 {
     })
 }
 
-/// Serialize `tile` into a fresh slot buffer: rows back to back, then the
-/// checksum.
-fn encode<E: TileElem>(tile: &View<'_, E>) -> Vec<u8> {
+/// Serialize `tile` into `out`, which becomes exactly its slot: rows back
+/// to back, then the checksum. Reuses `out`'s allocation.
+fn encode_into<E: TileElem>(tile: &View<'_, E>, out: &mut Vec<u8>) {
     let row_bytes = tile.cols() * E::BYTES;
     let payload = tile.rows() * row_bytes;
-    let mut out = vec![0u8; payload + CHECKSUM_BYTES];
+    out.resize(payload + CHECKSUM_BYTES, 0);
     for (r, dst) in out[..payload].chunks_exact_mut(row_bytes).enumerate() {
         for (chunk, &v) in dst.chunks_exact_mut(E::BYTES).zip(tile.row(r)) {
             v.write_le(chunk);
@@ -123,22 +123,26 @@ fn encode<E: TileElem>(tile: &View<'_, E>) -> Vec<u8> {
     }
     let sum = checksum(&out[..payload]);
     out[payload..].copy_from_slice(&sum.to_le_bytes());
-    out
 }
 
-/// Inverse of [`encode`] for a `rows × cols` tile; `None` if the length or
-/// the checksum disagrees with the payload.
-fn decode<E: TileElem>(bytes: &[u8], rows: usize, cols: usize) -> Option<Matrix<E>> {
-    let payload = rows * cols * E::BYTES;
+/// Inverse of [`encode_into`] into the tile `dst`; false, with `dst`
+/// untouched, if the length or the checksum disagrees with the payload.
+fn decode_into<E: TileElem>(bytes: &[u8], dst: &mut ViewMut<'_, E>) -> bool {
+    let row_bytes = dst.cols() * E::BYTES;
+    let payload = dst.rows() * row_bytes;
     if bytes.len() != payload + CHECKSUM_BYTES {
-        return None;
+        return false;
     }
     let (body, sum) = bytes.split_at(payload);
     if sum != checksum(body).to_le_bytes() {
-        return None;
+        return false;
     }
-    let data = body.chunks_exact(E::BYTES).map(E::read_le).collect();
-    Some(Matrix::from_vec(rows, cols, data))
+    for (r, src) in body.chunks_exact(row_bytes).enumerate() {
+        for (v, chunk) in dst.row_mut(r).iter_mut().zip(src.chunks_exact(E::BYTES)) {
+            *v = E::read_le(chunk);
+        }
+    }
+    true
 }
 
 /// Typed failures from a [`TileStore`].
@@ -208,9 +212,18 @@ pub trait TileStore<E>: Send {
     fn tile(&self) -> usize;
     /// `"memory"` or `"file"` — surfaced in solver notes and bench labels.
     fn kind(&self) -> &'static str;
-    /// Fetch tile `(ti, tj)`.
-    fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<E>, StoreError>;
-    /// Store `tile` as the new contents of tile `(ti, tj)`; a later `read`
+    /// Copy tile `(ti, tj)` into `dst`, the caller's tile: the read
+    /// allocates no tile of its own. On an error `dst` is left as it was.
+    ///
+    /// # Panics
+    /// Panics if `dst` does not have the dimensions of tile `(ti, tj)`.
+    fn read_into(
+        &mut self,
+        ti: usize,
+        tj: usize,
+        dst: &mut ViewMut<'_, E>,
+    ) -> Result<(), StoreError>;
+    /// Store `tile` as the new contents of tile `(ti, tj)`; a later read
     /// of the same tile observes it.
     ///
     /// # Panics
@@ -228,10 +241,14 @@ pub trait TileStore<E>: Send {
         let nb = self.tiles_per_side();
         (0..nb * nb).filter(|&s| self.present(s / nb, s % nb)).count()
     }
-    /// Host-RAM bytes this store holds between calls: every tile for
-    /// [`MemStore`], nothing for [`FileStore`]. Counted against the
-    /// driver's budget.
+    /// Host-RAM bytes this store holds between calls beyond its one slot
+    /// buffer, which the driver's reserve pays for as its transfer slot:
+    /// every tile for [`MemStore`], nothing for [`FileStore`]. Counted
+    /// against the driver's budget.
     fn resident_bytes(&self) -> u64;
+    /// Free what the store keeps only to move tiles (the [`FileStore`]'s
+    /// slot buffer); the next transfer grows it again.
+    fn release_scratch(&mut self) {}
     /// Tiles per side, `⌈n/t⌉`.
     fn tiles_per_side(&self) -> usize {
         self.n().div_ceil(self.tile())
@@ -308,15 +325,27 @@ impl<E: TileElem> TileStore<E> for MemStore<E> {
     fn kind(&self) -> &'static str {
         "memory"
     }
-    fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<E>, StoreError> {
+    fn read_into(
+        &mut self,
+        ti: usize,
+        tj: usize,
+        dst: &mut ViewMut<'_, E>,
+    ) -> Result<(), StoreError> {
         match &self.slots[self.tile_index(ti, tj)] {
-            Slot::Stored(tile) => Ok(tile.clone()),
+            Slot::Stored(tile) => {
+                dst.copy_from(&tile.view());
+                Ok(())
+            }
             Slot::Unwritten | Slot::Absent => Err(StoreError::MissingTile { ti, tj }),
         }
     }
     fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, E>) -> Result<(), StoreError> {
         assert_eq!((tile.rows(), tile.cols()), self.tile_dims(ti, tj), "tile shape mismatch");
-        self.replace(self.tile_index(ti, tj), Slot::Stored(tile.to_matrix()));
+        let s = self.tile_index(ti, tj);
+        match &mut self.slots[s] {
+            Slot::Stored(stored) => stored.view_mut().copy_from(tile),
+            Slot::Unwritten | Slot::Absent => self.replace(s, Slot::Stored(tile.to_matrix())),
+        }
         Ok(())
     }
     fn declare_absent(&mut self, ti: usize, tj: usize) {
@@ -348,14 +377,17 @@ fn file_geometry<E: TileElem>(n: usize, tile: usize) -> Option<(usize, u64)> {
 }
 
 /// File-backed tile store: `⌈n/t⌉²` fixed-capacity slots in an unlinked
-/// file. `read` and `write` seek to the slot and move its bytes on the
-/// calling thread; the only RAM they use beyond the tile is the one slot
-/// buffer of the transfer in progress, freed before they return.
+/// file. `read_into` and `write` seek to the slot and move its bytes on
+/// the calling thread, through the one slot buffer the store keeps.
 pub struct FileStore<E> {
     n: usize,
     tile: usize,
     slot_cap: usize,
     file: File,
+    /// The slot every transfer encodes into or decodes from, at most
+    /// `slot_cap` bytes: grown by the first transfers, then reused until
+    /// [`TileStore::release_scratch`].
+    buf: Vec<u8>,
     /// Slots declared absent and not written since.
     absent: Vec<bool>,
     elem: PhantomData<E>,
@@ -387,6 +419,7 @@ impl<E: TileElem> FileStore<E> {
             tile,
             slot_cap,
             file,
+            buf: Vec::new(),
             absent: vec![false; n.div_ceil(tile).pow(2)],
             elem: PhantomData,
         })
@@ -411,23 +444,33 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
         "file"
     }
 
-    fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<E>, StoreError> {
+    fn read_into(
+        &mut self,
+        ti: usize,
+        tj: usize,
+        dst: &mut ViewMut<'_, E>,
+    ) -> Result<(), StoreError> {
+        assert_eq!((dst.rows(), dst.cols()), self.tile_dims(ti, tj), "tile shape mismatch");
         let (off, len) = self.slot(ti, tj);
-        let mut bytes = vec![0u8; len];
+        self.buf.resize(len, 0);
         self.file
             .seek(SeekFrom::Start(off))
-            .and_then(|_| self.file.read_exact(&mut bytes))
+            .and_then(|_| self.file.read_exact(&mut self.buf))
             .map_err(|e| io_err("read", e))?;
-        let (rows, cols) = self.tile_dims(ti, tj);
-        decode(&bytes, rows, cols).ok_or(StoreError::CorruptTile { ti, tj })
+        if decode_into(&self.buf, dst) {
+            Ok(())
+        } else {
+            Err(StoreError::CorruptTile { ti, tj })
+        }
     }
 
     fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, E>) -> Result<(), StoreError> {
         assert_eq!((tile.rows(), tile.cols()), self.tile_dims(ti, tj), "tile shape mismatch");
         let (off, _) = self.slot(ti, tj);
+        encode_into(tile, &mut self.buf);
         self.file
             .seek(SeekFrom::Start(off))
-            .and_then(|_| self.file.write_all(&encode(tile)))
+            .and_then(|_| self.file.write_all(&self.buf))
             .map_err(|e| io_err("write", e))?;
         let s = self.tile_index(ti, tj);
         self.absent[s] = false;
@@ -446,6 +489,10 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
     fn resident_bytes(&self) -> u64 {
         0
     }
+
+    fn release_scratch(&mut self) {
+        self.buf = Vec::new();
+    }
 }
 
 #[cfg(test)]
@@ -455,6 +502,19 @@ mod tests {
     use crate::ooc::{ingest, ooc_fw, staged_budget_floor, OocConfig, OocError};
     use apsp_graph::generators::{self, WeightKind};
     use srgemm::MinPlusF32;
+
+    /// A tile's slot bytes.
+    fn encode<E: TileElem>(tile: &View<'_, E>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(tile, &mut out);
+        out
+    }
+
+    /// The `rows × cols` tile a slot holds, if it decodes.
+    fn decode<E: TileElem + Default>(bytes: &[u8], rows: usize, cols: usize) -> Option<Matrix<E>> {
+        let mut tile = Matrix::filled(rows, cols, E::default());
+        decode_into(bytes, &mut tile.view_mut()).then_some(tile)
+    }
 
     /// Deterministic bit patterns, including ones that are NaNs or
     /// negative zeros when read as floats: the codec must move bits, not
@@ -470,7 +530,7 @@ mod tests {
     /// decode(encode(x)) is bit-equal to x for square and ragged edge
     /// tiles, read through strided subviews as `ingest` does, and the
     /// stored length is what `tile_bytes` promises.
-    fn round_trip<E: TileElem + PartialEq + std::fmt::Debug>(from_bits: impl Fn(u64) -> E) {
+    fn round_trip<E: TileElem + Default + PartialEq + std::fmt::Debug>(from_bits: impl Fn(u64) -> E) {
         let dtype = std::any::type_name::<E>();
         for &(rows, cols) in &[(1, 1), (8, 8), (7, 7), (24, 5), (5, 24), (33, 47), (192, 64)] {
             let mut next = bits((rows * 131 + cols) as u64);

@@ -299,24 +299,22 @@ impl Ooc {
             .join(format!("apsp-ooc-{}-{seq}-{n}x{tile}.tiles", std::process::id()))
     }
 
-    /// Ingest `g` into `store`, run the tiled FW loop under `budget`, export,
+    /// Ingest `g` into `store`, run the tiled FW loop under `cfg`, export,
     /// and leave the note: `ooc: <kind> store, tile …, P of N² tiles
     /// materialized, G of D outer tile GEMMs, peak resident … of budget …`.
     fn run(
         &self,
         g: &Graph,
         store: &mut dyn TileStore<f32>,
-        budget: u64,
-        threads: usize,
+        cfg: OocConfig,
     ) -> Result<Solution, SolveError> {
-        let cfg = OocConfig { budget_bytes: budget, threads };
         let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
         let nb = store.tiles_per_side() as u64;
-        let budget = match budget {
+        let budget = match cfg.budget_bytes {
             u64::MAX => "∞".to_string(),
             b => super::profile::human_bytes(b),
         };
-        let mut sol = solution(d, self.name(), threads);
+        let mut sol = solution(d, self.name(), cfg.threads);
         sol.stats.notes.push(format!(
             "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
              {} of {} outer tile GEMMs, peak resident {} of budget {budget}",
@@ -384,13 +382,13 @@ impl Solver for Ooc {
         profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
-        let (n, threads) = (g.n(), opts.effective_threads());
+        let (n, threads, block) = (g.n(), opts.effective_threads(), opts.block.max(1));
         if n == 0 {
             return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
         }
         let Mode::Staged { budget } = Self::mode(profile, opts) else {
-            let mut store = MemStore::<f32>::new(n, opts.block.max(1).min(n));
-            return self.run(g, &mut store, u64::MAX, threads);
+            let mut store = MemStore::<f32>::new(n, block.min(n));
+            return self.run(g, &mut store, OocConfig { budget_bytes: u64::MAX, threads, block });
         };
         let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
             SolveError::Ooc(OocError::BudgetTooSmall {
@@ -401,7 +399,7 @@ impl Solver for Ooc {
         // exclusive create, unlinked at once: no exit path leaves a file
         let mut store = FileStore::<f32>::create(&Self::staging_path(n, tile), n, tile)
             .map_err(|e| SolveError::Ooc(e.into()))?;
-        self.run(g, &mut store, budget, threads)
+        self.run(g, &mut store, OocConfig { budget_bytes: budget, threads, block })
     }
 }
 
@@ -801,7 +799,7 @@ mod tests {
         let profile = GraphProfile::compute(&g, opts.block);
         assert_eq!(profile.weak_components, 101);
         let mut store = MemStore::<f32>::new(g.n(), opts.block);
-        let cfg = OocConfig { budget_bytes: u64::MAX, threads: 1 };
+        let cfg = OocConfig { budget_bytes: u64::MAX, threads: 1, block: opts.block };
         let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(d.eq_exact(&want));
         assert!(store.present_tiles() <= profile.fill_blocks, "{profile:?}");

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
+use apsp_core::verify::max_abs_diff;
 use apsp_core::ooc::{
     choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes, FileStore,
     MemStore, OocConfig, OocError, StoreError, TileStore,
@@ -16,7 +17,7 @@ use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{Graph, GraphBuilder, INF};
 use gpu_sim::OffloadCosts;
-use srgemm::matrix::{Matrix, View};
+use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::MinPlusF32;
 
 fn graph(n: usize, seed: u64) -> Graph {
@@ -85,7 +86,7 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
 
     let path = TempPath::new("memvsfile");
     let mut file_store = FileStore::<f32>::create(&path.0, n, 16).unwrap();
-    let cfg = OocConfig { budget_bytes: tight_budget(16), threads: 2 };
+    let cfg = OocConfig { threads: 2, ..OocConfig::with_budget(tight_budget(16)) };
     let (via_file, _) = solve_in_store(&g, &mut file_store, &cfg).unwrap();
     assert!(via_mem.eq_exact(&via_file), "staged and in-memory runs must agree bit-for-bit");
 }
@@ -164,7 +165,11 @@ fn corrupt_or_never_written_tile_is_a_typed_store_error() {
 #[test]
 fn mem_store_read_of_unwritten_tile_is_typed() {
     let mut store = MemStore::<f32>::new(16, 8);
-    assert_eq!(store.read(1, 0), Err(StoreError::MissingTile { ti: 1, tj: 0 }));
+    let mut tile = Matrix::filled(8, 8, 0.0);
+    assert_eq!(
+        store.read_into(1, 0, &mut tile.view_mut()),
+        Err(StoreError::MissingTile { ti: 1, tj: 0 })
+    );
 }
 
 #[test]
@@ -232,14 +237,14 @@ fn measured_run_is_consistent_with_the_four_engine_cost_model() {
 
 #[test]
 fn store_traffic_is_pinned_for_a_fixed_configuration() {
-    // LRU victims are chosen by stamp, so for a fixed (n, tile, budget) the
-    // store traffic is exact. This is the benchmark's dense-ooc-auto
-    // configuration at one third scale — budget of half the matrix, a 6×6
-    // grid with a ragged edge — and it moves the same tiles: the
-    // packed-blob driver this replaced read 388 and wrote 214 here and at
-    // n = 1024. The cache gets the budget less the packed B and two
-    // transfer slots. A change that raises store traffic fails this test
-    // instead of a timer.
+    // Victims are chosen by (spent, stamp) and stamps are unique, so for a
+    // fixed (n, tile, budget) the store traffic is exact. This is the
+    // benchmark's dense-ooc-auto configuration at one third scale — budget
+    // of half the matrix, a 6×6 grid with a ragged edge — and it moves the
+    // same tiles: the packed-blob driver read 388 and wrote 214 here and at
+    // n = 1024, the i-outer sweep under plain LRU 232 and 202. The cache
+    // gets the budget less the packed B and two transfer slots. A change
+    // that raises store traffic fails this test instead of a timer.
     let (n, budget) = (340usize, 340 * 340 * 2u64);
     let t = choose_tile::<f32>(n, budget).unwrap();
     assert_eq!(t, 64);
@@ -249,10 +254,70 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
     let (_, stats) = solve_in_store(&graph(n, 13), &mut store, &cfg).unwrap();
     assert_eq!(
         (stats.tiles_read, stats.tiles_written, stats.bytes_read, stats.bytes_written),
-        (232, 202, 2_996_864, 2_629_008),
+        (187, 187, 2_484_504, 2_484_504),
         "store traffic moved"
     );
+    assert!(stats.tiles_read <= 232 && stats.tiles_written <= 202, "above the i-outer sweep's");
     assert!(stats.peak_resident_bytes <= budget, "peak {}", stats.peak_resident_bytes);
+}
+
+#[test]
+fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
+    // block 8 on n = 7·8 + 5: tiles of one, two and three blocks and a
+    // ragged 20 (two and a half), staged under a tight budget and in memory
+    let (b, n) = (8usize, 61usize);
+    let ints = graph(n, 0xB10C);
+    let reals = generators::uniform_dense(n, WeightKind::Real { lo: 0.5, hi: 20.0 }, 0xB10C);
+    for t in [b, 2 * b, 3 * b, 20] {
+        for (g, exact) in [(&ints, true), (&reals, false)] {
+            let want = closure(g);
+            let path = TempPath::new("wide");
+            let mut file = FileStore::<f32>::create(&path.0, n, t).unwrap();
+            let staged = OocConfig { block: b, ..OocConfig::with_budget(tight_budget(t)) };
+            let (via_file, stats) = solve_in_store(g, &mut file, &staged).unwrap();
+            assert!(stats.tiles_written > 0, "t={t}: a tight budget must spill");
+            let mut mem = MemStore::<f32>::new(n, t);
+            let unbounded = OocConfig { block: b, ..OocConfig::unbounded() };
+            let (via_mem, _) = solve_in_store(g, &mut mem, &unbounded).unwrap();
+            assert!(via_file.eq_exact(&via_mem), "t={t}: staged and memory stores differ");
+            if exact {
+                assert!(want.eq_exact(&via_file), "t={t}: integer weights must be bit-exact");
+            } else {
+                let diff = max_abs_diff(&want, &via_file);
+                assert!(diff <= 1e-3, "t={t}: real weights off by {diff}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_wide_diagonal_tile_books_its_inner_loop_under_diag_update_only() {
+    // tile 3b: each DiagUpdate runs three blocked iterations, whose panel
+    // and outer updates and packs must not show as phases of their own
+    let (b, n, t) = (8usize, 61usize, 24usize);
+    let path = TempPath::new("wide-trace");
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
+    ingest(&mut store, &graph(n, 29)).unwrap();
+    let cfg = OocConfig { block: b, ..OocConfig::with_budget(tight_budget(t)) };
+    let (stats, trace) = apsp_trace::record("driver", || ooc_fw::<MinPlusF32>(&mut store, &cfg));
+    stats.unwrap();
+    let spans = &trace.timelines[0].spans;
+    let diags: Vec<_> = spans.iter().filter(|s| s.name == "DiagUpdate").collect();
+    assert_eq!(diags.len(), n.div_ceil(t), "one DiagUpdate per block-iteration");
+    for s in spans.iter().filter(|s| ["PanelUpdate", "OuterUpdate", "pack"].contains(&s.name)) {
+        assert!(
+            !diags.iter().any(|d| d.start_ns <= s.start_ns && s.end_ns <= d.end_ns),
+            "{} span [{}, {}] ns inside a DiagUpdate",
+            s.name,
+            s.start_ns,
+            s.end_ns
+        );
+    }
+    // the driver's own phases are all there: one per iteration, and a pack
+    // per present B(k, j)
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!((count("PanelUpdate"), count("OuterUpdate")), (3, 3));
+    assert_eq!(count("pack"), 3 * 2);
 }
 
 #[test]
@@ -277,7 +342,8 @@ fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent()
             let all_inf = want.as_slice().iter().all(|&v| v == INF);
             assert_eq!(store.present(ti, tj), ti == tj || !all_inf, "tile ({ti}, {tj})");
             if store.present(ti, tj) {
-                let got = store.read(ti, tj).unwrap();
+                let mut got = Matrix::filled(rows, cols, f32::NAN);
+                store.read_into(ti, tj, &mut got.view_mut()).unwrap();
                 assert!(got.eq_exact(&want), "tile ({ti}, {tj})");
             }
         }
@@ -302,9 +368,14 @@ impl<S: TileStore<f32>> TileStore<f32> for Touched<S> {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
-    fn read(&mut self, ti: usize, tj: usize) -> Result<Matrix<f32>, StoreError> {
+    fn read_into(
+        &mut self,
+        ti: usize,
+        tj: usize,
+        dst: &mut ViewMut<'_, f32>,
+    ) -> Result<(), StoreError> {
         self.read.insert((ti, tj));
-        self.inner.read(ti, tj)
+        self.inner.read_into(ti, tj, dst)
     }
     fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, f32>) -> Result<(), StoreError> {
         self.written.insert((ti, tj));

@@ -17,7 +17,9 @@
 //!   track of its own ([`current`], [`Recorder::track`]), as `mpi-sim` does
 //!   for its ranks.
 //! * With nothing installed a span costs the push and pop of the phase stack
-//!   and records nothing.
+//!   and records nothing. [`muted`] lifts the track for the length of one
+//!   call, so a kernel with spans of its own can run as one step of
+//!   another phase without booking its time twice.
 //! * A finished recording is a [`Trace`]: Chrome `trace_events` JSON
 //!   ([`Trace::to_chrome_json`], the workspace's one writer) and a per-phase
 //!   table computed from the trace alone ([`Trace::summary`]).
@@ -236,6 +238,17 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Run `f` with this thread's recording paused: the spans `f` opens (and
+/// the sends it reports) are not recorded, so its time books only under
+/// the spans open around it. Its spans still name the [`current_phase`]
+/// while they are open. A kernel that opens phase spans of its own runs
+/// muted where it is one step of another phase.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    let paused = LOCAL.with(|l| l.borrow_mut().track.take());
+    let _resume = Installed { prev: paused, _thread: PhantomData };
+    f()
+}
+
 /// Record that this thread sent `bytes` to `dst` while `phase` was open
 /// (`nic`: across node boundaries). A no-op unless a track is installed.
 pub fn record_send(dst: usize, bytes: usize, nic: bool, phase: Option<&'static str>) {
@@ -416,6 +429,23 @@ mod tests {
         assert_eq!(names, ["pack", "OuterUpdate"]);
         let [pack, outer] = trace.timelines[0].spans[..] else { unreachable!() };
         assert!(outer.start_ns <= pack.start_ns && pack.end_ns <= outer.end_ns);
+    }
+
+    #[test]
+    fn muted_spans_are_not_recorded_and_recording_resumes_after() {
+        let ((), trace) = record("main", || {
+            let _diag = span("DiagUpdate");
+            muted(|| {
+                let _inner = span("PanelUpdate");
+                assert_eq!(current_phase(), Some("PanelUpdate"));
+                record_send(1, 8, true, current_phase());
+            });
+            assert!(current().is_some(), "the track is back after muted");
+            let _pack = span("pack");
+        });
+        let names: Vec<_> = trace.timelines[0].spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["pack", "DiagUpdate"]);
+        assert!(trace.timelines[0].events.is_empty());
     }
 
     #[test]
