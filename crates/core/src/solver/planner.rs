@@ -18,10 +18,10 @@
 //! grid n = 1024 by 1.85× where `auto` picks `blocked`. One tiled loop is
 //! priced at two per-flop rates: `t_blocked` × fill in memory, 1.15 ×
 //! `t_packed` staged. A Dijkstra sweep costs ~3 ns/relaxation + ~9 ns/heap
-//! op and a Δ-stepping sweep ~45 ns/edge with no heap term, which is why
-//! Δ-stepping overtakes dense FW first on very sparse graphs (ring
-//! n = 4096: 0.91 s vs 2.15 s measured) while Dijkstra's n²·log n heap bill
-//! delays its crossover.
+//! op and a Δ-stepping sweep ~45 ns/edge (it measures ~30) with no heap
+//! term, which is why Δ-stepping overtakes dense FW first on very sparse
+//! graphs (ring n = 4096: 0.77 s vs 3.78 s measured on one CPU) while
+//! Dijkstra's n²·log n heap bill delays its crossover.
 //!
 //! They are nevertheless frozen until a `[benchmark]` PR re-derives them
 //! together with the workload that depends on them: `sparse-auto` (ring
@@ -57,7 +57,12 @@ pub const T_RELAX: f64 = 3.0e-9;
 pub const T_HEAP: f64 = 9.0e-9;
 /// Seconds per edge visit of one Δ-stepping sweep (bucket scans and
 /// light-edge re-relaxations folded in; grows on wide weight ranges,
-/// which only widens dense FW's win there).
+/// which only widens dense FW's win there). The sweep measures ≈ 3.0e-8
+/// on `sparse-auto`'s input (n = 1536, m = 1920: `solve_s` 0.088 s on a
+/// 2-vCPU AVX-512 Xeon, one CPU). Frozen with the rest (module header):
+/// `sparse-auto`'s precondition is priced with this value, and at 3.0e-8
+/// the census row "grid 64×64" flips from `johnson` to `delta`, a pick
+/// that only a measured re-derivation of every constant should move.
 pub const T_BUCKET_RELAX: f64 = 4.5e-8;
 /// Seconds per byte of tile-store disk traffic in the out-of-core solver
 /// (~2 GB/s sustained sequential file I/O; the `t3` engine of

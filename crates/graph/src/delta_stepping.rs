@@ -3,8 +3,14 @@
 //!
 //! Vertices are kept in buckets of width Δ; light edges (`w < Δ`) are relaxed
 //! inside a bucket's fixpoint, heavy edges once when the bucket settles.
-//! Sequential implementation — its purpose here is algorithmic fidelity and
-//! to serve as yet another independent oracle, not parallel speed.
+//! [`apsp_by_delta_stepping`] is `auto`'s pick on sparse input, so its sweep
+//! allocates nothing per source: the adjacency is split into light and heavy
+//! edges once per solve, each worker keeps one bucket workspace from source
+//! to source, and every source relaxes straight into its answer row.
+//!
+//! Any relaxation order gives the same answer, bit for bit: `+` with a
+//! non-negative weight is monotone, so every vertex ends at the minimum over
+//! all paths of the left-to-right path sum, which is what Dijkstra returns.
 
 use crate::graph::{Graph, INF};
 
@@ -13,71 +19,10 @@ use crate::graph::{Graph, INF};
 /// # Panics
 /// Panics on negative weights or non-positive `delta`.
 pub fn delta_stepping(g: &Graph, src: usize, delta: f32) -> Vec<f32> {
-    let n = g.n();
-    assert!(src < n, "source out of range");
-    assert!(delta > 0.0, "delta must be positive");
-
-    let mut dist = vec![INF; n];
-    let mut buckets: Vec<Vec<u32>> = Vec::new();
-    let bucket_of = |d: f32, delta: f32| (d / delta) as usize;
-
-    let place = |buckets: &mut Vec<Vec<u32>>, v: usize, d: f32| {
-        let idx = bucket_of(d, delta);
-        if buckets.len() <= idx {
-            buckets.resize_with(idx + 1, Vec::new);
-        }
-        buckets[idx].push(v as u32);
-    };
-
-    dist[src] = 0.0;
-    place(&mut buckets, src, 0.0);
-
-    let mut i = 0;
-    while i < buckets.len() {
-        // settle bucket i to a fixpoint over light edges
-        let mut settled_this_round: Vec<u32> = Vec::new();
-        loop {
-            let frontier = std::mem::take(&mut buckets[i]);
-            if frontier.is_empty() {
-                break;
-            }
-            for &u in &frontier {
-                let u = u as usize;
-                // stale entry?
-                if bucket_of(dist[u], delta) != i {
-                    continue;
-                }
-                settled_this_round.push(u as u32);
-                let (ts, ws) = g.out_edges(u);
-                for (&v, &w) in ts.iter().zip(ws) {
-                    assert!(w >= 0.0, "delta-stepping requires non-negative weights");
-                    if w < delta {
-                        let nd = dist[u] + w;
-                        if nd < dist[v as usize] {
-                            dist[v as usize] = nd;
-                            place(&mut buckets, v as usize, nd);
-                        }
-                    }
-                }
-            }
-        }
-        // relax heavy edges out of everything settled in bucket i
-        for &u in &settled_this_round {
-            let u = u as usize;
-            let du = dist[u];
-            let (ts, ws) = g.out_edges(u);
-            for (&v, &w) in ts.iter().zip(ws) {
-                if w >= delta {
-                    let nd = du + w;
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        place(&mut buckets, v as usize, nd);
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
+    assert!(src < g.n(), "source out of range");
+    let adj = SplitAdjacency::new(g, delta);
+    let mut dist = vec![INF; g.n()];
+    Buckets::default().sweep(&adj, src, &mut dist);
     dist
 }
 
@@ -85,7 +30,116 @@ pub fn delta_stepping(g: &Graph, src: usize, delta: f32) -> Vec<f32> {
 /// `threads` workers (`0` → all cores).
 /// Requires non-negative weights and positive `delta`.
 pub fn apsp_by_delta_stepping(g: &Graph, delta: f32, threads: usize) -> srgemm::Matrix<f32> {
-    crate::par_rows(g.n(), threads, |s, row| row.copy_from_slice(&delta_stepping(g, s, delta)))
+    let adj = &SplitAdjacency::new(g, delta);
+    crate::par_rows(g.n(), threads, || {
+        let mut buckets = Buckets::default();
+        move |s, row: &mut [f32]| buckets.sweep(adj, s, row)
+    })
+}
+
+/// The out-edges regrouped once per solve, each vertex's light edges
+/// (`w < Δ`) before its heavy ones, so neither phase tests a weight.
+struct SplitAdjacency {
+    delta: f32,
+    /// `bounds[2u]..bounds[2u + 1]` are `u`'s light edges and
+    /// `bounds[2u + 1]..bounds[2u + 2]` its heavy ones.
+    bounds: Vec<usize>,
+    edges: Vec<(u32, f32)>,
+}
+
+impl SplitAdjacency {
+    fn new(g: &Graph, delta: f32) -> Self {
+        assert!(delta > 0.0, "delta must be positive");
+        let mut bounds = Vec::with_capacity(2 * g.n() + 1);
+        let mut edges = Vec::with_capacity(g.m());
+        bounds.push(0);
+        for u in 0..g.n() {
+            let (ts, ws) = g.out_edges(u);
+            let arcs = || ts.iter().copied().zip(ws.iter().copied());
+            for (v, w) in arcs() {
+                assert!(w >= 0.0, "delta-stepping requires non-negative weights");
+                if w < delta {
+                    edges.push((v, w));
+                }
+            }
+            bounds.push(edges.len());
+            edges.extend(arcs().filter(|&(_, w)| w >= delta));
+            bounds.push(edges.len());
+        }
+        SplitAdjacency { delta, bounds, edges }
+    }
+
+    fn light(&self, u: usize) -> &[(u32, f32)] {
+        &self.edges[self.bounds[2 * u]..self.bounds[2 * u + 1]]
+    }
+
+    fn heavy(&self, u: usize) -> &[(u32, f32)] {
+        &self.edges[self.bounds[2 * u + 1]..self.bounds[2 * u + 2]]
+    }
+}
+
+/// One worker's bucket workspace, kept from source to source: between
+/// sources every bucket is empty, and none is dropped.
+#[derive(Default)]
+struct Buckets {
+    /// `buckets[i]` queues the vertices labelled in bucket `i`, `⌊d / Δ⌋`;
+    /// only `buckets[..top]` can be non-empty.
+    buckets: Vec<Vec<u32>>,
+    top: usize,
+    /// The vertices the current bucket's light phase settled.
+    settled: Vec<u32>,
+}
+
+impl Buckets {
+    /// Distances from `src` relaxed into `dist`, which arrives all `INF`.
+    fn sweep(&mut self, adj: &SplitAdjacency, src: usize, dist: &mut [f32]) {
+        self.relax(adj.delta, dist, src as u32, 0.0);
+        let mut i = 0;
+        while i < self.top {
+            // bucket i is scanned in place while it grows; a heavy edge whose
+            // label rounds into bucket i sends the scan round again
+            let mut next = 0;
+            while next < self.buckets[i].len() {
+                while next < self.buckets[i].len() {
+                    let u = self.buckets[i][next] as usize;
+                    next += 1;
+                    let du = dist[u];
+                    if (du / adj.delta) as usize != i {
+                        continue; // stale: relabelled into a lower bucket
+                    }
+                    self.settled.push(u as u32);
+                    for &(v, w) in adj.light(u) {
+                        self.relax(adj.delta, dist, v, du + w);
+                    }
+                }
+                for k in 0..self.settled.len() {
+                    let u = self.settled[k] as usize;
+                    let du = dist[u];
+                    for &(v, w) in adj.heavy(u) {
+                        self.relax(adj.delta, dist, v, du + w);
+                    }
+                }
+                self.settled.clear();
+            }
+            self.buckets[i].clear();
+            i += 1;
+        }
+        self.top = 0;
+    }
+
+    /// Lowers `v`'s label to `d` and queues it, if `d` is shorter.
+    #[inline]
+    fn relax(&mut self, delta: f32, dist: &mut [f32], v: u32, d: f32) {
+        if d < dist[v as usize] {
+            dist[v as usize] = d;
+            let i = (d / delta) as usize;
+            if i >= self.buckets.len() {
+                self.buckets.resize_with(i + 1, Vec::new);
+            }
+            self.buckets[i].push(v);
+            self.top = self.top.max(i + 1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +147,7 @@ mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
     use crate::generators::{self, WeightKind};
+    use crate::graph::GraphBuilder;
 
     #[test]
     fn matches_dijkstra_across_deltas() {
@@ -117,6 +172,27 @@ mod tests {
         let d = delta_stepping(&g, 0, 7.0);
         assert_eq!(d[9], INF);
         assert_eq!(d[0], 0.0);
+    }
+
+    #[test]
+    fn heavy_label_that_rounds_into_the_settling_bucket_is_still_scanned() {
+        // Δ = 0.3: vertex 1 settles at 1.5 in bucket ⌊1.5 / 0.3⌋ = 5, and
+        // its heavy edge (w = Δ) labels vertex 2 with 1.8, whose f32
+        // quotient 5.9999995 puts it in bucket 5 again
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 1.5).add_edge(1, 2, 0.3).add_edge(2, 3, 1.0);
+        let g = b.build();
+        assert_eq!(((1.5f32 + 0.3) / 0.3) as usize, 5);
+        assert_eq!(delta_stepping(&g, 0, 0.3), dijkstra(&g, 0));
+        assert!(apsp_by_delta_stepping(&g, 0.3, 1).eq_exact(&crate::dijkstra::apsp_by_dijkstra(&g)));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rejects_negative_edges() {
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, -1.0);
+        delta_stepping(&b.build(), 0, 1.0);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn apsp_by_dijkstra(g: &Graph) -> srgemm::Matrix<f32> {
 /// non-negative weights. Rows are bit-identical to the serial sweep for any
 /// thread count.
 pub fn apsp_by_dijkstra_threads(g: &Graph, threads: usize) -> srgemm::Matrix<f32> {
-    crate::par_rows(g.n(), threads, |s, row| row.copy_from_slice(&dijkstra(g, s)))
+    crate::par_rows(g.n(), threads, || |s, row: &mut [f32]| row.copy_from_slice(&dijkstra(g, s)))
 }
 
 #[cfg(test)]

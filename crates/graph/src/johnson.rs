@@ -60,7 +60,7 @@ pub fn johnson_apsp_threads(g: &Graph, threads: usize) -> Result<Matrix<f32>, Jo
     }
     let rw = rw.build();
 
-    Ok(crate::par_rows(n, threads, |s, row| johnson_row(&rw, &h, s, row)))
+    Ok(crate::par_rows(n, threads, || |s, row: &mut [f32]| johnson_row(&rw, &h, s, row)))
 }
 
 /// One source's distance row, written in place into `row` (all `∞` on

@@ -33,14 +33,17 @@ pub use graph::{Graph, GraphBuilder, INF};
 /// The all-pairs answer of a one-task-per-source sweep (Johnson, Dijkstra,
 /// Δ-stepping), filled in place. The `INF`-filled n×n matrix is allocated
 /// once and split into contiguous near-equal slabs of rows, one per worker
-/// (at most `threads`, `0` → all cores); `row(s, out)` writes source `s`'s
-/// row into `out`, which arrives all `INF`. `row` runs identically whether
-/// the sweep is serial or parallel, so the answer is bit-identical for any
-/// thread count, and the sweep holds nothing beside it but what `row`
-/// allocates itself.
-pub(crate) fn par_rows<F>(n: usize, threads: usize, row: F) -> srgemm::Matrix<f32>
+/// (at most `threads`, `0` → all cores). Each worker calls `make_row` once
+/// and then `row(s, out)` for every source `s` of its slab, writing `s`'s
+/// row into `out`, which arrives all `INF`; whatever scratch `row` keeps
+/// serves every source of its slab. A row must depend on `s` alone, not on
+/// what an earlier source left in that scratch: then the answer is
+/// bit-identical for any thread count, and the sweep holds nothing beside
+/// it but one scratch per worker.
+pub(crate) fn par_rows<M, F>(n: usize, threads: usize, make_row: M) -> srgemm::Matrix<f32>
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    M: Fn() -> F + Sync,
+    F: FnMut(usize, &mut [f32]),
 {
     let threads = match threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
@@ -49,6 +52,7 @@ where
     let workers = threads.min(n).max(1);
     let (base, extra) = (n / workers, n % workers);
     let fill = &|first: usize, slab: &mut [f32]| {
+        let mut row = make_row();
         for (i, out) in slab.chunks_exact_mut(n.max(1)).enumerate() {
             row(first + i, out);
         }
@@ -95,11 +99,13 @@ mod tests {
         for n in [0usize, 1, 2, 7, 64] {
             let want = srgemm::Matrix::from_fn(n, n, |s, j| if s == j { INF } else { (s * n + j) as f32 });
             for threads in [0, 1, 2, 3, 8, 100] {
-                let got = super::par_rows(n, threads, |s, out| {
-                    assert!(out.len() == n && out.iter().all(|&x| x == INF));
-                    for (j, x) in out.iter_mut().enumerate() {
-                        if j != s {
-                            *x = (s * n + j) as f32;
+                let got = super::par_rows(n, threads, || {
+                    |s, out: &mut [f32]| {
+                        assert!(out.len() == n && out.iter().all(|&x| x == INF));
+                        for (j, x) in out.iter_mut().enumerate() {
+                            if j != s {
+                                *x = (s * n + j) as f32;
+                            }
                         }
                     }
                 });

@@ -1,6 +1,7 @@
-//! A counting global allocator that tracks live and peak heap bytes, for
-//! the test binaries that bound what a call holds. Each such binary holds a
-//! single test, so nothing else allocates while a call is measured.
+//! A counting global allocator that tracks live and peak heap bytes and the
+//! number of allocation calls, for the test binaries that bound what a call
+//! holds or how often it allocates. Each such binary holds a single test, so
+//! nothing else allocates while a call is measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -9,8 +10,12 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
+/// Books one allocation call (`alloc`, `alloc_zeroed` or `realloc`) that
+/// returned `bytes` bytes.
 fn grew(bytes: usize) {
+    CALLS.fetch_add(1, Ordering::SeqCst);
     let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
     PEAK.fetch_max(live, Ordering::SeqCst);
 }
@@ -47,14 +52,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// What `call` returns, the heap bytes that stay live with it, and the peak
-/// heap bytes allocated while it ran; both counted over what was live
-/// before.
-pub fn measure<T>(call: impl FnOnce() -> T) -> (T, usize, usize) {
+/// What `call` returns, the heap bytes that stay live with it, the peak
+/// heap bytes allocated while it ran (both counted over what was live
+/// before), and the allocation calls it made.
+pub fn measure<T>(call: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
+    let calls = CALLS.load(Ordering::SeqCst);
     let out = std::hint::black_box(call());
     let kept = LIVE.load(Ordering::SeqCst) - before;
     let peak = PEAK.load(Ordering::SeqCst) - before;
-    (out, kept, peak)
+    (out, kept, peak, CALLS.load(Ordering::SeqCst) - calls)
 }

@@ -1,10 +1,11 @@
 //! Cross-equivalence of the SSSP/APSP oracles on random graphs: four
-//! independent algorithms must agree exactly on integer-weighted inputs.
+//! independent algorithms must agree exactly on integer-weighted inputs,
+//! and Δ-stepping must equal Dijkstra bit for bit on real weights too.
 
 use proptest::prelude::*;
 
 use apsp_graph::bellman_ford::{bellman_ford, BellmanFord};
-use apsp_graph::delta_stepping::delta_stepping;
+use apsp_graph::delta_stepping::{apsp_by_delta_stepping, delta_stepping};
 use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{erdos_renyi, WeightKind};
 use apsp_graph::graph::{GraphBuilder, INF};
@@ -31,6 +32,44 @@ proptest! {
         prop_assert_eq!(&ds, &want);
         let j = johnson_apsp(&g).expect("no negative cycles");
         prop_assert_eq!(j.row(src), &want[..]);
+    }
+
+    #[test]
+    fn delta_stepping_is_dijkstra_bit_for_bit(
+        n in 2usize..40,
+        p in 0.05f64..0.4,
+        seed in any::<u64>(),
+        delta in 0.05f32..8.0,
+    ) {
+        // real weights; every fifth arc weighs exactly Δ (the light/heavy
+        // boundary), every seventh 0 and every eleventh ∞; the last three
+        // vertices have out-arcs only, so no other source reaches them
+        let base = erdos_renyi(n, p, WeightKind::Real { lo: 0.0, hi: 10.0 }, seed);
+        let mut b = GraphBuilder::new(n + 3);
+        for (i, (u, v, w)) in base.edges().enumerate() {
+            let w = match i {
+                _ if i % 5 == 0 => delta,
+                _ if i % 7 == 0 => 0.0,
+                _ if i % 11 == 0 => INF,
+                _ => w,
+            };
+            b.add_edge(u, v, w);
+        }
+        for u in n..n + 3 {
+            b.add_edge(u, u - n, 1.0);
+        }
+        let g = b.build();
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut want = Vec::new();
+        for s in 0..g.n() {
+            let d = dijkstra(&g, s);
+            prop_assert_eq!(bits(&delta_stepping(&g, s, delta)), bits(&d), "source {}", s);
+            want.extend(d);
+        }
+        for threads in 1..=3 {
+            let got = apsp_by_delta_stepping(&g, delta, threads);
+            prop_assert!(bits(got.as_slice()) == bits(&want), "threads={}", threads);
+        }
     }
 
     #[test]

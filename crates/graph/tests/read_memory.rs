@@ -15,7 +15,7 @@ fn reading_a_dense_file_peaks_near_the_graph_it_returns() {
     let g = uniform_dense(512, WeightKind::small_ints(), 1);
     let mut text = Vec::new();
     write_dimacs(&g, &mut text).unwrap();
-    let (read, graph, peak) = counting::measure(|| read_dimacs(&text[..]).unwrap());
+    let (read, graph, peak, _) = counting::measure(|| read_dimacs(&text[..]).unwrap());
     assert_eq!(read.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
     // the graph holds 8 B per arc and 8 B per vertex; beside it the reader
     // keeps one 64 KiB chunk and the growth of its columns

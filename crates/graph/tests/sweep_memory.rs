@@ -36,12 +36,15 @@ fn sweeps_hold_one_answer_matrix_plus_per_worker_scratch() {
     let plain = ring_with_chords(n, WeightKind::small_ints(), 7);
     let negative = with_one_negative_edge(&plain);
     let m = plain.m();
-    // Beside the 4n² answer: per worker, one source's distance vector (4n B)
-    // and Dijkstra's `settled` flags and heap (≤ m + 1 pushes of 8 B,
-    // capacity ≤ 2×) or Δ-stepping's buckets (≤ one per Δ of distance, ~n
-    // here, plus ≤ m + 1 queued u32s twice over), bounded by 64(n + m) B;
-    // Johnson also keeps the reweighted graph (8(n + 1) + 8m B) and the
-    // potentials (4(n + 1) B) through the sweep.
+    // Beside the 4n² answer, bounded by 64(n + m) B per worker: Dijkstra's
+    // one source's distance vector (4n B), `settled` flags and heap (≤ m + 1
+    // pushes of 8 B, capacity ≤ 2×); Δ-stepping has no distance vector of
+    // its own (it relaxes into the answer row), keeps one set of buckets per
+    // worker across its sources (≤ one per Δ of distance, ~n here, plus
+    // ≤ m + 1 queued u32s twice over) and the light/heavy split of the
+    // adjacency (8m + 8(2n + 1) B) once per solve. Johnson also keeps the
+    // reweighted graph (8(n + 1) + 8m B) and the potentials (4(n + 1) B)
+    // through the sweep.
     let answer = 4 * n * n;
     let scratch = 64 * (n + m);
     let johnson_graphs = 8 * (n + 1) + 8 * m + 4 * (n + 1);
