@@ -6,7 +6,7 @@
 //! is counted, not modeled.
 
 use apsp_bench::{arg, Table};
-use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
+use apsp_core::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::model::comm_lower_bound_bytes;
 use apsp_core::verify::assert_matrices_equal;
@@ -36,7 +36,9 @@ fn main() {
         let (kr, kc) = (pr / qr, pc / qc);
         let cfg = FwConfig::new(n.div_ceil(8).max(4), Variant::AsyncRing);
         let placement = Placement::tiled(pr, pc, qr, qc);
-        let (got, traffic) = distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement))
+        let (got, traffic) = distributed_apsp_opts::<MinPlusF32>(
+            pr, pc, &cfg, &input, Some(placement), &DistRunOpts::default(),
+        )
             .expect("in-core run cannot hit the device wall");
         assert_matrices_equal(&want, &got, "distributed result");
         let bound = comm_lower_bound_bytes(n, kr, kc, 4);

@@ -24,6 +24,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
   --threads <N>      cap worker threads (0 = all cores)
   --serial           shorthand for --threads 1
   --memory-budget <BYTES[k|m|g]>  working-set ceiling for planner eligibility
+                     (required by --algo ooc)
   --error-tolerance <EPS>  opt in to low-precision solves (--algo quant):
                      accept distances within ±EPS of exact (0 = only
                      provably exact quantizations)
@@ -204,6 +205,9 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("ooc: ineligible, working set"), "{err}");
         assert!(err.contains("exceeds budget 64 B"), "{err}");
+        // and no budget at all names the flag ooc needs
+        let err = run(&toks(&format!("--input {} --algo ooc", input.display()))).unwrap_err();
+        assert!(err.contains("ooc: ineligible, out-of-core solve needs --memory-budget"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -351,9 +355,11 @@ mod tests {
         let (dir, input) = fixture();
         let (plain, traced, json) = (dir.join("plain.tsv"), dir.join("traced.tsv"), dir.join("t.json"));
         for algo in Registry::with_all().names().into_iter().chain(["auto"]) {
+            // the two opt-ins: quant's tolerance and ooc's budget
+            let budget = if algo == "ooc" { "--memory-budget 1m" } else { "" };
             let cmd = |out: &std::path::Path| {
                 format!(
-                    "--input {} --algo {algo} --block 4 --error-tolerance 0 --out {}",
+                    "--input {} --algo {algo} --block 4 --error-tolerance 0 {budget} --out {}",
                     input.display(),
                     out.display()
                 )

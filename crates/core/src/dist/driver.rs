@@ -18,8 +18,11 @@
 //! hidden communication time.
 //!
 //! Every update is one [`QuadrantUpdate::update`] call, the band-split
-//! OuterUpdate blocked FW runs too: up to four corner GEMMs around one
-//! excluded row range and one excluded column range.
+//! OuterUpdate blocked FW runs too: GEMMs on the four corners around one
+//! excluded row range and one excluded column range, over the present row
+//! blocks of the column panel × the present column blocks of the row panel.
+//! A block of a panel that is all ⊕-identity is neither multiplied nor
+//! packed; what is broadcast does not change.
 //!
 //! The execution axis is a private enum built from [`FwConfig::exec`]: the
 //! in-core executor runs each corner as one packed GEMM; the offload
@@ -96,8 +99,8 @@ impl Outer {
 
     /// `c ⊕= a ⊗ b` outside the rows `rows` and columns `cols` of `c`, a
     /// sub-view of the local matrix, through `quadrants`: the in-core
-    /// executor streams each corner's packed `B` half, the offload executor
-    /// stages the corner and its operand views through the device.
+    /// executor streams each present run's packed `B`, the offload executor
+    /// stages each piece and its operand views through the device.
     fn update<S: Semiring>(
         &self,
         quadrants: &mut QuadrantUpdate<S>,
@@ -143,7 +146,7 @@ pub(super) fn run<S: Semiring>(
     let outer = Outer::new::<S>(cfg, a.n, a.pr, a.pc)?;
     let phases = |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.bcast);
 
-    let mut quadrants = QuadrantUpdate::<S>::new();
+    let mut quadrants = QuadrantUpdate::<S>::new(a.b);
     let mut panels = phases(a, 0)?;
     for k in 0..a.nb {
         let next = k + 1 < a.nb;

@@ -516,25 +516,14 @@ fn build_runtime(p: usize, placement: Option<Placement>, opts: &DistRunOpts) -> 
     rt
 }
 
-/// Convenience driver: spin up `pr·pc` ranks, run
+/// Convenience driver: spin up `pr·pc` ranks under the runtime knobs of
+/// `opts` (receive timeout, fault injection, workers), run
 /// [`distributed_apsp_on`], and return the gathered matrix plus the traffic
 /// report (for the §5.1.3 effective-bandwidth metric).
 ///
 /// Any rank failure — deadlock timeout, injected fault, device OOM, or a
 /// caught panic — comes back as a typed [`DistError`] (first failure wins);
 /// nothing in this path panics the caller.
-pub fn distributed_apsp<S: Semiring>(
-    pr: usize,
-    pc: usize,
-    cfg: &FwConfig,
-    global: &Matrix<S::Elem>,
-    placement: Option<Placement>,
-) -> Result<(Matrix<S::Elem>, TrafficReport), DistError> {
-    distributed_apsp_opts::<S>(pr, pc, cfg, global, placement, &DistRunOpts::default())
-}
-
-/// [`distributed_apsp`] with explicit [`DistRunOpts`] (receive timeout,
-/// fault injection).
 pub fn distributed_apsp_opts<S: Semiring>(
     pr: usize,
     pc: usize,
@@ -553,21 +542,9 @@ pub fn distributed_apsp_opts<S: Semiring>(
     }
 }
 
-/// Like [`distributed_apsp`] but additionally returns the run's [`Trace`]:
-/// the calling thread's track, then one per rank carrying the five paper
-/// phase names once per iteration.
-pub fn distributed_apsp_traced<S: Semiring>(
-    pr: usize,
-    pc: usize,
-    cfg: &FwConfig,
-    global: &Matrix<S::Elem>,
-    placement: Option<Placement>,
-) -> Result<(Matrix<S::Elem>, TrafficReport, Trace), DistError> {
-    distributed_apsp_traced_opts::<S>(pr, pc, cfg, global, placement, &DistRunOpts::default())
-}
-
-/// [`distributed_apsp_traced`] with explicit [`DistRunOpts`]:
-/// [`distributed_apsp_opts`] under a recorder of its own.
+/// [`distributed_apsp_opts`] under a recorder of its own, also returning
+/// the run's [`Trace`]: the calling thread's track, then one per rank
+/// carrying the five paper phase names once per iteration.
 pub fn distributed_apsp_traced_opts<S: Semiring>(
     pr: usize,
     pc: usize,

@@ -4,23 +4,28 @@
 //! k-th block row and column, and the MinPlus outer product updates the rest
 //! of the matrix. Every phase runs in place on views of the matrix, cut by
 //! `bands` into the 3 × 3 bands around block `k`: the diagonal block is
-//! read as a view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k`
-//! as up to four quadrant GEMMs (above/below × left/right of block `k`),
-//! each taking its `A` straight from the column panel beside it.
+//! read as a view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k`,
+//! each GEMM taking its `A` straight from the column panel beside it.
+//!
+//! Blocks that are all `S::zero()` are skipped. One scan of the two panels
+//! before PanelUpdate keeps the runs of blocks that hold an entry; in an
+//! idempotent semiring it serves both phases, because PanelUpdate leaves an
+//! all-zero block all zero and a product with an all-zero operand adds
+//! nothing. PanelUpdate runs on the present runs, OuterUpdate on present
+//! row runs × present column runs. On a dense input the runs are the bands
+//! beside block `k`, and the GEMM calls are those of the unskipped loop.
 //!
 //! That OuterUpdate is `QuadrantUpdate`, the one band-split update of the
 //! crate: the distributed driver runs it too, around the strips each of its
-//! iterations has already closed. It consumes the two halves of `B` (here
-//! the row panel, left and right of the diagonal block) through one
-//! [`PackedB`]: each half is packed into the micro-kernel's tiled layout
-//! **once per update** (reusing the allocation across all updates via
-//! [`PackedB::repack`]) and streamed by the two quadrants below and above
-//! it and every row slab of those GEMMs, at any thread count. Those repacks
-//! are the iteration's only copy.
+//! iterations has already closed. It consumes `B` (here the row panel) one
+//! run at a time through one [`PackedB`]: each run is packed into the
+//! micro-kernel's tiled layout **once per update** (reusing the allocation
+//! via [`PackedB::repack`]) and streamed by every GEMM below it, at any
+//! thread count. Those repacks are the iteration's only copy.
 //!
 //! Each iteration opens the paper's phase spans (`DiagUpdate`,
-//! `PanelUpdate`, `OuterUpdate`, with the repack as `pack` inside the last)
-//! on the calling thread's `apsp_trace` recorder.
+//! `PanelUpdate` with the scan inside it, `OuterUpdate` with each repack
+//! as `pack` inside it) on the calling thread's `apsp_trace` recorder.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -57,25 +62,23 @@ pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, _: DiagMethod,
 /// # Panics
 /// Panics if `d` is not square or `b == 0`.
 pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, threads: usize) {
-    fw_blocked_view::<S>(&mut d.view_mut(), b, threads, &mut QuadrantUpdate::new());
+    fw_blocked_view::<S>(&mut d.view_mut(), threads, &mut QuadrantUpdate::new(b));
 }
 
-/// [`fw_blocked_threads`] on the square view `d`, packing into the buffer
-/// of `quadrants`. A `d` no wider than `b` is one [`fw_closure`] call.
-/// The out-of-core driver closes its diagonal tile with this, at the
-/// solve's block size.
+/// [`fw_blocked_threads`] on the square view `d` at the block size of
+/// `quadrants`, packing into its buffer. A `d` no wider than the block is
+/// one [`fw_closure`] call. The out-of-core driver closes its diagonal tile
+/// with this, at the solve's block size.
 ///
 /// # Panics
-/// Panics if `d` is not square or `b == 0`.
+/// Panics if `d` is not square.
 pub(crate) fn fw_blocked_view<S: Semiring>(
     d: &mut ViewMut<'_, S::Elem>,
-    b: usize,
     threads: usize,
     quadrants: &mut QuadrantUpdate<S>,
 ) {
-    let n = d.rows();
+    let (n, b) = (d.rows(), quadrants.block);
     assert_eq!(n, d.cols(), "distance matrix must be square");
-    assert!(b > 0, "block size must be positive");
     assert!(
         S::IDEMPOTENT_ADD,
         "blocked FW relies on an idempotent ⊕ ({} is not)",
@@ -94,19 +97,31 @@ pub(crate) fn fw_blocked_view<S: Semiring>(
             let _p = span("DiagUpdate");
             fw_closure::<S>(&mut diag_k);
         }
-        // ----- PanelUpdate -----
+        // ----- PanelUpdate, on the present runs of each panel -----
         {
             let _p = span("PanelUpdate");
+            quadrants.find_runs(
+                [&top_k.as_view(), &bottom_k.as_view()],
+                [&k_left.as_view(), &k_right.as_view()],
+            );
             let diag_k = diag_k.as_view();
             // row panel A(k, :): left and right of the diagonal block
-            panel_update_left::<S>(&mut k_left, &diag_k);
-            panel_update_left::<S>(&mut k_right, &diag_k);
+            for (panel, runs) in [&mut k_left, &mut k_right].into_iter().zip(&quadrants.cols) {
+                for r in runs {
+                    let h = panel.rows();
+                    panel_update_left::<S>(&mut panel.subview_mut(0, r.start, h, r.len()), &diag_k);
+                }
+            }
             // column panel A(:, k): above and below it
-            panel_update_right::<S>(&mut top_k, &diag_k);
-            panel_update_right::<S>(&mut bottom_k, &diag_k);
+            for (panel, runs) in [&mut top_k, &mut bottom_k].into_iter().zip(&quadrants.rows) {
+                for r in runs {
+                    let w = panel.cols();
+                    panel_update_right::<S>(&mut panel.subview_mut(r.start, 0, r.len(), w), &diag_k);
+                }
+            }
         }
 
-        // ----- MinPlus outer product, i ∉ k and j ∉ k -----
+        // ----- MinPlus outer product, i ∉ k and j ∉ k, present runs only -----
         let _p = span("OuterUpdate");
         let Ok(()) = quadrants.corners::<Infallible>(
             [[top_left, top_right], [bottom_left, bottom_right]],
@@ -145,28 +160,82 @@ pub(crate) fn bands<T: Copy>(
     row_bands(m, rows).map(|band| col_bands(band, cols.clone()))
 }
 
+/// Present blocks less than this many rows or columns apart share a run:
+/// below blocks 16 wide, a GEMM call costs more than so narrow a gap saves.
+const MIN_GAP: usize = 16;
+
+/// Into `runs`, the `block`-wide ranges of `0..len` whose `cut` holds an
+/// entry other than `S::zero()`, joined where less than [`MIN_GAP`] apart.
+/// Each row is one branch-free fold (`|`, not `any`, so it vectorizes), and
+/// a block's scan stops at its first row that holds an entry.
+fn present_runs<'v, S: Semiring>(
+    runs: &mut Vec<Range<usize>>,
+    len: usize,
+    block: usize,
+    cut: impl Fn(Range<usize>) -> View<'v, S::Elem>,
+) {
+    let zero = S::zero();
+    runs.clear();
+    for start in (0..len).step_by(block) {
+        let blk = start..len.min(start + block);
+        let v = cut(blk.clone());
+        if (0..v.rows()).any(|i| v.row(i).iter().fold(false, |seen, &x| seen | (x != zero))) {
+            match runs.last_mut() {
+                Some(run) if start - run.end < MIN_GAP => run.end = blk.end,
+                _ => runs.push(blk),
+            }
+        }
+    }
+}
+
 /// The band-split OuterUpdate every FW loop here runs: `C ⊕= A ⊗ B` on
 /// the four corners of `C` outside one excluded row band and one excluded
-/// column band (the strips an iteration has already closed), as up to four
-/// corner GEMMs. The corners run column by column, so each half of `B`
-/// (left and right of the excluded columns) is packed at most once per
-/// update, into the one [`PackedB`] held here, whose allocation every later
-/// update reuses; that repack is the update's only copy.
+/// column band (the strips an iteration has already closed), over the
+/// present row runs of `A` × the present column runs of `B`. Each run of
+/// `B` is packed at most once per update, into the one [`PackedB`] held
+/// here, whose allocation every later update reuses.
 pub(crate) struct QuadrantUpdate<S: Semiring> {
+    /// The width of the blocks the runs are made of.
+    block: usize,
     /// The one packed `B`; the out-of-core driver packs its own operands
     /// into it too, so that its budget pays for one buffer.
     pub(crate) packed: PackedB<S::Elem>,
+    /// Present row runs of `A` above and below the excluded rows, and
+    /// present column runs of `B` left and right of the excluded columns,
+    /// each counted from the start of its band.
+    rows: [Vec<Range<usize>>; 2],
+    cols: [Vec<Range<usize>>; 2],
 }
 
 impl<S: Semiring> QuadrantUpdate<S> {
-    /// An empty buffer, sized by the first pack.
-    pub(crate) fn new() -> Self {
-        QuadrantUpdate { packed: PackedB::pack::<S>(&View::from_slice(&[], 0, 0)) }
+    /// An update on `block`-wide blocks, its buffer sized by the first pack.
+    ///
+    /// # Panics
+    /// Panics if `block == 0`.
+    pub(crate) fn new(block: usize) -> Self {
+        assert!(block > 0, "block size must be positive");
+        let packed = PackedB::pack::<S>(&View::from_slice(&[], 0, 0));
+        QuadrantUpdate { block, packed, rows: Default::default(), cols: Default::default() }
+    }
+
+    /// Scan the halves of `A` (`[above, below]`) by block rows and of `B`
+    /// (`[left, right]`) by block columns, and keep their present runs.
+    fn find_runs(&mut self, a: [&View<'_, S::Elem>; 2], b: [&View<'_, S::Elem>; 2]) {
+        for (runs, a) in self.rows.iter_mut().zip(a) {
+            let cut = |r: Range<usize>| a.subview(r.start, 0, r.len(), a.cols());
+            present_runs::<S>(runs, a.rows(), self.block, cut);
+        }
+        for (runs, b) in self.cols.iter_mut().zip(b) {
+            let cut = |c: Range<usize>| b.subview(0, c.start, b.rows(), c.len());
+            present_runs::<S>(runs, b.cols(), self.block, cut);
+        }
     }
 
     /// `c ⊕= a ⊗ b` outside the rows `rows` and the columns `cols` of `c`,
-    /// which stay untouched. `a` has `c`'s rows and `b` its columns; both
-    /// lie outside `c`. `gemm(corner, a, b)` updates one non-empty corner.
+    /// which stay untouched, skipping the blocks of `a`'s rows and `b`'s
+    /// columns that are all `S::zero()`. `a` has `c`'s rows and `b` its
+    /// columns; both lie outside `c`. `gemm(piece, a, b)` updates one
+    /// non-empty piece of a corner.
     ///
     /// # Panics
     /// Panics if a range or an operand does not fit `c`.
@@ -180,25 +249,27 @@ impl<S: Semiring> QuadrantUpdate<S> {
         gemm: impl FnMut(
             &mut ViewMut<'_, S::Elem>,
             &View<'_, S::Elem>,
-            &mut BHalf<'_, '_, S>,
+            &mut BRun<'_, '_, S>,
         ) -> Result<(), Err>,
     ) -> Result<(), Err> {
         assert_eq!((a.rows(), b.cols()), (c.rows(), c.cols()), "operands must fit the output");
         let [[top_left, _, top_right], _, [bottom_left, _, bottom_right]] =
             bands(c, rows.clone(), cols.clone());
         let (depth, m, n) = (a.cols(), a.rows(), b.cols());
-        self.corners(
-            [[top_left, top_right], [bottom_left, bottom_right]],
-            [a.subview(0, 0, rows.start, depth), a.subview(rows.end, 0, m - rows.end, depth)],
-            [b.subview(0, 0, depth, cols.start), b.subview(0, cols.end, depth, n - cols.end)],
-            gemm,
-        )
+        let [above, below] =
+            [a.subview(0, 0, rows.start, depth), a.subview(rows.end, 0, m - rows.end, depth)];
+        let [left, right] =
+            [b.subview(0, 0, depth, cols.start), b.subview(0, cols.end, depth, n - cols.end)];
+        self.find_runs([&above, &below], [&left, &right]);
+        let corners = [[top_left, top_right], [bottom_left, bottom_right]];
+        self.corners(corners, [above, below], [left, right], gemm)
     }
 
     /// [`QuadrantUpdate::update`] on corners [`bands`] has already cut out,
     /// `[[above-left, above-right], [below-left, below-right]]`, with `A`'s
     /// rows beside them (`[above, below]`) and `B`'s columns over them
-    /// (`[left, right]`). This is the form for operands that are themselves
+    /// (`[left, right]`), over the runs [`QuadrantUpdate::find_runs`] kept
+    /// for these halves. This is the form for operands that are themselves
     /// bands of the matrix being written, as blocked FW's panels are.
     pub(crate) fn corners<Err>(
         &mut self,
@@ -208,17 +279,22 @@ impl<S: Semiring> QuadrantUpdate<S> {
         mut gemm: impl FnMut(
             &mut ViewMut<'_, S::Elem>,
             &View<'_, S::Elem>,
-            &mut BHalf<'_, '_, S>,
+            &mut BRun<'_, '_, S>,
         ) -> Result<(), Err>,
     ) -> Result<(), Err> {
-        for (view, column) in [
-            (left, [top_left, bottom_left]),
-            (right, [top_right, bottom_right]),
-        ] {
-            let mut b = BHalf { view, packed: &mut self.packed, is_packed: false };
-            for (mut c, a) in column.into_iter().zip([&above, &below]) {
-                if c.rows() > 0 && c.cols() > 0 {
-                    gemm(&mut c, a, &mut b)?;
+        let depth = above.cols();
+        let halves = [(left, [top_left, bottom_left]), (right, [top_right, bottom_right])];
+        for ((half, [mut upper, mut lower]), col_runs) in halves.into_iter().zip(&self.cols) {
+            for cr in col_runs {
+                let view = half.subview(0, cr.start, depth, cr.len());
+                let mut b = BRun { view, packed: &mut self.packed, is_packed: false };
+                for (c, a, row_runs) in
+                    [(&mut upper, &above, &self.rows[0]), (&mut lower, &below, &self.rows[1])]
+                {
+                    for rr in row_runs {
+                        let mut piece = c.subview_mut(rr.start, cr.start, rr.len(), cr.len());
+                        gemm(&mut piece, &a.subview(rr.start, 0, rr.len(), depth), &mut b)?;
+                    }
                 }
             }
         }
@@ -226,22 +302,22 @@ impl<S: Semiring> QuadrantUpdate<S> {
     }
 }
 
-/// One half of a [`QuadrantUpdate`]'s `B` operand: a view, packed into the
-/// update's buffer on first use, so an executor that reads views never
-/// packs.
-pub(crate) struct BHalf<'v, 'p, S: Semiring> {
+/// One present column run of a [`QuadrantUpdate`]'s `B` operand: a view,
+/// packed into the update's buffer on first use, so an executor that reads
+/// views never packs.
+pub(crate) struct BRun<'v, 'p, S: Semiring> {
     view: View<'v, S::Elem>,
     packed: &'p mut PackedB<S::Elem>,
     is_packed: bool,
 }
 
-impl<'v, S: Semiring> BHalf<'v, '_, S> {
-    /// The half as a view of its source.
+impl<'v, S: Semiring> BRun<'v, '_, S> {
+    /// The run as a view of its source.
     pub(crate) fn view(&self) -> &View<'v, S::Elem> {
         &self.view
     }
 
-    /// The half in the micro-kernel's tiled layout, packed on the first call.
+    /// The run in the micro-kernel's tiled layout, packed on the first call.
     pub(crate) fn packed(&mut self) -> &PackedB<S::Elem> {
         if !self.is_packed {
             let _pack = span("pack");
@@ -258,6 +334,8 @@ mod tests {
     use crate::fw_seq::fw_seq;
     use apsp_graph::generators::{self, WeightKind};
     use srgemm::gemm::gemm_naive;
+    use crate::paths_dist::{annotate, MinPlusPred};
+    use apsp_graph::GraphBuilder;
     use srgemm::semiring::{MaxMin, MinPlusSatU16};
     use srgemm::MinPlusF32;
 
@@ -265,32 +343,61 @@ mod tests {
         generators::uniform_dense(n, WeightKind::small_ints(), seed).to_dense()
     }
 
-    /// `fw_blocked_threads` bit for bit against `fw_seq` at ragged n, with
+    /// `fw_blocked_threads` bit for bit against `fw_seq` on `base`, with
     /// blocks of 1, 7, n − 1, n and n + 5 on 1–3 threads: the quadrants
     /// above and left of block k are empty at k = 0, those below and right
     /// at the last (ragged) block, and b ≥ n is one diagonal block alone.
-    /// `edge` maps a hash to an edge value; a third of the pairs get one.
-    fn assert_matches_seq<S: Semiring>(edge: impl Fn(u64) -> S::Elem) {
-        for n in [2usize, 37, 100] {
-            let base = Matrix::from_fn(n, n, |i, j| {
-                let h = ((i * n + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-                if i != j && h.is_multiple_of(3) { edge(h >> 2) } else { S::zero() }
-            });
-            let mut want = base.clone();
-            fw_seq::<S>(&mut want);
-            for b in [1, 7, n - 1, n, n + 5] {
-                for threads in 1..=3 {
-                    let mut got = base.clone();
-                    fw_blocked_threads::<S>(&mut got, b, threads);
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
-                        "{} n={n} b={b} threads={threads}",
-                        S::NAME
-                    );
-                }
+    fn assert_blocked_matches_seq<S: Semiring>(base: &Matrix<S::Elem>, input: &str) {
+        let n = base.rows();
+        let mut want = base.clone();
+        fw_seq::<S>(&mut want);
+        for b in [1, 7, n - 1, n, n + 5] {
+            for threads in 1..=3 {
+                let mut got = base.clone();
+                fw_blocked_threads::<S>(&mut got, b, threads);
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{} {input} n={n} b={b} threads={threads}",
+                    S::NAME
+                );
             }
         }
+    }
+
+    /// The pairs of an 8 × 8 grid with its vertex `v` at id `v + v/4`: an
+    /// unused id after every fourth and 21 after the last, so the 100 ids
+    /// hold 37 weak components whose ids interleave.
+    fn interleaved_grid() -> (usize, Vec<(usize, usize)>) {
+        let grid = generators::grid(8, 8, WeightKind::small_ints(), 2);
+        (100, grid.edges().map(|(u, v, _)| (u + u / 4, v + v / 4)).collect())
+    }
+
+    /// [`assert_blocked_matches_seq`] on inputs with all-zero blocks and
+    /// without: a hashed third of all pairs at ragged n, the same within
+    /// five contiguous components of 20 (blocks of 7 straddle their
+    /// borders), and the interleaved grid. `edge` maps a hash to an edge
+    /// value.
+    fn assert_matches_seq<S: Semiring>(edge: impl Fn(u64) -> S::Elem) {
+        let hash = |n: usize, i: usize, j: usize| {
+            ((i * n + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40
+        };
+        let hashed = |n: usize, keep: &dyn Fn(usize, usize) -> bool| {
+            Matrix::from_fn(n, n, |i, j| {
+                let h = hash(n, i, j);
+                if i != j && keep(i, j) && h.is_multiple_of(3) { edge(h >> 2) } else { S::zero() }
+            })
+        };
+        for n in [2usize, 37, 100] {
+            assert_blocked_matches_seq::<S>(&hashed(n, &|_, _| true), "random");
+        }
+        assert_blocked_matches_seq::<S>(&hashed(100, &|i, j| i / 20 == j / 20), "components");
+        let (n, pairs) = interleaved_grid();
+        let mut grid = Matrix::filled(n, n, S::zero());
+        for (u, v) in pairs {
+            grid[(u, v)] = edge(hash(n, u, v) >> 2);
+        }
+        assert_blocked_matches_seq::<S>(&grid, "interleaved grid");
     }
 
     #[test]
@@ -298,6 +405,51 @@ mod tests {
         assert_matches_seq::<MinPlusF32>(|h| (h % 100 + 1) as f32);
         assert_matches_seq::<MinPlusSatU16>(|h| (h % 100 + 1) as u16);
         assert_matches_seq::<MaxMin<f32>>(|h| (h % 50) as f32);
+    }
+
+    /// Graph inputs whose dense form has absent blocks: negative edges of a
+    /// DAG (no negative cycle) between clusters, and `∞`-weight edges, which
+    /// are all-zero entries like the pairs without an edge.
+    #[test]
+    fn negative_and_infinite_edges_match_sequential() {
+        let multi = generators::multi_component(60, 4, WeightKind::small_ints(), 3);
+        let mut negative = GraphBuilder::new(60);
+        let mut infinite = GraphBuilder::new(60);
+        for (u, v, w) in multi.edges() {
+            negative.add_edge(u, v, w);
+            infinite.add_edge(u, v, if (u + v) % 3 == 0 { f32::INFINITY } else { w });
+        }
+        // cluster c reaches cluster c + 1 over one negative edge
+        negative.add_edge(3, 20, -40.0).add_edge(17, 33, -7.0).add_edge(44, 51, -100.0);
+        infinite.add_edge(2, 31, f32::INFINITY).add_edge(48, 5, f32::INFINITY);
+        for (g, input) in [(negative.build(), "negative DAG"), (infinite.build(), "∞ edges")] {
+            assert_blocked_matches_seq::<MinPlusF32>(&g.to_dense(), input);
+        }
+    }
+
+    /// Serve's witness solve on a clustered graph: every distance and every
+    /// predecessor as `fw_seq` finds them. Distinct weights up to 10⁶ keep
+    /// each shortest path unique and every sum exact in `f32`.
+    #[test]
+    fn witness_solve_on_clusters_matches_sequential() {
+        let g = generators::multi_component(90, 3, WeightKind::Integer { lo: 1, hi: 1_000_000 }, 8);
+        assert_blocked_matches_seq::<MinPlusPred>(&annotate(&g), "clusters");
+    }
+
+    /// The skip, counted: on 8 components of 64 at block 32 each block-
+    /// iteration's row panel holds one present block, so OuterUpdate packs
+    /// once per k, 16 in all. A dense input of the same size packs both
+    /// halves of the row panel at every k but the first and the last.
+    #[test]
+    fn absent_blocks_are_neither_multiplied_nor_packed() {
+        let packs = |g: &apsp_graph::Graph| {
+            let mut d = g.to_dense();
+            let ((), trace) =
+                apsp_trace::record("main", || fw_blocked_threads::<MinPlusF32>(&mut d, 32, 1));
+            trace.timelines.iter().flat_map(|t| &t.spans).filter(|s| s.name == "pack").count()
+        };
+        assert_eq!(packs(&generators::multi_component(512, 8, WeightKind::small_ints(), 1)), 16);
+        assert_eq!(packs(&generators::uniform_dense(512, WeightKind::small_ints(), 1)), 2 * 16 - 2);
     }
 
     /// [`QuadrantUpdate::update`] against one full `gemm_naive` update,
@@ -325,7 +477,7 @@ mod tests {
         // in blocks of 4: empty (at the start and inside), the first block,
         // the last (ragged) one, a middle one, two blocks wide, everything
         let shapes = |len: usize| [0..0, 5..5, 0..4, len - len % 4..len, 4..8, 4..12, 0..len];
-        let mut quadrants = QuadrantUpdate::<S>::new();
+        let mut quadrants = QuadrantUpdate::<S>::new(4);
         for rows in shapes(m) {
             for cols in shapes(n) {
                 for on_views in [false, true] {

@@ -52,9 +52,9 @@ fn present_grid(store: &dyn TileStore<f32>) -> Vec<bool> {
     (0..nb * nb).map(|t| store.present(t / nb, t % nb)).collect()
 }
 
-/// Solve `g` at tile `t` on a memory store, as `ooc` does without a budget,
-/// and on a file store at a budget far below the matrix; assert each
-/// closure is bit-identical to `fw_seq`'s.
+/// Solve `g` at tile `t` on the tests' memory store without a budget, and
+/// on a file store at a budget far below the matrix; assert each closure is
+/// bit-identical to `fw_seq`'s.
 fn solve_on_both_stores(g: &Graph, t: usize) -> [Run; 2] {
     let n = g.n();
     let mut want = g.to_dense();

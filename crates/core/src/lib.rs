@@ -85,9 +85,8 @@ pub mod solver;
 pub mod verify;
 
 pub use dist::{
-    distributed_apsp, distributed_apsp_opts, distributed_apsp_traced,
-    distributed_apsp_traced_opts, DistError, DistRunOpts, Exec, FwConfig, PanelBcastAlgo,
-    Schedule, Variant,
+    distributed_apsp_opts, distributed_apsp_traced_opts, DistError, DistRunOpts, Exec, FwConfig,
+    PanelBcastAlgo, Schedule, Variant,
 };
 pub use fw_blocked::{fw_blocked, fw_blocked_threads, DiagMethod};
 pub use fw_seq::fw_seq;
@@ -103,9 +102,10 @@ pub(crate) fn host_threads() -> usize {
 }
 
 // Block-sparse Floyd-Warshall (the §7 direction, the paper's reference [31])
-// is `ooc::ooc_fw` over a store that holds a graph's all-∞ tiles absent; the
-// registry runs it as `ooc` (alias `sparse`), on a memory store unless a
-// budget forces a file. Its tests, on both store kinds, live here.
+// in RAM is `fw_blocked`, which skips all-∞ blocks (the registry's
+// `blocked`, alias `sparse`); staged, it is `ooc::ooc_fw` over a file store
+// that holds a graph's all-∞ tiles absent. The tests of the latter, on the
+// file store and on the tests' memory store, live here.
 #[cfg(test)]
 mod fw_sparse {
     pub(crate) mod tests;

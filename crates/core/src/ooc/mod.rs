@@ -84,11 +84,6 @@ impl OocConfig {
     pub fn with_budget(budget_bytes: u64) -> Self {
         OocConfig { budget_bytes, threads: 1, block: 64 }
     }
-
-    /// No effective budget — for in-memory baselines.
-    pub fn unbounded() -> Self {
-        OocConfig::with_budget(u64::MAX)
-    }
 }
 
 /// Typed failures of the out-of-core driver.
@@ -467,7 +462,7 @@ where
     // that no later pack grows it: each `B(k, j)` is repacked into it, and
     // so is every panel of a diagonal tile's blocked closure.
     let side = store.tile().min(store.n());
-    let mut quadrants = QuadrantUpdate::<S>::new();
+    let mut quadrants = QuadrantUpdate::<S>::new(cfg.block);
     quadrants.packed.repack::<S>(&Matrix::filled(side, side, S::zero()).view());
     let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes, S::zero())?;
 
@@ -476,7 +471,7 @@ where
         {
             let _p = span("DiagUpdate");
             cache.run((k, k), Access::Write, |d| {
-                muted(|| fw_blocked_view::<S>(d, cfg.block, cfg.threads, &mut quadrants))
+                muted(|| fw_blocked_view::<S>(d, cfg.threads, &mut quadrants))
             })?;
         }
 

@@ -17,8 +17,8 @@
 //!
 //! Two implementations:
 //!
-//! * [`MemStore`] — the tiles as matrices in a `Vec`; the in-memory run of
-//!   the same driver, and the test fake.
+//! * [`MemStore`] — the tiles as matrices in a `Vec`: the tests' fake
+//!   store, which the solver never uses.
 //! * [`FileStore`] — the one store that writes bytes, and so the one place
 //!   that knows how a tile becomes bytes. Its file is `⌈n/t⌉²`
 //!   fixed-capacity slots and no header: the slot of tile `(ti, tj)` holds
@@ -284,8 +284,8 @@ enum Slot<E> {
 }
 
 /// In-memory tile store: the whole grid of tiles lives in host RAM as
-/// matrices. This is the no-staging run — same driver, zero disk — and it
-/// charges each stored tile [`tile_bytes`], as the staged driver does.
+/// matrices. The tests' fake — same driver, zero disk — it charges each
+/// stored tile [`tile_bytes`], as the staged driver does.
 pub struct MemStore<E> {
     n: usize,
     tile: usize,

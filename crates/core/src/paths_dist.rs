@@ -134,7 +134,7 @@ pub fn reconstruct_path_annotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{distributed_apsp, FwConfig, Variant};
+    use crate::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
     use crate::fw_blocked::fw_blocked_threads;
     use crate::fw_seq::fw_seq;
     use apsp_graph::generators::{self, WeightKind};
@@ -263,7 +263,10 @@ mod tests {
 
         for variant in Variant::all() {
             let cfg = FwConfig::new(5, variant);
-            let (annotated, _) = distributed_apsp::<S>(2, 2, &cfg, &input, None).expect("run");
+            let (annotated, _) = distributed_apsp_opts::<S>(
+                2, 2, &cfg, &input, None, &DistRunOpts::default(),
+            )
+            .expect("run");
             assert!(want.eq_exact(&distances(&annotated)), "{variant:?} distances");
             // dense graph: every pair is reachable
             assert!(annotated.as_slice().iter().all(|e| e.d.is_finite()));

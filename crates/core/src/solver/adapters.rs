@@ -17,13 +17,12 @@ use crate::fw_blocked::fw_blocked_threads;
 use crate::fw_seq::fw_seq;
 use crate::model::fw_flops;
 use crate::ooc::{
-    choose_tile, solve_in_store, staged_budget_floor, FileStore, MemStore, OocConfig, OocError,
-    TileStore,
+    choose_tile, solve_in_store, staged_budget_floor, FileStore, OocConfig, OocError, TileStore,
 };
 use crate::quant::{self, QuantDtype, QuantPlan};
 
 use super::planner::{
-    delta_sweep_seconds, sssp_sweep_seconds, T_DISK, T_FLOP_BLOCKED, T_FLOP_PACKED, T_FLOP_SEQ,
+    delta_sweep_seconds, sssp_sweep_seconds, T_DISK, T_FLOP_PACKED, T_FLOP_SEQ,
     T_QUANT_U16, T_RELAX, T_SIM_RANK,
 };
 use super::{
@@ -65,10 +64,10 @@ impl Solver for Blocked {
         "blocked"
     }
     fn aliases(&self) -> &'static [&'static str] {
-        &["dense", "packed"]
+        &["dense", "packed", "sparse", "block-sparse"]
     }
     fn description(&self) -> &'static str {
-        "packed register-tiled blocked FW (multicore dense engine)"
+        "packed register-tiled blocked FW (all-∞ blocks skipped; multicore engine)"
     }
     /// The matrix and the one repacked row panel, `b·(n − b)` elements
     /// (block row k outside the diagonal block).
@@ -251,44 +250,16 @@ impl Solver for FwSeq {
     }
 }
 
-/// Out-of-core blocked FW: the matrix lives in a tile store of dense tiles
-/// (checksummed in a file store), and the driver walks the blocked-FW
-/// schedule under a budget. An off-diagonal tile without an edge is absent
-/// — never stored, skipped as an operand — until fill-in materializes it,
-/// so the same run is the block-sparse FW. The store is in memory unless the budget forces
-/// staging to a file ([`Ooc::mode`]); the only dense solver that stays
-/// eligible when `--memory-budget` is below the dense matrix size.
+/// Out-of-core blocked FW: the matrix lives in a file store of dense,
+/// checksummed tiles, and the driver walks the blocked-FW schedule under
+/// `--memory-budget` at the largest tile whose working set fits it. An
+/// off-diagonal tile without an edge is absent — never stored, skipped as
+/// an operand — until fill-in materializes it. The only dense solver that
+/// stays eligible when the budget is below the dense matrix size, and
+/// without a budget a typed refusal ([`Ineligible::NeedsBudget`]).
 struct Ooc;
 
-/// Where an [`Ooc`] run keeps its tiles.
-enum Mode {
-    /// A memory store at `--block`.
-    Memory,
-    /// A file store at the largest tile whose working set fits `budget`.
-    Staged { budget: u64 },
-}
-
 impl Ooc {
-    /// The one mode rule: a memory store when there is no budget or it
-    /// covers `2f + f/4` — the stored tiles, the cache's copies beside them
-    /// (~the same again) and scratch — where `f` bounds the bytes of the
-    /// tiles the run materializes: the [`GraphProfile::fill_blocks`] fill
-    /// can reach, never more than the dense matrix. Staged otherwise. Reads
-    /// the profile only under a budget.
-    fn mode(profile: &dyn Deref<Target = GraphProfile>, opts: &SolveOpts) -> Mode {
-        match opts.memory_budget {
-            Some(budget) if budget < Self::in_mem_bytes(profile, opts) => Mode::Staged { budget },
-            _ => Mode::Memory,
-        }
-    }
-
-    /// `2f + f/4`, the resident bytes of a memory-store run (see [`Ooc::mode`]).
-    fn in_mem_bytes(profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        let b = opts.block.max(1) as u64;
-        let f = (profile.fill_blocks as u64 * b * b * 4).min(profile.dense_bytes);
-        2 * f + f / 4
-    }
-
     /// A temp-dir path no other staged solve of this process has drawn:
     /// concurrent solves of equal `(n, tile)` must not collide on the name
     /// while each creates its store file.
@@ -298,36 +269,6 @@ impl Ooc {
         std::env::temp_dir()
             .join(format!("apsp-ooc-{}-{seq}-{n}x{tile}.tiles", std::process::id()))
     }
-
-    /// Ingest `g` into `store`, run the tiled FW loop under `cfg`, export,
-    /// and leave the note: `ooc: <kind> store, tile …, P of N² tiles
-    /// materialized, G of D outer tile GEMMs, peak resident … of budget …`.
-    fn run(
-        &self,
-        g: &Graph,
-        store: &mut dyn TileStore<f32>,
-        cfg: OocConfig,
-    ) -> Result<Solution, SolveError> {
-        let (d, stats) = solve_in_store(g, store, &cfg).map_err(SolveError::Ooc)?;
-        let nb = store.tiles_per_side() as u64;
-        let budget = match cfg.budget_bytes {
-            u64::MAX => "∞".to_string(),
-            b => super::profile::human_bytes(b),
-        };
-        let mut sol = solution(d, self.name(), cfg.threads);
-        sol.stats.notes.push(format!(
-            "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
-             {} of {} outer tile GEMMs, peak resident {} of budget {budget}",
-            store.kind(),
-            store.tile(),
-            store.present_tiles(),
-            nb * nb,
-            stats.outer_gemms,
-            nb * (nb - 1) * (nb - 1),
-            super::profile::human_bytes(stats.peak_resident_bytes),
-        ));
-        Ok(sol)
-    }
 }
 
 impl Solver for Ooc {
@@ -335,61 +276,54 @@ impl Solver for Ooc {
         "ooc"
     }
     fn aliases(&self) -> &'static [&'static str] {
-        &["out-of-core", "staged", "sparse", "block-sparse"]
+        &["out-of-core", "staged"]
     }
     fn description(&self) -> &'static str {
-        "tiled FW over a tile store (all-∞ tiles skipped; staged to disk under a RAM budget)"
+        "tiled FW staged to disk under a RAM budget (all-∞ tiles skipped)"
+    }
+    fn check(
+        &self,
+        _profile: &dyn Deref<Target = GraphProfile>,
+        opts: &SolveOpts,
+    ) -> Result<(), Ineligible> {
+        opts.memory_budget.map(|_| ()).ok_or(Ineligible::NeedsBudget)
     }
     fn working_set_bytes(&self, profile: &GraphProfile, opts: &SolveOpts) -> u64 {
-        match Self::mode(&profile, opts) {
-            Mode::Memory => Self::in_mem_bytes(profile, opts),
-            Mode::Staged { budget } => match choose_tile::<f32>(profile.n, budget) {
-                Some(tile) => staged_budget_floor::<f32>(tile),
-                // nothing fits: report the smallest possible floor, which
-                // exceeds the budget and turns into a typed MemoryBudget row
-                None => staged_budget_floor::<f32>(8.min(profile.n.max(1))),
-            },
-        }
+        let tile = opts.memory_budget.and_then(|budget| choose_tile::<f32>(profile.n, budget));
+        // nothing fits: report the smallest possible floor, which exceeds
+        // the budget and turns into a typed MemoryBudget row
+        staged_budget_floor::<f32>(tile.unwrap_or(8.min(profile.n.max(1))))
     }
     fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        match Self::mode(&profile, opts) {
-            Mode::Memory => {
-                let fill = profile.est_fill_work_ratio();
-                Estimate {
-                    seconds: fw_flops(profile.n) * T_FLOP_BLOCKED * fill,
-                    detail: format!("2n³ · t_blocked · {fill:.2} est. fill work"),
-                }
-            }
-            Mode::Staged { budget } => {
-                let t = opts.effective_threads();
-                let compute = fw_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
-                let tile = choose_tile::<f32>(profile.n, budget).unwrap_or(8);
-                let passes = profile.n.div_ceil(tile.max(1)) as f64;
-                // each block iteration re-reads and re-writes ~the matrix
-                let disk = passes * 2.0 * profile.dense_bytes as f64 * T_DISK;
-                Estimate {
-                    seconds: compute + disk,
-                    detail: format!(
-                        "2n³·1.15·t_packed/threads + ⌈n/{tile}⌉·2n²·4B·t_disk staged"
-                    ),
-                }
-            }
+        let t = opts.effective_threads();
+        let compute = fw_flops(profile.n) * T_FLOP_PACKED * 1.15 / t as f64;
+        let budget = opts.memory_budget.unwrap_or(u64::MAX);
+        let tile = choose_tile::<f32>(profile.n, budget).unwrap_or(8);
+        let passes = profile.n.div_ceil(tile.max(1)) as f64;
+        // each block iteration re-reads and re-writes ~the matrix
+        let disk = passes * 2.0 * profile.dense_bytes as f64 * T_DISK;
+        Estimate {
+            seconds: compute + disk,
+            detail: format!("2n³·1.15·t_packed/threads + ⌈n/{tile}⌉·2n²·4B·t_disk staged"),
         }
     }
+    /// Ingest `g` into a file store, run the tiled FW loop, export, and
+    /// leave the note: `ooc: file store, tile …, P of N² tiles
+    /// materialized, G of D outer tile GEMMs, peak resident … of budget …`.
     fn solve(
         &self,
         g: &Graph,
-        profile: &dyn Deref<Target = GraphProfile>,
+        _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
         let (n, threads, block) = (g.n(), opts.effective_threads(), opts.block.max(1));
+        let budget = opts.memory_budget.ok_or(SolveError::Ineligible {
+            solver: self.name(),
+            reason: Ineligible::NeedsBudget,
+        })?;
         if n == 0 {
             return Ok(solution(Matrix::from_vec(0, 0, Vec::new()), self.name(), threads));
         }
-        let Mode::Staged { budget } = Self::mode(profile, opts) else {
-            let mut store = MemStore::<f32>::new(n, block.min(n));
-            return self.run(g, &mut store, OocConfig { budget_bytes: u64::MAX, threads, block });
-        };
         let tile = choose_tile::<f32>(n, budget).ok_or_else(|| {
             SolveError::Ooc(OocError::BudgetTooSmall {
                 required: staged_budget_floor::<f32>(8.min(n)),
@@ -399,7 +333,23 @@ impl Solver for Ooc {
         // exclusive create, unlinked at once: no exit path leaves a file
         let mut store = FileStore::<f32>::create(&Self::staging_path(n, tile), n, tile)
             .map_err(|e| SolveError::Ooc(e.into()))?;
-        self.run(g, &mut store, OocConfig { budget_bytes: budget, threads, block })
+        let cfg = OocConfig { budget_bytes: budget, threads, block };
+        let (d, stats) = solve_in_store(g, &mut store, &cfg).map_err(SolveError::Ooc)?;
+        let nb = store.tiles_per_side() as u64;
+        let mut sol = solution(d, self.name(), threads);
+        sol.stats.notes.push(format!(
+            "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
+             {} of {} outer tile GEMMs, peak resident {} of budget {}",
+            store.kind(),
+            store.tile(),
+            store.present_tiles(),
+            nb * nb,
+            stats.outer_gemms,
+            nb * (nb - 1) * (nb - 1),
+            super::profile::human_bytes(stats.peak_resident_bytes),
+            super::profile::human_bytes(budget),
+        ));
+        Ok(sol)
     }
 }
 
@@ -599,9 +549,15 @@ mod tests {
         let reg = Registry::with_all();
         let g = unit_fixture(24, 14, 9);
         let want = reference(&g);
-        // tolerance opt-in so the quantized solver is eligible too (unit
-        // weights make it bit-exact, so eq_exact still applies)
-        let opts = SolveOpts { block: 4, error_tolerance: Some(0.0), ..Default::default() };
+        // tolerance and budget opt-ins so the quantized and out-of-core
+        // solvers are eligible too (unit weights make quant bit-exact, so
+        // eq_exact still applies)
+        let opts = SolveOpts {
+            block: 4,
+            error_tolerance: Some(0.0),
+            memory_budget: Some(1 << 30),
+            ..Default::default()
+        };
         for name in reg.names() {
             let sol = reg.solve(name, &g, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(sol.dist.eq_exact(&want), "{name} disagrees with fw_seq");
@@ -614,7 +570,7 @@ mod tests {
     fn aliases_resolve_to_the_same_solver() {
         let reg = Registry::with_all();
         for (alias, canonical) in
-            [("dense", "blocked"), ("packed", "blocked"), ("seq", "fw"), ("sparse", "ooc"), ("block-sparse", "ooc"), ("dijkstra", "johnson"), ("delta-stepping", "delta"), ("out-of-core", "ooc"), ("staged", "ooc")]
+            [("dense", "blocked"), ("packed", "blocked"), ("seq", "fw"), ("sparse", "blocked"), ("block-sparse", "blocked"), ("dijkstra", "johnson"), ("delta-stepping", "delta"), ("out-of-core", "ooc"), ("staged", "ooc")]
         {
             assert_eq!(reg.get(alias).unwrap().name(), canonical, "{alias}");
         }
@@ -655,7 +611,12 @@ mod tests {
             ring.add_edge(v, (v + 1) % 6, if v == 4 { -6.0 } else { 1.0 });
         }
         for (g, block) in [(small.build(), 64), (ring.build(), 2)] {
-            let opts = SolveOpts { block, error_tolerance: Some(1.0), ..Default::default() };
+            let opts = SolveOpts {
+                block,
+                error_tolerance: Some(1.0),
+                memory_budget: Some(1 << 30),
+                ..Default::default()
+            };
             for name in reg.names().into_iter().chain(["auto"]) {
                 match reg.solve(name, &g, &opts) {
                     Err(SolveError::NegativeCycle) => {}
@@ -685,7 +646,7 @@ mod tests {
             sol.unwrap_or_else(|e| panic!("{name}: {e}"));
             profiles(trace)
         };
-        for name in ["blocked", "dist", "fw", "dc", "johnson", "ooc"] {
+        for name in ["blocked", "dist", "fw", "dc", "johnson"] {
             assert_eq!(solve(name, &opts), 0, "{name}");
         }
         for name in ["quant", "delta", "auto"] {
@@ -765,58 +726,22 @@ mod tests {
         );
     }
 
+    /// Without `--memory-budget` the matrix fits in RAM, so `ooc` refuses
+    /// with the flag it needs, forced or planned, and `auto` never picks it.
     #[test]
-    fn out_of_core_without_budget_runs_in_memory_and_is_never_preferred() {
+    fn out_of_core_without_budget_is_a_typed_refusal() {
         let reg = Registry::with_all();
         let g = unit_fixture(32, 20, 17);
-        let want = reference(&g);
         let opts = SolveOpts { block: 8, ..Default::default() };
-        let sol = reg.solve("ooc", &g, &opts).unwrap();
-        assert!(sol.dist.eq_exact(&want));
-        assert!(sol.stats.notes.iter().any(|n| n.contains("memory store")));
-        // with no budget pressure the planner must not pick ooc over the
-        // plain packed dense engine
-        let plan = reg.plan(&g, &opts);
-        assert_ne!(plan.chosen, Some("ooc"));
-    }
-
-    /// `Ooc::mode`'s `f` bounds what a memory-store run materializes whatever
-    /// the vertex ids. A connected grid with 100 unused ids spread through
-    /// and after its own is 101 weak components, yet its fill spans every
-    /// tile the grid touches: a budget below `2f + f/4` must stage, and the
-    /// staged run must stay under it.
-    #[test]
-    fn memory_mode_bound_covers_fill_across_interleaved_components() {
-        let grid = generators::grid(16, 16, WeightKind::small_ints(), 2);
-        // grid vertex v at id v + v/4: an unused id after every fourth
-        let mut b = GraphBuilder::new(356);
-        for (u, v, w) in grid.edges() {
-            b.add_edge(u + u / 4, v + v / 4, w);
+        match reg.solve("ooc", &g, &opts) {
+            Err(SolveError::Ineligible { solver: "ooc", reason: Ineligible::NeedsBudget }) => {}
+            other => panic!("expected NeedsBudget, got {:?}", other.map(|s| s.solver)),
         }
-        let g = b.build();
-        let want = reference(&g);
-        let opts = SolveOpts { block: 8, threads: 1, ..Default::default() };
-        let profile = GraphProfile::compute(&g, opts.block);
-        assert_eq!(profile.weak_components, 101);
-        let mut store = MemStore::<f32>::new(g.n(), opts.block);
-        let cfg = OocConfig { budget_bytes: u64::MAX, threads: 1, block: opts.block };
-        let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
-        assert!(d.eq_exact(&want));
-        assert!(store.present_tiles() <= profile.fill_blocks, "{profile:?}");
-        assert!(stats.peak_resident_bytes <= Ooc::in_mem_bytes(&profile, &opts), "{stats:?}");
-        // 256 KiB covers 2f + f/4 for f = max(present tiles, dense / weak
-        // components), and not the memory run's peak
-        let budget = 256 << 10;
-        let guess = (profile.nnz_blocks as u64 * 8 * 8 * 4).max(profile.dense_bytes / 101);
-        assert!(2 * guess + guess / 4 <= budget && stats.peak_resident_bytes > budget);
-        let opts = SolveOpts { memory_budget: Some(budget), ..opts };
-        assert!(matches!(Ooc::mode(&&profile, &opts), Mode::Staged { .. }));
-        let sol = Registry::with_all().solve("ooc", &g, &opts).unwrap();
-        assert!(sol.dist.eq_exact(&want));
-        let note = sol.stats.notes.iter().find(|n| n.starts_with("ooc: file store")).unwrap();
-        let peak = note.split("peak resident ").nth(1).unwrap();
-        let kib: f64 = peak.strip_suffix(" KiB of budget 256.0 KiB").unwrap().parse().unwrap();
-        assert!(kib <= 256.0, "{note}");
+        let plan = reg.plan(&g, &opts);
+        assert!(matches!(plan.entry("ooc").unwrap().outcome, Err(Ineligible::NeedsBudget)));
+        let refusal = "ooc       ineligible: out-of-core solve needs --memory-budget";
+        assert!(plan.render().contains(refusal), "{}", plan.render());
+        assert_ne!(plan.chosen, Some("ooc"));
     }
 
     #[test]
@@ -859,7 +784,6 @@ mod tests {
             block_size: block,
             nnz_blocks: n.div_ceil(block).pow(2),
             block_density: 1.0,
-            fill_blocks: n.div_ceil(block).pow(2),
             dense_bytes: (n * n * 4) as u64,
         };
         let grid = of(&generators::grid(64, 64, ints(), 2));
@@ -877,9 +801,10 @@ mod tests {
             ("ring + chords 4096", of(&generators::ring_with_chords(4096, ints(), 3)), None, None, "delta"),
             // the benchmark's `sparse-auto` shape: delta 132.7 ms vs blocked 159.5
             ("ring + chords 1536", of(&generators::ring_with_chords(1536, ints(), 3)), None, None, "delta"),
-            // fill never leaves a component: 64 of 1024 tiles, in memory…
-            ("16 components 2048", multi.clone(), None, None, "ooc"),
-            // …and staged once the budget is below 2f + f/4 (f = 1 MiB)
+            // blocked skips the absent blocks but is priced dense (ROADMAP
+            // item 7)…
+            ("16 components 2048", multi.clone(), None, None, "blocked"),
+            // …and staged under a budget below the matrix
             ("16 components 2048, budget 1 MiB", multi, Some(1 << 20), None, "ooc"),
             ("dense 4096", dense(4096, 9.0), None, None, "blocked"),
             // 4095 · 8 = 32 760 is below the lanes' sentinel 32 767; 9 is not
@@ -897,10 +822,9 @@ mod tests {
         for (row, profile, memory_budget, error_tolerance, want) in rows.clone() {
             let opts =
                 SolveOpts { block, threads: 1, memory_budget, error_tolerance, ..Default::default() };
-            let staged = memory_budget.is_some() && want == "ooc";
             let plan = reg.plan_for_profile(profile, &opts);
             assert_eq!(plan.chosen, Some(want), "{row}\n{}", plan.render());
-            if staged {
+            if want == "ooc" {
                 let est = &plan.entry("ooc").unwrap().outcome.as_ref().unwrap().detail;
                 assert!(est.ends_with("t_disk staged"), "{row}: {est}");
             }
@@ -1034,9 +958,7 @@ mod tests {
             ("johnson", base.clone(), None),
             ("delta", base.clone(), None),
             ("quant", SolveOpts { error_tolerance: Some(0.0), ..base.clone() }, Some("bit-exact")),
-            ("ooc", tile32.clone(), Some("memory store, tile 32 (3×3 tiles), 9 of 9 tiles materialized")),
             ("ooc", SolveOpts { memory_budget: Some(64 << 10), ..tile32 }, Some("file store, tile 32")),
-            ("ooc", base.clone(), Some("memory store, tile 8 (12×12 tiles), 144 of 144 tiles materialized")),
             ("dist", base.clone(), Some("2x2 simulated grid")),
         ];
         for threads in [1, 2, 3] {

@@ -118,6 +118,10 @@ pub enum Ineligible {
         /// Best achievable error bound (`0.0` when provably exact).
         eps: f64,
     },
+    /// The out-of-core solver runs only under an explicit
+    /// `--memory-budget`; without one, the matrix fits in RAM and
+    /// `blocked` is the solver.
+    NeedsBudget,
 }
 
 impl std::fmt::Display for Ineligible {
@@ -137,6 +141,9 @@ impl std::fmt::Display for Ineligible {
                 f,
                 "low-precision solve needs --error-tolerance (achievable +-{eps:.3e})"
             ),
+            Ineligible::NeedsBudget => {
+                write!(f, "out-of-core solve needs --memory-budget (in RAM, use blocked)")
+            }
         }
     }
 }

@@ -2,14 +2,13 @@
 //! computed in one pass over the edges (plus one union-find pass for the
 //! component count).
 
-use apsp_graph::components::{weak_components, UnionFind};
+use apsp_graph::components::weak_components;
 use apsp_graph::Graph;
 
 /// Structural and numeric features of a graph, extracted once and shared by
 /// every solver's eligibility check and cost estimate. All edge-derived
-/// fields come from a single `O(m)` sweep, which also joins blocks into the
-/// block graph's components; the vertex component count is one union-find
-/// pass, `O(n + m)`.
+/// fields come from a single `O(m)` sweep; the vertex component count is
+/// one union-find pass, `O(n + m)`.
 #[derive(Clone, Debug)]
 pub struct GraphProfile {
     /// Vertex count.
@@ -39,11 +38,6 @@ pub struct GraphProfile {
     pub nnz_blocks: usize,
     /// `nnz_blocks / nb²`.
     pub block_density: f64,
-    /// Blocks fill-in can reach: `Σ size²` over the weak components of the
-    /// block graph (blocks `I` and `J` joined when a present tile `(I, J)`
-    /// holds an edge). The tiled FW loop fills the present tiles' transitive
-    /// closure, so it never materializes more — whatever the vertex ids.
-    pub fill_blocks: usize,
     /// Bytes of one dense `n×n` f32 distance matrix.
     pub dense_bytes: u64,
 }
@@ -63,7 +57,6 @@ impl GraphProfile {
         // an edge into block column `bj`. O(nb) memory, no hashing.
         let mut offdiag_blocks = 0usize;
         let mut hit_from = vec![0usize; nb];
-        let mut block_graph = UnionFind::new(nb);
 
         for u in 0..n {
             let (targets, row_weights) = g.out_edges(u);
@@ -80,7 +73,6 @@ impl GraphProfile {
                     if bi != bj && hit_from[bj] != bi + 1 {
                         hit_from[bj] = bi + 1;
                         offdiag_blocks += 1;
-                        block_graph.union(bi as u32, bj as u32);
                     }
                 }
             }
@@ -90,10 +82,6 @@ impl GraphProfile {
         let (_, weak_components) = weak_components(g);
         // diagonal blocks always materialize (zero-seeded diagonal)
         let nnz_blocks = nb + offdiag_blocks;
-        let mut sizes = vec![0usize; nb];
-        for b in 0..nb {
-            sizes[block_graph.find(b as u32) as usize] += 1;
-        }
         GraphProfile {
             n,
             m,
@@ -107,7 +95,6 @@ impl GraphProfile {
             block_size: block,
             nnz_blocks,
             block_density: if nb > 0 { nnz_blocks as f64 / (nb as f64 * nb as f64) } else { 0.0 },
-            fill_blocks: sizes.iter().map(|s| s * s).sum(),
             dense_bytes: (n as u64) * (n as u64) * 4,
         }
     }
@@ -115,21 +102,6 @@ impl GraphProfile {
     /// Any negative-weight edge?
     pub fn has_negative(&self) -> bool {
         self.negative_edges > 0
-    }
-
-    /// Crude forecast of the fraction of dense block-GEMM work the tiled
-    /// loop performs on a memory store, skipping absent tiles: fill-in
-    /// grows occupancy toward `√block_density → 1` on connected graphs,
-    /// while disconnected
-    /// components bound it by `1/c²` (fill never crosses components, and
-    /// each component's cube shrinks as `(1/c)³` summed over `c` columns of
-    /// the elimination). Calibration, not a theorem — see DESIGN.md §13.
-    pub fn est_fill_work_ratio(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let c = self.weak_components.max(1) as f64;
-        (self.block_density.sqrt() / (c * c)).clamp(self.block_density.min(1.0), 1.0)
     }
 
     /// Human-readable multi-line summary (the header of `apsp plan`).
@@ -277,7 +249,6 @@ mod tests {
         assert!(p.density < 0.06, "grid density {}", p.density);
         assert_eq!(p.weak_components, 1);
         assert!(p.block_density < 1.0);
-        assert!(p.est_fill_work_ratio() <= 1.0);
     }
 
     /// Component sizes of the undirected graph on `0..n` with `pairs` as
@@ -307,8 +278,7 @@ mod tests {
     }
 
     /// The profile spelled out edge by edge: a division and a `fract` per
-    /// edge, components by flood fill over the undirected adjacency of the
-    /// vertices and of the blocks.
+    /// edge, components by flood fill over the undirected adjacency.
     fn profile_edge_by_edge(g: &Graph, block: usize) -> GraphProfile {
         let (n, m) = (g.n(), g.m());
         let nb = n.div_ceil(block);
@@ -318,8 +288,6 @@ mod tests {
         blocks.extend(edges.iter().map(|&(u, v, _)| (u / block, v / block)));
         let pairs: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
         let weak_components = flood_fill_sizes(n, &pairs).len();
-        let block_pairs: Vec<_> = blocks.iter().copied().collect();
-        let fill_blocks = flood_fill_sizes(nb, &block_pairs).iter().map(|s| s * s).sum();
         GraphProfile {
             n,
             m,
@@ -333,7 +301,6 @@ mod tests {
             block_size: block,
             nnz_blocks: blocks.len(),
             block_density: if nb > 0 { blocks.len() as f64 / (nb * nb) as f64 } else { 0.0 },
-            fill_blocks,
             dense_bytes: (n * n * 4) as u64,
         }
     }
@@ -393,14 +360,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_component_count_and_fill_discount() {
+    fn multi_component_count_and_block_occupancy() {
         let g = generators::multi_component(24, 3, WeightKind::small_ints(), 7);
         let p = GraphProfile::compute(&g, 4);
         assert_eq!(p.weak_components, 3);
-        assert_eq!(p.fill_blocks, 3 * 2 * 2); // each component spans two blocks
+        assert_eq!(p.nnz_blocks, 3 * 2 * 2); // each component spans two blocks
         let connected = generators::uniform_dense(24, WeightKind::small_ints(), 7);
         let pc = GraphProfile::compute(&connected, 4);
-        assert!(p.est_fill_work_ratio() < pc.est_fill_work_ratio());
+        assert!(p.block_density < pc.block_density);
     }
 
     #[test]
@@ -408,7 +375,7 @@ mod tests {
         let p = GraphProfile::compute(&GraphBuilder::new(0).build(), 8);
         assert_eq!(p.n, 0);
         assert_eq!(p.nnz_blocks, 0);
-        assert_eq!(p.est_fill_work_ratio(), 0.0);
+        assert_eq!(p.block_density, 0.0);
         let p = GraphProfile::compute(&GraphBuilder::new(5).build(), 8);
         assert_eq!(p.m, 0);
         assert_eq!(p.mean_weight, 0.0);

@@ -3,7 +3,8 @@
 //! validation methodology of the paper.
 
 use apsp_core::dist::{
-    distributed_apsp, distributed_apsp_traced, DistError, FwConfig, PanelBcastAlgo, Variant,
+    distributed_apsp_opts, distributed_apsp_traced_opts, DistError, DistRunOpts, FwConfig,
+    PanelBcastAlgo, Variant,
 };
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::verify::assert_matrices_equal;
@@ -24,7 +25,10 @@ fn all_variants_match_sequential_on_dense_graph() {
     let (input, want) = reference(36, GraphKind::UniformDense, 101);
     for variant in Variant::all() {
         let cfg = FwConfig::new(6, variant);
-        let (got, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, variant.legend());
     }
 }
@@ -34,7 +38,10 @@ fn all_variants_match_on_sparse_multi_component_graph() {
     let (input, want) = reference(30, GraphKind::MultiComponent { components: 3 }, 55);
     for variant in Variant::all() {
         let cfg = FwConfig::new(5, variant);
-        let (got, _) = distributed_apsp::<MinPlusF32>(2, 3, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            2, 3, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, variant.legend());
     }
 }
@@ -49,7 +56,10 @@ fn rectangular_grids_and_ragged_blocks() {
     for variant in Variant::all() {
         for (pr, pc) in [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2)] {
             let cfg = FwConfig::new(4, variant);
-            let (got, _) = distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, None).expect("run");
+            let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+                pr, pc, &cfg, &input, None, &DistRunOpts::default(),
+            )
+            .expect("run");
             assert_matrices_equal(&want, &got, &format!("{} grid {pr}x{pc}", variant.legend()));
         }
     }
@@ -61,7 +71,10 @@ fn pipelined_handles_every_block_count_parity() {
     for n in [6, 12, 18, 30] {
         let (input, want) = reference(n, GraphKind::UniformDense, n as u64);
         let cfg = FwConfig::new(6, Variant::Pipelined);
-        let (got, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, &format!("n={n}"));
     }
 }
@@ -72,7 +85,10 @@ fn async_ring_matches_with_various_chunk_counts() {
     for chunks in [1, 2, 7, 64] {
         let mut cfg = FwConfig::new(4, Variant::AsyncRing);
         cfg.bcast = PanelBcastAlgo::Ring { chunks };
-        let (got, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, &format!("chunks={chunks}"));
     }
 }
@@ -84,7 +100,10 @@ fn offload_matches_with_tiny_tiles_and_single_stream() {
     for streams in [1, 2, 3] {
         let mut cfg = FwConfig::new(4, Variant::Offload);
         cfg.oog = OogConfig::new(5, 3, streams);
-        let (got, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, &format!("offload s={streams}"));
     }
 }
@@ -94,7 +113,10 @@ fn single_rank_degenerate_grid_works() {
     let (input, want) = reference(20, GraphKind::UniformDense, 21);
     for variant in Variant::all() {
         let cfg = FwConfig::new(7, variant);
-        let (got, _) = distributed_apsp::<MinPlusF32>(1, 1, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            1, 1, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, variant.legend());
     }
 }
@@ -104,7 +126,10 @@ fn more_ranks_than_blocks_leaves_idle_ranks_consistent() {
     // nb = 2 < pr·pc ranks: some ranks own nothing
     let (input, want) = reference(8, GraphKind::UniformDense, 3);
     let cfg = FwConfig::new(4, Variant::Baseline);
-    let (got, _) = distributed_apsp::<MinPlusF32>(3, 3, &cfg, &input, None).expect("run");
+    let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+        3, 3, &cfg, &input, None, &DistRunOpts::default(),
+    )
+    .expect("run");
     assert_matrices_equal(&want, &got, "idle ranks");
 }
 
@@ -119,7 +144,10 @@ fn square_node_grid_reduces_max_node_nic_volume() {
     let (input, want) = reference(64, GraphKind::UniformDense, 71);
     let cfg = FwConfig::new(4, Variant::AsyncRing);
     let run = |placement: Placement| {
-        let (got, traffic) = distributed_apsp::<MinPlusF32>(16, 4, &cfg, &input, Some(placement)).expect("run");
+        let (got, traffic) = distributed_apsp_opts::<MinPlusF32>(
+            16, 4, &cfg, &input, Some(placement), &DistRunOpts::default(),
+        )
+        .expect("run");
         assert_matrices_equal(&want, &got, "placement");
         traffic.max_node_nic_bytes()
     };
@@ -140,7 +168,10 @@ fn measured_nic_volume_respects_the_section_341_lower_bound() {
     let (input, _) = reference(n, GraphKind::UniformDense, 5);
     let cfg = FwConfig::new(6, Variant::AsyncRing);
     let placement = Placement::tiled(4, 4, 2, 2); // Kr = Kc = 2
-    let (_, traffic) = distributed_apsp::<MinPlusF32>(4, 4, &cfg, &input, Some(placement)).expect("run");
+    let (_, traffic) = distributed_apsp_opts::<MinPlusF32>(
+        4, 4, &cfg, &input, Some(placement), &DistRunOpts::default(),
+    )
+    .expect("run");
     let bound = apsp_core::model::comm_lower_bound_bytes(n, 2, 2, 4);
     let measured = traffic.max_node_nic_bytes() as f64;
     assert!(
@@ -165,7 +196,10 @@ fn works_for_transitive_closure_semiring() {
     let mut want = input.clone();
     fw_seq::<BoolOr>(&mut want);
     let cfg = FwConfig::new(3, Variant::Pipelined);
-    let (got, _) = distributed_apsp::<BoolOr>(2, 2, &cfg, &input, None).expect("run");
+    let (got, _) = distributed_apsp_opts::<BoolOr>(
+        2, 2, &cfg, &input, None, &DistRunOpts::default(),
+    )
+    .expect("run");
     for i in 0..n {
         for j in 0..n {
             assert_eq!(got[(i, j)], want[(i, j)]);
@@ -182,7 +216,9 @@ fn empty_graph_returns_empty_matrix_on_every_grid() {
     for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
         for variant in Variant::all() {
             let cfg = FwConfig::new(4, variant);
-            let (got, traffic) = distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, None)
+            let (got, traffic) = distributed_apsp_opts::<MinPlusF32>(
+                pr, pc, &cfg, &input, None, &DistRunOpts::default(),
+            )
                 .unwrap_or_else(|e| panic!("{} on {pr}x{pc}: {e}", variant.legend()));
             assert_eq!((got.rows(), got.cols()), (0, 0), "{} on {pr}x{pc}", variant.legend());
             assert_eq!(traffic.total_nic_bytes(), 0);
@@ -198,7 +234,9 @@ fn device_oom_surfaces_as_typed_error_not_panic() {
     for variant in [Variant::Offload, Variant::CoMe] {
         let mut cfg = FwConfig::new(4, variant);
         cfg.gpu_spec.mem_bytes = 64;
-        let err = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None)
+        let err = distributed_apsp_opts::<MinPlusF32>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
             .expect_err("64-byte device cannot fit the panels");
         let DistError::DeviceOom { requested, available } = err else {
             panic!("expected DeviceOom, got {err}");
@@ -218,7 +256,10 @@ fn come_composes_offload_with_ring_and_lookahead() {
 
     let (input, want) = reference(30, GraphKind::UniformDense, 91);
     let cfg = FwConfig::new(4, Variant::CoMe);
-    let (got, _) = distributed_apsp::<MinPlusF32>(2, 3, &cfg, &input, None).expect("run");
+    let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+        2, 3, &cfg, &input, None, &DistRunOpts::default(),
+    )
+    .expect("run");
     assert_matrices_equal(&want, &got, "Co+Me");
 }
 
@@ -244,7 +285,9 @@ fn traffic_is_pinned_for_every_corner_of_the_policy_cube() {
                 let cfg = FwConfig::from_axes(4, schedule, bcast, exec);
                 let placement = Placement::tiled(2, 4, 1, 2);
                 let (got, t, trace) =
-                    distributed_apsp_traced::<MinPlusF32>(2, 4, &cfg, &input, Some(placement))
+                    distributed_apsp_traced_opts::<MinPlusF32>(
+                        2, 4, &cfg, &input, Some(placement), &DistRunOpts::default(),
+                    )
                         .expect("run");
                 let corner = cfg.legend();
                 assert_matrices_equal(&want, &got, &corner);

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use apsp_core::dist::{
-    distributed_apsp, Exec, FwConfig, PanelBcastAlgo, Schedule, Variant, DEFAULT_RING_CHUNKS,
+    distributed_apsp_opts, DistRunOpts, Exec, FwConfig, PanelBcastAlgo, Schedule, Variant,
+    DEFAULT_RING_CHUNKS,
 };
 use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
@@ -87,7 +88,9 @@ proptest! {
         let mut want = input.clone();
         fw_seq::<MinPlusF32>(&mut want);
         let cfg = FwConfig::from_axes(b, schedule, bcast, exec);
-        let (got, _) = distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, None)
+        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+            pr, pc, &cfg, &input, None, &DistRunOpts::default(),
+        )
             .expect("policy cube run");
         prop_assert!(
             want.eq_exact(&got),

@@ -80,7 +80,7 @@ fn in_memory_store_matches_staged_and_fw_blocked() {
     fw_blocked_threads::<MinPlusF32>(&mut want, 16, 1);
 
     let mut mem_store = MemStore::<f32>::new(n, 16);
-    let (via_mem, _) = solve_in_store(&g, &mut mem_store, &OocConfig::unbounded()).unwrap();
+    let (via_mem, _) = solve_in_store(&g, &mut mem_store, &OocConfig::with_budget(u64::MAX)).unwrap();
     assert!(want.eq_exact(&via_mem));
     assert_eq!(mem_store.kind(), "memory");
 
@@ -277,7 +277,7 @@ fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
             let (via_file, stats) = solve_in_store(g, &mut file, &staged).unwrap();
             assert!(stats.tiles_written > 0, "t={t}: a tight budget must spill");
             let mut mem = MemStore::<f32>::new(n, t);
-            let unbounded = OocConfig { block: b, ..OocConfig::unbounded() };
+            let unbounded = OocConfig { block: b, ..OocConfig::with_budget(u64::MAX) };
             let (via_mem, _) = solve_in_store(g, &mut mem, &unbounded).unwrap();
             assert!(via_file.eq_exact(&via_mem), "t={t}: staged and memory stores differ");
             if exact {

@@ -1,9 +1,9 @@
 //! Paper-scale rank counts for the full distributed FW pipeline.
 //!
 //! The acceptance bar for the event-driven executor: a 1024-rank
-//! `distributed_apsp` (32×32 grid — the paper's Fig. 8/9 node scale) runs
-//! to completion on one small box with a bounded worker pool and still
-//! reproduces sequential Floyd-Warshall bit-for-bit.
+//! `distributed_apsp_traced_opts` run (32×32 grid — the paper's Fig. 8/9
+//! node scale) completes on one small box with a bounded worker pool and
+//! still reproduces sequential Floyd-Warshall bit-for-bit.
 
 use std::time::Duration;
 

@@ -4,11 +4,10 @@
 //! graph connected-components algorithm \[30\], and perform Apsp on each
 //! connected component of the graph." No directed path crosses a *weak*
 //! component boundary, so the closure is `∞` across components. The solver
-//! profile counts them: the tiled FW loop gets the per-component saving
-//! without splitting the graph, because fill-in never crosses a component —
-//! a tile whose rows and columns lie in two different components stays
-//! absent. Components that share a tile do share its fill, so the profile
-//! bounds the fill with a [`UnionFind`] over tiles, not over vertices.
+//! profile counts them: blocked FW gets the per-component saving without
+//! splitting the graph, because fill-in never crosses a component — a
+//! block whose rows and columns lie in two different components stays all
+//! `∞` and is skipped.
 
 use crate::graph::Graph;
 

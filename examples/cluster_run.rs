@@ -8,7 +8,7 @@
 //! cargo run --release --example cluster_run -- [n]
 //! ```
 
-use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
+use apsp_core::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::model::comm_lower_bound_bytes;
 use apsp_core::verify::assert_matrices_equal;
@@ -36,7 +36,9 @@ fn main() {
     for variant in Variant::all() {
         let cfg = FwConfig::new(40, variant);
         let (got, traffic) =
-            distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, Some(placement.clone()))
+            distributed_apsp_opts::<MinPlusF32>(
+                pr, pc, &cfg, &input, Some(placement.clone()), &DistRunOpts::default(),
+            )
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.legend()));
         assert_matrices_equal(&want, &got, variant.legend());
         println!(

@@ -3,7 +3,7 @@
 //! which is how GraphBLAS-style stacks (paper §6) use one code path for
 //! many graph problems.
 
-use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
+use apsp_core::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
 use apsp_core::fw_seq::fw_seq;
 use apsp_graph::generators::{self, WeightKind};
 use srgemm::semiring::{MaxMin, Semiring};
@@ -24,7 +24,10 @@ fn distributed_widest_path_matches_sequential() {
     fw_seq::<WP>(&mut want);
     for variant in [Variant::Baseline, Variant::Pipelined, Variant::AsyncRing] {
         let cfg = FwConfig::new(6, variant);
-        let (got, _) = distributed_apsp::<WP>(2, 2, &cfg, &input, None).expect("run");
+        let (got, _) = distributed_apsp_opts::<WP>(
+            2, 2, &cfg, &input, None, &DistRunOpts::default(),
+        )
+        .expect("run");
         assert!(want.eq_exact(&got), "{:?}", variant);
     }
 }

@@ -3,7 +3,9 @@
 //! FW; the trace's per-phase NIC bytes sum exactly to the traffic total;
 //! every rank's track carries all five paper phase names.
 
-use apsp_core::dist::{distributed_apsp, distributed_apsp_traced, FwConfig, Variant};
+use apsp_core::dist::{
+    distributed_apsp_opts, distributed_apsp_traced_opts, DistRunOpts, FwConfig, Variant,
+};
 use apsp_core::fw_seq::fw_seq;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_trace::PHASES;
@@ -20,7 +22,10 @@ fn all_variants_match_sequential_fw_across_grids_and_blocks() {
         for block in [4usize, 7, 16] {
             for variant in Variant::all() {
                 let cfg = FwConfig::new(block, variant);
-                let (got, _) = distributed_apsp::<MinPlusF32>(pr, pc, &cfg, &input, None).expect("run");
+                let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+                    pr, pc, &cfg, &input, None, &DistRunOpts::default(),
+                )
+                .expect("run");
                 assert!(
                     want.eq_exact(&got),
                     "{variant:?} diverges from fw_seq at pr={pr} pc={pc} b={block}"
@@ -37,7 +42,10 @@ fn phase_nic_bytes_sum_to_the_traffic_total_and_every_rank_sees_all_phases() {
     for variant in Variant::all() {
         let cfg = FwConfig::new(6, variant);
         let (_, traffic, trace) =
-            distributed_apsp_traced::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+            distributed_apsp_traced_opts::<MinPlusF32>(
+                2, 2, &cfg, &input, None, &DistRunOpts::default(),
+            )
+            .expect("run");
 
         // every send a rank made is an event on its track, so every NIC
         // byte lands in exactly one phase bucket (the end-of-run gather is

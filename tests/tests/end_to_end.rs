@@ -3,7 +3,7 @@
 //! oracle validation, plus schedule-level consistency with the functional
 //! runs.
 
-use apsp_core::dist::{distributed_apsp, FwConfig, Variant};
+use apsp_core::dist::{distributed_apsp_opts, DistRunOpts, FwConfig, Variant};
 use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
 use apsp_core::paths_dist::{annotate, distances, reconstruct_path_annotated, MinPlusPred};
@@ -35,7 +35,10 @@ fn five_independent_solvers_agree_on_the_paper_workload() {
     fw_blocked_threads::<MinPlusF32>(&mut blk, 8, 2);
     // solver 5: the full distributed offload pipeline
     let cfg = FwConfig::new(8, Variant::Offload);
-    let (dist, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
+    let (dist, _) = distributed_apsp_opts::<MinPlusF32>(
+        2, 2, &cfg, &input, None, &DistRunOpts::default(),
+    )
+    .expect("run");
 
     assert_matrices_equal(&dij, &joh, "dijkstra vs johnson");
     assert_matrices_equal(&dij, &seq, "dijkstra vs sequential FW");
@@ -53,8 +56,14 @@ fn distributed_distances_are_realizable_as_paths() {
     let g = generators::erdos_renyi(n, 0.3, WeightKind::small_ints(), 31);
     let input = g.to_dense();
     let cfg = FwConfig::new(6, Variant::AsyncRing);
-    let (dist, _) = distributed_apsp::<MinPlusF32>(2, 2, &cfg, &input, None).expect("run");
-    let (annotated, _) = distributed_apsp::<MinPlusPred>(2, 2, &cfg, &annotate(&g), None).expect("run");
+    let (dist, _) = distributed_apsp_opts::<MinPlusF32>(
+        2, 2, &cfg, &input, None, &DistRunOpts::default(),
+    )
+    .expect("run");
+    let (annotated, _) = distributed_apsp_opts::<MinPlusPred>(
+        2, 2, &cfg, &annotate(&g), None, &DistRunOpts::default(),
+    )
+    .expect("run");
     assert_matrices_equal(&distances(&annotated), &dist, "witness run vs distributed");
 
     for s in 0..n {
@@ -84,7 +93,10 @@ fn every_placement_yields_identical_answers_different_traffic() {
         Placement::tiled(2, 3, 2, 1),
     ] {
         let (got, traffic) =
-            distributed_apsp::<MinPlusF32>(2, 3, &cfg, &input, Some(placement)).expect("run");
+            distributed_apsp_opts::<MinPlusF32>(
+                2, 3, &cfg, &input, Some(placement), &DistRunOpts::default(),
+            )
+            .expect("run");
         assert_matrices_equal(&want, &got, "placement-independence");
         traffics.push(traffic.total_nic_bytes());
     }
@@ -123,12 +135,12 @@ fn functional_and_simulated_placement_rankings_agree() {
     let input = generators::uniform_dense(n, WeightKind::small_ints(), 12).to_dense();
     let cfg = FwConfig::new(8, Variant::AsyncRing);
     let measure = |qr: usize, qc: usize| {
-        let (_, t) = distributed_apsp::<MinPlusF32>(
+        let (_, t) = distributed_apsp_opts::<MinPlusF32>(
             8,
             8,
             &cfg,
             &input,
-            Some(Placement::tiled(8, 8, qr, qc)),
+            Some(Placement::tiled(8, 8, qr, qc)), &DistRunOpts::default(),
         )
         .expect("run");
         t.max_node_nic_bytes()
