@@ -20,7 +20,7 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
         println!(
             "apsp solve --input <FILE> [--algo {}|auto]
   --algo auto        profile the graph and let the planner pick (see 'apsp plan')
-  --block <N>        block size for blocked/dc/ooc/dist (default 64)
+  --block <N>        block size for blocked/quant/dist (default 64)
   --threads <N>      cap worker threads (0 = all cores)
   --serial           shorthand for --threads 1
   --memory-budget <BYTES[k|m|g]>  working-set ceiling for planner eligibility
@@ -165,7 +165,7 @@ mod tests {
         // solve with each algorithm that needs no further option (and auto),
         // dump TSVs, compare; the fixtures have non-negative weights
         let solve_all = |input: &std::path::Path| -> Vec<String> {
-            ["fw", "blocked", "dc", "sparse", "johnson", "dijkstra", "delta", "dist", "auto"]
+            ["fw", "blocked", "sparse", "johnson", "dijkstra", "delta", "dist", "auto"]
                 .iter()
                 .map(|algo| {
                     let out = dir.join(format!("{algo}.tsv"));
@@ -374,7 +374,7 @@ mod tests {
             for span in ["read", "solve", "write"] {
                 assert!(json.contains(&format!("\"name\":\"{span}\"")), "{algo}: no {span}");
             }
-            if ["blocked", "dc", "fw", "dist"].contains(&algo) {
+            if ["blocked", "fw", "dist"].contains(&algo) {
                 assert!(json.contains("\"name\":\"to_dense\""), "{algo}: no to_dense");
             }
             if ["blocked", "quant", "ooc", "dist"].contains(&algo) {

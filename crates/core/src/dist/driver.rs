@@ -46,7 +46,7 @@ use srgemm::matrix::{View, ViewMut};
 use srgemm::semiring::Semiring;
 
 use super::{diag_and_panels, DistError, DistMatrix, Exec, FwConfig, Panels, Schedule};
-use crate::fw_blocked::QuadrantUpdate;
+use crate::fw_blocked::{QuadrantUpdate, CLOSURE_WIDTH};
 
 /// Where this rank's OuterUpdates run.
 enum Outer {
@@ -61,14 +61,19 @@ enum Outer {
 
 impl Outer {
     /// The executor `cfg.exec` names for an `n`-vertex run on a `pr × pc`
-    /// grid. The offload executor first checks that the worst-case panels
-    /// plus tile buffers fit on the device; the bound uses the *maximum*
-    /// local panel extents over the whole grid, computed from
-    /// `(n, b, pr, pc)` alone, so all ranks agree on the verdict.
-    fn new<S: Semiring>(cfg: &FwConfig, n: usize, pr: usize, pc: usize) -> Result<Self, DistError> {
+    /// grid, in-core on `threads` kernel threads. The offload executor
+    /// first checks that the worst-case panels plus tile buffers fit on the
+    /// device; the bound uses the *maximum* local panel extents over the
+    /// whole grid, computed from `(n, b, pr, pc)` alone, so all ranks agree
+    /// on the verdict.
+    fn new<S: Semiring>(
+        cfg: &FwConfig,
+        threads: usize,
+        n: usize,
+        pr: usize,
+        pc: usize,
+    ) -> Result<Self, DistError> {
         if cfg.exec == Exec::InCoreGemm {
-            let threads =
-                cfg.kernel_threads.unwrap_or_else(|| (crate::host_threads() / (pr * pc)).max(1));
             return Ok(Outer::InCore { threads });
         }
         cfg.oog
@@ -143,8 +148,13 @@ pub(super) fn run<S: Semiring>(
     if a.nb == 0 {
         return Ok(());
     }
-    let outer = Outer::new::<S>(cfg, a.n, a.pr, a.pc)?;
-    let phases = |a: &mut DistMatrix<S::Elem>, k| diag_and_panels::<S>(grid, a, k, cfg.bcast);
+    let threads =
+        cfg.kernel_threads.unwrap_or_else(|| (crate::host_threads() / (a.pr * a.pc)).max(1));
+    let outer = Outer::new::<S>(cfg, threads, a.n, a.pr, a.pc)?;
+    let mut inner = QuadrantUpdate::<S>::new(CLOSURE_WIDTH);
+    let mut phases = |a: &mut DistMatrix<S::Elem>, k| {
+        diag_and_panels::<S>(grid, a, k, cfg.bcast, threads, &mut inner)
+    };
 
     let mut quadrants = QuadrantUpdate::<S>::new(a.b);
     let mut panels = phases(a, 0)?;

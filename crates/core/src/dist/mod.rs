@@ -49,6 +49,8 @@ use mpi_sim::{
 use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
 
+use crate::fw_blocked::QuadrantUpdate;
+
 /// Iteration-ordering axis: how OuterUpdate(k) relates to the (k+1)-th
 /// diag/panel phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,8 +131,9 @@ impl Exec {
 }
 
 /// Why a distributed run could not complete. Returned (never panicked)
-/// through [`distributed_apsp_on`] and the convenience drivers so callers —
-/// the CLI in particular — can report the failure and exit cleanly.
+/// through [`distributed_apsp_opts`] and [`distributed_apsp_traced_opts`]
+/// so callers — the CLI in particular — can report the failure and exit
+/// cleanly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DistError {
     /// The offload executor's panels plus tile buffers exceed simulated
@@ -187,10 +190,10 @@ impl From<CommError> for DistError {
 
 impl std::error::Error for DistError {}
 
-/// Runtime knobs for the convenience drivers ([`distributed_apsp_opts`] and
-/// friends): the deadlock-detection deadline, an optional deterministic
-/// fault-injection plan, and the executor's worker-pool / stack sizing for
-/// paper-scale rank counts.
+/// Runtime knobs for [`distributed_apsp_opts`] and
+/// [`distributed_apsp_traced_opts`]: the deadlock-detection deadline, an
+/// optional deterministic fault-injection plan, and the executor's
+/// worker-pool / stack sizing for paper-scale rank counts.
 #[derive(Clone, Debug, Default)]
 pub struct DistRunOpts {
     /// Override the receive timeout used for deadlock detection
@@ -378,17 +381,19 @@ pub(crate) struct Panels<T> {
 
 /// DiagUpdate + DiagBcast + PanelUpdate + PanelBcast for iteration `k` —
 /// identical at every point of the policy cube (only the panel broadcast
-/// algorithm differs). On success the k-th strips of `a` are updated in
-/// place and every rank holds the broadcast panels; a broken broadcast
-/// surfaces as [`DistError::Comm`] on every participating rank.
+/// algorithm differs). DiagUpdate is blocked FW's, on `threads` kernel
+/// threads with `inner` as its scratch. On success the k-th strips of `a`
+/// are updated in place and every rank holds the broadcast panels; a broken
+/// broadcast surfaces as [`DistError::Comm`] on every participating rank.
 pub(crate) fn diag_and_panels<S: Semiring>(
     grid: &ProcessGrid,
     a: &mut DistMatrix<S::Elem>,
     k: usize,
     how: PanelBcastAlgo,
+    threads: usize,
+    inner: &mut QuadrantUpdate<S>,
 ) -> Result<Panels<S::Elem>, DistError> {
-    use crate::fw_blocked::{col_bands, row_bands};
-    use srgemm::closure::fw_closure;
+    use crate::fw_blocked::{col_bands, diag_update, row_bands};
     use srgemm::panel::{panel_update_left, panel_update_right};
 
     let bk = a.block_dim(k);
@@ -403,7 +408,7 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     {
         let _p = span("DiagUpdate");
         if a.owns_row(k) && a.owns_col(k) {
-            fw_closure::<S>(&mut a.diag_block_mut(k));
+            diag_update::<S>(&mut a.diag_block_mut(k), threads, inner);
         }
     }
 
@@ -466,24 +471,6 @@ pub(crate) fn diag_and_panels<S: Semiring>(
     Ok(Panels { col_panel, row_panel })
 }
 
-/// Run distributed APSP on an existing communicator (one call per rank,
-/// SPMD). `global` must be identical on every rank; each rank slices its
-/// own share. The result is gathered to grid rank 0 (`Ok(Some)` there,
-/// `Ok(None)` elsewhere).
-pub fn distributed_apsp_on<S: Semiring>(
-    comm: Comm,
-    pr: usize,
-    pc: usize,
-    cfg: &FwConfig,
-    global: &Matrix<S::Elem>,
-) -> Result<Option<Matrix<S::Elem>>, DistError> {
-    let grid = ProcessGrid::new(comm, pr, pc);
-    let (my_r, my_c) = grid.coords();
-    let mut a = DistMatrix::from_global(global, cfg.block, pr, pc, my_r, my_c);
-    driver::run::<S>(&grid, &mut a, cfg)?;
-    Ok(a.gather(&grid)?)
-}
-
 /// Fold the per-rank results of a successful SPMD run into the root's
 /// matrix; a run in which no rank gathered anything (possible only for
 /// degenerate inputs) yields the empty matrix instead of aborting.
@@ -516,10 +503,11 @@ fn build_runtime(p: usize, placement: Option<Placement>, opts: &DistRunOpts) -> 
     rt
 }
 
-/// Convenience driver: spin up `pr·pc` ranks under the runtime knobs of
-/// `opts` (receive timeout, fault injection, workers), run
-/// [`distributed_apsp_on`], and return the gathered matrix plus the traffic
-/// report (for the §5.1.3 effective-bandwidth metric).
+/// Distributed APSP: spin up `pr·pc` ranks under the runtime knobs of
+/// `opts` (receive timeout, fault injection, workers). Each rank slices its
+/// own share of `global`, runs the driver loop, and the result is gathered
+/// to grid rank 0. Returns the gathered matrix plus the traffic report (for
+/// the §5.1.3 effective-bandwidth metric).
 ///
 /// Any rank failure — deadlock timeout, injected fault, device OOM, or a
 /// caught panic — comes back as a typed [`DistError`] (first failure wins);
@@ -534,8 +522,13 @@ pub fn distributed_apsp_opts<S: Semiring>(
 ) -> Result<(Matrix<S::Elem>, TrafficReport), DistError> {
     let rt = build_runtime(pr * pc, placement, opts);
     let cfg = *cfg;
-    let (out, traffic) =
-        rt.try_run_traced(move |comm| distributed_apsp_on::<S>(comm, pr, pc, &cfg, global));
+    let (out, traffic) = rt.try_run_traced(move |comm| {
+        let grid = ProcessGrid::new(comm, pr, pc);
+        let (my_r, my_c) = grid.coords();
+        let mut a = DistMatrix::from_global(global, cfg.block, pr, pc, my_r, my_c);
+        driver::run::<S>(&grid, &mut a, &cfg)?;
+        Ok(a.gather(&grid)?)
+    });
     match out {
         Ok(results) => Ok((collect_root::<S>(results), traffic)),
         Err(e) => Err(flatten_failure(e)),

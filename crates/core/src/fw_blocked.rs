@@ -7,6 +7,12 @@
 //! read as a view by PanelUpdate, and OuterUpdate covers only `i ∉ k, j ∉ k`,
 //! each GEMM taking its `A` straight from the column panel beside it.
 //!
+//! DiagUpdate is `diag_update`, the one of every FW loop in the crate: a
+//! block no wider than `CLOSURE_WIDTH` is one [`fw_closure`] call, and a
+//! wider one is closed by this same loop at that width. So the block size
+//! `b` sets the width of PanelUpdate and OuterUpdate (the paper's `b`)
+//! while the scalar `O(b³)` closure never runs on more than 64 columns.
+//!
 //! Blocks that are all `S::zero()` are skipped. One scan of the two panels
 //! before PanelUpdate keeps the runs of blocks that hold an entry; in an
 //! idempotent semiring it serves both phases, because PanelUpdate leaves an
@@ -25,25 +31,32 @@
 //!
 //! Each iteration opens the paper's phase spans (`DiagUpdate`,
 //! `PanelUpdate` with the scan inside it, `OuterUpdate` with each repack
-//! as `pack` inside it) on the calling thread's `apsp_trace` recorder.
+//! as `pack` inside it) on the calling thread's `apsp_trace` recorder. The
+//! loop that closes a wide diagonal block runs [`apsp_trace::muted`], so
+//! its own phases book under DiagUpdate.
 
 use std::convert::Infallible;
 use std::ops::Range;
 
-use apsp_trace::span;
+use apsp_trace::{muted, span};
 use srgemm::closure::fw_closure;
 use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
 
+/// The widest diagonal block DiagUpdate closes with one scalar
+/// [`fw_closure`] call; a wider one is closed in blocks of this width.
+pub(crate) const CLOSURE_WIDTH: usize = 64;
+
 /// The DiagUpdate choice `benchmark/src/layers.rs` still names when it calls
-/// [`fw_blocked`]. [`srgemm::closure::fw_closure`] is the one DiagUpdate
-/// kernel; this enum and the wrapper below are deleted by the next
-/// `[benchmark]` PR, once that file stops naming them.
+/// [`fw_blocked`]. `diag_update` is the one DiagUpdate; this enum and the
+/// wrapper below are deleted by the next `[benchmark]` PR, once that file
+/// stops naming them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiagMethod {
-    /// Classic `O(b³)` Floyd-Warshall on the block.
+    /// [`fw_closure`] on blocks up to `CLOSURE_WIDTH` wide, the blocked
+    /// loop at that width on wider ones.
     FwClosure,
 }
 
@@ -62,20 +75,45 @@ pub fn fw_blocked<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, _: DiagMethod,
 /// # Panics
 /// Panics if `d` is not square or `b == 0`.
 pub fn fw_blocked_threads<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, threads: usize) {
-    fw_blocked_view::<S>(&mut d.view_mut(), threads, &mut QuadrantUpdate::new(b));
+    let mut inner = QuadrantUpdate::<S>::new(CLOSURE_WIDTH);
+    fw_blocked_view::<S>(&mut d.view_mut(), threads, &mut QuadrantUpdate::new(b), |diag| {
+        diag_update(diag, threads, &mut inner)
+    });
 }
 
-/// [`fw_blocked_threads`] on the square view `d` at the block size of
-/// `quadrants`, packing into its buffer. A `d` no wider than the block is
-/// one [`fw_closure`] call. The out-of-core driver closes its diagonal tile
-/// with this, at the solve's block size.
+/// DiagUpdate, the one of every FW loop here: close the square block `d`
+/// in place. A block no wider than [`CLOSURE_WIDTH`] is one [`fw_closure`]
+/// call. A wider one runs the blocked loop at that width, packing into
+/// `inner`, an update at [`CLOSURE_WIDTH`] that the caller keeps for the
+/// whole solve, under [`muted`]: its phases book under the caller's
+/// DiagUpdate span.
+///
+/// # Panics
+/// Panics if `d` is not square, or if it is wider than [`CLOSURE_WIDTH`]
+/// and `inner` is not an update at that width.
+pub(crate) fn diag_update<S: Semiring>(
+    d: &mut ViewMut<'_, S::Elem>,
+    threads: usize,
+    inner: &mut QuadrantUpdate<S>,
+) {
+    if d.rows() <= CLOSURE_WIDTH {
+        fw_closure::<S>(d);
+        return;
+    }
+    assert_eq!(inner.block, CLOSURE_WIDTH, "DiagUpdate closes wide blocks at CLOSURE_WIDTH");
+    muted(|| fw_blocked_view::<S>(d, threads, inner, fw_closure::<S>));
+}
+
+/// Blocked FW on the square view `d` at the block size of `quadrants`,
+/// packing into its buffer, with `close` as DiagUpdate.
 ///
 /// # Panics
 /// Panics if `d` is not square.
-pub(crate) fn fw_blocked_view<S: Semiring>(
+fn fw_blocked_view<S: Semiring>(
     d: &mut ViewMut<'_, S::Elem>,
     threads: usize,
     quadrants: &mut QuadrantUpdate<S>,
+    mut close: impl FnMut(&mut ViewMut<'_, S::Elem>),
 ) {
     let (n, b) = (d.rows(), quadrants.block);
     assert_eq!(n, d.cols(), "distance matrix must be square");
@@ -95,7 +133,7 @@ pub(crate) fn fw_blocked_view<S: Semiring>(
         // ----- DiagUpdate -----
         {
             let _p = span("DiagUpdate");
-            fw_closure::<S>(&mut diag_k);
+            close(&mut diag_k);
         }
         // ----- PanelUpdate, on the present runs of each panel -----
         {
@@ -333,7 +371,7 @@ mod tests {
     use super::*;
     use crate::fw_seq::fw_seq;
     use crate::paths_dist::{annotate, MinPlusPred};
-    use apsp_graph::generators::{self, WeightKind};
+    use apsp_graph::generators::{self, GraphKind, WeightKind};
     use apsp_graph::GraphBuilder;
     use srgemm::gemm::gemm_naive;
     use srgemm::semiring::{MaxMin, MinPlusSatU16};
@@ -524,16 +562,20 @@ mod tests {
         assert_quadrants_match_naive::<MaxMin<f32>>(|h| (h % 50) as f32);
     }
 
+    /// Dense inputs from 1 to 70 vertices at block sizes that divide, don't
+    /// divide, exceed and equal n: at n = 70, block 128 is one diagonal
+    /// block wider than `CLOSURE_WIDTH`, closed by the loop at that width.
     #[test]
     fn blocked_matches_sequential_for_many_block_sizes() {
-        let base = dense(48, 1);
-        let mut want = base.clone();
-        fw_seq::<MinPlusF32>(&mut want);
-        // block sizes that divide, don't divide, exceed, and equal n
-        for b in [1, 3, 7, 16, 17, 48, 64] {
-            let mut got = base.clone();
-            fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
-            assert!(want.eq_exact(&got), "b={b}");
+        for n in [1usize, 2, 3, 5, 8, 17, 33, 48, 70] {
+            let base = dense(n, n as u64);
+            let mut want = base.clone();
+            fw_seq::<MinPlusF32>(&mut want);
+            for b in [1, 3, 4, 7, 16, 17, 48, 64, 128] {
+                let mut got = base.clone();
+                fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
+                assert!(want.eq_exact(&got), "n={n} b={b}");
+            }
         }
     }
 
@@ -551,33 +593,78 @@ mod tests {
 
     #[test]
     fn sparse_graph_with_infinities() {
-        let g = generators::erdos_renyi(33, 0.15, WeightKind::small_ints(), 4);
-        let mut want = g.to_dense();
-        fw_seq::<MinPlusF32>(&mut want);
-        let mut got = g.to_dense();
-        fw_blocked_threads::<MinPlusF32>(&mut got, 8, 1);
-        assert!(want.eq_exact(&got));
+        for (kind, n, seed, b) in [
+            (GraphKind::ErdosRenyi { p: 0.15 }, 33, 4u64, 8),
+            (GraphKind::ErdosRenyi { p: 0.1 }, 27, 5, 4),
+            (GraphKind::MultiComponent { components: 4 }, 27, 6, 4),
+            (GraphKind::Ring, 27, 7, 4),
+        ] {
+            let g = generators::generate(kind, n, WeightKind::small_ints(), seed);
+            let mut want = g.to_dense();
+            fw_seq::<MinPlusF32>(&mut want);
+            let mut got = g.to_dense();
+            fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
+            assert!(want.eq_exact(&got), "{kind:?}");
+        }
     }
 
+    /// Widest paths, bit for bit against `fw_seq`: random capacities at
+    /// blocks narrower than, equal to and wider than n, and at n = 150 on
+    /// blocks wider than `CLOSURE_WIDTH`, where DiagUpdate runs the loop.
     #[test]
     fn works_for_max_min_widest_path() {
         type WP = MaxMin<f32>;
-        let mut m = Matrix::filled(20, 20, f32::NEG_INFINITY);
-        // random capacities
-        let mut state = 99u64;
-        for i in 0..20 {
-            for j in 0..20 {
+        // an edge on every `every`-th draw, capacities below `cap`
+        let capacities = |n: usize, mut state: u64, every: u64, cap: u64| {
+            Matrix::from_fn(n, n, |i, j| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if i != j && state.is_multiple_of(3) {
-                    m[(i, j)] = ((state >> 33) % 50) as f32;
+                if i != j && state.is_multiple_of(every) {
+                    ((state >> 33) % cap) as f32
+                } else {
+                    f32::NEG_INFINITY
                 }
+            })
+        };
+        for (m, blocks) in [
+            (capacities(20, 99, 3, 50), &[6][..]),
+            (capacities(21, 5, 4, 40), &[4, 6, 21, 30]),
+            (capacities(150, 5, 4, 40), &[65, 96, 150]),
+        ] {
+            let mut want = m.clone();
+            fw_seq::<WP>(&mut want);
+            for &b in blocks {
+                let mut got = m.clone();
+                fw_blocked_threads::<WP>(&mut got, b, 1);
+                assert!(want.eq_exact(&got), "n={} b={b}", m.rows());
             }
         }
-        let mut want = m.clone();
-        fw_seq::<WP>(&mut want);
-        let mut got = m.clone();
-        fw_blocked_threads::<WP>(&mut got, 6, 1);
-        assert!(want.eq_exact(&got));
+    }
+
+    /// At block 96 each DiagUpdate closes its block with the loop at
+    /// `CLOSURE_WIDTH`, muted: the trace books one DiagUpdate per
+    /// block-iteration and no phase or pack inside one.
+    #[test]
+    fn a_wide_diagonal_block_books_its_inner_loop_under_diag_update_only() {
+        let (n, b) = (200, 96);
+        let mut d = dense(n, 4);
+        let ((), trace) =
+            apsp_trace::record("main", || fw_blocked_threads::<MinPlusF32>(&mut d, b, 1));
+        let spans = &trace.timelines[0].spans;
+        let diags: Vec<_> = spans.iter().filter(|s| s.name == "DiagUpdate").collect();
+        assert_eq!(diags.len(), n.div_ceil(b), "one DiagUpdate per block-iteration");
+        for s in spans.iter().filter(|s| s.name != "DiagUpdate") {
+            assert!(
+                !diags.iter().any(|d| d.start_ns <= s.start_ns && s.end_ns <= d.end_ns),
+                "{} span [{}, {}] ns inside a DiagUpdate",
+                s.name,
+                s.start_ns,
+                s.end_ns
+            );
+        }
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!((count("PanelUpdate"), count("OuterUpdate")), (3, 3));
+        // both halves of the row panel at the middle k, one at either end
+        assert_eq!(count("pack"), 4);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`fw_seq`](mod@fw_seq) — Algorithm 1, the classic `O(n³)` triple loop;
 //!   the oracle every other solver is checked against.
 //! * [`fw_blocked`](mod@fw_blocked) — Algorithm 2: DiagUpdate / PanelUpdate
-//!   / MinPlus outer product over `b×b` blocks, the diagonal closed by
-//!   [`srgemm::closure::fw_closure`] (the one DiagUpdate kernel of every FW
-//!   path).
+//!   / MinPlus outer product over `b×b` blocks. Its DiagUpdate is the one
+//!   of every FW path: [`srgemm::closure::fw_closure`] on a block up to 64
+//!   wide, the blocked loop at width 64 on a wider one.
 //! * [`dist`] — the distributed algorithms over the [`mpi_sim`] runtime,
 //!   spanned by three orthogonal policy axes rather than a closed variant
 //!   list:
@@ -70,7 +70,6 @@
 //! assert_eq!(d[(0, 0)], 0.0);
 //! ```
 
-pub mod dc_apsp;
 pub mod dist;
 pub mod fw_blocked;
 pub mod fw_seq;

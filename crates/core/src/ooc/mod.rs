@@ -16,7 +16,7 @@
 //!   an explicit host-RAM budget, running the kernels of
 //!   [`mod@crate::fw_blocked`] in place on views of the tiles in a cache,
 //!   spilling dirty ones back to the store. The diagonal tile is closed by
-//!   the blocked-FW loop itself, at the solve's block size;
+//!   blocked FW's own DiagUpdate, in blocks of 64 when it is wider;
 //! * a tile the store holds as *absent* is all ⊕-identity and is skipped as
 //!   an operand; only fill-in materializes it. That makes the same loop the
 //!   block-sparse FW of the paper's §7 direction (supernodal APSP, its
@@ -36,8 +36,8 @@
 //! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
 //! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
 //! and `io-wait` around every store read and write-back, on the calling
-//! thread's `apsp_trace` recorder. The blocked closure of a diagonal tile
-//! runs [`apsp_trace::muted`], so its own phases book under DiagUpdate.
+//! thread's `apsp_trace` recorder. The blocked closure of a wide diagonal
+//! tile runs [`apsp_trace::muted`], so its own phases book under DiagUpdate.
 //! [`OocStats`] holds counts only.
 //!
 //! Budget semantics: the budget splits into a reserve — the packed `B`
@@ -55,14 +55,14 @@ pub mod store;
 use std::collections::HashMap;
 
 use apsp_graph::Graph;
-use apsp_trace::{muted, span};
+use apsp_trace::span;
 use srgemm::gemm::{gemm_packed_threads, pad_quantum};
 use srgemm::matrix::{Matrix, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
 use srgemm::MinPlusF32;
 
-use crate::fw_blocked::{fw_blocked_view, QuadrantUpdate};
+use crate::fw_blocked::{diag_update, QuadrantUpdate, CLOSURE_WIDTH};
 
 pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore};
 
@@ -73,16 +73,12 @@ pub struct OocConfig {
     pub budget_bytes: u64,
     /// Kernel threads each outer-product update may use.
     pub threads: usize,
-    /// Block size of the blocked-FW loop that closes each diagonal tile
-    /// (`--block`); a tile no wider is closed by one FW triple loop.
-    pub block: usize,
 }
 
 impl OocConfig {
-    /// A budget-limited, single-threaded config at the CLI's default
-    /// `--block` of 64.
+    /// A budget-limited, single-threaded config.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        OocConfig { budget_bytes, threads: 1, block: 64 }
+        OocConfig { budget_bytes, threads: 1 }
     }
 }
 
@@ -425,17 +421,15 @@ pub fn export<S: Semiring>(
 
 /// Out-of-core blocked Floyd-Warshall over the tiles in `store`, in place.
 ///
-/// Per block-iteration `k`: DiagUpdate closes tile `(k,k)` with the
-/// blocked-FW loop at [`OocConfig::block`]; PanelUpdate fixes block row
-/// and column `k`; then every remaining tile folds
+/// Per block-iteration `k`: DiagUpdate closes tile `(k,k)` as blocked FW
+/// closes its diagonal block (one FW triple loop up to 64 wide, the
+/// blocked loop at width 64 beyond); PanelUpdate fixes block row and
+/// column `k`; then every remaining tile folds
 /// `C(i,j) ⊕= A(i,k) ⊗ B(k,j)`, column by column, so each `B(k,j)` is
 /// packed once. Every kernel runs in place on the cached dense tiles; the
-/// only copy per update is that pack. A run whose tile is no wider than
-/// the block makes the kernel calls of
+/// only copy per update is that pack. A run makes the kernel calls of
 /// [`crate::fw_blocked::fw_blocked_threads`] at block size `tile`, and its
-/// result is bit-identical to that. A wider tile closes its diagonal in
-/// blocks, so on real weights the rounding may differ from that run's;
-/// on integer weights both are exact.
+/// result is bit-identical to that.
 ///
 /// Tiles the store holds as absent are skipped, which is exact because ⊕
 /// is idempotent: PanelUpdate leaves an absent `(k,j)` or `(i,k)` all
@@ -462,7 +456,7 @@ where
     // that no later pack grows it: each `B(k, j)` is repacked into it, and
     // so is every panel of a diagonal tile's blocked closure.
     let side = store.tile().min(store.n());
-    let mut quadrants = QuadrantUpdate::<S>::new(cfg.block);
+    let mut quadrants = QuadrantUpdate::<S>::new(CLOSURE_WIDTH);
     quadrants.packed.repack::<S>(&Matrix::filled(side, side, S::zero()).view());
     let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes, S::zero())?;
 
@@ -471,7 +465,7 @@ where
         {
             let _p = span("DiagUpdate");
             cache.run((k, k), Access::Write, |d| {
-                muted(|| fw_blocked_view::<S>(d, cfg.threads, &mut quadrants))
+                diag_update::<S>(d, cfg.threads, &mut quadrants)
             })?;
         }
 

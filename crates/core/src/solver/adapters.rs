@@ -11,7 +11,6 @@ use apsp_graph::johnson::{johnson_apsp_threads, JohnsonError};
 use apsp_graph::Graph;
 use srgemm::{Matrix, MinPlusF32};
 
-use crate::dc_apsp::dc_apsp;
 use crate::dist::distributed_apsp_opts;
 use crate::fw_blocked::fw_blocked_threads;
 use crate::fw_seq::fw_seq;
@@ -35,7 +34,6 @@ pub fn all() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(Blocked),
         Box::new(Quant),
-        Box::new(Dc),
         Box::new(FwSeq),
         Box::new(Ooc),
         Box::new(Johnson),
@@ -181,40 +179,6 @@ impl Solver for Quant {
     }
 }
 
-/// Divide-and-conquer FW (cache-oblivious recursion over the same packed
-/// GEMM).
-struct Dc;
-
-impl Solver for Dc {
-    fn name(&self) -> &'static str {
-        "dc"
-    }
-    fn description(&self) -> &'static str {
-        "divide-and-conquer FW (cache-oblivious recursion)"
-    }
-    fn working_set_bytes(&self, profile: &GraphProfile, _opts: &SolveOpts) -> u64 {
-        profile.dense_bytes
-    }
-    fn estimate(&self, profile: &GraphProfile, opts: &SolveOpts) -> Estimate {
-        let t = opts.effective_threads();
-        Estimate {
-            seconds: fw_flops(profile.n) * T_FLOP_PACKED * 1.2 / t as f64,
-            detail: "2n³ · 1.2·t_packed / threads (recursion overhead)".into(),
-        }
-    }
-    fn solve(
-        &self,
-        g: &Graph,
-        _profile: &dyn Deref<Target = GraphProfile>,
-        opts: &SolveOpts,
-    ) -> Result<Solution, SolveError> {
-        let threads = opts.effective_threads();
-        let mut d = to_dense(g);
-        dc_apsp::<MinPlusF32>(&mut d, opts.block.max(1), threads);
-        Ok(solution(d, self.name(), threads))
-    }
-}
-
 /// Sequential triple-loop FW: the reference everything else is verified
 /// against.
 struct FwSeq;
@@ -316,7 +280,7 @@ impl Solver for Ooc {
         _profile: &dyn Deref<Target = GraphProfile>,
         opts: &SolveOpts,
     ) -> Result<Solution, SolveError> {
-        let (n, threads, block) = (g.n(), opts.effective_threads(), opts.block.max(1));
+        let (n, threads) = (g.n(), opts.effective_threads());
         let budget = opts.memory_budget.ok_or(SolveError::Ineligible {
             solver: self.name(),
             reason: Ineligible::NeedsBudget,
@@ -333,7 +297,7 @@ impl Solver for Ooc {
         // exclusive create, unlinked at once: no exit path leaves a file
         let mut store = FileStore::<f32>::create(&Self::staging_path(n, tile), n, tile)
             .map_err(|e| SolveError::Ooc(e.into()))?;
-        let cfg = OocConfig { budget_bytes: budget, threads, block };
+        let cfg = OocConfig { budget_bytes: budget, threads };
         let (d, stats) = solve_in_store(g, &mut store, &cfg).map_err(SolveError::Ooc)?;
         let nb = store.tiles_per_side() as u64;
         let mut sol = solution(d, self.name(), threads);
@@ -646,7 +610,7 @@ mod tests {
             sol.unwrap_or_else(|e| panic!("{name}: {e}"));
             profiles(trace)
         };
-        for name in ["blocked", "dist", "fw", "dc", "johnson"] {
+        for name in ["blocked", "dist", "fw", "johnson"] {
             assert_eq!(solve(name, &opts), 0, "{name}");
         }
         for name in ["quant", "delta", "auto"] {
@@ -703,7 +667,7 @@ mod tests {
         assert_eq!(plan.chosen, Some("ooc"), "\n{}", plan.render());
         // every in-RAM dense solver must be priced out by the budget
         for e in &plan.entries {
-            if ["blocked", "dc", "fw"].contains(&e.solver) {
+            if ["blocked", "fw"].contains(&e.solver) {
                 assert!(
                     matches!(e.outcome, Err(Ineligible::MemoryBudget { .. })),
                     "{} should be budget-ineligible",
@@ -810,13 +774,10 @@ mod tests {
             // 4095 · 8 = 32 760 is below the lanes' sentinel 32 767; 9 is not
             ("dense 4096, weights fit u16", dense(4096, 8.0), None, Some(0.0), "quant"),
             ("dense 4096, weights overflow u16", dense(4096, 100.0), None, Some(0.0), "blocked"),
-            // as priced, the matrix fits and blocked's one repacked
-            // b × (n − b) row panel beside it (240 KiB) does not. dc's
-            // price is still off (ROADMAP item 9): dc_apsp packs the
-            // top-level (n/2)² B quadrant, a quarter of the matrix more,
-            // which `Dc::working_set_bytes` does not charge, so at this
-            // budget dc does not truly fit either.
-            ("dense 1024, budget = matrix", dense(1024, 9.0), Some(4 << 20), None, "dc"),
+            // the matrix fits and blocked's one repacked b × (n − b) row
+            // panel beside it (240 KiB) does not, so the staged solve beats
+            // fw's serial triple loop
+            ("dense 1024, budget = matrix", dense(1024, 9.0), Some(4 << 20), None, "ooc"),
             ("dense 1024, budget = matrix / 2", dense(1024, 9.0), Some(2 << 20), None, "ooc"),
         ];
         for (row, profile, memory_budget, error_tolerance, want) in rows.clone() {
@@ -927,7 +888,7 @@ mod tests {
         assert!(text.contains("never auto-selected"), "{text}"); // dist row
         assert!(text.contains("chosen: "), "{text}");
         // negative weights: only the FW family and johnson remain eligible
-        assert!(["blocked", "dc", "fw", "ooc", "johnson"].contains(&plan.chosen.unwrap()));
+        assert!(["blocked", "fw", "ooc", "johnson"].contains(&plan.chosen.unwrap()));
     }
 
     #[test]
@@ -954,7 +915,6 @@ mod tests {
         let tile32 = SolveOpts { block: 32, ..base.clone() };
         let rows = [
             ("blocked", base.clone(), None),
-            ("dc", base.clone(), None),
             ("johnson", base.clone(), None),
             ("delta", base.clone(), None),
             ("quant", SolveOpts { error_tolerance: Some(0.0), ..base.clone() }, Some("bit-exact")),

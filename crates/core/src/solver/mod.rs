@@ -36,7 +36,8 @@ pub use profile::GraphProfile;
 /// solver, so all three agree on block size and thread budget.
 #[derive(Clone, Debug)]
 pub struct SolveOpts {
-    /// Block size for the tiled solvers (blocked/dc/ooc/dist).
+    /// Block size for blocked/quant/dist: the width of PanelUpdate and
+    /// OuterUpdate (the paper's `b`).
     pub block: usize,
     /// Thread budget of the solve; `0` → all cores. Every solver spends
     /// its kernel threads, source sweeps or simulated ranks out of this

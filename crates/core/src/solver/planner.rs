@@ -13,8 +13,7 @@
 //! The literals date from an earlier dev box and are stale where the kernel
 //! has since improved: the packed dense kernel now measures ≈ 71 G
 //! semiring-flop/s on one core (1.4e-11 s/flop against `T_FLOP_PACKED` =
-//! 2.2e-11), and `dc` measures 0.80–1.00× `blocked` at n ≤ 2048 where it is
-//! priced at 1.2×. `blocked` is priced dense although it skips all-∞
+//! 2.2e-11). `blocked` is priced dense although it skips all-∞
 //! blocks: on 16 components at n = 2048 it runs ~20× under its price, and a
 //! price that credits the skip needs a workload on each side of the flip it
 //! would cause (`sparse-auto` among them). A Dijkstra sweep costs ~3

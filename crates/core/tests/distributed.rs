@@ -47,6 +47,18 @@ fn all_variants_match_on_sparse_multi_component_graph() {
 }
 
 #[test]
+fn blocks_wider_than_the_closure_width_close_their_diagonal_in_blocks() {
+    // b = 96 on n = 3·96 + 13: every diagonal block but the ragged last one
+    // is wider than 64, so DiagUpdate runs blocked FW's loop at width 64
+    let (input, want) = reference(301, GraphKind::UniformDense, 96);
+    let cfg = FwConfig::new(96, Variant::Pipelined);
+    let (got, _) =
+        distributed_apsp_opts::<MinPlusF32>(2, 2, &cfg, &input, None, &DistRunOpts::default())
+            .expect("run");
+    assert_matrices_equal(&want, &got, "b = 96 on 2x2");
+}
+
+#[test]
 fn rectangular_grids_and_ragged_blocks() {
     // n=29 with b=4 → ragged tail block; grids taller and wider than square.
     // On the 1×4 and 4×1 grids one rank owns both the k-th and the (k+1)-th

@@ -263,21 +263,22 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
 
 #[test]
 fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
-    // block 8 on n = 7·8 + 5: tiles of one, two and three blocks and a
-    // ragged 20 (two and a half), staged under a tight budget and in memory
-    let (b, n) = (8usize, 61usize);
+    // DiagUpdate closes in blocks of 64; on n = 3·64 + 13: tiles of one,
+    // two and three blocks (the last tile of 128 is a ragged 77) and of two
+    // and a half, staged under a tight budget and in memory
+    let (b, n) = (64usize, 205usize);
     let ints = graph(n, 0xB10C);
     let reals = generators::uniform_dense(n, WeightKind::Real { lo: 0.5, hi: 20.0 }, 0xB10C);
-    for t in [b, 2 * b, 3 * b, 20] {
+    for t in [b, 2 * b, 3 * b, 160] {
         for (g, exact) in [(&ints, true), (&reals, false)] {
             let want = closure(g);
             let path = TempPath::new("wide");
             let mut file = FileStore::<f32>::create(&path.0, n, t).unwrap();
-            let staged = OocConfig { block: b, ..OocConfig::with_budget(tight_budget(t)) };
+            let staged = OocConfig::with_budget(tight_budget(t));
             let (via_file, stats) = solve_in_store(g, &mut file, &staged).unwrap();
             assert!(stats.tiles_written > 0, "t={t}: a tight budget must spill");
             let mut mem = MemStore::<f32>::new(n, t);
-            let unbounded = OocConfig { block: b, ..OocConfig::with_budget(u64::MAX) };
+            let unbounded = OocConfig::with_budget(u64::MAX);
             let (via_mem, _) = solve_in_store(g, &mut mem, &unbounded).unwrap();
             assert!(via_file.eq_exact(&via_mem), "t={t}: staged and memory stores differ");
             if exact {
@@ -292,13 +293,14 @@ fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
 
 #[test]
 fn a_wide_diagonal_tile_books_its_inner_loop_under_diag_update_only() {
-    // tile 3b: each DiagUpdate runs three blocked iterations, whose panel
-    // and outer updates and packs must not show as phases of their own
-    let (b, n, t) = (8usize, 61usize, 24usize);
+    // tile 96, wider than DiagUpdate's 64: each DiagUpdate runs two blocked
+    // iterations, whose panel and outer updates and packs must not show as
+    // phases of their own
+    let (n, t) = (277usize, 96usize);
     let path = TempPath::new("wide-trace");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     ingest(&mut store, &graph(n, 29)).unwrap();
-    let cfg = OocConfig { block: b, ..OocConfig::with_budget(tight_budget(t)) };
+    let cfg = OocConfig::with_budget(tight_budget(t));
     let (stats, trace) = apsp_trace::record("driver", || ooc_fw::<MinPlusF32>(&mut store, &cfg));
     stats.unwrap();
     let spans = &trace.timelines[0].spans;

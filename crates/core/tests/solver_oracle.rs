@@ -86,7 +86,7 @@ fn every_family_times_every_eligible_solver_agrees_with_fw_seq() {
                 Err(other) => panic!("{family}/{name}: unexpected error {other}"),
             }
         }
-        // the FW family is eligible everywhere: at least fw/blocked/dc/sparse/dist
+        // without a budget or a tolerance: blocked, fw, johnson, delta, dist
         assert!(eligible >= 5, "{family}: only {eligible} solvers eligible");
     }
 }

@@ -218,40 +218,30 @@ impl<E: Copy> AlignedBuf<E> {
     }
 }
 
-/// A whole `B` operand packed as a grid of `kc × nc` tiles, each row-major
-/// contiguous. Immutable after packing; share by reference (`&PackedB`)
-/// across row slabs / FW strip updates to pack once and stream many times.
+/// A whole `B` operand packed as a grid of [`KC`]` × `[`NC`] tiles, each
+/// row-major contiguous. Immutable after packing; share by reference
+/// (`&PackedB`) across row slabs / FW strip updates to pack once and stream
+/// many times.
 #[derive(Debug)]
 pub struct PackedB<E> {
     buf: AlignedBuf<E>,
     rows: usize,
     cols: usize,
-    kc: usize,
-    nc: usize,
     /// Element offset of tile `(kt, jt)` at `tile_off[kt * jt_count + jt]`.
     tile_off: Vec<usize>,
+    /// Number of [`KC`]-tiles along the reduction dimension.
     kt_count: usize,
+    /// Number of [`NC`]-tiles along the column dimension.
     jt_count: usize,
 }
 
 impl<E: Copy> PackedB<E> {
-    /// Pack `b` with the default [`KC`]`×`[`NC`] tiling.
+    /// Pack `b`.
     pub fn pack<S: Semiring<Elem = E>>(b: &View<'_, E>) -> Self {
-        Self::pack_tiled::<S>(b, KC, NC)
-    }
-
-    /// Pack `b` with explicit tile sizes (exposed for tests and the tiling
-    /// ablation; must match the consuming kernel's tiling).
-    ///
-    /// # Panics
-    /// Panics if `kc` or `nc` is zero.
-    pub fn pack_tiled<S: Semiring<Elem = E>>(b: &View<'_, E>, kc: usize, nc: usize) -> Self {
         let mut packed = Self {
             buf: AlignedBuf::new(),
             rows: 0,
             cols: 0,
-            kc,
-            nc,
             tile_off: Vec::new(),
             kt_count: 0,
             jt_count: 0,
@@ -263,16 +253,12 @@ impl<E: Copy> PackedB<E> {
     /// Re-pack a (possibly differently shaped) `b` into this buffer, reusing
     /// the allocation. This is what the FW drivers call once per `k`
     /// iteration on the freshly broadcast row panel.
-    ///
-    /// # Panics
-    /// Panics if the tile sizes this buffer was built with are zero.
     pub fn repack<S: Semiring<Elem = E>>(&mut self, b: &View<'_, E>) {
-        assert!(self.kc > 0 && self.nc > 0, "pack tile sizes must be positive");
         let (k, n) = (b.rows(), b.cols());
         self.rows = k;
         self.cols = n;
-        self.kt_count = k.div_ceil(self.kc);
-        self.jt_count = n.div_ceil(self.nc);
+        self.kt_count = k.div_ceil(KC);
+        self.jt_count = n.div_ceil(NC);
         // Total capacity with every tile row padded to the pad-quantum stride.
         let padded_cols: usize =
             (0..self.jt_count).map(|jt| self.padded_tile_width(jt)).sum();
@@ -280,15 +266,14 @@ impl<E: Copy> PackedB<E> {
         self.tile_off.clear();
         self.tile_off.reserve(self.kt_count * self.jt_count);
 
-        let (kc, nc) = (self.kc, self.nc);
         let dst = self.buf.packed_mut();
         let mut off = 0;
         for kt in 0..self.kt_count {
-            let k0 = kt * kc;
-            let kb = kc.min(k - k0);
+            let k0 = kt * KC;
+            let kb = KC.min(k - k0);
             for jt in 0..self.jt_count {
-                let j0 = jt * nc;
-                let jb = nc.min(n - j0);
+                let j0 = jt * NC;
+                let jb = NC.min(n - j0);
                 let stride = jb.next_multiple_of(pad_quantum::<E>());
                 self.tile_off.push(off);
                 for l in 0..kb {
@@ -317,37 +302,25 @@ impl<E: Copy> PackedB<E> {
         self.cols
     }
 
-    /// Number of `kc`-tiles along the reduction dimension.
-    #[inline]
-    pub fn kt_count(&self) -> usize {
-        self.kt_count
-    }
-
-    /// Number of `nc`-tiles along the column dimension.
-    #[inline]
-    pub fn jt_count(&self) -> usize {
-        self.jt_count
-    }
-
     /// `(k0, kb)` extent of reduction tile `kt`.
     #[inline]
-    pub fn row_range(&self, kt: usize) -> (usize, usize) {
-        let k0 = kt * self.kc;
-        (k0, self.kc.min(self.rows - k0))
+    fn row_range(&self, kt: usize) -> (usize, usize) {
+        let k0 = kt * KC;
+        (k0, KC.min(self.rows - k0))
     }
 
     /// `(j0, jb)` extent of column tile `jt`.
     #[inline]
-    pub fn col_range(&self, jt: usize) -> (usize, usize) {
-        let j0 = jt * self.nc;
-        (j0, self.nc.min(self.cols - j0))
+    fn col_range(&self, jt: usize) -> (usize, usize) {
+        let j0 = jt * NC;
+        (j0, NC.min(self.cols - j0))
     }
 
     /// Row stride of tile column `jt`: its logical width `jb` rounded up to
     /// the element-width-derived [`pad_quantum`]; the pad region is
     /// `S::zero()`-filled.
     #[inline]
-    pub fn padded_tile_width(&self, jt: usize) -> usize {
+    fn padded_tile_width(&self, jt: usize) -> usize {
         let (_, jb) = self.col_range(jt);
         jb.next_multiple_of(pad_quantum::<E>())
     }
@@ -355,7 +328,7 @@ impl<E: Copy> PackedB<E> {
     /// The row-major contiguous `kb × padded_tile_width(jt)` tile `(kt, jt)`;
     /// only the first `jb` elements of each row are live.
     #[inline]
-    pub fn tile(&self, kt: usize, jt: usize) -> &[E] {
+    fn tile(&self, kt: usize, jt: usize) -> &[E] {
         let (_, kb) = self.row_range(kt);
         let stride = self.padded_tile_width(jt);
         let off = self.tile_off[kt * self.jt_count + jt];
@@ -486,10 +459,10 @@ pub fn gemm_packed_with_scratch<S: Semiring>(
     // pass into the caller's `pa`. For a fixed C element the reduction
     // tiles arrive in ascending k, and each tile folds k ascending, so the
     // overall ⊕-order matches gemm_naive exactly.
-    for jt in 0..pb.jt_count() {
+    for jt in 0..pb.jt_count {
         let (j0, jb) = pb.col_range(jt);
         let stride = pb.padded_tile_width(jt);
-        for kt in 0..pb.kt_count() {
+        for kt in 0..pb.kt_count {
             let (k0, kb) = pb.row_range(kt);
             let b_tile = pb.tile(kt, jt);
             let mut i0 = 0;
@@ -843,7 +816,7 @@ mod tests {
             {
                 let mut cv = c.view_mut();
                 let av = a.view();
-                for kt in 0..pb.kt_count() {
+                for kt in 0..pb.kt_count {
                     let (k0, kb) = pb.row_range(kt);
                     pa.pack_slab::<S>(&av, 0, k0, m, kb, mr);
                     let stride = pb.padded_tile_width(0);
@@ -993,18 +966,6 @@ mod tests {
 
     // A zero tile size would make the tile-advance loops spin forever; it is
     // rejected loudly where the tiling enters.
-    #[test]
-    #[should_panic(expected = "tile sizes must be positive")]
-    fn zero_kc_is_rejected_not_hung() {
-        let _ = PackedB::pack_tiled::<MinPlus<f32>>(&lcg_matrix(4, 4, 1).view(), 0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile sizes must be positive")]
-    fn zero_nc_is_rejected_not_hung() {
-        let _ = PackedB::pack_tiled::<MinPlus<f32>>(&lcg_matrix(4, 4, 1).view(), 4, 0);
-    }
-
     #[test]
     fn aligned_buf_is_cache_line_aligned_for_floats() {
         let b = lcg_matrix(33, 17, 50);
