@@ -562,16 +562,29 @@ mod tests {
         assert_quadrants_match_naive::<MaxMin<f32>>(|h| (h % 50) as f32);
     }
 
-    /// Dense inputs from 1 to 70 vertices at block sizes that divide, don't
-    /// divide, exceed and equal n: at n = 70, block 128 is one diagonal
-    /// block wider than `CLOSURE_WIDTH`, closed by the loop at that width.
     #[test]
     fn blocked_matches_sequential_for_many_block_sizes() {
+        let base = dense(48, 1);
+        let mut want = base.clone();
+        fw_seq::<MinPlusF32>(&mut want);
+        // block sizes that divide, don't divide, exceed, and equal n
+        for b in [1, 3, 7, 16, 17, 48, 64] {
+            let mut got = base.clone();
+            fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
+            assert!(want.eq_exact(&got), "b={b}");
+        }
+    }
+
+    /// Dense inputs from 1 to 70 vertices: at n = 70, block 128 is one
+    /// diagonal block wider than `CLOSURE_WIDTH`, closed by the loop at
+    /// that width.
+    #[test]
+    fn matches_sequential_fw_across_sizes_and_bases() {
         for n in [1usize, 2, 3, 5, 8, 17, 33, 48, 70] {
             let base = dense(n, n as u64);
             let mut want = base.clone();
             fw_seq::<MinPlusF32>(&mut want);
-            for b in [1, 3, 4, 7, 16, 17, 48, 64, 128] {
+            for b in [1, 3, 4, 16, 64, 128] {
                 let mut got = base.clone();
                 fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
                 assert!(want.eq_exact(&got), "n={n} b={b}");
@@ -593,41 +606,61 @@ mod tests {
 
     #[test]
     fn sparse_graph_with_infinities() {
-        for (kind, n, seed, b) in [
-            (GraphKind::ErdosRenyi { p: 0.15 }, 33, 4u64, 8),
-            (GraphKind::ErdosRenyi { p: 0.1 }, 27, 5, 4),
-            (GraphKind::MultiComponent { components: 4 }, 27, 6, 4),
-            (GraphKind::Ring, 27, 7, 4),
+        let g = generators::erdos_renyi(33, 0.15, WeightKind::small_ints(), 4);
+        let mut want = g.to_dense();
+        fw_seq::<MinPlusF32>(&mut want);
+        let mut got = g.to_dense();
+        fw_blocked_threads::<MinPlusF32>(&mut got, 8, 1);
+        assert!(want.eq_exact(&got));
+    }
+
+    #[test]
+    fn sparse_and_disconnected_inputs() {
+        for (kind, seed) in [
+            (GraphKind::ErdosRenyi { p: 0.1 }, 5u64),
+            (GraphKind::MultiComponent { components: 4 }, 6),
+            (GraphKind::Ring, 7),
         ] {
-            let g = generators::generate(kind, n, WeightKind::small_ints(), seed);
+            let g = generators::generate(kind, 27, WeightKind::small_ints(), seed);
             let mut want = g.to_dense();
             fw_seq::<MinPlusF32>(&mut want);
             let mut got = g.to_dense();
-            fw_blocked_threads::<MinPlusF32>(&mut got, b, 1);
+            fw_blocked_threads::<MinPlusF32>(&mut got, 4, 1);
             assert!(want.eq_exact(&got), "{kind:?}");
         }
     }
 
-    /// Widest paths, bit for bit against `fw_seq`: random capacities at
-    /// blocks narrower than, equal to and wider than n, and at n = 150 on
-    /// blocks wider than `CLOSURE_WIDTH`, where DiagUpdate runs the loop.
+    /// Random capacities: an edge on every `every`-th draw, each below `cap`.
+    fn capacities(n: usize, mut state: u64, every: u64, cap: u64) -> Matrix<f32> {
+        Matrix::from_fn(n, n, |i, j| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if i != j && state.is_multiple_of(every) {
+                ((state >> 33) % cap) as f32
+            } else {
+                f32::NEG_INFINITY
+            }
+        })
+    }
+
     #[test]
     fn works_for_max_min_widest_path() {
         type WP = MaxMin<f32>;
-        // an edge on every `every`-th draw, capacities below `cap`
-        let capacities = |n: usize, mut state: u64, every: u64, cap: u64| {
-            Matrix::from_fn(n, n, |i, j| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if i != j && state.is_multiple_of(every) {
-                    ((state >> 33) % cap) as f32
-                } else {
-                    f32::NEG_INFINITY
-                }
-            })
-        };
+        let m = capacities(20, 99, 3, 50);
+        let mut want = m.clone();
+        fw_seq::<WP>(&mut want);
+        let mut got = m.clone();
+        fw_blocked_threads::<WP>(&mut got, 6, 1);
+        assert!(want.eq_exact(&got));
+    }
+
+    /// Widest paths, bit for bit against `fw_seq`: at blocks narrower than,
+    /// equal to and wider than n, and at n = 150 on blocks wider than
+    /// `CLOSURE_WIDTH`, where DiagUpdate runs the loop.
+    #[test]
+    fn works_for_widest_path_semiring() {
+        type WP = MaxMin<f32>;
         for (m, blocks) in [
-            (capacities(20, 99, 3, 50), &[6][..]),
-            (capacities(21, 5, 4, 40), &[4, 6, 21, 30]),
+            (capacities(21, 5, 4, 40), &[4, 6, 21, 30][..]),
             (capacities(150, 5, 4, 40), &[65, 96, 150]),
         ] {
             let mut want = m.clone();
