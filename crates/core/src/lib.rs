@@ -26,9 +26,9 @@
 //!   `Baseline`, `Pipelined`, `+Async`, `Offload`, and the composed
 //!   [`dist::Variant::CoMe`] (`Co+Me`: look-ahead + ring + offload, the
 //!   Fig. 7 configuration that reaches n = 1.66M).
-//! * [`model`] — the paper's performance models: Eq. 1, the §3.4.1
-//!   communication-volume lower bound, Eq. 4's GPU DiagUpdate flops, Eq. 5,
-//!   and the §5.1.3 metrics.
+//! * [`model`] — the paper's performance models: the §3.4.1
+//!   communication-volume lower bound, Eq. 4's GPU DiagUpdate flops, the
+//!   Summit memory wall, and the §5.1.3 metrics.
 //! * [`schedule`] — lowers any policy triple to a [`cluster_sim`] task DAG
 //!   at Summit scale; this is what regenerates the paper's Figs. 3–4 and
 //!   7–9.
@@ -104,7 +104,7 @@ pub(crate) fn host_threads() -> usize {
 // in RAM is `fw_blocked`, which skips all-∞ blocks (the registry's
 // `blocked`, alias `sparse`); staged, it is `ooc::ooc_fw` over a file store
 // that holds a graph's all-∞ tiles absent. The tests of the latter, on the
-// file store and on the tests' memory store, live here.
+// file store under an unbounded and under a tight budget, live here.
 #[cfg(test)]
 mod fw_sparse {
     pub(crate) mod tests;

@@ -1,8 +1,8 @@
 //! The paper's performance models and reporting metrics.
 //!
-//! * Eq. 1 — total ParallelFw cost `2n³/P·t_f + 2(n/b)·t_l + t_w·(n²/P_r + n²/P_c)`.
 //! * §3.4.1 — per-node NIC volume lower bound `t_w·(n²·Q_r/P_r + n²·Q_c/P_c)`.
-//! * Eq. 4 — the flops of a GPU DiagUpdate by repeated squaring.
+//! * Eq. 4 — the flops of a GPU DiagUpdate by repeated squaring, a priced
+//!   term that no code runs.
 //! * §5.1.3 — the effective-bandwidth metric `W_min / t_FW` and flop-rate
 //!   normalizations used by every figure harness.
 
@@ -15,36 +15,17 @@ pub fn fw_flops(n: usize) -> f64 {
 }
 
 /// Eq. 4: GEMM flops of closing a `b × b` diagonal block on the GPU by
-/// repeated squaring — `⌈log₂ b⌉ · 2b³`. The CPU closes it with the `2b³`
-/// of [`srgemm::closure::fw_closure`]; only the schedule simulator prices
-/// this form.
+/// repeated squaring — `⌈log₂ b⌉ · 2b³`. A priced term that no code runs:
+/// the schedule simulator's DiagUpdate task prices the paper's GPU squaring
+/// on purpose, while every CPU path (`blocked`, `quant`, `ooc`, `dist`)
+/// closes a diagonal block with blocked FW at width 64 (`CLOSURE_WIDTH`),
+/// one [`srgemm::closure::fw_closure`] of `2b³` flops per 64-wide block.
 pub fn closure_squaring_flops(b: usize) -> f64 {
     if b <= 1 {
         return 2.0 * (b as f64).powi(3);
     }
     let rounds = (usize::BITS - (b - 1).leading_zeros()) as f64;
     rounds * 2.0 * (b as f64).powi(3)
-}
-
-/// Eq. 1: predicted ParallelFw seconds on `spec` with an `P_r×P_c` grid of
-/// `P` ranks, `elem_bytes`-sized elements and block size `b`, **without**
-/// overlap (the baseline's bulk-synchronous bound).
-pub fn eq1_total_time(
-    spec: &MachineSpec,
-    n: usize,
-    b: usize,
-    kr: usize,
-    kc: usize,
-    elem_bytes: usize,
-) -> f64 {
-    let t_f = 1.0 / spec.total_flops();
-    let t_w = elem_bytes as f64 / spec.nic_bw;
-    let t_l = spec.nic_latency;
-    let n_f = n as f64;
-    let comp = fw_flops(n) * t_f;
-    let lat = 2.0 * (n_f / b as f64) * t_l * ((kr.max(kc)) as f64).log2().max(1.0);
-    let bw = t_w * (n_f * n_f / kr as f64 + n_f * n_f / kc as f64);
-    comp + lat + bw
 }
 
 /// §3.4.1: minimum bytes leaving any single node's NIC over the whole run,
@@ -128,18 +109,6 @@ mod tests {
         let skinny = comm_lower_bound_bytes(1000, 16, 1, 4);
         assert!(sq < skinny);
         assert_eq!(sq, 4.0 * (1e6 / 4.0 + 1e6 / 4.0));
-    }
-
-    #[test]
-    fn eq1_compute_term_dominates_large_n() {
-        let spec = MachineSpec::summit(64);
-        let small = eq1_total_time(&spec, 30_000, 768, 8, 8, 4);
-        let large = eq1_total_time(&spec, 500_000, 768, 8, 8, 4);
-        let comp_small = fw_flops(30_000) / spec.total_flops();
-        let comp_large = fw_flops(500_000) / spec.total_flops();
-        // at large n, the total approaches the compute term
-        assert!(large / comp_large < 1.2);
-        assert!(small / comp_small > 1.5); // bandwidth-dominated
     }
 
     #[test]

@@ -28,10 +28,8 @@
 //!   a slot on the solving thread when the cache misses or spills, straight
 //!   between its one slot buffer and the evicted tile's matrix, so no
 //!   transfer allocates. Unlike the paper's PCIe tier, the transfer does
-//!   not overlap the GEMM. The
-//!   matching cost term is `gpu_sim::cost`'s fourth engine `t3`, and
-//!   [`gpu_sim::min_block_size_disk`] is the Eq. 5 analysis that predicts
-//!   the tile size where an overlapped run would turn compute-bound.
+//!   not overlap the GEMM, so the `ooc` price adds its disk term to the
+//!   compute term instead of taking the larger of the two.
 //!
 //! Where the time goes is a trace, not a counter: [`ooc_fw`] opens the
 //! paper's phase spans per iteration, `pack` around each repack of `B(k, j)`
@@ -43,10 +41,9 @@
 //! Budget semantics: the budget splits into a reserve — the packed `B`
 //! scratch plus two tile slots, for the file store's slot buffer and the
 //! one tile in transit beside the cache — and the cache, which gets the
-//! rest (less every tile, for the in-memory store). `peak resident` samples
-//! `cached tiles + the packed B scratch + what the store holds` between
-//! cache operations and never exceeds [`OocConfig::budget_bytes`]; a budget
-//! below [`staged_budget_floor`] fails up front with
+//! rest. `peak resident` samples `cached tiles + the packed B scratch`
+//! between cache operations and never exceeds [`OocConfig::budget_bytes`];
+//! a budget below [`staged_budget_floor`] fails up front with
 //! [`OocError::BudgetTooSmall`] — the same `{required, budget}` shape as
 //! the device tier's `Oom {requested, available}`.
 
@@ -64,7 +61,7 @@ use srgemm::MinPlusF32;
 
 use crate::fw_blocked::{diag_update, QuadrantUpdate, CLOSURE_WIDTH};
 
-pub use store::{tile_bytes, FileStore, MemStore, StoreError, TileElem, TileStore};
+pub use store::{tile_bytes, FileStore, StoreError, TileElem, TileStore};
 
 /// Out-of-core driver configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,16 +84,15 @@ impl OocConfig {
 pub enum OocError {
     /// The budget cannot hold even the minimal working set. Mirrors the
     /// device tier's `Oom { requested, available }`: `required` is the full
-    /// up-front floor ([`staged_budget_floor`] plus whatever the store
-    /// itself keeps resident), not the increment that happened to overflow.
+    /// up-front floor ([`staged_budget_floor`]), not the increment that
+    /// happened to overflow.
     BudgetTooSmall {
         /// Minimum bytes the solve needs resident.
         required: u64,
         /// The configured budget.
         budget: u64,
     },
-    /// The tile store failed (I/O error, bad geometry, missing or corrupt
-    /// tile).
+    /// The tile store failed (I/O error, bad geometry, corrupt tile).
     Store(StoreError),
 }
 
@@ -121,8 +117,8 @@ impl From<StoreError> for OocError {
 }
 
 /// Counters from one out-of-core solve; its shape is the store's
-/// ([`TileStore::tile`], [`TileStore::tiles_per_side`], [`TileStore::kind`])
-/// and its budget the caller's [`OocConfig`].
+/// ([`TileStore::tile`], [`TileStore::tiles_per_side`]) and its budget the
+/// caller's [`OocConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OocStats {
     /// Tiles fetched from the store.
@@ -137,7 +133,7 @@ pub struct OocStats {
     /// present, fewer for each one an absent operand skipped.
     pub outer_gemms: u64,
     /// Peak host-RAM residency observed between cache operations (cache +
-    /// scratch + what the store holds).
+    /// scratch).
     pub peak_resident_bytes: u64,
 }
 
@@ -225,8 +221,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     /// refuse a budget below the floor.
     fn new(store: &'s mut dyn TileStore<E>, budget: u64, zero: E) -> Result<Self, OocError> {
         let tile = store.tile();
-        let baseline = store.resident_bytes();
-        let required = baseline + staged_budget_floor::<E>(tile);
+        let required = staged_budget_floor::<E>(tile);
         if budget < required {
             return Err(OocError::BudgetTooSmall { required, budget });
         }
@@ -235,7 +230,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
             stats: OocStats::default(),
             map: HashMap::new(),
             resident: 0,
-            cap: budget - baseline - reserved_bytes::<E>(tile),
+            cap: budget - reserved_bytes::<E>(tile),
             scratch: packed_b_bytes::<E>(tile),
             clock: 0,
             zero,
@@ -249,7 +244,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     }
 
     fn note_peak(&mut self) {
-        let total = self.resident + self.scratch + self.store.resident_bytes();
+        let total = self.resident + self.scratch;
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(total);
     }
 

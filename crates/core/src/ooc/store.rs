@@ -1,5 +1,5 @@
-//! Tile stores: the solve's private scratch space for the tiles of the
-//! distance matrix, in RAM or in one unlinked temp file.
+//! The tile store: the solve's private scratch space for the tiles of the
+//! distance matrix, in one unlinked temp file.
 //!
 //! A [`TileStore`] holds the `⌈n/t⌉ × ⌈n/t⌉` grid of tiles of one solve:
 //! [`super::solve_in_store`] fills it, runs the FW loop over it and reads
@@ -15,31 +15,28 @@
 //! reads it until a write materializes it. Reading a slot that was neither
 //! written nor declared absent is a typed error, never a made-up tile.
 //!
-//! Two implementations:
-//!
-//! * [`MemStore`] — the tiles as matrices in a `Vec`: the tests' fake
-//!   store, which the solver never uses.
-//! * [`FileStore`] — the one store that writes bytes, and so the one place
-//!   that knows how a tile becomes bytes. Its file is `⌈n/t⌉²`
-//!   fixed-capacity slots and no header: the slot of tile `(ti, tj)` holds
-//!   its `rb × cb` elements, row-major little-endian, then a 64-bit checksum
-//!   of those bytes. Every read verifies the checksum, so a torn write, a
-//!   stomped payload or a never-written slot is a typed
-//!   [`StoreError::CorruptTile`], never a decoded tile. The file is
-//!   unlinked as soon as it is created, so the kernel reclaims it however
-//!   the process ends. Every read and write runs to completion on the
-//!   calling thread, so a read observes every write before it. Each one
-//!   encodes or decodes through the one slot buffer the store keeps, so
-//!   no transfer allocates. The file lives in the page cache, so a slot
-//!   transfer costs about as much as its codec, and running it on another
-//!   thread beside the GEMM saves nothing measurable.
+//! [`FileStore`] is the one implementation, and so the one place that
+//! knows how a tile becomes bytes; the [`TileStore`] trait stays so that a
+//! test can wrap it and watch which slots a solve touches. Its file is
+//! `⌈n/t⌉²` fixed-capacity slots and no header: the slot of tile `(ti, tj)`
+//! holds its `rb × cb` elements, row-major little-endian, then a 64-bit
+//! checksum of those bytes. Every read verifies the checksum, so a torn
+//! write, a stomped payload or a never-written slot is a typed
+//! [`StoreError::CorruptTile`], never a decoded tile. The file is unlinked
+//! as soon as it is created, so the kernel reclaims it however the process
+//! ends. Every read and write runs to completion on the calling thread, so
+//! a read observes every write before it. Each one encodes or decodes
+//! through the one slot buffer the store keeps, so no transfer allocates.
+//! The file lives in the page cache, so a slot transfer costs about as much
+//! as its codec, and running it on another thread beside the GEMM saves
+//! nothing measurable.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::marker::PhantomData;
 use std::path::Path;
 
-use srgemm::matrix::{Matrix, View, ViewMut};
+use srgemm::matrix::{View, ViewMut};
 
 /// Bytes of the per-slot checksum that follows a tile's payload.
 const CHECKSUM_BYTES: usize = 8;
@@ -74,9 +71,8 @@ macro_rules! impl_tile_elem {
 impl_tile_elem!(f32, u16);
 
 /// Stored size of a `rows × cols` tile of `E`: payload plus checksum. The
-/// driver charges a resident tile this much against its budget, a
-/// [`MemStore`] charges it per stored tile, and a [`FileStore`] reserves
-/// `tile_bytes(t, t)` per slot.
+/// driver charges a resident tile this much against its budget, and a
+/// [`FileStore`] reserves `tile_bytes(t, t)` per slot.
 pub fn tile_bytes<E: TileElem>(rows: usize, cols: usize) -> u64 {
     (rows * cols * E::BYTES + CHECKSUM_BYTES) as u64
 }
@@ -163,13 +159,6 @@ pub enum StoreError {
         /// Tile side length.
         tile: usize,
     },
-    /// A tile that was never written was read.
-    MissingTile {
-        /// Block-row index.
-        ti: usize,
-        /// Block-column index.
-        tj: usize,
-    },
     /// A slot's bytes do not match their checksum: a torn or stomped write,
     /// or a slot of a file store that was never written.
     CorruptTile {
@@ -186,9 +175,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Io { op, detail } => write!(f, "tile store {op} failed: {detail}"),
             StoreError::Geometry { n, tile } => {
                 write!(f, "no tile store for n={n} tile={tile}: zero or overflowing size")
-            }
-            StoreError::MissingTile { ti, tj } => {
-                write!(f, "tile ({ti}, {tj}) was never written")
             }
             StoreError::CorruptTile { ti, tj } => {
                 write!(f, "tile ({ti}, {tj}) is corrupt (checksum mismatch)")
@@ -210,8 +196,6 @@ pub trait TileStore<E>: Send {
     fn n(&self) -> usize;
     /// Tile side length `t`.
     fn tile(&self) -> usize;
-    /// `"memory"` or `"file"` — surfaced in solver notes and bench labels.
-    fn kind(&self) -> &'static str;
     /// Copy tile `(ti, tj)` into `dst`, the caller's tile: the read
     /// allocates no tile of its own. On an error `dst` is left as it was.
     ///
@@ -241,11 +225,6 @@ pub trait TileStore<E>: Send {
         let nb = self.tiles_per_side();
         (0..nb * nb).filter(|&s| self.present(s / nb, s % nb)).count()
     }
-    /// Host-RAM bytes this store holds between calls beyond its one slot
-    /// buffer, which the driver's reserve pays for as its transfer slot:
-    /// every tile for [`MemStore`], nothing for [`FileStore`]. Counted
-    /// against the driver's budget.
-    fn resident_bytes(&self) -> u64;
     /// Free what the store keeps only to move tiles (the [`FileStore`]'s
     /// slot buffer); the next transfer grows it again.
     fn release_scratch(&mut self) {}
@@ -268,94 +247,6 @@ pub trait TileStore<E>: Send {
         let (n, t, nb) = (self.n(), self.tile(), self.tiles_per_side());
         assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
         (t.min(n - ti * t), t.min(n - tj * t))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MemStore
-// ---------------------------------------------------------------------------
-
-/// What a [`MemStore`] slot holds.
-#[derive(Clone)]
-enum Slot<E> {
-    Unwritten,
-    Absent,
-    Stored(Matrix<E>),
-}
-
-/// In-memory tile store: the whole grid of tiles lives in host RAM as
-/// matrices. The tests' fake — same driver, zero disk — it charges each
-/// stored tile [`tile_bytes`], as the staged driver does.
-pub struct MemStore<E> {
-    n: usize,
-    tile: usize,
-    slots: Vec<Slot<E>>,
-    resident: u64,
-}
-
-impl<E: TileElem> MemStore<E> {
-    /// Empty store for an `n × n` matrix in `tile × tile` tiles.
-    ///
-    /// # Panics
-    /// Panics if `n` or `tile` is zero.
-    pub fn new(n: usize, tile: usize) -> Self {
-        assert!(n > 0 && tile > 0, "tile store dimensions must be positive");
-        let nb = n.div_ceil(tile);
-        MemStore { n, tile, slots: vec![Slot::Unwritten; nb * nb], resident: 0 }
-    }
-
-    /// Put `slot` at index `s`, releasing what it held.
-    fn replace(&mut self, s: usize, slot: Slot<E>) {
-        let charge = |slot: &Slot<E>| match slot {
-            Slot::Stored(m) => tile_bytes::<E>(m.rows(), m.cols()),
-            Slot::Unwritten | Slot::Absent => 0,
-        };
-        self.resident = self.resident - charge(&self.slots[s]) + charge(&slot);
-        self.slots[s] = slot;
-    }
-}
-
-impl<E: TileElem> TileStore<E> for MemStore<E> {
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn tile(&self) -> usize {
-        self.tile
-    }
-    fn kind(&self) -> &'static str {
-        "memory"
-    }
-    fn read_into(
-        &mut self,
-        ti: usize,
-        tj: usize,
-        dst: &mut ViewMut<'_, E>,
-    ) -> Result<(), StoreError> {
-        match &self.slots[self.tile_index(ti, tj)] {
-            Slot::Stored(tile) => {
-                dst.copy_from(&tile.view());
-                Ok(())
-            }
-            Slot::Unwritten | Slot::Absent => Err(StoreError::MissingTile { ti, tj }),
-        }
-    }
-    fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, E>) -> Result<(), StoreError> {
-        assert_eq!((tile.rows(), tile.cols()), self.tile_dims(ti, tj), "tile shape mismatch");
-        let s = self.tile_index(ti, tj);
-        match &mut self.slots[s] {
-            Slot::Stored(stored) => stored.view_mut().copy_from(tile),
-            Slot::Unwritten | Slot::Absent => self.replace(s, Slot::Stored(tile.to_matrix())),
-        }
-        Ok(())
-    }
-    fn declare_absent(&mut self, ti: usize, tj: usize) {
-        self.replace(self.tile_index(ti, tj), Slot::Absent);
-    }
-    fn present(&self, ti: usize, tj: usize) -> bool {
-        !matches!(self.slots[self.tile_index(ti, tj)], Slot::Absent)
-    }
-    fn resident_bytes(&self) -> u64 {
-        self.resident
     }
 }
 
@@ -440,10 +331,6 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
     fn tile(&self) -> usize {
         self.tile
     }
-    fn kind(&self) -> &'static str {
-        "file"
-    }
-
     fn read_into(
         &mut self,
         ti: usize,
@@ -486,10 +373,6 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
         !self.absent[self.tile_index(ti, tj)]
     }
 
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-
     fn release_scratch(&mut self) {
         self.buf = Vec::new();
     }
@@ -501,6 +384,7 @@ mod tests {
     use crate::fw_sparse::tests::TempPath;
     use crate::ooc::{ingest, ooc_fw, staged_budget_floor, OocConfig, OocError};
     use apsp_graph::generators::{self, WeightKind};
+    use srgemm::matrix::Matrix;
     use srgemm::MinPlusF32;
 
     /// A tile's slot bytes.

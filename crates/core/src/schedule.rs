@@ -504,7 +504,9 @@ fn diag_and_panels(
     let kcol = k % cfg.kc;
     let diag_node = node_at(cfg, krow, kcol);
 
-    // DiagUpdate (§4.2: on the GPU either way; squaring costs log₂b GEMMs)
+    // DiagUpdate (§4.2: on the GPU either way; squaring costs log₂b GEMMs).
+    // Eq. 4 is priced on purpose, though no code runs it: every CPU path
+    // closes a diagonal block with blocked FW at width 64 (`CLOSURE_WIDTH`).
     cl.set_phase("DiagUpdate");
     let diag_flops = model::closure_squaring_flops(cfg.block);
     let t_diag = cl.gpu_task(diag_node, diag_flops, pri, diag_dep);
@@ -558,7 +560,6 @@ fn outer_task(cl: &mut Cluster, cfg: &ScheduleConfig, node: usize, deps: &[TaskI
                 t0: flops / gpu_rate,
                 t1: (m_loc * n_loc + (m_loc + n_loc) * b) * eb / hd_rate,
                 t2: 3.0 * m_loc * n_loc * eb / spec.host_mem_bw,
-                t3: 0.0,
             };
             let dur = costs.predicted_time(cfg.oog_streams.max(1));
             // charge the equivalent flops so utilization stays meaningful

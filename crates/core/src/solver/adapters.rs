@@ -302,9 +302,8 @@ impl Solver for Ooc {
         let nb = store.tiles_per_side() as u64;
         let mut sol = solution(d, self.name(), threads);
         sol.stats.notes.push(format!(
-            "ooc: {} store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
+            "ooc: file store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
              {} of {} outer tile GEMMs, peak resident {} of budget {}",
-            store.kind(),
             store.tile(),
             store.present_tiles(),
             nb * nb,
@@ -744,10 +743,6 @@ mod tests {
             mean_weight: (1.0 + max_weight as f64) / 2.0,
             negative_edges: 0,
             integral_weights: true,
-            weak_components: 1,
-            block_size: block,
-            nnz_blocks: n.div_ceil(block).pow(2),
-            block_density: 1.0,
             dense_bytes: (n * n * 4) as u64,
         };
         let grid = of(&generators::grid(64, 64, ints(), 2));

@@ -2,11 +2,12 @@
 //! trait, one registry, and one planner.
 //!
 //! The paper's pipeline is a single dense engine; real workloads are not
-//! uniformly dense. This module gives each algorithm — dense packed FW,
-//! divide-and-conquer FW, the tiled FW loop (out-of-core and block-sparse in
-//! one), Johnson's per-source Dijkstra, Δ-stepping sweeps, and the
-//! simulated distributed driver — one registered name per code path and a
-//! common [`Solver`] surface: a typed eligibility `check`
+//! uniformly dense. This module gives each algorithm — blocked FW on the
+//! packed kernel (which skips all-∞ blocks), its quantized form, the
+//! sequential triple loop, the staged out-of-core FW loop, Johnson's
+//! per-source Dijkstra, Δ-stepping sweeps, and the simulated distributed
+//! driver — one registered name per code path and a common [`Solver`]
+//! surface: a typed eligibility `check`
 //! ([`Ineligible`]), a cost `estimate` fed by a one-pass [`GraphProfile`],
 //! and a `solve` returning a [`Solution`] with per-solver stats. The
 //! [`planner`] scores every registered solver and returns an explainable
@@ -307,9 +308,9 @@ pub trait Solver: Send + Sync {
 }
 
 /// [`GraphProfile::compute`] as a `profile` span.
-fn profile(g: &Graph, block: usize) -> GraphProfile {
+fn profile(g: &Graph) -> GraphProfile {
     let _s = apsp_trace::span("profile");
-    GraphProfile::compute(g, block)
+    GraphProfile::compute(g, 0)
 }
 
 /// The set of known solvers; the single dispatch point for the CLI, the
@@ -360,7 +361,7 @@ impl Registry {
             return self.solve_auto(g, opts).map(|(_, sol)| sol);
         }
         let solver = self.get(name)?;
-        let lazy = LazyCell::new(|| profile(g, opts.block));
+        let lazy = LazyCell::new(|| profile(g));
         self.solve_profiled(solver, &lazy, g, &opts.resolved())
     }
 
@@ -392,7 +393,7 @@ impl Registry {
     /// Score every solver on this graph and return the explainable plan
     /// (`profile`, then `plan` spans).
     pub fn plan(&self, g: &Graph, opts: &SolveOpts) -> Plan {
-        self.plan_for_profile(profile(g, opts.block), opts)
+        self.plan_for_profile(profile(g), opts)
     }
 
     /// [`Registry::plan`] when the profile is already in hand.

@@ -60,8 +60,9 @@ pub const T_HEAP: f64 = 9.0e-9;
 /// that only a measured re-derivation of every constant should move.
 pub const T_BUCKET_RELAX: f64 = 4.5e-8;
 /// Seconds per byte of tile-store disk traffic in the out-of-core solver
-/// (~2 GB/s sustained sequential file I/O; the `t3` engine of
-/// `gpu_sim::cost`'s four-term model).
+/// (~2 GB/s sustained sequential file I/O). The `ooc` price adds it to the
+/// compute term: the file store moves its tiles on the solving thread, so
+/// the I/O does not overlap the GEMM.
 pub const T_DISK: f64 = 5.0e-10;
 /// Per-rank overhead of the simulated distributed runtime (thread spawn,
 /// mailbox traffic, scheduling) — keeps `dist` estimates honest about the
@@ -107,6 +108,8 @@ pub struct Plan {
     pub profile: GraphProfile,
     /// Worker count the estimates assumed.
     pub threads: usize,
+    /// Block size the estimates assumed ([`SolveOpts::block`]).
+    pub block: usize,
     /// All solvers, sorted: eligible by ascending cost, then ineligible.
     pub entries: Vec<PlanEntry>,
     /// Cheapest eligible, auto-selectable solver (None if nothing is).
@@ -124,7 +127,7 @@ impl Plan {
         let mut out = self.profile.render();
         out.push_str(&format!(
             "plan (threads = {}, block = {})\n",
-            self.threads, self.profile.block_size
+            self.threads, self.block
         ));
         for e in &self.entries {
             let marker = if Some(e.solver) == self.chosen { "->" } else { "  " };
@@ -195,7 +198,7 @@ pub fn plan(reg: &Registry, profile: GraphProfile, opts: &SolveOpts) -> Plan {
         .iter()
         .find(|e| e.outcome.is_ok() && e.auto_excluded.is_none())
         .map(|e| e.solver);
-    Plan { profile, threads, entries, chosen }
+    Plan { profile, threads, block: opts.block, entries, chosen }
 }
 
 #[cfg(test)]
@@ -220,10 +223,6 @@ mod tests {
             mean_weight: 1.0,
             negative_edges: 0,
             integral_weights: true,
-            weak_components: 1,
-            block_size: 64,
-            nnz_blocks: 1,
-            block_density: 1.0,
             dense_bytes: (n * n * 4) as u64,
         };
         let sparse = mk(1000, 4000);

@@ -1,14 +1,11 @@
 //! Graph feature profile: everything the planner needs to pick a solver,
-//! computed in one pass over the edges (plus one union-find pass for the
-//! component count).
+//! computed in one pass over the edge weights.
 
-use apsp_graph::components::weak_components;
 use apsp_graph::Graph;
 
 /// Structural and numeric features of a graph, extracted once and shared by
 /// every solver's eligibility check and cost estimate. All edge-derived
-/// fields come from a single `O(m)` sweep; the vertex component count is
-/// one union-find pass, `O(n + m)`.
+/// fields come from a single `O(m)` sweep over the CSR weights.
 #[derive(Clone, Debug)]
 pub struct GraphProfile {
     /// Vertex count.
@@ -29,59 +26,24 @@ pub struct GraphProfile {
     /// Every weight is a whole number — quantization (`--algo quant`) can
     /// be bit-exact instead of merely `eps`-bounded.
     pub integral_weights: bool,
-    /// Weakly-connected component count (`0` for the empty graph).
-    pub weak_components: usize,
-    /// Block size the block-occupancy fields below were measured at.
-    pub block_size: usize,
-    /// Blocks of the `block_size`-tiled distance matrix holding at least
-    /// one edge or diagonal entry — the tiles `ooc` ingests as present.
-    pub nnz_blocks: usize,
-    /// `nnz_blocks / nb²`.
-    pub block_density: f64,
     /// Bytes of one dense `n×n` f32 distance matrix.
     pub dense_bytes: u64,
 }
 
 impl GraphProfile {
-    /// Profile `g`, measuring block occupancy at block size `block`.
-    pub fn compute(g: &Graph, block: usize) -> GraphProfile {
-        let block = block.max(1);
-        let n = g.n();
-        let m = g.m();
-        let nb = n.div_ceil(block);
-
+    /// Profile `g`. `_block` is unused: it stays only because
+    /// `benchmark/src/layers.rs` calls `compute(g, BLOCK)`, and goes with
+    /// the next `[benchmark]` PR, as the unused [`DiagMethod`] argument of
+    /// [`crate::fw_blocked::fw_blocked`] does.
+    ///
+    /// [`DiagMethod`]: crate::fw_blocked::DiagMethod
+    pub fn compute(g: &Graph, _block: usize) -> GraphProfile {
+        let (n, m) = (g.n(), g.m());
         let mut weights = WeightSweep::new();
-        // Off-diagonal blocks holding an edge. CSR edges arrive grouped by
-        // source, so a block is new exactly when its column was not yet hit
-        // from this block row: `hit_from[bj]` is 1 + the last block row with
-        // an edge into block column `bj`. O(nb) memory, no hashing.
-        let mut offdiag_blocks = 0usize;
-        let mut hit_from = vec![0usize; nb];
-
         for u in 0..n {
-            let (targets, row_weights) = g.out_edges(u);
-            weights.row(row_weights);
-            // targets ascend within a row, so the block column only moves
-            // right: one division per block entered, not one per edge
-            let bi = u / block;
-            let mut block_end = 0usize;
-            for &v in targets {
-                let v = v as usize;
-                if v >= block_end {
-                    let bj = v / block;
-                    block_end = (bj + 1) * block;
-                    if bi != bj && hit_from[bj] != bi + 1 {
-                        hit_from[bj] = bi + 1;
-                        offdiag_blocks += 1;
-                    }
-                }
-            }
+            weights.row(g.out_edges(u).1);
         }
         let (min_weight, max_weight) = weights.range();
-
-        let (_, weak_components) = weak_components(g);
-        // diagonal blocks always materialize (zero-seeded diagonal)
-        let nnz_blocks = nb + offdiag_blocks;
         GraphProfile {
             n,
             m,
@@ -91,10 +53,6 @@ impl GraphProfile {
             mean_weight: if m > 0 { weights.sum / m as f64 } else { 0.0 },
             negative_edges: weights.negative,
             integral_weights: weights.integral,
-            weak_components,
-            block_size: block,
-            nnz_blocks,
-            block_density: if nb > 0 { nnz_blocks as f64 / (nb as f64 * nb as f64) } else { 0.0 },
             dense_bytes: (n as u64) * (n as u64) * 4,
         }
     }
@@ -111,23 +69,15 @@ impl GraphProfile {
         } else {
             "non-negative".to_string()
         };
-        let nb = self.n.div_ceil(self.block_size);
         format!(
             "graph profile\n  n = {}  m = {}  density {:.3}%\n  weights: [{}, {}]  mean {:.2}  \
-             {sign}\n  structure: {} weak component{}\n  blocks (b = {}): \
-             {}/{} materialized ({:.1}%)\n  dense working set: {}\n",
+             {sign}\n  dense working set: {}\n",
             self.n,
             self.m,
             self.density * 100.0,
             self.min_weight,
             self.max_weight,
             self.mean_weight,
-            self.weak_components,
-            if self.weak_components == 1 { "" } else { "s" },
-            self.block_size,
-            self.nnz_blocks,
-            nb * nb,
-            self.block_density * 100.0,
             human_bytes(self.dense_bytes),
         )
     }
@@ -236,9 +186,6 @@ mod tests {
         assert!((p.density - 1.0).abs() < 1e-9);
         assert!(!p.has_negative());
         assert!(p.integral_weights); // small_ints are whole numbers
-        assert_eq!(p.weak_components, 1);
-        assert_eq!(p.nnz_blocks, 16); // every block occupied
-        assert_eq!(p.block_density, 1.0);
         assert_eq!(p.dense_bytes, 32 * 32 * 4);
     }
 
@@ -247,47 +194,13 @@ mod tests {
         let g = generators::grid(8, 8, WeightKind::small_ints(), 5);
         let p = GraphProfile::compute(&g, 16);
         assert!(p.density < 0.06, "grid density {}", p.density);
-        assert_eq!(p.weak_components, 1);
-        assert!(p.block_density < 1.0);
     }
 
-    /// Component sizes of the undirected graph on `0..n` with `pairs` as
-    /// edges, by flood fill.
-    fn flood_fill_sizes(n: usize, pairs: &[(usize, usize)]) -> Vec<usize> {
-        let mut seen = vec![false; n];
-        let mut sizes = Vec::new();
-        for root in 0..n {
-            if seen[root] {
-                continue;
-            }
-            seen[root] = true;
-            let (mut stack, mut size) = (vec![root], 0);
-            while let Some(x) = stack.pop() {
-                size += 1;
-                for &(u, v) in pairs {
-                    let next = if u == x { v } else if v == x { u } else { continue };
-                    if !seen[next] {
-                        seen[next] = true;
-                        stack.push(next);
-                    }
-                }
-            }
-            sizes.push(size);
-        }
-        sizes
-    }
-
-    /// The profile spelled out edge by edge: a division and a `fract` per
-    /// edge, components by flood fill over the undirected adjacency.
-    fn profile_edge_by_edge(g: &Graph, block: usize) -> GraphProfile {
+    /// The profile spelled out edge by edge: a `fract` per edge.
+    fn profile_edge_by_edge(g: &Graph) -> GraphProfile {
         let (n, m) = (g.n(), g.m());
-        let nb = n.div_ceil(block);
         let edges: Vec<_> = g.edges().collect();
         let weights = || edges.iter().map(|e| e.2);
-        let mut blocks: std::collections::BTreeSet<_> = (0..nb).map(|k| (k, k)).collect();
-        blocks.extend(edges.iter().map(|&(u, v, _)| (u / block, v / block)));
-        let pairs: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-        let weak_components = flood_fill_sizes(n, &pairs).len();
         GraphProfile {
             n,
             m,
@@ -297,10 +210,6 @@ mod tests {
             mean_weight: if m == 0 { 0.0 } else { weights().fold(0.0, |s, w| s + w as f64) / m as f64 },
             negative_edges: weights().filter(|&w| w < 0.0).count(),
             integral_weights: weights().all(|w| w.fract() == 0.0),
-            weak_components,
-            block_size: block,
-            nnz_blocks: blocks.len(),
-            block_density: if nb > 0 { blocks.len() as f64 / (nb * nb) as f64 } else { 0.0 },
             dense_bytes: (n * n * 4) as u64,
         }
     }
@@ -325,11 +234,9 @@ mod tests {
             GraphBuilder::new(0).build(),
         ];
         for g in &graphs {
-            for block in [1usize, 3, 8, 64] {
-                // Debug prints every field, floats to the last bit
-                let (got, want) = (GraphProfile::compute(g, block), profile_edge_by_edge(g, block));
-                assert_eq!(format!("{got:?}"), format!("{want:?}"), "n={} block={block}", g.n());
-            }
+            // Debug prints every field, floats to the last bit
+            let (got, want) = (GraphProfile::compute(g, 64), profile_edge_by_edge(g));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "n={}", g.n());
         }
     }
 
@@ -360,26 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_component_count_and_block_occupancy() {
-        let g = generators::multi_component(24, 3, WeightKind::small_ints(), 7);
-        let p = GraphProfile::compute(&g, 4);
-        assert_eq!(p.weak_components, 3);
-        assert_eq!(p.nnz_blocks, 3 * 2 * 2); // each component spans two blocks
-        let connected = generators::uniform_dense(24, WeightKind::small_ints(), 7);
-        let pc = GraphProfile::compute(&connected, 4);
-        assert!(p.block_density < pc.block_density);
-    }
-
-    #[test]
     fn empty_and_edgeless_graphs_do_not_divide_by_zero() {
         let p = GraphProfile::compute(&GraphBuilder::new(0).build(), 8);
-        assert_eq!(p.n, 0);
-        assert_eq!(p.nnz_blocks, 0);
-        assert_eq!(p.block_density, 0.0);
+        assert_eq!((p.n, p.density, p.dense_bytes), (0, 0.0, 0));
         let p = GraphProfile::compute(&GraphBuilder::new(5).build(), 8);
         assert_eq!(p.m, 0);
-        assert_eq!(p.mean_weight, 0.0);
-        assert_eq!(p.weak_components, 5);
+        assert_eq!((p.min_weight, p.max_weight, p.mean_weight), (0.0, 0.0, 0.0));
         assert!(!p.render().is_empty());
     }
 

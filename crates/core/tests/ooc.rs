@@ -1,6 +1,6 @@
 //! Out-of-core FW: oracle equivalence, budget enforcement, the unlinked
-//! store file, pinned store traffic, cost-model consistency, and the absent
-//! tiles that make the same loop the block-sparse solver.
+//! store file, pinned store traffic, I/O that does not overlap compute, and
+//! the absent tiles that make the same loop the block-sparse solver.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -11,12 +11,11 @@ use apsp_core::fw_seq::fw_seq;
 use apsp_core::verify::max_abs_diff;
 use apsp_core::ooc::{
     choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes, FileStore,
-    MemStore, OocConfig, OocError, StoreError, TileStore,
+    OocConfig, OocError, StoreError, TileStore,
 };
 use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{Graph, GraphBuilder, INF};
-use gpu_sim::OffloadCosts;
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::MinPlusF32;
 
@@ -65,30 +64,10 @@ fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
         let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
         let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "staged solve diverged at n={n} t={t}");
-        assert_eq!(store.kind(), "file");
         if n > t {
             assert!(stats.tiles_written > 0, "a tight budget must spill (n={n} t={t})");
         }
     }
-}
-
-#[test]
-fn in_memory_store_matches_staged_and_fw_blocked() {
-    let n = 56;
-    let g = graph(n, 7);
-    let mut want = g.to_dense();
-    fw_blocked_threads::<MinPlusF32>(&mut want, 16, 1);
-
-    let mut mem_store = MemStore::<f32>::new(n, 16);
-    let (via_mem, _) = solve_in_store(&g, &mut mem_store, &OocConfig::with_budget(u64::MAX)).unwrap();
-    assert!(want.eq_exact(&via_mem));
-    assert_eq!(mem_store.kind(), "memory");
-
-    let path = TempPath::new("memvsfile");
-    let mut file_store = FileStore::<f32>::create(&path.0, n, 16).unwrap();
-    let cfg = OocConfig { threads: 2, ..OocConfig::with_budget(tight_budget(16)) };
-    let (via_file, _) = solve_in_store(&g, &mut file_store, &cfg).unwrap();
-    assert!(via_mem.eq_exact(&via_file), "staged and in-memory runs must agree bit-for-bit");
 }
 
 #[test]
@@ -163,16 +142,6 @@ fn corrupt_or_never_written_tile_is_a_typed_store_error() {
 }
 
 #[test]
-fn mem_store_read_of_unwritten_tile_is_typed() {
-    let mut store = MemStore::<f32>::new(16, 8);
-    let mut tile = Matrix::filled(8, 8, 0.0);
-    assert_eq!(
-        store.read_into(1, 0, &mut tile.view_mut()),
-        Err(StoreError::MissingTile { ti: 1, tj: 0 })
-    );
-}
-
-#[test]
 fn choose_tile_picks_the_largest_fit_and_gives_up_below_the_smallest() {
     // A budget sized for tile 64 must not pick anything bigger.
     let b64 = staged_budget_floor::<f32>(64);
@@ -194,14 +163,12 @@ fn choose_tile_picks_the_largest_fit_and_gives_up_below_the_smallest() {
 }
 
 #[test]
-fn measured_run_is_consistent_with_the_four_engine_cost_model() {
-    // Validate the §4.5 disk-tier extension against a real staged run: with
-    // the run's own recorded compute and I/O times as t0/t3, the model's
-    // fully-overlapped (≥4-lane) prediction is a lower bound on the wall
-    // time — compute and I/O are disjoint sub-intervals of it on the
-    // driver's one thread, so this holds by construction, not by timing.
-    // Compute is the three phase spans less the io-wait spans inside them;
-    // io-wait is every io-wait span, the final write-backs included.
+fn measured_io_does_not_overlap_compute() {
+    // The file store moves its tiles on the solving thread, so compute and
+    // I/O are disjoint sub-intervals of the wall time and the wall is at
+    // least their sum — by construction, not by timing. Compute is the
+    // three phase spans less the io-wait spans inside them; io-wait is
+    // every io-wait span, the final write-backs included.
     let (n, t) = (96usize, 24usize);
     let path = TempPath::new("model");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
@@ -225,13 +192,6 @@ fn measured_run_is_consistent_with_the_four_engine_cost_model() {
     let (wall, io) = (sum("wall"), sum("io-wait"));
     let compute = phases.iter().map(|s| s.dur_ns()).sum::<u64>() - io_in_phases;
     assert!(io > 0 && compute > 0, "io {io} ns, compute {compute} ns");
-    let secs = |ns: u64| ns as f64 * 1e-9;
-    let c = OffloadCosts { t0: secs(compute), t1: 0.0, t2: 0.0, t3: secs(io) };
-    assert!(
-        secs(wall) >= c.predicted_time(4),
-        "wall {wall} ns below the overlap lower bound {}",
-        c.predicted_time(4)
-    );
     assert!(wall >= compute + io, "wall {wall} < compute {compute} + io {io} (ns)");
 }
 
@@ -265,7 +225,7 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
 fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
     // DiagUpdate closes in blocks of 64; on n = 3·64 + 13: tiles of one,
     // two and three blocks (the last tile of 128 is a ragged 77) and of two
-    // and a half, staged under a tight budget and in memory
+    // and a half, staged under a tight budget and an unbounded one
     let (b, n) = (64usize, 205usize);
     let ints = graph(n, 0xB10C);
     let reals = generators::uniform_dense(n, WeightKind::Real { lo: 0.5, hi: 20.0 }, 0xB10C);
@@ -277,10 +237,13 @@ fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
             let staged = OocConfig::with_budget(tight_budget(t));
             let (via_file, stats) = solve_in_store(g, &mut file, &staged).unwrap();
             assert!(stats.tiles_written > 0, "t={t}: a tight budget must spill");
-            let mut mem = MemStore::<f32>::new(n, t);
-            let unbounded = OocConfig::with_budget(u64::MAX);
-            let (via_mem, _) = solve_in_store(g, &mut mem, &unbounded).unwrap();
-            assert!(via_file.eq_exact(&via_mem), "t={t}: staged and memory stores differ");
+            // unbounded, nothing is evicted; two kernel threads split the
+            // tile GEMMs of 192 and above
+            let path = TempPath::new("wide-unbounded");
+            let mut roomy = FileStore::<f32>::create(&path.0, n, t).unwrap();
+            let unbounded = OocConfig { threads: 2, ..OocConfig::with_budget(u64::MAX) };
+            let (via_roomy, _) = solve_in_store(g, &mut roomy, &unbounded).unwrap();
+            assert!(via_file.eq_exact(&via_roomy), "t={t}: tight and unbounded budgets differ");
             if exact {
                 assert!(want.eq_exact(&via_file), "t={t}: integer weights must be bit-exact");
             } else {
@@ -334,7 +297,8 @@ fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent()
     b.add_edge(3, 3, -1.0).add_edge(12, 12, 2.0).add_edge(2, 20, INF).add_edge(17, 9, 0.5);
     let g = b.build();
     let d = g.to_dense();
-    let mut store = MemStore::<f32>::new(n, t);
+    let path = TempPath::new("ingest");
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     ingest(&mut store, &g).unwrap();
     let nb = store.tiles_per_side();
     for ti in 0..nb {
@@ -367,9 +331,6 @@ impl<S: TileStore<f32>> TileStore<f32> for Touched<S> {
     fn tile(&self) -> usize {
         self.inner.tile()
     }
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
     fn read_into(
         &mut self,
         ti: usize,
@@ -388,9 +349,6 @@ impl<S: TileStore<f32>> TileStore<f32> for Touched<S> {
     }
     fn present(&self, ti: usize, tj: usize) -> bool {
         self.inner.present(ti, tj)
-    }
-    fn resident_bytes(&self) -> u64 {
-        self.inner.resident_bytes()
     }
 }
 

@@ -35,6 +35,6 @@ pub mod spec;
 mod stream;
 
 pub use device::Oom;
-pub use cost::{min_block_size, min_block_size_disk, OffloadCosts};
+pub use cost::{min_block_size, OffloadCosts};
 pub use oog::{oog_srgemm, oog_srgemm_model, OogConfig, OogError};
 pub use spec::GpuSpec;

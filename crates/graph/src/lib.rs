@@ -19,7 +19,6 @@
 
 pub mod bellman_ford;
 pub mod block_sparse;
-pub mod components;
 pub mod delta_stepping;
 pub mod dijkstra;
 pub mod generators;
@@ -79,7 +78,6 @@ where
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bellman_ford::bellman_ford;
-    pub use crate::components::weak_components;
     pub use crate::delta_stepping::{apsp_by_delta_stepping, delta_stepping};
     pub use crate::dijkstra::{apsp_by_dijkstra, apsp_by_dijkstra_threads, dijkstra};
     pub use crate::generators::{self, GraphKind};
