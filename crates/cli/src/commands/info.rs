@@ -19,25 +19,15 @@ pub fn run(tokens: &[String]) -> Result<(), String> {
 }
 
 /// The lines `info` prints: the counts, then — for a non-empty graph — the
-/// planner's profile (density as `apsp plan` reports it, `m / (n·(n−1))`,
-/// and the weight range and mean), the out-degrees, and the dense matrix.
+/// profile header `apsp plan` prints, and the out-degrees.
 fn report(input: &str, g: &Graph) -> String {
     let (n, m) = (g.n(), g.m());
     let mut out = format!("file      : {input}\nvertices  : {n}\nedges     : {m}\n");
     if n > 0 {
         // the block argument is unused
-        let p = GraphProfile::compute(g, 0);
-        out += &format!("density   : {:.4}\n", p.density);
-        if m > 0 {
-            out += &format!(
-                "weights   : min {}, max {}, mean {:.3}\n",
-                p.min_weight, p.max_weight, p.mean_weight
-            );
-        }
+        out += &GraphProfile::compute(g, 0).render();
         let dmax = (0..n).map(|u| g.out_edges(u).0.len()).max().unwrap_or(0);
         out += &format!("out-degree: max {dmax}, mean {:.2}\n", m as f64 / n as f64);
-        // memory footprints the paper's reader cares about
-        out += &format!("dense distance matrix: {:.3} GB (f32)\n", p.dense_bytes as f64 / 1e9);
     }
     out
 }
@@ -67,15 +57,16 @@ mod tests {
         assert_eq!(
             report("g.edges", &b.build()),
             "file      : g.edges\nvertices  : 3\nedges     : 2\n\
-             density   : 0.3333\n\
-             weights   : min 1, max 2.5, mean 1.750\n\
-             out-degree: max 1, mean 0.67\n\
-             dense distance matrix: 0.000 GB (f32)\n"
+             graph profile\n  n = 3  m = 2  density 33.333%\n\
+             \x20 weights: [1, 2.5]  mean 1.75  non-negative\n\
+             \x20 dense working set: 36 B\n\
+             out-degree: max 1, mean 0.67\n"
         );
-        // no edges: no weights line
-        let edgeless = report("e.gr", &apsp_graph::GraphBuilder::new(2).build());
-        assert!(edgeless.contains("density   : 0.0000\n"), "{edgeless}");
-        assert!(!edgeless.contains("weights"), "{edgeless}");
+        // the header `apsp plan` prints, and no profile without vertices
+        let edgeless = apsp_graph::GraphBuilder::new(2).build();
+        assert!(report("e.gr", &edgeless).contains(&GraphProfile::compute(&edgeless, 0).render()));
+        let empty = report("z.gr", &apsp_graph::GraphBuilder::new(0).build());
+        assert_eq!(empty, "file      : z.gr\nvertices  : 0\nedges     : 0\n");
     }
 
     #[test]

@@ -21,8 +21,13 @@
 //! OuterUpdate blocked FW runs too: GEMMs on the four corners around one
 //! excluded row range and one excluded column range, over the present row
 //! blocks of the column panel × the present column blocks of the row panel.
-//! A block of a panel that is all ⊕-identity is neither multiplied nor
-//! packed; what is broadcast does not change.
+//! Presence comes from the solve's one [`BlockPresence`] map. Every rank
+//! keeps a copy: at each iteration it re-reads the set blocks of the
+//! panels it received, clearing the all-zero ones, then closes the map.
+//! Local block `l` of process row `r` is map block `r + l·P_r`, and so for
+//! columns. A block it holds clear is neither multiplied nor packed; what
+//! is broadcast does not change. The re-read books under the iteration's
+//! first OuterUpdate span, before the look-ahead strips.
 //!
 //! The execution axis is a private enum built from [`FwConfig::exec`]: the
 //! in-core executor runs each corner as one packed GEMM; the offload
@@ -47,6 +52,7 @@ use srgemm::semiring::Semiring;
 
 use super::{diag_and_panels, DistError, DistMatrix, Exec, FwConfig, Panels, Schedule};
 use crate::fw_blocked::{QuadrantUpdate, CLOSURE_WIDTH};
+use crate::presence::BlockPresence;
 
 /// Where this rank's OuterUpdates run.
 enum Outer {
@@ -102,8 +108,9 @@ impl Outer {
         Ok(Outer::Offload { gpu: cfg.gpu_spec, oog: cfg.oog })
     }
 
-    /// `c ⊕= a ⊗ b` outside the rows `rows` and columns `cols` of `c`, a
-    /// sub-view of the local matrix, through `quadrants`: the in-core
+    /// `c ⊕= a ⊗ b` (`operands` `[a, b]`) outside the rows `rows` and
+    /// columns `cols` of `c`, a sub-view of the local matrix, through
+    /// `quadrants`, skipping the blocks `present` holds false: the in-core
     /// executor streams each present run's packed `B`, the offload executor
     /// stages each piece and its operand views through the device.
     fn update<S: Semiring>(
@@ -112,10 +119,10 @@ impl Outer {
         c: ViewMut<'_, S::Elem>,
         rows: Range<usize>,
         cols: Range<usize>,
-        a: &View<'_, S::Elem>,
-        b: &View<'_, S::Elem>,
+        operands: [&View<'_, S::Elem>; 2],
+        present: [&[bool]; 2],
     ) -> Result<(), DistError> {
-        quadrants.update(c, rows, cols, a, b, |c, a, b| match self {
+        quadrants.update(c, rows, cols, operands, present, |c, a, b| match self {
             Outer::InCore { threads } => {
                 gemm_packed_threads::<S>(c, a, b.packed(), *threads);
                 Ok(())
@@ -133,12 +140,13 @@ impl Outer {
     }
 }
 
-/// Run the configured policy triple on this rank's share. Collective over
-/// `grid`.
+/// Run the configured policy triple on this rank's share, skipping what
+/// `blocks`, the whole matrix's map, holds clear. Collective over `grid`.
 pub(super) fn run<S: Semiring>(
     grid: &ProcessGrid,
     a: &mut DistMatrix<S::Elem>,
     cfg: &FwConfig,
+    mut blocks: BlockPresence,
 ) -> Result<(), DistError> {
     assert!(
         S::IDEMPOTENT_ADD,
@@ -158,17 +166,27 @@ pub(super) fn run<S: Semiring>(
 
     let mut quadrants = QuadrantUpdate::<S>::new(a.b);
     let mut panels = phases(a, 0)?;
+    let mut present = [Vec::new(), Vec::new()];
+    let (my_r, pr, my_c, pc) = (a.my_r, a.pr, a.my_c, a.pc);
     for k in 0..a.nb {
         let next = k + 1 < a.nb;
         let look_ahead = next && cfg.schedule == Schedule::LookAhead;
-        let mut ahead = None;
-        if look_ahead {
-            {
-                let _p = span("OuterUpdate");
-                lookahead_update::<S>(a, k, &panels, &outer, &mut quadrants)?;
+        let (col, row) = (panels.col_panel.view(), panels.row_panel.view());
+        {
+            // the k-th panels' local blocks, mapped as the module doc says
+            let _p = span("OuterUpdate");
+            let [col_k, row_k] = &mut present;
+            let (h, w) = (col.cols(), row.rows());
+            let col_cut = |r: Range<usize>| col.subview(r.start, 0, r.len(), h);
+            let row_cut = |c: Range<usize>| row.subview(0, c.start, w, c.len());
+            blocks.refine::<S>(col_k, (col.rows(), a.b), |l| (my_r + l * pr, k), col_cut);
+            blocks.refine::<S>(row_k, (row.cols(), a.b), |l| (k, my_c + l * pc), row_cut);
+            blocks.close(k);
+            if look_ahead {
+                lookahead_update::<S>(a, k, &panels, &outer, &mut quadrants, &present)?;
             }
-            ahead = Some(phases(a, k + 1)?);
         }
+        let ahead = if look_ahead { Some(phases(a, k + 1)?) } else { None };
         {
             // OuterUpdate(k) outside the strips already closed: the owned
             // k-th ones, which PanelUpdate(k) finished, and under look-ahead
@@ -178,8 +196,9 @@ pub(super) fn run<S: Semiring>(
             let _p = span("OuterUpdate");
             let closed = k..k + 1 + usize::from(look_ahead);
             let (rows, cols) = (a.local_rows(closed.clone()), a.local_cols(closed));
-            let (col, row) = (panels.col_panel.view(), panels.row_panel.view());
-            outer.update::<S>(&mut quadrants, a.local.view_mut(), rows, cols, &col, &row)?;
+            let [col_k, row_k] = &present;
+            let c = a.local.view_mut();
+            outer.update::<S>(&mut quadrants, c, rows, cols, [&col, &row], [col_k, row_k])?;
         }
         if next {
             panels = match ahead {
@@ -195,13 +214,15 @@ pub(super) fn run<S: Semiring>(
 /// PanelUpdate(k+1) can run before the bulk OuterUpdate(k). Each strip
 /// skips what needs no update: the row strip the k-th columns, the column
 /// strip the k-th rows (both final since PanelUpdate(k)) and the
-/// (k+1, k+1) block, which the row strip has just updated.
+/// (k+1, k+1) block, which the row strip has just updated. `present` is
+/// the presence of the k-th panels' local blocks, column panel first.
 fn lookahead_update<S: Semiring>(
     a: &mut DistMatrix<S::Elem>,
     k: usize,
     panels: &Panels<S::Elem>,
     outer: &Outer,
     quadrants: &mut QuadrantUpdate<S>,
+    [col_k, row_k]: &[Vec<bool>; 2],
 ) -> Result<(), DistError> {
     let next = k + 1;
     let bk1 = a.block_dim(next);
@@ -209,14 +230,18 @@ fn lookahead_update<S: Semiring>(
     // row strip: A(next, :) ⊕= A(next, k) ⊗ A(k, :)
     if a.owns_row(next) {
         let col_slice = col.subview(a.local_row_start(next), 0, bk1, col.cols());
+        let a_k = &col_k[next / a.pr..][..1];
         let cols = a.local_cols(k..next);
-        outer.update::<S>(quadrants, a.row_strip_mut(next), 0..0, cols, &col_slice, &row)?;
+        let c = a.row_strip_mut(next);
+        outer.update::<S>(quadrants, c, 0..0, cols, [&col_slice, &row], [a_k, row_k])?;
     }
     // column strip: A(:, next) ⊕= A(:, k) ⊗ A(k, next)
     if a.owns_col(next) {
         let row_slice = row.subview(0, a.local_col_start(next), row.rows(), bk1);
+        let b_k = &row_k[next / a.pc..][..1];
         let rows = a.local_rows(k..next + 1);
-        outer.update::<S>(quadrants, a.col_strip_mut(next), rows, 0..0, &col, &row_slice)?;
+        let c = a.col_strip_mut(next);
+        outer.update::<S>(quadrants, c, rows, 0..0, [&col, &row_slice], [col_k, b_k])?;
     }
     Ok(())
 }

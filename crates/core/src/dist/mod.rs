@@ -50,6 +50,7 @@ use srgemm::matrix::Matrix;
 use srgemm::semiring::Semiring;
 
 use crate::fw_blocked::QuadrantUpdate;
+use crate::presence::BlockPresence;
 
 /// Iteration-ordering axis: how OuterUpdate(k) relates to the (k+1)-th
 /// diag/panel phases.
@@ -149,8 +150,9 @@ pub enum DistError {
     /// report, a peer-failure notification, a payload type mismatch, or an
     /// injected fault (see [`mpi_sim::CommError`]).
     Comm(CommError),
-    /// The offload configuration itself is invalid (zero tile dims or
-    /// stream count reaching the executor via literal construction).
+    /// The configuration itself is invalid: a zero block or a non-square
+    /// input, or offload knobs (zero tile dims or stream count reaching the
+    /// executor via literal construction).
     BadConfig {
         /// Human-readable description of the offending knob.
         detail: String,
@@ -173,7 +175,7 @@ impl std::fmt::Display for DistError {
                 "offload panels do not fit on the device: need {requested} B, \
                  have {available} B (shrink the block size or the oog tile buffers)"
             ),
-            DistError::BadConfig { detail } => write!(f, "bad offload config: {detail}"),
+            DistError::BadConfig { detail } => write!(f, "bad config: {detail}"),
             DistError::Comm(e) => write!(f, "communication failed: {e}"),
             DistError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
@@ -504,10 +506,11 @@ fn build_runtime(p: usize, placement: Option<Placement>, opts: &DistRunOpts) -> 
 }
 
 /// Distributed APSP: spin up `pr·pc` ranks under the runtime knobs of
-/// `opts` (receive timeout, fault injection, workers). Each rank slices its
-/// own share of `global`, runs the driver loop, and the result is gathered
-/// to grid rank 0. Returns the gathered matrix plus the traffic report (for
-/// the §5.1.3 effective-bandwidth metric).
+/// `opts` (receive timeout, fault injection, workers). The block-presence
+/// map of `global` is built once; each rank slices its own share of
+/// `global`, runs the driver loop on a copy of the map, and the result is
+/// gathered to grid rank 0. Returns the gathered matrix plus the traffic
+/// report (for the §5.1.3 effective-bandwidth metric).
 ///
 /// Any rank failure — deadlock timeout, injected fault, device OOM, or a
 /// caught panic — comes back as a typed [`DistError`] (first failure wins);
@@ -520,13 +523,19 @@ pub fn distributed_apsp_opts<S: Semiring>(
     placement: Option<Placement>,
     opts: &DistRunOpts,
 ) -> Result<(Matrix<S::Elem>, TrafficReport), DistError> {
+    let (rows, cols, b) = (global.rows(), global.cols(), cfg.block);
+    if b == 0 || rows != cols {
+        let detail = format!("needs a square matrix and a positive block: {rows} × {cols} at {b}");
+        return Err(DistError::BadConfig { detail });
+    }
+    let blocks = BlockPresence::of::<S>(&global.view(), b);
     let rt = build_runtime(pr * pc, placement, opts);
     let cfg = *cfg;
     let (out, traffic) = rt.try_run_traced(move |comm| {
         let grid = ProcessGrid::new(comm, pr, pc);
         let (my_r, my_c) = grid.coords();
         let mut a = DistMatrix::from_global(global, cfg.block, pr, pc, my_r, my_c);
-        driver::run::<S>(&grid, &mut a, &cfg)?;
+        driver::run::<S>(&grid, &mut a, &cfg, blocks.clone())?;
         Ok(a.gather(&grid)?)
     });
     match out {
@@ -537,7 +546,7 @@ pub fn distributed_apsp_opts<S: Semiring>(
 
 /// [`distributed_apsp_opts`] under a recorder of its own, also returning
 /// the run's [`Trace`]: the calling thread's track, then one per rank
-/// carrying the five paper phase names once per iteration.
+/// carrying the five paper phase names each iteration.
 pub fn distributed_apsp_traced_opts<S: Semiring>(
     pr: usize,
     pc: usize,

@@ -13,13 +13,15 @@
 //! `b` sets the width of PanelUpdate and OuterUpdate (the paper's `b`)
 //! while the scalar `O(b³)` closure never runs on more than 64 columns.
 //!
-//! Blocks that are all `S::zero()` are skipped. One scan of the two panels
-//! before PanelUpdate keeps the runs of blocks that hold an entry; in an
-//! idempotent semiring it serves both phases, because PanelUpdate leaves an
-//! all-zero block all zero and a product with an all-zero operand adds
-//! nothing. PanelUpdate runs on the present runs, OuterUpdate on present
-//! row runs × present column runs. On a dense input the runs are the bands
-//! beside block `k`, and the GEMM calls are those of the unskipped loop.
+//! Blocks that are all `S::zero()` are skipped: the loop reads the matrix
+//! once into a [`BlockPresence`] map at width `b`. At each iteration it
+//! re-reads the blocks of column and row `k` that the map holds set,
+//! clearing those that are all zero, then closes the map; what stays set
+//! gives the present runs of both panels. PanelUpdate runs on those runs,
+//! OuterUpdate on row runs × column runs: PanelUpdate leaves an all-zero
+//! block all zero, and a product with one adds nothing. On a dense input
+//! every bit is set, each block is read up to its first row, and the GEMM
+//! calls are those of the unskipped loop.
 //!
 //! That OuterUpdate is `QuadrantUpdate`, the one band-split update of the
 //! crate: the distributed driver runs it too, around the strips each of its
@@ -29,11 +31,12 @@
 //! via [`PackedB::repack`]) and streamed by every GEMM below it, at any
 //! thread count. Those repacks are the iteration's only copy.
 //!
-//! Each iteration opens the paper's phase spans (`DiagUpdate`,
-//! `PanelUpdate` with the scan inside it, `OuterUpdate` with each repack
+//! The map's pass opens a `presence` span and each iteration the paper's
+//! phase spans (`DiagUpdate`, `PanelUpdate` with the re-read inside it,
+//! `OuterUpdate` with each repack
 //! as `pack` inside it) on the calling thread's `apsp_trace` recorder. The
 //! loop that closes a wide diagonal block runs [`apsp_trace::muted`], so
-//! its own phases book under DiagUpdate.
+//! its own pass and phases book under DiagUpdate.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -44,6 +47,8 @@ use srgemm::gemm::{gemm_packed_threads, PackedB};
 use srgemm::matrix::{Matrix, View, ViewMut};
 use srgemm::panel::{panel_update_left, panel_update_right};
 use srgemm::semiring::Semiring;
+
+use crate::presence::BlockPresence;
 
 /// The widest diagonal block DiagUpdate closes with one scalar
 /// [`fw_closure`] call; a wider one is closed in blocks of this width.
@@ -105,7 +110,7 @@ pub(crate) fn diag_update<S: Semiring>(
 }
 
 /// Blocked FW on the square view `d` at the block size of `quadrants`,
-/// packing into its buffer, with `close` as DiagUpdate.
+/// packing into its buffer, with `close` as DiagUpdate; returns its map.
 ///
 /// # Panics
 /// Panics if `d` is not square.
@@ -114,50 +119,53 @@ fn fw_blocked_view<S: Semiring>(
     threads: usize,
     quadrants: &mut QuadrantUpdate<S>,
     mut close: impl FnMut(&mut ViewMut<'_, S::Elem>),
-) {
+) -> BlockPresence {
     let (n, b) = (d.rows(), quadrants.block);
-    assert_eq!(n, d.cols(), "distance matrix must be square");
     assert!(
         S::IDEMPOTENT_ADD,
         "blocked FW relies on an idempotent ⊕ ({} is not)",
         S::NAME
     );
-    for k0 in (0..n).step_by(b) {
+    let mut blocks = BlockPresence::of::<S>(&d.as_view(), b);
+    let mut present = [Vec::new(), Vec::new()];
+    for (kb, k0) in (0..n).step_by(b).enumerate() {
         let k = k0..n.min(k0 + b);
-        let [
-            [top_left, mut top_k, top_right],
-            [mut k_left, mut diag_k, mut k_right],
-            [bottom_left, mut bottom_k, bottom_right],
-        ] = bands(d.subview_mut(0, 0, n, n), k.clone(), k);
-
-        // ----- DiagUpdate -----
+        let w = k.len();
         {
             let _p = span("DiagUpdate");
-            close(&mut diag_k);
+            close(&mut d.subview_mut(k0, k0, w, w));
         }
+
         // ----- PanelUpdate, on the present runs of each panel -----
-        {
-            let _p = span("PanelUpdate");
-            quadrants.find_runs(
-                [&top_k.as_view(), &bottom_k.as_view()],
-                [&k_left.as_view(), &k_right.as_view()],
-            );
-            let diag_k = diag_k.as_view();
-            // row panel A(k, :): left and right of the diagonal block
-            for (panel, runs) in [&mut k_left, &mut k_right].into_iter().zip(&quadrants.cols) {
-                for r in runs {
-                    let h = panel.rows();
-                    panel_update_left::<S>(&mut panel.subview_mut(0, r.start, h, r.len()), &diag_k);
-                }
-            }
-            // column panel A(:, k): above and below it
-            for (panel, runs) in [&mut top_k, &mut bottom_k].into_iter().zip(&quadrants.rows) {
-                for r in runs {
-                    let w = panel.cols();
-                    panel_update_right::<S>(&mut panel.subview_mut(r.start, 0, r.len(), w), &diag_k);
-                }
+        let panel_update = span("PanelUpdate");
+        let v = d.as_view();
+        let [col_k, row_k] = &mut present;
+        blocks.refine::<S>(col_k, (n, b), |i| (i, kb), |r| v.subview(r.start, k0, r.len(), w));
+        blocks.refine::<S>(row_k, (n, b), |j| (kb, j), |c| v.subview(k0, c.start, w, c.len()));
+        blocks.close(kb);
+        split_runs(&mut quadrants.rows, col_k, n, k.clone(), b);
+        split_runs(&mut quadrants.cols, row_k, n, k.clone(), b);
+        let [
+            [top_left, mut top_k, top_right],
+            [mut k_left, diag_k, mut k_right],
+            [bottom_left, mut bottom_k, bottom_right],
+        ] = bands(d.subview_mut(0, 0, n, n), k.clone(), k);
+        let diag_k = diag_k.as_view();
+        // row panel A(k, :): left and right of the diagonal block
+        for (panel, runs) in [&mut k_left, &mut k_right].into_iter().zip(&quadrants.cols) {
+            for r in runs {
+                let h = panel.rows();
+                panel_update_left::<S>(&mut panel.subview_mut(0, r.start, h, r.len()), &diag_k);
             }
         }
+        // column panel A(:, k): above and below it
+        for (panel, runs) in [&mut top_k, &mut bottom_k].into_iter().zip(&quadrants.rows) {
+            for r in runs {
+                let w = panel.cols();
+                panel_update_right::<S>(&mut panel.subview_mut(r.start, 0, r.len(), w), &diag_k);
+            }
+        }
+        drop(panel_update);
 
         // ----- MinPlus outer product, i ∉ k and j ∉ k, present runs only -----
         let _p = span("OuterUpdate");
@@ -171,6 +179,7 @@ fn fw_blocked_view<S: Semiring>(
             },
         );
     }
+    blocks
 }
 
 /// `m`'s rows cut into the bands above, inside and below `rows`.
@@ -202,24 +211,24 @@ pub(crate) fn bands<T: Copy>(
 /// below blocks 16 wide, a GEMM call costs more than so narrow a gap saves.
 const MIN_GAP: usize = 16;
 
-/// Into `runs`, the `block`-wide ranges of `0..len` whose `cut` holds an
-/// entry other than `S::zero()`, joined where less than [`MIN_GAP`] apart.
-/// Each row is one branch-free fold (`|`, not `any`, so it vectorizes), and
-/// a block's scan stops at its first row that holds an entry.
-fn present_runs<'v, S: Semiring>(
-    runs: &mut Vec<Range<usize>>,
+/// Into `halves`, the parts before and after `excluded` of the
+/// `block`-wide blocks of `0..len` that `present` holds, joined where less
+/// than [`MIN_GAP`] apart, each counted from the start of its half.
+fn split_runs(
+    halves: &mut [Vec<Range<usize>>; 2],
+    present: &[bool],
     len: usize,
+    excluded: Range<usize>,
     block: usize,
-    cut: impl Fn(Range<usize>) -> View<'v, S::Elem>,
 ) {
-    let zero = S::zero();
-    runs.clear();
-    for start in (0..len).step_by(block) {
-        let blk = start..len.min(start + block);
-        let v = cut(blk.clone());
-        if (0..v.rows()).any(|i| v.row(i).iter().fold(false, |seen, &x| seen | (x != zero))) {
+    for (runs, half) in halves.iter_mut().zip([0..excluded.start, excluded.end..len]) {
+        runs.clear();
+        let blocks = half.start / block..half.end.div_ceil(block);
+        for l in blocks.filter(|&l| !half.is_empty() && present[l]) {
+            let blk = (l * block).max(half.start)..(l * block + block).min(half.end);
+            let blk = blk.start - half.start..blk.end - half.start;
             match runs.last_mut() {
-                Some(run) if start - run.end < MIN_GAP => run.end = blk.end,
+                Some(run) if blk.start - run.end < MIN_GAP => run.end = blk.end,
                 _ => runs.push(blk),
             }
         }
@@ -256,24 +265,12 @@ impl<S: Semiring> QuadrantUpdate<S> {
         QuadrantUpdate { block, packed, rows: Default::default(), cols: Default::default() }
     }
 
-    /// Scan the halves of `A` (`[above, below]`) by block rows and of `B`
-    /// (`[left, right]`) by block columns, and keep their present runs.
-    fn find_runs(&mut self, a: [&View<'_, S::Elem>; 2], b: [&View<'_, S::Elem>; 2]) {
-        for (runs, a) in self.rows.iter_mut().zip(a) {
-            let cut = |r: Range<usize>| a.subview(r.start, 0, r.len(), a.cols());
-            present_runs::<S>(runs, a.rows(), self.block, cut);
-        }
-        for (runs, b) in self.cols.iter_mut().zip(b) {
-            let cut = |c: Range<usize>| b.subview(0, c.start, b.rows(), c.len());
-            present_runs::<S>(runs, b.cols(), self.block, cut);
-        }
-    }
-
-    /// `c ⊕= a ⊗ b` outside the rows `rows` and the columns `cols` of `c`,
-    /// which stay untouched, skipping the blocks of `a`'s rows and `b`'s
-    /// columns that are all `S::zero()`. `a` has `c`'s rows and `b` its
-    /// columns; both lie outside `c`. `gemm(piece, a, b)` updates one
-    /// non-empty piece of a corner.
+    /// `c ⊕= a ⊗ b` (`[a, b]` the operands) outside the rows `rows` and
+    /// the columns `cols` of `c`, which stay untouched, skipping the blocks
+    /// of `a`'s rows and `b`'s columns that `present` (`[a's, b's]`) holds
+    /// false, block `l` being `l·block..(l+1)·block`. `a` has `c`'s rows
+    /// and `b` its columns; both lie outside `c`. `gemm(piece, a, b)` updates one non-empty
+    /// piece of a corner.
     ///
     /// # Panics
     /// Panics if a range or an operand does not fit `c`.
@@ -282,8 +279,8 @@ impl<S: Semiring> QuadrantUpdate<S> {
         c: ViewMut<'_, S::Elem>,
         rows: Range<usize>,
         cols: Range<usize>,
-        a: &View<'_, S::Elem>,
-        b: &View<'_, S::Elem>,
+        [a, b]: [&View<'_, S::Elem>; 2],
+        [a_present, b_present]: [&[bool]; 2],
         gemm: impl FnMut(
             &mut ViewMut<'_, S::Elem>,
             &View<'_, S::Elem>,
@@ -291,6 +288,8 @@ impl<S: Semiring> QuadrantUpdate<S> {
         ) -> Result<(), Err>,
     ) -> Result<(), Err> {
         assert_eq!((a.rows(), b.cols()), (c.rows(), c.cols()), "operands must fit the output");
+        split_runs(&mut self.rows, a_present, c.rows(), rows.clone(), self.block);
+        split_runs(&mut self.cols, b_present, c.cols(), cols.clone(), self.block);
         let [[top_left, _, top_right], _, [bottom_left, _, bottom_right]] =
             bands(c, rows.clone(), cols.clone());
         let (depth, m, n) = (a.cols(), a.rows(), b.cols());
@@ -298,7 +297,6 @@ impl<S: Semiring> QuadrantUpdate<S> {
             [a.subview(0, 0, rows.start, depth), a.subview(rows.end, 0, m - rows.end, depth)];
         let [left, right] =
             [b.subview(0, 0, depth, cols.start), b.subview(0, cols.end, depth, n - cols.end)];
-        self.find_runs([&above, &below], [&left, &right]);
         let corners = [[top_left, top_right], [bottom_left, bottom_right]];
         self.corners(corners, [above, below], [left, right], gemm)
     }
@@ -306,8 +304,8 @@ impl<S: Semiring> QuadrantUpdate<S> {
     /// [`QuadrantUpdate::update`] on corners [`bands`] has already cut out,
     /// `[[above-left, above-right], [below-left, below-right]]`, with `A`'s
     /// rows beside them (`[above, below]`) and `B`'s columns over them
-    /// (`[left, right]`), over the runs [`QuadrantUpdate::find_runs`] kept
-    /// for these halves. This is the form for operands that are themselves
+    /// (`[left, right]`), over the runs kept in `rows` and `cols` for
+    /// these halves. This is the form for operands that are themselves
     /// bands of the matrix being written, as blocked FW's panels are.
     pub(crate) fn corners<Err>(
         &mut self,
@@ -381,10 +379,20 @@ mod tests {
         generators::uniform_dense(n, WeightKind::small_ints(), seed).to_dense()
     }
 
+    /// [`fw_blocked_threads`]' solve of `d`, also returning its map.
+    fn solve<S: Semiring>(d: &mut Matrix<S::Elem>, b: usize, threads: usize) -> BlockPresence {
+        let mut inner = QuadrantUpdate::<S>::new(CLOSURE_WIDTH);
+        fw_blocked_view::<S>(&mut d.view_mut(), threads, &mut QuadrantUpdate::new(b), |diag| {
+            diag_update(diag, threads, &mut inner)
+        })
+    }
+
     /// `fw_blocked_threads` bit for bit against `fw_seq` on `base`, with
     /// blocks of 1, 7, n − 1, n and n + 5 on 1–3 threads: the quadrants
     /// above and left of block k are empty at k = 0, those below and right
     /// at the last (ragged) block, and b ≥ n is one diagonal block alone.
+    /// Every block the solve's map holds clear is all `S::zero()` in the
+    /// answer.
     fn assert_blocked_matches_seq<S: Semiring>(base: &Matrix<S::Elem>, input: &str) {
         let n = base.rows();
         let mut want = base.clone();
@@ -392,13 +400,14 @@ mod tests {
         for b in [1, 7, n - 1, n, n + 5] {
             for threads in 1..=3 {
                 let mut got = base.clone();
-                fw_blocked_threads::<S>(&mut got, b, threads);
-                assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "{} {input} n={n} b={b} threads={threads}",
-                    S::NAME
-                );
+                let map = solve::<S>(&mut got, b, threads);
+                let case = format!("{} {input} n={n} b={b} threads={threads}", S::NAME);
+                assert_eq!(got.as_slice(), want.as_slice(), "{case}");
+                let answer = BlockPresence::of::<S>(&got.view(), b);
+                let nb = n.div_ceil(b);
+                for (i, j) in (0..nb).flat_map(|i| (0..nb).map(move |j| (i, j))) {
+                    assert!(map.get(i, j) || !answer.get(i, j), "{case}: ({i}, {j}) held clear");
+                }
             }
         }
     }
@@ -436,6 +445,16 @@ mod tests {
             grid[(u, v)] = edge(hash(n, u, v) >> 2);
         }
         assert_blocked_matches_seq::<S>(&grid, "interleaved grid");
+        // complete components of 20: at widths that never cut one between
+        // two blocks, the map is exactly the answer's presence
+        let complete = Matrix::from_fn(100, 100, |i, j| {
+            if i != j && i / 20 == j / 20 { edge(hash(100, i, j) >> 2) } else { S::zero() }
+        });
+        for b in [4, 5, 10, 20, 40] {
+            let mut got = complete.clone();
+            let map = solve::<S>(&mut got, b, 1);
+            assert_eq!(map, BlockPresence::of::<S>(&got.view(), b), "{} b={b}", S::NAME);
+        }
     }
 
     #[test]
@@ -474,16 +493,37 @@ mod tests {
         assert_blocked_matches_seq::<MinPlusPred>(&annotate(&g), "clusters");
     }
 
+    /// Components of 40 at block 32 straddle block boundaries, so `close`
+    /// chains each run of five blocks that share components, setting bits
+    /// whose block product is all `S::zero()`. Each iteration re-reads its
+    /// row and column of the map before using them, and the last ones are
+    /// closed by no later iteration: they are the answer's, the last block
+    /// sharing components with its neighbour only.
+    #[test]
+    fn straddling_components_leave_the_last_block_row_and_column_exact() {
+        let mut d = generators::multi_component(320, 8, WeightKind::small_ints(), 5).to_dense();
+        let mut want = d.clone();
+        fw_seq::<MinPlusF32>(&mut want);
+        let map = solve::<MinPlusF32>(&mut d, 32, 1);
+        assert_eq!(d.as_slice(), want.as_slice());
+        let row: Vec<_> = (0..10).map(|l| (map.get(9, l), map.get(l, 9))).collect();
+        let near = |l: usize| (l >= 8, l >= 8);
+        assert_eq!(row, (0..10).map(near).collect::<Vec<_>>());
+    }
+
     /// The skip, counted: on 8 components of 64 at block 32 each block-
     /// iteration's row panel holds one present block, so OuterUpdate packs
     /// once per k, 16 in all. A dense input of the same size packs both
-    /// halves of the row panel at every k but the first and the last.
+    /// halves of the row panel at every k but the first and the last. On
+    /// both the solve's map is exactly the answer's presence: the
+    /// components are contiguous and the blocks do not straddle them.
     #[test]
     fn absent_blocks_are_neither_multiplied_nor_packed() {
         let packs = |g: &apsp_graph::Graph| {
             let mut d = g.to_dense();
-            let ((), trace) =
-                apsp_trace::record("main", || fw_blocked_threads::<MinPlusF32>(&mut d, 32, 1));
+            let (map, trace) =
+                apsp_trace::record("main", || solve::<MinPlusF32>(&mut d, 32, 1));
+            assert_eq!(map, BlockPresence::of::<MinPlusF32>(&d.view(), 32));
             trace.timelines.iter().flat_map(|t| &t.spans).filter(|s| s.name == "pack").count()
         };
         assert_eq!(packs(&generators::multi_component(512, 8, WeightKind::small_ints(), 1)), 16);
@@ -511,8 +551,8 @@ mod tests {
         };
         let (before, mut a, mut b) = (random(m, n, 1), random(m, depth, 2), random(depth, n, 3));
         // all-zero blocks at an end of `A`'s rows and of `B`'s columns,
-        // which the update skips (gaps inside a run are narrower than
-        // `MIN_GAP` here, so they would be joined)
+        // which the update is told to skip (gaps inside a run are narrower
+        // than `MIN_GAP` here, so they would be joined)
         a.subview_mut(12, 0, 2, depth).fill(S::zero());
         b.subview_mut(0, 0, depth, 4).fill(S::zero());
         let mut full = before.clone();
@@ -529,8 +569,8 @@ mod tests {
                         got.view_mut(),
                         rows.clone(),
                         cols.clone(),
-                        &a.view(),
-                        &b.view(),
+                        [&a.view(), &b.view()],
+                        [&[true, true, true, false], &[false, true, true, true, true]],
                         |c, a, b| {
                             if on_views {
                                 gemm_naive::<S>(c, a, b.view());
@@ -696,6 +736,8 @@ mod tests {
         }
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!((count("PanelUpdate"), count("OuterUpdate")), (3, 3));
+        // one pass builds the map; the muted inner loops record theirs not
+        assert_eq!(count("presence"), 1);
         // both halves of the row panel at the middle k, one at either end
         assert_eq!(count("pack"), 4);
     }

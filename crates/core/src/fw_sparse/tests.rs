@@ -8,8 +8,8 @@ use srgemm::MinPlusF32;
 use crate::fw_seq::fw_seq;
 use crate::ooc::{
     ingest, solve_in_store, staged_budget_floor, tile_bytes, FileStore, OocConfig, OocStats,
-    TileStore,
 };
+use crate::presence::BlockPresence;
 
 /// A temp-dir path for a store file that no other test has drawn;
 /// `FileStore::create` unlinks the file it makes there. The crate's unit
@@ -25,7 +25,7 @@ impl TempPath {
     }
 }
 
-/// One solve: which tiles of the grid (row-major) the store held after
+/// One solve: which tiles of the grid (row-major) the map held after
 /// ingest and after the solve, the grid's side and the solve's counters.
 struct Run {
     budget: &'static str,
@@ -47,9 +47,8 @@ impl Run {
     }
 }
 
-fn present_grid(store: &dyn TileStore<f32>) -> Vec<bool> {
-    let nb = store.tiles_per_side();
-    (0..nb * nb).map(|t| store.present(t / nb, t % nb)).collect()
+fn present_grid(blocks: &BlockPresence, nb: usize) -> Vec<bool> {
+    (0..nb * nb).map(|t| blocks.get(t / nb, t % nb)).collect()
 }
 
 /// Solve `g` at tile `t` on a file store without a budget, which never
@@ -60,16 +59,16 @@ fn solve_at_both_budgets(g: &Graph, t: usize) -> [Run; 2] {
     let mut want = g.to_dense();
     fw_seq::<MinPlusF32>(&mut want);
     let new_store = || FileStore::<f32>::create(&TempPath::new().0, n, t).unwrap();
-    let mut ingested = new_store();
-    ingest(&mut ingested, g).unwrap();
-    let ingested = present_grid(&ingested);
+    let nb = n.div_ceil(t);
+    let ingested = present_grid(&ingest(&mut new_store(), g).unwrap(), nb);
     let tight = staged_budget_floor::<f32>(t) + 3 * tile_bytes::<f32>(t, t);
     [("unbounded", u64::MAX), ("tight", tight)].map(|(label, budget)| {
         let mut store = new_store();
-        let (got, stats) = solve_in_store(g, &mut store, &OocConfig::with_budget(budget)).unwrap();
+        let cfg = OocConfig::with_budget(budget);
+        let (got, stats, blocks) = solve_in_store(g, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "n={n} tile={t}, {label} budget");
-        let nb = store.tiles_per_side();
-        Run { budget: label, nb, ingested: ingested.clone(), present: present_grid(&store), stats }
+        let present = present_grid(&blocks, nb);
+        Run { budget: label, nb, ingested: ingested.clone(), present, stats }
     })
 }
 

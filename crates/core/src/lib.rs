@@ -47,7 +47,7 @@
 //!   any work happens.
 //! * [`ooc`] — the tiled FW loop over a tile store: out-of-core under a
 //!   RAM budget (the disk tier of §4.3–4.5), and block-sparse where tiles
-//!   without paths are absent and skipped.
+//!   without paths are skipped ([`presence::BlockPresence`]).
 //! * [`solver`] — one [`Solver`] registry over every APSP algorithm in the
 //!   workspace, one name per code path (dense FW, the tiled FW loop that is
 //!   both out-of-core and block-sparse, Johnson's Dijkstra sweep,
@@ -77,6 +77,7 @@ pub mod incremental;
 pub mod model;
 pub mod ooc;
 pub mod paths_dist;
+pub mod presence;
 pub mod quant;
 pub mod schedule;
 pub mod serve;
@@ -101,10 +102,10 @@ pub(crate) fn host_threads() -> usize {
 }
 
 // Block-sparse Floyd-Warshall (the §7 direction, the paper's reference [31])
-// in RAM is `fw_blocked`, which skips all-∞ blocks (the registry's
-// `blocked`, alias `sparse`); staged, it is `ooc::ooc_fw` over a file store
-// that holds a graph's all-∞ tiles absent. The tests of the latter, on the
-// file store under an unbounded and under a tight budget, live here.
+// in RAM is `fw_blocked`, which skips what its presence map holds clear (the
+// registry's `blocked`, alias `sparse`); staged, it is `ooc::ooc_fw` over a
+// file store, skipping the tiles clear in `ooc::ingest`'s map. The tests of
+// the latter, under an unbounded and under a tight budget, live here.
 #[cfg(test)]
 mod fw_sparse {
     pub(crate) mod tests;

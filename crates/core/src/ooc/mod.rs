@@ -17,13 +17,15 @@
 //!   [`mod@crate::fw_blocked`] in place on views of the tiles in a cache,
 //!   spilling dirty ones back to the store. The diagonal tile is closed by
 //!   blocked FW's own DiagUpdate, in blocks of 64 when it is wider;
-//! * a tile the store holds as *absent* is all ⊕-identity and is skipped as
-//!   an operand; only fill-in materializes it. That makes the same loop the
-//!   block-sparse FW of the paper's §7 direction (supernodal APSP, its
-//!   reference \[31\]): on clustered or banded graphs it multiplies only the
-//!   tiles that hold paths. [`ingest`] reads the [`Graph`] one tile row at a
-//!   time and declares every off-diagonal tile without an edge absent, so
-//!   the `n × n` matrix exists only when [`export`] builds the answer;
+//! * which tiles hold anything is the solve's [`BlockPresence`] map at the
+//!   tile width: a tile it holds clear is all ⊕-identity, is never stored
+//!   and is skipped as an operand; only fill-in materializes it. That makes
+//!   the same loop the block-sparse FW of the paper's §7 direction
+//!   (supernodal APSP, its reference \[31\]): on clustered or banded graphs
+//!   it multiplies only the tiles that hold paths. [`ingest`] reads the
+//!   [`Graph`] one tile row at a time, writes the tiles that received an
+//!   edge and returns their map, so the `n × n` matrix exists only when
+//!   [`export`] builds the answer;
 //! * the [`FileStore`] keeps the tiles in one unlinked temp file and moves
 //!   a slot on the solving thread when the cache misses or spills, straight
 //!   between its one slot buffer and the evicted tile's matrix, so no
@@ -60,6 +62,7 @@ use srgemm::semiring::Semiring;
 use srgemm::MinPlusF32;
 
 use crate::fw_blocked::{diag_update, QuadrantUpdate, CLOSURE_WIDTH};
+use crate::presence::BlockPresence;
 
 pub use store::{tile_bytes, FileStore, StoreError, TileElem, TileStore};
 
@@ -203,10 +206,12 @@ enum Access {
 /// ([`TileCache::retire`]) first, then the least recently used; stamps are
 /// unique, so the victim, and with it the store traffic, is exact. A tile
 /// is resident while it is in `map` *or* checked out with
-/// [`TileCache::take`]; checked-out tiles cannot be evicted. A tile the
-/// store holds as absent is materialized as all `zero` on first use.
+/// [`TileCache::take`]; checked-out tiles cannot be evicted. A tile that
+/// `blocks` holds clear is not in the store: it is materialized as all
+/// `zero` on first use, and its bit set.
 struct TileCache<'s, E> {
     store: &'s mut dyn TileStore<E>,
+    blocks: &'s mut BlockPresence,
     stats: OocStats,
     map: HashMap<(usize, usize), Resident<E>>,
     resident: u64,
@@ -219,7 +224,12 @@ struct TileCache<'s, E> {
 impl<'s, E: TileElem> TileCache<'s, E> {
     /// Split `budget` into the reserved part and the cache capacity, or
     /// refuse a budget below the floor.
-    fn new(store: &'s mut dyn TileStore<E>, budget: u64, zero: E) -> Result<Self, OocError> {
+    fn new(
+        store: &'s mut dyn TileStore<E>,
+        blocks: &'s mut BlockPresence,
+        budget: u64,
+        zero: E,
+    ) -> Result<Self, OocError> {
         let tile = store.tile();
         let required = staged_budget_floor::<E>(tile);
         if budget < required {
@@ -227,6 +237,7 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         }
         Ok(TileCache {
             store,
+            blocks,
             stats: OocStats::default(),
             map: HashMap::new(),
             resident: 0,
@@ -235,12 +246,6 @@ impl<'s, E: TileElem> TileCache<'s, E> {
             clock: 0,
             zero,
         })
-    }
-
-    /// Whether tile `key` holds anything but ⊕-identity: resident, or
-    /// present in the store. A checked-out tile is not asked about.
-    fn present(&self, key: (usize, usize)) -> bool {
-        self.map.contains_key(&key) || self.store.present(key.0, key.1)
     }
 
     fn note_peak(&mut self) {
@@ -280,8 +285,8 @@ impl<'s, E: TileElem> TileCache<'s, E> {
     }
 
     /// Make `key` resident: fetch and verify it on a miss, or materialize
-    /// it as fill-in — dirty, so it is stored when it leaves — if the store
-    /// holds it as absent. Room is made first, so the incoming tile lands
+    /// it as fill-in — dirty, so it is stored when it leaves — if `blocks`
+    /// holds it clear. Room is made first, so the incoming tile lands
     /// in the victim's allocation whenever the two have the same shape.
     fn ensure(&mut self, key: (usize, usize)) -> Result<(), OocError> {
         self.clock += 1;
@@ -295,17 +300,18 @@ impl<'s, E: TileElem> TileCache<'s, E> {
         // a victim of another shape is freed before the new tile is made
         let victim = self.make_room(bytes)?.filter(|m| (m.rows(), m.cols()) == (rows, cols));
         let mut tile = victim.unwrap_or_else(|| Matrix::filled(rows, cols, self.zero));
-        let present = self.store.present(key.0, key.1);
-        if present {
+        let stored = self.blocks.get(key.0, key.1);
+        if stored {
             let _io = span("io-wait");
             self.store.read_into(key.0, key.1, &mut tile.view_mut())?;
             self.stats.tiles_read += 1;
             self.stats.bytes_read += bytes;
         } else {
             tile.view_mut().fill(self.zero);
+            self.blocks.set(key.0, key.1);
         }
         self.resident += bytes;
-        let entry = Resident { tile, bytes, dirty: !present, spent: false, stamp: self.clock };
+        let entry = Resident { tile, bytes, dirty: !stored, spent: false, stamp: self.clock };
         self.map.insert(key, entry);
         self.note_peak();
         Ok(())
@@ -369,39 +375,42 @@ impl<'s, E: TileElem> TileCache<'s, E> {
 /// time, laid out as [`Graph::to_dense`] lays it out (`D[i][i] = min(0,
 /// w(i,i))`, `D[i][j] = w(i,j)`, `∞` elsewhere) without building it: each
 /// strip of [`Graph::tile_rows`] writes its diagonal tile and every tile
-/// that received an edge. Every other tile of the row is all ∞ and is
-/// declared absent.
+/// that received an edge. Returns the map of the written tiles: every
+/// other tile is all ∞ and is not stored.
 ///
 /// # Panics
 /// Panics if `g` does not have `store.n()` vertices.
-pub fn ingest(store: &mut dyn TileStore<f32>, g: &Graph) -> Result<(), OocError> {
+pub fn ingest(store: &mut dyn TileStore<f32>, g: &Graph) -> Result<BlockPresence, OocError> {
     let (n, t) = (store.n(), store.tile());
     assert_eq!(g.n(), n, "ingest: graph order != store dimension");
     let mut tile_rows = g.tile_rows(t);
+    let mut blocks = BlockPresence::empty(tile_rows.tiles_per_side());
     for ti in 0..tile_rows.tiles_per_side() {
         let (strip, present) = tile_rows.row(ti);
-        for (tj, &present) in present.iter().enumerate() {
-            if present {
-                let (rows, cols) = store.tile_dims(ti, tj);
-                store.write(ti, tj, &strip.subview(0, tj * t, rows, cols))?;
-            } else {
-                store.declare_absent(ti, tj);
-            }
+        for tj in (0..present.len()).filter(|&tj| present[tj]) {
+            let (rows, cols) = store.tile_dims(ti, tj);
+            store.write(ti, tj, &strip.subview(0, tj * t, rows, cols))?;
+            blocks.set(ti, tj);
         }
     }
-    Ok(())
+    Ok(blocks)
 }
 
-/// The matrix held in `store`: a fresh `S::zero()` matrix with every
-/// present tile read into place.
+/// The matrix held in `store`: a fresh `S::zero()` matrix with every tile
+/// `blocks` holds read into place.
+///
+/// # Panics
+/// Panics if `blocks` is not a map of `store`'s tile grid.
 pub fn export<S: Semiring>(
     store: &mut dyn TileStore<S::Elem>,
+    blocks: &BlockPresence,
 ) -> Result<Matrix<S::Elem>, OocError> {
     let (n, t, nb) = (store.n(), store.tile(), store.tiles_per_side());
+    assert_eq!(blocks.nb(), nb, "presence map of another tile grid than the store's");
     let mut out = Matrix::filled(n, n, S::zero());
     for ti in 0..nb {
         for tj in 0..nb {
-            if store.present(ti, tj) {
+            if blocks.get(ti, tj) {
                 let (rows, cols) = store.tile_dims(ti, tj);
                 store.read_into(ti, tj, &mut out.subview_mut(ti * t, tj * t, rows, cols))?;
             }
@@ -426,16 +435,17 @@ pub fn export<S: Semiring>(
 /// [`crate::fw_blocked::fw_blocked_threads`] at block size `tile`, and its
 /// result is bit-identical to that.
 ///
-/// Tiles the store holds as absent are skipped, which is exact because ⊕
-/// is idempotent: PanelUpdate leaves an absent `(k,j)` or `(i,k)` all
-/// `S::zero()`, and a product with an absent `A(i,k)` or `B(k,j)` adds
-/// nothing. An absent `(k,k)` or `C(i,j)` is materialized when it is
-/// updated, as fill-in.
+/// Block row and column `k` are the tiles `blocks`, the map of `store`,
+/// holds set; the clear ones are skipped, exact as in blocked FW. A clear
+/// `C(i,j)` is materialized as fill-in when it is updated, and its bit set:
+/// over iteration `k` these are the bits [`BlockPresence::close`] sets.
 ///
 /// # Panics
-/// Panics if `S` is not ⊕-idempotent (same precondition as blocked FW).
+/// Panics if `S` is not ⊕-idempotent (same precondition as blocked FW), or
+/// if `blocks` is not a map of `store`'s tile grid.
 pub fn ooc_fw<S: Semiring>(
     store: &mut dyn TileStore<S::Elem>,
+    blocks: &mut BlockPresence,
     cfg: &OocConfig,
 ) -> Result<OocStats, OocError>
 where
@@ -447,13 +457,14 @@ where
         S::NAME
     );
     let nb = store.tiles_per_side();
+    assert_eq!(blocks.nb(), nb, "presence map of another tile grid than the store's");
     // The one persistent packed operand, sized up front for a full tile so
     // that no later pack grows it: each `B(k, j)` is repacked into it, and
     // so is every panel of a diagonal tile's blocked closure.
     let side = store.tile().min(store.n());
     let mut quadrants = QuadrantUpdate::<S>::new(CLOSURE_WIDTH);
     quadrants.packed.repack::<S>(&Matrix::filled(side, side, S::zero()).view());
-    let mut cache = TileCache::<S::Elem>::new(store, cfg.budget_bytes, S::zero())?;
+    let mut cache = TileCache::<S::Elem>::new(store, blocks, cfg.budget_bytes, S::zero())?;
 
     for k in 0..nb {
         // ----- DiagUpdate: the tile's own phases book under this span -----
@@ -466,8 +477,8 @@ where
 
         // The present tiles of block row and column k: the operands of
         // both later phases. Neither phase materializes one of them.
-        let cols: Vec<usize> = (0..nb).filter(|&j| j != k && cache.present((k, j))).collect();
-        let rows: Vec<usize> = (0..nb).filter(|&i| i != k && cache.present((i, k))).collect();
+        let cols: Vec<usize> = (0..nb).filter(|&j| j != k && cache.blocks.get(k, j)).collect();
+        let rows: Vec<usize> = (0..nb).filter(|&i| i != k && cache.blocks.get(i, k)).collect();
 
         // ----- PanelUpdate: block row k, then block column k -----
         let panel_update = span("PanelUpdate");
@@ -507,21 +518,22 @@ where
 
 /// [`ingest`] `g` into the empty `f32` store `store`, run min-plus
 /// [`ooc_fw`], and [`export`] the closure — the first and last step under
-/// `ingest` and `export` spans. The body of the `ooc` solver.
+/// `ingest` and `export` spans. Also returns the solve's map of the tiles
+/// it materialized. The body of the `ooc` solver.
 pub fn solve_in_store(
     g: &Graph,
     store: &mut dyn TileStore<f32>,
     cfg: &OocConfig,
-) -> Result<(Matrix<f32>, OocStats), OocError> {
-    {
+) -> Result<(Matrix<f32>, OocStats, BlockPresence), OocError> {
+    let mut blocks = {
         let _s = span("ingest");
-        ingest(store, g)?;
-    }
-    let stats = ooc_fw::<MinPlusF32>(store, cfg)?;
+        ingest(store, g)?
+    };
+    let stats = ooc_fw::<MinPlusF32>(store, &mut blocks, cfg)?;
     // The slot buffer has sat since ingest under everything the solve
     // allocated; regrown by export, it reuses the freed cache's memory, and
     // the process peaks about a slot lower.
     store.release_scratch();
     let _s = span("export");
-    Ok((export::<MinPlusF32>(store)?, stats))
+    Ok((export::<MinPlusF32>(store, &blocks)?, stats, blocks))
 }

@@ -10,10 +10,10 @@
 //! dense tiles it can update in place, and packs the one `B` it needs per
 //! product itself.
 //!
-//! A tile may also be *declared absent* ([`TileStore::declare_absent`]):
-//! entirely ⊕-identity, so it is never stored and [`super::ooc_fw`] never
-//! reads it until a write materializes it. Reading a slot that was neither
-//! written nor declared absent is a typed error, never a made-up tile.
+//! The store is slot I/O only: which slots were written is the solve's
+//! [`crate::presence::BlockPresence`] map, and [`super::ooc_fw`] reads a
+//! slot only where the map holds a tile. Reading a slot that was never
+//! written is a typed error, never a made-up tile.
 //!
 //! [`FileStore`] is the one implementation, and so the one place that
 //! knows how a tile becomes bytes; the [`TileStore`] trait stays so that a
@@ -213,18 +213,6 @@ pub trait TileStore<E>: Send {
     /// # Panics
     /// Panics if `tile` does not have the dimensions of tile `(ti, tj)`.
     fn write(&mut self, ti: usize, tj: usize, tile: &View<'_, E>) -> Result<(), StoreError>;
-    /// Declare tile `(ti, tj)` entirely ⊕-identity: nothing is stored for
-    /// it, and it is absent until the next `write` of it.
-    fn declare_absent(&mut self, ti: usize, tj: usize);
-    /// False for a tile declared absent and not written since. A slot that
-    /// was neither written nor declared is present, and reading it is a
-    /// typed error.
-    fn present(&self, ti: usize, tj: usize) -> bool;
-    /// Tiles of the grid that are [`TileStore::present`].
-    fn present_tiles(&self) -> usize {
-        let nb = self.tiles_per_side();
-        (0..nb * nb).filter(|&s| self.present(s / nb, s % nb)).count()
-    }
     /// Free what the store keeps only to move tiles (the [`FileStore`]'s
     /// slot buffer); the next transfer grows it again.
     fn release_scratch(&mut self) {}
@@ -232,17 +220,11 @@ pub trait TileStore<E>: Send {
     fn tiles_per_side(&self) -> usize {
         self.n().div_ceil(self.tile())
     }
-    /// Row-major position of tile `(ti, tj)` in the grid.
+    /// `(rows, cols)` of tile `(ti, tj)`: `t × t` except on the ragged last
+    /// block row and column.
     ///
     /// # Panics
     /// Panics if `(ti, tj)` is outside the grid.
-    fn tile_index(&self, ti: usize, tj: usize) -> usize {
-        let nb = self.tiles_per_side();
-        assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
-        ti * nb + tj
-    }
-    /// `(rows, cols)` of tile `(ti, tj)`: `t × t` except on the ragged last
-    /// block row and column. Panics like [`TileStore::tile_index`].
     fn tile_dims(&self, ti: usize, tj: usize) -> (usize, usize) {
         let (n, t, nb) = (self.n(), self.tile(), self.tiles_per_side());
         assert!(ti < nb && tj < nb, "tile index ({ti}, {tj}) out of range");
@@ -279,8 +261,6 @@ pub struct FileStore<E> {
     /// `slot_cap` bytes: grown by the first transfers, then reused until
     /// [`TileStore::release_scratch`].
     buf: Vec<u8>,
-    /// Slots declared absent and not written since.
-    absent: Vec<bool>,
     elem: PhantomData<E>,
 }
 
@@ -305,21 +285,14 @@ impl<E: TileElem> FileStore<E> {
             .map_err(|e| io_err("open", e))?;
         std::fs::remove_file(path).map_err(|e| io_err("unlink", e))?;
         file.set_len(len).map_err(|e| io_err("write", e))?;
-        Ok(FileStore {
-            n,
-            tile,
-            slot_cap,
-            file,
-            buf: Vec::new(),
-            absent: vec![false; n.div_ceil(tile).pow(2)],
-            elem: PhantomData,
-        })
+        Ok(FileStore { n, tile, slot_cap, file, buf: Vec::new(), elem: PhantomData })
     }
 
-    /// File offset and stored length of tile `(ti, tj)`.
+    /// File offset and stored length of tile `(ti, tj)`, the grid's
+    /// row-major slot.
     fn slot(&self, ti: usize, tj: usize) -> (u64, usize) {
-        let off = self.tile_index(ti, tj) * self.slot_cap;
         let (rows, cols) = self.tile_dims(ti, tj);
+        let off = (ti * self.tiles_per_side() + tj) * self.slot_cap;
         (off as u64, tile_bytes::<E>(rows, cols) as usize)
     }
 }
@@ -358,19 +331,7 @@ impl<E: TileElem> TileStore<E> for FileStore<E> {
         self.file
             .seek(SeekFrom::Start(off))
             .and_then(|_| self.file.write_all(&self.buf))
-            .map_err(|e| io_err("write", e))?;
-        let s = self.tile_index(ti, tj);
-        self.absent[s] = false;
-        Ok(())
-    }
-
-    fn declare_absent(&mut self, ti: usize, tj: usize) {
-        let s = self.tile_index(ti, tj);
-        self.absent[s] = true;
-    }
-
-    fn present(&self, ti: usize, tj: usize) -> bool {
-        !self.absent[self.tile_index(ti, tj)]
+            .map_err(|e| io_err("write", e))
     }
 
     fn release_scratch(&mut self) {
@@ -472,12 +433,13 @@ mod tests {
         // the store's own file: only distances change, not the length.
         let tmp = TempPath::new();
         let mut store = FileStore::<f32>::create(&tmp.0, n, t).unwrap();
-        ingest(&mut store, &generators::uniform_dense(n, WeightKind::small_ints(), 6)).unwrap();
+        let mut blocks =
+            ingest(&mut store, &generators::uniform_dense(n, WeightKind::small_ints(), 6)).unwrap();
         let (off, len) = store.slot(1, 1);
         store.file.seek(SeekFrom::Start(off + len as u64 / 2)).unwrap();
         store.file.write_all(&[0xA5; 4]).unwrap();
         assert_eq!(
-            ooc_fw::<MinPlusF32>(&mut store, &cfg),
+            ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &cfg),
             Err(OocError::Store(StoreError::CorruptTile { ti: 1, tj: 1 }))
         );
     }

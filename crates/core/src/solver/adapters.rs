@@ -298,14 +298,14 @@ impl Solver for Ooc {
         let mut store = FileStore::<f32>::create(&Self::staging_path(n, tile), n, tile)
             .map_err(|e| SolveError::Ooc(e.into()))?;
         let cfg = OocConfig { budget_bytes: budget, threads };
-        let (d, stats) = solve_in_store(g, &mut store, &cfg).map_err(SolveError::Ooc)?;
+        let (d, stats, blocks) = solve_in_store(g, &mut store, &cfg).map_err(SolveError::Ooc)?;
         let nb = store.tiles_per_side() as u64;
         let mut sol = solution(d, self.name(), threads);
         sol.stats.notes.push(format!(
             "ooc: file store, tile {} ({nb}×{nb} tiles), {} of {} tiles materialized, \
              {} of {} outer tile GEMMs, peak resident {} of budget {}",
             store.tile(),
-            store.present_tiles(),
+            blocks.count(),
             nb * nb,
             stats.outer_gemms,
             nb * (nb - 1) * (nb - 1),

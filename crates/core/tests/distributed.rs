@@ -35,14 +35,32 @@ fn all_variants_match_sequential_on_dense_graph() {
 
 #[test]
 fn all_variants_match_on_sparse_multi_component_graph() {
-    let (input, want) = reference(30, GraphKind::MultiComponent { components: 3 }, 55);
-    for variant in Variant::all() {
-        let cfg = FwConfig::new(5, variant);
-        let (got, _) = distributed_apsp_opts::<MinPlusF32>(
-            2, 3, &cfg, &input, None, &DistRunOpts::default(),
-        )
-        .expect("run");
-        assert_matrices_equal(&want, &got, variant.legend());
+    // components of 10 at b = 5 sit on block boundaries; components of 15
+    // at b = 4 straddle them, so a product of two present blocks can be all
+    // ∞, which only each rank's re-read of its panels sees
+    for (n, components, b, seed) in [(30, 3, 5, 55), (60, 4, 4, 7)] {
+        let (input, want) = reference(n, GraphKind::MultiComponent { components }, seed);
+        for (pr, pc) in [(2, 3), (2, 2), (1, 3), (3, 1)] {
+            for variant in Variant::all() {
+                let cfg = FwConfig::new(b, variant);
+                let (got, _) = distributed_apsp_opts::<MinPlusF32>(
+                    pr, pc, &cfg, &input, None, &DistRunOpts::default(),
+                )
+                .expect("run");
+                let case = format!("n={n} b={b} {pr}x{pc} {}", variant.legend());
+                assert_matrices_equal(&want, &got, &case);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_non_square_input_or_a_zero_block_is_a_bad_config() {
+    let opts = DistRunOpts::default();
+    for (input, b) in [(Matrix::filled(4, 6, 0.0), 2), (Matrix::filled(4, 4, 0.0), 0)] {
+        let cfg = FwConfig::new(b, Variant::Baseline);
+        let got = distributed_apsp_opts::<MinPlusF32>(2, 2, &cfg, &input, None, &opts);
+        assert!(matches!(got, Err(DistError::BadConfig { .. })), "{b}: {got:?}");
     }
 }
 
@@ -319,4 +337,23 @@ fn traffic_is_pinned_for_every_corner_of_the_policy_cube() {
             }
         }
     }
+}
+
+#[test]
+fn absent_blocks_are_skipped_end_to_end() {
+    // 8 components of 64 at b = 32 on a 2×2 grid, in-core: the map built
+    // from the input skips every block across components, so the ranks
+    // pack fewer row-panel runs than on a dense input of the same n
+    let packs = |kind: GraphKind| {
+        let (input, want) = reference(512, kind, 3);
+        let cfg = FwConfig::new(32, Variant::Baseline);
+        let opts = DistRunOpts::default();
+        let run = distributed_apsp_traced_opts::<MinPlusF32>(2, 2, &cfg, &input, None, &opts);
+        let (got, _, trace) = run.expect("run");
+        assert_matrices_equal(&want, &got, &format!("{kind:?}"));
+        trace.timelines.iter().flat_map(|t| &t.spans).filter(|s| s.name == "pack").count()
+    };
+    let clustered = packs(GraphKind::MultiComponent { components: 8 });
+    let dense = packs(GraphKind::UniformDense);
+    assert!(clustered < dense, "{clustered} packs on components, {dense} on dense");
 }

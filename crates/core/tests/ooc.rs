@@ -1,6 +1,6 @@
 //! Out-of-core FW: oracle equivalence, budget enforcement, the unlinked
 //! store file, pinned store traffic, I/O that does not overlap compute, and
-//! the absent tiles that make the same loop the block-sparse solver.
+//! the block-presence map that makes the same loop the block-sparse solver.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -8,10 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apsp_core::fw_blocked::fw_blocked_threads;
 use apsp_core::fw_seq::fw_seq;
+use apsp_core::presence::BlockPresence;
 use apsp_core::verify::max_abs_diff;
 use apsp_core::ooc::{
-    choose_tile, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes, FileStore,
-    OocConfig, OocError, StoreError, TileStore,
+    choose_tile, export, ingest, ooc_fw, solve_in_store, staged_budget_floor, tile_bytes,
+    FileStore, OocConfig, OocError, StoreError, TileStore,
 };
 use apsp_graph::dijkstra::dijkstra;
 use apsp_graph::generators::{self, WeightKind};
@@ -62,7 +63,7 @@ fn staged_solve_is_bit_identical_to_fw_seq_across_ragged_shapes() {
         let path = TempPath::new("oracle");
         let cfg = OocConfig::with_budget(tight_budget(t));
         let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
-        let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+        let (got, stats, _) = solve_in_store(&g, &mut store, &cfg).unwrap();
         assert!(want.eq_exact(&got), "staged solve diverged at n={n} t={t}");
         if n > t {
             assert!(stats.tiles_written > 0, "a tight budget must spill (n={n} t={t})");
@@ -82,7 +83,7 @@ fn budget_sweep_never_exceeds_the_budget() {
             let path = TempPath::new("sweep");
             let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
             let cfg = OocConfig::with_budget(budget);
-            let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+            let (got, stats, _) = solve_in_store(&g, &mut store, &cfg).unwrap();
             assert!(want.eq_exact(&got), "wrong closure at n={n} budget {budget}");
             assert!(
                 stats.peak_resident_bytes <= budget,
@@ -98,10 +99,10 @@ fn budget_below_floor_fails_upfront_with_the_full_requirement() {
     let (n, t) = (32usize, 16usize);
     let path = TempPath::new("floor");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
-    ingest(&mut store, &graph(n, 3)).unwrap();
+    let mut blocks = ingest(&mut store, &graph(n, 3)).unwrap();
     let floor = staged_budget_floor::<f32>(t);
     let cfg = OocConfig::with_budget(floor - 1);
-    match ooc_fw::<MinPlusF32>(&mut store, &cfg) {
+    match ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &cfg) {
         Err(OocError::BudgetTooSmall { required, budget }) => {
             // the full up-front requirement, not the increment that tripped
             assert_eq!(required, floor);
@@ -121,24 +122,42 @@ fn store_file_is_unlinked_at_create_and_still_solves() {
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     assert!(!path.0.exists(), "{} outlived create", path.0.display());
     let cfg = OocConfig::with_budget(tight_budget(t));
-    let (got, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+    let (got, stats, _) = solve_in_store(&g, &mut store, &cfg).unwrap();
     assert!(closure(&g).eq_exact(&got));
     assert!(stats.tiles_written > 0, "the solve went through the file");
 }
 
 #[test]
 fn corrupt_or_never_written_tile_is_a_typed_store_error() {
-    // A created but never ingested store is all zeros: the first tile read
-    // fails its checksum instead of decoding to zeros. (A slot damaged
-    // after ingest is covered by the store's own unit tests, which stomp it
-    // through the store's file.)
+    // A created but never ingested store is all zeros: under a map that
+    // says a dense graph was ingested, the first tile read fails its
+    // checksum instead of decoding to zeros. (A slot damaged after ingest
+    // is covered by the store's own unit tests, which stomp it through the
+    // store's file.)
     let (n, t) = (32usize, 8usize);
     let blank = TempPath::new("blank");
     let mut store = FileStore::<f32>::create(&blank.0, n, t).unwrap();
+    let mut blocks = BlockPresence::of::<MinPlusF32>(&graph(n, 3).to_dense().view(), t);
     assert_eq!(
-        ooc_fw::<MinPlusF32>(&mut store, &OocConfig::with_budget(tight_budget(t))),
+        ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &OocConfig::with_budget(tight_budget(t))),
         Err(OocError::Store(StoreError::CorruptTile { ti: 0, tj: 0 }))
     );
+}
+
+#[test]
+fn a_map_of_another_tile_grid_is_refused() {
+    // a map at half the store's tile width would read bits at the wrong
+    // tiles: `ooc_fw` and `export` both check its side first
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (n, t) = (32usize, 8usize);
+    let path = TempPath::new("grid");
+    let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
+    ingest(&mut store, &graph(n, 3)).unwrap();
+    let mut finer = BlockPresence::empty(8);
+    let cfg = OocConfig::with_budget(1 << 20);
+    let fw = catch_unwind(AssertUnwindSafe(|| ooc_fw::<MinPlusF32>(&mut store, &mut finer, &cfg)));
+    let out = catch_unwind(AssertUnwindSafe(|| export::<MinPlusF32>(&mut store, &finer)));
+    assert!(fw.is_err() && out.is_err());
 }
 
 #[test]
@@ -172,11 +191,11 @@ fn measured_io_does_not_overlap_compute() {
     let (n, t) = (96usize, 24usize);
     let path = TempPath::new("model");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
-    ingest(&mut store, &graph(n, 13)).unwrap();
+    let mut blocks = ingest(&mut store, &graph(n, 13)).unwrap();
     let cfg = OocConfig::with_budget(tight_budget(t));
     let (stats, trace) = apsp_trace::record("driver", || {
         let _wall = apsp_trace::span("wall");
-        ooc_fw::<MinPlusF32>(&mut store, &cfg)
+        ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &cfg)
     });
     assert!(stats.unwrap().tiles_written > 0);
     let spans = &trace.timelines[0].spans;
@@ -211,7 +230,7 @@ fn store_traffic_is_pinned_for_a_fixed_configuration() {
     let path = TempPath::new("traffic");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
     let cfg = OocConfig::with_budget(budget);
-    let (_, stats) = solve_in_store(&graph(n, 13), &mut store, &cfg).unwrap();
+    let (_, stats, _) = solve_in_store(&graph(n, 13), &mut store, &cfg).unwrap();
     assert_eq!(
         (stats.tiles_read, stats.tiles_written, stats.bytes_read, stats.bytes_written),
         (187, 187, 2_484_504, 2_484_504),
@@ -235,14 +254,14 @@ fn tiles_wider_than_the_block_close_their_diagonal_in_blocks() {
             let path = TempPath::new("wide");
             let mut file = FileStore::<f32>::create(&path.0, n, t).unwrap();
             let staged = OocConfig::with_budget(tight_budget(t));
-            let (via_file, stats) = solve_in_store(g, &mut file, &staged).unwrap();
+            let (via_file, stats, _) = solve_in_store(g, &mut file, &staged).unwrap();
             assert!(stats.tiles_written > 0, "t={t}: a tight budget must spill");
             // unbounded, nothing is evicted; two kernel threads split the
             // tile GEMMs of 192 and above
             let path = TempPath::new("wide-unbounded");
             let mut roomy = FileStore::<f32>::create(&path.0, n, t).unwrap();
             let unbounded = OocConfig { threads: 2, ..OocConfig::with_budget(u64::MAX) };
-            let (via_roomy, _) = solve_in_store(g, &mut roomy, &unbounded).unwrap();
+            let (via_roomy, ..) = solve_in_store(g, &mut roomy, &unbounded).unwrap();
             assert!(via_file.eq_exact(&via_roomy), "t={t}: tight and unbounded budgets differ");
             if exact {
                 assert!(want.eq_exact(&via_file), "t={t}: integer weights must be bit-exact");
@@ -262,9 +281,10 @@ fn a_wide_diagonal_tile_books_its_inner_loop_under_diag_update_only() {
     let (n, t) = (277usize, 96usize);
     let path = TempPath::new("wide-trace");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
-    ingest(&mut store, &graph(n, 29)).unwrap();
+    let mut blocks = ingest(&mut store, &graph(n, 29)).unwrap();
     let cfg = OocConfig::with_budget(tight_budget(t));
-    let (stats, trace) = apsp_trace::record("driver", || ooc_fw::<MinPlusF32>(&mut store, &cfg));
+    let (stats, trace) =
+        apsp_trace::record("driver", || ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &cfg));
     stats.unwrap();
     let spans = &trace.timelines[0].spans;
     let diags: Vec<_> = spans.iter().filter(|s| s.name == "DiagUpdate").collect();
@@ -288,7 +308,8 @@ fn a_wide_diagonal_tile_books_its_inner_loop_under_diag_update_only() {
 #[test]
 fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent() {
     // a ring over ragged 8-tiles, self-loops of both signs, and an ∞ edge
-    // alone in its tile: that tile stays all ∞ and must be declared absent
+    // alone in its tile: that tile stays all ∞ and its bit clear in the map
+    // `ingest` returns
     let (n, t) = (29, 8);
     let mut b = GraphBuilder::new(n);
     for v in 0..n {
@@ -299,22 +320,22 @@ fn graph_ingest_matches_to_dense_and_declares_exactly_the_all_inf_tiles_absent()
     let d = g.to_dense();
     let path = TempPath::new("ingest");
     let mut store = FileStore::<f32>::create(&path.0, n, t).unwrap();
-    ingest(&mut store, &g).unwrap();
+    let blocks = ingest(&mut store, &g).unwrap();
     let nb = store.tiles_per_side();
     for ti in 0..nb {
         for tj in 0..nb {
             let (rows, cols) = store.tile_dims(ti, tj);
             let want = d.block(ti * t, tj * t, rows, cols);
             let all_inf = want.as_slice().iter().all(|&v| v == INF);
-            assert_eq!(store.present(ti, tj), ti == tj || !all_inf, "tile ({ti}, {tj})");
-            if store.present(ti, tj) {
+            assert_eq!(blocks.get(ti, tj), ti == tj || !all_inf, "tile ({ti}, {tj})");
+            if blocks.get(ti, tj) {
                 let mut got = Matrix::filled(rows, cols, f32::NAN);
                 store.read_into(ti, tj, &mut got.view_mut()).unwrap();
                 assert!(got.eq_exact(&want), "tile ({ti}, {tj})");
             }
         }
     }
-    assert!(!store.present(0, 2), "the ∞ edge's tile is absent");
+    assert!(!blocks.get(0, 2), "the ∞ edge's tile is absent");
 }
 
 /// A [`TileStore`] that records which slots were read and written.
@@ -344,12 +365,6 @@ impl<S: TileStore<f32>> TileStore<f32> for Touched<S> {
         self.written.insert((ti, tj));
         self.inner.write(ti, tj, tile)
     }
-    fn declare_absent(&mut self, ti: usize, tj: usize) {
-        self.inner.declare_absent(ti, tj)
-    }
-    fn present(&self, ti: usize, tj: usize) -> bool {
-        self.inner.present(ti, tj)
-    }
 }
 
 #[test]
@@ -362,10 +377,10 @@ fn staged_solve_of_sixteen_components_touches_only_their_tiles() {
     let inner = FileStore::<f32>::create(&path.0, n, t).unwrap();
     let mut store = Touched { inner, read: HashSet::new(), written: HashSet::new() };
     let cfg = OocConfig::with_budget((n * n) as u64);
-    let (d, stats) = solve_in_store(&g, &mut store, &cfg).unwrap();
+    let (d, stats, blocks) = solve_in_store(&g, &mut store, &cfg).unwrap();
     let nb = n / t;
     let grid = (0..nb).flat_map(|i| (0..nb).map(move |j| (i, j)));
-    let present: HashSet<_> = grid.filter(|&(i, j)| store.present(i, j)).collect();
+    let present: HashSet<_> = grid.filter(|&(i, j)| blocks.get(i, j)).collect();
     assert_eq!(present.len(), 64);
     assert!(present.iter().all(|&(i, j)| i / 2 == j / 2), "a tile across components");
     assert_eq!(store.written, present);

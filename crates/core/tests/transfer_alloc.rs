@@ -68,9 +68,10 @@ fn store_transfers_do_not_allocate_per_tile() {
         let path = std::env::temp_dir()
             .join(format!("apsp-transfer-alloc-{}-{budget}.tiles", std::process::id()));
         let mut store = FileStore::<f32>::create(&path, n, t).unwrap();
-        ingest(&mut store, &g).unwrap();
+        let mut blocks = ingest(&mut store, &g).unwrap();
         let cfg = OocConfig::with_budget(budget);
-        let (stats, large) = count_large(payload, || ooc_fw::<MinPlusF32>(&mut store, &cfg));
+        let (stats, large) =
+            count_large(payload, || ooc_fw::<MinPlusF32>(&mut store, &mut blocks, &cfg));
         runs.push((stats.unwrap(), large));
     }
     let [(tight, tight_allocs), (roomy, roomy_allocs)] = runs[..] else { unreachable!() };
